@@ -121,7 +121,6 @@ class AnalysisSpec:
     symbol: str
     symbol_params: dict
     freq_cutoff: float
-    n_modes: int
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ class ExperimentConfig:
                     for k in sorted(self.analysis.symbol_params)
                 },
                 "freq_cutoff": self.analysis.freq_cutoff,
-                "n_modes": self.analysis.n_modes,
             },
             "fit": {
                 "k_lo": self.fit.k_lo,
@@ -248,7 +246,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         "analysis",
         top["analysis"],
         required=("s", "p", "symbol"),
-        optional={"symbol_params": {}, "freq_cutoff": 256.0, "n_modes": 513},
+        optional={"symbol_params": {}, "freq_cutoff": 256.0},
     )
     if not isinstance(an["symbol_params"], dict):
         raise ConfigError("analysis symbol_params must be a JSON object")
@@ -258,12 +256,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         symbol=str(an["symbol"]),
         symbol_params=dict(an["symbol_params"]),
         freq_cutoff=float(an["freq_cutoff"]),
-        n_modes=int(an["n_modes"]),
     )
     if analysis.freq_cutoff <= 0.0:
         raise ConfigError("analysis freq_cutoff must be positive")
-    if analysis.n_modes < 3:
-        raise ConfigError("analysis n_modes must be at least 3")
 
     ft = _take_keys(
         "fit",
@@ -797,8 +792,6 @@ def run_trace_snumbers(
             measure,
             config.analysis.s,
             2.0,
-            freq_cutoff=config.analysis.freq_cutoff,
-            n_modes=config.analysis.n_modes,
             tolerance=config.fit.tolerance,
             k_lo=config.fit.k_lo,
             k_hi=config.fit.k_hi,

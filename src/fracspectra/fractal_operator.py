@@ -6,10 +6,13 @@ spectra approximate the continuum objects:
 * ``bessel_kernel`` / ``BesselKernel`` evaluate the radially symmetric kernel
   whose Fourier transform is the inverse smoothness bracket
   ``(1 + |xi|**2) ** (-a/2)``.
-* ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix whose
-  eigenvalues are the squared singular values of the restriction operator.
-* ``assemble_trace_operator`` builds the rectangular restriction matrix from
-  smoothness-weighted plane-wave coefficients to weighted atom samples.
+* ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix K whose
+  eigenvalues are the squared singular values of the restriction (trace)
+  operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
+  approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
+* ``assemble_trace_operator`` builds the frequency-truncated rectangular
+  restriction matrix from smoothness-weighted plane-wave coefficients to
+  weighted atom samples.
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol to
   atom space through a smoothly truncated frequency integral.
 
@@ -566,7 +569,6 @@ def assemble_dmu_kernel(
     *,
     kernel: BesselKernel | None = None,
     explicit_depth: int = 4,
-    psd_check: bool = True,
 ) -> DiscretizedOperator:
     """Symmetric kernel matrix ``(2 pi)^{-n/2} sqrt(w_j) G_{2s}(|x_j - x_k|) sqrt(w_k)``.
 
@@ -599,22 +601,20 @@ def assemble_dmu_kernel(
     energy, diag_info = cell_pair_energy(measure, kernel, explicit_depth)
     np.fill_diagonal(K, conv * energy / w)
 
-    psd_note = "skipped"
-    if psd_check:
-        try:
-            np.linalg.cholesky(K)
-            psd_note = "cholesky-positive"
-        except np.linalg.LinAlgError:
-            evals = np.linalg.eigvalsh(K)
-            lam_min, lam_max = float(evals[0]), float(evals[-1])
-            psd_note = f"indefinite: lambda_min = {lam_min:.3e}"
-            if lam_min < -1e-8 * lam_max:
-                warnings.warn(
-                    f"kernel matrix has eigenvalue {lam_min:.3e} below "
-                    f"-1e-8 * lambda_max = {-1e-8 * lam_max:.3e}",
-                    PsdViolationWarning,
-                    stacklevel=2,
-                )
+    try:
+        np.linalg.cholesky(K)
+        psd_note = "cholesky-positive"
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(K)
+        lam_min, lam_max = float(evals[0]), float(evals[-1])
+        psd_note = f"indefinite: lambda_min = {lam_min:.3e}"
+        if lam_min < -1e-8 * lam_max:
+            warnings.warn(
+                f"kernel matrix has eigenvalue {lam_min:.3e} below "
+                f"-1e-8 * lambda_max = {-1e-8 * lam_max:.3e}",
+                PsdViolationWarning,
+                stacklevel=2,
+            )
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -626,7 +626,7 @@ def assemble_dmu_kernel(
         "convention": "(2*pi)**(-n/2) * sqrt(w_j w_k) * kernel(|x_j - x_k|)",
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
-        "psd_check": psd_note,
+        "psd_probe": psd_note,
     }
     return DiscretizedOperator(
         matrix=K,
@@ -648,18 +648,15 @@ def assemble_trace_operator(
     *,
     freq_cutoff: float = 256.0,
     n_modes: int = 513,
-    completion: str = "psd_sqrt",
-    kernel: BesselKernel | None = None,
-    explicit_depth: int = 4,
 ) -> DiscretizedOperator:
-    """Restriction matrix from smoothness-weighted plane waves to atom samples.
+    """Frequency-truncated restriction matrix from plane waves to atom samples.
 
     Column m holds ``sqrt(w_j) sqrt(dxi/(2 pi)) (1+xi_m^2)^{-s/2} e^{i x_j xi_m}``,
-    so the Gram ``A A*`` is the frequency-truncated kernel matrix.  With
-    ``completion="psd_sqrt"`` extra columns holding the positive square root
-    of the truncation remainder are appended, making ``A A*`` equal the full
-    kernel matrix of :func:`assemble_dmu_kernel`; ``completion="none"`` keeps
-    the raw truncated modes.  Requires ``(n - d)/2 < s <= n/2``.
+    so the Gram ``A A*`` is the kernel matrix of :func:`assemble_dmu_kernel`
+    with the frequency integral truncated to ``|xi| <= freq_cutoff``.  The
+    exact approximation numbers come from that kernel matrix instead (see
+    :func:`~fracspectra.spectral_report.snumber_exponent_check`).  Requires
+    ``(n - d)/2 < s <= n/2``.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -670,8 +667,6 @@ def assemble_trace_operator(
             f"trace smoothness s = {s:.6f} must lie in ((n-d)/2, n/2] = "
             f"({(n - d) / 2.0:.6f}, {n / 2.0}] for dimension d = {d:.6f}"
         )
-    if completion not in ("psd_sqrt", "none"):
-        raise ValueError("completion must be 'psd_sqrt' or 'none'")
     if n_modes < 3:
         raise ValueError("need at least three frequency modes")
     if freq_cutoff <= 0.0:
@@ -681,39 +676,20 @@ def assemble_trace_operator(
     dxi = xi[1] - xi[0]
     amp = np.sqrt(dxi / (2.0 * math.pi)) * (1.0 + xi**2) ** (-s / 2.0)
     phase = np.exp(1j * measure.atoms[:, 0, None] * xi[None, :])
-    A = math.sqrt(w) * amp[None, :] * phase
-
-    assembly = {
-        "kind": "trace-restriction",
-        "smoothness_s": s,
-        "level": measure.level,
-        "n_atoms": measure.n_atoms,
-        "freq_cutoff": freq_cutoff,
-        "n_modes": n_modes,
-        "mode_spacing": float(dxi),
-        "completion": completion,
-        "convention": "sqrt(w_j) sqrt(dxi/(2*pi)) (1+xi^2)^(-s/2) exp(i x_j xi)",
-    }
-    if completion == "psd_sqrt":
-        gram = assemble_dmu_kernel(
-            measure, s, kernel=kernel, explicit_depth=explicit_depth, psd_check=False
-        ).matrix
-        R = gram - (A @ A.conj().T).real
-        R = 0.5 * (R + R.T)
-        evals, vecs = np.linalg.eigh(R)
-        scale = max(float(np.abs(evals).max()), float(np.trace(gram)))
-        keep = evals > 1e-13 * scale
-        clipped = float(-evals[evals < 0.0].sum())
-        extra = vecs[:, keep] * np.sqrt(evals[keep])[None, :]
-        A = np.hstack([A, extra.astype(np.complex128)])
-        assembly["completed_rank"] = int(keep.sum())
-        assembly["clipped_negative_mass"] = clipped
     return DiscretizedOperator(
-        matrix=A,
-        domain_desc="smoothness-weighted plane-wave coefficients"
-        + (" + residual completion" if completion == "psd_sqrt" else ""),
+        matrix=math.sqrt(w) * amp[None, :] * phase,
+        domain_desc="smoothness-weighted plane-wave coefficients",
         codomain_desc=f"sqrt-weighted atom samples (N = {measure.n_atoms})",
-        assembly=assembly,
+        assembly={
+            "kind": "trace-restriction",
+            "smoothness_s": s,
+            "level": measure.level,
+            "n_atoms": measure.n_atoms,
+            "freq_cutoff": freq_cutoff,
+            "n_modes": n_modes,
+            "mode_spacing": float(dxi),
+            "convention": "sqrt(w_j) sqrt(dxi/(2*pi)) (1+xi^2)^(-s/2) exp(i x_j xi)",
+        },
         symmetric=False,
     )
 

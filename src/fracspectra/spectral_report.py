@@ -30,9 +30,8 @@ from .fractal_operator import (
     DiscretizedOperator,
     WindowViolationError,
     _jsonable,
-    assemble_trace_operator,
+    assemble_dmu_kernel,
 )
-from .s_numbers import approximation_numbers_hilbert
 
 __all__ = [
     "ZERO_REL",
@@ -122,28 +121,25 @@ def eigen_spectrum(
     failures are re-raised together with the assembly record so the failing
     operator can be identified.
     """
-    if isinstance(op, DiscretizedOperator):
-        mat = op.matrix
-        provenance = op.assembly
-        hermitian = op.symmetric if symmetric is None else bool(symmetric)
-    else:
-        mat = np.asarray(op)
-        provenance: dict = {}
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("eigen_spectrum needs a square matrix")
-        if symmetric is None:
-            scale = float(np.abs(mat).max()) if mat.size else 0.0
-            hermitian = bool(
-                np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(scale, 1e-300))
-            )
-        else:
-            hermitian = bool(symmetric)
+    is_op = isinstance(op, DiscretizedOperator)
+    mat = op.matrix if is_op else np.asarray(op)
+    provenance = op.assembly if is_op else {}
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("eigen_spectrum needs a square matrix")
     if mat.size == 0:
         return np.zeros(0, dtype=np.complex128)
+    # finiteness first: the Hermitian detection below must never see a NaN
     if not np.all(np.isfinite(mat)):
         raise ValueError("operator matrix contains non-finite entries")
+    if symmetric is not None:
+        hermitian = bool(symmetric)
+    elif is_op:
+        hermitian = op.symmetric
+    else:
+        scale = float(np.abs(mat).max())
+        hermitian = bool(
+            np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(scale, 1e-300))
+        )
 
     try:
         if hermitian:
@@ -464,18 +460,22 @@ def snumber_exponent_check(
     s: float,
     p: float,
     *,
-    freq_cutoff: float = 256.0,
-    n_modes: int = 513,
     tolerance: float = 0.05,
     k_lo: int = 10,
     k_hi: int | None = None,
 ) -> SpectrumReport:
     """Measure the approximation-number decay of the restriction operator.
 
-    Only the Hilbert case ``p = 2`` is supported, where approximation
-    numbers are exactly the singular values of the assembled restriction
-    matrix.  The singular values are fitted like a spectrum and compared
-    two-sidedly against ``-1/p + (n/p - s)/d``.
+    Only the Hilbert case ``p = 2`` is supported.  There the restriction
+    ``tr : H^s -> L2(mu)`` factors the kernel operator, ``tr tr* = (id -
+    Delta)^{-s} mu``, and its discretization A satisfies ``A A* = K`` for the
+    kernel matrix K of :func:`assemble_dmu_kernel`.  Hence ``sigma_k(A)**2 =
+    lambda_k(A A*) = lambda_k(K)``, and the approximation numbers (the
+    singular values, at p = 2) are exactly ``a_k = sqrt(lambda_k(K))``; no
+    factor A is formed.  K comes from the same assembly and certified
+    eigensolve as the eigenvalue check; the clip ``max(lambda_k, 0)`` only
+    guards roundoff below zero.  The values are fitted like a spectrum and
+    compared two-sidedly against ``-1/p + (n/p - s)/d``.
     """
     if not math.isclose(p, 2.0, rel_tol=0.0, abs_tol=1e-12):
         raise NotImplementedError(
@@ -485,12 +485,10 @@ def snumber_exponent_check(
     expected = theoretical_snumber_exponent(
         measure.ifs.ambient_dim, measure.dimension, s, 2.0
     )
-    op = assemble_trace_operator(
-        measure, s, freq_cutoff=freq_cutoff, n_modes=n_modes, completion="psd_sqrt"
-    )
-    seq = np.asarray(approximation_numbers_hilbert(op.matrix).values, dtype=float)
+    op = assemble_dmu_kernel(measure, s)
+    lam = eigen_spectrum(op).real
     return assess_decay(
-        seq,
+        np.sqrt(np.maximum(lam, 0.0)),
         theoretical=expected,
         tolerance=tolerance,
         k_lo=k_lo,

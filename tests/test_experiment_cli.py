@@ -127,7 +127,6 @@ class TestConfigParsing:
         config = config_from_dict(raw)
         assert config.audits == ("carl", "composition", "entropy-quasinorm")
         assert config.analysis.freq_cutoff == 256.0
-        assert config.analysis.n_modes == 513
         assert config.fit.comparison == "two-sided"
         assert config.fit.quantile == 0.95
         assert config.out_dir is None
@@ -211,7 +210,6 @@ class TestConfigParsing:
         "section,key,value",
         [
             ("fractal", "level", -1),
-            ("analysis", "n_modes", 2),
             ("analysis", "freq_cutoff", 0.0),
             ("fit", "k_lo", 0),
             ("fit", "k_hi", 2),  # not above k_lo

@@ -27,7 +27,6 @@ from fracspectra.fractal_operator import (
     load_operator,
 )
 from fracspectra.psido_engine import SeparableTerm, Symbol, make_symbol
-from fracspectra.s_numbers import approximation_numbers_hilbert
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -389,13 +388,6 @@ class TestTraceOperator:
         with pytest.raises(WindowViolationError):
             assemble_trace_operator(mu5, 0.55)
 
-    def test_transference_to_kernel_gram(self, mu7):
-        A = assemble_trace_operator(mu7, 0.45, freq_cutoff=256.0, n_modes=513)
-        ak = np.asarray(approximation_numbers_hilbert(A.matrix).values)
-        lam = np.linalg.eigvalsh(assemble_dmu_kernel(mu7, 0.45).matrix)[::-1]
-        rel = np.abs(ak[:50] ** 2 - lam[:50]) / lam[:50]
-        assert rel.max() <= 1e-8
-
     def test_zero_frequency_column(self, mu5):
         A = assemble_trace_operator(mu5, 0.45, freq_cutoff=256.0, n_modes=513)
         w = mu5.weights[0]
@@ -403,30 +395,13 @@ class TestTraceOperator:
         col = A.matrix[:, 256]
         assert col == pytest.approx(np.full(32, expect), abs=1e-14)
 
-    def test_completion_none_shape_and_growth(self, mu5):
-        A1 = assemble_trace_operator(
-            mu5, 0.45, freq_cutoff=256.0, n_modes=257, completion="none"
-        )
-        A2 = assemble_trace_operator(
-            mu5, 0.45, freq_cutoff=512.0, n_modes=513, completion="none"
-        )
+    def test_shape_and_growth(self, mu5):
+        A1 = assemble_trace_operator(mu5, 0.45, freq_cutoff=256.0, n_modes=257)
+        A2 = assemble_trace_operator(mu5, 0.45, freq_cutoff=512.0, n_modes=513)
         assert A1.shape == (32, 257)
         assert A2.shape == (32, 513)
         # spectral mass grows monotonically with the retained frequency band
         assert np.linalg.norm(A2.matrix) > np.linalg.norm(A1.matrix)
-
-    def test_completion_metadata(self, mu5):
-        A = assemble_trace_operator(mu5, 0.45, freq_cutoff=256.0, n_modes=513)
-        a = A.assembly
-        assert a["kind"] == "trace-restriction"
-        assert a["completion"] == "psd_sqrt"
-        assert 0 < a["completed_rank"] <= 32
-        assert abs(a["clipped_negative_mass"]) <= 1e-10
-        assert A.shape == (32, 513 + a["completed_rank"])
-
-    def test_invalid_completion(self, mu5):
-        with pytest.raises(ValueError):
-            assemble_trace_operator(mu5, 0.45, completion="magic")
 
     def test_higher_dimension_not_implemented(self):
         ifs2 = build_cantor_like(

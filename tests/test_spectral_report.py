@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ class TestEigenSpectrum:
         mat[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             eigen_spectrum(mat)
+        # a NaN must be rejected before Hermitian detection compares entries
+        mat = np.eye(3)
+        mat[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                eigen_spectrum(mat)
 
     def test_empty_matrix(self):
         assert eigen_spectrum(np.zeros((0, 0))).size == 0
@@ -482,9 +490,21 @@ class TestSnumberExponentCheck:
         assert rep.comparison == "two-sided"
         assert rep.theoretical == pytest.approx(-0.4207518749639422, abs=1e-9)
         assert rep.provenance["quantity"] == "approximation-numbers"
-        assert rep.provenance["assembly"]["kind"] == "trace-restriction"
+        assert rep.provenance["assembly"]["kind"] == "kernel-gram"
         assert np.all(rep.eigenvalues.imag == 0.0)
         assert np.all(rep.eigenvalues.real >= 0.0)
+
+    def test_kernel_route_is_dimension_general(self):
+        ifs2 = build_cantor_like(
+            2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]
+        )
+        rep = snumber_exponent_check(
+            quadrature(ifs2, 3), 0.75, 2.0, k_lo=2, k_hi=40, tolerance=1.0
+        )
+        a = rep.eigenvalues.real
+        assert a.size == 64
+        assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
+        assert rep.theoretical == -0.25
 
 
 class TestSpectrumCsv:
