@@ -120,8 +120,9 @@ def _run_one(args, config_path: str, multi: bool) -> int:
         if out is not None and multi:
             out = str(Path(out) / Path(config_path).stem)
 
-        if args.command == "spectrum":
-            report, paths = run_spectrum(config, out)
+        if args.command in ("spectrum", "trace-snumbers"):
+            run = run_spectrum if args.command == "spectrum" else run_trace_snumbers
+            report, paths = run(config, out)
             verdict = report.verdict
             detail = (
                 f"slope {report.fit.slope:.5f} vs predicted "
@@ -137,13 +138,6 @@ def _run_one(args, config_path: str, multi: bool) -> int:
             detail = ", ".join(
                 f"{name}={entry['verdict']}" for name, entry in bundle["audits"].items()
             ) or "no audits configured"
-        elif args.command == "trace-snumbers":
-            report, paths = run_trace_snumbers(config, out)
-            verdict = report.verdict
-            detail = (
-                f"slope {report.fit.slope:.5f} vs predicted "
-                f"{report.theoretical:.5f} (tolerance {report.tolerance})"
-            )
         elif args.command == "entropy-lab":
             bundle, paths = run_entropy_lab(config, out)
             verdict = bundle["verdict"]

@@ -311,14 +311,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _validate_semantics(config: ExperimentConfig) -> None:
     """Check the windows and the symbol contract at load, before any compute."""
     try:
-        ifs = build_cantor_like(
-            config.fractal.ambient_dim,
-            config.fractal.n_maps,
-            config.fractal.ratio,
-            [list(t) for t in config.fractal.translations],
-        )
+        # the level-0 measure is one atom: it builds the IFS and carries its dimension
+        dimension = _build_measure(config, level=0).dimension
         theoretical_exponent(
-            config.fractal.ambient_dim, ifs.dimension, config.analysis.s, config.analysis.p
+            config.fractal.ambient_dim, dimension, config.analysis.s, config.analysis.p
         )
         if config.analysis.symbol == "identity":
             if not math.isclose(config.analysis.p, 2.0, rel_tol=0.0, abs_tol=1e-12):
@@ -364,7 +360,11 @@ def _build_measure(config: ExperimentConfig, level: int | None = None) -> Fracta
         config.fractal.ratio,
         [list(t) for t in config.fractal.translations],
     )
-    return quadrature(ifs, config.fractal.level if level is None else level)
+    level = config.fractal.level if level is None else level
+    try:
+        return quadrature(ifs, level)
+    except AtomBudgetError as exc:
+        raise AtomBudgetError(f"level {level}: {exc}") from exc
 
 
 def _assemble(config: ExperimentConfig, measure: FractalMeasure) -> DiscretizedOperator:
@@ -378,6 +378,23 @@ def _assemble(config: ExperimentConfig, measure: FractalMeasure) -> DiscretizedO
         measure,
         config.analysis.freq_cutoff,
     )
+
+
+def _solve(
+    config: ExperimentConfig, level: int | None = None, stage: str | None = None
+) -> tuple[FractalMeasure, DiscretizedOperator, np.ndarray]:
+    """Measure -> operator -> eigensolve, the steps every spectral runner shares.
+
+    Each step runs in its own stage (``fractal_measure``,
+    ``operator_assembly``, ``eigensolve``), or all three in ``stage`` if given.
+    """
+    with _stage(stage or "fractal_measure"):
+        measure = _build_measure(config, level)
+    with _stage(stage or "operator_assembly"):
+        op = _assemble(config, measure)
+    with _stage(stage or "eigensolve"):
+        values = eigen_spectrum(op)
+    return measure, op, values
 
 
 def _theoretical(config: ExperimentConfig, measure: FractalMeasure) -> float:
@@ -521,12 +538,7 @@ def run_spectrum(
     written by this run.
     """
     out = _resolve_out(config, out_dir)
-    with _stage("fractal_measure"):
-        measure = _build_measure(config)
-    with _stage("operator_assembly"):
-        op = _assemble(config, measure)
-    with _stage("eigensolve"):
-        values = eigen_spectrum(op)
+    measure, op, values = _solve(config)
     with _stage("decay_fit"):
         report = assess_decay(
             values,
@@ -581,13 +593,8 @@ def run_convergence(
 
     rows: list[dict] = []
     for level in levels:
+        measure, _, values = _solve(config, level, stage=f"level_{level}")
         with _stage(f"level_{level}"):
-            try:
-                measure = _build_measure(config, level=level)
-            except AtomBudgetError as exc:
-                raise AtomBudgetError(f"level {level}: {exc}") from exc
-            op = _assemble(config, measure)
-            values = eigen_spectrum(op)
             fit = fit_decay_exponent(
                 values, k_lo=config.fit.k_lo, k_hi=config.fit.k_hi
             )
@@ -627,6 +634,25 @@ def _audit_report_dict(report) -> dict:
     return json.loads(report.to_json())
 
 
+def _certified_corpus(seed: int, trials: int) -> list[tuple]:
+    """Seeded small random matrices with certified entropy bounds and Carl audits.
+
+    Trial ``t`` draws a ``(1 + t % 3)``-square matrix with entries uniform on
+    [-1, 1], certifies its entropy numbers by explicit coverings and
+    packings, and audits its eigenvalues against the certified uppers.
+    Returns ``(dim, lower, upper, eigenvalues, carl_report)`` per trial.
+    """
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for trial in range(trials):
+        dim = 1 + trial % 3
+        mat = rng.uniform(-1.0, 1.0, (dim, dim))
+        lower, upper = entropy_numbers_bruteforce(mat, k_max=4, resolution=31)
+        eig = order_by_modulus(np.linalg.eigvals(mat))
+        corpus.append((dim, lower, upper, eig, carl_audit(eig, upper)))
+    return corpus
+
+
 def _carl_bundle(
     config: ExperimentConfig, ordered: np.ndarray, reference: np.ndarray
 ) -> dict:
@@ -641,14 +667,7 @@ def _carl_bundle(
     is estimator-based, hence marked consistency-only, but a breach still
     fails the bundle.
     """
-    rng = np.random.default_rng(config.seed)
-    corpus_reports = []
-    for trial in range(12):
-        dim = 1 + trial % 3
-        mat = rng.uniform(-1.0, 1.0, (dim, dim))
-        _, upper = entropy_numbers_bruteforce(mat, k_max=4, resolution=31)
-        eig = order_by_modulus(np.linalg.eigvals(mat))
-        corpus_reports.append(carl_audit(eig, upper))
+    corpus_reports = [report for *_, report in _certified_corpus(config.seed, 12)]
     corpus_passed = all(rep.passed for rep in corpus_reports)
     worst = {
         name: max(
@@ -711,30 +730,14 @@ def run_audits(
     audit fails.
     """
     out = _resolve_out(config, out_dir)
-    injected = spectrum is not None
-    ordered = nonzero_part(spectrum) if injected else None
-
+    ordered = None if spectrum is None else nonzero_part(spectrum)
     bundle: dict = {**_stamp(config), "audits": {}}
-    if injected and ordered.size == 0:
-        warnings.warn(
-            "empty spectrum: audits pass vacuously", UserWarning, stacklevel=2
-        )
-        for name in config.audits:
-            bundle["audits"][name] = {"verdict": "PASS", "vacuous": True}
-        bundle["verdict"] = "PASS"
-        with _stage("persist"):
-            with _ArtifactWriter(out) as writer:
-                json_path = writer.json("audits.json", bundle)
-        return bundle, {"audits_json": json_path}
-
-    with _stage("fractal_measure"):
-        measure = _build_measure(config)
-    with _stage("operator_assembly"):
-        op = _assemble(config, measure)
-    with _stage("eigensolve"):
-        reference = nonzero_part(eigen_spectrum(op))
-    if not injected:
-        ordered = reference
+    # an empty injected spectrum is vacuous without building the operator
+    if ordered is None or ordered.size > 0:
+        _, _, values = _solve(config)
+        reference = nonzero_part(values)
+        if ordered is None:
+            ordered = reference
 
     if ordered.size == 0:
         warnings.warn(
@@ -821,25 +824,20 @@ def run_entropy_lab(
     fails the lab (these are theorem tests).
     """
     out = _resolve_out(config, out_dir)
-    rng = np.random.default_rng(config.seed)
-    trials = []
     with _stage("entropy_lab"):
-        for trial in range(6):
-            dim = 1 + trial % 3
-            mat = rng.uniform(-1.0, 1.0, (dim, dim))
-            lower, upper = entropy_numbers_bruteforce(mat, k_max=4, resolution=31)
-            eig = order_by_modulus(np.linalg.eigvals(mat))
-            report = carl_audit(eig, upper)
-            trials.append(
-                {
-                    "trial": trial,
-                    "dim": dim,
-                    "lower": [float(v) for v in lower.values],
-                    "upper": [float(v) for v in upper.values],
-                    "eigen_moduli": [float(v) for v in np.abs(eig)],
-                    "carl": _audit_report_dict(report),
-                }
+        trials = [
+            {
+                "trial": trial,
+                "dim": dim,
+                "lower": [float(v) for v in lower.values],
+                "upper": [float(v) for v in upper.values],
+                "eigen_moduli": [float(v) for v in np.abs(eig)],
+                "carl": _audit_report_dict(report),
+            }
+            for trial, (dim, lower, upper, eig, report) in enumerate(
+                _certified_corpus(config.seed, 6)
             )
+        ]
     passed = all(t["carl"]["verdict"] == "PASS" for t in trials)
     bundle = {
         **_stamp(config),

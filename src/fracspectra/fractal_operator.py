@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,36 +115,38 @@ def _bracket_cos_integral(a: float, rho: float) -> float:
     most 60 radians of phase); and the integration-by-parts tail series on
     the power expansion of the bracket, always anchored at phase >= 60.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # accuracy is certified by oracle tests
-        head, _ = quad(
-            lambda x: (1.0 + x * x) ** (-a / 2.0),
-            0.0,
-            200.0,
-            weight="cos",
-            wvar=rho,
-            limit=3000,
-            maxp1=100,
+    # full_output=1 returns quad's convergence notes instead of warning them:
+    # accuracy is certified by oracle tests, and a catch_warnings() block here
+    # would swap the process-wide filter list under --jobs threads
+    head = quad(
+        lambda x: (1.0 + x * x) ** (-a / 2.0),
+        0.0,
+        200.0,
+        weight="cos",
+        wvar=rho,
+        limit=3000,
+        maxp1=100,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        full_output=1,
+    )[0]
+    mid = 0.0
+    if rho < 0.3:
+        B = 60.0 / rho
+        mid = quad(
+            lambda u: math.exp((1.0 - a) * u)
+            * (1.0 + math.exp(-2.0 * u)) ** (-a / 2.0)
+            * math.cos(rho * math.exp(u)),
+            math.log(200.0),
+            math.log(B),
+            limit=1000,
             epsabs=1e-13,
             epsrel=1e-12,
-        )
-        mid = 0.0
-        if rho < 0.3:
-            B = 60.0 / rho
-            mid, _ = quad(
-                lambda u: math.exp((1.0 - a) * u)
-                * (1.0 + math.exp(-2.0 * u)) ** (-a / 2.0)
-                * math.cos(rho * math.exp(u)),
-                math.log(200.0),
-                math.log(B),
-                limit=1000,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
-            P = 60.0
-        else:
-            B = 200.0
-            P = 200.0 * rho
+            full_output=1,
+        )[0]
+        P = 60.0
+    else:
+        P = 200.0 * rho
     tail = 0.0
     coeff = 1.0  # generalized binomial (-a/2 choose k) built by recurrence
     for k in range(4):
@@ -281,13 +284,16 @@ class BesselKernel:
 
 
 _KERNEL_CACHE: dict[tuple[float, int], BesselKernel] = {}
+_KERNEL_CACHE_LOCK = threading.Lock()
 
 
 def _cached_kernel(order: float, ambient_dim: int) -> BesselKernel:
     key = (round(float(order), 12), int(ambient_dim))
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = BesselKernel(order=key[0], ambient_dim=key[1])
-    return _KERNEL_CACHE[key]
+    # held across the build so concurrent configs tabulate each order once
+    with _KERNEL_CACHE_LOCK:
+        if key not in _KERNEL_CACHE:
+            _KERNEL_CACHE[key] = BesselKernel(order=key[0], ambient_dim=key[1])
+        return _KERNEL_CACHE[key]
 
 
 def bessel_kernel(order: float, ambient_dim: int, rho) -> np.ndarray:
@@ -371,15 +377,12 @@ def cell_pair_energy(
     scale = r**measure.level
 
     sub = quadrature(ifs, explicit_depth).atoms
-    diff = sub[:, None, :] - sub[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = _pairwise_distances(sub)
     iu = np.triu_indices(sub.shape[0], 1)
     mass_d = w / m**explicit_depth
     explicit = 2.0 * mass_d**2 * float(np.sum(kernel_fn(scale * dist[iu])))
 
-    first = quadrature(ifs, 1).atoms
-    fdiff = first[:, None, :] - first[None, :, :]
-    fdist = np.sqrt((fdiff * fdiff).sum(axis=-1))
+    fdist = _pairwise_distances(quadrature(ifs, 1).atoms)
     d0 = fdist[np.triu_indices(m, 1)]  # each unordered pair once
     d0_min = float(d0.min())
     if d0_min <= 0.0:
@@ -563,19 +566,18 @@ def _pairwise_distances(atoms: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def assemble_dmu_kernel(
-    measure: FractalMeasure,
-    s: float,
-    *,
-    kernel: BesselKernel | None = None,
-    explicit_depth: int = 4,
-) -> DiscretizedOperator:
+def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperator:
     """Symmetric kernel matrix ``(2 pi)^{-n/2} sqrt(w_j) G_{2s}(|x_j - x_k|) sqrt(w_k)``.
 
     Its eigenvalues are the squared approximation numbers of the restriction
     from the smoothness-s Hilbert space to L2 of the measure.  The diagonal
     holds the cell-averaged self-interaction instead of the divergent
     coincidence value.  Requires ``n - d < 2s <= n``.
+
+    Only the matrix is built here.  Positive-definiteness is judged by
+    :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
+    :class:`PsdViolationWarning` for a ``"kernel-gram"`` assembly from the
+    smallest eigenvalue of the solve it runs anyway.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -585,10 +587,7 @@ def assemble_dmu_kernel(
             f"kernel order 2s = {a:.6f} must lie in (n - d, n] = "
             f"({n - d:.6f}, {n}] for dimension d = {d:.6f}"
         )
-    if kernel is None:
-        kernel = _cached_kernel(a, n)
-    elif abs(kernel.order - a) > 1e-12 or kernel.ambient_dim != n:
-        raise ValueError("supplied kernel does not match 2s and the ambient dimension")
+    kernel = _cached_kernel(a, n)
     w = _uniform_weight(measure)
     conv = (2.0 * math.pi) ** (-n / 2.0)
     dist = _pairwise_distances(measure.atoms)
@@ -598,23 +597,8 @@ def assemble_dmu_kernel(
         iu = np.triu_indices(N, 1)
         K[iu] = conv * w * kernel(dist[iu])
         K = K + K.T
-    energy, diag_info = cell_pair_energy(measure, kernel, explicit_depth)
+    energy, diag_info = cell_pair_energy(measure, kernel)
     np.fill_diagonal(K, conv * energy / w)
-
-    try:
-        np.linalg.cholesky(K)
-        psd_note = "cholesky-positive"
-    except np.linalg.LinAlgError:
-        evals = np.linalg.eigvalsh(K)
-        lam_min, lam_max = float(evals[0]), float(evals[-1])
-        psd_note = f"indefinite: lambda_min = {lam_min:.3e}"
-        if lam_min < -1e-8 * lam_max:
-            warnings.warn(
-                f"kernel matrix has eigenvalue {lam_min:.3e} below "
-                f"-1e-8 * lambda_max = {-1e-8 * lam_max:.3e}",
-                PsdViolationWarning,
-                stacklevel=2,
-            )
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -626,7 +610,6 @@ def assemble_dmu_kernel(
         "convention": "(2*pi)**(-n/2) * sqrt(w_j w_k) * kernel(|x_j - x_k|)",
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
-        "psd_probe": psd_note,
     }
     return DiscretizedOperator(
         matrix=K,
@@ -833,8 +816,6 @@ def assemble_tmu_galerkin(
     p: float,
     measure: FractalMeasure,
     freq_cutoff: float,
-    *,
-    explicit_depth: int = 4,
 ) -> DiscretizedOperator:
     """Compress a validated separable symbol of order ``-s p`` to atom space.
 
@@ -892,7 +873,7 @@ def assemble_tmu_galerkin(
         if N > 1:
             off = ~np.eye(N, dtype=bool)
             vals[off] = profile(dist[off])
-        energy, diag_info = cell_pair_energy(measure, profile, explicit_depth)
+        energy, diag_info = cell_pair_energy(measure, profile)
         base = base + spatial[:, None] * vals
         diag = diag + spatial * (energy / w**2)
         term_info.append(

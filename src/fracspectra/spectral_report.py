@@ -18,6 +18,7 @@ spectra below the envelope never produce spurious failures.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from scipy.optimize import linprog
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
     DiscretizedOperator,
+    PsdViolationWarning,
     WindowViolationError,
     _jsonable,
     assemble_dmu_kernel,
@@ -120,6 +122,13 @@ def eigen_spectrum(
     ||K||``; pass ``residual_tol=None`` to skip the certificate.  Solver
     failures are re-raised together with the assembly record so the failing
     operator can be identified.
+
+    This is also where a kernel Gram matrix is judged positive-definite: for
+    an operator whose assembly record has ``kind == "kernel-gram"``, the
+    Hermitian path raises :class:`~fracspectra.fractal_operator.PsdViolationWarning`
+    when ``lambda_min < -1e-8 * lambda_max``, read off the eigenvalues it
+    already holds.  Bare matrices and Galerkin operators are not judged,
+    since an indefinite symmetric matrix is valid input there.
     """
     is_op = isinstance(op, DiscretizedOperator)
     mat = op.matrix if is_op else np.asarray(op)
@@ -143,7 +152,14 @@ def eigen_spectrum(
 
     try:
         if hermitian:
-            w, v = scipy.linalg.eigh(mat)
+            w, v = scipy.linalg.eigh(mat)  # w ascending
+            if provenance.get("kind") == "kernel-gram" and w[0] < -1e-8 * w[-1]:
+                warnings.warn(
+                    f"kernel matrix has eigenvalue {w[0]:.3e} below "
+                    f"-1e-8 * lambda_max = {-1e-8 * w[-1]:.3e}",
+                    PsdViolationWarning,
+                    stacklevel=2,
+                )
             norm = float(np.abs(w).max())
             if residual_tol is not None and norm > 0.0:
                 top = np.argsort(-np.abs(w), kind="stable")[: min(50, w.size)]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracspectra import fractal_operator
 from fracspectra.cli import main
 from fracspectra.experiment import (
     ARTIFACT_VERSION,
@@ -640,28 +641,40 @@ class TestCli:
         assert "validate-symbol PASS" in captured.out
         assert (out / "symbol_report.json").exists()
 
-    def test_multi_config_parallel_uses_stem_subdirs(self, tmp_path, capsys):
+    def test_multi_config_parallel_uses_stem_subdirs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+
+        class CountingKernel(fractal_operator.BesselKernel):
+            def __post_init__(self):
+                built.append((self.order, self.ambient_dim))
+                super().__post_init__()
+
+        # a cold cache makes both threads reach the kernel table build together
+        monkeypatch.setattr(fractal_operator, "_KERNEL_CACHE", {})
+        monkeypatch.setattr(fractal_operator, "BesselKernel", CountingKernel)
         path_a = write_config(tmp_path / "alpha.json", base_dict())
         path_b = write_config(tmp_path / "beta.json", base_dict(seed=4321))
+        args = ["spectrum", "--config", str(path_a), "--config", str(path_b)]
+        filters = list(warnings.filters)
         out = tmp_path / "out"
-        code = main(
-            [
-                "spectrum",
-                "--config",
-                str(path_a),
-                "--config",
-                str(path_b),
-                "--jobs",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
+        code = main(args + ["--jobs", "2", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
+        assert warnings.filters == filters
+        assert built == [(0.9, 1)]
         assert (out / "alpha" / "report.json").exists()
         assert (out / "beta" / "report.json").exists()
         assert captured.out.count("spectrum PASS") == 2
+
+        serial = tmp_path / "serial"
+        assert main(args + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        for stem in ("alpha", "beta"):
+            for name in ("spectrum.csv", "report.json", "plot_spectrum.py"):
+                parallel_bytes = (out / stem / name).read_bytes()
+                assert parallel_bytes == (serial / stem / name).read_bytes()
 
     def test_multi_config_returns_worst_code(self, tmp_path, capsys):
         path_a = write_config(tmp_path / "alpha.json", base_dict())

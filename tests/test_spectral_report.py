@@ -12,7 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracspectra.fractal_measure import build_cantor_like, quadrature
-from fracspectra.fractal_operator import WindowViolationError, assemble_dmu_kernel
+from fracspectra.fractal_operator import (
+    DiscretizedOperator,
+    PsdViolationWarning,
+    WindowViolationError,
+    assemble_dmu_kernel,
+)
 from fracspectra.spectral_report import (
     DecayFit,
     InsufficientSpectrumError,
@@ -152,6 +157,22 @@ class TestEigenSpectrum:
 
     def test_empty_matrix(self):
         assert eigen_spectrum(np.zeros((0, 0))).size == 0
+
+    def test_indefinite_kernel_gram_warns_but_bare_matrix_does_not(self):
+        mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        op = DiscretizedOperator(
+            matrix=mat,
+            domain_desc="atoms",
+            codomain_desc="atoms",
+            assembly={"kind": "kernel-gram"},
+            symmetric=True,
+        )
+        with pytest.warns(PsdViolationWarning, match="eigenvalue -1.000e"):
+            res = eigen_spectrum(op)
+        assert res.real == pytest.approx([3.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PsdViolationWarning)
+            assert np.array_equal(eigen_spectrum(mat), res)
 
     def test_forced_general_path_matches_symmetric_path(self):
         rng = np.random.default_rng(3)
