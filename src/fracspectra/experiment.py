@@ -208,6 +208,23 @@ def _take_keys(section: str, mapping, required: tuple[str, ...], optional: dict)
     return merged
 
 
+def _integer(section: str, key: str, value) -> int:
+    """A JSON integer; floats, strings and bools are refused, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{section} {key} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(section: str, key: str, value) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section} {key} must be a number: {exc}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{section} {key} must be finite, got {value!r}")
+    return out
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a config mapping; unknown keys anywhere are errors."""
     top = _take_keys(
@@ -232,12 +249,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         translations = tuple(tuple(float(x) for x in row) for row in fr["translations"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fractal translations must be rows of numbers: {exc}") from exc
+    if not all(math.isfinite(x) for row in translations for x in row):
+        raise ConfigError("fractal translations must be finite")
     fractal = FractalSpec(
-        ambient_dim=int(fr["ambient_dim"]),
-        n_maps=int(fr["n_maps"]),
-        ratio=float(fr["ratio"]),
+        ambient_dim=_integer("fractal", "ambient_dim", fr["ambient_dim"]),
+        n_maps=_integer("fractal", "n_maps", fr["n_maps"]),
+        ratio=_finite("fractal", "ratio", fr["ratio"]),
         translations=translations,
-        level=int(fr["level"]),
+        level=_integer("fractal", "level", fr["level"]),
     )
     if fractal.level < 0:
         raise ConfigError("fractal level must be nonnegative")
@@ -251,11 +270,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(an["symbol_params"], dict):
         raise ConfigError("analysis symbol_params must be a JSON object")
     analysis = AnalysisSpec(
-        s=float(an["s"]),
-        p=float(an["p"]),
+        s=_finite("analysis", "s", an["s"]),
+        p=_finite("analysis", "p", an["p"]),
         symbol=str(an["symbol"]),
         symbol_params=dict(an["symbol_params"]),
-        freq_cutoff=float(an["freq_cutoff"]),
+        freq_cutoff=_finite("analysis", "freq_cutoff", an["freq_cutoff"]),
     )
     if analysis.freq_cutoff <= 0.0:
         raise ConfigError("analysis freq_cutoff must be positive")
@@ -267,11 +286,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         optional={"k_lo": 10, "k_hi": None, "comparison": "two-sided", "quantile": 0.95},
     )
     fit = FitSpec(
-        k_lo=int(ft["k_lo"]),
-        k_hi=None if ft["k_hi"] is None else int(ft["k_hi"]),
-        tolerance=float(ft["tolerance"]),
+        k_lo=_integer("fit", "k_lo", ft["k_lo"]),
+        k_hi=None if ft["k_hi"] is None else _integer("fit", "k_hi", ft["k_hi"]),
+        tolerance=_finite("fit", "tolerance", ft["tolerance"]),
         comparison=str(ft["comparison"]),
-        quantile=float(ft["quantile"]),
+        quantile=_finite("fit", "quantile", ft["quantile"]),
     )
     if fit.k_lo < 1:
         raise ConfigError("fit k_lo must be at least 1")
@@ -289,8 +308,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"unknown audits {bad}; allowed: {list(ALLOWED_AUDITS)}")
 
-    if not isinstance(top["seed"], int) or isinstance(top["seed"], bool):
-        raise ConfigError("seed must be an integer")
     out_dir = top["out_dir"]
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string or null")
@@ -301,7 +318,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         analysis=analysis,
         fit=fit,
         audits=audits,
-        seed=top["seed"],
+        seed=_integer("config", "seed", top["seed"]),
         out_dir=out_dir,
     )
     _validate_semantics(config)

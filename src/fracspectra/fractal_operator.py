@@ -26,16 +26,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
+from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
 from .fractal_measure import FractalMeasure, quadrature
@@ -77,90 +75,12 @@ _PHI0 = build_resolution(1).phi0
 
 
 # ---------------------------------------------------------------------------
-# Bessel-type kernel: quadrature backend with asymptotic tail completion
+# Bessel-type kernel: closed-form table with exponential asymptote
 # ---------------------------------------------------------------------------
-
-
-def _osc_power_tail(c: float, P: float, max_terms: int = 10) -> float:
-    """``integral_P^inf u**(-c) cos(u) du`` by repeated integration by parts.
-
-    Valid for P well above 1; each pair of parts gains a factor
-    ``(c + 2k)(c + 2k + 1) / P**2``, so the series is truncated once terms
-    stop decreasing or fall below relative 1e-17.
-    """
-    if P * P <= (c + 2.0) * (c + 3.0):
-        raise ValueError("oscillatory tail series needs P well above the power order")
-    sin_p, cos_p = math.sin(P), math.cos(P)
-    total = 0.0
-    coef = 1.0
-    prev = math.inf
-    for k in range(max_terms):
-        e = c + 2.0 * k
-        term = coef * (-sin_p * P**-e + e * cos_p * P ** -(e + 1.0))
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-            break
-        coef *= -e * (e + 1.0)
-    return total
-
-
-def _bracket_cos_integral(a: float, rho: float) -> float:
-    """``integral_0^inf (1+x^2)**(-a/2) cos(rho x) dx`` for rho > 0.
-
-    Three certified pieces: adaptive cosine-weighted quadrature on [0, 200];
-    for small rho a log-substituted adaptive stretch up to ``60 / rho`` (at
-    most 60 radians of phase); and the integration-by-parts tail series on
-    the power expansion of the bracket, always anchored at phase >= 60.
-    """
-    # full_output=1 returns quad's convergence notes instead of warning them:
-    # accuracy is certified by oracle tests, and a catch_warnings() block here
-    # would swap the process-wide filter list under --jobs threads
-    head = quad(
-        lambda x: (1.0 + x * x) ** (-a / 2.0),
-        0.0,
-        200.0,
-        weight="cos",
-        wvar=rho,
-        limit=3000,
-        maxp1=100,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        full_output=1,
-    )[0]
-    mid = 0.0
-    if rho < 0.3:
-        B = 60.0 / rho
-        mid = quad(
-            lambda u: math.exp((1.0 - a) * u)
-            * (1.0 + math.exp(-2.0 * u)) ** (-a / 2.0)
-            * math.cos(rho * math.exp(u)),
-            math.log(200.0),
-            math.log(B),
-            limit=1000,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            full_output=1,
-        )[0]
-        P = 60.0
-    else:
-        P = 200.0 * rho
-    tail = 0.0
-    coeff = 1.0  # generalized binomial (-a/2 choose k) built by recurrence
-    for k in range(4):
-        if coeff == 0.0:
-            break
-        tail += coeff * rho ** (a + 2 * k - 1.0) * _osc_power_tail(a + 2 * k, P)
-        coeff *= (-a / 2.0 - k) / (k + 1.0)
-    return head + mid + tail
 
 
 def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Closed-form kernel ``2**(1-a/2)/Gamma(a/2) rho**((a-n)/2) K_((n-a)/2)(rho)``."""
-    from scipy.special import kv
-
     rho = np.asarray(rho, dtype=float)
     log_c = (1.0 - a / 2.0) * math.log(2.0) - gammaln(a / 2.0)
     return np.exp(log_c + ((a - n) / 2.0) * np.log(rho)) * kv((n - a) / 2.0, rho)
@@ -170,12 +90,13 @@ def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
 class BesselKernel:
     """Tabulated radial kernel with Fourier transform ``bracket(xi)**(-a)``.
 
-    The table is filled by adaptive oscillatory quadrature with an asymptotic
-    tail completion (ambient dimension one) or by the modified-Bessel closed
-    form (higher ambient dimension), then interpolated: log-log cubic below
-    radius one, log-value cubic above.  Beyond ``rho_max`` the kernel follows
-    its exponential asymptote; below ``rho_min`` a singular kernel (a <= n)
-    refuses to evaluate while a bounded one returns its exact limit.
+    The table is filled from the modified-Bessel closed form in every ambient
+    dimension, then interpolated: log-log cubic below radius one, log-value
+    cubic above; interpolating costs a fraction of calling ``kv`` on each of
+    the millions of radii a pair assembly evaluates.  Beyond ``rho_max`` the
+    kernel follows its exponential asymptote; below ``rho_min`` a singular
+    kernel (a <= n) refuses to evaluate while a bounded one returns its
+    exact limit.
     """
 
     order: float
@@ -200,29 +121,19 @@ class BesselKernel:
             raise ValueError("tabulation range must straddle rho = 1")
         if self.log_nodes < 16 or self.linear_nodes < 16:
             raise ValueError("need at least 16 tabulation nodes per branch")
-        self.method = (
-            "oscillatory-quadrature+ibp-tail" if n == 1 else "closed-form-modified-bessel"
-        )
+        self.method = "closed-form-modified-bessel"
         self.convention = (
             "(2*pi)**(-n/2) * integral exp(i x.xi) (1+|xi|^2)**(-a/2) dxi"
         )
         near_rho = np.geomspace(self.rho_min, 1.0, self.log_nodes)
         far_rho = np.linspace(1.0, self.rho_max, self.linear_nodes)
-        if n == 1:
-            vals_near = np.array(
-                [math.sqrt(2.0 / math.pi) * _bracket_cos_integral(a, r) for r in near_rho]
-            )
-            vals_far = np.array(
-                [math.sqrt(2.0 / math.pi) * _bracket_cos_integral(a, r) for r in far_rho]
-            )
-        else:
-            vals_near = _closed_form_values(a, n, near_rho)
-            vals_far = _closed_form_values(a, n, far_rho)
+        vals_near = _closed_form_values(a, n, near_rho)
+        vals_far = _closed_form_values(a, n, far_rho)
         if not (np.all(np.isfinite(vals_near)) and np.all(np.isfinite(vals_far))):
             raise RuntimeError("kernel tabulation produced non-finite values")
         if np.any(vals_near <= 0.0) or np.any(vals_far <= 0.0):
             raise RuntimeError("kernel tabulation produced non-positive values")
-        slack = 1e-9 * float(vals_near[0])  # quadrature noise on flat stretches
+        slack = 1e-9 * float(vals_near[0])  # roundoff where a bounded kernel is flat
         if np.any(np.diff(vals_near) > slack) or np.any(np.diff(vals_far) > slack):
             raise RuntimeError("kernel tabulation is not non-increasing")
         self._near = CubicSpline(np.log(near_rho), np.log(vals_near))
@@ -245,8 +156,8 @@ class BesselKernel:
         r = np.asarray(rho, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if np.any(r < 0.0):
-            raise ValueError("radius must be non-negative")
+        if not np.all(r >= 0.0):
+            raise ValueError("radius must be non-negative and not NaN")
         out = np.empty_like(r)
         tiny = r < self.rho_min
         if np.any(tiny):
@@ -283,22 +194,13 @@ class BesselKernel:
         return out[0] if scalar else out
 
 
-_KERNEL_CACHE: dict[tuple[float, int], BesselKernel] = {}
-_KERNEL_CACHE_LOCK = threading.Lock()
-
-
-def _cached_kernel(order: float, ambient_dim: int) -> BesselKernel:
-    key = (round(float(order), 12), int(ambient_dim))
-    # held across the build so concurrent configs tabulate each order once
-    with _KERNEL_CACHE_LOCK:
-        if key not in _KERNEL_CACHE:
-            _KERNEL_CACHE[key] = BesselKernel(order=key[0], ambient_dim=key[1])
-        return _KERNEL_CACHE[key]
-
-
 def bessel_kernel(order: float, ambient_dim: int, rho) -> np.ndarray:
-    """Evaluate the inverse-bracket kernel at radii ``rho`` (cached table)."""
-    return _cached_kernel(order, ambient_dim)(rho)
+    """Evaluate the inverse-bracket kernel at radii ``rho``.
+
+    Builds a fresh :class:`BesselKernel` table on each call; hold a
+    ``BesselKernel`` to evaluate one order repeatedly.
+    """
+    return BesselKernel(order=order, ambient_dim=ambient_dim)(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +489,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
             f"kernel order 2s = {a:.6f} must lie in (n - d, n] = "
             f"({n - d:.6f}, {n}] for dimension d = {d:.6f}"
         )
-    kernel = _cached_kernel(a, n)
+    kernel = BesselKernel(order=a, ambient_dim=n)
     w = _uniform_weight(measure)
     conv = (2.0 * math.pi) ** (-n / 2.0)
     dist = _pairwise_distances(measure.atoms)
@@ -720,7 +622,7 @@ class _CutoffProfile:
 
         far_kernel = None
         if self.bracket_order is not None and self.bracket_order < 0.0:
-            far_kernel = _cached_kernel(-self.bracket_order, 1)
+            far_kernel = BesselKernel(order=-self.bracket_order, ambient_dim=1)
             probe = np.geomspace(max(rho_min * 10.0, 1e-9), rho_maxdist, 400)
             far_vals = far_kernel(probe)
             ok = self.taper_bound / probe**2 <= target_rel * np.abs(far_vals)

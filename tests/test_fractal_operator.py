@@ -136,7 +136,23 @@ class TestBesselKernel:
     def test_convention_recorded(self):
         ker = BesselKernel(order=2.0, ambient_dim=1)
         assert "(2*pi)**(-n/2)" in ker.convention
-        assert ker.method == "oscillatory-quadrature+ibp-tail"
+        assert ker.method == "closed-form-modified-bessel"
+
+    @pytest.mark.parametrize("order", [0.5, 0.8, 0.9, 2.0])
+    def test_one_dimensional_table_matches_closed_form_at_nodes(self, order):
+        ker = BesselKernel(order=order, ambient_dim=1)
+        near = np.geomspace(ker.rho_min, 1.0, ker.log_nodes)
+        far = np.linspace(1.0, ker.rho_max, ker.linear_nodes)
+        rho = np.concatenate([near, far])
+        exact = [closed_form(order, 1, float(r)) for r in rho]
+        assert ker(rho) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_negative_or_nan_radius_rejected(self):
+        ker = BesselKernel(order=0.9, ambient_dim=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            ker(np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="NaN"):
+            bessel_kernel(0.9, 1, [math.nan, 0.5, math.nan])
 
     def test_vectorized_matches_scalar(self):
         rho = np.array([1e-6, 0.3, 1.0, 5.0, 19.0, 30.0])

@@ -231,8 +231,6 @@ class TestApplyPsido:
     def test_method_guards(self) -> None:
         f = gaussian(1.0)
         sym = make_symbol("separable_demo", sigma=-0.9)
-        with pytest.raises(ValueError, match="x-independent"):
-            apply_psido(sym, f, freq_cutoff=110.0, method="multiplier")
         with pytest.raises(ValueError, match="unknown method"):
             apply_psido(sym, f, freq_cutoff=110.0, method="magic")
         with pytest.raises(ValueError, match="positive"):
