@@ -10,7 +10,6 @@ codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 from .experiment import (
     ConfigError,
     StageFailure,
+    config_from_dict,
     load_config,
     run_audits,
     run_convergence,
@@ -113,9 +113,10 @@ def _run_one(args, config_path: str, multi: bool) -> int:
     try:
         config = load_config(config_path)
         if args.tolerance is not None:
-            config = dataclasses.replace(
-                config, fit=dataclasses.replace(config.fit, tolerance=args.tolerance)
-            )
+            # re-parse, so the override passes the checks a config file's value does
+            raw = config.as_canonical_dict()
+            raw["fit"]["tolerance"] = args.tolerance
+            config = config_from_dict({**raw, "out_dir": config.out_dir})
         out = args.out or config.out_dir
         if out is not None and multi:
             out = str(Path(out) / Path(config_path).stem)

@@ -39,6 +39,7 @@ from .besov_analysis import build_resolution
 from .fractal_measure import FractalMeasure, quadrature
 
 __all__ = [
+    "SYMMETRY_REL",
     "SingularKernelError",
     "WindowViolationError",
     "PsdViolationWarning",
@@ -53,6 +54,12 @@ __all__ = [
     "assemble_trace_operator",
     "assemble_tmu_galerkin",
 ]
+
+
+SYMMETRY_REL = 1e-10
+"""Relative floor for a structural symmetry of a matrix: a deviation up to
+``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag)
+or as mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
 
 
 class SingularKernelError(ValueError):
@@ -391,10 +398,10 @@ class DiscretizedOperator:
                 raise ValueError("symmetric flag requires a square matrix")
             dev = float(np.abs(mat - mat.conj().T).max())
             top = float(np.abs(mat).max())
-            if dev > 1e-10 * max(top, 1e-300):
+            if dev > SYMMETRY_REL * max(top, 1e-300):
                 raise ValueError(
                     f"symmetric flag violated: max deviation {dev:.3e} exceeds "
-                    f"1e-10 * {top:.3e}"
+                    f"{SYMMETRY_REL:.0e} * {top:.3e}"
                 )
 
     @property

@@ -538,6 +538,22 @@ class TestCli:
         assert payload["spectrum_report"]["verdict"] == "FAIL"
         assert payload["spectrum_report"]["tolerance"] == 0.0001
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_invalid_tolerance_override_exits_two_without_outputs(
+        self, tmp_path, capsys, value
+    ):
+        # the override must pass the same checks as a config file's tolerance
+        path = write_config(tmp_path / "cfg.json", base_dict())
+        out = tmp_path / "out"
+        code = main(
+            ["spectrum", "--config", str(path), "--out", str(out), f"--tolerance={value}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "fit tolerance" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(
             [

@@ -72,7 +72,7 @@ class TestBesselKernel:
         ker = BesselKernel(order=0.9, ambient_dim=1)
         for rho in np.geomspace(1e-10, 15.0, 120):
             exact = closed_form(0.9, 1, float(rho))
-            assert ker(float(rho)) == pytest.approx(exact, rel=1e-7)
+            assert ker(float(rho)) == pytest.approx(exact, rel=1e-7, abs=0.0)
 
     def test_singular_order_power_blowup(self):
         ker = BesselKernel(order=0.9, ambient_dim=1)
@@ -93,8 +93,8 @@ class TestBesselKernel:
         ker2 = BesselKernel(order=2.0, ambient_dim=1)
         ker09 = BesselKernel(order=0.9, ambient_dim=1)
         for rho in (20.5, 25.0, 40.0, 80.0):
-            assert ker2(rho) == pytest.approx(closed_form(2.0, 1, rho), rel=1e-8)
-            assert ker09(rho) == pytest.approx(closed_form(0.9, 1, rho), rel=1e-4)
+            assert ker2(rho) == pytest.approx(closed_form(2.0, 1, rho), rel=1e-8, abs=0.0)
+            assert ker09(rho) == pytest.approx(closed_form(0.9, 1, rho), rel=1e-4, abs=0.0)
 
     def test_higher_dimension_uses_closed_form(self):
         ker = BesselKernel(order=4.0, ambient_dim=2)
@@ -158,7 +158,7 @@ class TestBesselKernel:
         rho = np.array([1e-6, 0.3, 1.0, 5.0, 19.0, 30.0])
         ker = BesselKernel(order=0.9, ambient_dim=1)
         vec = bessel_kernel(0.9, 1, rho)
-        assert vec == pytest.approx([ker(float(r)) for r in rho], rel=1e-13)
+        assert vec == pytest.approx([ker(float(r)) for r in rho], rel=1e-13, abs=0.0)
 
     @given(
         st.floats(min_value=1e-9, max_value=15.0),

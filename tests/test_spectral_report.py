@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -59,6 +61,30 @@ def measure_l7(cantor_ifs):
 
 def power_law(count: int, exponent: float, scale: float = 1.0) -> np.ndarray:
     return scale * np.arange(1, count + 1, dtype=float) ** (-exponent)
+
+
+@contextmanager
+def eigh_sizes():
+    """Record the order of every ``scipy.linalg.eigh`` call made inside."""
+    sizes = []
+    real_eigh = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real_eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigh", counting)
+        yield sizes
+
+
+def mirror_symmetric(rng, n: int, complex_: bool = False) -> np.ndarray:
+    """A random Hermitian matrix with ``K == J K J`` (J the index reversal)."""
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    a = a + a.conj().T
+    return a + a[::-1, ::-1]
 
 
 class TestOrdering:
@@ -190,6 +216,48 @@ class TestEigenSpectrum:
         assert np.all(res.imag == 0.0)
         mods = np.abs(res)
         assert np.all(np.diff(mods) <= 1e-12 * max(mods[0], 1e-300))
+
+    @given(st.integers(0, 10**6), st.integers(1, 8))
+    def test_mirror_symmetric_matrix_is_solved_as_two_half_blocks(self, seed, half):
+        mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
+        ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
+        with eigh_sizes() as sizes:
+            res = eigen_spectrum(mat)
+        assert sizes == [half, half]
+        assert np.all(res.imag == 0.0)
+        assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
+
+    def test_complex_mirror_symmetric_matrix_is_split(self):
+        mat = mirror_symmetric(np.random.default_rng(5), 12, complex_=True)
+        ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
+        with eigh_sizes() as sizes:
+            res = eigen_spectrum(mat)
+        assert sizes == [6, 6]
+        assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
+
+    @pytest.mark.parametrize("case", ["odd-order", "off-mirror"])
+    def test_unsplittable_matrix_gets_one_full_solve(self, case):
+        rng = np.random.default_rng(11)
+        if case == "odd-order":
+            mat = mirror_symmetric(rng, 9)
+        else:
+            mat = mirror_symmetric(rng, 10)
+            bump = np.zeros_like(mat)
+            bump[0, 1] = bump[1, 0] = 1e-6 * np.abs(mat).max()
+            mat = mat + bump  # still symmetric, no longer mirror-symmetric
+        ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
+        with eigh_sizes() as sizes:
+            res = eigen_spectrum(mat)
+        assert sizes == [mat.shape[0]]
+        assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
+
+    def test_cantor_kernel_split_matches_full_solve(self, cantor_ifs):
+        op = assemble_dmu_kernel(quadrature(cantor_ifs, 9), 0.45)
+        ref = np.sort(scipy.linalg.eigvalsh(op.matrix))[::-1][:200]
+        with eigh_sizes() as sizes:
+            res = eigen_spectrum(op)
+        assert sizes == [256, 256]
+        assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @given(st.integers(0, 10**6), st.integers(2, 6))
     def test_general_path_matches_reference_eigensolver(self, seed, n):
