@@ -59,14 +59,13 @@ class UnequalRatioError(NotImplementedError):
 
 @dataclass(frozen=True)
 class SimilitudeMap:
-    """One contracting similitude x -> ratio * rotation @ x + translation."""
+    """One contracting similitude x -> ratio * x + translation (no rotation)."""
 
     ratio: float
-    rotation: np.ndarray
     translation: np.ndarray
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.ratio * points @ self.rotation.T + self.translation
+        return self.ratio * points + self.translation
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,8 @@ class SimilitudeIFS:
         for m in self.maps:
             if not (0.0 < m.ratio < 1.0):
                 raise ValueError(f"contraction ratio must lie in (0, 1), got {m.ratio}")
-            if m.rotation.shape != (self.ambient_dim, self.ambient_dim):
-                raise ValueError("rotation shape does not match ambient dimension")
-            err = np.abs(m.rotation @ m.rotation.T - np.eye(self.ambient_dim)).max()
-            if err > 1e-10:
-                raise ValueError("rotation matrix is not orthogonal")
+            if m.translation.shape != (self.ambient_dim,):
+                raise ValueError("translation shape does not match ambient dimension")
         object.__setattr__(self, "dimension", self._moran_dimension())
         if not (0.0 < self.dimension < self.ambient_dim):
             raise DimensionRangeError(
@@ -118,34 +114,17 @@ class SimilitudeIFS:
         return all(abs(r - ratios[0]) <= 1e-15 for r in ratios)
 
     def bounding_box(self) -> np.ndarray:
-        """Axis-aligned box (2, n) guaranteed to contain the attractor.
-
-        For translation-only systems the box [min t/(1-r), max t/(1-r)] per
-        axis is exact; with rotations it is enlarged to the invariant ball
-        around the barycenter, still a valid enclosure.
-        """
-        n = self.ambient_dim
-        if all(np.allclose(m.rotation, np.eye(n)) for m in self.maps):
-            t = np.array([m.translation for m in self.maps])
-            r = np.array([m.ratio for m in self.maps])[:, None]
-            lo = (t / (1.0 - r)).min(axis=0)
-            hi = (t / (1.0 - r)).max(axis=0)
-            return np.stack([lo, hi])
-        c = self.barycenter()
-        # radius R with S_i(B(c, R)) inside B(c, R) for every map
-        R = max(
-            np.linalg.norm(m.ratio * m.rotation @ c + m.translation - c)
-            / (1.0 - m.ratio)
-            for m in self.maps
-        )
-        return np.stack([c - R, c + R])
+        """Axis-aligned box (2, n) containing the attractor: the exact
+        per-axis range [min t/(1-r), max t/(1-r)] of the fixed points."""
+        t = np.array([m.translation for m in self.maps])
+        r = np.array([m.ratio for m in self.maps])[:, None]
+        return np.stack([(t / (1.0 - r)).min(axis=0), (t / (1.0 - r)).max(axis=0)])
 
     def barycenter(self) -> np.ndarray:
         """Fixed point of the equally weighted average of the maps."""
-        n = self.ambient_dim
-        A = np.eye(n) - sum(m.ratio * m.rotation for m in self.maps) / len(self.maps)
-        b = sum(m.translation for m in self.maps) / len(self.maps)
-        return np.linalg.solve(A, b)
+        m = len(self.maps)
+        mean_ratio = sum(mp.ratio for mp in self.maps) / m
+        return sum(mp.translation for mp in self.maps) / m / (1.0 - mean_ratio)
 
     def cell_box(self, word: tuple[int, ...]) -> np.ndarray:
         box = self.bounding_box()
@@ -174,7 +153,11 @@ class FractalMeasure:
     level: int
     atoms: np.ndarray
     weights: np.ndarray
-    words: tuple[tuple[int, ...], ...]
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """Map-index word of each atom, in atom (lexicographic) order."""
+        return tuple(itertools.product(range(len(self.ifs.maps)), repeat=self.level))
 
     @property
     def dimension(self) -> float:
@@ -219,8 +202,7 @@ def build_cantor_like(
     for t in trans:
         if t.shape != (ambient_dim,):
             raise ValueError("translation dimension mismatch")
-    eye = np.eye(ambient_dim)
-    maps = tuple(SimilitudeMap(float(ratio), eye, t) for t in trans)
+    maps = tuple(SimilitudeMap(float(ratio), t) for t in trans)
     ifs = SimilitudeIFS(ambient_dim, maps)
 
     boxes = [ifs.cell_box((i,)) for i in range(n_maps)]
@@ -255,9 +237,8 @@ def quadrature(ifs: SimilitudeIFS, level: int, atom_budget: int = 4_000_000) -> 
     for _ in range(level):
         # prepend each map index, keeping lexicographic word order
         pts = np.concatenate([mp(pts) for mp in ifs.maps], axis=0)
-    words = tuple(itertools.product(range(m), repeat=level))
     weights = np.full(count, 1.0 / count)
-    return FractalMeasure(ifs, level, pts, weights, words)
+    return FractalMeasure(ifs, level, pts, weights)
 
 
 def ball_measure_ratio(measure: FractalMeasure, center, rho: float) -> float:

@@ -3,9 +3,13 @@
 This module turns an atomic self-similar measure into finite matrices whose
 spectra approximate the continuum objects:
 
-* ``bessel_kernel`` / ``BesselKernel`` evaluate the radially symmetric kernel
-  whose Fourier transform is the inverse smoothness bracket
-  ``(1 + |xi|**2) ** (-a/2)``.
+* ``bessel_kernel`` / ``BesselKernel`` evaluate, from the modified-Bessel
+  closed form, the radially symmetric kernel whose Fourier transform is the
+  inverse smoothness bracket ``(1 + |xi|**2) ** (-a/2)``.
+* The pair assemblies evaluate a kernel once per distinct pair difference
+  and gather the entries by pair code (``_pair_table``).  This is exact, not
+  an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} - t_{j_k})`` depends only
+  on the digit-by-digit translation differences of the two atom words.
 * ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix K whose
   eigenvalues are the squared singular values of the restriction (trace)
   operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
@@ -27,7 +31,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -36,7 +40,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
-from .fractal_measure import FractalMeasure, quadrature
+from .fractal_measure import FractalMeasure, SimilitudeIFS
 
 __all__ = [
     "SYMMETRY_REL",
@@ -82,8 +86,12 @@ _PHI0 = build_resolution(1).phi0
 
 
 # ---------------------------------------------------------------------------
-# Bessel-type kernel: closed-form table with exponential asymptote
+# Bessel-type kernel in closed form
 # ---------------------------------------------------------------------------
+
+
+SINGULAR_RADIUS = 1e-12
+"""Radius below which a singular kernel (order <= dimension) refuses to evaluate."""
 
 
 def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -95,57 +103,25 @@ def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class BesselKernel:
-    """Tabulated radial kernel with Fourier transform ``bracket(xi)**(-a)``.
+    """Radial kernel with Fourier transform ``bracket(xi)**(-a)``.
 
-    The table is filled from the modified-Bessel closed form in every ambient
-    dimension, then interpolated: log-log cubic below radius one, log-value
-    cubic above; interpolating costs a fraction of calling ``kv`` on each of
-    the millions of radii a pair assembly evaluates.  Beyond ``rho_max`` the
-    kernel follows its exponential asymptote; below ``rho_min`` a singular
-    kernel (a <= n) refuses to evaluate while a bounded one returns its
-    exact limit.
+    Every radius is evaluated from the modified-Bessel closed form
+    (``_closed_form_values``, i.e. ``kv``) in every ambient dimension; the
+    assemblies call it once per distinct pair distance, not once per pair.
+    Below ``SINGULAR_RADIUS`` a singular kernel (a <= n) refuses to evaluate
+    while a bounded one returns its exact limit ``value_at_zero``.
     """
 
     order: float
     ambient_dim: int = 1
-    rho_min: float = 1e-12
-    rho_max: float = 20.0
-    log_nodes: int = 1000
-    linear_nodes: int = 1000
-    method: str = field(init=False)
-    convention: str = field(init=False)
-    _near: CubicSpline = field(init=False, repr=False)
-    _far: CubicSpline = field(init=False, repr=False)
-    _edge: tuple[float, float] = field(init=False, repr=False)
+    method = "closed-form-modified-bessel"
+    convention = "(2*pi)**(-n/2) * integral exp(i x.xi) (1+|xi|^2)**(-a/2) dxi"
 
     def __post_init__(self) -> None:
-        a, n = self.order, self.ambient_dim
-        if a <= 0.0:
+        if self.order <= 0.0:
             raise ValueError("kernel order must be positive")
-        if n < 1:
+        if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be at least one")
-        if not (0.0 < self.rho_min < 1.0 < self.rho_max):
-            raise ValueError("tabulation range must straddle rho = 1")
-        if self.log_nodes < 16 or self.linear_nodes < 16:
-            raise ValueError("need at least 16 tabulation nodes per branch")
-        self.method = "closed-form-modified-bessel"
-        self.convention = (
-            "(2*pi)**(-n/2) * integral exp(i x.xi) (1+|xi|^2)**(-a/2) dxi"
-        )
-        near_rho = np.geomspace(self.rho_min, 1.0, self.log_nodes)
-        far_rho = np.linspace(1.0, self.rho_max, self.linear_nodes)
-        vals_near = _closed_form_values(a, n, near_rho)
-        vals_far = _closed_form_values(a, n, far_rho)
-        if not (np.all(np.isfinite(vals_near)) and np.all(np.isfinite(vals_far))):
-            raise RuntimeError("kernel tabulation produced non-finite values")
-        if np.any(vals_near <= 0.0) or np.any(vals_far <= 0.0):
-            raise RuntimeError("kernel tabulation produced non-positive values")
-        slack = 1e-9 * float(vals_near[0])  # roundoff where a bounded kernel is flat
-        if np.any(np.diff(vals_near) > slack) or np.any(np.diff(vals_far) > slack):
-            raise RuntimeError("kernel tabulation is not non-increasing")
-        self._near = CubicSpline(np.log(near_rho), np.log(vals_near))
-        self._far = CubicSpline(far_rho, np.log(vals_far))
-        self._edge = (float(vals_near[-1]), float(vals_far[-1]))
 
     @property
     def value_at_zero(self) -> float:
@@ -165,47 +141,23 @@ class BesselKernel:
         r = np.atleast_1d(r)
         if not np.all(r >= 0.0):
             raise ValueError("radius must be non-negative and not NaN")
+        tiny = r < SINGULAR_RADIUS
         out = np.empty_like(r)
-        tiny = r < self.rho_min
         if np.any(tiny):
             if self.order <= self.ambient_dim:
                 raise SingularKernelError(
-                    f"radius below the tabulation floor {self.rho_min:.1e} for a "
-                    f"singular kernel (order {self.order} <= dimension "
-                    f"{self.ambient_dim})"
+                    f"radius below {SINGULAR_RADIUS:.0e} for a singular kernel "
+                    f"(order {self.order} <= dimension {self.ambient_dim})"
                 )
             out[tiny] = self.value_at_zero
-        near = (~tiny) & (r <= 1.0)
-        if np.any(near):
-            out[near] = np.exp(self._near(np.log(r[near])))
-        mid = (r > 1.0) & (r <= self.rho_max)
-        if np.any(mid):
-            out[mid] = np.exp(self._far(r[mid]))
-        beyond = r > self.rho_max
-        if np.any(beyond):
-            # exponential asymptote anchored at the table edge, with the first
-            # two inverse-radius corrections of the modified-Bessel expansion
-            a, n = self.order, self.ambient_dim
-            nu = (n - a) / 2.0
-            c1 = (4.0 * nu * nu - 1.0) / 8.0
-            c2 = (4.0 * nu * nu - 1.0) * (4.0 * nu * nu - 9.0) / 128.0
-            rb = r[beyond]
-            anchor = self._edge[1]
-            out[beyond] = (
-                anchor
-                * (rb / self.rho_max) ** ((a - n - 1.0) / 2.0)
-                * np.exp(-(rb - self.rho_max))
-                * (1.0 + c1 / rb + c2 / (rb * rb))
-                / (1.0 + c1 / self.rho_max + c2 / (self.rho_max * self.rho_max))
-            )
+        out[~tiny] = _closed_form_values(self.order, self.ambient_dim, r[~tiny])
         return out[0] if scalar else out
 
 
 def bessel_kernel(order: float, ambient_dim: int, rho) -> np.ndarray:
-    """Evaluate the inverse-bracket kernel at radii ``rho``.
+    """Evaluate the inverse-bracket kernel at radii ``rho`` from its closed form.
 
-    Builds a fresh :class:`BesselKernel` table on each call; hold a
-    ``BesselKernel`` to evaluate one order repeatedly.
+    Shorthand for ``BesselKernel(order=order, ambient_dim=ambient_dim)(rho)``.
     """
     return BesselKernel(order=order, ambient_dim=ambient_dim)(rho)
 
@@ -237,6 +189,42 @@ def fourier_of_fmu(values, measure: FractalMeasure, xi) -> np.ndarray:
     coeff = measure.weights * v
     out = (2.0 * math.pi) ** (-n / 2.0) * (coeff @ np.exp(-1j * phase))
     return out[0] if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# Atom-pair codes: one table entry per distinct pair difference
+# ---------------------------------------------------------------------------
+
+
+def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer code of every atom pair at ``level`` and the distance of each code.
+
+    With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
+    ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -
+    t_{j_k})`` depends only on the digit-by-digit translation differences.
+    With the D distinct level-1 differences ``t_a - t_b`` numbered 0..D-1,
+    the code of (i, j) is the base-D number of its differences, first digit
+    most significant, built by a Kronecker recursion in atom order.  Returns
+    the (N, N) codes and the D^L distances indexed by code.  Since ``t_b -
+    t_a = -(t_a - t_b)`` exactly, a gather from the table is bitwise
+    symmetric, and mirror-symmetric for mirror-symmetric translations.
+    """
+    t = np.array([mp.translation for mp in ifs.maps])
+    m, n = t.shape
+    r = ifs.maps[0].ratio
+    deltas, digit = np.unique(
+        (t[:, None, :] - t[None, :, :]).reshape(m * m, n), axis=0, return_inverse=True
+    )
+    n_codes = deltas.shape[0] ** level
+    digit = digit.reshape(m, m).astype(np.int32 if n_codes <= 2**31 else np.int64)
+    codes = np.zeros((1, 1), dtype=digit.dtype)
+    diff = np.zeros((1, n))
+    for depth in range(level):
+        size = codes.shape[0]
+        lead = digit * deltas.shape[0] ** depth
+        codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
+        diff = (deltas[:, None, :] + r * diff[None, :, :]).reshape(-1, n)
+    return codes, np.linalg.norm(diff, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +273,13 @@ def cell_pair_energy(
     w = 1.0 / measure.n_atoms
     scale = r**measure.level
 
-    sub = quadrature(ifs, explicit_depth).atoms
-    dist = _pairwise_distances(sub)
-    iu = np.triu_indices(sub.shape[0], 1)
+    codes, dist = _pair_table(ifs, explicit_depth)
+    iu = np.triu_indices(codes.shape[0], 1)
     mass_d = w / m**explicit_depth
-    explicit = 2.0 * mass_d**2 * float(np.sum(kernel_fn(scale * dist[iu])))
+    explicit = 2.0 * mass_d**2 * float(np.sum(kernel_fn(scale * dist[codes[iu]])))
 
-    fdist = _pairwise_distances(quadrature(ifs, 1).atoms)
-    d0 = fdist[np.triu_indices(m, 1)]  # each unordered pair once
+    codes, dist = _pair_table(ifs, 1)
+    d0 = dist[codes[np.triu_indices(m, 1)]]  # each unordered pair once
     d0_min = float(d0.min())
     if d0_min <= 0.0:
         raise ValueError("first-level cells share a barycenter; measure is degenerate")
@@ -378,6 +365,17 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _row_block_deviation(a, b, *, conj: bool = False) -> tuple[float, float]:
+    """``max|a - b|`` (``max|a - conj(b)|`` with ``conj``) and ``max(|a|, |b|)``,
+    read 256 rows at a time so that no temporary exceeds one row block."""
+    dev = scale = 0.0
+    for lo in range(0, a.shape[0], 256):
+        x, y = a[lo : lo + 256], b[lo : lo + 256]
+        dev = max(dev, float(np.abs(x - (np.conj(y) if conj else y)).max()))
+        scale = max(scale, float(np.abs(x).max()), float(np.abs(y).max()))
+    return dev, scale
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """A matrix plus a record of what its axes mean and how it was assembled."""
@@ -396,8 +394,7 @@ class DiscretizedOperator:
         if self.symmetric:
             if mat.shape[0] != mat.shape[1]:
                 raise ValueError("symmetric flag requires a square matrix")
-            dev = float(np.abs(mat - mat.conj().T).max())
-            top = float(np.abs(mat).max())
+            dev, top = _row_block_deviation(mat, mat.T, conj=True)
             if dev > SYMMETRY_REL * max(top, 1e-300):
                 raise ValueError(
                     f"symmetric flag violated: max deviation {dev:.3e} exceeds "
@@ -468,13 +465,6 @@ def _uniform_weight(measure: FractalMeasure) -> float:
     return float(w[0])
 
 
-def _pairwise_distances(atoms: np.ndarray) -> np.ndarray:
-    if atoms.shape[1] == 1:
-        return np.abs(atoms[:, 0, None] - atoms[None, :, 0])
-    diff = atoms[:, None, :] - atoms[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperator:
     """Symmetric kernel matrix ``(2 pi)^{-n/2} sqrt(w_j) G_{2s}(|x_j - x_k|) sqrt(w_k)``.
 
@@ -482,6 +472,9 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     from the smoothness-s Hilbert space to L2 of the measure.  The diagonal
     holds the cell-averaged self-interaction instead of the divergent
     coincidence value.  Requires ``n - d < 2s <= n``.
+
+    Entries are gathered by pair code from one kernel value per distinct pair
+    difference (:func:`_pair_table`), the diagonal from the coincident code.
 
     Only the matrix is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
@@ -499,15 +492,13 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     kernel = BesselKernel(order=a, ambient_dim=n)
     w = _uniform_weight(measure)
     conv = (2.0 * math.pi) ** (-n / 2.0)
-    dist = _pairwise_distances(measure.atoms)
     N = measure.n_atoms
-    K = np.zeros((N, N))
-    if N > 1:
-        iu = np.triu_indices(N, 1)
-        K[iu] = conv * w * kernel(dist[iu])
-        K = K + K.T
+    codes, dist = _pair_table(ifs, measure.level)
+    off = np.arange(dist.size) != codes[0, 0]  # every code but the coincident one
     energy, diag_info = cell_pair_energy(measure, kernel)
-    np.fill_diagonal(K, conv * energy / w)
+    table = np.full(dist.size, conv * energy / w)
+    table[off] = conv * w * kernel(dist[off])
+    K = table[codes]
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -733,8 +724,9 @@ def assemble_tmu_galerkin(
     measure-smeared atom k, sampled at atom j.  For an x-independent bracket
     symbol at p = 2 this matrix is similar via diag(sqrt(w)) to the kernel
     matrix of :func:`assemble_dmu_kernel`.  The coincidence diagonal is
-    cell-averaged with the same rule as the kernel assembly.  Requires
-    ``n - d < s p <= n`` and a symbol with separable terms.
+    cell-averaged with the same rule as the kernel assembly.  Each term's
+    profile is gathered by pair code as there, then scaled row by row.
+    Requires ``n - d < s p <= n`` and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -760,12 +752,12 @@ def assemble_tmu_galerkin(
     w = _uniform_weight(measure)
     atoms = measure.atoms
     N = measure.n_atoms
-    dist = _pairwise_distances(atoms)
+    codes, dist = _pair_table(ifs, measure.level)
+    off = np.arange(dist.size) != codes[0, 0]  # every code but the coincident one
     diam = float(dist.max()) if N > 1 else 1.0
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
     base = np.zeros((N, N))
-    diag = np.zeros(N)
     term_info = []
     for term in sym.separable_terms:
         profile = _CutoffProfile(
@@ -778,13 +770,10 @@ def assemble_tmu_galerkin(
         )
         if np.abs(spatial.imag).max() == 0.0:
             spatial = spatial.real
-        vals = np.zeros((N, N))
-        if N > 1:
-            off = ~np.eye(N, dtype=bool)
-            vals[off] = profile(dist[off])
         energy, diag_info = cell_pair_energy(measure, profile)
-        base = base + spatial[:, None] * vals
-        diag = diag + spatial * (energy / w**2)
+        table = np.full(dist.size, energy / w**2)
+        table[off] = profile(dist[off])
+        base = base + spatial[:, None] * table[codes]
         term_info.append(
             {
                 "bracket_order": profile.bracket_order,
@@ -795,14 +784,18 @@ def assemble_tmu_galerkin(
             }
         )
     M = conv * w * base
-    M[np.arange(N), np.arange(N)] = conv * w * diag
 
-    # tail-insufficiency estimate at the typical working distance
+    # tail-insufficiency estimate at the typical working distance: the median
+    # over the N (N - 1) off-diagonal pairs, counted per code
     if N > 1:
-        rho_med = float(np.median(dist[np.triu_indices(N, 1)]))
-        scale_med = max(
-            float(np.abs(M[np.abs(dist - rho_med) < 0.5 * rho_med]).max()), 1e-300
-        )
+        counts = np.bincount(codes.ravel(), minlength=dist.size)
+        counts[codes[0, 0]] = 0
+        order = np.argsort(dist, kind="stable")
+        cum = np.cumsum(counts[order])
+        mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
+        rho_med = float(dist[order[mid]].mean())
+        band = np.abs(dist - rho_med) < 0.5 * rho_med
+        scale_med = max(float(np.abs(M[band[codes]]).max()), 1e-300)
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
         if tail_est > 1e-6 * scale_med:
             warnings.warn(

@@ -38,6 +38,7 @@ from .fractal_operator import (
     PsdViolationWarning,
     WindowViolationError,
     _jsonable,
+    _row_block_deviation,
     assemble_dmu_kernel,
 )
 
@@ -119,12 +120,8 @@ def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     n = mat.shape[0]
     h = n // 2
     dev = scale = 0.0
-    if n % 2 == 0:
-        upper, mirrored = mat[:h], mat[h:][::-1, ::-1]  # top halves of K and J K J
-        for lo in range(0, h, 256):  # row blocks: no N x N temporary
-            a, b = upper[lo : lo + 256], mirrored[lo : lo + 256]
-            dev = max(dev, float(np.abs(a - b).max()))
-            scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
+    if n % 2 == 0:  # compare the top halves of K and J K J
+        dev, scale = _row_block_deviation(mat[:h], mat[h:][::-1, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
         w, v = scipy.linalg.eigh(mat)
         top = np.argsort(-np.abs(w), kind="stable")[: min(50, n)]

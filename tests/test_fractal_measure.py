@@ -99,8 +99,8 @@ class TestQuadrature:
 
     def test_unequal_ratios_refused(self):
         maps = (
-            SimilitudeMap(0.3, np.eye(1), np.array([0.0])),
-            SimilitudeMap(0.25, np.eye(1), np.array([0.75])),
+            SimilitudeMap(0.3, np.array([0.0])),
+            SimilitudeMap(0.25, np.array([0.75])),
         )
         ifs = SimilitudeIFS(1, maps)
         with pytest.raises(UnequalRatioError):

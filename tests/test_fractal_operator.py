@@ -18,6 +18,7 @@ from fracspectra.fractal_operator import (
     PsdViolationWarning,
     SingularKernelError,
     WindowViolationError,
+    _CutoffProfile,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
@@ -72,7 +73,7 @@ class TestBesselKernel:
         ker = BesselKernel(order=0.9, ambient_dim=1)
         for rho in np.geomspace(1e-10, 15.0, 120):
             exact = closed_form(0.9, 1, float(rho))
-            assert ker(float(rho)) == pytest.approx(exact, rel=1e-7, abs=0.0)
+            assert ker(float(rho)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_singular_order_power_blowup(self):
         ker = BesselKernel(order=0.9, ambient_dim=1)
@@ -93,8 +94,8 @@ class TestBesselKernel:
         ker2 = BesselKernel(order=2.0, ambient_dim=1)
         ker09 = BesselKernel(order=0.9, ambient_dim=1)
         for rho in (20.5, 25.0, 40.0, 80.0):
-            assert ker2(rho) == pytest.approx(closed_form(2.0, 1, rho), rel=1e-8, abs=0.0)
-            assert ker09(rho) == pytest.approx(closed_form(0.9, 1, rho), rel=1e-4, abs=0.0)
+            assert ker2(rho) == pytest.approx(closed_form(2.0, 1, rho), rel=1e-13, abs=0.0)
+            assert ker09(rho) == pytest.approx(closed_form(0.9, 1, rho), rel=1e-13, abs=0.0)
 
     def test_higher_dimension_uses_closed_form(self):
         ker = BesselKernel(order=4.0, ambient_dim=2)
@@ -128,24 +129,11 @@ class TestBesselKernel:
             BesselKernel(order=0.0, ambient_dim=1)
         with pytest.raises(ValueError):
             BesselKernel(order=1.0, ambient_dim=0)
-        with pytest.raises(ValueError):
-            BesselKernel(order=1.0, ambient_dim=1, rho_min=2.0)
-        with pytest.raises(ValueError):
-            BesselKernel(order=1.0, ambient_dim=1, log_nodes=4)
 
     def test_convention_recorded(self):
         ker = BesselKernel(order=2.0, ambient_dim=1)
         assert "(2*pi)**(-n/2)" in ker.convention
         assert ker.method == "closed-form-modified-bessel"
-
-    @pytest.mark.parametrize("order", [0.5, 0.8, 0.9, 2.0])
-    def test_one_dimensional_table_matches_closed_form_at_nodes(self, order):
-        ker = BesselKernel(order=order, ambient_dim=1)
-        near = np.geomspace(ker.rho_min, 1.0, ker.log_nodes)
-        far = np.linspace(1.0, ker.rho_max, ker.linear_nodes)
-        rho = np.concatenate([near, far])
-        exact = [closed_form(order, 1, float(r)) for r in rho]
-        assert ker(rho) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_negative_or_nan_radius_rejected(self):
         ker = BesselKernel(order=0.9, ambient_dim=1)
@@ -318,13 +306,29 @@ class TestKernelGram:
         energy, _ = cell_pair_energy(mu0, lambda rho: bessel_kernel(0.9, 1, rho))
         assert op.matrix[0, 0] == pytest.approx(INV_SQRT_2PI * energy, rel=1e-12)
 
-    def test_far_pair_entry_matches_kernel(self, mu5):
-        op = assemble_dmu_kernel(mu5, 0.45)
-        atoms = mu5.atoms[:, 0]
-        w = mu5.weights[0]
-        dist = abs(atoms[-1] - atoms[0])
-        expect = INV_SQRT_2PI * w * bessel_kernel(0.9, 1, dist)
-        assert op.matrix[0, -1] == pytest.approx(expect, rel=1e-12)
+    @pytest.mark.parametrize(
+        "geometry, level, s",
+        [
+            ((1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]), 5, 0.45),
+            ((2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]), 3, 0.75),
+            ((1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]]), 4, 0.45),
+        ],
+        ids=["cantor-1d", "dust-2d", "non-lattice-1d"],
+    )
+    def test_far_pair_entry_matches_kernel(self, geometry, level, s):
+        # every off-diagonal entry against the closed form on the distances
+        # taken directly from the atoms
+        mu = quadrature(build_cantor_like(*geometry), level)
+        n = mu.ifs.ambient_dim
+        K = assemble_dmu_kernel(mu, s).matrix
+        conv_w = (2.0 * math.pi) ** (-n / 2.0) * mu.weights[0]
+        for i, j in zip(*np.nonzero(~np.eye(mu.n_atoms, dtype=bool))):
+            rho = float(np.linalg.norm(mu.atoms[i] - mu.atoms[j]))
+            expect = conv_w * closed_form(2.0 * s, n, rho)
+            assert K[i, j] == pytest.approx(expect, rel=1e-12, abs=0.0)
+        if geometry[1] == 2:  # the Cantor set is symmetric under x -> 1 - x
+            assert np.array_equal(K, K.T)
+            assert np.array_equal(K, K[::-1, ::-1])
 
     def test_bitwise_symmetry(self, mu5):
         op = assemble_dmu_kernel(mu5, 0.45)
@@ -380,6 +384,22 @@ class TestKernelGram:
         path.write_bytes(b"NOTMAGIC" + raw[8:])
         with pytest.raises(ValueError):
             load_operator(path)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_symmetric_flag_catches_one_entry_past_the_first_block(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(300, 300)).astype(dtype)
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=(300, 300))
+        herm = a + a.conj().T
+        DiscretizedOperator(herm, "x", "x", {}, symmetric=True)
+        bad = herm.copy()
+        bad[290, 280] += 1e-6 * np.abs(herm).max()  # both rows past the first block
+        with pytest.raises(ValueError, match="symmetric flag violated"):
+            DiscretizedOperator(bad, "x", "x", {}, symmetric=True)
+        if dtype is complex:  # complex symmetric is not Hermitian
+            with pytest.raises(ValueError, match="symmetric flag violated"):
+                DiscretizedOperator(a + a.T, "x", "x", {}, symmetric=True)
 
     def test_operator_container_validation(self):
         with pytest.raises(ValueError):
@@ -465,6 +485,18 @@ class TestGalerkinCompression:
         ev = np.linalg.eigvals(M.matrix)
         assert np.max(np.abs(ev.imag)) <= 1e-10 * np.max(np.abs(ev))
         assert np.min(ev.real) > 0.0
+
+    def test_entries_match_profile_on_direct_distances(self, cantor_ifs):
+        mu = quadrature(cantor_ifs, 4)
+        sym = make_symbol("separable_demo", sigma=-0.9)
+        M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5).matrix
+        dist = np.abs(mu.atoms[:, 0, None] - mu.atoms[None, :, 0])
+        term = sym.separable_terms[0]
+        profile = _CutoffProfile(term.radial, 1.0e5, rho_maxdist=dist.max() * 1.01)
+        spatial = np.asarray(term.spatial(mu.atoms)).reshape(-1)
+        off = ~np.eye(mu.n_atoms, dtype=bool)
+        expect = INV_SQRT_2PI * mu.weights[0] * spatial[:, None] * profile(dist)
+        assert M[off] == pytest.approx(expect[off], rel=1e-12, abs=0.0)
 
     def test_term_linearity(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)
