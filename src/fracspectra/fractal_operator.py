@@ -6,10 +6,11 @@ spectra approximate the continuum objects:
 * ``bessel_kernel`` / ``BesselKernel`` evaluate, from the modified-Bessel
   closed form, the radially symmetric kernel whose Fourier transform is the
   inverse smoothness bracket ``(1 + |xi|**2) ** (-a/2)``.
-* The pair assemblies evaluate a kernel once per distinct pair difference
+* The pair assemblies evaluate a kernel once per pair difference up to sign
   and gather the entries by pair code (``_pair_table``).  This is exact, not
   an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} - t_{j_k})`` depends only
-  on the digit-by-digit translation differences of the two atom words.
+  on the digit-by-digit translation differences of the two atom words, and
+  the codes of (i, j) and (j, i) mirror each other about the table's centre.
 * ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix K whose
   eigenvalues are the squared singular values of the restriction (trace)
   operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
@@ -18,7 +19,9 @@ spectra approximate the continuum objects:
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol to
-  atom space through a smoothly truncated frequency integral.
+  atom space through a smoothly truncated frequency integral.  When every
+  term shares one real, positive spatial factor a, it returns the matrix in
+  the exactly similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``.
 
 All singular diagonals use one shared rule, ``cell_pair_energy``: the exact
 self-similar subdivision of a cell for a few levels plus a closed-form
@@ -208,6 +211,17 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
     the (N, N) codes and the D^L distances indexed by code.  Since ``t_b -
     t_a = -(t_a - t_b)`` exactly, a gather from the table is bitwise
     symmetric, and mirror-symmetric for mirror-symmetric translations.
+
+    The distances are a bitwise palindrome with the coincident code
+    ``(D^L - 1) / 2`` at the centre, so a radial function need only be
+    evaluated on the first half.  The D differences come sorted from
+    ``np.unique`` and are closed under negation; negation reverses their
+    (lexicographic) order, so digit k of ``-delta`` is ``D - 1 - k`` and the
+    code of the reversed pair (j, i) is ``D^L - 1 - c``.  Rounding commutes
+    with negation, so Horner's rule gives that code the negated difference
+    (up to the sign of a zero coordinate), hence bitwise the same norm.  The
+    zero difference is the middle digit ``(D - 1) / 2`` (D is odd), and
+    every digit of a coincident pair is that one.
     """
     t = np.array([mp.translation for mp in ifs.maps])
     m, n = t.shape
@@ -225,6 +239,19 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
         codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
         diff = (deltas[:, None, :] + r * diff[None, :, :]).reshape(-1, n)
     return codes, np.linalg.norm(diff, axis=1)
+
+
+def _folded_table(
+    dist: np.ndarray, radial: Callable[[np.ndarray], np.ndarray], centre: float
+) -> np.ndarray:
+    """``radial`` on the palindromic ``dist`` of :func:`_pair_table`, evaluated
+    on the first half and mirrored, with ``centre`` at the coincident code."""
+    mid = dist.size // 2
+    table = np.empty(dist.size)
+    table[:mid] = radial(dist[:mid])
+    table[mid] = centre
+    table[mid + 1 :] = table[:mid][::-1]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +392,23 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _row_block_deviation(a, b, *, conj: bool = False) -> tuple[float, float]:
-    """``max|a - b|`` (``max|a - conj(b)|`` with ``conj``) and ``max(|a|, |b|)``,
-    read 256 rows at a time so that no temporary exceeds one row block."""
+def _hermitian_deviation(a: np.ndarray, tile: int = 256) -> tuple[float, float]:
+    """``max|a - a^H|`` and ``max|a|`` of a square ``a``.
+
+    Each square tile ``a[i:i+B, j:j+B]`` with ``j >= i`` is compared with
+    ``conj(a[j:j+B, i:i+B]).T``, so both tiles are read along their own rows
+    (not a whole column of ``a``) and every temporary is one tile.  The two
+    tiles of a pair cover each entry, and ``|x - conj(y)| = |y - conj(x)|``
+    bitwise, so this equals the whole-matrix comparison.
+    """
     dev = scale = 0.0
-    for lo in range(0, a.shape[0], 256):
-        x, y = a[lo : lo + 256], b[lo : lo + 256]
-        dev = max(dev, float(np.abs(x - (np.conj(y) if conj else y)).max()))
-        scale = max(scale, float(np.abs(x).max()), float(np.abs(y).max()))
+    n = a.shape[0]
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            x = a[i : i + tile, j : j + tile]
+            y = np.conj(a[j : j + tile, i : i + tile].T)
+            dev = max(dev, float(np.abs(x - y).max()))
+            scale = max(scale, float(np.abs(x).max()), float(np.abs(y).max()))
     return dev, scale
 
 
@@ -394,7 +430,7 @@ class DiscretizedOperator:
         if self.symmetric:
             if mat.shape[0] != mat.shape[1]:
                 raise ValueError("symmetric flag requires a square matrix")
-            dev, top = _row_block_deviation(mat, mat.T, conj=True)
+            dev, top = _hermitian_deviation(mat)
             if dev > SYMMETRY_REL * max(top, 1e-300):
                 raise ValueError(
                     f"symmetric flag violated: max deviation {dev:.3e} exceeds "
@@ -494,11 +530,8 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     conv = (2.0 * math.pi) ** (-n / 2.0)
     N = measure.n_atoms
     codes, dist = _pair_table(ifs, measure.level)
-    off = np.arange(dist.size) != codes[0, 0]  # every code but the coincident one
     energy, diag_info = cell_pair_energy(measure, kernel)
-    table = np.full(dist.size, conv * energy / w)
-    table[off] = conv * w * kernel(dist[off])
-    K = table[codes]
+    K = _folded_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)[codes]
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -710,6 +743,15 @@ class _CutoffProfile:
         return out if np.ndim(rho) else out[0]
 
 
+def _shared_positive_factor(spatial: list[np.ndarray]) -> np.ndarray | None:
+    """The spatial factor ``a`` at the atoms if every term has bitwise the same
+    real, strictly positive one, else None."""
+    a = spatial[0]
+    if np.iscomplexobj(a) or not np.all(a > 0.0):
+        return None
+    return a if all(np.array_equal(b, a) for b in spatial[1:]) else None
+
+
 def assemble_tmu_galerkin(
     sym,
     s: float,
@@ -725,7 +767,20 @@ def assemble_tmu_galerkin(
     symbol at p = 2 this matrix is similar via diag(sqrt(w)) to the kernel
     matrix of :func:`assemble_dmu_kernel`.  The coincidence diagonal is
     cell-averaged with the same rule as the kernel assembly.  Each term's
-    profile is gathered by pair code as there, then scaled row by row.
+    profile is gathered by pair code as there into a symmetric matrix
+    ``S_t``, so the compression is ``M = c w sum_t D_t S_t`` with
+    ``c = (2 pi)^{-1/2}`` and ``D_t = diag(a_t(x_j))`` the term's spatial
+    factor at the atoms.
+
+    When every term has bitwise the same real, strictly positive factor
+    ``D = D_t`` (one predicate on the values, ``_shared_positive_factor``;
+    x-independent symbols have ``D = I``), the matrix returned is instead
+    the similar symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``
+    with ``S = sum_t S_t``, flagged ``symmetric``.  Similar matrices have the
+    same spectrum, so this is exact, and it lets the eigensolve take the
+    Hermitian path with its residual certificate.  The assembly records
+    ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1`` or when the
+    terms' factors differ, are complex or change sign; those keep ``M``).
     Requires ``n - d < s p <= n`` and a symbol with separable terms.
     """
     ifs = measure.ifs
@@ -753,27 +808,28 @@ def assemble_tmu_galerkin(
     atoms = measure.atoms
     N = measure.n_atoms
     codes, dist = _pair_table(ifs, measure.level)
-    off = np.arange(dist.size) != codes[0, 0]  # every code but the coincident one
     diam = float(dist.max()) if N > 1 else 1.0
 
-    conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
-    base = np.zeros((N, N))
-    term_info = []
+    spatial = []
     for term in sym.separable_terms:
-        profile = _CutoffProfile(
-            term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
-        )
-        spatial = (
+        a = (
             np.ones(N)
             if term.spatial is None
             else np.asarray(term.spatial(atoms), dtype=complex).reshape(N)
         )
-        if np.abs(spatial.imag).max() == 0.0:
-            spatial = spatial.real
+        spatial.append(a.real if np.abs(a.imag).max() == 0.0 else a)
+    shared = _shared_positive_factor(spatial)
+
+    conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
+    base = np.zeros((N, N))
+    term_info = []
+    for term, a in zip(sym.separable_terms, spatial):
+        profile = _CutoffProfile(
+            term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
+        )
         energy, diag_info = cell_pair_energy(measure, profile)
-        table = np.full(dist.size, energy / w**2)
-        table[off] = profile(dist[off])
-        base = base + spatial[:, None] * table[codes]
+        table = _folded_table(dist, profile, energy / w**2)
+        base = base + (table[codes] if shared is not None else a[:, None] * table[codes])
         term_info.append(
             {
                 "bracket_order": profile.bracket_order,
@@ -783,6 +839,12 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
+    similarity = None
+    if shared is not None and not np.all(shared == 1.0):
+        r = np.sqrt(shared)
+        base *= r[:, None]
+        base *= r[None, :]
+        similarity = "diag(sqrt(a))"
     M = conv * w * base
 
     # tail-insufficiency estimate at the typical working distance: the median
@@ -817,11 +879,13 @@ def assemble_tmu_galerkin(
         "convention": "(2*pi)**(-n) * w_k * integral phi0 tau(x_j, xi) "
         "exp(i (x_k - x_j) xi) dxi",
         "terms": term_info,
+        "similarity": similarity,
     }
+    values = "atom values" if similarity is None else "atom values f as a**-0.5 * f"
     return DiscretizedOperator(
         matrix=M,
-        domain_desc=f"atom values (N = {N})",
-        codomain_desc=f"atom values (N = {N})",
+        domain_desc=f"{values} (N = {N})",
+        codomain_desc=f"{values} (N = {N})",
         assembly=assembly,
-        symmetric=bool(getattr(sym, "x_independent", False)),
+        symmetric=shared is not None,
     )

@@ -13,6 +13,10 @@ Hermitian operators are solved by ``scipy.linalg.eigh``; one that is
 mirror-symmetric under the index reversal, as the kernel matrix of every
 bundled symmetric IFS is, is solved exactly as two half-size blocks, and the
 top-50 eigenpairs are certified by their residuals against the full matrix.
+Hermitian operators include the Galerkin compression of a symbol whose
+spatial factor is shared and positive, which the assembly returns in a
+diagonally similar symmetric form; other Galerkin operators go to the
+general ``scipy.linalg.eigvals``, which has no certificate.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -37,8 +41,8 @@ from .fractal_operator import (
     DiscretizedOperator,
     PsdViolationWarning,
     WindowViolationError,
+    _hermitian_deviation,
     _jsonable,
-    _row_block_deviation,
     assemble_dmu_kernel,
 )
 
@@ -120,19 +124,25 @@ def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     n = mat.shape[0]
     h = n // 2
     dev = scale = 0.0
-    if n % 2 == 0:  # compare the top halves of K and J K J
-        dev, scale = _row_block_deviation(mat[:h], mat[h:][::-1, ::-1])
+    if n % 2 == 0:  # for Hermitian K, K J is Hermitian iff K = J K J
+        dev, scale = _hermitian_deviation(mat[:, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
         w, v = scipy.linalg.eigh(mat)
         top = np.argsort(-np.abs(w), kind="stable")[: min(50, n)]
         return w, w[top], v[:, top]
     a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
     w_even, v_even = scipy.linalg.eigh(a + bj)
+    # only the even block's own top 50 can reach the overall top 50, so drop
+    # its other eigenvectors before the odd block is solved
+    keep = np.sort(np.argsort(-np.abs(w_even), kind="stable")[: min(50, h)])
+    v_even = v_even[:, keep]
     w_odd, v_odd = scipy.linalg.eigh(a - bj)
     w = np.concatenate([w_even, w_odd])
     top = np.argsort(-np.abs(w), kind="stable")[: min(50, n)]
     # lift u to [u; J u] / sqrt(2) (even block) or [u; -J u] / sqrt(2) (odd block)
-    u = np.column_stack([v_even[:, t] if t < h else v_odd[:, t - h] for t in top])
+    u = np.column_stack(
+        [v_even[:, np.searchsorted(keep, t)] if t < h else v_odd[:, t - h] for t in top]
+    )
     sign = np.where(top < h, 1.0, -1.0)
     vecs = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)
     return np.sort(w), w[top], vecs
@@ -156,8 +166,11 @@ def eigen_spectrum(
     operator can be identified.
 
     A Hermitian K of even order N = 2h that is mirror-symmetric
-    (centrosymmetric), ``max|K - J K J| <= SYMMETRY_REL * max|K|`` with J the
-    index reversal, is solved as two Hermitian blocks of order h.  Every
+    (centrosymmetric), ``K = J K J`` with J the index reversal, is solved as
+    two Hermitian blocks of order h.  Since ``(K J)^H = J K^H``, the
+    column-reversed view K J is Hermitian exactly when ``K = J K^H J``, so
+    the check is the ``symmetric`` flag's tile check run on K J:
+    ``max|K - J K^H J| <= SYMMETRY_REL * max|K|``.  Every
     bundled IFS is symmetric under ``x -> 1 - x``, which in lexicographic word
     order maps atom i to atom N-1-i, so its kernel matrix qualifies; the
     symmetry is read from the matrix, not from the atoms.  The reduction is
@@ -171,8 +184,10 @@ def eigen_spectrum(
       lifts to the eigenvector ``[u; +-J u] / sqrt(2)`` of K_c;
     * by Weyl's inequality every eigenvalue of K differs from the matching
       one of K_c by at most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2))
-      max|K - J K J|``, which the check bounds by
-      ``(N/sqrt(2)) * SYMMETRY_REL * max|K|``;
+      max|K - J K J|``, and ``max|K - J K J| <= max|K - J K^H J| +
+      max|K - K^H|``, which this check and the ``symmetric`` flag's bound by
+      ``2 * SYMMETRY_REL * max|K|`` (the second term is 0 for the bitwise
+      symmetric kernel matrices);
     * the residual certificate is still computed against the caller's K
       itself, with the 50 lifted eigenvectors, so it certifies what is
       returned whichever path ran.
@@ -185,7 +200,11 @@ def eigen_spectrum(
     Hermitian path raises :class:`~fracspectra.fractal_operator.PsdViolationWarning`
     when ``lambda_min < -1e-8 * lambda_max``, read off the eigenvalues it
     already holds.  Bare matrices and Galerkin operators are not judged,
-    since an indefinite symmetric matrix is valid input there.
+    since an indefinite symmetric matrix is valid input there.  A Galerkin
+    operator is still certified whenever it is flagged ``symmetric``: an
+    x-independent symbol, or a positively modulated one that the assembly
+    returns in its similar symmetric form (see
+    :func:`~fracspectra.fractal_operator.assemble_tmu_galerkin`).
     """
     is_op = isinstance(op, DiscretizedOperator)
     mat = op.matrix if is_op else np.asarray(op)

@@ -1,11 +1,13 @@
 """Tests for kernel tabulation, diagonal cell averaging, and the three
 operator assemblies (kernel gram, trace factor, compressed symbol)."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, j0, kv
@@ -19,6 +21,7 @@ from fracspectra.fractal_operator import (
     SingularKernelError,
     WindowViolationError,
     _CutoffProfile,
+    _pair_table,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
@@ -28,9 +31,15 @@ from fracspectra.fractal_operator import (
     load_operator,
 )
 from fracspectra.psido_engine import SeparableTerm, Symbol, make_symbol
-from fracspectra.spectral_report import eigen_spectrum
+from fracspectra.spectral_report import eigen_spectrum, order_by_modulus
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+GEOMETRIES = {
+    "cantor-1d": (1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]),
+    "dust-2d": (2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]),
+    "non-lattice-1d": (1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +213,36 @@ class TestFourierOfFmu:
         f = np.cos(np.arange(mu.n_atoms, dtype=float))
         bound = INV_SQRT_2PI * float(np.sum(mu.weights * np.abs(f)))
         assert abs(fourier_of_fmu(f, mu, np.array([xi]))[0]) <= bound + 1e-12
+
+
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "geometry, level", [("cantor-1d", 12), ("dust-2d", 4), ("non-lattice-1d", 5)]
+    )
+    def test_distances_are_a_palindrome_around_the_coincident_code(self, geometry, level):
+        # the sign fold of the assemblies relies on both facts
+        codes, dist = _pair_table(build_cantor_like(*GEOMETRIES[geometry]), level)
+        mid = dist.size // 2
+        assert dist.size % 2 == 1 and dist[mid] == 0.0
+        assert np.array_equal(dist, dist[::-1])
+        assert np.all(np.diagonal(codes) == mid)
+        assert np.array_equal(codes + codes.T, np.full(codes.shape, dist.size - 1))
+
+    @pytest.mark.parametrize(
+        "geometry, level, s",
+        [("cantor-1d", 7, 0.45), ("dust-2d", 3, 0.75), ("non-lattice-1d", 4, 0.45)],
+    )
+    def test_folded_kernel_table_equals_full_evaluation(self, geometry, level, s):
+        mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
+        n = mu.ifs.ambient_dim
+        codes, dist = _pair_table(mu.ifs, level)
+        kernel = BesselKernel(order=2.0 * s, ambient_dim=n)
+        off = np.arange(dist.size) != dist.size // 2
+        full = np.zeros(dist.size)
+        full[off] = (2.0 * math.pi) ** (-n / 2.0) * mu.weights[0] * kernel(dist[off])
+        K = assemble_dmu_kernel(mu, s).matrix
+        mask = ~np.eye(mu.n_atoms, dtype=bool)
+        assert np.array_equal(K[mask], full[codes][mask])
 
 
 class TestCellPairEnergy:
@@ -397,6 +436,10 @@ class TestKernelGram:
         bad[290, 280] += 1e-6 * np.abs(herm).max()  # both rows past the first block
         with pytest.raises(ValueError, match="symmetric flag violated"):
             DiscretizedOperator(bad, "x", "x", {}, symmetric=True)
+        bad = herm.copy()
+        bad[290, 10] += 1e-6 * np.abs(herm).max()  # a lower-triangle tile off the diagonal
+        with pytest.raises(ValueError, match="symmetric flag violated"):
+            DiscretizedOperator(bad, "x", "x", {}, symmetric=True)
         if dtype is complex:  # complex symmetric is not Hermitian
             with pytest.raises(ValueError, match="symmetric flag violated"):
                 DiscretizedOperator(a + a.T, "x", "x", {}, symmetric=True)
@@ -475,11 +518,12 @@ class TestGalerkinCompression:
         assert np.array_equal(M.matrix, M.matrix.T)
 
     def test_spatial_modulation_is_row_scaling(self, mu5):
+        # the row-scaled D S comes back in its similar form D^{1/2} S D^{1/2}
         sym = make_symbol("separable_demo", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert not M.symmetric
+        assert M.symmetric
         amp = 1.0 + 0.5 * np.cos(mu5.atoms[:, 0])
-        sym_part = M.matrix / amp[:, None]
+        sym_part = M.matrix / np.sqrt(amp[:, None] * amp[None, :])
         assert np.max(np.abs(sym_part - sym_part.T)) <= 1e-13 * np.max(np.abs(sym_part))
         # similar to a symmetric positive matrix, so the spectrum stays real
         ev = np.linalg.eigvals(M.matrix)
@@ -495,8 +539,61 @@ class TestGalerkinCompression:
         profile = _CutoffProfile(term.radial, 1.0e5, rho_maxdist=dist.max() * 1.01)
         spatial = np.asarray(term.spatial(mu.atoms)).reshape(-1)
         off = ~np.eye(mu.n_atoms, dtype=bool)
-        expect = INV_SQRT_2PI * mu.weights[0] * spatial[:, None] * profile(dist)
+        root = np.sqrt(spatial[:, None] * spatial[None, :])
+        expect = INV_SQRT_2PI * mu.weights[0] * root * profile(dist)
         assert M[off] == pytest.approx(expect[off], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("level", [7, 9])
+    def test_similar_form_keeps_the_row_scaled_spectrum(self, cantor_ifs, level):
+        mu = quadrature(cantor_ifs, level)
+        op = assemble_tmu_galerkin(
+            make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu, 1.0e5
+        )
+        assert op.symmetric
+        assert op.assembly["similarity"] == "diag(sqrt(a))"
+        amp = 1.0 + 0.5 * np.cos(mu.atoms[:, 0])
+        row_scaled = amp[:, None] * (op.matrix / np.sqrt(amp[:, None] * amp[None, :]))
+        expect = order_by_modulus(scipy.linalg.eigvals(row_scaled))[:200]
+        got = eigen_spectrum(op)[:200]  # the Hermitian path, certificate included
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["exotic", "sign-changing", "two-factors"])
+    def test_unshared_or_nonpositive_factors_keep_the_row_scaled_form(self, mu5, case):
+        base = make_symbol("bessel_power", sigma=-0.9)
+        radial = base.separable_terms[0].radial
+        cutoff = 1.0e5
+        if case == "exotic":  # complex, distinct factors; declared at the window's order
+            sym = dataclasses.replace(make_symbol("exotic_demo"), order=-0.9)
+            cutoff = 1000.0
+        elif case == "sign-changing":  # cos(3x) < 0 on the right half of the set
+            terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), radial),)
+            sym = Symbol("sign", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        else:
+            terms = (
+                SeparableTerm(lambda x: 1.0 + 0.5 * np.cos(x[..., 0]), radial),
+                SeparableTerm(lambda x: 2.0 + np.sin(x[..., 0]), radial),
+            )
+            sym = Symbol("two", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, cutoff)
+        assert not M.symmetric
+        assert M.assembly["similarity"] is None
+        assert M.domain_desc == f"atom values (N = {mu5.n_atoms})"
+
+    def test_similar_form_is_certified(self, mu5):
+        op = assemble_tmu_galerkin(
+            make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu5, 1.0e5
+        )
+        with pytest.raises(RuntimeError, match="separable-symbol-compression"):
+            eigen_spectrum(op, residual_tol=1e-30)
+
+    @pytest.mark.parametrize("cutoff, warns", [(300.0, True), (1.0e5, False)])
+    def test_tail_warning_decision_unchanged_by_the_similarity(self, mu5, cutoff, warns):
+        sym = make_symbol("separable_demo", sigma=-0.9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, cutoff)
+        tails = [w for w in caught if issubclass(w.category, CutoffTailWarning)]
+        assert len(tails) == (1 if warns else 0)
 
     def test_term_linearity(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)
