@@ -392,21 +392,25 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _hermitian_deviation(a: np.ndarray, tile: int = 256) -> tuple[float, float]:
+_TILE = 256  # rows (and columns) per block of the tiled whole-matrix reads
+
+
+def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
     """``max|a - a^H|`` and ``max|a|`` of a square ``a``.
 
-    Each square tile ``a[i:i+B, j:j+B]`` with ``j >= i`` is compared with
-    ``conj(a[j:j+B, i:i+B]).T``, so both tiles are read along their own rows
-    (not a whole column of ``a``) and every temporary is one tile.  The two
-    tiles of a pair cover each entry, and ``|x - conj(y)| = |y - conj(x)|``
-    bitwise, so this equals the whole-matrix comparison.
+    Each square tile ``a[i:i+B, j:j+B]`` (``B = _TILE``) with ``j >= i`` is
+    compared with ``conj(a[j:j+B, i:i+B]).T``, so both tiles are read along
+    their own rows (not a whole column of ``a``) and every temporary is one
+    tile.  The two tiles of a pair cover each entry, and
+    ``|x - conj(y)| = |y - conj(x)|`` bitwise, so this equals the
+    whole-matrix comparison.
     """
     dev = scale = 0.0
     n = a.shape[0]
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            x = a[i : i + tile, j : j + tile]
-            y = np.conj(a[j : j + tile, i : i + tile].T)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            x = a[i : i + _TILE, j : j + _TILE]
+            y = np.conj(a[j : j + _TILE, i : i + _TILE].T)
             dev = max(dev, float(np.abs(x - y).max()))
             scale = max(scale, float(np.abs(x).max()), float(np.abs(y).max()))
     return dev, scale
@@ -743,9 +747,11 @@ class _CutoffProfile:
         return out if np.ndim(rho) else out[0]
 
 
-def _shared_positive_factor(spatial: list[np.ndarray]) -> np.ndarray | None:
+def _shared_positive_factor(spatial: list[np.ndarray], n_atoms: int) -> np.ndarray | None:
     """The spatial factor ``a`` at the atoms if every term has bitwise the same
-    real, strictly positive one, else None."""
+    real, strictly positive one, else None.  No terms share ``a = 1``."""
+    if not spatial:
+        return np.ones(n_atoms)
     a = spatial[0]
     if np.iscomplexobj(a) or not np.all(a > 0.0):
         return None
@@ -781,7 +787,8 @@ def assemble_tmu_galerkin(
     Hermitian path with its residual certificate.  The assembly records
     ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1`` or when the
     terms' factors differ, are complex or change sign; those keep ``M``).
-    Requires ``n - d < s p <= n`` and a symbol with separable terms.
+    The :class:`CutoffTailWarning` reads its entry scale from ``M`` either
+    way.  Requires ``n - d < s p <= n`` and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -818,7 +825,7 @@ def assemble_tmu_galerkin(
             else np.asarray(term.spatial(atoms), dtype=complex).reshape(N)
         )
         spatial.append(a.real if np.abs(a.imag).max() == 0.0 else a)
-    shared = _shared_positive_factor(spatial)
+    shared = _shared_positive_factor(spatial, N)
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
     base = np.zeros((N, N))
@@ -839,16 +846,10 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    similarity = None
-    if shared is not None and not np.all(shared == 1.0):
-        r = np.sqrt(shared)
-        base *= r[:, None]
-        base *= r[None, :]
-        similarity = "diag(sqrt(a))"
-    M = conv * w * base
-
     # tail-insufficiency estimate at the typical working distance: the median
-    # over the N (N - 1) off-diagonal pairs, counted per code
+    # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
+    # is read from the row-scaled c w D S, before any similarity is applied,
+    # so whether the warning fires does not depend on the form returned.
     if N > 1:
         counts = np.bincount(codes.ravel(), minlength=dist.size)
         counts[codes[0, 0]] = 0
@@ -857,7 +858,14 @@ def assemble_tmu_galerkin(
         mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
         rho_med = float(dist[order[mid]].mean())
         band = np.abs(dist - rho_med) < 0.5 * rho_med
-        scale_med = max(float(np.abs(M[band[codes]]).max()), 1e-300)
+        scale_med = 1e-300
+        for lo in range(0, N, _TILE):
+            near = band[codes[lo : lo + _TILE]]
+            if near.any():
+                rows = base[lo : lo + _TILE]
+                if shared is not None:
+                    rows = shared[lo : lo + _TILE, None] * rows
+                scale_med = max(scale_med, float(np.abs(conv * w * rows[near]).max()))
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
         if tail_est > 1e-6 * scale_med:
             warnings.warn(
@@ -867,6 +875,14 @@ def assemble_tmu_galerkin(
                 CutoffTailWarning,
                 stacklevel=2,
             )
+    similarity = None
+    if shared is not None and not np.all(shared == 1.0):
+        r = np.sqrt(shared)
+        base *= r[:, None]
+        base *= r[None, :]
+        similarity = "diag(sqrt(a))"
+    M = conv * w * base
+
     assembly = {
         "kind": "separable-symbol-compression",
         "symbol": getattr(sym, "name", "?"),

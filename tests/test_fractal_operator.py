@@ -595,6 +595,37 @@ class TestGalerkinCompression:
         tails = [w for w in caught if issubclass(w.category, CutoffTailWarning)]
         assert len(tails) == (1 if warns else 0)
 
+    def test_tail_warning_reads_the_row_scaled_entry_scale(self, mu5):
+        # a factor with a wide range, once shared (similar form returned) and
+        # once split into two unequal terms (row-scaled form kept): the warning
+        # must quote the same entry scale for both
+        radial = make_symbol("bessel_power", sigma=-0.9).separable_terms[0].radial
+        evaluator = make_symbol("bessel_power", sigma=-0.9).evaluator
+
+        def scale_quoted(*factors):
+            terms = tuple(SeparableTerm(f, radial) for f in factors)
+            sym = Symbol("wide", evaluator, -0.9, 0.0, separable_terms=terms)
+            with pytest.warns(CutoffTailWarning) as caught:
+                op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 300.0)
+            return op, float(str(caught[0].message).split("entry scale ")[1].split()[0])
+
+        shared, quoted = scale_quoted(lambda x: np.exp(-8.0 * x[..., 0]))
+        split, expect = scale_quoted(
+            lambda x: 0.75 * np.exp(-8.0 * x[..., 0]),
+            lambda x: 0.25 * np.exp(-8.0 * x[..., 0]),
+        )
+        assert shared.assembly["similarity"] == "diag(sqrt(a))"
+        assert split.assembly["similarity"] is None
+        assert quoted == expect
+
+    def test_no_terms_give_the_zero_operator(self, mu5):
+        base = make_symbol("bessel_power", sigma=-0.9)
+        sym = Symbol("empty", base.evaluator, -0.9, 0.0, separable_terms=())
+        op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
+        assert op.symmetric
+        assert op.assembly["similarity"] is None
+        assert not np.any(op.matrix)
+
     def test_term_linearity(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)
         term = base.separable_terms[0]
