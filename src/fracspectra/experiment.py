@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,42 +143,19 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def as_canonical_dict(self) -> dict:
-        """The experiment identity as plain JSON data.
+        """The experiment identity as plain JSON data: every field of the
+        config and its specs, with tuples as lists.
 
         The output directory is delivery plumbing, not part of the
         experiment, so it is excluded: runs of the same experiment into
         different directories hash identically and produce byte-identical
         artifacts.
         """
-        return {
-            "schema_version": self.schema_version,
-            "fractal": {
-                "ambient_dim": self.fractal.ambient_dim,
-                "n_maps": self.fractal.n_maps,
-                "ratio": self.fractal.ratio,
-                "translations": [list(t) for t in self.fractal.translations],
-                "level": self.fractal.level,
-            },
-            "analysis": {
-                "s": self.analysis.s,
-                "p": self.analysis.p,
-                "symbol": self.analysis.symbol,
-                "symbol_params": {
-                    k: self.analysis.symbol_params[k]
-                    for k in sorted(self.analysis.symbol_params)
-                },
-                "freq_cutoff": self.analysis.freq_cutoff,
-            },
-            "fit": {
-                "k_lo": self.fit.k_lo,
-                "k_hi": self.fit.k_hi,
-                "tolerance": self.fit.tolerance,
-                "comparison": self.fit.comparison,
-                "quantile": self.fit.quantile,
-            },
-            "audits": list(self.audits),
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        del out["out_dir"]
+        out["fractal"]["translations"] = [list(t) for t in self.fractal.translations]
+        out["audits"] = list(self.audits)
+        return out
 
     @property
     def config_hash(self) -> str:
@@ -772,15 +749,7 @@ def run_audits(
                     report = composition_law_audit(
                         svd_trials=50, entropy_trials=3, dim=6, seed=config.seed
                     )
-                    entry = _audit_report_dict(report)
-                    entry["verdict"] = (
-                        "PASS"
-                        if all(
-                            c.passed for c in report.checks if not c.consistency_only
-                        )
-                        else "FAIL"
-                    )
-                    bundle["audits"][name] = entry
+                    bundle["audits"][name] = _audit_report_dict(report)
                 elif name == "entropy-quasinorm":
                     bundle["audits"][name] = _entropy_quasinorm_bundle(ordered)
         bundle["verdict"] = (

@@ -65,8 +65,9 @@ __all__ = [
 
 SYMMETRY_REL = 1e-10
 """Relative floor for a structural symmetry of a matrix: a deviation up to
-``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag)
-or as mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
+``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag,
+and the detection ``eigen_spectrum`` runs on a bare matrix) or as
+mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
 
 
 class SingularKernelError(ValueError):
@@ -282,8 +283,9 @@ def cell_pair_energy(
     * geometric-approach branch - F approaches a constant with geometrically
       shrinking increments (smooth kernel); exact for kernels affine in the
       radius, including constants;
-    * linear branch - constant increments (logarithmic blowup); exact for
-      pair sums affine in the chain level, and the fallback otherwise.
+    * linear branch - constant increments (``|q - 1| <= 0.02``, logarithmic
+      blowup), exact for pair sums affine in the chain level, and the
+      fallback for every ratio the other two branches do not claim.
 
     The branch is chosen by the measured increment ratio
     ``q = (F(K+2) - F(K+1)) / (F(K+1) - F(K))``.
@@ -343,10 +345,6 @@ def cell_pair_energy(
             )
         branch = "power"
         tail = f_anchor / (1.0 - step)
-    elif abs(q_hat - 1.0) <= 0.02:
-        # constant increments: logarithmic blowup, continue affinely (exact)
-        branch = "linear"
-        tail = f_anchor * m / (m - 1.0) + delta * m / (m - 1.0) ** 2
     elif -0.5 < q_hat < 0.98:
         # contracting increments: smooth kernel approaching its limit
         branch = "geometric-approach"
@@ -354,6 +352,8 @@ def cell_pair_energy(
             m / (m - 1.0) - 1.0 / (1.0 - q_hat / m)
         ) / (1.0 - q_hat)
     else:
+        # constant increments (q near 1: logarithmic blowup, continued affinely
+        # and exactly) or any ratio the two branches above do not claim
         branch = "linear"
         tail = f_anchor * m / (m - 1.0) + delta * m / (m - 1.0) ** 2
     chain = (w**2 / m ** (explicit_depth + 2)) * (chain_exact + m ** (-K) * tail)
@@ -418,11 +418,10 @@ def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """A matrix plus a record of what its axes mean and how it was assembled."""
+    """A matrix plus its ``assembly`` record, which says how it was built and
+    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``)."""
 
     matrix: np.ndarray
-    domain_desc: str
-    codomain_desc: str
     assembly: dict
     symmetric: bool = False
 
@@ -452,8 +451,6 @@ class DiscretizedOperator:
             {
                 "shape": list(self.matrix.shape),
                 "dtype": str(self.matrix.dtype),
-                "domain_desc": self.domain_desc,
-                "codomain_desc": self.codomain_desc,
                 "symmetric": self.symmetric,
                 "assembly": _jsonable(self.assembly),
             },
@@ -467,7 +464,8 @@ class DiscretizedOperator:
 
 
 def load_operator(path) -> DiscretizedOperator:
-    """Read a file written by :meth:`DiscretizedOperator.save`."""
+    """Read a file written by :meth:`DiscretizedOperator.save`; header keys
+    that it does not use (older files carry axis descriptions) are ignored."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise ValueError("not a discretized-operator file (bad magic)")
@@ -486,8 +484,6 @@ def load_operator(path) -> DiscretizedOperator:
         mat = mat.real.copy()
     return DiscretizedOperator(
         matrix=mat,
-        domain_desc=header["domain_desc"],
-        codomain_desc=header["codomain_desc"],
         assembly=header["assembly"],
         symmetric=header["symmetric"],
     )
@@ -550,8 +546,6 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     }
     return DiscretizedOperator(
         matrix=K,
-        domain_desc=f"sqrt-weighted atom values (N = {N})",
-        codomain_desc=f"sqrt-weighted atom values (N = {N})",
         assembly=assembly,
         symmetric=True,
     )
@@ -598,8 +592,6 @@ def assemble_trace_operator(
     phase = np.exp(1j * measure.atoms[:, 0, None] * xi[None, :])
     return DiscretizedOperator(
         matrix=math.sqrt(w) * amp[None, :] * phase,
-        domain_desc="smoothness-weighted plane-wave coefficients",
-        codomain_desc=f"sqrt-weighted atom samples (N = {measure.n_atoms})",
         assembly={
             "kind": "trace-restriction",
             "smoothness_s": s,
@@ -828,15 +820,14 @@ def assemble_tmu_galerkin(
     shared = _shared_positive_factor(spatial, N)
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
-    base = np.zeros((N, N))
-    term_info = []
-    for term, a in zip(sym.separable_terms, spatial):
+    # profiles first, so their quadrature chunks never coexist with the N x N sum
+    tables, term_info = [], []
+    for term in sym.separable_terms:
         profile = _CutoffProfile(
             term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
         )
         energy, diag_info = cell_pair_energy(measure, profile)
-        table = _folded_table(dist, profile, energy / w**2)
-        base = base + (table[codes] if shared is not None else a[:, None] * table[codes])
+        tables.append(_folded_table(dist, profile, energy / w**2))
         term_info.append(
             {
                 "bracket_order": profile.bracket_order,
@@ -846,6 +837,9 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
+    base = np.zeros((N, N), dtype=np.result_type(float, *spatial))
+    for table, a in zip(tables, spatial):
+        base += table[codes] if shared is not None else a[:, None] * table[codes]
     # tail-insufficiency estimate at the typical working distance: the median
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
     # is read from the row-scaled c w D S, before any similarity is applied,
@@ -881,7 +875,7 @@ def assemble_tmu_galerkin(
         base *= r[:, None]
         base *= r[None, :]
         similarity = "diag(sqrt(a))"
-    M = conv * w * base
+    base *= conv * w
 
     assembly = {
         "kind": "separable-symbol-compression",
@@ -897,11 +891,8 @@ def assemble_tmu_galerkin(
         "terms": term_info,
         "similarity": similarity,
     }
-    values = "atom values" if similarity is None else "atom values f as a**-0.5 * f"
     return DiscretizedOperator(
-        matrix=M,
-        domain_desc=f"{values} (N = {N})",
-        codomain_desc=f"{values} (N = {N})",
+        matrix=base,
         assembly=assembly,
         symmetric=shared is not None,
     )

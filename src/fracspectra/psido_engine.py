@@ -86,12 +86,6 @@ class Symbol:
         if not 0 <= self.max_derivative_order <= 3:
             raise ValueError("max_derivative_order must be between 0 and 3")
 
-    @property
-    def x_independent(self) -> bool:
-        return self.separable_terms is not None and all(
-            term.spatial is None for term in self.separable_terms
-        )
-
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 

@@ -158,7 +158,8 @@ def eigen_spectrum(
 
     Accepts a :class:`~fracspectra.fractal_operator.DiscretizedOperator`
     (whose ``symmetric`` flag selects the solver) or a bare square matrix
-    (Hermitian structure is detected unless ``symmetric`` is forced).  The
+    (Hermitian structure is detected unless ``symmetric`` is forced) by the
+    flag's own rule, ``max|K - K^H| <= SYMMETRY_REL * max|K|``.  The
     Hermitian path returns real eigenvalues and certifies the top 50
     eigenpairs by the residual bound ``||K v - lambda v|| <= residual_tol *
     ||K||``; pass ``residual_tol=None`` to skip the certificate.  Solver
@@ -221,10 +222,8 @@ def eigen_spectrum(
     elif is_op:
         hermitian = op.symmetric
     else:
-        scale = float(np.abs(mat).max())
-        hermitian = bool(
-            np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(scale, 1e-300))
-        )
+        dev, scale = _hermitian_deviation(mat)
+        hermitian = dev <= SYMMETRY_REL * max(scale, 1e-300)
 
     try:
         if hermitian:
@@ -432,8 +431,8 @@ class SpectrumReport:
 
     ``comparison`` is ``"two-sided"`` (pass when ``|slope - theoretical| <=
     tolerance``) or ``"upper"`` (pass when ``slope <= theoretical +
-    tolerance``); construction re-derives the verdict and rejects an
-    inconsistent ``passed`` flag.
+    tolerance``).  The verdict ``passed`` is derived from the fit, the
+    prediction and the tolerance by that one rule; it is never declared.
     """
 
     eigenvalues: np.ndarray
@@ -441,7 +440,6 @@ class SpectrumReport:
     theoretical: float
     tolerance: float
     comparison: str
-    passed: bool
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -462,13 +460,9 @@ class SpectrumReport:
             raise ValueError("tolerance must be nonnegative")
         if self.comparison not in ("two-sided", "upper"):
             raise ValueError("comparison must be 'two-sided' or 'upper'")
-        if bool(self.passed) is not self._expected_verdict():
-            raise ValueError(
-                "verdict is inconsistent with the fitted slope, the prediction, "
-                "and the tolerance"
-            )
 
-    def _expected_verdict(self) -> bool:
+    @property
+    def passed(self) -> bool:
         if self.comparison == "two-sided":
             return abs(self.fit.slope - self.theoretical) <= self.tolerance
         return self.fit.slope <= self.theoretical + self.tolerance
@@ -529,10 +523,8 @@ def assess_decay(
     ordered = order_by_modulus(values)
     if comparison == "two-sided":
         fit = fit_decay_exponent(ordered, k_lo=k_lo, k_hi=k_hi)
-        passed = abs(fit.slope - theoretical) <= tolerance
     elif comparison == "upper":
         fit = fit_upper_envelope(ordered, k_lo=k_lo, k_hi=k_hi, quantile=quantile)
-        passed = fit.slope <= theoretical + tolerance
     else:
         raise ValueError("comparison must be 'two-sided' or 'upper'")
     return SpectrumReport(
@@ -541,7 +533,6 @@ def assess_decay(
         theoretical=float(theoretical),
         tolerance=float(tolerance),
         comparison=comparison,
-        passed=bool(passed),
         provenance=dict(provenance or {}),
     )
 

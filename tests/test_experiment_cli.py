@@ -103,6 +103,19 @@ class TestConfigParsing:
             hashes.add(digest)
         assert len(hashes) == 3  # distinct experiments hash differently
 
+    @pytest.mark.parametrize(
+        "stem, digest",
+        [
+            ("cantor_small", "37c5996089a8e6d38b301beb27b6040dcdfc9d2889c75685ef344f8b6c68e06e"),
+            ("cantor_p2", "29119895eefabd12ac78156e0e15e8b376b18b08b3dd4ba66d83bc39ddc6bd10"),
+            ("cantor_p15", "1cf0eeda34728a1073bd2685bfbe81eb980296367c7004290a36c04b872c6313"),
+        ],
+    )
+    def test_bundled_config_hash_is_pinned(self, stem, digest):
+        # the stamp in every artifact preamble; any drift of the canonical
+        # dict (a renamed, added or dropped field, or a changed value) changes it
+        assert load_config(CONFIG_DIR / f"{stem}.json").config_hash == digest
+
     def test_hash_is_stable_across_loads(self, tmp_path):
         path = write_config(tmp_path / "a.json", base_dict())
         assert load_config(path).config_hash == load_config(path).config_hash
@@ -712,4 +725,24 @@ class TestCli:
         assert main(["spectrum", "--config", config_path, "--out", str(out_b)]) == 0
         capsys.readouterr()
         for name in ("spectrum.csv", "report.json", "plot_spectrum.py"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("trace-snumbers", ("snumbers.csv", "snumber_report.json")),
+            ("entropy-lab", ("entropy_lab.json",)),
+            ("validate-symbol", ("symbol_report.json",)),
+        ],
+    )
+    def test_bundled_small_config_reproduces_other_artifacts(
+        self, tmp_path, capsys, command, names
+    ):
+        config_path = str(CONFIG_DIR / "cantor_small.json")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([command, "--config", config_path, "--out", str(out_a)]) == 0
+        assert main([command, "--config", config_path, "--out", str(out_b)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out_a.iterdir()) == sorted(names)
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

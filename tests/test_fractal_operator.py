@@ -410,7 +410,6 @@ class TestKernelGram:
         assert back.matrix.dtype == np.float64
         assert back.assembly == op.assembly
         assert back.symmetric and back.shape == op.shape
-        assert back.domain_desc == op.domain_desc
 
     def test_load_rejects_truncation_and_bad_magic(self, mu5, tmp_path):
         op = assemble_dmu_kernel(mu5, 0.45)
@@ -431,33 +430,29 @@ class TestKernelGram:
         if dtype is complex:
             a = a + 1j * rng.normal(size=(300, 300))
         herm = a + a.conj().T
-        DiscretizedOperator(herm, "x", "x", {}, symmetric=True)
+        DiscretizedOperator(herm, {}, symmetric=True)
         bad = herm.copy()
         bad[290, 280] += 1e-6 * np.abs(herm).max()  # both rows past the first block
         with pytest.raises(ValueError, match="symmetric flag violated"):
-            DiscretizedOperator(bad, "x", "x", {}, symmetric=True)
+            DiscretizedOperator(bad, {}, symmetric=True)
         bad = herm.copy()
         bad[290, 10] += 1e-6 * np.abs(herm).max()  # a lower-triangle tile off the diagonal
         with pytest.raises(ValueError, match="symmetric flag violated"):
-            DiscretizedOperator(bad, "x", "x", {}, symmetric=True)
+            DiscretizedOperator(bad, {}, symmetric=True)
         if dtype is complex:  # complex symmetric is not Hermitian
             with pytest.raises(ValueError, match="symmetric flag violated"):
-                DiscretizedOperator(a + a.T, "x", "x", {}, symmetric=True)
+                DiscretizedOperator(a + a.T, {}, symmetric=True)
 
     def test_operator_container_validation(self):
         with pytest.raises(ValueError):
             DiscretizedOperator(
                 matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                domain_desc="x",
-                codomain_desc="x",
                 assembly={},
                 symmetric=True,
             )
         with pytest.raises(ValueError):
             DiscretizedOperator(
                 matrix=np.zeros(3),
-                domain_desc="x",
-                codomain_desc="x",
                 assembly={},
             )
 
@@ -577,7 +572,6 @@ class TestGalerkinCompression:
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, cutoff)
         assert not M.symmetric
         assert M.assembly["similarity"] is None
-        assert M.domain_desc == f"atom values (N = {mu5.n_atoms})"
 
     def test_similar_form_is_certified(self, mu5):
         op = assemble_tmu_galerkin(

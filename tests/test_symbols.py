@@ -65,12 +65,6 @@ class TestSymbolType:
         with pytest.raises(ValueError, match="requires sigma"):
             make_symbol("bessel_power")
 
-    def test_x_independence_flag(self) -> None:
-        assert make_symbol("identity").x_independent
-        assert make_symbol("bessel_power", sigma=-0.5).x_independent
-        assert not make_symbol("separable_demo", sigma=-0.5).x_independent
-        assert not make_symbol("exotic_demo").x_independent
-
 
 class TestProbeSpec:
     def test_validation(self) -> None:
