@@ -280,7 +280,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not 0.0 < fit.quantile < 1.0:
         raise ConfigError("fit quantile must lie strictly between 0 and 1")
 
-    audits = tuple(top["audits"])
+    audits = top["audits"]
+    if not isinstance(audits, list) or not all(isinstance(a, str) for a in audits):
+        raise ConfigError(f"audits must be a JSON list of strings, got {audits!r}")
     bad = sorted(set(audits) - set(ALLOWED_AUDITS))
     if bad:
         raise ConfigError(f"unknown audits {bad}; allowed: {list(ALLOWED_AUDITS)}")
@@ -294,7 +296,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         fractal=fractal,
         analysis=analysis,
         fit=fit,
-        audits=audits,
+        audits=tuple(audits),
         seed=_integer("config", "seed", top["seed"]),
         out_dir=out_dir,
     )
@@ -575,14 +577,16 @@ def run_convergence(
 
     Writes ``convergence.csv`` with the per-level fitted slope, the change
     against the previous level, and the twenty largest eigenvalue moduli.
-    Levels must be strictly ascending; an atom budget overflow names the
-    offending level.
+    Levels must be nonnegative and strictly ascending; an atom budget
+    overflow names the offending level.
     """
     levels = [int(lv) for lv in levels]
     if not levels:
         raise ConfigError("convergence needs at least one level")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"levels must be strictly ascending, got {levels}")
+    if levels[0] < 0:
+        raise ConfigError(f"levels must be nonnegative, got {levels}")
     out = _resolve_out(config, out_dir)
 
     rows: list[dict] = []

@@ -1,11 +1,15 @@
 """Self-similar sets, their natural measures, and atomic quadrature.
 
-An iterated function system of contracting similitudes with a common ratio
-generates a compact attractor carrying a unique self-similar probability
-measure.  This module builds such systems, discretizes the measure into
-weighted atoms at a chosen refinement level, and provides the measure-side
-utilities the rest of the package consumes: weighted p-norms on the attractor
-and empirical scaling checks of the measure of balls.
+The laboratory's sets are the attractors of equal-ratio, translation-only
+systems ``x -> r x + t_i`` in R^n, built as ``SimilitudeIFS(ambient_dim,
+ratio, translations)``: m maps with one ratio r in (0, 1) generate a compact
+d-set with ``d = log m / log(1/r)``, carrying the self-similar probability
+measure that gives every level-L cell the mass ``m ** (-L)``.  This module
+builds such systems, discretizes the measure into equally weighted atoms at
+a chosen refinement level, numbers the atom pairs by their translation
+differences (``_pair_table``), and provides the measure-side utilities the
+rest of the package consumes: weighted p-norms on the attractor and
+empirical scaling checks of the measure of balls.
 """
 
 from __future__ import annotations
@@ -16,25 +20,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
-    "SimilitudeMap",
     "SimilitudeIFS",
     "FractalMeasure",
     "OverlapError",
     "DimensionRangeError",
     "AtomBudgetError",
     "ResolutionError",
-    "UnequalRatioError",
     "build_cantor_like",
     "quadrature",
     "ball_measure_ratio",
     "lp_norm_on_gamma",
     "export_atoms_csv",
 ]
-
-MORAN_TOL = 1e-12
 
 
 class OverlapError(ValueError):
@@ -53,111 +52,82 @@ class ResolutionError(ValueError):
     """Discretization level too coarse for the requested evaluation."""
 
 
-class UnequalRatioError(NotImplementedError):
-    """Quadrature supports equal contraction ratios only."""
-
-
-@dataclass(frozen=True)
-class SimilitudeMap:
-    """One contracting similitude x -> ratio * x + translation (no rotation)."""
-
-    ratio: float
-    translation: np.ndarray
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.ratio * points + self.translation
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilitudeIFS:
-    """A finite family of contracting similitudes in R^n.
+    """The m maps ``x -> ratio * x + translations[i]`` in R^n.
 
-    The similarity dimension d solves the Moran equation
-    sum_i ratio_i ** d = 1, and the attractor is the unique compact set
-    invariant under the union of the maps.
+    With one common ratio the Moran equation ``m ratio**d = 1`` has the
+    closed form ``d = log m / log(1/ratio)``; the attractor is the unique
+    compact set invariant under the union of the maps.  ``translations`` is
+    stored as a read-only (m, n) float array.  Like :class:`FractalMeasure`,
+    instances compare and hash by identity: a field-wise comparison would
+    ask for the truth value of an array comparison and raise.
     """
 
     ambient_dim: int
-    maps: tuple[SimilitudeMap, ...]
+    ratio: float
+    translations: np.ndarray
     dimension: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.maps:
-            raise ValueError("need at least one map")
-        for m in self.maps:
-            if not (0.0 < m.ratio < 1.0):
-                raise ValueError(f"contraction ratio must lie in (0, 1), got {m.ratio}")
-            if m.translation.shape != (self.ambient_dim,):
-                raise ValueError("translation shape does not match ambient dimension")
-        object.__setattr__(self, "dimension", self._moran_dimension())
+        t = np.array(self.translations, dtype=float)
+        if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] != self.ambient_dim:
+            raise ValueError(
+                f"translations must have shape (m, {self.ambient_dim}) with "
+                f"m >= 1, got {t.shape}"
+            )
+        if not (0.0 < self.ratio < 1.0):
+            raise ValueError(f"contraction ratio must lie in (0, 1), got {self.ratio}")
+        t.setflags(write=False)
+        object.__setattr__(self, "translations", t)
+        object.__setattr__(
+            self, "dimension", math.log(t.shape[0]) / math.log(1.0 / self.ratio)
+        )
         if not (0.0 < self.dimension < self.ambient_dim):
             raise DimensionRangeError(
                 f"similarity dimension {self.dimension:.6f} must be strictly "
                 f"between 0 and the ambient dimension {self.ambient_dim}"
             )
 
-    def _moran_dimension(self) -> float:
-        ratios = np.array([m.ratio for m in self.maps])
-        if np.allclose(ratios, ratios[0], rtol=0, atol=1e-15):
-            # equal ratios admit the closed form d = log m / log(1/r)
-            return math.log(len(ratios)) / math.log(1.0 / ratios[0])
-        f = lambda d: np.sum(ratios**d) - 1.0
-        hi = math.log(len(ratios)) / math.log(1.0 / ratios.max())
-        return float(brentq(f, 1e-9, hi + 1e-9, xtol=1e-15, rtol=8.9e-16))
+    @property
+    def n_maps(self) -> int:
+        return self.translations.shape[0]
 
     def moran_residual(self) -> float:
-        return abs(sum(m.ratio**self.dimension for m in self.maps) - 1.0)
-
-    @property
-    def equal_ratio(self) -> bool:
-        ratios = [m.ratio for m in self.maps]
-        return all(abs(r - ratios[0]) <= 1e-15 for r in ratios)
+        return abs(self.n_maps * self.ratio**self.dimension - 1.0)
 
     def bounding_box(self) -> np.ndarray:
         """Axis-aligned box (2, n) containing the attractor: the exact
         per-axis range [min t/(1-r), max t/(1-r)] of the fixed points."""
-        t = np.array([m.translation for m in self.maps])
-        r = np.array([m.ratio for m in self.maps])[:, None]
-        return np.stack([(t / (1.0 - r)).min(axis=0), (t / (1.0 - r)).max(axis=0)])
+        fixed = self.translations / (1.0 - self.ratio)
+        return np.stack([fixed.min(axis=0), fixed.max(axis=0)])
 
     def barycenter(self) -> np.ndarray:
         """Fixed point of the equally weighted average of the maps."""
-        m = len(self.maps)
-        mean_ratio = sum(mp.ratio for mp in self.maps) / m
-        return sum(mp.translation for mp in self.maps) / m / (1.0 - mean_ratio)
-
-    def cell_box(self, word: tuple[int, ...]) -> np.ndarray:
-        box = self.bounding_box()
-        corners = box
-        for idx in reversed(word):
-            corners = self.maps[idx](corners)
-        lo = corners.min(axis=0)
-        hi = corners.max(axis=0)
-        return np.stack([lo, hi])
+        return self.translations.mean(axis=0) / (1.0 - self.ratio)
 
     def diameter(self) -> float:
         box = self.bounding_box()
         return float(np.linalg.norm(box[1] - box[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractalMeasure:
     """Atomic discretization of the self-similar probability measure.
 
     Atoms sit at the images of the attractor barycenter under all length-L
-    words of maps, listed in lexicographic word order, each carrying weight
-    m ** (-L).  The total mass is normalized to one.
+    words of maps, listed in lexicographic word order, each carrying the
+    weight ``m ** (-L) = 1 / n_atoms``.  The total mass is one.
     """
 
     ifs: SimilitudeIFS
     level: int
     atoms: np.ndarray
-    weights: np.ndarray
 
     @property
     def words(self) -> tuple[tuple[int, ...], ...]:
         """Map-index word of each atom, in atom (lexicographic) order."""
-        return tuple(itertools.product(range(len(self.ifs.maps)), repeat=self.level))
+        return tuple(itertools.product(range(self.ifs.n_maps), repeat=self.level))
 
     @property
     def dimension(self) -> float:
@@ -167,10 +137,18 @@ class FractalMeasure:
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
 
+    @property
+    def weight(self) -> float:
+        """The common atom weight ``1 / n_atoms``."""
+        return 1.0 / self.n_atoms
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n_atoms, self.weight)
+
     def cell_diameter(self) -> float:
         """Diameter of one level-L cell (all cells are congruent here)."""
-        r = self.ifs.maps[0].ratio
-        return self.ifs.diameter() * r**self.level
+        return self.ifs.diameter() * self.ifs.ratio**self.level
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -202,10 +180,10 @@ def build_cantor_like(
     for t in trans:
         if t.shape != (ambient_dim,):
             raise ValueError("translation dimension mismatch")
-    maps = tuple(SimilitudeMap(float(ratio), t) for t in trans)
-    ifs = SimilitudeIFS(ambient_dim, maps)
+    ifs = SimilitudeIFS(ambient_dim, float(ratio), np.array(trans))
 
-    boxes = [ifs.cell_box((i,)) for i in range(n_maps)]
+    # the (lo, hi) box of each level-1 cell: the image of the attractor's box
+    boxes = ifs.ratio * ifs.bounding_box() + ifs.translations[:, None]
     for i, j in itertools.combinations(range(n_maps), 2):
         lo = np.maximum(boxes[i][0], boxes[j][0])
         hi = np.minimum(boxes[i][1], boxes[j][1])
@@ -219,15 +197,12 @@ def build_cantor_like(
 def quadrature(ifs: SimilitudeIFS, level: int, atom_budget: int = 4_000_000) -> FractalMeasure:
     """Equal-weight atomic quadrature of the self-similar measure at a level.
 
-    Only systems with one common contraction ratio are supported; the
-    natural weights are then uniform and every atom is the image of the
-    attractor barycenter under one length-`level` composition.
+    Every atom is the image of the attractor barycenter under one
+    length-`level` composition of the maps, in lexicographic word order.
     """
-    if not ifs.equal_ratio:
-        raise UnequalRatioError(
-            "atomic quadrature requires equal contraction ratios"
-        )
-    m = len(ifs.maps)
+    if level < 0:
+        raise ValueError(f"quadrature level must be nonnegative, got {level}")
+    m = ifs.n_maps
     count = m**level
     if count > atom_budget:
         raise AtomBudgetError(
@@ -236,9 +211,53 @@ def quadrature(ifs: SimilitudeIFS, level: int, atom_budget: int = 4_000_000) -> 
     pts = ifs.barycenter()[None, :]
     for _ in range(level):
         # prepend each map index, keeping lexicographic word order
-        pts = np.concatenate([mp(pts) for mp in ifs.maps], axis=0)
-    weights = np.full(count, 1.0 / count)
-    return FractalMeasure(ifs, level, pts, weights)
+        pts = (ifs.ratio * pts[None] + ifs.translations[:, None]).reshape(-1, ifs.ambient_dim)
+    return FractalMeasure(ifs, level, pts)
+
+
+def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer code of every atom pair at ``level`` and the distance of each code.
+
+    Lives beside :func:`quadrature` because both fix the same lexicographic
+    atom (word) order; the assemblies of :mod:`fracspectra.fractal_operator`
+    and its diagonal rule gather their kernel values through it.
+
+    With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
+    ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -
+    t_{j_k})`` depends only on the digit-by-digit translation differences.
+    With the D distinct level-1 differences ``t_a - t_b`` numbered 0..D-1,
+    the code of (i, j) is the base-D number of its differences, first digit
+    most significant, built by a Kronecker recursion in atom order.  Returns
+    the (N, N) codes and the D^L distances indexed by code.  Since ``t_b -
+    t_a = -(t_a - t_b)`` exactly, a gather from the table is bitwise
+    symmetric, and mirror-symmetric for mirror-symmetric translations.
+
+    The distances are a bitwise palindrome with the coincident code
+    ``(D^L - 1) / 2`` at the centre, so a radial function need only be
+    evaluated on the first half.  The D differences come sorted from
+    ``np.unique`` and are closed under negation; negation reverses their
+    (lexicographic) order, so digit k of ``-delta`` is ``D - 1 - k`` and the
+    code of the reversed pair (j, i) is ``D^L - 1 - c``.  Rounding commutes
+    with negation, so Horner's rule gives that code the negated difference
+    (up to the sign of a zero coordinate), hence bitwise the same norm.  The
+    zero difference is the middle digit ``(D - 1) / 2`` (D is odd), and
+    every digit of a coincident pair is that one.
+    """
+    t, r = ifs.translations, ifs.ratio
+    m, n = t.shape
+    deltas, digit = np.unique(
+        (t[:, None, :] - t[None, :, :]).reshape(m * m, n), axis=0, return_inverse=True
+    )
+    n_codes = deltas.shape[0] ** level
+    digit = digit.reshape(m, m).astype(np.int32 if n_codes <= 2**31 else np.int64)
+    codes = np.zeros((1, 1), dtype=digit.dtype)
+    diff = np.zeros((1, n))
+    for depth in range(level):
+        size = codes.shape[0]
+        lead = digit * deltas.shape[0] ** depth
+        codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
+        diff = (deltas[:, None, :] + r * diff[None, :, :]).reshape(-1, n)
+    return codes, np.linalg.norm(diff, axis=1)
 
 
 def ball_measure_ratio(measure: FractalMeasure, center, rho: float) -> float:

@@ -7,10 +7,11 @@ spectra approximate the continuum objects:
   closed form, the radially symmetric kernel whose Fourier transform is the
   inverse smoothness bracket ``(1 + |xi|**2) ** (-a/2)``.
 * The pair assemblies evaluate a kernel once per pair difference up to sign
-  and gather the entries by pair code (``_pair_table``).  This is exact, not
-  an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} - t_{j_k})`` depends only
-  on the digit-by-digit translation differences of the two atom words, and
-  the codes of (i, j) and (j, i) mirror each other about the table's centre.
+  and gather the entries by pair code (``fractal_measure._pair_table``).
+  This is exact, not an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} -
+  t_{j_k})`` depends only on the digit-by-digit translation differences of
+  the two atom words, and the codes of (i, j) and (j, i) mirror each other
+  about the table's centre.
 * ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix K whose
   eigenvalues are the squared singular values of the restriction (trace)
   operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
@@ -43,7 +44,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
-from .fractal_measure import FractalMeasure, SimilitudeIFS
+from .fractal_measure import FractalMeasure, _pair_table
 
 __all__ = [
     "SYMMETRY_REL",
@@ -196,50 +197,8 @@ def fourier_of_fmu(values, measure: FractalMeasure, xi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Atom-pair codes: one table entry per distinct pair difference
+# Folded tables: a radial function on the distances of the pair codes
 # ---------------------------------------------------------------------------
-
-
-def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer code of every atom pair at ``level`` and the distance of each code.
-
-    With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
-    ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -
-    t_{j_k})`` depends only on the digit-by-digit translation differences.
-    With the D distinct level-1 differences ``t_a - t_b`` numbered 0..D-1,
-    the code of (i, j) is the base-D number of its differences, first digit
-    most significant, built by a Kronecker recursion in atom order.  Returns
-    the (N, N) codes and the D^L distances indexed by code.  Since ``t_b -
-    t_a = -(t_a - t_b)`` exactly, a gather from the table is bitwise
-    symmetric, and mirror-symmetric for mirror-symmetric translations.
-
-    The distances are a bitwise palindrome with the coincident code
-    ``(D^L - 1) / 2`` at the centre, so a radial function need only be
-    evaluated on the first half.  The D differences come sorted from
-    ``np.unique`` and are closed under negation; negation reverses their
-    (lexicographic) order, so digit k of ``-delta`` is ``D - 1 - k`` and the
-    code of the reversed pair (j, i) is ``D^L - 1 - c``.  Rounding commutes
-    with negation, so Horner's rule gives that code the negated difference
-    (up to the sign of a zero coordinate), hence bitwise the same norm.  The
-    zero difference is the middle digit ``(D - 1) / 2`` (D is odd), and
-    every digit of a coincident pair is that one.
-    """
-    t = np.array([mp.translation for mp in ifs.maps])
-    m, n = t.shape
-    r = ifs.maps[0].ratio
-    deltas, digit = np.unique(
-        (t[:, None, :] - t[None, :, :]).reshape(m * m, n), axis=0, return_inverse=True
-    )
-    n_codes = deltas.shape[0] ** level
-    digit = digit.reshape(m, m).astype(np.int32 if n_codes <= 2**31 else np.int64)
-    codes = np.zeros((1, 1), dtype=digit.dtype)
-    diff = np.zeros((1, n))
-    for depth in range(level):
-        size = codes.shape[0]
-        lead = digit * deltas.shape[0] ** depth
-        codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
-        diff = (deltas[:, None, :] + r * diff[None, :, :]).reshape(-1, n)
-    return codes, np.linalg.norm(diff, axis=1)
 
 
 def _folded_table(
@@ -260,11 +219,14 @@ def _folded_table(
 # ---------------------------------------------------------------------------
 
 
+_TAIL_ANCHOR_FLOOR = 1e-11
+"""Smallest pair distance at which the coincidence chain is still summed exactly."""
+
+
 def cell_pair_energy(
     measure: FractalMeasure,
     kernel_fn: Callable[[np.ndarray], np.ndarray],
     explicit_depth: int = 4,
-    tail_anchor_floor: float = 1e-11,
 ) -> tuple[float, dict]:
     """Self-interaction energy of one cell: ``E = iint_{C x C} k(|u-v|) dmu dmu``.
 
@@ -274,7 +236,7 @@ def cell_pair_energy(
     distinct subcells are evaluated at their barycenters with exact weights.
     The remaining coincidence chain (both points in the same deepest subcell)
     is followed level by level while distances stay above
-    ``tail_anchor_floor`` and then closed in one of three forms fitted to the
+    ``_TAIL_ANCHOR_FLOOR`` and then closed in one of three forms fitted to the
     measured per-level pair sums F(k):
 
     * power branch - F grows geometrically toward coincidence (singular
@@ -295,11 +257,7 @@ def cell_pair_energy(
     if explicit_depth < 1:
         raise ValueError("explicit_depth must be at least one")
     ifs = measure.ifs
-    m = len(ifs.maps)
-    if m < 2:
-        raise ValueError("need at least two maps for a self-similar diagonal rule")
-    r = ifs.maps[0].ratio
-    w = 1.0 / measure.n_atoms
+    m, r, w = ifs.n_maps, ifs.ratio, measure.weight
     scale = r**measure.level
 
     codes, dist = _pair_table(ifs, explicit_depth)
@@ -315,7 +273,7 @@ def cell_pair_energy(
 
     # exact chain levels: k = 0 .. K-1 plus the two anchor sums F(K), F(K+1)
     K = 1
-    while scale * r ** (explicit_depth + K + 2) * d0_min >= tail_anchor_floor and K < 60:
+    while scale * r ** (explicit_depth + K + 2) * d0_min >= _TAIL_ANCHOR_FLOOR and K < 60:
         K += 1
 
     def pair_sum(k: int) -> float:
@@ -494,13 +452,6 @@ def load_operator(path) -> DiscretizedOperator:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_weight(measure: FractalMeasure) -> float:
-    w = measure.weights
-    if float(np.ptp(w)) > 1e-15 * float(w[0]):
-        raise ValueError("assembly requires the equal-weight atomic quadrature")
-    return float(w[0])
-
-
 def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperator:
     """Symmetric kernel matrix ``(2 pi)^{-n/2} sqrt(w_j) G_{2s}(|x_j - x_k|) sqrt(w_k)``.
 
@@ -526,7 +477,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
             f"({n - d:.6f}, {n}] for dimension d = {d:.6f}"
         )
     kernel = BesselKernel(order=a, ambient_dim=n)
-    w = _uniform_weight(measure)
+    w = measure.weight
     conv = (2.0 * math.pi) ** (-n / 2.0)
     N = measure.n_atoms
     codes, dist = _pair_table(ifs, measure.level)
@@ -585,7 +536,7 @@ def assemble_trace_operator(
         raise ValueError("need at least three frequency modes")
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
-    w = _uniform_weight(measure)
+    w = measure.weight
     xi = np.linspace(-freq_cutoff, freq_cutoff, n_modes)
     dxi = xi[1] - xi[0]
     amp = np.sqrt(dxi / (2.0 * math.pi)) * (1.0 + xi**2) ** (-s / 2.0)
@@ -611,6 +562,11 @@ def assemble_trace_operator(
 # ---------------------------------------------------------------------------
 
 
+_PROFILE_RHO_MIN = 1e-12  # radius below which a profile returns its value at zero
+_PROFILE_TARGET_REL = 3e-5  # taper-correction bound, relative, beyond the split
+_PROFILE_NODES = 700  # log-spaced table nodes of the spline below the split
+
+
 class _CutoffProfile:
     """Radial position-space profile of one separable term under a smooth cutoff.
 
@@ -618,7 +574,7 @@ class _CutoffProfile:
     e^{i rho xi} dxi`` in ambient dimension one.  Radii below an adaptive
     split are tabulated by a vectorized quadrature whose step resolves every
     oscillation; beyond the split the smooth-taper correction is provably
-    below ``target_rel`` and the untruncated closed-form kernel is used
+    below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
     (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
     """
 
@@ -627,14 +583,10 @@ class _CutoffProfile:
         radial: Callable[[np.ndarray], np.ndarray],
         freq_cutoff: float,
         *,
-        rho_min: float = 1e-12,
         rho_maxdist: float = 2.0,
-        target_rel: float = 3e-5,
-        table_nodes: int = 700,
     ) -> None:
         xi_max = 1.5 * freq_cutoff
         self.cutoff = freq_cutoff
-        self.rho_min = rho_min
         bracket = getattr(radial, "bracket_exponent", None)
         self.bracket_order = None if bracket is None else float(bracket)
 
@@ -650,9 +602,9 @@ class _CutoffProfile:
         far_kernel = None
         if self.bracket_order is not None and self.bracket_order < 0.0:
             far_kernel = BesselKernel(order=-self.bracket_order, ambient_dim=1)
-            probe = np.geomspace(max(rho_min * 10.0, 1e-9), rho_maxdist, 400)
+            probe = np.geomspace(max(_PROFILE_RHO_MIN * 10.0, 1e-9), rho_maxdist, 400)
             far_vals = far_kernel(probe)
-            ok = self.taper_bound / probe**2 <= target_rel * np.abs(far_vals)
+            ok = self.taper_bound / probe**2 <= _PROFILE_TARGET_REL * np.abs(far_vals)
             base_split = 20.0 / freq_cutoff
             if np.any(ok):
                 rho_split = max(float(probe[np.argmax(ok)]), base_split)
@@ -709,11 +661,11 @@ class _CutoffProfile:
         if n_xi > (1 << 21):
             raise ValueError("cutoff profile would need too fine a quadrature panel")
 
-        nodes = np.geomspace(rho_min, self.rho_split, table_nodes)
-        vals = np.empty(table_nodes)
+        nodes = np.geomspace(_PROFILE_RHO_MIN, self.rho_split, _PROFILE_NODES)
+        vals = np.empty(_PROFILE_NODES)
         chunk = max(1, (1 << 22) // n_xi)
-        for lo in range(0, table_nodes, chunk):
-            hi = min(lo + chunk, table_nodes)
+        for lo in range(0, _PROFILE_NODES, chunk):
+            hi = min(lo + chunk, _PROFILE_NODES)
             vals[lo:hi] = np.cos(np.outer(nodes[lo:hi], xs)) @ wind_w
         vals *= math.sqrt(2.0 / math.pi)
         self._near = CubicSpline(np.log(nodes), vals)
@@ -726,7 +678,7 @@ class _CutoffProfile:
     def __call__(self, rho) -> np.ndarray:
         r = np.atleast_1d(np.asarray(rho, dtype=float))
         out = np.empty_like(r)
-        tiny = r < self.rho_min
+        tiny = r < _PROFILE_RHO_MIN
         out[tiny] = self._zero if np.any(tiny) else 0.0
         near = (~tiny) & (r <= self.rho_split)
         if np.any(near):
@@ -803,7 +755,7 @@ def assemble_tmu_galerkin(
         )
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
-    w = _uniform_weight(measure)
+    w = measure.weight
     atoms = measure.atoms
     N = measure.n_atoms
     codes, dist = _pair_table(ifs, measure.level)

@@ -147,7 +147,10 @@ class ValidationReport:
     density_growth: Mapping[tuple[int, int], float]
     range_growth: Mapping[tuple[int, int], float]
     violations: tuple[tuple[int, int, str, float], ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -396,7 +399,6 @@ def validate_symbol(
         density_growth=density_growth,
         range_growth=range_growth,
         violations=tuple(violations),
-        passed=not violations,
     )
 
 
@@ -424,7 +426,6 @@ def apply_psido(
     f: GridFunction,
     freq_cutoff: float,
     method: str = "auto",
-    chunk_size: int = 128,
 ) -> GridFunction:
     """Apply the operator induced by sym to f with a smooth frequency cutoff.
 
@@ -459,7 +460,7 @@ def apply_psido(
         return GridFunction(out.reshape(f.shape), f.extent)
 
     if method == "direct":
-        return _direct_apply(sym, f, hat, window, chunk_size)
+        return _direct_apply(sym, f, hat, window)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -470,12 +471,14 @@ def _mesh_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
+_DIRECT_CHUNK = 128  # grid points per block of the direct quadrature
+
+
 def _direct_apply(
     sym: Symbol,
     f: GridFunction,
     hat: np.ndarray,
     window: np.ndarray,
-    chunk_size: int,
 ) -> GridFunction:
     n = f.ndim
     # f_inv(xi) = hat(-xi); realized by index reversal on each FFT axis
@@ -495,11 +498,11 @@ def _direct_apply(
 
     x_flat = _mesh_points(f.axes())
     out = np.empty(x_flat.shape[0], dtype=complex)
-    for start in range(0, x_flat.shape[0], chunk_size):
-        xc = x_flat[start : start + chunk_size]
+    for start in range(0, x_flat.shape[0], _DIRECT_CHUNK):
+        xc = x_flat[start : start + _DIRECT_CHUNK]
         tau = sym(xc[:, None, :], xi_sorted[None, :, :])
         phase = np.exp(-1j * (xc @ xi_sorted.T))
-        out[start : start + chunk_size] = (tau * phase) @ weights
+        out[start : start + _DIRECT_CHUNK] = (tau * phase) @ weights
     return GridFunction(out.reshape(f.shape), f.extent)
 
 
@@ -552,7 +555,10 @@ class BoundednessReport:
     refined_max_ratio: float
     growth: float
     skipped: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.growth <= _GROWTH_LIMIT
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -604,7 +610,6 @@ def boundedness_probe(
         refined_max_ratio=refined_max,
         growth=growth,
         skipped=skipped,
-        passed=growth <= _GROWTH_LIMIT,
     )
 
 

@@ -150,7 +150,7 @@ def _pairwise(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
     return _vector_norms(points[:, None, :] - centers[None, :, :], q)
 
 
-def _one_center(points: np.ndarray, q: float) -> np.ndarray:
+def _one_center(points: np.ndarray) -> np.ndarray:
     """A good single cover center for the cluster (exact for l_inf)."""
     return 0.5 * (points.min(axis=0) + points.max(axis=0))
 
@@ -193,18 +193,8 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     Any returned configuration is an actual cover, so the radius is a true
     upper bound regardless of how close the search got to optimal.
     """
-    n = points.shape[0]
-    if n == 0:
+    if m >= points.shape[0]:
         return 0.0
-    if m >= n:
-        return 0.0
-    if m == 1:
-        center = _one_center(points, q)
-        best_r = float(_pairwise(points, center[None, :], q).max())
-        cand = _refine_candidates(points, best_r)
-        radii = _pairwise(points, cand, q).max(axis=0)
-        return float(min(best_r, radii.min()))
-
     idx, dmin = _farthest_points(points, m, q)
     centers = points[idx].copy()
     best_r = float(dmin.max())
@@ -215,7 +205,7 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
         for c in range(m):
             cluster = points[assign == c]
             if cluster.shape[0]:
-                moved[c] = _one_center(cluster, q)
+                moved[c] = _one_center(cluster)
         r = float(_pairwise(points, moved, q).min(axis=1).max())
         if r < best_r - 1e-15:
             best_r, centers = r, moved

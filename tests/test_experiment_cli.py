@@ -215,6 +215,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="audit"):
             config_from_dict(base_dict(audits=["carl", "vibes"]))
 
+    @pytest.mark.parametrize(
+        "audits", [5, None, [["carl"]], "carl"], ids=["int", "null", "nested", "string"]
+    )
+    def test_audits_must_be_a_list_of_strings(self, audits):
+        with pytest.raises(ConfigError, match="audits must be a JSON list of strings"):
+            config_from_dict(base_dict(audits=audits))
+
     @pytest.mark.parametrize("seed", [True, 1.5, "7"], ids=["bool", "float", "str"])
     def test_seed_must_be_integer(self, seed):
         with pytest.raises(ConfigError, match="seed"):
@@ -378,7 +385,9 @@ class TestRunConvergence:
             == second["convergence_csv"].read_bytes()
         )
 
-    @pytest.mark.parametrize("levels", [[], [5, 5], [6, 5]], ids=["empty", "tie", "desc"])
+    @pytest.mark.parametrize(
+        "levels", [[], [5, 5], [6, 5], [-1, 5]], ids=["empty", "tie", "desc", "negative"]
+    )
     def test_bad_level_lists(self, base_config, tmp_path, levels):
         with pytest.raises(ConfigError):
             run_convergence(base_config, levels, tmp_path / "out")
@@ -623,7 +632,9 @@ class TestCli:
         assert "convergence PASS" in captured.out
         assert (out / "convergence.csv").exists()
 
-    @pytest.mark.parametrize("levels", ["5,4", "4,x"], ids=["descending", "non-int"])
+    @pytest.mark.parametrize(
+        "levels", ["5,4", "4,x", "-1,5"], ids=["descending", "non-int", "negative"]
+    )
     def test_bad_levels_exit_two(self, tmp_path, capsys, levels):
         path = write_config(tmp_path / "cfg.json", base_dict())
         code = main(
@@ -633,13 +644,23 @@ class TestCli:
                 str(path),
                 "--out",
                 str(tmp_path / "out"),
-                "--levels",
-                levels,
+                f"--levels={levels}",
             ]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert "config error" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_audits_exit_two_without_outputs(self, tmp_path, capsys):
+        path = write_config(tmp_path / "cfg.json", base_dict(audits=5))
+        out = tmp_path / "out"
+        code = main(["audits", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "audits" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_audits_subcommand(self, tmp_path, capsys):
         path = write_config(

@@ -9,9 +9,7 @@ from fracspectra.fractal_measure import (
     DimensionRangeError,
     OverlapError,
     ResolutionError,
-    UnequalRatioError,
     SimilitudeIFS,
-    SimilitudeMap,
     ball_measure_ratio,
     build_cantor_like,
     export_atoms_csv,
@@ -71,6 +69,34 @@ class TestBuildCantorLike:
         assert 0.0 < ifs.dimension < 1.0
 
 
+class TestSimilitudeIFS:
+    def test_one_ratio_and_a_translation_array(self, cantor):
+        ifs = SimilitudeIFS(1, 1.0 / 3.0, [[0.0], [2.0 / 3.0]])
+        assert ifs.n_maps == 2 and ifs.translations.shape == (2, 1)
+        assert ifs.dimension == cantor.dimension
+        with pytest.raises(ValueError):
+            ifs.translations[0, 0] = 1.0  # the structure is read-only
+
+    @pytest.mark.parametrize(
+        "ratio, translations",
+        [
+            (1.0, [[0.0], [0.5]]),
+            (0.0, [[0.0], [0.5]]),
+            (0.25, [[0.0, 0.0], [0.5, 0.5]]),
+            (0.25, []),
+        ],
+        ids=["ratio-one", "ratio-zero", "wrong-dimension", "no-maps"],
+    )
+    def test_malformed_structure_refused(self, ratio, translations):
+        with pytest.raises(ValueError):
+            SimilitudeIFS(1, ratio, translations)
+
+    def test_one_map_has_dimension_zero(self):
+        # m = 1 gives d = log 1 / log(1/r) = 0, outside (0, n)
+        with pytest.raises(DimensionRangeError):
+            SimilitudeIFS(1, 0.5, [[0.0]])
+
+
 class TestQuadrature:
     def test_level_one_cantor_atoms(self, cantor):
         mu = quadrature(cantor, 1)
@@ -97,14 +123,9 @@ class TestQuadrature:
         with pytest.raises(AtomBudgetError, match="2\\*\\*25"):
             quadrature(cantor, 25, atom_budget=1000)
 
-    def test_unequal_ratios_refused(self):
-        maps = (
-            SimilitudeMap(0.3, np.array([0.0])),
-            SimilitudeMap(0.25, np.array([0.75])),
-        )
-        ifs = SimilitudeIFS(1, maps)
-        with pytest.raises(UnequalRatioError):
-            quadrature(ifs, 3)
+    def test_negative_level_names_the_level(self, cantor):
+        with pytest.raises(ValueError, match="-1"):
+            quadrature(cantor, -1)
 
     def test_weights_sum_to_one_invariant(self, cantor):
         for level in (3, 6, 9):

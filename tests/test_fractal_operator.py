@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, j0, kv
 
-from fracspectra.fractal_measure import build_cantor_like, quadrature
+from fracspectra.fractal_measure import _pair_table, build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     BesselKernel,
     CutoffTailWarning,
@@ -21,7 +21,6 @@ from fracspectra.fractal_operator import (
     SingularKernelError,
     WindowViolationError,
     _CutoffProfile,
-    _pair_table,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
