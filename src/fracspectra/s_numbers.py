@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import svdvals
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "SNumberSequence",
@@ -185,6 +186,22 @@ def _farthest_points(
     return idx, dmin
 
 
+def _extreme_points(cluster: np.ndarray) -> np.ndarray:
+    """The cluster's hull vertices and Qhull-coplanar points.
+
+    A cluster that is 1-D, flat (Qhull refuses it) or has at most n + 1
+    points in R^n is returned whole.
+    """
+    dim = cluster.shape[1]
+    if dim < 2 or cluster.shape[0] <= dim + 1:
+        return cluster
+    try:
+        hull = ConvexHull(cluster, qhull_options="Qc")
+    except QhullError:
+        return cluster
+    return cluster[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+
+
 def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     """Radius of an explicit cover of `points` by m balls in the l_q norm.
 
@@ -192,6 +209,18 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     box-midpoint recentering, then one candidate-lattice polish per cluster.
     Any returned configuration is an actual cover, so the radius is a true
     upper bound regardless of how close the search got to optimal.
+
+    The polish scores each candidate centre by its largest distance to the
+    cluster's extreme points only (`_extreme_points`), which gives the same
+    score as all of the cluster's points.  For a fixed candidate the l_q
+    distance is convex in the point, so its maximum over the cluster is
+    reached at a vertex of the cluster's convex hull.  A non-extreme point
+    can tie that maximum only where the norm is not strictly convex (l_1,
+    l_inf); then the tie lies on a supporting hyperplane of the hull, so the
+    point is on the hull boundary, and Qhull's "Qc" keeps such points.  The
+    assignment step and the final min-over-centres radius still run on all
+    points, so the returned radius is that of an actual cover whichever
+    candidate the polish picks.
     """
     if m >= points.shape[0]:
         return 0.0
@@ -199,39 +228,45 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     centers = points[idx].copy()
     best_r = float(dmin.max())
 
+    # the distances to the accepted centres carry into the next round
+    dists = _pairwise(points, centers, q)
     for _ in range(40):
-        assign = np.argmin(_pairwise(points, centers, q), axis=1)
+        assign = np.argmin(dists, axis=1)
         moved = centers.copy()
         for c in range(m):
             cluster = points[assign == c]
             if cluster.shape[0]:
                 moved[c] = _one_center(cluster)
-        r = float(_pairwise(points, moved, q).min(axis=1).max())
+        moved_dists = _pairwise(points, moved, q)
+        r = float(moved_dists.min(axis=1).max())
         if r < best_r - 1e-15:
-            best_r, centers = r, moved
+            best_r, centers, dists = r, moved, moved_dists
         else:
             break
 
     # polish each cluster against a local candidate lattice
-    assign = np.argmin(_pairwise(points, centers, q), axis=1)
+    assign = np.argmin(dists, axis=1)
     polished = centers.copy()
     for c in range(m):
         cluster = points[assign == c]
         if not cluster.shape[0]:
             continue
         cand = _refine_candidates(cluster, best_r)
-        radii = _pairwise(cluster, cand, q).max(axis=0)
+        radii = _pairwise(_extreme_points(cluster), cand, q).max(axis=0)
         polished[c] = cand[int(np.argmin(radii))]
     r = float(_pairwise(points, polished, q).min(axis=1).max())
     return min(best_r, r)
 
 
 def _packing_separation(points: np.ndarray, count: int, q: float) -> float:
-    """Min pairwise l_q distance of a greedy farthest-point subset."""
-    n = points.shape[0]
-    if n == 0 or count < 2:
+    """Min pairwise l_q distance of a greedy farthest-point subset of `count`.
+
+    A packing certifies a lower bound only with more points than balls, so
+    fewer than `count` points (or a count below 2) give 0.
+    """
+    if count < 2 or points.shape[0] < count:
         return 0.0
-    chosen = points[_farthest_points(points, min(count, n), q)[0]]
+    chosen = points[_farthest_points(points, count, q)[0]]
     dists = _pairwise(chosen, chosen, q)
     np.fill_diagonal(dists, np.inf)
     return float(dists.min())
@@ -280,6 +315,12 @@ def entropy_numbers_bruteforce(
         )
     if not 1 <= k_max <= _MAX_BRUTE_K:
         raise ValueError(f"k_max must lie in [1, {_MAX_BRUTE_K}]")
+    if (
+        isinstance(resolution, bool)
+        or not isinstance(resolution, (int, np.integer))
+        or resolution < 2
+    ):
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     p, q = norms
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError("norm indices must lie in [1, inf]")

@@ -723,6 +723,19 @@ class TestCli:
                 parallel_bytes = (out / stem / name).read_bytes()
                 assert parallel_bytes == (serial / stem / name).read_bytes()
 
+    def test_entropy_lab_parallel_matches_serial_bytes(self, tmp_path, capsys):
+        # two configs polish their covers on Qhull hulls in two threads at once
+        path_a = write_config(tmp_path / "alpha.json", base_dict())
+        path_b = write_config(tmp_path / "beta.json", base_dict(seed=4321))
+        args = ["entropy-lab", "--config", str(path_a), "--config", str(path_b)]
+        parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert main(args + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        for stem in ("alpha", "beta"):
+            parallel_bytes = (parallel / stem / "entropy_lab.json").read_bytes()
+            assert parallel_bytes == (serial / stem / "entropy_lab.json").read_bytes()
+
     def test_multi_config_returns_worst_code(self, tmp_path, capsys):
         path_a = write_config(tmp_path / "alpha.json", base_dict())
         code = main(

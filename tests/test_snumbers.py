@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracspectra import s_numbers
 from fracspectra.s_numbers import (
     AuditReport,
     SNumberSequence,
@@ -132,6 +133,110 @@ class TestEntropyBruteForce:
         assert upper.value(1) >= 1.0
         for lo, hi in zip(lower.values, upper.values):
             assert 0.0 < lo <= hi
+
+    @pytest.mark.parametrize("resolution", [1, 0, -3, 3.5, True])
+    def test_resolution_guard(self, resolution) -> None:
+        with pytest.raises(ValueError, match="resolution"):
+            entropy_numbers_bruteforce(np.eye(2), k_max=2, resolution=resolution)
+
+    def test_one_interior_point_packs_nothing(self) -> None:
+        # resolution 2 leaves only the origin inside the unit ball
+        lower, upper = entropy_numbers_bruteforce(np.eye(2), k_max=2, resolution=2)
+        assert lower.value(2) == pytest.approx(
+            entropy_volume_lower(np.eye(2), 2, (2.0, 2.0)), abs=1e-15
+        )
+        assert lower.value(2) <= upper.value(2)
+
+    def test_packing_needs_more_points_than_balls(self) -> None:
+        # resolution 3 leaves three interior points of [-1, 1]; they cannot
+        # certify anything against four or eight balls, and the identity on
+        # R^1 has e_k = 2^(1-k) exactly
+        lower, upper = entropy_numbers_bruteforce(np.eye(1), k_max=4, resolution=3)
+        for k in range(1, 5):
+            assert lower.value(k) <= 2.0 ** (1 - k) <= upper.value(k)
+
+
+def _all_points(cluster: np.ndarray) -> np.ndarray:
+    return cluster
+
+
+_POLISH_MATRICES = {
+    "dim1": np.array([[-0.7]]),
+    "dim2": np.array([[0.9, -0.4], [0.3, 0.8]]),
+    "dim3": np.array([[0.8, 0.2, -0.5], [-0.3, 0.7, 0.1], [0.4, -0.6, 0.9]]),
+    "rank1-dim2": np.outer([1.0, -0.5], [0.6, 0.8]),
+    "rank2-dim3": np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [1.0, 1.0, 1.0]]),
+}
+
+_POLISH_NORMS = pytest.mark.parametrize(
+    "norms",
+    [(2.0, 2.0), (math.inf, 2.0), (2.0, 1.0), (1.0, math.inf), (math.inf, math.inf)],
+    ids=["l2-l2", "linf-l2", "l2-l1", "l1-linf", "linf-linf"],
+)
+
+
+class TestHullPolish:
+    """The hull-point polish returns what polishing on every point returns."""
+
+    @_POLISH_NORMS
+    @pytest.mark.parametrize("name", sorted(_POLISH_MATRICES))
+    def test_bitwise_equal_to_all_points_polish(self, monkeypatch, name, norms) -> None:
+        # the rank-deficient images are flat, so Qhull refuses their clusters
+        # and the polish falls back to all points without raising
+        matrix = _POLISH_MATRICES[name]
+        hull = entropy_numbers_bruteforce(matrix, k_max=4, norms=norms, resolution=17)
+        monkeypatch.setattr(s_numbers, "_extreme_points", _all_points)
+        reference = entropy_numbers_bruteforce(
+            matrix, k_max=4, norms=norms, resolution=17
+        )
+        assert hull == reference
+
+    def test_one_ball_bitwise_equal_to_all_points_polish(self, monkeypatch) -> None:
+        matrix = _POLISH_MATRICES["dim3"]
+        hull = entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
+        monkeypatch.setattr(s_numbers, "_extreme_points", _all_points)
+        assert hull == entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
+
+    @_POLISH_NORMS
+    @pytest.mark.parametrize("name", ["dim2", "dim3"])
+    def test_every_candidate_scores_the_same(self, name, norms) -> None:
+        # the exactness claim itself: the farthest extreme point is as far
+        # as the farthest point, bitwise, for lattice and random candidates
+        p, q = norms
+        matrix = _POLISH_MATRICES[name]
+        image = s_numbers._ball_cloud(matrix.shape[1], p, 17)[0] @ matrix.T
+        rng = np.random.default_rng(0)
+        cand = np.vstack(
+            [
+                s_numbers._refine_candidates(image, 0.3),
+                rng.uniform(-1.5, 1.5, (200, matrix.shape[0])),
+            ]
+        )
+        kept = s_numbers._extreme_points(image)
+        assert kept.shape[0] < image.shape[0]
+        hull_radii = s_numbers._pairwise(kept, cand, q).max(axis=0)
+        all_radii = s_numbers._pairwise(image, cand, q).max(axis=0)
+        assert np.array_equal(hull_radii, all_radii)
+
+    def test_full_cluster_keeps_its_boundary_only(self) -> None:
+        cloud, _ = s_numbers._ball_cloud(2, math.inf, 9)
+        kept = s_numbers._extreme_points(cloud)
+        # the lattice square keeps its 32 boundary points, not its 49 inner ones
+        assert kept.shape == (32, 2)
+        assert np.all(np.isclose(np.abs(kept).max(axis=1), np.abs(cloud).max()))
+
+    @pytest.mark.parametrize(
+        "cluster",
+        [
+            np.linspace(-1.0, 1.0, 7)[:, None],
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[t, 2.0 * t] for t in np.linspace(-1.0, 1.0, 9)]),
+            np.array([[x, y, x + y] for x in range(4) for y in range(4)], dtype=float),
+        ],
+        ids=["1-D", "n+1 points", "flat 2-D", "flat 3-D"],
+    )
+    def test_degenerate_cluster_is_kept_whole(self, cluster) -> None:
+        assert s_numbers._extreme_points(cluster) is cluster
 
 
 class TestEntropyEstimator:
