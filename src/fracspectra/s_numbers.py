@@ -170,15 +170,23 @@ def _refine_candidates(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _farthest_points(
-    points: np.ndarray, count: int, q: float
+    points: np.ndarray,
+    count: int,
+    q: float,
+    idx: Sequence[int] = (),
+    dmin: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray]:
-    """Greedy farthest-point seeding, starting from the point farthest from the mean.
+    """Greedy farthest-point seeding, starting from the point farthest from the
+    mean, or continuing the seeding `idx` whose distances are `dmin`.
 
     Returns ``count`` indices and every point's l_q distance to the nearest
-    chosen one.
+    chosen one.  Each pick depends only on the picks before it, so continuing
+    a shorter seeding gives exactly the picks and distances of a fresh one.
     """
-    idx = [int(np.argmax(_vector_norms(points - points.mean(axis=0), q)))]
-    dmin = _vector_norms(points - points[idx[0]], q)
+    idx = list(idx)
+    if not idx:
+        idx = [int(np.argmax(_vector_norms(points - points.mean(axis=0), q)))]
+        dmin = _vector_norms(points - points[idx[0]], q)
     while len(idx) < count:
         nxt = int(np.argmax(dmin))
         idx.append(nxt)
@@ -202,10 +210,11 @@ def _extreme_points(cluster: np.ndarray) -> np.ndarray:
     return cluster[np.union1d(hull.vertices, hull.coplanar[:, 0])]
 
 
-def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
+def _cover_radius(points: np.ndarray, seeds: list[int], dmin: np.ndarray, q: float) -> float:
     """Radius of an explicit cover of `points` by m balls in the l_q norm.
 
-    Greedy farthest-point seeding, then alternating reassignment with
+    Starts from the m greedy farthest-point `seeds` and every point's
+    distance `dmin` to the nearest of them, then alternating reassignment with
     box-midpoint recentering, then one candidate-lattice polish per cluster.
     Any returned configuration is an actual cover, so the radius is a true
     upper bound regardless of how close the search got to optimal.
@@ -222,10 +231,8 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     points, so the returned radius is that of an actual cover whichever
     candidate the polish picks.
     """
-    if m >= points.shape[0]:
-        return 0.0
-    idx, dmin = _farthest_points(points, m, q)
-    centers = points[idx].copy()
+    m = len(seeds)
+    centers = points[seeds]
     best_r = float(dmin.max())
 
     # the distances to the accepted centres carry into the next round
@@ -258,15 +265,8 @@ def _cover_radius(points: np.ndarray, m: int, q: float) -> float:
     return min(best_r, r)
 
 
-def _packing_separation(points: np.ndarray, count: int, q: float) -> float:
-    """Min pairwise l_q distance of a greedy farthest-point subset of `count`.
-
-    A packing certifies a lower bound only with more points than balls, so
-    fewer than `count` points (or a count below 2) give 0.
-    """
-    if count < 2 or points.shape[0] < count:
-        return 0.0
-    chosen = points[_farthest_points(points, count, q)[0]]
+def _packing_separation(chosen: np.ndarray, q: float) -> float:
+    """Min pairwise l_q distance of the `chosen` points (at least two)."""
     dists = _pairwise(chosen, chosen, q)
     np.fill_diagonal(dists, np.inf)
     return float(dists.min())
@@ -336,13 +336,22 @@ def entropy_numbers_bruteforce(
     norm_bound = float(_vector_norms(np.abs(m).sum(axis=1)[None, :], q)[0])
     slack = mesh * norm_bound
 
+    # one greedy seeding per cloud serves every k: the packings slice the
+    # longest one (a packing certifies a lower bound only with more points
+    # than balls), and the covers extend theirs as k grows
+    most = 2 ** (k_max - 1) + 1
+    packed = interior[_farthest_points(interior, min(most, interior.shape[0]), q)[0]]
+    seeds, dmin = [], None
     uppers, lowers = [], []
     for k in range(1, k_max + 1):
         balls = 2 ** (k - 1)
-        cover = _cover_radius(image, balls, q)
+        cover = 0.0
+        if balls < image.shape[0]:
+            seeds, dmin = _farthest_points(image, balls, q, seeds, dmin)
+            cover = _cover_radius(image, seeds, dmin, q)
         uppers.append(cover + slack if cover > 0.0 or norm_bound > 0.0 else 0.0)
-        packing = 0.5 * _packing_separation(interior, balls + 1, q)
-        lowers.append(max(packing, entropy_volume_lower(m, k, norms)))
+        packing = _packing_separation(packed[: balls + 1], q) if balls < len(packed) else 0.0
+        lowers.append(max(0.5 * packing, entropy_volume_lower(m, k, norms)))
     upper_vals = np.minimum.accumulate(np.asarray(uppers))
     lower_vals = np.minimum.accumulate(np.asarray(lowers))
     if np.any(lower_vals > upper_vals + 1e-12):

@@ -9,10 +9,12 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-Hermitian operators are solved by ``scipy.linalg.eigh``; one that is
-mirror-symmetric under the index reversal, as the kernel matrix of every
-bundled symmetric IFS is, is solved exactly as two half-size blocks, and the
-top-50 eigenpairs are certified by their residuals against the full matrix.
+Hermitian operators get their whole spectrum from a values-only
+``scipy.linalg.eigh`` and eigenvectors only for the 50 eigenvalues of largest
+modulus; one that is mirror-symmetric under the index reversal, as the kernel
+matrix of every bundled symmetric IFS is, is solved exactly as two half-size
+blocks, and the returned top-50 eigenvalues are certified with those
+eigenvectors by their residuals against the full matrix.
 Hermitian operators include the Galerkin compression of a symbol whose
 spatial factor is shared and positive, which the assembly returns in a
 diagonally similar symmetric form; other Galerkin operators go to the
@@ -117,35 +119,49 @@ def _nonzero_moduli(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of Hermitian ``block``, then its up to 50 of
+    largest modulus and their eigenvectors.
+
+    One values-only solve gives the whole spectrum; the eigenvectors are then
+    fetched only for those indices.  In an ascending spectrum the m values of
+    largest modulus are a bottom run ``[0, b)`` (the negative ones) and a top
+    run ``[n - m + b, n)``, so each non-empty run is one ``subset_by_index``
+    solve.
+    """
+    n = block.shape[0]
+    m = min(50, n)
+    w = scipy.linalg.eigh(block, eigvals_only=True)
+    b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
+    runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
+    vecs = np.hstack([scipy.linalg.eigh(block, subset_by_index=run)[1] for run in runs])
+    return w, w[np.r_[0:b, n - m + b : n]], vecs
+
+
 def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues of Hermitian ``mat``, plus the up to 50 of largest
-    modulus and their eigenvectors; a mirror-symmetric ``mat`` of even order is
-    solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
+    modulus, as the values-only solve gave them, and their subset-solved
+    eigenvectors (:func:`_top_pairs`); a mirror-symmetric ``mat`` of even order
+    is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
     n = mat.shape[0]
     h = n // 2
     dev = scale = 0.0
     if n % 2 == 0:  # for Hermitian K, K J is Hermitian iff K = J K J
         dev, scale = _hermitian_deviation(mat[:, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
-        w, v = scipy.linalg.eigh(mat)
-        top = np.argsort(-np.abs(w), kind="stable")[: min(50, n)]
-        return w, w[top], v[:, top]
+        return _top_pairs(mat)
     a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
-    w_even, v_even = scipy.linalg.eigh(a + bj)
-    # only the even block's own top 50 can reach the overall top 50, so drop
-    # its other eigenvectors before the odd block is solved
-    keep = np.sort(np.argsort(-np.abs(w_even), kind="stable")[: min(50, h)])
-    v_even = v_even[:, keep]
-    w_odd, v_odd = scipy.linalg.eigh(a - bj)
-    w = np.concatenate([w_even, w_odd])
-    top = np.argsort(-np.abs(w), kind="stable")[: min(50, n)]
+    # only a block's own top 50 can reach the overall top 50, and each block
+    # is freed as its call returns, before the other one is formed
+    w_even, top_even, u_even = _top_pairs(a + bj)
+    w_odd, top_odd, u_odd = _top_pairs(a - bj)
+    cand = np.concatenate([top_even, top_odd])
+    top = np.argsort(-np.abs(cand), kind="stable")[: min(50, n)]
+    u = np.hstack([u_even, u_odd])[:, top]
     # lift u to [u; J u] / sqrt(2) (even block) or [u; -J u] / sqrt(2) (odd block)
-    u = np.column_stack(
-        [v_even[:, np.searchsorted(keep, t)] if t < h else v_odd[:, t - h] for t in top]
-    )
-    sign = np.where(top < h, 1.0, -1.0)
+    sign = np.where(top < top_even.size, 1.0, -1.0)
     vecs = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)
-    return np.sort(w), w[top], vecs
+    return np.sort(np.concatenate([w_even, w_odd])), cand[top], vecs
 
 
 def eigen_spectrum(
@@ -162,7 +178,16 @@ def eigen_spectrum(
     flag's own rule, ``max|K - K^H| <= SYMMETRY_REL * max|K|``.  The
     Hermitian path returns real eigenvalues and certifies the top 50
     eigenpairs by the residual bound ``||K v - lambda v|| <= residual_tol *
-    ||K||``; pass ``residual_tol=None`` to skip the certificate.  Solver
+    ||K||``; pass ``residual_tol=None`` to skip the certificate.
+
+    The Hermitian path solves each block twice with ``scipy.linalg.eigh``:
+    once for all eigenvalues and no eigenvectors, and once (per run of
+    indices) for the eigenvectors of the 50 eigenvalues of largest modulus
+    only (LAPACK ``xSYEVR``/``xHEEVR`` with ``RANGE='I'``).  Both are
+    backward-stable solves of the same matrix, but nothing rests on their
+    agreeing bit for bit: the certificate is computed with the returned
+    eigenvalues from the values-only solve and the vectors from the subset
+    solve, so it checks exactly the pairing that is returned.  Solver
     failures are re-raised together with the assembly record so the failing
     operator can be identified.
 
@@ -193,8 +218,8 @@ def eigen_spectrum(
       itself, with the 50 lifted eigenvectors, so it certifies what is
       returned whichever path ran.
 
-    Odd N, matrices that fail the check, and the non-Hermitian path keep the
-    single full-size solve.
+    Odd N and matrices that fail the check are solved at full size, and the
+    non-Hermitian path keeps its single full-size ``eigvals``.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the

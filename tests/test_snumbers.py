@@ -239,6 +239,21 @@ class TestHullPolish:
         assert s_numbers._extreme_points(cluster) is cluster
 
 
+class TestSeeding:
+    @_POLISH_NORMS
+    def test_continued_seeding_equals_a_fresh_one(self, norms) -> None:
+        # every k extends the previous k's cover seeding, which must give
+        # the picks and distances of seeding from scratch, bitwise
+        q = norms[1]
+        image = s_numbers._ball_cloud(3, norms[0], 17)[0] @ _POLISH_MATRICES["dim3"].T
+        idx, dmin = [], None
+        for count in (1, 2, 4, 8, 9):
+            idx, dmin = s_numbers._farthest_points(image, count, q, idx, dmin)
+            fresh_idx, fresh_dmin = s_numbers._farthest_points(image, count, q)
+            assert idx == fresh_idx
+            assert np.array_equal(dmin, fresh_dmin)
+
+
 class TestEntropyEstimator:
     def test_two_term_example(self) -> None:
         assert entropy_estimate_diagonal([1.0, 0.5], 2) == pytest.approx(0.5, abs=1e-14)

@@ -65,17 +65,46 @@ def power_law(count: int, exponent: float, scale: float = 1.0) -> np.ndarray:
 
 @contextmanager
 def eigh_sizes():
-    """Record the order of every ``scipy.linalg.eigh`` call made inside."""
-    sizes = []
+    """Record every ``scipy.linalg.eigh`` call made inside as ``(order, kind)``.
+
+    ``kind`` is ``"values"`` for a values-only call, the ``(lo, hi)`` index
+    range for a ``subset_by_index`` call, and ``"all"`` for a call that
+    returns every eigenvector.
+    """
+    calls = []
     real_eigh = scipy.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
+        if kwargs.get("eigvals_only"):
+            kind = "values"
+        elif kwargs.get("subset_by_index") is not None:
+            kind = tuple(kwargs["subset_by_index"])
+        else:
+            kind = "all"
+        calls.append((np.shape(a)[0], kind))
         return real_eigh(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "eigh", counting)
-        yield sizes
+        yield calls
+
+
+def assert_block_solves(calls, orders) -> None:
+    """One values-only ``eigh`` per block, of the given orders in turn, then
+    eigenvectors only from subset solves of that block: a bottom run, a top
+    run or both, ``min(50, order)`` vectors in all."""
+    blocks = []
+    for n, kind in calls:
+        if kind == "values":
+            blocks.append((n, []))
+        else:
+            assert blocks and isinstance(kind, tuple) and n == blocks[-1][0]
+            blocks[-1][1].append(kind)
+    assert [n for n, _ in blocks] == orders
+    for n, runs in blocks:
+        assert 1 <= len(runs) <= 2
+        assert sum(hi - lo + 1 for lo, hi in runs) == min(50, n)
+        assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
 
 
 def mirror_symmetric(rng, n: int, complex_: bool = False) -> np.ndarray:
@@ -219,18 +248,18 @@ class TestEigenSpectrum:
     def test_mirror_symmetric_matrix_is_solved_as_two_half_blocks(self, seed, half):
         mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as sizes:
+        with eigh_sizes() as calls:
             res = eigen_spectrum(mat)
-        assert sizes == [half, half]
+        assert_block_solves(calls, [half, half])
         assert np.all(res.imag == 0.0)
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
     def test_complex_mirror_symmetric_matrix_is_split(self):
         mat = mirror_symmetric(np.random.default_rng(5), 12, complex_=True)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as sizes:
+        with eigh_sizes() as calls:
             res = eigen_spectrum(mat)
-        assert sizes == [6, 6]
+        assert_block_solves(calls, [6, 6])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
     @pytest.mark.parametrize("case", ["odd-order", "off-mirror"])
@@ -244,18 +273,67 @@ class TestEigenSpectrum:
             bump[0, 1] = bump[1, 0] = 1e-6 * np.abs(mat).max()
             mat = mat + bump  # still symmetric, no longer mirror-symmetric
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as sizes:
+        with eigh_sizes() as calls:
             res = eigen_spectrum(mat)
-        assert sizes == [mat.shape[0]]
+        assert_block_solves(calls, [mat.shape[0]])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
     def test_cantor_kernel_split_matches_full_solve(self, cantor_ifs):
         op = assemble_dmu_kernel(quadrature(cantor_ifs, 9), 0.45)
         ref = np.sort(scipy.linalg.eigvalsh(op.matrix))[::-1][:200]
-        with eigh_sizes() as sizes:
+        with eigh_sizes() as calls:
             res = eigen_spectrum(op)
-        assert sizes == [256, 256]
+        assert_block_solves(calls, [256, 256])
         assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [120, 119])  # split into two blocks of 60; unsplit
+    def test_negative_dominated_spectrum_takes_the_bottom_run(self, n, complex_):
+        # shifted down by half the spectral radius, the largest moduli are
+        # mostly negative, so the top 50 need the bottom eigenvectors too
+        mat = mirror_symmetric(np.random.default_rng(17), n, complex_=complex_)
+        mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
+        ref = order_by_modulus(np.linalg.eigvalsh(mat))
+        assert ref[0].real < 0.0
+        with eigh_sizes() as calls:
+            res = eigen_spectrum(mat)
+        assert_block_solves(calls, [60, 60] if n == 120 else [119])
+        assert any(kind[0] == 0 for _, kind in calls if kind != "values")
+        assert np.all(res.imag == 0.0)
+        assert np.allclose(res, ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
+
+    def test_no_call_computes_every_eigenvector(self, cantor_ifs):
+        kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)  # blocks of 64
+        a = np.random.default_rng(19).standard_normal((101, 101))
+        for op in (kernel, a + a.T):
+            with eigh_sizes() as calls:
+                eigen_spectrum(op)
+            assert calls and all(kind != "all" for _, kind in calls)
+
+    @pytest.mark.parametrize("n", [128, 101])  # split kernel; unsplit random
+    def test_certificate_rejects_vectors_that_do_not_pair_with_the_values(
+        self, cantor_ifs, n
+    ):
+        if n == 128:
+            mat = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45).matrix
+        else:
+            a = np.random.default_rng(23).standard_normal((n, n))
+            mat = a + a.T
+        real_eigh = scipy.linalg.eigh
+        rng = np.random.default_rng(29)
+
+        def perturbed(a, *args, **kwargs):
+            out = real_eigh(a, *args, **kwargs)
+            if kwargs.get("subset_by_index") is None:
+                return out
+            w, v = out
+            return w, v + 1e-6 * rng.standard_normal(v.shape)
+
+        eigen_spectrum(mat)  # certified as solved
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "eigh", perturbed)
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                eigen_spectrum(mat)
 
     @pytest.mark.parametrize("rel, hermitian", [(1e-11, True), (1e-9, False)])
     def test_bare_matrix_uses_the_symmetric_flags_floor(self, rel, hermitian):
@@ -265,9 +343,9 @@ class TestEigenSpectrum:
         a = rng.standard_normal((9, 9))
         mat = a + a.T
         mat[0, 1] += rel * np.abs(mat).max()
-        with eigh_sizes() as sizes:
+        with eigh_sizes() as calls:
             res = eigen_spectrum(mat)
-        assert sizes == ([9] if hermitian else [])
+        assert_block_solves(calls, [9] if hermitian else [])
         ref = order_by_modulus(scipy.linalg.eigvals(mat))
         assert np.allclose(res, ref, rtol=0.0, atol=1e-8 * abs(ref[0]))
 
