@@ -8,10 +8,10 @@ entry points:
 
 - :mod:`fracspectra.fractal_measure` — iterated function systems, atomic
   quadrature of the invariant measure, regularity diagnostics.
-- :mod:`fracspectra.besov_analysis` — dyadic resolutions, smoothness
-  norms, and the lifting operator on grid functions.
-- :mod:`fracspectra.psido_engine` — frequency symbols, derivative-bound
-  validation, and band-limited application of the operators.
+- :mod:`fracspectra.besov_analysis` — dyadic resolutions and the lifting
+  operator on grid functions.
+- :mod:`fracspectra.psido_engine` — the catalog of frequency symbols and
+  their derivative-bound validation.
 - :mod:`fracspectra.fractal_operator` — kernel, trace, and Galerkin
   discretizations of the operators restricted to the fractal.
 - :mod:`fracspectra.s_numbers` — approximation/entropy numbers and the
@@ -22,13 +22,7 @@ entry points:
   artifact-writing experiment runners and the ``fracspectra`` command.
 """
 
-from fracspectra.besov_analysis import (
-    BesovParams,
-    GridFunction,
-    besov_norm,
-    build_resolution,
-    lift,
-)
+from fracspectra.besov_analysis import GridFunction, build_resolution, lift
 from fracspectra.experiment import (
     ExperimentConfig,
     config_from_dict,
@@ -53,13 +47,9 @@ from fracspectra.fractal_operator import (
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
-    bessel_kernel,
-    fourier_of_fmu,
-    load_operator,
 )
 from fracspectra.psido_engine import (
     Symbol,
-    apply_psido,
     available_symbols,
     make_symbol,
     validate_symbol,
@@ -84,7 +74,6 @@ from fracspectra.spectral_report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesovParams",
     "BesselKernel",
     "DiscretizedOperator",
     "ExperimentConfig",
@@ -94,7 +83,6 @@ __all__ = [
     "SpectrumReport",
     "Symbol",
     "__version__",
-    "apply_psido",
     "approximation_numbers_hilbert",
     "assemble_dmu_kernel",
     "assemble_tmu_galerkin",
@@ -102,8 +90,6 @@ __all__ = [
     "assess_decay",
     "available_symbols",
     "ball_measure_ratio",
-    "bessel_kernel",
-    "besov_norm",
     "build_cantor_like",
     "build_resolution",
     "carl_audit",
@@ -113,10 +99,8 @@ __all__ = [
     "entropy_numbers_bruteforce",
     "fit_decay_exponent",
     "fit_upper_envelope",
-    "fourier_of_fmu",
     "lift",
     "load_config",
-    "load_operator",
     "make_symbol",
     "quadrature",
     "run_audits",

@@ -1,4 +1,4 @@
-"""Dyadic frequency decompositions and Besov norms on periodic grids.
+"""Dyadic frequency decompositions and the smoothness lift on periodic grids.
 
 Functions live on uniform grids over a centered box and are moved to
 frequency space with the symmetric transform pair
@@ -7,9 +7,9 @@ frequency space with the symmetric transform pair
     inv(g)(x)  = (2pi)**(-n/2) integral exp(+i x xi) g(xi) dxi,
 
 realized by scaled FFTs.  A smooth dyadic resolution of unity splits the
-frequency domain into annuli; weighted sums of shell norms give the Besov
-quasi-norm, and multiplying the transform by (1 + |xi|**2)**(alpha/2)
-realizes the smoothness lift.
+frequency domain into annuli (its plateau function ``phi0`` is the smooth
+frequency cutoff of ``fractal_operator``), and multiplying the transform by
+(1 + |xi|**2)**(alpha/2) realizes the smoothness lift.
 """
 
 from __future__ import annotations
@@ -20,36 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BandOverflowError",
-    "BesovParams",
     "GridFunction",
     "DyadicResolution",
     "build_resolution",
-    "besov_norm",
     "lift",
-    "refine",
 ]
-
-
-class BandOverflowError(ValueError):
-    """Spectral mass beyond the last dyadic shell is not negligible."""
-
-
-@dataclass(frozen=True)
-class BesovParams:
-    """Smoothness s > 0, integrability p in (1, inf), summability q in (1, inf]."""
-
-    s: float
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise ValueError("smoothness s must be positive")
-        if not (1.0 < self.p < math.inf):
-            raise ValueError("p must lie in (1, inf)")
-        if not 1.0 < self.q:
-            raise ValueError("q must lie in (1, inf]")
 
 
 class GridFunction:
@@ -80,12 +55,6 @@ class GridFunction:
     @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(e / s for e, s in zip(self.extent, self.shape))
-
-    def axes(self) -> list[np.ndarray]:
-        return [
-            -e / 2.0 + h * np.arange(s)
-            for e, h, s in zip(self.extent, self.spacings, self.shape)
-        ]
 
     def freq_axes(self) -> list[np.ndarray]:
         """Angular frequencies per axis in FFT order."""
@@ -119,18 +88,6 @@ class GridFunction:
             * np.fft.fftn(self.values)
         )
 
-    def invhat(self) -> np.ndarray:
-        """Inverse-convention transform of the values, inv(f) on the grid.
-
-        inv(f)(xi) = hat(f)(-xi), evaluated by index reversal on the
-        periodic frequency grid.
-        """
-        h = self.hat()
-        for axis in range(self.ndim):
-            idx = (-np.arange(self.shape[axis])) % self.shape[axis]
-            h = np.take(h, idx, axis=axis)
-        return h
-
     @classmethod
     def from_hat(cls, hat_values: np.ndarray, extent) -> "GridFunction":
         """Synthesize grid values from a forward transform."""
@@ -143,16 +100,6 @@ class GridFunction:
             * np.fft.ifftn(hat_values * tmp._phase(-1.0))
         )
         return cls(values, extent)
-
-    def l2_norm(self) -> float:
-        vol = np.prod(self.spacings)
-        return float(math.sqrt(vol * np.sum(np.abs(self.values) ** 2)))
-
-    def lp_norm(self, p: float) -> float:
-        if math.isinf(p):
-            return float(np.abs(self.values).max())
-        vol = np.prod(self.spacings)
-        return float((vol * np.sum(np.abs(self.values) ** p)) ** (1.0 / p))
 
 
 def _glue(t: np.ndarray) -> np.ndarray:
@@ -205,71 +152,9 @@ class DyadicResolution:
         total = sum(self.phi(j, r) for j in range(self.j_max + 1))
         return np.abs(total - self.phi0(r / 2.0**self.j_max))
 
-    def ceiling(self) -> float:
-        """Largest frequency any shell can reach."""
-        return 3.0 * 2.0 ** (self.j_max - 1)
-
 
 def build_resolution(j_max: int) -> DyadicResolution:
     return DyadicResolution(j_max)
-
-
-def besov_norm(
-    f: GridFunction,
-    params: BesovParams,
-    resolution: DyadicResolution,
-) -> float:
-    """Besov quasi-norm (sum_j 2**(j s q) ||shell_j(f)||_p**q) ** (1/q).
-
-    Shells are cut from the forward transform with the dyadic resolution,
-    synthesized back to the grid, and measured in L_p there.  Raises
-    BandOverflowError when more than 1e-8 of the spectral mass lies beyond
-    the last shell, since the norm would silently ignore it.
-    """
-    hat = f.hat()
-    radius = f.freq_magnitude()
-    total = float(np.sum(np.abs(hat) ** 2))
-    if total == 0.0:
-        return 0.0
-    beyond = float(np.sum(np.abs(hat[radius > resolution.ceiling()]) ** 2))
-    if beyond > 1e-8 * total:
-        raise BandOverflowError(
-            f"fraction {beyond / total:.3e} of the spectral mass lies above "
-            f"the last shell (|xi| > {resolution.ceiling():.4g}); "
-            "increase j_max or the grid resolution"
-        )
-    terms = []
-    for j in range(resolution.j_max + 1):
-        weight = resolution.phi(j, radius)
-        if not np.any(weight > 0.0):
-            terms.append(0.0)
-            continue
-        shell = GridFunction.from_hat(hat * weight, f.extent)
-        terms.append(2.0 ** (j * params.s) * shell.lp_norm(params.p))
-    arr = np.array(terms)
-    if math.isinf(params.q):
-        return float(arr.max())
-    return float(np.sum(arr**params.q) ** (1.0 / params.q))
-
-
-def refine(f: GridFunction, factor: int = 2) -> GridFunction:
-    """Resample onto a grid with `factor` times as many points per axis.
-
-    The box is unchanged; the transform is extended by zeros, so the result
-    interpolates f spectrally (exact for band-resolved inputs).
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    hat = f.hat()
-    new_shape = tuple(factor * s for s in f.shape)
-    out = np.zeros(new_shape, dtype=complex)
-    # place each old frequency bin at the matching new index
-    idx = [
-        np.where(np.arange(s) <= s // 2, np.arange(s), np.arange(s) + (ns - s))
-        for s, ns in zip(f.shape, new_shape)
-    ]
-    out[np.ix_(*idx)] = hat
-    return GridFunction.from_hat(out, f.extent)
 
 
 def lift(f: GridFunction, alpha: float) -> GridFunction:

@@ -44,6 +44,13 @@ _COMMANDS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracspectra",
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             metavar="N",
             help="run up to N configs concurrently (default 1)",
@@ -166,11 +173,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     configs = args.configs
     multi = len(configs) > 1
-    jobs = max(1, int(args.jobs))
-    if jobs == 1 or not multi:
+    if args.jobs == 1 or not multi:
         codes = [_run_one(args, path, multi) for path in configs]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(lambda p: _run_one(args, p, multi), configs))
     return max(codes)
 

@@ -312,6 +312,7 @@ def _validate_semantics(config: ExperimentConfig) -> None:
         theoretical_exponent(
             config.fractal.ambient_dim, dimension, config.analysis.s, config.analysis.p
         )
+        sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
         if config.analysis.symbol == "identity":
             if not math.isclose(config.analysis.p, 2.0, rel_tol=0.0, abs_tol=1e-12):
                 raise ConfigError(
@@ -319,7 +320,6 @@ def _validate_semantics(config: ExperimentConfig) -> None:
                     f"got p = {config.analysis.p!r}"
                 )
         else:
-            sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
             sp = config.analysis.s * config.analysis.p
             if abs(sym.order + sp) > 1e-8:
                 raise ConfigError(

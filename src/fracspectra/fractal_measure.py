@@ -7,14 +7,12 @@ d-set with ``d = log m / log(1/r)``, carrying the self-similar probability
 measure that gives every level-L cell the mass ``m ** (-L)``.  This module
 builds such systems, discretizes the measure into equally weighted atoms at
 a chosen refinement level, numbers the atom pairs by their translation
-differences (``_pair_table``), and provides the measure-side utilities the
-rest of the package consumes: weighted p-norms on the attractor and
-empirical scaling checks of the measure of balls.
+differences (``_pair_table``), and checks the scaling of the measure of
+balls empirically.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,8 +29,6 @@ __all__ = [
     "build_cantor_like",
     "quadrature",
     "ball_measure_ratio",
-    "lp_norm_on_gamma",
-    "export_atoms_csv",
 ]
 
 
@@ -93,9 +89,6 @@ class SimilitudeIFS:
     def n_maps(self) -> int:
         return self.translations.shape[0]
 
-    def moran_residual(self) -> float:
-        return abs(self.n_maps * self.ratio**self.dimension - 1.0)
-
     def bounding_box(self) -> np.ndarray:
         """Axis-aligned box (2, n) containing the attractor: the exact
         per-axis range [min t/(1-r), max t/(1-r)] of the fixed points."""
@@ -125,11 +118,6 @@ class FractalMeasure:
     atoms: np.ndarray
 
     @property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        """Map-index word of each atom, in atom (lexicographic) order."""
-        return tuple(itertools.product(range(self.ifs.n_maps), repeat=self.level))
-
-    @property
     def dimension(self) -> float:
         return self.ifs.dimension
 
@@ -149,9 +137,6 @@ class FractalMeasure:
     def cell_diameter(self) -> float:
         """Diameter of one level-L cell (all cells are congruent here)."""
         return self.ifs.diameter() * self.ifs.ratio**self.level
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 def build_cantor_like(
@@ -278,30 +263,3 @@ def ball_measure_ratio(measure: FractalMeasure, center, rho: float) -> float:
     dist = np.linalg.norm(measure.atoms - c[None, :], axis=1)
     mass = float(measure.weights[dist <= rho].sum())
     return mass / rho**measure.dimension
-
-
-def lp_norm_on_gamma(values: np.ndarray, measure: FractalMeasure, p: float) -> float:
-    """Weighted p-norm of atom values: (sum_j w_j |f_j|**p) ** (1/p).
-
-    p = inf returns the plain sup over atoms.
-    """
-    v = np.abs(np.asarray(values))
-    if v.shape[0] != measure.n_atoms:
-        raise ValueError("value vector length does not match the atom count")
-    if math.isinf(p):
-        return float(v.max())
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    return float((measure.weights @ v**p) ** (1.0 / p))
-
-
-def export_atoms_csv(measure: FractalMeasure, path) -> None:
-    """Write atoms as CSV rows (word, coordinates, weight)."""
-    n = measure.ifs.ambient_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word"] + [f"x{i}" for i in range(n)] + ["weight"])
-        for word, atom, w in zip(measure.words, measure.atoms, measure.weights):
-            writer.writerow(
-                ["".join(map(str, word))] + [repr(float(a)) for a in atom] + [repr(float(w))]
-            )

@@ -3,9 +3,9 @@
 This module turns an atomic self-similar measure into finite matrices whose
 spectra approximate the continuum objects:
 
-* ``bessel_kernel`` / ``BesselKernel`` evaluate, from the modified-Bessel
-  closed form, the radially symmetric kernel whose Fourier transform is the
-  inverse smoothness bracket ``(1 + |xi|**2) ** (-a/2)``.
+* ``BesselKernel`` evaluates, from the modified-Bessel closed form, the
+  radially symmetric kernel whose Fourier transform is the inverse
+  smoothness bracket ``(1 + |xi|**2) ** (-a/2)``.
 * The pair assemblies evaluate a kernel once per pair difference up to sign
   and gather the entries by pair code (``fractal_measure._pair_table``).
   This is exact, not an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} -
@@ -31,12 +31,9 @@ geometric continuation of the coincidence chain.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -53,11 +50,8 @@ __all__ = [
     "PsdViolationWarning",
     "CutoffTailWarning",
     "BesselKernel",
-    "bessel_kernel",
-    "fourier_of_fmu",
     "cell_pair_energy",
     "DiscretizedOperator",
-    "load_operator",
     "assemble_dmu_kernel",
     "assemble_trace_operator",
     "assemble_tmu_galerkin",
@@ -157,43 +151,6 @@ class BesselKernel:
             out[tiny] = self.value_at_zero
         out[~tiny] = _closed_form_values(self.order, self.ambient_dim, r[~tiny])
         return out[0] if scalar else out
-
-
-def bessel_kernel(order: float, ambient_dim: int, rho) -> np.ndarray:
-    """Evaluate the inverse-bracket kernel at radii ``rho`` from its closed form.
-
-    Shorthand for ``BesselKernel(order=order, ambient_dim=ambient_dim)(rho)``.
-    """
-    return BesselKernel(order=order, ambient_dim=ambient_dim)(rho)
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform of a function times the fractal measure
-# ---------------------------------------------------------------------------
-
-
-def fourier_of_fmu(values, measure: FractalMeasure, xi) -> np.ndarray:
-    """Fourier transform of ``f * mu``: ``(2 pi)^{-n/2} sum_j w_j f_j e^{-i x_j.xi}``.
-
-    ``values`` holds f at the atoms; ``xi`` is one frequency point or an array
-    of them, shape (K,) in ambient dimension one or (K, n) generally.
-    """
-    v = np.asarray(values)
-    if v.shape != (measure.n_atoms,):
-        raise ValueError("value vector length does not match the atom count")
-    n = measure.ifs.ambient_dim
-    pts = np.asarray(xi, dtype=float)
-    scalar = pts.ndim == 0 and n == 1
-    if n == 1 and pts.ndim <= 1:
-        pts = np.atleast_1d(pts)[:, None]
-    elif pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError("frequency points must have the ambient dimension")
-    phase = measure.atoms @ pts.T  # (N, K)
-    coeff = measure.weights * v
-    out = (2.0 * math.pi) ** (-n / 2.0) * (coeff @ np.exp(-1j * phase))
-    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +286,8 @@ def cell_pair_energy(
 
 
 # ---------------------------------------------------------------------------
-# Discretized operator container with binary persistence
+# Discretized operator container
 # ---------------------------------------------------------------------------
-
-
-_MAGIC = b"FRSPOP1\n"
 
 
 def _jsonable(obj):
@@ -401,50 +355,6 @@ class DiscretizedOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-    def save(self, path) -> None:
-        """Write magic, JSON header, then the matrix as row-major complex pairs."""
-        mat = np.ascontiguousarray(self.matrix.astype(np.complex128))
-        header = json.dumps(
-            {
-                "shape": list(self.matrix.shape),
-                "dtype": str(self.matrix.dtype),
-                "symmetric": self.symmetric,
-                "assembly": _jsonable(self.assembly),
-            },
-            sort_keys=True,
-        ).encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            fh.write(mat.tobytes())
-
-
-def load_operator(path) -> DiscretizedOperator:
-    """Read a file written by :meth:`DiscretizedOperator.save`; header keys
-    that it does not use (older files carry axis descriptions) are ignored."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise ValueError("not a discretized-operator file (bad magic)")
-    off = len(_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    shape = tuple(header["shape"])
-    count = shape[0] * shape[1]
-    data = np.frombuffer(raw, dtype=np.complex128, count=count, offset=off)
-    if data.size != count:
-        raise ValueError("operator file truncated")
-    mat = data.reshape(shape).copy()
-    if header["dtype"] == "float64":
-        mat = mat.real.copy()
-    return DiscretizedOperator(
-        matrix=mat,
-        assembly=header["assembly"],
-        symmetric=header["symmetric"],
-    )
 
 
 # ---------------------------------------------------------------------------

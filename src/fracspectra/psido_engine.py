@@ -1,47 +1,31 @@
-"""Phase-space multipliers and their action on grid functions.
+"""Phase-space multipliers and their derivative bounds.
 
 A symbol is a smooth function tau(x, xi) whose size and derivatives are
 controlled by powers of the frequency bracket (1 + |xi|^2)^{1/2}.  This
-module estimates those control constants numerically, applies the induced
-operator
-
-    (T f)(x) = (2 pi)^{-n/2} * integral over |xi| <= cutoff of
-               exp(-i x.xi) tau(x, xi) f_inv(xi) d xi
-
-to GridFunction data, and ships a small named catalog of symbols so that
-configuration files never execute user code.
+module estimates those control constants numerically and ships a small
+named catalog of symbols so that configuration files never execute user
+code; ``fractal_operator.assemble_tmu_galerkin`` compresses a catalog
+symbol to the fractal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .besov_analysis import BesovParams, DyadicResolution, GridFunction, besov_norm, refine
-
 __all__ = [
-    "CutoffTooSmallError",
     "SymbolInstabilityError",
     "SeparableTerm",
     "Symbol",
     "ProbeSpec",
     "ValidationReport",
-    "BoundednessReport",
     "validate_symbol",
-    "apply_psido",
-    "compose_lifted_symbol",
-    "boundedness_probe",
-    "band_limited_corpus",
     "available_symbols",
     "make_symbol",
 ]
-
-
-class CutoffTooSmallError(ValueError):
-    """Input has non-negligible spectral mass beyond the frequency cutoff."""
 
 
 class SymbolInstabilityError(ValueError):
@@ -67,7 +51,7 @@ class Symbol:
     values of shape (...).  order is the declared growth exponent in the
     frequency bracket; type_delta in [0, 1] is the declared loss per spatial
     derivative.  separable_terms, when present, expresses the evaluator as
-    sum of a_t(x) * b_t(|xi|) and unlocks fast application paths.
+    sum of a_t(x) * b_t(|xi|); the Galerkin assembly requires it.
     """
 
     name: str
@@ -142,7 +126,6 @@ class ValidationReport:
     declared_order: float
     declared_delta: float
     max_order: int
-    probe: ProbeSpec
     constants: Mapping[tuple[int, int], float]
     density_growth: Mapping[tuple[int, int], float]
     range_growth: Mapping[tuple[int, int], float]
@@ -338,9 +321,7 @@ def _normalized_max(
     return out
 
 
-def validate_symbol(
-    sym: Symbol, probe: ProbeSpec | None = None, max_order: int | None = None
-) -> ValidationReport:
+def validate_symbol(sym: Symbol, max_order: int | None = None) -> ValidationReport:
     """Check the declared derivative bounds on a finite probe grid.
 
     For every derivative pair (alpha, gamma) up to max_order the constant
@@ -355,8 +336,7 @@ def validate_symbol(
     """
     if sym.ambient_dim != 1:
         raise NotImplementedError("derivative probes are implemented for ambient_dim == 1")
-    if probe is None:
-        probe = ProbeSpec()
+    probe = ProbeSpec()
     if max_order is None:
         max_order = sym.max_derivative_order
     if not 0 <= max_order <= 3:
@@ -394,242 +374,11 @@ def validate_symbol(
         declared_order=sym.order,
         declared_delta=sym.type_delta,
         max_order=max_order,
-        probe=probe,
         constants=base,
         density_growth=density_growth,
         range_growth=range_growth,
         violations=tuple(violations),
     )
-
-
-def _smooth_cutoff(radii: np.ndarray, freq_cutoff: float) -> np.ndarray:
-    """Plateau-one window: 1 for |xi| <= cutoff, 0 beyond 1.5 * cutoff."""
-    return DyadicResolution(1).phi0(radii / freq_cutoff)
-
-
-def _check_band(f: GridFunction, freq_cutoff: float) -> np.ndarray:
-    hat = f.hat()
-    power = np.abs(hat) ** 2
-    total = float(np.sum(power))
-    if total > 0.0:
-        beyond = float(np.sum(power[f.freq_magnitude() > freq_cutoff]))
-        if beyond > 1e-8 * total:
-            raise CutoffTooSmallError(
-                f"spectral mass fraction {beyond / total:.3e} beyond cutoff "
-                f"{freq_cutoff} exceeds 1e-08"
-            )
-    return hat
-
-
-def apply_psido(
-    sym: Symbol,
-    f: GridFunction,
-    freq_cutoff: float,
-    method: str = "auto",
-) -> GridFunction:
-    """Apply the operator induced by sym to f with a smooth frequency cutoff.
-
-    Methods: "separable" (sum of products a_t(x) b_t(|xi|), one transform
-    pass per term) and "direct" (dense quadrature over the frequency grid,
-    O(N_x * N_xi)).  "auto" picks "separable" whenever the symbol has
-    separable terms.  The direct path fixes its reduction order over
-    frequencies (ascending) so results are reproducible.
-    """
-    if freq_cutoff <= 0:
-        raise ValueError("freq_cutoff must be positive")
-    if sym.ambient_dim != f.ndim:
-        raise ValueError("symbol and grid dimensions differ")
-    hat = _check_band(f, freq_cutoff)
-    mags = f.freq_magnitude()
-    window = _smooth_cutoff(mags, freq_cutoff)
-
-    if method == "auto":
-        method = "direct" if sym.separable_terms is None else "separable"
-
-    if method == "separable":
-        if sym.separable_terms is None:
-            raise ValueError("separable path requires separable_terms")
-        x_flat = _mesh_points(f.axes())
-        out = np.zeros(f.values.size, dtype=complex)
-        for term in sym.separable_terms:
-            piece = GridFunction.from_hat(hat * window * term.radial(mags), f.extent)
-            piece = piece.values.reshape(-1)
-            if term.spatial is not None:
-                piece = term.spatial(x_flat) * piece
-            out += piece
-        return GridFunction(out.reshape(f.shape), f.extent)
-
-    if method == "direct":
-        return _direct_apply(sym, f, hat, window)
-
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _mesh_points(axes: list[np.ndarray]) -> np.ndarray:
-    """All points of the tensor grid over ``axes``, one row per point."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
-_DIRECT_CHUNK = 128  # grid points per block of the direct quadrature
-
-
-def _direct_apply(
-    sym: Symbol,
-    f: GridFunction,
-    hat: np.ndarray,
-    window: np.ndarray,
-) -> GridFunction:
-    n = f.ndim
-    # f_inv(xi) = hat(-xi); realized by index reversal on each FFT axis
-    rev = hat
-    for axis in range(n):
-        idx = (-np.arange(f.shape[axis])) % f.shape[axis]
-        rev = np.take(rev, idx, axis=axis)
-    inv_flat = (rev * window).reshape(-1)
-
-    xi_flat = _mesh_points(f.freq_axes())
-    order = np.lexsort(tuple(xi_flat[:, k] for k in range(n - 1, -1, -1)))
-    xi_sorted = xi_flat[order]
-    # frequency-cell volume (2 pi / extent) per axis; together with the
-    # convention constant this makes tau == 1 reproduce from_hat exactly
-    cell = float(np.prod([2.0 * math.pi / e for e in f.extent]))
-    weights = inv_flat[order] * cell * (2.0 * math.pi) ** (-n / 2.0)
-
-    x_flat = _mesh_points(f.axes())
-    out = np.empty(x_flat.shape[0], dtype=complex)
-    for start in range(0, x_flat.shape[0], _DIRECT_CHUNK):
-        xc = x_flat[start : start + _DIRECT_CHUNK]
-        tau = sym(xc[:, None, :], xi_sorted[None, :, :])
-        phase = np.exp(-1j * (xc @ xi_sorted.T))
-        out[start : start + _DIRECT_CHUNK] = (tau * phase) @ weights
-    return GridFunction(out.reshape(f.shape), f.extent)
-
-
-def compose_lifted_symbol(sym: Symbol) -> Symbol:
-    """Multiply a negative-order symbol by the inverse bracket power.
-
-    Returns tau0(x, xi) = tau(x, xi) * (1 + |xi|^2)^{-order/2}, declared at
-    order zero with the same delta, so that order-zero boundedness probes
-    apply to it directly.
-    """
-    if sym.order >= 0:
-        raise ValueError("lift to order zero requires a negative-order symbol")
-    sigma = sym.order
-    base = sym.evaluator
-
-    def lifted(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        r2 = np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)
-        return base(x, xi) * (1.0 + r2) ** (-sigma / 2.0)
-
-    terms = None
-    if sym.separable_terms is not None:
-        terms = tuple(
-            SeparableTerm(term.spatial, _lifted_radial(term.radial, sigma))
-            for term in sym.separable_terms
-        )
-    return Symbol(
-        name=f"{sym.name}_order0",
-        evaluator=lifted,
-        order=0.0,
-        type_delta=sym.type_delta,
-        ambient_dim=sym.ambient_dim,
-        max_derivative_order=sym.max_derivative_order,
-        separable_terms=terms,
-    )
-
-
-def _lifted_radial(
-    radial: Callable[[np.ndarray], np.ndarray], sigma: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    def out(r: np.ndarray) -> np.ndarray:
-        return radial(r) * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-sigma / 2.0)
-
-    return out
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    ratios: tuple[float, ...]
-    max_ratio: float
-    refined_max_ratio: float
-    growth: float
-    skipped: int
-
-    @property
-    def passed(self) -> bool:
-        return self.growth <= _GROWTH_LIMIT
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"boundedness {verdict}: max ratio {self.max_ratio:.6g}, refined "
-            f"{self.refined_max_ratio:.6g} (x{self.growth:.3f}), "
-            f"{len(self.ratios)} inputs, {self.skipped} skipped"
-        )
-
-
-def boundedness_probe(
-    sym: Symbol,
-    params: BesovParams,
-    corpus: list[GridFunction] | tuple[GridFunction, ...],
-    resolution: DyadicResolution,
-    freq_cutoff: float,
-) -> BoundednessReport:
-    """Empirical operator-norm probe for an order-zero symbol.
-
-    Reports the largest smoothness-norm ratio over the corpus and re-measures
-    it on a doubled grid; PASS when that maximum grows at most 10% under the
-    refinement.  Zero inputs are skipped, never divided by.
-    """
-    if sym.order != 0.0:
-        raise ValueError("boundedness probe requires an order-zero symbol")
-    if params.p != params.q:
-        raise ValueError("boundedness probe requires p == q")
-    ratios: list[float] = []
-    refined_ratios: list[float] = []
-    skipped = 0
-    for f in corpus:
-        norm_in = besov_norm(f, params, resolution)
-        if norm_in < 1e-300:
-            skipped += 1
-            continue
-        out = apply_psido(sym, f, freq_cutoff)
-        ratios.append(besov_norm(out, params, resolution) / norm_in)
-        fine = refine(f, 2)
-        fine_out = apply_psido(sym, fine, freq_cutoff)
-        refined_ratios.append(
-            besov_norm(fine_out, params, resolution) / besov_norm(fine, params, resolution)
-        )
-    max_ratio = max(ratios) if ratios else 0.0
-    refined_max = max(refined_ratios) if refined_ratios else 0.0
-    growth = refined_max / max_ratio if max_ratio > 0 else 1.0
-    return BoundednessReport(
-        ratios=tuple(ratios),
-        max_ratio=max_ratio,
-        refined_max_ratio=refined_max,
-        growth=growth,
-        skipped=skipped,
-    )
-
-
-def band_limited_corpus(
-    count: int, band: int, n_points: int, extent: float, seed: int
-) -> list[GridFunction]:
-    """Deterministic random trigonometric polynomials on a 1-D grid."""
-    if band < 1 or band >= n_points // 2:
-        raise ValueError("band must lie between 1 and n_points // 2 - 1")
-    rng = np.random.default_rng(seed)
-    x = -extent / 2.0 + (extent / n_points) * np.arange(n_points)
-    out: list[GridFunction] = []
-    for _ in range(count):
-        values = np.zeros(n_points, dtype=complex)
-        for k in range(1, band + 1):
-            amp = rng.normal() + 1j * rng.normal()
-            values += amp * np.exp(2j * math.pi * k * x / extent)
-        values += rng.normal()
-        out.append(GridFunction(values, extent))
-    return out
 
 
 def available_symbols() -> tuple[str, ...]:
@@ -685,16 +434,24 @@ def _sum_evaluator(terms: tuple[SeparableTerm, ...]) -> Evaluator:
     return evaluator
 
 
+# make_symbol's default for sigma, so that an explicit None still counts as given
+_NO_SIGMA: Any = object()
+
+# exotic_demo sums the dyadic octaves 2^0 .. 2^_EXOTIC_SHELLS
+_EXOTIC_SHELLS = 6
+
+
 def make_symbol(
     name: str,
-    sigma: float | None = None,
+    sigma: float | None = _NO_SIGMA,
     type_delta: float | None = None,
-    shell_count: int = 6,
 ) -> Symbol:
     """Build a catalog symbol by name; no user-supplied code is executed.
 
-    "identity" ignores sigma.  "bessel_power" and "separable_demo" require
-    sigma.  "exotic_demo" is a sum of spatial oscillations at dyadic
+    "bessel_power" and "separable_demo" require sigma; "identity" and
+    "exotic_demo" read none, and giving them one, even None, is refused so
+    that it can never pass unnoticed.
+    "exotic_demo" is a sum of spatial oscillations at dyadic
     frequencies, each weighted by a log-scale Gaussian frequency window; it
     satisfies the derivative bounds only with a full unit loss per spatial
     derivative, so its natural declaration is type_delta = 1 (an artifact
@@ -702,6 +459,13 @@ def make_symbol(
     default declaration, which lets tests document that a wrong declaration
     is rejected.
     """
+    if name not in available_symbols():
+        raise ValueError(f"unknown symbol {name!r}; available: {available_symbols()}")
+    reads_sigma = name in ("bessel_power", "separable_demo")
+    if sigma is not _NO_SIGMA and not reads_sigma:
+        raise ValueError(f"symbol {name} does not read sigma")
+    if reads_sigma and (sigma is _NO_SIGMA or sigma is None):
+        raise ValueError(f"{name} requires sigma")
     if name == "identity":
         terms = (SeparableTerm(None, _bracket_power(0.0)),)
         return Symbol(
@@ -712,8 +476,6 @@ def make_symbol(
             separable_terms=terms,
         )
     if name == "bessel_power":
-        if sigma is None:
-            raise ValueError("bessel_power requires sigma")
         terms = (SeparableTerm(None, _bracket_power(sigma)),)
         return Symbol(
             name=f"bessel_power({sigma})",
@@ -723,9 +485,6 @@ def make_symbol(
             separable_terms=terms,
         )
     if name == "separable_demo":
-        if sigma is None:
-            raise ValueError("separable_demo requires sigma")
-
         def modulation(x: np.ndarray) -> np.ndarray:
             return 1.0 + 0.5 * np.cos(np.asarray(x, dtype=float)[..., 0])
 
@@ -737,17 +496,14 @@ def make_symbol(
             type_delta=0.0 if type_delta is None else type_delta,
             separable_terms=terms,
         )
-    if name == "exotic_demo":
-        if shell_count < 1:
-            raise ValueError("shell_count must be positive")
-        terms = tuple(
-            SeparableTerm(_oscillation(j), _log_bump(j)) for j in range(shell_count + 1)
-        )
-        return Symbol(
-            name="exotic_demo",
-            evaluator=_sum_evaluator(terms),
-            order=0.0,
-            type_delta=1.0 if type_delta is None else type_delta,
-            separable_terms=terms,
-        )
-    raise ValueError(f"unknown symbol {name!r}; available: {available_symbols()}")
+    # the one name left is "exotic_demo"
+    terms = tuple(
+        SeparableTerm(_oscillation(j), _log_bump(j)) for j in range(_EXOTIC_SHELLS + 1)
+    )
+    return Symbol(
+        name="exotic_demo",
+        evaluator=_sum_evaluator(terms),
+        order=0.0,
+        type_delta=1.0 if type_delta is None else type_delta,
+        separable_terms=terms,
+    )

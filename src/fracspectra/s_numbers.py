@@ -1,11 +1,11 @@
 """Approximation and entropy numbers of finite-dimensional operators.
 
-Approximation numbers come from singular values (Hilbert case) or the
-classical diagonal closed form.  Entropy numbers of small real matrices are
-bracketed by certified bounds: an upper bound from an explicit ball cover of
-the image of the unit ball (lattice cloud, greedy seeding, alternating
-reassignment, candidate-lattice refinement), and a lower bound from volume
-comparison and packing certificates.  Audit routines then check the
+Approximation numbers come from singular values (Hilbert case).  Entropy
+numbers of small real matrices are bracketed by certified bounds: an upper
+bound from an explicit ball cover of the image of the unit ball (lattice
+cloud, greedy seeding, alternating reassignment, candidate-lattice
+refinement), and a lower bound from volume comparison and packing
+certificates.  Audit routines then check the
 eigenvalue/entropy and composition inequalities that any correct spectral
 pipeline must satisfy.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -26,7 +26,6 @@ __all__ = [
     "AuditCheck",
     "AuditReport",
     "approximation_numbers_hilbert",
-    "approximation_numbers_diagonal",
     "entropy_numbers_bruteforce",
     "entropy_volume_lower",
     "entropy_estimate_diagonal",
@@ -87,22 +86,6 @@ def approximation_numbers_hilbert(matrix: np.ndarray) -> SNumberSequence:
         tuple(float(s) for s in sigma),
         context=f"l2->l2 shape {m.shape[0]}x{m.shape[1]}",
     )
-
-
-def approximation_numbers_diagonal(
-    sigma: Sequence[float], p: float
-) -> SNumberSequence:
-    """Approximation numbers of diag(sigma) acting l_p -> l_p.
-
-    For a nonincreasing nonnegative diagonal the k-th approximation number
-    equals the k-th diagonal entry, for every p in [1, inf]: truncating to the
-    top k-1 entries achieves sigma_k, and no rank-(k-1) map does better.
-    """
-    if not (p >= 1.0):
-        raise ValueError("p must lie in [1, inf]")
-    vals = tuple(float(s) for s in sigma)
-    seq = SNumberSequence("approximation", vals, context=f"l{p}->l{p} diagonal")
-    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +411,6 @@ class AuditReport:
             ],
         }
         return json.dumps(payload, sort_keys=True)
-
-    def summary(self) -> str:
-        lines = [f"audit {self.name}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            tag = " (consistency only)" if c.consistency_only else ""
-            lines.append(
-                f"  {c.name}: {'PASS' if c.passed else 'FAIL'} "
-                f"worst slack {c.worst_slack:.6g} over k in {c.k_range}{tag}"
-            )
-        return "\n".join(lines)
 
 
 _SLACK_TOL = 1.0 + 1e-9

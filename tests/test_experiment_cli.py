@@ -601,6 +601,42 @@ class TestCli:
         assert "config error" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "symbol, params, message",
+        [
+            ("identity", {"bogus": 1}, "bogus"),
+            ("identity", {"type_delta": 5}, "type_delta"),
+            ("identity", {"sigma": -0.9}, "does not read sigma"),
+            ("identity", {"sigma": None}, "does not read sigma"),
+            ("exotic_demo", {"sigma": -0.9}, "does not read sigma"),
+            ("separable_demo", {"sigma": -0.9, "shell_count": 3}, "shell_count"),
+        ],
+    )
+    def test_unread_symbol_params_exit_two_without_outputs(
+        self, tmp_path, capsys, symbol, params, message
+    ):
+        raw = base_dict()
+        raw["analysis"].update(symbol=symbol, symbol_params=params)
+        path = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        code = main(["validate-symbol", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and message in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exit_two_without_outputs(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path / "cfg.json", base_dict())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", str(path), "--out", str(out), f"--jobs={jobs}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "positive integer" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         raw = base_dict()
         raw["fractal"]["level"] = 2

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from fracspectra.fractal_measure import (
     SimilitudeIFS,
     ball_measure_ratio,
     build_cantor_like,
-    export_atoms_csv,
-    lp_norm_on_gamma,
     quadrature,
 )
 
@@ -60,12 +58,12 @@ class TestBuildCantorLike:
         m=st.integers(min_value=2, max_value=5),
         inv_gap=st.floats(min_value=1.05, max_value=4.0),
     )
-    def test_moran_residual_small(self, m, inv_gap):
+    def test_moran_equation_holds(self, m, inv_gap):
         # spread m cells over [0, 1] with ratio strictly below 1/m
         r = 1.0 / (m * inv_gap)
         step = (1.0 - r) / (m - 1)
         ifs = build_cantor_like(1, m, r, [[i * step] for i in range(m)])
-        assert ifs.moran_residual() <= 1e-12
+        assert abs(ifs.n_maps * ifs.ratio**ifs.dimension - 1.0) <= 1e-12
         assert 0.0 < ifs.dimension < 1.0
 
 
@@ -91,6 +89,12 @@ class TestSimilitudeIFS:
         with pytest.raises(ValueError):
             SimilitudeIFS(1, ratio, translations)
 
+    def test_barycenter_is_fixed_by_the_averaged_map(self, cantor):
+        b = cantor.barycenter()
+        images = cantor.ratio * b + cantor.translations
+        assert images.mean(axis=0) == pytest.approx(b, abs=1e-15)
+        assert b == pytest.approx([0.5], abs=1e-15)
+
     def test_one_map_has_dimension_zero(self):
         # m = 1 gives d = log 1 / log(1/r) = 0, outside (0, n)
         with pytest.raises(DimensionRangeError):
@@ -106,11 +110,16 @@ class TestQuadrature:
     def test_level_eleven_count(self, cantor):
         mu = quadrature(cantor, 11)
         assert mu.n_atoms == 2048
-        assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert float(mu.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_word_order_lexicographic(self, cantor):
         mu = quadrature(cantor, 2)
-        assert mu.words == ((0, 0), (0, 1), (1, 0), (1, 1))
+        # word (i_0, i_1) is the atom t_{i_0} + r t_{i_1} + r^2 b, listed in
+        # the order (0, 0), (0, 1), (1, 0), (1, 1)
+        t, r, b = cantor.translations[:, 0], cantor.ratio, cantor.barycenter()[0]
+        words = itertools.product(range(2), repeat=2)
+        expected = [t[i] + r * t[j] + r**2 * b for i, j in words]
+        assert mu.atoms[:, 0] == pytest.approx(expected, abs=1e-15)
         # leftmost word gives the leftmost atom for this system
         assert np.argmin(mu.atoms[:, 0]) == 0
 
@@ -127,10 +136,33 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="-1"):
             quadrature(cantor, -1)
 
+    def test_common_weight_is_the_inverse_atom_count(self, cantor):
+        mu = quadrature(cantor, 5)
+        assert mu.weight == 1.0 / 32.0
+        assert np.array_equal(mu.weights, np.full(32, 1.0 / 32.0))
+
+    @pytest.mark.parametrize("level", [0, 4, 9])
+    def test_cell_diameter_shrinks_by_the_ratio(self, cantor, level):
+        mu = quadrature(cantor, level)
+        assert cantor.diameter() == pytest.approx(1.0, abs=1e-15)
+        assert mu.cell_diameter() == pytest.approx(3.0**-level, rel=1e-14)
+
+    def test_planar_dust_atoms(self):
+        ifs = build_cantor_like(
+            2, 4, 0.25,
+            [[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.75, 0.75]],
+        )
+        mu = quadrature(ifs, 3)
+        assert mu.atoms.shape == (64, 2)
+        # the atoms' mean is the barycenter, here the center of the unit square
+        assert mu.weights @ mu.atoms == pytest.approx([0.5, 0.5], abs=1e-14)
+        box = ifs.bounding_box()
+        assert np.all((mu.atoms >= box[0]) & (mu.atoms <= box[1]))
+
     def test_weights_sum_to_one_invariant(self, cantor):
         for level in (3, 6, 9):
             mu = quadrature(cantor, level)
-            assert abs(mu.total_mass() - 1.0) <= 1e-12
+            assert abs(float(mu.weights.sum()) - 1.0) <= 1e-12
             box = cantor.bounding_box()
             assert np.all(mu.atoms >= box[0] - 1e-12)
             assert np.all(mu.atoms <= box[1] + 1e-12)
@@ -152,6 +184,12 @@ class TestBallMeasureRatio:
         mu = quadrature(cantor, 8)
         assert ball_measure_ratio(mu, [5.0], 0.25) == 0.0
 
+    def test_radius_must_be_positive(self, cantor):
+        mu = quadrature(cantor, 8)
+        for rho in (0.0, -0.5):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ball_measure_ratio(mu, [0.0], rho)
+
     def test_resolution_guard(self, cantor):
         mu = quadrature(cantor, 3)
         with pytest.raises(ResolutionError):
@@ -171,48 +209,3 @@ class TestBallMeasureRatio:
         assert len(ratios) == 100
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) <= 8.0
-
-
-class TestLpNorm:
-    def test_two_atom_frozen_value(self, cantor):
-        mu = quadrature(cantor, 1)
-        got = lp_norm_on_gamma(np.array([1.0, 2.0]), mu, 2.0)
-        assert got == pytest.approx(math.sqrt(2.5), abs=1e-14)
-
-    def test_constant_function_any_p(self, cantor):
-        mu = quadrature(cantor, 5)
-        vals = np.full(mu.n_atoms, 3.25)
-        for p in (1.0, 1.5, 2.0, 7.0):
-            assert lp_norm_on_gamma(vals, mu, p) == pytest.approx(3.25, rel=1e-12)
-
-    def test_sup_norm(self, cantor):
-        mu = quadrature(cantor, 4)
-        vals = np.linspace(-2.0, 1.0, mu.n_atoms)
-        assert lp_norm_on_gamma(vals, mu, math.inf) == pytest.approx(2.0)
-
-    def test_length_mismatch(self, cantor):
-        mu = quadrature(cantor, 2)
-        with pytest.raises(ValueError):
-            lp_norm_on_gamma(np.ones(5), mu, 2.0)
-
-    @given(c=st.floats(min_value=0.01, max_value=50.0), p=st.floats(min_value=1.0, max_value=8.0))
-    def test_homogeneity(self, c, p):
-        ifs = build_cantor_like(1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]])
-        mu = quadrature(ifs, 3)
-        base = np.linspace(0.5, 1.5, mu.n_atoms)
-        lhs = lp_norm_on_gamma(c * base, mu, p)
-        rhs = c * lp_norm_on_gamma(base, mu, p)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_export_atoms_csv(tmp_path, cantor):
-    mu = quadrature(cantor, 2)
-    path = tmp_path / "atoms.csv"
-    export_atoms_csv(mu, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "word,x0,weight"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "00"
-    assert float(first[1]) == pytest.approx(1.0 / 18.0)
-    assert float(first[2]) == pytest.approx(0.25)

@@ -24,10 +24,7 @@ from fracspectra.fractal_operator import (
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
-    bessel_kernel,
     cell_pair_energy,
-    fourier_of_fmu,
-    load_operator,
 )
 from fracspectra.psido_engine import SeparableTerm, Symbol, make_symbol
 from fracspectra.spectral_report import eigen_spectrum, order_by_modulus
@@ -128,7 +125,7 @@ class TestBesselKernel:
     def test_table_is_positive_and_monotone(self):
         ker = BesselKernel(order=0.9, ambient_dim=1)
         rho = np.geomspace(1e-9, 15.0, 300)
-        vals = bessel_kernel(0.9, 1, rho)
+        vals = ker(rho)
         assert np.all(vals > 0.0)
         assert np.all(np.diff(vals) < 1e-9 * vals[0])
 
@@ -148,12 +145,12 @@ class TestBesselKernel:
         with pytest.raises(ValueError, match="non-negative"):
             ker(np.array([0.5, -0.1]))
         with pytest.raises(ValueError, match="NaN"):
-            bessel_kernel(0.9, 1, [math.nan, 0.5, math.nan])
+            ker([math.nan, 0.5, math.nan])
 
     def test_vectorized_matches_scalar(self):
         rho = np.array([1e-6, 0.3, 1.0, 5.0, 19.0, 30.0])
         ker = BesselKernel(order=0.9, ambient_dim=1)
-        vec = bessel_kernel(0.9, 1, rho)
+        vec = ker(rho)
         assert vec == pytest.approx([ker(float(r)) for r in rho], rel=1e-13, abs=0.0)
 
     @given(
@@ -161,57 +158,8 @@ class TestBesselKernel:
         st.floats(min_value=1.01, max_value=2.5),
     )
     def test_monotone_property(self, rho, factor):
-        vals = bessel_kernel(2.0, 1, np.array([rho, rho * factor]))
+        vals = BesselKernel(order=2.0, ambient_dim=1)(np.array([rho, rho * factor]))
         assert vals[0] >= vals[1] - 1e-9 * vals[0]
-
-
-class TestFourierOfFmu:
-    def test_unit_mass_at_zero_frequency(self, mu7):
-        val = fourier_of_fmu(np.ones(mu7.n_atoms), mu7, np.array([0.0]))
-        assert val[0] == pytest.approx(INV_SQRT_2PI, abs=1e-12)
-
-    def test_zero_values(self, mu7):
-        out = fourier_of_fmu(np.zeros(mu7.n_atoms), mu7, np.linspace(-3, 3, 7))
-        assert np.max(np.abs(out)) == 0.0
-
-    def test_single_atom_phase(self, cantor_ifs):
-        mu0 = quadrature(cantor_ifs, 0)
-        xi = np.array([2.0])
-        out = fourier_of_fmu(np.ones(1), mu0, xi)
-        assert out[0] == pytest.approx(INV_SQRT_2PI * np.exp(-1j), abs=1e-14)
-
-    def test_conjugate_symmetry(self, mu5):
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=mu5.n_atoms)
-        xi = np.linspace(0.1, 9.0, 11)
-        fwd = fourier_of_fmu(f, mu5, xi)
-        bwd = fourier_of_fmu(f, mu5, -xi)
-        assert np.max(np.abs(bwd - np.conj(fwd))) <= 1e-13
-
-    def test_matches_direct_sum(self, mu5):
-        rng = np.random.default_rng(11)
-        f = rng.normal(size=mu5.n_atoms)
-        xi = rng.uniform(-20.0, 20.0, size=9)
-        got = fourier_of_fmu(f, mu5, xi)
-        atoms = mu5.atoms[:, 0]
-        direct = np.array(
-            [
-                INV_SQRT_2PI * np.sum(mu5.weights * f * np.exp(-1j * atoms * x))
-                for x in xi
-            ]
-        )
-        assert np.max(np.abs(got - direct)) <= 1e-12
-
-    def test_shape_validation(self, mu5):
-        with pytest.raises(ValueError):
-            fourier_of_fmu(np.ones(3), mu5, np.array([0.0]))
-
-    @given(st.floats(min_value=-50.0, max_value=50.0))
-    def test_bounded_by_weighted_mass(self, xi):
-        mu = quadrature(build_cantor_like(1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]), 4)
-        f = np.cos(np.arange(mu.n_atoms, dtype=float))
-        bound = INV_SQRT_2PI * float(np.sum(mu.weights * np.abs(f)))
-        assert abs(fourier_of_fmu(f, mu, np.array([xi]))[0]) <= bound + 1e-12
 
 
 class TestPairTable:
@@ -275,13 +223,13 @@ class TestCellPairEnergy:
         assert info["measured_decay_exponent"] == pytest.approx(t, abs=1e-9)
 
     def test_smooth_kernel_depth_consistency(self, mu7):
-        k2 = lambda rho: bessel_kernel(2.0, 1, rho)
+        k2 = BesselKernel(order=2.0, ambient_dim=1)
         e4, _ = cell_pair_energy(mu7, k2, explicit_depth=4)
         e8, _ = cell_pair_energy(mu7, k2, explicit_depth=8)
         assert e4 == pytest.approx(e8, rel=1e-9)
 
     def test_singular_kernel_depth_consistency(self, mu7):
-        k09 = lambda rho: bessel_kernel(0.9, 1, rho)
+        k09 = BesselKernel(order=0.9, ambient_dim=1)
         e4, info = cell_pair_energy(mu7, k09, explicit_depth=4)
         e6, _ = cell_pair_energy(mu7, k09, explicit_depth=6)
         assert e4 == pytest.approx(e6, rel=2e-3)
@@ -290,7 +238,7 @@ class TestCellPairEnergy:
     def test_log_singularity_uses_affine_continuation(self, mu7):
         # order a = n has a logarithmic blowup: pair sums are affine in the
         # chain level, which the linear fallback continues exactly
-        k1 = lambda rho: bessel_kernel(1.0, 1, rho)
+        k1 = BesselKernel(order=1.0, ambient_dim=1)
         e4, info = cell_pair_energy(mu7, k1, explicit_depth=4)
         e6, _ = cell_pair_energy(mu7, k1, explicit_depth=6)
         assert info["tail_branch"] in ("linear", "geometric-approach")
@@ -305,7 +253,7 @@ class TestCellPairEnergy:
             cell_pair_energy(mu7, lambda rho: np.asarray(rho), explicit_depth=0)
 
     def test_info_keys(self, mu7):
-        _, info = cell_pair_energy(mu7, lambda rho: bessel_kernel(0.9, 1, rho))
+        _, info = cell_pair_energy(mu7, BesselKernel(order=0.9, ambient_dim=1))
         assert set(info) == {
             "explicit_depth",
             "exact_chain_levels",
@@ -341,7 +289,7 @@ class TestKernelGram:
     def test_single_atom_operator(self, cantor_ifs):
         mu0 = quadrature(cantor_ifs, 0)
         op = assemble_dmu_kernel(mu0, 0.45)
-        energy, _ = cell_pair_energy(mu0, lambda rho: bessel_kernel(0.9, 1, rho))
+        energy, _ = cell_pair_energy(mu0, BesselKernel(order=0.9, ambient_dim=1))
         assert op.matrix[0, 0] == pytest.approx(INV_SQRT_2PI * energy, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -399,28 +347,6 @@ class TestKernelGram:
         assert a["n_atoms"] == 32
         assert "sqrt(w_j w_k)" in a["convention"]
         assert a["diagonal_rule"]["tail_branch"] == "power"
-
-    def test_save_load_round_trip(self, mu5, tmp_path):
-        op = assemble_dmu_kernel(mu5, 0.45)
-        path = tmp_path / "gram.frsp"
-        op.save(path)
-        back = load_operator(path)
-        assert np.array_equal(back.matrix, op.matrix)
-        assert back.matrix.dtype == np.float64
-        assert back.assembly == op.assembly
-        assert back.symmetric and back.shape == op.shape
-
-    def test_load_rejects_truncation_and_bad_magic(self, mu5, tmp_path):
-        op = assemble_dmu_kernel(mu5, 0.45)
-        path = tmp_path / "gram.frsp"
-        op.save(path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
-            load_operator(path)
-        path.write_bytes(b"NOTMAGIC" + raw[8:])
-        with pytest.raises(ValueError):
-            load_operator(path)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_symmetric_flag_catches_one_entry_past_the_first_block(self, dtype):

@@ -9,7 +9,6 @@ from fracspectra import s_numbers
 from fracspectra.s_numbers import (
     AuditReport,
     SNumberSequence,
-    approximation_numbers_diagonal,
     approximation_numbers_hilbert,
     carl_audit,
     composition_law_audit,
@@ -67,19 +66,26 @@ class TestApproximationNumbers:
         assert seq.value(1) == pytest.approx(np.linalg.norm(m, 2), abs=1e-10)
 
     def test_diagonal_closed_form(self) -> None:
-        seq = approximation_numbers_diagonal([1.0, 0.5, 0.25], p=3.0)
+        # a diagonal matrix has the moduli of its entries, sorted down
+        seq = approximation_numbers_hilbert(np.diag([0.25, -1.0, 0.5]))
         assert seq.values == (1.0, 0.5, 0.25)
-        svd = approximation_numbers_hilbert(np.diag([1.0, 0.5, 0.25]))
-        two = approximation_numbers_diagonal([1.0, 0.5, 0.25], p=2.0)
-        assert np.allclose(two.values, svd.values, atol=1e-14)
 
     def test_constant_diagonal(self) -> None:
-        seq = approximation_numbers_diagonal([0.7] * 4, p=math.inf)
-        assert seq.values == (0.7,) * 4
+        seq = approximation_numbers_hilbert(0.7 * np.eye(4))
+        assert np.allclose(seq.values, (0.7,) * 4, rtol=1e-15, atol=0.0)
 
-    def test_diagonal_p_guard(self) -> None:
-        with pytest.raises(ValueError):
-            approximation_numbers_diagonal([1.0], p=0.5)
+    def test_rank_one_has_one_nonzero_value(self) -> None:
+        u = np.array([1.0, 2.0, 2.0])
+        v = np.array([3.0, 0.0, 4.0, 0.0])
+        seq = approximation_numbers_hilbert(np.outer(u, v))
+        assert len(seq) == 3 and seq.context == "l2->l2 shape 3x4"
+        assert seq.value(1) == pytest.approx(15.0, rel=1e-14)
+        assert max(seq.values[1:]) <= 1e-14
+
+    def test_empty_matrix(self) -> None:
+        seq = approximation_numbers_hilbert(np.zeros((0, 3)))
+        assert seq.values == () and seq.context == "l2->l2 empty"
+        assert seq.value(1) == 0.0
 
 
 class TestEntropyBruteForce:

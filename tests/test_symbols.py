@@ -1,33 +1,42 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from fracspectra.besov_analysis import BesovParams, GridFunction, build_resolution, lift
+from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
-    CutoffTooSmallError,
     ProbeSpec,
     Symbol,
     SymbolInstabilityError,
-    apply_psido,
     available_symbols,
-    band_limited_corpus,
-    boundedness_probe,
-    compose_lifted_symbol,
     make_symbol,
     validate_symbol,
 )
 
+
 EXTENT = 64.0
 N = 2048
 
+# every catalog symbol, with the parameters a config must give it
+CATALOG = {
+    "identity": {},
+    "bessel_power": {"sigma": -0.9},
+    "separable_demo": {"sigma": -0.9},
+    "exotic_demo": {},
+}
 
-def grid_x(n: int = N) -> np.ndarray:
-    return -EXTENT / 2.0 + (EXTENT / n) * np.arange(n)
+
+def grid_x() -> np.ndarray:
+    return -EXTENT / 2.0 + (EXTENT / N) * np.arange(N)
 
 
-def gaussian(sigma: float, n: int = N) -> GridFunction:
-    x = grid_x(n)
-    return GridFunction(np.exp(-(x**2) / (2.0 * sigma**2)), EXTENT)
+def sample_points(count: int = 64, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-30.0, 30.0, size=(count, 1))
+    xi = rng.uniform(-40.0, 40.0, size=(count, 1))
+    return x, xi
+
+
+def bracket(xi: np.ndarray, sigma: float) -> np.ndarray:
+    return (1.0 + np.sum(xi**2, axis=-1)) ** (sigma / 2.0)
 
 
 def sin_square_symbol() -> Symbol:
@@ -64,6 +73,113 @@ class TestSymbolType:
             make_symbol("mystery")
         with pytest.raises(ValueError, match="requires sigma"):
             make_symbol("bessel_power")
+
+
+class TestMakeSymbolParameters:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("identity", {"sigma": -0.9}),
+            ("exotic_demo", {"sigma": -0.9}),
+            ("identity", {"sigma": None}),
+            ("exotic_demo", {"sigma": None}),
+        ],
+        ids=["identity-sigma", "exotic-sigma", "identity-none", "exotic-none"],
+    )
+    def test_unread_parameter_refused(self, name, params) -> None:
+        with pytest.raises(ValueError, match="does not read sigma"):
+            make_symbol(name, **params)
+
+    @pytest.mark.parametrize("name", ["bessel_power", "separable_demo"])
+    def test_null_sigma_refused(self, name) -> None:
+        with pytest.raises(ValueError, match="requires sigma"):
+            make_symbol(name, sigma=None)
+
+    def test_type_delta_overrides_the_declaration(self) -> None:
+        for name, params in CATALOG.items():
+            assert make_symbol(name, type_delta=0.5, **params).type_delta == 0.5
+        assert make_symbol("identity").type_delta == 0.0
+        assert make_symbol("exotic_demo").type_delta == 1.0
+
+
+class TestCatalogValues:
+    def test_identity_is_one_everywhere(self) -> None:
+        x, xi = sample_points()
+        vals = make_symbol("identity")(x, xi)
+        assert vals.dtype == complex
+        assert np.array_equal(vals, np.ones(64, dtype=complex))
+
+    @pytest.mark.parametrize("sigma", [-1.2, -0.9, 0.8])
+    def test_bessel_power_is_the_bracket_power(self, sigma) -> None:
+        x, xi = sample_points()
+        sym = make_symbol("bessel_power", sigma=sigma)
+        assert sym.order == sigma
+        vals = sym(x, xi)
+        assert np.max(np.abs(vals - bracket(xi, sigma))) <= 1e-14 * np.max(bracket(xi, sigma))
+
+    @pytest.mark.parametrize("sigma", [-1.2, 0.8])
+    def test_bracket_power_matches_lift(self, sigma) -> None:
+        # the Fourier multiplier of bessel_power(sigma) is the lift of order sigma
+        x = grid_x()
+        f = GridFunction(np.exp(-(x**2) / (2.0 * 1.3**2)), EXTENT)
+        xi = f.freq_axes()[0][:, None]
+        weight = make_symbol("bessel_power", sigma=sigma)(np.zeros_like(xi), xi)
+        out = GridFunction.from_hat(weight * f.hat(), EXTENT)
+        assert np.max(np.abs(out.values - lift(f, sigma).values)) < 1e-12
+
+    def test_separable_demo_factorizes(self) -> None:
+        x, xi = sample_points()
+        vals = make_symbol("separable_demo", sigma=-1.3)(x, xi)
+        ref = (1.0 + 0.5 * np.cos(x[:, 0])) * bracket(xi, -1.3)
+        assert np.max(np.abs(vals - ref)) < 1e-14
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_evaluator_is_the_sum_of_its_separable_terms(self, name) -> None:
+        x, xi = sample_points()
+        sym = make_symbol(name, **CATALOG[name])
+        r = np.abs(xi[:, 0])
+        total = np.zeros(len(r), dtype=complex)
+        for term in sym.separable_terms:
+            a = np.ones(len(r)) if term.spatial is None else term.spatial(x)
+            total = total + a * term.radial(r)
+        assert np.max(np.abs(sym(x, xi) - total)) < 1e-14
+
+    @pytest.mark.parametrize("name", ["identity", "bessel_power"])
+    def test_x_independent_symbols_ignore_x(self, name) -> None:
+        x, xi = sample_points()
+        sym = make_symbol(name, **CATALOG[name])
+        assert np.array_equal(sym(x, xi), sym(np.zeros_like(x), xi))
+        assert all(term.spatial is None for term in sym.separable_terms)
+
+    def test_exotic_demo_terms_sit_on_dyadic_octaves(self) -> None:
+        terms = make_symbol("exotic_demo").separable_terms
+        assert len(terms) == 7
+        x = np.linspace(-3.0, 3.0, 13)[:, None]
+        for j, term in enumerate(terms):
+            assert np.max(np.abs(term.spatial(x) - np.exp(1j * 2.0**j * x[:, 0]))) < 1e-15
+            assert term.radial(np.array([2.0**j]))[0] == 1.0
+            assert term.radial(np.array([0.0]))[0] == 0.0
+
+    def test_bracket_exponent_marks_closed_form_radials(self) -> None:
+        # kernel assembly reads this marker to pick the closed-form profile
+        for name in ("bessel_power", "separable_demo"):
+            (term,) = make_symbol(name, sigma=-0.7).separable_terms
+            assert term.radial.bracket_exponent == -0.7
+        (term,) = make_symbol("identity").separable_terms
+        assert term.radial.bracket_exponent == 0.0
+        for term in make_symbol("exotic_demo").separable_terms:
+            assert not hasattr(term.radial, "bracket_exponent")
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_values_broadcast_over_leading_axes(self, name) -> None:
+        sym = make_symbol(name, **CATALOG[name])
+        x = np.linspace(-2.0, 2.0, 5).reshape(5, 1, 1)
+        xi = np.linspace(-9.0, 9.0, 7).reshape(1, 7, 1)
+        vals = sym(x, xi)
+        assert vals.shape == (5, 7) and vals.dtype == complex
+        for i in range(5):
+            for k in range(7):
+                assert vals[i, k] == sym(x[i, 0][None, :], xi[0, k][None, :])
 
 
 class TestProbeSpec:
@@ -159,214 +275,3 @@ class TestValidateSymbol:
     def test_summary_mentions_verdict(self) -> None:
         report = validate_symbol(make_symbol("identity"), max_order=1)
         assert "PASS" in report.summary()
-
-
-class TestApplyPsido:
-    def test_identity_is_exact_on_grid(self) -> None:
-        f = gaussian(1.0)
-        out = apply_psido(make_symbol("identity"), f, freq_cutoff=110.0)
-        assert np.max(np.abs(out.values - f.values)) < 1e-13
-
-    def test_identity_direct_path_matches(self) -> None:
-        f = gaussian(1.0, n=1024)
-        out = apply_psido(make_symbol("identity"), f, freq_cutoff=110.0, method="direct")
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
-
-    def test_bracket_power_matches_lift(self) -> None:
-        f = gaussian(1.3)
-        for alpha in (-1.2, 0.8):
-            sym = make_symbol("bessel_power", sigma=alpha)
-            out = apply_psido(sym, f, freq_cutoff=110.0)
-            ref = lift(f, alpha)
-            assert np.max(np.abs(out.values - ref.values)) < 1e-10
-
-    def test_separable_demo_factorizes(self) -> None:
-        f = gaussian(0.9)
-        sym = make_symbol("separable_demo", sigma=-0.9)
-        out = apply_psido(sym, f, freq_cutoff=110.0)
-        x = grid_x()
-        ref = (1.0 + 0.5 * np.cos(x)) * lift(f, -0.9).values
-        assert np.max(np.abs(out.values - ref)) < 1e-10
-
-    def test_separable_agrees_with_direct(self) -> None:
-        f = gaussian(1.1, n=1024)
-        sym = make_symbol("separable_demo", sigma=-0.9)
-        fast = apply_psido(sym, f, freq_cutoff=100.0)
-        slow = apply_psido(sym, f, freq_cutoff=100.0, method="direct")
-        assert np.max(np.abs(fast.values - slow.values)) < 1e-9
-
-    def test_exotic_agrees_with_direct(self) -> None:
-        f = gaussian(0.7, n=1024)
-        sym = make_symbol("exotic_demo")
-        fast = apply_psido(sym, f, freq_cutoff=100.0)
-        slow = apply_psido(sym, f, freq_cutoff=100.0, method="direct")
-        assert np.max(np.abs(fast.values - slow.values)) < 1e-9
-
-    def test_two_dimensional_direct(self) -> None:
-        n = 32
-        ax = -8.0 + (16.0 / n) * np.arange(n)
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        f = GridFunction(np.exp(-(xx**2 + yy**2) / 2.0), (16.0, 16.0))
-        sym = Symbol(
-            name="flat2d",
-            evaluator=lambda x, xi: np.sum(np.asarray(xi), axis=-1) * 0.0 + 1.0,
-            order=0.0,
-            type_delta=0.0,
-            ambient_dim=2,
-        )
-        out = apply_psido(sym, f, freq_cutoff=15.0, method="direct")
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
-
-    def test_cutoff_too_small(self) -> None:
-        f = gaussian(1.0)
-        with pytest.raises(CutoffTooSmallError, match="beyond cutoff"):
-            apply_psido(make_symbol("identity"), f, freq_cutoff=4.0)
-
-    def test_method_guards(self) -> None:
-        f = gaussian(1.0)
-        sym = make_symbol("separable_demo", sigma=-0.9)
-        with pytest.raises(ValueError, match="unknown method"):
-            apply_psido(sym, f, freq_cutoff=110.0, method="magic")
-        with pytest.raises(ValueError, match="positive"):
-            apply_psido(sym, f, freq_cutoff=-1.0)
-
-    def test_dimension_mismatch(self) -> None:
-        f = gaussian(1.0)
-        sym = Symbol(
-            name="flat2d",
-            evaluator=lambda x, xi: np.sum(np.asarray(xi), axis=-1) * 0.0 + 1.0,
-            order=0.0,
-            type_delta=0.0,
-            ambient_dim=2,
-        )
-        with pytest.raises(ValueError, match="dimensions differ"):
-            apply_psido(sym, f, freq_cutoff=10.0)
-
-    @given(
-        a_re=st.floats(-2.0, 2.0),
-        a_im=st.floats(-2.0, 2.0),
-        b_re=st.floats(-2.0, 2.0),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_linearity(self, a_re: float, a_im: float, b_re: float) -> None:
-        a = complex(a_re, a_im)
-        b = complex(b_re, 0.0)
-        f = gaussian(1.0, n=512)
-        g = gaussian(1.7, n=512)
-        sym = make_symbol("separable_demo", sigma=-0.9)
-        combined = GridFunction(a * f.values + b * g.values, EXTENT)
-        lhs = apply_psido(sym, combined, freq_cutoff=40.0)
-        rhs = a * apply_psido(sym, f, freq_cutoff=40.0).values
-        rhs = rhs + b * apply_psido(sym, g, freq_cutoff=40.0).values
-        assert np.max(np.abs(lhs.values - rhs)) < 1e-10
-
-    @given(shift=st.integers(min_value=1, max_value=511))
-    @settings(max_examples=10, deadline=None)
-    def test_translation_commutes_for_x_independent(self, shift: int) -> None:
-        f = gaussian(1.2, n=512)
-        sym = make_symbol("bessel_power", sigma=-0.9)
-        rolled = GridFunction(np.roll(f.values, shift), EXTENT)
-        lhs = apply_psido(sym, rolled, freq_cutoff=40.0).values
-        rhs = np.roll(apply_psido(sym, f, freq_cutoff=40.0).values, shift)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestComposeLifted:
-    def test_bracket_power_lifts_to_one(self) -> None:
-        sym = compose_lifted_symbol(make_symbol("bessel_power", sigma=-0.9))
-        assert sym.order == 0.0
-        xi = np.linspace(-40.0, 40.0, 201)[:, None]
-        x = np.zeros_like(xi)
-        vals = sym(x, xi)
-        assert np.max(np.abs(vals - 1.0)) < 1e-14
-
-    def test_pointwise_product_identity(self) -> None:
-        base = make_symbol("separable_demo", sigma=-1.3)
-        lifted = compose_lifted_symbol(base)
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-30, 30, size=(64, 1))
-        xi = rng.uniform(-40, 40, size=(64, 1))
-        w = (1.0 + np.sum(xi**2, axis=-1)) ** (-1.3 / 2.0)
-        assert np.max(np.abs(lifted(x, xi) * w - base(x, xi))) < 1e-12
-
-    def test_lifted_symbol_validates_at_order_zero(self) -> None:
-        lifted = compose_lifted_symbol(make_symbol("separable_demo", sigma=-0.9))
-        report = validate_symbol(lifted, max_order=2)
-        assert report.passed
-        assert report.declared_order == 0.0
-
-    def test_requires_negative_order(self) -> None:
-        with pytest.raises(ValueError, match="negative-order"):
-            compose_lifted_symbol(make_symbol("identity"))
-
-    def test_separable_terms_survive_lifting(self) -> None:
-        lifted = compose_lifted_symbol(make_symbol("separable_demo", sigma=-0.9))
-        assert lifted.separable_terms is not None
-        f = gaussian(1.0, n=1024)
-        fast = apply_psido(lifted, f, freq_cutoff=100.0)
-        slow = apply_psido(lifted, f, freq_cutoff=100.0, method="direct")
-        assert np.max(np.abs(fast.values - slow.values)) < 1e-9
-
-
-class TestBoundednessProbe:
-    params = BesovParams(s=0.45, p=2.0, q=2.0)
-    resolution = build_resolution(6)
-
-    def test_identity_ratios_are_one(self) -> None:
-        corpus = band_limited_corpus(5, band=8, n_points=1024, extent=EXTENT, seed=2)
-        report = boundedness_probe(
-            make_symbol("identity"), self.params, corpus, self.resolution, freq_cutoff=40.0
-        )
-        assert report.passed
-        for ratio in report.ratios:
-            assert ratio == pytest.approx(1.0, abs=1e-9)
-
-    def test_lifted_pipeline_symbol_regression(self) -> None:
-        sym = compose_lifted_symbol(make_symbol("separable_demo", sigma=-0.9))
-        corpus = band_limited_corpus(20, band=8, n_points=1024, extent=EXTENT, seed=11)
-        report = boundedness_probe(sym, self.params, corpus, self.resolution, freq_cutoff=40.0)
-        assert report.passed
-        assert len(report.ratios) == 20
-        assert report.max_ratio == pytest.approx(1.1016972903166802, rel=1e-3)
-
-    def test_zero_function_skipped(self) -> None:
-        corpus = [GridFunction(np.zeros(1024, dtype=complex), EXTENT)]
-        report = boundedness_probe(
-            make_symbol("identity"), self.params, corpus, self.resolution, freq_cutoff=40.0
-        )
-        assert report.skipped == 1
-        assert report.ratios == ()
-        assert "skipped" in report.summary()
-
-    def test_rejects_nonzero_order(self) -> None:
-        sym = make_symbol("bessel_power", sigma=-0.9)
-        with pytest.raises(ValueError, match="order-zero"):
-            boundedness_probe(sym, self.params, [], self.resolution, freq_cutoff=40.0)
-
-    def test_rejects_p_not_q(self) -> None:
-        params = BesovParams(s=0.45, p=2.0, q=3.0)
-        with pytest.raises(ValueError, match="p == q"):
-            boundedness_probe(
-                make_symbol("identity"), params, [], self.resolution, freq_cutoff=40.0
-            )
-
-
-class TestCorpusHelper:
-    def test_deterministic(self) -> None:
-        a = band_limited_corpus(3, band=5, n_points=256, extent=32.0, seed=9)
-        b = band_limited_corpus(3, band=5, n_points=256, extent=32.0, seed=9)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.values, fb.values)
-
-    def test_band_bounds(self) -> None:
-        with pytest.raises(ValueError):
-            band_limited_corpus(1, band=0, n_points=256, extent=32.0, seed=1)
-        with pytest.raises(ValueError):
-            band_limited_corpus(1, band=128, n_points=256, extent=32.0, seed=1)
-
-    def test_band_is_respected(self) -> None:
-        (f,) = band_limited_corpus(1, band=5, n_points=256, extent=32.0, seed=4)
-        hat = f.hat()
-        mags = f.freq_magnitude()
-        outside = np.abs(hat[mags > 2.0 * np.pi * 5.5 / 32.0]) ** 2
-        assert np.sum(outside) < 1e-20 * np.sum(np.abs(hat) ** 2)
