@@ -10,8 +10,8 @@ entry points:
   quadrature of the invariant measure, regularity diagnostics.
 - :mod:`fracspectra.besov_analysis` — dyadic resolutions and the lifting
   operator on grid functions.
-- :mod:`fracspectra.psido_engine` — the catalog of frequency symbols and
-  their derivative-bound validation.
+- :mod:`fracspectra.psido_engine` — the symbol catalog a config can name
+  and the derivative-bound check on a fixed probe grid.
 - :mod:`fracspectra.fractal_operator` — kernel, trace, and Galerkin
   discretizations of the operators restricted to the fractal.
 - :mod:`fracspectra.s_numbers` — approximation/entropy numbers and the

@@ -210,9 +210,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         required=("schema_version", "fractal", "analysis", "fit", "seed"),
         optional={"audits": list(ALLOWED_AUDITS), "out_dir": None},
     )
-    if top["schema_version"] != ARTIFACT_VERSION:
+    schema_version = _integer("config", "schema_version", top["schema_version"])
+    if schema_version != ARTIFACT_VERSION:
         raise ConfigError(
-            f"unsupported schema_version {top['schema_version']!r}; "
+            f"unsupported schema_version {schema_version!r}; "
             f"this artifact reads version {ARTIFACT_VERSION}"
         )
 
@@ -291,13 +292,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string or null")
 
+    seed = _integer("config", "seed", top["seed"])
+    if seed < 0:
+        raise ConfigError(f"config seed must be nonnegative, got {seed!r}")
+
     config = ExperimentConfig(
-        schema_version=int(top["schema_version"]),
+        schema_version=schema_version,
         fractal=fractal,
         analysis=analysis,
         fit=fit,
         audits=tuple(audits),
-        seed=_integer("config", "seed", top["seed"]),
+        seed=seed,
         out_dir=out_dir,
     )
     _validate_semantics(config)
@@ -628,10 +633,6 @@ def run_convergence(
     return rows, {"convergence_csv": csv_path}
 
 
-def _audit_report_dict(report) -> dict:
-    return json.loads(report.to_json())
-
-
 def _certified_corpus(seed: int, trials: int) -> list[tuple]:
     """Seeded small random matrices with certified entropy bounds and Carl audits.
 
@@ -692,7 +693,7 @@ def _carl_bundle(
             "worst_slack": worst,
             "verdict": "PASS" if corpus_passed else "FAIL",
         },
-        "spectrum_consistency": _audit_report_dict(consistency),
+        "spectrum_consistency": consistency.as_dict(),
         "verdict": "PASS" if corpus_passed and consistency_passed else "FAIL",
     }
 
@@ -753,7 +754,7 @@ def run_audits(
                     report = composition_law_audit(
                         svd_trials=50, entropy_trials=3, dim=6, seed=config.seed
                     )
-                    bundle["audits"][name] = _audit_report_dict(report)
+                    bundle["audits"][name] = report.as_dict()
                 elif name == "entropy-quasinorm":
                     bundle["audits"][name] = _entropy_quasinorm_bundle(ordered)
         bundle["verdict"] = (
@@ -822,7 +823,7 @@ def run_entropy_lab(
                 "lower": [float(v) for v in lower.values],
                 "upper": [float(v) for v in upper.values],
                 "eigen_moduli": [float(v) for v in np.abs(eig)],
-                "carl": _audit_report_dict(report),
+                "carl": report.as_dict(),
             }
             for trial, (dim, lower, upper, eig, report) in enumerate(
                 _certified_corpus(config.seed, 6)

@@ -315,7 +315,8 @@ def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
     their own rows (not a whole column of ``a``) and every temporary is one
     tile.  The two tiles of a pair cover each entry, and
     ``|x - conj(y)| = |y - conj(x)|`` bitwise, so this equals the
-    whole-matrix comparison.
+    whole-matrix comparison.  A NaN entry makes both results NaN and an
+    infinite one makes ``max|a|`` infinite.
     """
     dev = scale = 0.0
     n = a.shape[0]
@@ -323,8 +324,11 @@ def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
         for j in range(i, n, _TILE):
             x = a[i : i + _TILE, j : j + _TILE]
             y = np.conj(a[j : j + _TILE, i : i + _TILE].T)
-            dev = max(dev, float(np.abs(x - y).max()))
-            scale = max(scale, float(np.abs(x).max()), float(np.abs(y).max()))
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, as it should be
+                diff = np.abs(x - y).max()
+            # np.maximum, unlike the builtin max, keeps a NaN once it appears
+            dev = float(np.maximum(dev, diff))
+            scale = float(np.maximum(scale, np.maximum(np.abs(x).max(), np.abs(y).max())))
     return dev, scale
 
 
@@ -346,7 +350,8 @@ class DiscretizedOperator:
             if mat.shape[0] != mat.shape[1]:
                 raise ValueError("symmetric flag requires a square matrix")
             dev, top = _hermitian_deviation(mat)
-            if dev > SYMMETRY_REL * max(top, 1e-300):
+            # a finite max|a| rules out every non-finite entry
+            if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
                 raise ValueError(
                     f"symmetric flag violated: max deviation {dev:.3e} exceeds "
                     f"{SYMMETRY_REL:.0e} * {top:.3e}"

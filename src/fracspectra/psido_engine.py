@@ -2,10 +2,11 @@
 
 A symbol is a smooth function tau(x, xi) whose size and derivatives are
 controlled by powers of the frequency bracket (1 + |xi|^2)^{1/2}.  This
-module estimates those control constants numerically and ships a small
-named catalog of symbols so that configuration files never execute user
-code; ``fractal_operator.assemble_tmu_galerkin`` compresses a catalog
-symbol to the fractal.
+module estimates those control constants numerically on one fixed probe
+grid and ships the named catalog a config can select (``identity``,
+``bessel_power``, ``separable_demo``), so that configuration files never
+execute user code; ``fractal_operator.assemble_tmu_galerkin`` compresses a
+catalog symbol to the fractal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "SymbolInstabilityError",
     "SeparableTerm",
     "Symbol",
-    "ProbeSpec",
     "ValidationReport",
     "validate_symbol",
     "available_symbols",
@@ -49,17 +49,16 @@ class Symbol:
 
     evaluator maps point arrays x, xi of shape (..., ambient_dim) to complex
     values of shape (...).  order is the declared growth exponent in the
-    frequency bracket; type_delta in [0, 1] is the declared loss per spatial
-    derivative.  separable_terms, when present, expresses the evaluator as
+    frequency bracket; type_delta in [0, 1] (default 0) is the declared loss
+    per spatial derivative.  separable_terms, when present, expresses the evaluator as
     sum of a_t(x) * b_t(|xi|); the Galerkin assembly requires it.
     """
 
     name: str
     evaluator: Evaluator
     order: float
-    type_delta: float
+    type_delta: float = 0.0
     ambient_dim: int = 1
-    max_derivative_order: int = 3
     separable_terms: tuple[SeparableTerm, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -67,57 +66,36 @@ class Symbol:
             raise ValueError("type_delta must lie in [0, 1]")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        if not 0 <= self.max_derivative_order <= 3:
-            raise ValueError("max_derivative_order must be between 0 and 3")
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Sampling plan for derivative estimation.
+# The probe grid.  Frequency probes cover |xi| <= _FREQ_CUTOFF symmetrically:
+# a linear band on [0, 1] with _N_FREQ_LOW points plus _N_FREQ geometrically
+# spaced points on [1, _FREQ_CUTOFF], so every dyadic octave is sampled
+# equally.  Spatial probes cover a centered interval of length _X_EXTENT.
+# Counts are odd so that doubling the density keeps the base points as a
+# subset.  Derivatives are probed for 0 <= alpha, gamma <= _MAX_ORDER.
+_FREQ_CUTOFF = 40.0
+_N_FREQ = 97
+_X_EXTENT = 64.0
+_N_X = 25
+_N_FREQ_LOW = 17
+_MAX_ORDER = 3
 
-    Frequency probes cover |xi| <= freq_cutoff symmetrically: a linear band
-    on [0, 1] with n_freq_low points plus n_freq geometrically spaced points
-    on [1, freq_cutoff], so every dyadic octave is sampled equally (symbols
-    built from dyadic shells have structure at every scale).  Spatial probes
-    cover a centered interval of length x_extent.  Counts are odd so that
-    doubling the density keeps the base points as a subset.
-    """
 
-    freq_cutoff: float = 40.0
-    n_freq: int = 97
-    x_extent: float = 64.0
-    n_x: int = 25
-    n_freq_low: int = 17
+def _probe_points(density: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and xi probe points; density 2 refines every count n to 2n - 1."""
 
-    def __post_init__(self) -> None:
-        if self.freq_cutoff < 4.0:
-            raise ValueError("freq_cutoff must be at least 4")
-        if self.x_extent <= 0:
-            raise ValueError("x_extent must be positive")
-        if self.n_freq < 9 or self.n_freq % 2 == 0:
-            raise ValueError("n_freq must be odd and at least 9")
-        if self.n_x < 5 or self.n_x % 2 == 0:
-            raise ValueError("n_x must be odd and at least 5")
-        if self.n_freq_low < 5 or self.n_freq_low % 2 == 0:
-            raise ValueError("n_freq_low must be odd and at least 5")
+    def count(n: int) -> int:
+        return density * (n - 1) + 1
 
-    def doubled(self) -> "ProbeSpec":
-        return ProbeSpec(
-            self.freq_cutoff,
-            2 * self.n_freq - 1,
-            self.x_extent,
-            2 * self.n_x - 1,
-            2 * self.n_freq_low - 1,
-        )
-
-    def freq_points(self) -> np.ndarray:
-        low = np.linspace(0.0, 1.0, self.n_freq_low)
-        geo = 2.0 ** np.linspace(0.0, math.log2(self.freq_cutoff), self.n_freq)
-        pos = np.concatenate([low, geo])
-        return np.unique(np.concatenate([-pos, pos]))
+    low = np.linspace(0.0, 1.0, count(_N_FREQ_LOW))
+    geo = 2.0 ** np.linspace(0.0, math.log2(_FREQ_CUTOFF), count(_N_FREQ))
+    pos = np.concatenate([low, geo])
+    x_pts = np.linspace(-_X_EXTENT / 2.0, _X_EXTENT / 2.0, count(_N_X))
+    return x_pts, np.unique(np.concatenate([-pos, pos]))
 
 
 @dataclass(frozen=True)
@@ -125,7 +103,6 @@ class ValidationReport:
     symbol_name: str
     declared_order: float
     declared_delta: float
-    max_order: int
     constants: Mapping[tuple[int, int], float]
     density_growth: Mapping[tuple[int, int], float]
     range_growth: Mapping[tuple[int, int], float]
@@ -134,6 +111,10 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def max_order(self) -> int:
+        return _MAX_ORDER
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -235,7 +216,7 @@ def _rounding_floor(
 
 
 def _derivative_table(
-    sym: Symbol, probe: ProbeSpec, max_order: int
+    sym: Symbol, density: int
 ) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray, dict[tuple[int, int], float]]:
     """Richardson-extrapolated derivative magnitudes on the probe grid.
 
@@ -251,13 +232,12 @@ def _derivative_table(
     dividing that residue by stencil steps would manufacture divergence out
     of arithmetic noise.
     """
-    xi_pts = probe.freq_points()
-    x_pts = np.linspace(-probe.x_extent / 2.0, probe.x_extent / 2.0, probe.n_x)
+    x_pts, xi_pts = _probe_points(density)
     table: dict[tuple[int, int], np.ndarray] = {}
     unsettled: dict[tuple[int, int], float] = {}
     amp = np.ones(xi_pts.size)
-    for alpha in range(max_order + 1):
-        for gamma in range(max_order + 1):
+    for alpha in range(_MAX_ORDER + 1):
+        for gamma in range(_MAX_ORDER + 1):
             if alpha == 0 and gamma == 0:
                 est = _stencil_eval(sym, x_pts, xi_pts, 0, 0, 1.0)
                 if not np.all(np.isfinite(est)):
@@ -321,10 +301,10 @@ def _normalized_max(
     return out
 
 
-def validate_symbol(sym: Symbol, max_order: int | None = None) -> ValidationReport:
+def validate_symbol(sym: Symbol) -> ValidationReport:
     """Check the declared derivative bounds on a finite probe grid.
 
-    For every derivative pair (alpha, gamma) up to max_order the constant
+    For every derivative pair (alpha, gamma) up to order 3 the constant
     c[alpha, gamma] = max |D_x^alpha D_xi^gamma tau| / bracket^{order - gamma
     + delta*alpha} is estimated by central differences with a Richardson
     step.  The verdict is PASS when every constant is finite and stable: at
@@ -336,18 +316,12 @@ def validate_symbol(sym: Symbol, max_order: int | None = None) -> ValidationRepo
     """
     if sym.ambient_dim != 1:
         raise NotImplementedError("derivative probes are implemented for ambient_dim == 1")
-    probe = ProbeSpec()
-    if max_order is None:
-        max_order = sym.max_derivative_order
-    if not 0 <= max_order <= 3:
-        raise ValueError("max_order must be between 0 and 3")
-
-    table, xi_pts, unsettled = _derivative_table(sym, probe, max_order)
+    table, xi_pts, unsettled = _derivative_table(sym, 1)
     base = _normalized_max(table, xi_pts, sym.order, sym.type_delta)
-    half_mask = np.abs(xi_pts) <= probe.freq_cutoff / 2.0 + 1e-12
+    half_mask = np.abs(xi_pts) <= _FREQ_CUTOFF / 2.0 + 1e-12
     half = _normalized_max(table, xi_pts, sym.order, sym.type_delta, half_mask)
 
-    dense_table, dense_xi, dense_unsettled = _derivative_table(sym, probe.doubled(), max_order)
+    dense_table, dense_xi, dense_unsettled = _derivative_table(sym, 2)
     dense = _normalized_max(dense_table, dense_xi, sym.order, sym.type_delta)
 
     density_growth: dict[tuple[int, int], float] = {}
@@ -373,7 +347,6 @@ def validate_symbol(sym: Symbol, max_order: int | None = None) -> ValidationRepo
         symbol_name=sym.name,
         declared_order=sym.order,
         declared_delta=sym.type_delta,
-        max_order=max_order,
         constants=base,
         density_growth=density_growth,
         range_growth=range_growth,
@@ -382,7 +355,7 @@ def validate_symbol(sym: Symbol, max_order: int | None = None) -> ValidationRepo
 
 
 def available_symbols() -> tuple[str, ...]:
-    return ("identity", "bessel_power", "separable_demo", "exotic_demo")
+    return ("identity", "bessel_power", "separable_demo")
 
 
 def _bracket_power(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -395,25 +368,8 @@ def _bracket_power(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     return radial
 
 
-def _log_bump(j: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Gaussian window in log2-frequency centered on the j-th octave."""
-
-    def radial(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        lr = np.full(r.shape, -100.0)
-        np.log2(r, out=lr, where=r > 0)
-        return np.exp(-((lr - j) ** 2))
-
-    return radial
-
-
-def _oscillation(j: int) -> Callable[[np.ndarray], np.ndarray]:
-    freq = float(2**j)
-
-    def spatial(x: np.ndarray) -> np.ndarray:
-        return np.exp(1j * freq * np.asarray(x, dtype=float)[..., 0])
-
-    return spatial
+def _modulation(x: np.ndarray) -> np.ndarray:
+    return 1.0 + 0.5 * np.cos(np.asarray(x, dtype=float)[..., 0])
 
 
 def _sum_evaluator(terms: tuple[SeparableTerm, ...]) -> Evaluator:
@@ -437,73 +393,29 @@ def _sum_evaluator(terms: tuple[SeparableTerm, ...]) -> Evaluator:
 # make_symbol's default for sigma, so that an explicit None still counts as given
 _NO_SIGMA: Any = object()
 
-# exotic_demo sums the dyadic octaves 2^0 .. 2^_EXOTIC_SHELLS
-_EXOTIC_SHELLS = 6
 
-
-def make_symbol(
-    name: str,
-    sigma: float | None = _NO_SIGMA,
-    type_delta: float | None = None,
-) -> Symbol:
+def make_symbol(name: str, sigma: float | None = _NO_SIGMA) -> Symbol:
     """Build a catalog symbol by name; no user-supplied code is executed.
 
-    "bessel_power" and "separable_demo" require sigma; "identity" and
-    "exotic_demo" read none, and giving them one, even None, is refused so
-    that it can never pass unnoticed.
-    "exotic_demo" is a sum of spatial oscillations at dyadic
-    frequencies, each weighted by a log-scale Gaussian frequency window; it
-    satisfies the derivative bounds only with a full unit loss per spatial
-    derivative, so its natural declaration is type_delta = 1 (an artifact
-    chosen for coverage, not a canonical object).  type_delta overrides the
-    default declaration, which lets tests document that a wrong declaration
-    is rejected.
+    "bessel_power" (bracket(|xi|)^sigma) and "separable_demo" (the same
+    times 1 + cos(x)/2) require sigma and are declared at order sigma;
+    "identity" reads none, and giving it one, even None, is refused so that
+    it can never pass unnoticed.  Every catalog symbol is declared at
+    type_delta = 0, its true class.
     """
     if name not in available_symbols():
         raise ValueError(f"unknown symbol {name!r}; available: {available_symbols()}")
-    reads_sigma = name in ("bessel_power", "separable_demo")
-    if sigma is not _NO_SIGMA and not reads_sigma:
-        raise ValueError(f"symbol {name} does not read sigma")
-    if reads_sigma and (sigma is _NO_SIGMA or sigma is None):
-        raise ValueError(f"{name} requires sigma")
     if name == "identity":
-        terms = (SeparableTerm(None, _bracket_power(0.0)),)
-        return Symbol(
-            name="identity",
-            evaluator=_sum_evaluator(terms),
-            order=0.0,
-            type_delta=0.0 if type_delta is None else type_delta,
-            separable_terms=terms,
-        )
-    if name == "bessel_power":
-        terms = (SeparableTerm(None, _bracket_power(sigma)),)
-        return Symbol(
-            name=f"bessel_power({sigma})",
-            evaluator=_sum_evaluator(terms),
-            order=sigma,
-            type_delta=0.0 if type_delta is None else type_delta,
-            separable_terms=terms,
-        )
-    if name == "separable_demo":
-        def modulation(x: np.ndarray) -> np.ndarray:
-            return 1.0 + 0.5 * np.cos(np.asarray(x, dtype=float)[..., 0])
-
-        terms = (SeparableTerm(modulation, _bracket_power(sigma)),)
-        return Symbol(
-            name=f"separable_demo({sigma})",
-            evaluator=_sum_evaluator(terms),
-            order=sigma,
-            type_delta=0.0 if type_delta is None else type_delta,
-            separable_terms=terms,
-        )
-    # the one name left is "exotic_demo"
-    terms = tuple(
-        SeparableTerm(_oscillation(j), _log_bump(j)) for j in range(_EXOTIC_SHELLS + 1)
-    )
+        if sigma is not _NO_SIGMA:
+            raise ValueError(f"symbol {name} does not read sigma")
+        sigma = 0.0
+    elif sigma is _NO_SIGMA or sigma is None:
+        raise ValueError(f"{name} requires sigma")
+    spatial = _modulation if name == "separable_demo" else None
+    terms = (SeparableTerm(spatial, _bracket_power(sigma)),)
     return Symbol(
-        name="exotic_demo",
+        name=name if name == "identity" else f"{name}({sigma})",
         evaluator=_sum_evaluator(terms),
-        order=0.0,
-        type_delta=1.0 if type_delta is None else type_delta,
+        order=sigma,
         separable_terms=terms,
     )

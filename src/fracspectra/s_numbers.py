@@ -12,7 +12,6 @@ pipeline must satisfy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -395,8 +394,8 @@ class AuditReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if not c.consistency_only)
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "audit": self.name,
             "verdict": "PASS" if self.passed else "FAIL",
             "checks": [
@@ -410,7 +409,6 @@ class AuditReport:
                 for c in self.checks
             ],
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 _SLACK_TOL = 1.0 + 1e-9

@@ -39,6 +39,7 @@ from fracspectra.fractal_measure import (
     quadrature,
 )
 from fracspectra.fractal_operator import assemble_dmu_kernel
+from fracspectra.psido_engine import available_symbols
 from fracspectra.spectral_report import (
     InsufficientSpectrumError,
     eigen_spectrum,
@@ -247,13 +248,26 @@ class TestConfigParsing:
             ("fractal", "translations", [[math.nan], [2.0 / 3.0]]),
             ("analysis", "freq_cutoff", math.nan),
             ("fit", "tolerance", math.nan),
+            ("config", "seed", -3),
+            ("config", "schema_version", True),  # True == 1, but not an integer key
+            ("config", "schema_version", 1.0),
         ],
     )
     def test_section_value_validation(self, section, key, value):
         raw = base_dict()
-        raw[section][key] = value
+        # "config" names the top level, as in the parser's messages
+        (raw if section == "config" else raw[section])[key] = value
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("name", available_symbols())
+    def test_every_catalog_symbol_loads(self, name):
+        # a name no config can select must not stay in the catalog
+        raw = json.loads((CONFIG_DIR / "cantor_p2.json").read_text(encoding="utf-8"))
+        an = raw["analysis"]
+        an["symbol"] = name
+        an["symbol_params"] = {} if name == "identity" else {"sigma": -an["s"] * an["p"]}
+        assert config_from_dict(raw).analysis.symbol == name
 
     def test_translation_shape_mismatch_is_config_error(self):
         raw = base_dict()
@@ -601,6 +615,18 @@ class TestCli:
         assert "config error" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["audits", "entropy-lab"])
+    def test_negative_seed_exits_two_without_outputs(self, tmp_path, capsys, command):
+        # refused at load: the corpus generators would fail mid-run on it
+        path = write_config(tmp_path / "cfg.json", base_dict(seed=-3))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "seed" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "symbol, params, message",
         [
@@ -608,7 +634,6 @@ class TestCli:
             ("identity", {"type_delta": 5}, "type_delta"),
             ("identity", {"sigma": -0.9}, "does not read sigma"),
             ("identity", {"sigma": None}, "does not read sigma"),
-            ("exotic_demo", {"sigma": -0.9}, "does not read sigma"),
             ("separable_demo", {"sigma": -0.9, "shell_count": 3}, "shell_count"),
         ],
     )

@@ -1,7 +1,6 @@
 """Tests for kernel tabulation, diagonal cell averaging, and the three
 operator assemblies (kernel gram, trace factor, compressed symbol)."""
 
-import dataclasses
 import math
 import warnings
 
@@ -367,6 +366,14 @@ class TestKernelGram:
         if dtype is complex:  # complex symmetric is not Hermitian
             with pytest.raises(ValueError, match="symmetric flag violated"):
                 DiscretizedOperator(a + a.T, {}, symmetric=True)
+        # a non-finite entry, one-sided, on the diagonal or mirrored, never passes
+        for entries in ([(290, 10)], [(290, 290)], [(10, 290), (290, 10)]):
+            for value in (math.nan, math.inf):
+                bad = herm.copy()
+                for idx in entries:
+                    bad[idx] = value
+                with pytest.raises(ValueError, match="symmetric flag violated"):
+                    DiscretizedOperator(bad, {}, symmetric=True)
 
     def test_operator_container_validation(self):
         with pytest.raises(ValueError):
@@ -478,12 +485,14 @@ class TestGalerkinCompression:
         assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", ["exotic", "sign-changing", "two-factors"])
-    def test_unshared_or_nonpositive_factors_keep_the_row_scaled_form(self, mu5, case):
+    def test_unshared_or_nonpositive_factors_keep_the_row_scaled_form(
+        self, mu5, dyadic_shell_symbol, case
+    ):
         base = make_symbol("bessel_power", sigma=-0.9)
         radial = base.separable_terms[0].radial
         cutoff = 1.0e5
         if case == "exotic":  # complex, distinct factors; declared at the window's order
-            sym = dataclasses.replace(make_symbol("exotic_demo"), order=-0.9)
+            sym = dyadic_shell_symbol(order=-0.9)
             cutoff = 1000.0
         elif case == "sign-changing":  # cos(3x) < 0 on the right half of the set
             terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), radial),)

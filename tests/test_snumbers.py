@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracspectra import s_numbers
 from fracspectra.s_numbers import (
+    AuditCheck,
     AuditReport,
     SNumberSequence,
     approximation_numbers_hilbert,
@@ -380,7 +381,7 @@ class TestCompositionAudit:
 
     def test_json_shape(self) -> None:
         report = composition_law_audit(svd_trials=3, entropy_trials=1)
-        payload = json.loads(report.to_json())
+        payload = report.as_dict()
         assert payload["audit"] == "composition_laws"
         assert payload["verdict"] in ("PASS", "FAIL")
         for check in payload["checks"]:
@@ -391,6 +392,27 @@ class TestCompositionAudit:
                 "verdict",
                 "consistency_only",
             }
+
+    def test_dict_keeps_an_infinite_slack_through_json(self) -> None:
+        # audits.json is written with sorted keys; an inf slack must survive it
+        report = AuditReport(
+            "demo",
+            (
+                AuditCheck("zero_rhs", (1, 4), math.inf, False),
+                AuditCheck("info", (2, 3), 0.5, False, consistency_only=True),
+            ),
+        )
+        payload = report.as_dict()
+        assert payload["verdict"] == "FAIL"
+        assert payload["checks"][0]["worst_slack"] == math.inf
+        assert payload["checks"][1] == {
+            "check": "info",
+            "k_range": [2, 3],
+            "worst_slack": 0.5,
+            "verdict": "FAIL",
+            "consistency_only": True,
+        }
+        assert json.loads(json.dumps(payload, sort_keys=True, indent=2)) == payload
 
     def test_deterministic_given_seed(self) -> None:
         a = composition_law_audit(svd_trials=5, entropy_trials=1, seed=3)

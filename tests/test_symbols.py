@@ -3,9 +3,9 @@ import pytest
 
 from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
-    ProbeSpec,
     Symbol,
     SymbolInstabilityError,
+    _probe_points,
     available_symbols,
     make_symbol,
     validate_symbol,
@@ -20,7 +20,6 @@ CATALOG = {
     "identity": {},
     "bessel_power": {"sigma": -0.9},
     "separable_demo": {"sigma": -0.9},
-    "exotic_demo": {},
 }
 
 
@@ -52,23 +51,8 @@ class TestSymbolType:
         with pytest.raises(ValueError):
             Symbol(name="bad", evaluator=lambda x, xi: xi, order=0.0, type_delta=1.5)
 
-    def test_depth_bounds(self) -> None:
-        with pytest.raises(ValueError):
-            Symbol(
-                name="bad",
-                evaluator=lambda x, xi: xi,
-                order=0.0,
-                type_delta=0.0,
-                max_derivative_order=4,
-            )
-
     def test_catalog_names(self) -> None:
-        assert available_symbols() == (
-            "identity",
-            "bessel_power",
-            "separable_demo",
-            "exotic_demo",
-        )
+        assert available_symbols() == ("identity", "bessel_power", "separable_demo")
         with pytest.raises(ValueError, match="unknown symbol"):
             make_symbol("mystery")
         with pytest.raises(ValueError, match="requires sigma"):
@@ -80,11 +64,9 @@ class TestMakeSymbolParameters:
         "name, params",
         [
             ("identity", {"sigma": -0.9}),
-            ("exotic_demo", {"sigma": -0.9}),
             ("identity", {"sigma": None}),
-            ("exotic_demo", {"sigma": None}),
         ],
-        ids=["identity-sigma", "exotic-sigma", "identity-none", "exotic-none"],
+        ids=["identity-sigma", "identity-none"],
     )
     def test_unread_parameter_refused(self, name, params) -> None:
         with pytest.raises(ValueError, match="does not read sigma"):
@@ -95,11 +77,11 @@ class TestMakeSymbolParameters:
         with pytest.raises(ValueError, match="requires sigma"):
             make_symbol(name, sigma=None)
 
-    def test_type_delta_overrides_the_declaration(self) -> None:
+    def test_declared_at_delta_zero_with_no_override(self) -> None:
         for name, params in CATALOG.items():
-            assert make_symbol(name, type_delta=0.5, **params).type_delta == 0.5
-        assert make_symbol("identity").type_delta == 0.0
-        assert make_symbol("exotic_demo").type_delta == 1.0
+            assert make_symbol(name, **params).type_delta == 0.0
+            with pytest.raises(TypeError, match="type_delta"):
+                make_symbol(name, type_delta=0.5, **params)
 
 
 class TestCatalogValues:
@@ -151,15 +133,6 @@ class TestCatalogValues:
         assert np.array_equal(sym(x, xi), sym(np.zeros_like(x), xi))
         assert all(term.spatial is None for term in sym.separable_terms)
 
-    def test_exotic_demo_terms_sit_on_dyadic_octaves(self) -> None:
-        terms = make_symbol("exotic_demo").separable_terms
-        assert len(terms) == 7
-        x = np.linspace(-3.0, 3.0, 13)[:, None]
-        for j, term in enumerate(terms):
-            assert np.max(np.abs(term.spatial(x) - np.exp(1j * 2.0**j * x[:, 0]))) < 1e-15
-            assert term.radial(np.array([2.0**j]))[0] == 1.0
-            assert term.radial(np.array([0.0]))[0] == 0.0
-
     def test_bracket_exponent_marks_closed_form_radials(self) -> None:
         # kernel assembly reads this marker to pick the closed-form profile
         for name in ("bessel_power", "separable_demo"):
@@ -167,8 +140,6 @@ class TestCatalogValues:
             assert term.radial.bracket_exponent == -0.7
         (term,) = make_symbol("identity").separable_terms
         assert term.radial.bracket_exponent == 0.0
-        for term in make_symbol("exotic_demo").separable_terms:
-            assert not hasattr(term.radial, "bracket_exponent")
 
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_values_broadcast_over_leading_axes(self, name) -> None:
@@ -182,27 +153,29 @@ class TestCatalogValues:
                 assert vals[i, k] == sym(x[i, 0][None, :], xi[0, k][None, :])
 
 
-class TestProbeSpec:
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError):
-            ProbeSpec(freq_cutoff=2.0)
-        with pytest.raises(ValueError):
-            ProbeSpec(n_freq=96)
-        with pytest.raises(ValueError):
-            ProbeSpec(n_x=4)
+    def test_complex_distinct_factors_sum_to_the_closed_form(self, dyadic_shell_symbol) -> None:
+        # catalog spatial factors are real or absent; this sum is complex
+        x, xi = sample_points()
+        vals = dyadic_shell_symbol()(x, xi)
+        lr = np.log2(np.abs(xi[:, 0]))
+        ref = sum(np.exp(1j * 2.0**j * x[:, 0]) * np.exp(-((lr - j) ** 2)) for j in range(7))
+        assert vals.dtype == complex
+        assert np.max(np.abs(vals - ref)) < 1e-13
 
+
+class TestProbeGrid:
     def test_doubling_keeps_base_points(self) -> None:
-        base = ProbeSpec()
-        dense = base.doubled()
-        pts = base.freq_points()
-        dense_pts = dense.freq_points()
+        (x, pts), (dense_x, dense_pts) = _probe_points(1), _probe_points(2)
+        assert dense_x.size == 2 * x.size - 1 and np.array_equal(dense_x[::2], x)
         assert dense_pts.size > pts.size
         for p in pts:
             assert np.min(np.abs(dense_pts - p)) < 1e-9 * max(1.0, abs(p))
 
     def test_freq_points_cover_cutoff(self) -> None:
-        pts = ProbeSpec(freq_cutoff=32.0).freq_points()
-        assert pts.min() == -32.0 and pts.max() == 32.0
+        _, pts = _probe_points(1)
+        # 2 ** log2(40) rounds one ulp off 40
+        assert pts.min() == pytest.approx(-40.0, rel=1e-15, abs=0.0)
+        assert pts.max() == pytest.approx(40.0, rel=1e-15, abs=0.0)
         assert np.any(pts == 0.0)
 
 
@@ -237,13 +210,13 @@ class TestValidateSymbol:
         # the first frequency derivative grows like the cutoff itself
         assert report.range_growth[(0, 1)] > 2.0
 
-    def test_exotic_demo_passes_at_full_delta(self) -> None:
-        report = validate_symbol(make_symbol("exotic_demo"))
+    def test_dyadic_shells_pass_at_full_delta(self, dyadic_shell_symbol) -> None:
+        report = validate_symbol(dyadic_shell_symbol())
         assert report.passed
         assert report.declared_delta == 1.0
 
-    def test_exotic_demo_fails_at_zero_delta(self) -> None:
-        report = validate_symbol(make_symbol("exotic_demo", type_delta=0.0))
+    def test_dyadic_shells_fail_at_zero_delta(self, dyadic_shell_symbol) -> None:
+        report = validate_symbol(dyadic_shell_symbol(type_delta=0.0))
         assert not report.passed
         kinds = {(v[0], v[1], v[2]) for v in report.violations}
         assert (1, 0, "range") in kinds
@@ -257,10 +230,6 @@ class TestValidateSymbol:
         with pytest.raises(SymbolInstabilityError):
             validate_symbol(bad)
 
-    def test_max_order_guard(self) -> None:
-        with pytest.raises(ValueError):
-            validate_symbol(make_symbol("identity"), max_order=4)
-
     def test_planar_symbols_not_probed(self) -> None:
         sym = Symbol(
             name="planar",
@@ -273,5 +242,6 @@ class TestValidateSymbol:
             validate_symbol(sym)
 
     def test_summary_mentions_verdict(self) -> None:
-        report = validate_symbol(make_symbol("identity"), max_order=1)
+        report = validate_symbol(make_symbol("identity"))
+        assert report.max_order == 3
         assert "PASS" in report.summary()
