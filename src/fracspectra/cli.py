@@ -2,9 +2,10 @@
 
 Subcommands: ``spectrum``, ``convergence``, ``audits``, ``trace-snumbers``,
 ``entropy-lab``, ``validate-symbol``.  Every subcommand takes one or more
-``--config`` files plus ``--out``, ``--jobs``, and ``--tolerance``.  Exit
-codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error,
-3 numerical error.
+``--config`` files plus ``--out``, ``--jobs``, and ``--tolerance``; several
+configs write to subdirectories named by their file stems, which must
+differ.  Exit codes: 0 all verdicts pass, 1 a verdict failed, 2
+configuration error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -173,6 +174,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     configs = args.configs
     multi = len(configs) > 1
+    seen: dict[str, str] = {}  # several configs write to subdirectories named by stem
+    for path in configs:
+        stem = Path(path).stem
+        if stem in seen:
+            print(
+                f"{seen[stem]} and {path}: config error: both would write to "
+                f"the output subdirectory {stem!r}",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG_ERROR
+        seen[stem] = path
     if args.jobs == 1 or not multi:
         codes = [_run_one(args, path, multi) for path in configs]
     else:

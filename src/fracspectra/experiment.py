@@ -51,7 +51,6 @@ from .spectral_report import (
     order_by_modulus,
     snumber_exponent_check,
     theoretical_exponent,
-    write_spectrum_csv,
 )
 
 __all__ = [
@@ -193,10 +192,13 @@ def _integer(section: str, key: str, value) -> int:
 
 
 def _finite(section: str, key: str, value) -> float:
+    """A finite JSON number; strings and bools are refused, not converted."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{section} {key} must be a number, got {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section} {key} must be a number: {exc}") from exc
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{section} {key} must be finite, got {value!r}")
     return out
@@ -223,12 +225,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         required=("ambient_dim", "n_maps", "ratio", "translations", "level"),
         optional={},
     )
-    try:
-        translations = tuple(tuple(float(x) for x in row) for row in fr["translations"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fractal translations must be rows of numbers: {exc}") from exc
-    if not all(math.isfinite(x) for row in translations for x in row):
-        raise ConfigError("fractal translations must be finite")
+    rows = fr["translations"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"fractal translations must be rows of numbers, got {rows!r}")
+    translations = tuple(
+        tuple(_finite("fractal", "translations", x) for x in row) for row in rows
+    )
     fractal = FractalSpec(
         ambient_dim=_integer("fractal", "ambient_dim", fr["ambient_dim"]),
         n_maps=_integer("fractal", "n_maps", fr["n_maps"]),
@@ -398,15 +400,6 @@ def _solve(
     return measure, op, values
 
 
-def _theoretical(config: ExperimentConfig, measure: FractalMeasure) -> float:
-    return theoretical_exponent(
-        config.fractal.ambient_dim,
-        measure.dimension,
-        config.analysis.s,
-        config.analysis.p,
-    )
-
-
 def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
     if out_dir is not None:
         return Path(out_dir)
@@ -418,8 +411,9 @@ def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
 class _ArtifactWriter:
     """Collects written paths so a failed run never leaves partial output."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, config: ExperimentConfig):
         self.out_dir = out_dir
+        self.preamble = config.preamble()
         self.written: list[Path] = []
 
     def __enter__(self) -> "_ArtifactWriter":
@@ -443,11 +437,11 @@ class _ArtifactWriter:
         self.written.append(path)
         return path
 
-    def spectrum_csv(self, name: str, values, preamble: str) -> Path:
-        path = self.out_dir / name
-        write_spectrum_csv(values, path, preamble=preamble)
-        self.written.append(path)
-        return path
+    def csv(self, name: str, header: str, rows) -> Path:
+        """The preamble as a ``#`` comment line, then ``header``, then one line
+        per row.  Callers format each row, floats by ``repr`` (the shortest
+        exact form), so identical values give identical bytes."""
+        return self.text(name, "\n".join([f"# {self.preamble}", header, *rows]) + "\n")
 
 
 def _stamp(config: ExperimentConfig) -> dict:
@@ -543,7 +537,9 @@ def run_spectrum(
     with _stage("decay_fit"):
         report = assess_decay(
             values,
-            theoretical=_theoretical(config, measure),
+            theoretical=theoretical_exponent(
+                config.fractal.ambient_dim, measure.dimension, config.analysis.s, config.analysis.p
+            ),
             tolerance=config.fit.tolerance,
             k_lo=config.fit.k_lo,
             k_hi=config.fit.k_hi,
@@ -556,9 +552,14 @@ def run_spectrum(
             },
         )
     with _stage("persist"):
-        with _ArtifactWriter(out) as writer:
-            csv_path = writer.spectrum_csv(
-                "spectrum.csv", report.eigenvalues, config.preamble()
+        with _ArtifactWriter(out, config) as writer:
+            csv_path = writer.csv(
+                "spectrum.csv",
+                "k,re,im,modulus",
+                (
+                    f"{k},{z.real!r},{z.imag!r},{abs(z)!r}"
+                    for k, z in enumerate(map(complex, report.eigenvalues), start=1)
+                ),
             )
             json_path = writer.json(
                 "report.json",
@@ -619,7 +620,7 @@ def run_convergence(
         header = "level,n_atoms,slope,intercept,delta_slope," + ",".join(
             f"top{j:02d}" for j in range(1, 21)
         )
-        lines = [f"# {config.preamble()}", header]
+        lines = []
         for row in rows:
             delta = "" if row["delta_slope"] is None else repr(row["delta_slope"])
             tops = [repr(v) for v in row["top_moduli"]]
@@ -628,8 +629,8 @@ def run_convergence(
                 f"{row['level']},{row['n_atoms']},{row['slope']!r},"
                 f"{row['intercept']!r},{delta}," + ",".join(tops)
             )
-        with _ArtifactWriter(out) as writer:
-            csv_path = writer.text("convergence.csv", "\n".join(lines) + "\n")
+        with _ArtifactWriter(out, config) as writer:
+            csv_path = writer.csv("convergence.csv", header, lines)
     return rows, {"convergence_csv": csv_path}
 
 
@@ -764,7 +765,7 @@ def run_audits(
         )
 
     with _stage("persist"):
-        with _ArtifactWriter(out) as writer:
+        with _ArtifactWriter(out, config) as writer:
             json_path = writer.json("audits.json", bundle)
     return bundle, {"audits_json": json_path}
 
@@ -785,17 +786,18 @@ def run_trace_snumbers(
         report = snumber_exponent_check(
             measure,
             config.analysis.s,
-            2.0,
             tolerance=config.fit.tolerance,
             k_lo=config.fit.k_lo,
             k_hi=config.fit.k_hi,
         )
     with _stage("persist"):
         values = report.eigenvalues.real
-        lines = [f"# {config.preamble()}", "k,value"]
-        lines += [f"{k},{float(v)!r}" for k, v in enumerate(values, start=1)]
-        with _ArtifactWriter(out) as writer:
-            csv_path = writer.text("snumbers.csv", "\n".join(lines) + "\n")
+        with _ArtifactWriter(out, config) as writer:
+            csv_path = writer.csv(
+                "snumbers.csv",
+                "k,value",
+                (f"{k},{float(v)!r}" for k, v in enumerate(values, start=1)),
+            )
             json_path = writer.json(
                 "snumber_report.json",
                 {**_stamp(config), "parameters": config.as_canonical_dict(),
@@ -836,7 +838,7 @@ def run_entropy_lab(
         "verdict": "PASS" if passed else "FAIL",
     }
     with _stage("persist"):
-        with _ArtifactWriter(out) as writer:
+        with _ArtifactWriter(out, config) as writer:
             json_path = writer.json("entropy_lab.json", bundle)
     return bundle, {"entropy_lab_json": json_path}
 
@@ -873,6 +875,6 @@ def run_validate_symbol(
         "summary": report.summary(),
     }
     with _stage("persist"):
-        with _ArtifactWriter(out) as writer:
+        with _ArtifactWriter(out, config) as writer:
             json_path = writer.json("symbol_report.json", payload)
     return payload, {"symbol_report_json": json_path}

@@ -60,9 +60,8 @@ __all__ = [
 
 SYMMETRY_REL = 1e-10
 """Relative floor for a structural symmetry of a matrix: a deviation up to
-``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag,
-and the detection ``eigen_spectrum`` runs on a bare matrix) or as
-mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
+``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag)
+or as mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
 
 
 class SingularKernelError(ValueError):
@@ -71,6 +70,34 @@ class SingularKernelError(ValueError):
 
 class WindowViolationError(ValueError):
     """Smoothness parameters fall outside the admissible window."""
+
+
+def _check_rate_window(ambient_dim: int, dimension: float, s: float, p: float) -> float:
+    """``s*p`` if it lies in the compactness window ``n - d < s*p <= n``.
+
+    This is the one statement of the window: the trace ``B^s_p -> L_p(mu)``
+    needs ``s > (n - d)/p``, and the rates are stated up to ``s*p = n``.  The
+    upper edge admits a roundoff of 1e-12, so ``s = n/p`` given as a decimal
+    is accepted.  The kernel and trace assemblies pass ``p = 2``, where
+    ``s*p`` is their kernel order ``2s`` exactly.
+    """
+    if not ambient_dim >= 1:
+        raise WindowViolationError("ambient dimension must be a positive integer")
+    if not 0.0 < dimension < ambient_dim:
+        raise WindowViolationError(
+            f"set dimension d = {dimension!r} must lie strictly between 0 and "
+            f"the ambient dimension {ambient_dim}"
+        )
+    if not p > 0.0:
+        raise WindowViolationError(f"integrability exponent p = {p!r} must be positive")
+    sp = s * p
+    upper_ok = sp <= ambient_dim or math.isclose(sp, ambient_dim, rel_tol=0.0, abs_tol=1e-12)
+    if not (sp > ambient_dim - dimension and upper_ok):
+        raise WindowViolationError(
+            f"smoothness-integrability product s*p = {sp:.6f} must lie in "
+            f"(n - d, n] = ({ambient_dim - dimension:.6f}, {ambient_dim}]"
+        )
+    return sp
 
 
 class PsdViolationWarning(UserWarning):
@@ -335,7 +362,9 @@ def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """A matrix plus its ``assembly`` record, which says how it was built and
-    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``)."""
+    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).  The
+    ``symmetric`` flag, checked here, is ``eigen_spectrum``'s one Hermitian
+    decision; a non-finite entry is refused, flagged or not."""
 
     matrix: np.ndarray
     assembly: dict
@@ -346,16 +375,19 @@ class DiscretizedOperator:
         if mat.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
         object.__setattr__(self, "matrix", mat)
-        if self.symmetric:
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError("symmetric flag requires a square matrix")
-            dev, top = _hermitian_deviation(mat)
-            # a finite max|a| rules out every non-finite entry
-            if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
-                raise ValueError(
-                    f"symmetric flag violated: max deviation {dev:.3e} exceeds "
-                    f"{SYMMETRY_REL:.0e} * {top:.3e}"
-                )
+        if not self.symmetric:
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("operator matrix contains non-finite entries")
+            return
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("symmetric flag requires a square matrix")
+        dev, top = _hermitian_deviation(mat)
+        # a finite max|a| rules out every non-finite entry
+        if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
+            raise ValueError(
+                f"symmetric flag violated: max deviation {dev:.3e} exceeds "
+                f"{SYMMETRY_REL:.0e} * {top:.3e}"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -373,7 +405,8 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     Its eigenvalues are the squared approximation numbers of the restriction
     from the smoothness-s Hilbert space to L2 of the measure.  The diagonal
     holds the cell-averaged self-interaction instead of the divergent
-    coincidence value.  Requires ``n - d < 2s <= n``.
+    coincidence value.  Requires ``2s`` in the compactness window
+    (:func:`_check_rate_window` at ``p = 2``).
 
     Entries are gathered by pair code from one kernel value per distinct pair
     difference (:func:`_pair_table`), the diagonal from the coincident code.
@@ -385,12 +418,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
-    a = 2.0 * s
-    if not (n - d < a <= n):
-        raise WindowViolationError(
-            f"kernel order 2s = {a:.6f} must lie in (n - d, n] = "
-            f"({n - d:.6f}, {n}] for dimension d = {d:.6f}"
-        )
+    a = _check_rate_window(n, d, s, 2.0)
     kernel = BesselKernel(order=a, ambient_dim=n)
     w = measure.weight
     conv = (2.0 * math.pi) ** (-n / 2.0)
@@ -436,17 +464,13 @@ def assemble_trace_operator(
     with the frequency integral truncated to ``|xi| <= freq_cutoff``.  The
     exact approximation numbers come from that kernel matrix instead (see
     :func:`~fracspectra.spectral_report.snumber_exponent_check`).  Requires
-    ``(n - d)/2 < s <= n/2``.
+    ``2s`` in the compactness window (:func:`_check_rate_window` at ``p = 2``).
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
     if n != 1:
         raise NotImplementedError("trace assembly is implemented for ambient dimension one")
-    if not ((n - d) / 2.0 < s <= n / 2.0):
-        raise WindowViolationError(
-            f"trace smoothness s = {s:.6f} must lie in ((n-d)/2, n/2] = "
-            f"({(n - d) / 2.0:.6f}, {n / 2.0}] for dimension d = {d:.6f}"
-        )
+    _check_rate_window(n, d, s, 2.0)
     if n_modes < 3:
         raise ValueError("need at least three frequency modes")
     if freq_cutoff <= 0.0:
@@ -498,7 +522,7 @@ class _CutoffProfile:
         radial: Callable[[np.ndarray], np.ndarray],
         freq_cutoff: float,
         *,
-        rho_maxdist: float = 2.0,
+        rho_maxdist: float,
     ) -> None:
         xi_max = 1.5 * freq_cutoff
         self.cutoff = freq_cutoff
@@ -647,18 +671,14 @@ def assemble_tmu_galerkin(
     ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1`` or when the
     terms' factors differ, are complex or change sign; those keep ``M``).
     The :class:`CutoffTailWarning` reads its entry scale from ``M`` either
-    way.  Requires ``n - d < s p <= n`` and a symbol with separable terms.
+    way.  Requires ``s p`` in the compactness window (:func:`_check_rate_window`)
+    and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
-    sp = s * p
     if n != 1 or getattr(sym, "ambient_dim", 1) != 1:
         raise NotImplementedError("Galerkin assembly is implemented for ambient dimension one")
-    if not (n - d < sp < n or math.isclose(sp, n, rel_tol=0.0, abs_tol=1e-12)):
-        raise WindowViolationError(
-            f"symbol order window requires n - d < s*p <= n: s*p = {sp:.6f}, "
-            f"window ({n - d:.6f}, {n}]"
-        )
+    sp = _check_rate_window(n, d, s, p)
     if sym.separable_terms is None:
         raise ValueError(
             "Galerkin assembly needs a symbol with separable terms; general "

@@ -33,16 +33,15 @@ __all__ = [
     "composition_law_audit",
 ]
 
-_KINDS = ("approximation", "entropy-upper", "entropy-lower", "entropy-exact")
+_KINDS = ("approximation", "entropy-upper", "entropy-lower")
 
 
 @dataclass(frozen=True)
 class SNumberSequence:
-    """A nonincreasing sequence of s-numbers with its operator context."""
+    """A nonincreasing sequence of s-numbers of one kind."""
 
     kind: str
     values: tuple[float, ...]
-    context: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -78,13 +77,8 @@ def approximation_numbers_hilbert(matrix: np.ndarray) -> SNumberSequence:
     """
     m = np.atleast_2d(np.asarray(matrix))
     if m.size == 0:
-        return SNumberSequence("approximation", (), context="l2->l2 empty")
-    sigma = svdvals(m)
-    return SNumberSequence(
-        "approximation",
-        tuple(float(s) for s in sigma),
-        context=f"l2->l2 shape {m.shape[0]}x{m.shape[1]}",
-    )
+        return SNumberSequence("approximation", ())
+    return SNumberSequence("approximation", tuple(float(s) for s in svdvals(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +333,9 @@ def entropy_numbers_bruteforce(
     if np.any(lower_vals > upper_vals + 1e-12):
         raise RuntimeError("certified entropy bounds crossed; search is buggy")
 
-    context = f"l{p}->l{q} dim {cols}->{rows} resolution {resolution}"
     return (
-        SNumberSequence("entropy-lower", tuple(lower_vals), context=context),
-        SNumberSequence("entropy-upper", tuple(upper_vals), context=context),
+        SNumberSequence("entropy-lower", tuple(lower_vals)),
+        SNumberSequence("entropy-upper", tuple(upper_vals)),
     )
 
 
@@ -442,7 +435,7 @@ def carl_audit(
     mods = np.abs(np.asarray(eigenvalues, dtype=complex))
     if mods.size and np.any(np.diff(mods) > 1e-12 * max(mods[0], 1e-300)):
         raise ValueError("eigenvalues must be ordered by nonincreasing modulus")
-    if entropy_upper.kind not in ("entropy-upper", "entropy-exact"):
+    if entropy_upper.kind != "entropy-upper":
         raise ValueError("carl_audit needs an upper entropy sequence")
     count = min(mods.size, len(entropy_upper))
     if count == 0:

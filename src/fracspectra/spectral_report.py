@@ -9,16 +9,18 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-Hermitian operators get their whole spectrum from a values-only
-``scipy.linalg.eigh`` and eigenvectors only for the 50 eigenvalues of largest
-modulus; one that is mirror-symmetric under the index reversal, as the kernel
-matrix of every bundled symmetric IFS is, is solved exactly as two half-size
-blocks, and the returned top-50 eigenvalues are certified with those
-eigenvectors by their residuals against the full matrix.
-Hermitian operators include the Galerkin compression of a symbol whose
+``eigen_spectrum`` takes an assembled
+:class:`~fracspectra.fractal_operator.DiscretizedOperator`, and the operator's
+``symmetric`` flag is its one Hermitian decision.  A flagged operator gets its
+whole spectrum from a values-only ``scipy.linalg.eigh`` and eigenvectors only
+for the 50 eigenvalues of largest modulus; one that is mirror-symmetric under
+the index reversal, as the kernel matrix of every bundled symmetric IFS is, is
+solved exactly as two half-size blocks, and the returned top-50 eigenvalues
+are certified with those eigenvectors by their residuals against the full
+matrix.  Flagged operators include the Galerkin compression of a symbol whose
 spatial factor is shared and positive, which the assembly returns in a
-diagonally similar symmetric form; other Galerkin operators go to the
-general ``scipy.linalg.eigvals``, which has no certificate.
+diagonally similar symmetric form; unflagged ones go to the general
+``scipy.linalg.eigvals``, which has no certificate.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +43,7 @@ from .fractal_operator import (
     SYMMETRY_REL,
     DiscretizedOperator,
     PsdViolationWarning,
-    WindowViolationError,
+    _check_rate_window,
     _hermitian_deviation,
     _jsonable,
     assemble_dmu_kernel,
@@ -62,11 +63,14 @@ __all__ = [
     "fit_upper_envelope",
     "assess_decay",
     "snumber_exponent_check",
-    "write_spectrum_csv",
 ]
 
 ZERO_REL = 1e-12
 """Relative floor: moduli at or below ``ZERO_REL * |lambda_1|`` count as zero."""
+
+RESIDUAL_REL = 1e-8
+"""Residual certificate of the Hermitian eigensolve: each of the top 50
+eigenpairs must have ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``."""
 
 
 class InsufficientSpectrumError(ValueError):
@@ -164,21 +168,15 @@ def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.sort(np.concatenate([w_even, w_odd])), cand[top], vecs
 
 
-def eigen_spectrum(
-    op,
-    *,
-    symmetric: bool | None = None,
-    residual_tol: float | None = 1e-8,
-) -> np.ndarray:
+def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     """Full spectrum of an assembled operator, ordered by decreasing modulus.
 
-    Accepts a :class:`~fracspectra.fractal_operator.DiscretizedOperator`
-    (whose ``symmetric`` flag selects the solver) or a bare square matrix
-    (Hermitian structure is detected unless ``symmetric`` is forced) by the
-    flag's own rule, ``max|K - K^H| <= SYMMETRY_REL * max|K|``.  The
-    Hermitian path returns real eigenvalues and certifies the top 50
-    eigenpairs by the residual bound ``||K v - lambda v|| <= residual_tol *
-    ||K||``; pass ``residual_tol=None`` to skip the certificate.
+    The operator's ``symmetric`` flag is the one Hermitian decision.  A
+    flagged operator gets real eigenvalues, and its top 50 eigenpairs are
+    certified by the residual bound ``||K v - lambda v|| <= RESIDUAL_REL *
+    ||K||``; an unflagged one goes to the general ``scipy.linalg.eigvals``,
+    which has no certificate.  Non-finite entries never reach the solver:
+    :class:`~fracspectra.fractal_operator.DiscretizedOperator` refuses them.
 
     The Hermitian path solves each block twice with ``scipy.linalg.eigh``:
     once for all eigenvalues and no eigenvectors, and once (per run of
@@ -214,9 +212,9 @@ def eigen_spectrum(
       max|K - K^H|``, which this check and the ``symmetric`` flag's bound by
       ``2 * SYMMETRY_REL * max|K|`` (the second term is 0 for the bitwise
       symmetric kernel matrices);
-    * the residual certificate is still computed against the caller's K
-      itself, with the 50 lifted eigenvectors, so it certifies what is
-      returned whichever path ran.
+    * the residual certificate is still computed against K itself, with the
+      50 lifted eigenvectors, so it certifies what is returned whichever path
+      ran.
 
     Odd N and matrices that fail the check are solved at full size, and the
     non-Hermitian path keeps its single full-size ``eigvals``.
@@ -225,33 +223,20 @@ def eigen_spectrum(
     an operator whose assembly record has ``kind == "kernel-gram"``, the
     Hermitian path raises :class:`~fracspectra.fractal_operator.PsdViolationWarning`
     when ``lambda_min < -1e-8 * lambda_max``, read off the eigenvalues it
-    already holds.  Bare matrices and Galerkin operators are not judged,
-    since an indefinite symmetric matrix is valid input there.  A Galerkin
-    operator is still certified whenever it is flagged ``symmetric``: an
-    x-independent symbol, or a positively modulated one that the assembly
-    returns in its similar symmetric form (see
+    already holds.  Other operators are not judged, since an indefinite
+    symmetric matrix is valid input there.  A Galerkin operator is still
+    certified whenever it is flagged ``symmetric``: an x-independent symbol,
+    or a positively modulated one that the assembly returns in its similar
+    symmetric form (see
     :func:`~fracspectra.fractal_operator.assemble_tmu_galerkin`).
     """
-    is_op = isinstance(op, DiscretizedOperator)
-    mat = op.matrix if is_op else np.asarray(op)
-    provenance = op.assembly if is_op else {}
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat, provenance = op.matrix, op.assembly
+    if mat.shape[0] != mat.shape[1]:
         raise ValueError("eigen_spectrum needs a square matrix")
     if mat.size == 0:
         return np.zeros(0, dtype=np.complex128)
-    # finiteness first: the Hermitian detection below must never see a NaN
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("operator matrix contains non-finite entries")
-    if symmetric is not None:
-        hermitian = bool(symmetric)
-    elif is_op:
-        hermitian = op.symmetric
-    else:
-        dev, scale = _hermitian_deviation(mat)
-        hermitian = dev <= SYMMETRY_REL * max(scale, 1e-300)
-
     try:
-        if hermitian:
+        if op.symmetric:
             w, w_top, v_top = _hermitian_eigh(mat)  # w ascending
             if provenance.get("kind") == "kernel-gram" and w[0] < -1e-8 * w[-1]:
                 warnings.warn(
@@ -261,13 +246,13 @@ def eigen_spectrum(
                     stacklevel=2,
                 )
             norm = float(np.abs(w).max())
-            if residual_tol is not None and norm > 0.0:
+            if norm > 0.0:
                 res = np.linalg.norm(mat @ v_top - v_top * w_top, axis=0)
                 worst = float(res.max())
-                if worst > residual_tol * norm:
+                if worst > RESIDUAL_REL * norm:
                     raise RuntimeError(
                         f"eigenpair residual {worst:.3e} exceeds "
-                        f"{residual_tol:.1e} * ||K|| = {residual_tol * norm:.3e}; "
+                        f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "
                         f"assembly record: {provenance}"
                     )
             vals = w.astype(np.complex128)
@@ -289,31 +274,12 @@ def eigen_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def _check_rate_window(ambient_dim: int, dimension: float, s: float, p: float) -> float:
-    if not ambient_dim >= 1:
-        raise WindowViolationError("ambient dimension must be a positive integer")
-    if not 0.0 < dimension < ambient_dim:
-        raise WindowViolationError(
-            f"set dimension d = {dimension!r} must lie strictly between 0 and "
-            f"the ambient dimension {ambient_dim}"
-        )
-    if not p > 0.0:
-        raise WindowViolationError(f"integrability exponent p = {p!r} must be positive")
-    sp = s * p
-    upper_ok = sp <= ambient_dim or math.isclose(sp, ambient_dim, rel_tol=0.0, abs_tol=1e-12)
-    if not (sp > ambient_dim - dimension and upper_ok):
-        raise WindowViolationError(
-            f"smoothness-integrability product s*p = {sp:.6f} must lie in "
-            f"(n - d, n] = ({ambient_dim - dimension:.6f}, {ambient_dim}]"
-        )
-    return sp
-
-
 def theoretical_exponent(ambient_dim: int, dimension: float, s: float, p: float) -> float:
     """Predicted eigenvalue-decay exponent ``-1 + (n - s*p)/d``.
 
-    Valid on the compactness window ``n - d < s*p <= n``; at the upper
-    boundary ``s*p = n`` the exponent is exactly ``-1``.
+    Valid on the compactness window of
+    :func:`~fracspectra.fractal_operator._check_rate_window`; at its upper
+    edge ``s*p = n`` the exponent is exactly ``-1``.
     """
     sp = _check_rate_window(ambient_dim, dimension, s, p)
     return -1.0 + (ambient_dim - sp) / dimension
@@ -324,7 +290,7 @@ def theoretical_snumber_exponent(
 ) -> float:
     """Predicted approximation-number exponent ``-1/p + (n/p - s)/d``.
 
-    Shares the window ``n - d < s*p <= n``; at ``s = n/p`` it collapses to
+    Shares the compactness window; at ``s = n/p`` it collapses to
     ``-1/p``, and at ``p = 2`` it is exactly half of
     :func:`theoretical_exponent` (squared singular values of the restriction
     are the kernel-operator eigenvalues).
@@ -565,7 +531,6 @@ def assess_decay(
 def snumber_exponent_check(
     measure: FractalMeasure,
     s: float,
-    p: float,
     *,
     tolerance: float = 0.05,
     k_lo: int = 10,
@@ -573,7 +538,7 @@ def snumber_exponent_check(
 ) -> SpectrumReport:
     """Measure the approximation-number decay of the restriction operator.
 
-    Only the Hilbert case ``p = 2`` is supported.  There the restriction
+    This is the Hilbert case ``p = 2``, the only one computed: the restriction
     ``tr : H^s -> L2(mu)`` factors the kernel operator, ``tr tr* = (id -
     Delta)^{-s} mu``, and its discretization A satisfies ``A A* = K`` for the
     kernel matrix K of :func:`assemble_dmu_kernel`.  Hence ``sigma_k(A)**2 =
@@ -582,13 +547,8 @@ def snumber_exponent_check(
     factor A is formed.  K comes from the same assembly and certified
     eigensolve as the eigenvalue check; the clip ``max(lambda_k, 0)`` only
     guards roundoff below zero.  The values are fitted like a spectrum and
-    compared two-sidedly against ``-1/p + (n/p - s)/d``.
+    compared two-sidedly against ``-1/p + (n/p - s)/d`` at ``p = 2``.
     """
-    if not math.isclose(p, 2.0, rel_tol=0.0, abs_tol=1e-12):
-        raise NotImplementedError(
-            "approximation numbers are computed exactly only in the Hilbert "
-            f"case p = 2, got p = {p!r}"
-        )
     expected = theoretical_snumber_exponent(
         measure.ifs.ambient_dim, measure.dimension, s, 2.0
     )
@@ -603,25 +563,3 @@ def snumber_exponent_check(
         comparison="two-sided",
         provenance={"quantity": "approximation-numbers", "assembly": op.assembly},
     )
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def write_spectrum_csv(values, path, *, preamble: str | None = None) -> None:
-    """Write ``k,re,im,modulus`` rows with round-trip float formatting.
-
-    Floats are rendered with ``repr``, the shortest exact representation,
-    so identical spectra always produce byte-identical files.  An optional
-    preamble is written first as a ``#`` comment line (used to stamp files
-    with their provenance).
-    """
-    vals = np.asarray(values, dtype=np.complex128).ravel()
-    lines = [] if preamble is None else [f"# {preamble}"]
-    lines.append("k,re,im,modulus")
-    for k, z in enumerate(vals, start=1):
-        zc = complex(z)
-        lines.append(f"{k},{zc.real!r},{zc.imag!r},{abs(zc)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

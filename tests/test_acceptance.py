@@ -107,7 +107,6 @@ def test_criterion_2_snumber_decay_and_transference(pipeline):
     report = snumber_exponent_check(
         pipeline.measure,
         SMOOTHNESS,
-        2.0,
         tolerance=SNUMBER_TOL,
         k_lo=10,
         k_hi=200,

@@ -251,6 +251,14 @@ class TestConfigParsing:
             ("config", "seed", -3),
             ("config", "schema_version", True),  # True == 1, but not an integer key
             ("config", "schema_version", 1.0),
+            # number keys take JSON numbers only: no strings, no bools
+            ("analysis", "s", "0.45"),
+            ("fit", "tolerance", True),
+            ("fit", "quantile", "0.5"),
+            ("fractal", "translations", "02"),
+            ("fractal", "translations", ["0", "2"]),
+            ("fractal", "translations", [["0"], [2.0 / 3.0]]),
+            ("analysis", "freq_cutoff", 10**400),  # a JSON integer past the float range
         ],
     )
     def test_section_value_validation(self, section, key, value):
@@ -315,6 +323,19 @@ class TestRunSpectrum:
 
         first_line = paths["spectrum_csv"].read_text(encoding="utf-8").splitlines()[0]
         assert first_line == f"# {base_config.preamble()}"
+
+    def test_spectrum_csv_rows_round_trip(self, base_config, tmp_path):
+        report, paths = run_spectrum(base_config, tmp_path / "out")
+        text = paths["spectrum_csv"].read_text(encoding="utf-8")
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text.splitlines()
+        assert lines[1] == "k,re,im,modulus"
+        assert len(lines) == 2 + report.count
+        for rank, (line, z) in enumerate(zip(lines[2:], report.eigenvalues), start=1):
+            k, re, im, modulus = line.split(",")
+            # repr floats read back bit for bit
+            assert int(k) == rank
+            assert complex(float(re), float(im)) == z and float(modulus) == abs(z)
 
     def test_plot_script_is_valid_python(self, base_config, tmp_path):
         _, paths = run_spectrum(base_config, tmp_path / "out")
@@ -796,6 +817,37 @@ class TestCli:
         for stem in ("alpha", "beta"):
             parallel_bytes = (parallel / stem / "entropy_lab.json").read_bytes()
             assert parallel_bytes == (serial / stem / "entropy_lab.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_stems_exit_two_without_outputs(self, tmp_path, capsys, jobs):
+        # both would write to out/cfg, and the second would overwrite the first
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        path_a = write_config(tmp_path / "a" / "cfg.json", base_dict())
+        path_b = write_config(tmp_path / "b" / "cfg.json", base_dict(seed=11))
+        out = tmp_path / "out"
+        code = main(
+            ["entropy-lab", "--config", str(path_a), "--config", str(path_b),
+             "--out", str(out), "--jobs", jobs]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err
+        assert str(path_a) in captured.err and str(path_b) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_window_upper_edge_roundoff_runs(self, tmp_path, capsys):
+        # the loader and the kernel assembly share one window, with its
+        # roundoff allowance at s*p = n
+        raw = json.loads((CONFIG_DIR / "cantor_small.json").read_text(encoding="utf-8"))
+        raw["analysis"]["s"] = 0.5000000000000001
+        path = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "spectrum PASS" in captured.out
+        assert (out / "spectrum.csv").exists()
 
     def test_multi_config_returns_worst_code(self, tmp_path, capsys):
         path_a = write_config(tmp_path / "alpha.json", base_dict())

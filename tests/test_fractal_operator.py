@@ -25,8 +25,14 @@ from fracspectra.fractal_operator import (
     assemble_trace_operator,
     cell_pair_energy,
 )
+from fracspectra import spectral_report
 from fracspectra.psido_engine import SeparableTerm, Symbol, make_symbol
-from fracspectra.spectral_report import eigen_spectrum, order_by_modulus
+from fracspectra.spectral_report import (
+    eigen_spectrum,
+    order_by_modulus,
+    theoretical_exponent,
+    theoretical_snumber_exponent,
+)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -264,6 +270,55 @@ class TestCellPairEnergy:
         }
         assert 0.0 < info["chain_share"] < 1.0
         assert info["exact_chain_levels"] >= 3
+
+
+class TestCompactnessWindow:
+    """Every caller of the window gives one verdict at its edges (n = 1, p = 2)."""
+
+    CALLERS = {
+        "theoretical_exponent": lambda mu, sp: theoretical_exponent(
+            1, mu.dimension, sp / 2.0, 2.0
+        ),
+        "theoretical_snumber_exponent": lambda mu, sp: theoretical_snumber_exponent(
+            1, mu.dimension, sp / 2.0, 2.0
+        ),
+        "assemble_dmu_kernel": lambda mu, sp: assemble_dmu_kernel(mu, sp / 2.0),
+        "assemble_trace_operator": lambda mu, sp: assemble_trace_operator(mu, sp / 2.0),
+        "assemble_tmu_galerkin": lambda mu, sp: assemble_tmu_galerkin(
+            make_symbol("bessel_power", sigma=-sp), sp / 2.0, 2.0, mu, 1.0e4
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "edge, accepted",
+        [
+            ("n-d", False),
+            # above n - d by enough that the coincidence chain of the
+            # assemblies converges (it diverges as s*p falls to n - d)
+            ("n-d+0.02", True),
+            ("n", True),
+            ("n(1+2^-52)", True),  # roundoff above n, as s = n/p in decimal gives
+            ("n+1e-9", False),
+        ],
+    )
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    def test_one_verdict_at_the_edges(self, cantor_ifs, caller, edge, accepted):
+        mu = quadrature(cantor_ifs, 3)
+        sp = {
+            "n-d": 1.0 - mu.dimension,
+            "n-d+0.02": 1.0 - mu.dimension + 0.02,
+            "n": 1.0,
+            "n(1+2^-52)": 1.0 + 2.0**-52,
+            "n+1e-9": 1.0 + 1e-9,
+        }[edge]
+        call = self.CALLERS[caller]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            if accepted:
+                call(mu, sp)
+            else:
+                with pytest.raises(WindowViolationError, match=r"\(n - d, n\]"):
+                    call(mu, sp)
 
 
 class TestKernelGram:
@@ -507,12 +562,13 @@ class TestGalerkinCompression:
         assert not M.symmetric
         assert M.assembly["similarity"] is None
 
-    def test_similar_form_is_certified(self, mu5):
+    def test_similar_form_is_certified(self, mu5, monkeypatch):
         op = assemble_tmu_galerkin(
             make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu5, 1.0e5
         )
+        monkeypatch.setattr(spectral_report, "RESIDUAL_REL", 1e-30)
         with pytest.raises(RuntimeError, match="separable-symbol-compression"):
-            eigen_spectrum(op, residual_tol=1e-30)
+            eigen_spectrum(op)
 
     @pytest.mark.parametrize("cutoff, warns", [(300.0, True), (1.0e5, False)])
     def test_tail_warning_decision_unchanged_by_the_similarity(self, mu5, cutoff, warns):

@@ -79,13 +79,13 @@ class TestApproximationNumbers:
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 0.0, 4.0, 0.0])
         seq = approximation_numbers_hilbert(np.outer(u, v))
-        assert len(seq) == 3 and seq.context == "l2->l2 shape 3x4"
+        assert len(seq) == 3
         assert seq.value(1) == pytest.approx(15.0, rel=1e-14)
         assert max(seq.values[1:]) <= 1e-14
 
     def test_empty_matrix(self) -> None:
         seq = approximation_numbers_hilbert(np.zeros((0, 3)))
-        assert seq.values == () and seq.context == "l2->l2 empty"
+        assert seq.values == ()
         assert seq.value(1) == 0.0
 
 

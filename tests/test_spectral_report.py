@@ -20,6 +20,7 @@ from fracspectra.fractal_operator import (
     WindowViolationError,
     assemble_dmu_kernel,
 )
+from fracspectra import spectral_report
 from fracspectra.spectral_report import (
     DecayFit,
     InsufficientSpectrumError,
@@ -33,7 +34,6 @@ from fracspectra.spectral_report import (
     snumber_exponent_check,
     theoretical_exponent,
     theoretical_snumber_exponent,
-    write_spectrum_csv,
 )
 
 D_CANTOR = 0.6309297535714574  # log 2 / log 3, dimension of the middle-third set
@@ -107,6 +107,11 @@ def assert_block_solves(calls, orders) -> None:
         assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
 
 
+def operator(mat, symmetric: bool) -> DiscretizedOperator:
+    """``mat`` as an operator with no assembly record."""
+    return DiscretizedOperator(np.asarray(mat), {}, symmetric=symmetric)
+
+
 def mirror_symmetric(rng, n: int, complex_: bool = False) -> np.ndarray:
     """A random Hermitian matrix with ``K == J K J`` (J the index reversal)."""
     a = rng.standard_normal((n, n))
@@ -151,7 +156,7 @@ class TestOrdering:
 
 class TestEigenSpectrum:
     def test_diagonal_two_by_two(self):
-        res = eigen_spectrum(np.diag([1.0, 0.5]))
+        res = eigen_spectrum(operator(np.diag([1.0, 0.5]), True))
         assert np.allclose(res, [1.0, 0.5])
         assert res.dtype == np.complex128
         assert np.all(res.imag == 0.0)
@@ -167,13 +172,13 @@ class TestEigenSpectrum:
         assert res.real[1] > 0.0
 
     def test_zero_matrix_all_zero_empty_nonzero_part(self):
-        res = eigen_spectrum(np.zeros((5, 5)))
+        res = eigen_spectrum(operator(np.zeros((5, 5)), True))
         assert res.size == 5
         assert np.all(res == 0.0)
         assert nonzero_part(res).size == 0
 
     def test_complex_tiebreak_on_rotation_matrix(self):
-        res = eigen_spectrum(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        res = eigen_spectrum(operator([[0.0, 1.0], [-1.0, 0.0]], False))
         assert np.allclose(res, [1.0j, -1.0j], atol=1e-14)
 
     def test_flagged_symmetric_operator_is_real(self, measure_l5):
@@ -183,37 +188,33 @@ class TestEigenSpectrum:
         ref = np.sort(np.linalg.eigvalsh(op.matrix))[::-1]
         assert np.allclose(res.real, ref, rtol=1e-10, atol=1e-14 * ref[0])
 
-    def test_residual_certificate_failure_carries_provenance(self, measure_l5):
+    def test_residual_certificate_failure_carries_provenance(self, measure_l5, monkeypatch):
         op = assemble_dmu_kernel(measure_l5, 0.45)
+        monkeypatch.setattr(spectral_report, "RESIDUAL_REL", 0.0)
         with pytest.raises(RuntimeError, match="kernel-gram"):
-            eigen_spectrum(op, residual_tol=0.0)
-
-    def test_residual_certificate_can_be_skipped(self, measure_l5):
-        op = assemble_dmu_kernel(measure_l5, 0.45)
-        res = eigen_spectrum(op, residual_tol=None)
-        assert res.size == op.matrix.shape[0]
+            eigen_spectrum(op)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            eigen_spectrum(np.ones((2, 3)))
+            eigen_spectrum(operator(np.ones((2, 3)), False))
 
-    def test_non_finite_rejected(self):
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, value):
+        # refused by the operator itself, so no solver ever sees the entry
         mat = np.eye(3)
-        mat[1, 1] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            eigen_spectrum(mat)
-        # a NaN must be rejected before Hermitian detection compares entries
-        mat = np.eye(3)
-        mat[0, 1] = np.nan
+        mat[0, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
-                eigen_spectrum(mat)
+                operator(mat, False)
+            with pytest.raises(ValueError, match="symmetric flag violated"):
+                operator(mat, True)
 
-    def test_empty_matrix(self):
-        assert eigen_spectrum(np.zeros((0, 0))).size == 0
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_empty_matrix(self, symmetric):
+        assert eigen_spectrum(operator(np.zeros((0, 0)), symmetric)).size == 0
 
-    def test_indefinite_kernel_gram_warns_but_bare_matrix_does_not(self):
+    def test_indefinite_kernel_gram_warns_but_other_operators_do_not(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         op = DiscretizedOperator(
             matrix=mat,
@@ -225,21 +226,21 @@ class TestEigenSpectrum:
         assert res.real == pytest.approx([3.0, -1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", PsdViolationWarning)
-            assert np.array_equal(eigen_spectrum(mat), res)
+            assert np.array_equal(eigen_spectrum(operator(mat, True)), res)
 
-    def test_forced_general_path_matches_symmetric_path(self):
+    def test_unflagged_path_matches_flagged_path(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         sym = (a + a.T) / 2.0
-        hermitian = eigen_spectrum(sym)
-        general = eigen_spectrum(sym, symmetric=False)
+        hermitian = eigen_spectrum(operator(sym, True))
+        general = eigen_spectrum(operator(sym, False))
         assert np.allclose(hermitian, general, atol=1e-12 * np.abs(hermitian[0]))
 
     @given(st.integers(0, 10**6), st.integers(2, 8))
     def test_symmetric_path_spectra_are_real_and_ordered(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
-        res = eigen_spectrum((a + a.T) / 2.0)
+        res = eigen_spectrum(operator((a + a.T) / 2.0, True))
         assert np.all(res.imag == 0.0)
         mods = np.abs(res)
         assert np.all(np.diff(mods) <= 1e-12 * max(mods[0], 1e-300))
@@ -249,7 +250,7 @@ class TestEigenSpectrum:
         mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
         with eigh_sizes() as calls:
-            res = eigen_spectrum(mat)
+            res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [half, half])
         assert np.all(res.imag == 0.0)
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
@@ -258,7 +259,7 @@ class TestEigenSpectrum:
         mat = mirror_symmetric(np.random.default_rng(5), 12, complex_=True)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
         with eigh_sizes() as calls:
-            res = eigen_spectrum(mat)
+            res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [6, 6])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
@@ -274,7 +275,7 @@ class TestEigenSpectrum:
             mat = mat + bump  # still symmetric, no longer mirror-symmetric
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
         with eigh_sizes() as calls:
-            res = eigen_spectrum(mat)
+            res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [mat.shape[0]])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
@@ -296,7 +297,7 @@ class TestEigenSpectrum:
         ref = order_by_modulus(np.linalg.eigvalsh(mat))
         assert ref[0].real < 0.0
         with eigh_sizes() as calls:
-            res = eigen_spectrum(mat)
+            res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [60, 60] if n == 120 else [119])
         assert any(kind[0] == 0 for _, kind in calls if kind != "values")
         assert np.all(res.imag == 0.0)
@@ -305,7 +306,7 @@ class TestEigenSpectrum:
     def test_no_call_computes_every_eigenvector(self, cantor_ifs):
         kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)  # blocks of 64
         a = np.random.default_rng(19).standard_normal((101, 101))
-        for op in (kernel, a + a.T):
+        for op in (kernel, operator(a + a.T, True)):
             with eigh_sizes() as calls:
                 eigen_spectrum(op)
             assert calls and all(kind != "all" for _, kind in calls)
@@ -315,10 +316,10 @@ class TestEigenSpectrum:
         self, cantor_ifs, n
     ):
         if n == 128:
-            mat = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45).matrix
+            op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
-            mat = a + a.T
+            op = operator(a + a.T, True)
         real_eigh = scipy.linalg.eigh
         rng = np.random.default_rng(29)
 
@@ -329,22 +330,25 @@ class TestEigenSpectrum:
             w, v = out
             return w, v + 1e-6 * rng.standard_normal(v.shape)
 
-        eigen_spectrum(mat)  # certified as solved
+        eigen_spectrum(op)  # certified as solved
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scipy.linalg, "eigh", perturbed)
             with pytest.raises(RuntimeError, match="eigenpair residual"):
-                eigen_spectrum(mat)
+                eigen_spectrum(op)
 
     @pytest.mark.parametrize("rel, hermitian", [(1e-11, True), (1e-9, False)])
-    def test_bare_matrix_uses_the_symmetric_flags_floor(self, rel, hermitian):
-        # one Hermitian rule for bare matrices and flagged operators:
-        # max|K - K^H| <= SYMMETRY_REL * max|K| (SYMMETRY_REL = 1e-10)
+    def test_symmetric_flag_floor_picks_the_solver(self, rel, hermitian):
+        # the flag holds iff max|K - K^H| <= SYMMETRY_REL * max|K|
+        # (SYMMETRY_REL = 1e-10), and the flag alone picks the solver
         rng = np.random.default_rng(13)
         a = rng.standard_normal((9, 9))
         mat = a + a.T
         mat[0, 1] += rel * np.abs(mat).max()
+        if not hermitian:
+            with pytest.raises(ValueError, match="symmetric flag violated"):
+                operator(mat, True)
         with eigh_sizes() as calls:
-            res = eigen_spectrum(mat)
+            res = eigen_spectrum(operator(mat, hermitian))
         assert_block_solves(calls, [9] if hermitian else [])
         ref = order_by_modulus(scipy.linalg.eigvals(mat))
         assert np.allclose(res, ref, rtol=0.0, atol=1e-8 * abs(ref[0]))
@@ -353,7 +357,7 @@ class TestEigenSpectrum:
     def test_general_path_matches_reference_eigensolver(self, seed, n):
         rng = np.random.default_rng(seed)
         mat = rng.standard_normal((n, n))
-        mine = eigen_spectrum(mat, symmetric=False)
+        mine = eigen_spectrum(operator(mat, False))
         ref = order_by_modulus(np.linalg.eigvals(mat))
         assert np.allclose(mine, ref, atol=1e-9 * max(np.abs(ref[0]), 1.0))
 
@@ -636,15 +640,11 @@ class TestSpectrumReportInvariants:
 
 
 class TestSnumberExponentCheck:
-    def test_only_hilbert_case_supported(self, measure_l7):
-        with pytest.raises(NotImplementedError, match="p = 2"):
-            snumber_exponent_check(measure_l7, 0.45, 1.5)
-
     def test_transference_halves_the_eigenvalue_slope(self, measure_l7):
         # singular values squared are the kernel-matrix eigenvalues, so on a
         # shared window the fitted slope is exactly half
         rep = snumber_exponent_check(
-            measure_l7, 0.45, 2.0, k_lo=10, k_hi=25, tolerance=0.5
+            measure_l7, 0.45, k_lo=10, k_hi=25, tolerance=0.5
         )
         op = assemble_dmu_kernel(measure_l7, 0.45)
         eig_fit = fit_decay_exponent(eigen_spectrum(op), k_lo=10, k_hi=25)
@@ -662,23 +662,9 @@ class TestSnumberExponentCheck:
             2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]
         )
         rep = snumber_exponent_check(
-            quadrature(ifs2, 3), 0.75, 2.0, k_lo=2, k_hi=40, tolerance=1.0
+            quadrature(ifs2, 3), 0.75, k_lo=2, k_hi=40, tolerance=1.0
         )
         a = rep.eigenvalues.real
         assert a.size == 64
         assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
         assert rep.theoretical == -0.25
-
-
-class TestSpectrumCsv:
-    def test_exact_rows_and_byte_determinism(self, tmp_path):
-        path_a = tmp_path / "a.csv"
-        path_b = tmp_path / "b.csv"
-        vals = np.array([1.0, 3.0 + 4.0j])
-        write_spectrum_csv(vals, path_a)
-        write_spectrum_csv(vals, path_b)
-        text = path_a.read_text()
-        assert text.splitlines()[0] == "k,re,im,modulus"
-        assert text.splitlines()[1] == "1,1.0,0.0,1.0"
-        assert text.splitlines()[2] == "2,3.0,4.0,5.0"
-        assert path_a.read_bytes() == path_b.read_bytes()
