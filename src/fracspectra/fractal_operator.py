@@ -281,9 +281,13 @@ def cell_pair_energy(
         # growing pair sums: the singular-power regime
         step = f_next / (m * f_anchor)
         if step >= 0.995:
+            # a kernel ~ rho**(s*p - n) steps by r**(d - n + s*p), since m = r**-d
             raise WindowViolationError(
-                "coincidence chain does not converge: the kernel singularity is "
-                "too strong for the measure dimension"
+                f"coincidence chain does not converge: measured step ratio "
+                f"{step:.6f} reaches the limit 0.995, i.e. s*p - (n - d) = "
+                f"{math.log(step) / math.log(r):.6f} is not above "
+                f"{math.log(0.995) / math.log(r):.6f}; the kernel singularity is "
+                f"too strong for the measure dimension"
             )
         branch = "power"
         tail = f_anchor / (1.0 - step)

@@ -11,16 +11,17 @@ by the smoothness order and the dimension of the supporting set:
 
 ``eigen_spectrum`` takes an assembled
 :class:`~fracspectra.fractal_operator.DiscretizedOperator`, and the operator's
-``symmetric`` flag is its one Hermitian decision.  A flagged operator gets its
-whole spectrum from a values-only ``scipy.linalg.eigh`` and eigenvectors only
-for the 50 eigenvalues of largest modulus; one that is mirror-symmetric under
-the index reversal, as the kernel matrix of every bundled symmetric IFS is, is
-solved exactly as two half-size blocks, and the returned top-50 eigenvalues
-are certified with those eigenvectors by their residuals against the full
-matrix.  Flagged operators include the Galerkin compression of a symbol whose
-spatial factor is shared and positive, which the assembly returns in a
-diagonally similar symmetric form; unflagged ones go to the general
-``scipy.linalg.eigvals``, which has no certificate.
+``symmetric`` flag is its one Hermitian decision.  A flagged operator is
+reduced to tridiagonal form once per block, and that one reduction gives its
+whole spectrum, bit for bit the values-only ``scipy.linalg.eigh``, and
+eigenvectors only for the 50 eigenvalues of largest modulus.  One that is
+mirror-symmetric under the index reversal, as the kernel matrix of every
+bundled symmetric IFS is, is solved exactly as two half-size blocks.  The
+returned top-50 eigenvalues are certified with those eigenvectors by their
+residuals against the full matrix.  Flagged operators include the Galerkin
+compression of a symbol whose spatial factor is shared and positive, which
+the assembly returns in a diagonally similar symmetric form; unflagged ones
+go to the general ``scipy.linalg.eigvals``, which has no certificate.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -123,29 +124,72 @@ def _nonzero_moduli(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _lapack(routine, *args, **kwargs) -> list:
+    """Outputs of a raw LAPACK wrapper, less its ``info``; a nonzero ``info``
+    raises :class:`scipy.linalg.LinAlgError`."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info = {info}")
+    return out
+
+
 def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues of Hermitian ``block``, then its up to 50 of
-    largest modulus and their eigenvectors.
+    largest modulus and their eigenvectors, from one tridiagonal reduction.
 
-    One values-only solve gives the whole spectrum; the eigenvectors are then
-    fetched only for those indices.  In an ascending spectrum the m values of
-    largest modulus are a bottom run ``[0, b)`` (the negative ones) and a top
-    run ``[n - m + b, n)``, so each non-empty run is one ``subset_by_index``
-    solve.
+    ``xSYTRD``/``xHETRD`` (lower triangle) reduces the block once to the real
+    tridiagonal ``T = Q^H block Q``, and the whole spectrum is ``xSTERF`` on
+    T.  That is bit for bit the values-only ``scipy.linalg.eigh``, which is
+    LAPACK ``xSYEVR``/``xHEEVR`` with ``RANGE='A'``, ``JOBZ='N'``: it runs
+    the same two routines on the lower triangle, and it hands the reduction
+    its own workspace less the ``5n`` (real) or ``n`` (complex) entries it
+    keeps for T and the reflector scalars.  The reduction's block size, and
+    with it the rounding, follows from that workspace, so here it is derived
+    from the same ``xSYEVR``/``xHEEVR`` workspace query.  (``xSYEVR`` would
+    also rescale a matrix whose largest entry lies outside about ``[1e-146,
+    1e76]``, which no assembled operator comes near.)
+
+    In an ascending spectrum the m values of largest modulus are a bottom run
+    ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Each
+    non-empty run's eigenvectors of T come from ``xSTEBZ`` + ``xSTEIN``
+    (``eigh_tridiagonal`` with ``select="i"``), and ``xORMTR`` maps them
+    back, here spelled out as what it does for the lower triangle: ``Q =
+    diag(1, Q')``, with ``Q'`` the ``n - 1`` Householder reflectors stored
+    below the subdiagonal, applied by ``xORMQR``/``xUNMQR`` to rows ``1:``.
+    The values are not recomputed by the subset solve, so nothing rests on
+    the two agreeing bit for bit; the residual certificate of
+    :func:`eigen_spectrum` checks the pairing that is returned.
     """
     n = block.shape[0]
     m = min(50, n)
-    w = scipy.linalg.eigh(block, eigvals_only=True)
+    lapack = scipy.linalg.lapack
+    if np.iscomplexobj(block):
+        trd, mqr = lapack.zhetrd, lapack.zunmqr
+        lwork = int(_lapack(lapack.zheevr_lwork, n, lower=1)[0].real) - n
+    else:
+        trd, mqr = lapack.dsytrd, lapack.dormqr
+        lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
+    c, d, e, tau = _lapack(trd, block, lower=1, lwork=lwork)
+    w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
     b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
     runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
-    vecs = np.hstack([scipy.linalg.eigh(block, subset_by_index=run)[1] for run in runs])
+    vecs = np.hstack(
+        [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=run)[1] for run in runs]
+    ).astype(c.dtype, copy=False)
+    if n > 1:
+        # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with
+        # leading dimension n (xORMTR's A(2,1), LDA = n); the view's last row
+        # is never read, and no order-n copy is made
+        refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+        query = _lapack(mqr, "L", "N", refl, tau, vecs[1:], -1)[1]
+        vecs[1:] = _lapack(mqr, "L", "N", refl, tau, vecs[1:], int(query[0].real))[0]
     return w, w[np.r_[0:b, n - m + b : n]], vecs
 
 
 def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues of Hermitian ``mat``, plus the up to 50 of largest
-    modulus, as the values-only solve gave them, and their subset-solved
-    eigenvectors (:func:`_top_pairs`); a mirror-symmetric ``mat`` of even order
+    modulus and their eigenvectors, one tridiagonal reduction per block
+    (:func:`_top_pairs`); a mirror-symmetric ``mat`` of even order
     is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
     n = mat.shape[0]
     h = n // 2
@@ -178,15 +222,16 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     which has no certificate.  Non-finite entries never reach the solver:
     :class:`~fracspectra.fractal_operator.DiscretizedOperator` refuses them.
 
-    The Hermitian path solves each block twice with ``scipy.linalg.eigh``:
-    once for all eigenvalues and no eigenvectors, and once (per run of
-    indices) for the eigenvectors of the 50 eigenvalues of largest modulus
-    only (LAPACK ``xSYEVR``/``xHEEVR`` with ``RANGE='I'``).  Both are
-    backward-stable solves of the same matrix, but nothing rests on their
+    The Hermitian path reduces each block to tridiagonal form T once
+    (:func:`_top_pairs`).  All eigenvalues come from T with no eigenvectors,
+    bit for bit those of a values-only ``scipy.linalg.eigh``; the
+    eigenvectors of the 50 eigenvalues of largest modulus only come from an
+    index-range solve of T (per run of indices), mapped back through the
+    reduction's reflectors.  Nothing rests on the values and the vectors
     agreeing bit for bit: the certificate is computed with the returned
-    eigenvalues from the values-only solve and the vectors from the subset
-    solve, so it checks exactly the pairing that is returned.  Solver
-    failures are re-raised together with the assembly record so the failing
+    eigenvalues and the returned vectors, so it checks exactly the pairing
+    that is returned.  Solver failures, a nonzero LAPACK ``info`` among
+    them, are re-raised together with the assembly record so the failing
     operator can be identified.
 
     A Hermitian K of even order N = 2h that is mirror-symmetric

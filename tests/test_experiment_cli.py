@@ -683,6 +683,25 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("margin, code", [(0.004, 3), (0.006, 0)])
+    def test_coincidence_chain_edge_of_the_window(self, tmp_path, capsys, margin, code):
+        # 2s just above n - d loads, but the diagonal's coincidence chain stops
+        # converging once its step ratio r**(2s - (n - d)) reaches 0.995
+        raw = json.loads((CONFIG_DIR / "cantor_small.json").read_text(encoding="utf-8"))
+        raw["analysis"]["s"] = (1.0 - math.log(2.0) / math.log(3.0) + margin) / 2.0
+        path = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "spectrum PASS" in captured.out
+            return
+        assert "numerical error" in captured.err and "'operator_assembly'" in captured.err
+        assert "step ratio 0.995615 reaches the limit 0.995" in captured.err
+        assert "s*p - (n - d) = 0.004000 is not above 0.004563" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         raw = base_dict()
         raw["fractal"]["level"] = 2

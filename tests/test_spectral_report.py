@@ -64,47 +64,76 @@ def power_law(count: int, exponent: float, scale: float = 1.0) -> np.ndarray:
 
 
 @contextmanager
-def eigh_sizes():
-    """Record every ``scipy.linalg.eigh`` call made inside as ``(order, kind)``.
+def eigensolve_calls():
+    """Record the eigensolve calls made inside as ``(kind, arg)``, in order.
 
-    ``kind`` is ``"values"`` for a values-only call, the ``(lo, hi)`` index
-    range for a ``subset_by_index`` call, and ``"all"`` for a call that
-    returns every eigenvector.
+    ``kind`` is ``"reduce"`` for a ``dsytrd``/``zhetrd`` tridiagonal
+    reduction (``arg`` the order), ``"values"`` for a values-only
+    ``eigh_tridiagonal`` (the order), ``"vectors"`` for an index-range
+    ``eigh_tridiagonal`` vector solve (the ``(lo, hi)`` range), ``"all"`` for
+    any call that returns every eigenvector (the order) and ``"eigh"`` for
+    any other ``scipy.linalg.eigh`` call (the order).
     """
     calls = []
-    real_eigh = scipy.linalg.eigh
+    lapack = scipy.linalg.lapack
+    real_eigh, real_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
 
-    def counting(a, *args, **kwargs):
+    def reduction(routine):
+        def spy(a, *args, **kwargs):
+            calls.append(("reduce", np.shape(a)[0]))
+            return routine(a, *args, **kwargs)
+
+        return spy
+
+    def tridiagonal(d, e, *args, **kwargs):
         if kwargs.get("eigvals_only"):
-            kind = "values"
-        elif kwargs.get("subset_by_index") is not None:
-            kind = tuple(kwargs["subset_by_index"])
+            calls.append(("values", len(d)))
+        elif kwargs.get("select") == "i":
+            calls.append(("vectors", tuple(kwargs["select_range"])))
         else:
-            kind = "all"
-        calls.append((np.shape(a)[0], kind))
+            calls.append(("all", len(d)))
+        return real_tridiagonal(d, e, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        every = not kwargs.get("eigvals_only") and kwargs.get("subset_by_index") is None
+        calls.append(("all" if every else "eigh", np.shape(a)[0]))
         return real_eigh(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "eigh", counting)
+        mp.setattr(lapack, "dsytrd", reduction(lapack.dsytrd))
+        mp.setattr(lapack, "zhetrd", reduction(lapack.zhetrd))
+        mp.setattr(scipy.linalg, "eigh_tridiagonal", tridiagonal)
+        mp.setattr(scipy.linalg, "eigh", eigh)
         yield calls
 
 
 def assert_block_solves(calls, orders) -> None:
-    """One values-only ``eigh`` per block, of the given orders in turn, then
-    eigenvectors only from subset solves of that block: a bottom run, a top
-    run or both, ``min(50, order)`` vectors in all."""
+    """One tridiagonal reduction per block, of the given orders in turn, then
+    that block's one values-only solve and one vector solve per non-empty
+    run: a bottom run, a top run or both, ``min(50, order)`` vectors in all.
+    No ``scipy.linalg.eigh`` call and none for every eigenvector."""
+    assert all(kind in ("reduce", "values", "vectors") for kind, _ in calls), calls
     blocks = []
-    for n, kind in calls:
-        if kind == "values":
-            blocks.append((n, []))
+    for kind, arg in calls:
+        if kind == "reduce":
+            blocks.append((arg, [], []))
         else:
-            assert blocks and isinstance(kind, tuple) and n == blocks[-1][0]
-            blocks[-1][1].append(kind)
-    assert [n for n, _ in blocks] == orders
-    for n, runs in blocks:
+            assert blocks
+            blocks[-1][1 if kind == "values" else 2].append(arg)
+    assert [n for n, _, _ in blocks] == orders
+    for n, values, runs in blocks:
+        assert values == [n]
         assert 1 <= len(runs) <= 2
         assert sum(hi - lo + 1 for lo, hi in runs) == min(50, n)
         assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
+
+
+def random_hermitian(rng, n: int, complex_: bool = False) -> np.ndarray:
+    """A random Hermitian matrix of order n."""
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
 
 
 def operator(mat, symmetric: bool) -> DiscretizedOperator:
@@ -114,10 +143,7 @@ def operator(mat, symmetric: bool) -> DiscretizedOperator:
 
 def mirror_symmetric(rng, n: int, complex_: bool = False) -> np.ndarray:
     """A random Hermitian matrix with ``K == J K J`` (J the index reversal)."""
-    a = rng.standard_normal((n, n))
-    if complex_:
-        a = a + 1j * rng.standard_normal((n, n))
-    a = a + a.conj().T
+    a = random_hermitian(rng, n, complex_)
     return a + a[::-1, ::-1]
 
 
@@ -249,7 +275,7 @@ class TestEigenSpectrum:
     def test_mirror_symmetric_matrix_is_solved_as_two_half_blocks(self, seed, half):
         mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [half, half])
         assert np.all(res.imag == 0.0)
@@ -258,7 +284,7 @@ class TestEigenSpectrum:
     def test_complex_mirror_symmetric_matrix_is_split(self):
         mat = mirror_symmetric(np.random.default_rng(5), 12, complex_=True)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [6, 6])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
@@ -274,7 +300,7 @@ class TestEigenSpectrum:
             bump[0, 1] = bump[1, 0] = 1e-6 * np.abs(mat).max()
             mat = mat + bump  # still symmetric, no longer mirror-symmetric
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [mat.shape[0]])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
@@ -282,7 +308,7 @@ class TestEigenSpectrum:
     def test_cantor_kernel_split_matches_full_solve(self, cantor_ifs):
         op = assemble_dmu_kernel(quadrature(cantor_ifs, 9), 0.45)
         ref = np.sort(scipy.linalg.eigvalsh(op.matrix))[::-1][:200]
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(op)
         assert_block_solves(calls, [256, 256])
         assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -296,10 +322,10 @@ class TestEigenSpectrum:
         mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
         ref = order_by_modulus(np.linalg.eigvalsh(mat))
         assert ref[0].real < 0.0
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat, True))
         assert_block_solves(calls, [60, 60] if n == 120 else [119])
-        assert any(kind[0] == 0 for _, kind in calls if kind != "values")
+        assert any(kind == "vectors" and arg[0] == 0 for kind, arg in calls)
         assert np.all(res.imag == 0.0)
         assert np.allclose(res, ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
@@ -307,9 +333,9 @@ class TestEigenSpectrum:
         kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)  # blocks of 64
         a = np.random.default_rng(19).standard_normal((101, 101))
         for op in (kernel, operator(a + a.T, True)):
-            with eigh_sizes() as calls:
+            with eigensolve_calls() as calls:
                 eigen_spectrum(op)
-            assert calls and all(kind != "all" for _, kind in calls)
+            assert calls and all(kind not in ("all", "eigh") for kind, _ in calls)
 
     @pytest.mark.parametrize("n", [128, 101])  # split kernel; unsplit random
     def test_certificate_rejects_vectors_that_do_not_pair_with_the_values(
@@ -320,21 +346,45 @@ class TestEigenSpectrum:
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
             op = operator(a + a.T, True)
-        real_eigh = scipy.linalg.eigh
+        real_tridiagonal = scipy.linalg.eigh_tridiagonal
         rng = np.random.default_rng(29)
 
-        def perturbed(a, *args, **kwargs):
-            out = real_eigh(a, *args, **kwargs)
-            if kwargs.get("subset_by_index") is None:
+        def perturbed(d, e, *args, **kwargs):
+            out = real_tridiagonal(d, e, *args, **kwargs)
+            if kwargs.get("select") != "i":
                 return out
             w, v = out
             return w, v + 1e-6 * rng.standard_normal(v.shape)
 
         eigen_spectrum(op)  # certified as solved
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg, "eigh", perturbed)
+            mp.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 eigen_spectrum(op)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 700])  # 700 takes the blocked reduction
+    def test_one_reduction_spectrum_is_bitwise_eigh(self, n, complex_):
+        block = random_hermitian(np.random.default_rng(31), n, complex_)
+        w, _, _ = spectral_report._top_pairs(block)
+        assert np.array_equal(w, scipy.linalg.eigh(block, eigvals_only=True))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_lapack_error_carries_provenance(self, complex_, monkeypatch):
+        mat = random_hermitian(np.random.default_rng(37), 8, complex_)
+        op = DiscretizedOperator(mat, {"kind": "probe"}, symmetric=True)
+        name = "zhetrd" if complex_ else "dsytrd"
+        real_reduction = getattr(scipy.linalg.lapack, name)
+
+        def failing(a, *args, **kwargs):
+            *out, _ = real_reduction(a, *args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+        with pytest.raises(scipy.linalg.LinAlgError, match="info = 1"):
+            spectral_report._top_pairs(mat)
+        with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
+            eigen_spectrum(op)
 
     @pytest.mark.parametrize("rel, hermitian", [(1e-11, True), (1e-9, False)])
     def test_symmetric_flag_floor_picks_the_solver(self, rel, hermitian):
@@ -347,7 +397,7 @@ class TestEigenSpectrum:
         if not hermitian:
             with pytest.raises(ValueError, match="symmetric flag violated"):
                 operator(mat, True)
-        with eigh_sizes() as calls:
+        with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat, hermitian))
         assert_block_solves(calls, [9] if hermitian else [])
         ref = order_by_modulus(scipy.linalg.eigvals(mat))
