@@ -200,22 +200,62 @@ def quadrature(ifs: SimilitudeIFS, level: int, atom_budget: int = 4_000_000) -> 
     return FractalMeasure(ifs, level, pts)
 
 
+def _pair_digits(ifs: SimilitudeIFS) -> tuple[np.ndarray, np.ndarray]:
+    """The D distinct level-1 differences ``t_a - t_b``, sorted, and the (m, m)
+    digit of each map pair ``(a, b)``: the index of ``t_a - t_b`` among them."""
+    t = ifs.translations
+    m, n = t.shape
+    deltas, digit = np.unique(
+        (t[:, None, :] - t[None, :, :]).reshape(m * m, n), axis=0, return_inverse=True
+    )
+    return deltas, digit.reshape(m, m)
+
+
+def _pair_codes(ifs: SimilitudeIFS, level: int) -> np.ndarray:
+    """The (N, N) pair codes at ``level`` (see :func:`_pair_table`)."""
+    deltas, digit = _pair_digits(ifs)
+    base, m = deltas.shape[0], digit.shape[0]
+    digit = digit.astype(np.int32 if base**level <= 2**31 else np.int64)
+    codes = np.zeros((1, 1), dtype=digit.dtype)
+    for depth in range(level):
+        size = codes.shape[0]
+        lead = digit * base**depth
+        codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
+    return codes
+
+
+def _pair_distances(ifs: SimilitudeIFS, level: int) -> np.ndarray:
+    """The ``D^level`` pair distances indexed by code (see :func:`_pair_table`)."""
+    deltas, _ = _pair_digits(ifs)
+    diff = np.zeros((1, ifs.ambient_dim))
+    for _ in range(level):
+        diff = (deltas[:, None, :] + ifs.ratio * diff[None, :, :]).reshape(-1, ifs.ambient_dim)
+    return np.linalg.norm(diff, axis=1)
+
+
 def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer code of every atom pair at ``level`` and the distance of each code.
 
     Lives beside :func:`quadrature` because both fix the same lexicographic
     atom (word) order; the assemblies of :mod:`fracspectra.fractal_operator`
-    and its diagonal rule gather their kernel values through it.
+    and its diagonal rule gather their kernel values through it.  The two
+    halves are also built apart, by :func:`_pair_codes` and
+    :func:`_pair_distances`: the kernel Gram assembly needs the distances at
+    ``level`` but the codes only at ``level - 1``.
 
     With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
     ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -
     t_{j_k})`` depends only on the digit-by-digit translation differences.
-    With the D distinct level-1 differences ``t_a - t_b`` numbered 0..D-1,
-    the code of (i, j) is the base-D number of its differences, first digit
-    most significant, built by a Kronecker recursion in atom order.  Returns
-    the (N, N) codes and the D^L distances indexed by code.  Since ``t_b -
-    t_a = -(t_a - t_b)`` exactly, a gather from the table is bitwise
-    symmetric, and mirror-symmetric for mirror-symmetric translations.
+    With the D distinct level-1 differences ``t_a - t_b`` numbered 0..D-1
+    (:func:`_pair_digits`), the code of (i, j) is the base-D number of its
+    differences, first digit most significant, built by a Kronecker recursion
+    in atom order.  Returns the (N, N) codes and the D^L distances indexed by
+    code.  Since ``t_b - t_a = -(t_a - t_b)`` exactly, a gather from the table
+    is bitwise symmetric; it is also centrosymmetric when the digits pass the
+    mirror test of :func:`~fracspectra.fractal_operator.assemble_dmu_kernel`.
+    The first digit splits off the level-1 cells: with ``M = N / m`` atoms
+    per cell, the pair ``(a M + i', b M + j')`` has the code ``digit[a, b]
+    D^(L-1) + C[i', j']``, with C the codes at level ``L - 1``.
 
     The distances are a bitwise palindrome with the coincident code
     ``(D^L - 1) / 2`` at the centre, so a radial function need only be
@@ -228,21 +268,7 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
     zero difference is the middle digit ``(D - 1) / 2`` (D is odd), and
     every digit of a coincident pair is that one.
     """
-    t, r = ifs.translations, ifs.ratio
-    m, n = t.shape
-    deltas, digit = np.unique(
-        (t[:, None, :] - t[None, :, :]).reshape(m * m, n), axis=0, return_inverse=True
-    )
-    n_codes = deltas.shape[0] ** level
-    digit = digit.reshape(m, m).astype(np.int32 if n_codes <= 2**31 else np.int64)
-    codes = np.zeros((1, 1), dtype=digit.dtype)
-    diff = np.zeros((1, n))
-    for depth in range(level):
-        size = codes.shape[0]
-        lead = digit * deltas.shape[0] ** depth
-        codes = (lead[:, None, :, None] + codes[None, :, None, :]).reshape(m * size, m * size)
-        diff = (deltas[:, None, :] + r * diff[None, :, :]).reshape(-1, n)
-    return codes, np.linalg.norm(diff, axis=1)
+    return _pair_codes(ifs, level), _pair_distances(ifs, level)
 
 
 def ball_measure_ratio(measure: FractalMeasure, center, rho: float) -> float:

@@ -12,10 +12,15 @@ spectra approximate the continuum objects:
   t_{j_k})`` depends only on the digit-by-digit translation differences of
   the two atom words, and the codes of (i, j) and (j, i) mirror each other
   about the table's centre.
-* ``assemble_dmu_kernel`` builds the symmetric positive kernel matrix K whose
-  eigenvalues are the squared singular values of the restriction (trace)
-  operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
-  approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
+* ``assemble_dmu_kernel`` assembles the symmetric positive kernel operator K
+  whose eigenvalues are the squared singular values of the restriction
+  (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
+  approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.  For a set
+  that is mirror-symmetric in its digits K is exactly centrosymmetric, and
+  the operator carries its folded table and the level-(L-1) pair codes
+  (:class:`MirrorBlocks`), from which the solver gathers the two half-size
+  blocks ``A +- B J`` one at a time; the N x N matrix K is never formed.
+  Any other set gets the dense matrix K.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
@@ -37,11 +42,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
-from .fractal_measure import FractalMeasure, _pair_table
+from .fractal_measure import FractalMeasure, _pair_codes, _pair_digits, _pair_distances, _pair_table
 
 __all__ = [
     "SYMMETRY_REL",
@@ -52,6 +56,7 @@ __all__ = [
     "BesselKernel",
     "cell_pair_energy",
     "DiscretizedOperator",
+    "MirrorBlocks",
     "assemble_dmu_kernel",
     "assemble_trace_operator",
     "assemble_tmu_galerkin",
@@ -363,18 +368,73 @@ def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
     return dev, scale
 
 
+@dataclass(frozen=True, eq=False)
+class MirrorBlocks:
+    """The blocks ``A + B J`` and ``A - B J`` of an exactly centrosymmetric
+    kernel matrix ``K = [[A, B], [J B J, J A J]]`` of order ``N = 2h`` (J the
+    index reversal), each gathered on request from the folded ``table``;
+    K itself is never formed.
+
+    With m maps, D digits and ``M = N / m`` atoms per level-1 cell, the pair
+    ``(a M + i', b M + j')`` has the code ``digit[a, b] D^(L-1) + C[i', j']``
+    (:func:`~fracspectra.fractal_measure._pair_table`), where ``codes`` is C,
+    the level-(L-1) pair codes.  Column ``b M + j'`` of ``B J`` is column
+    ``(m-1-b) M + (M-1-j')`` of K.  So with ``q = m / 2``, sub-block (a, b)
+    of A, for ``a, b < q``, is ``table[o:][C]`` with ``o = offsets[0][a, b] =
+    digit[a, b] D^(L-1)``, and that of ``B J`` is ``table[o:][C[:, ::-1]]``
+    with ``o = offsets[1][a, b] = digit[a, m-1-b] D^(L-1)``.
+    """
+
+    table: np.ndarray
+    codes: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def order(self) -> int:
+        """The order N of K."""
+        return 2 * self.offsets.shape[1] * self.codes.shape[0]
+
+    def block(self, sign: int) -> np.ndarray:
+        """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
+        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``, with no temporary larger
+        than ``_TILE`` rows of a sub-block."""
+        q, size = self.offsets.shape[1], self.codes.shape[0]
+        combine = np.add if sign > 0 else np.subtract
+        flipped = self.codes[:, ::-1]
+        out = np.empty((q, size, q, size))
+        for (a, b), off in np.ndenumerate(self.offsets[0]):
+            a_table, bj_table = self.table[off:], self.table[self.offsets[1][a, b] :]
+            for lo in range(0, size, _TILE):
+                rows = slice(lo, lo + _TILE)
+                combine(a_table[self.codes[rows]], bj_table[flipped[rows]], out=out[a, rows, b])
+        return out.reshape(q * size, q * size)
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """A matrix plus its ``assembly`` record, which says how it was built and
     what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).  The
     ``symmetric`` flag, checked here, is ``eigen_spectrum``'s one Hermitian
-    decision; a non-finite entry is refused, flagged or not."""
+    decision; a non-finite entry is refused, flagged or not.
 
-    matrix: np.ndarray
+    A kernel Gram operator of a digit-mirror-symmetric set holds no matrix
+    but its ``mirror`` blocks (see :func:`assemble_dmu_kernel`).  It is
+    symmetric by construction, so no tile pass reads it; it is refused when
+    its table has a non-finite entry, since every table entry is an entry of
+    K and every entry of K is one of the table."""
+
+    matrix: np.ndarray | None
     assembly: dict
     symmetric: bool = False
+    mirror: MirrorBlocks | None = None
 
     def __post_init__(self) -> None:
+        if self.mirror is not None:
+            if self.matrix is not None or not self.symmetric:
+                raise ValueError("an operator held as mirror blocks is symmetric and has no matrix")
+            if not np.all(np.isfinite(self.mirror.table)):
+                raise ValueError("operator matrix contains non-finite entries")
+            return
         mat = np.asarray(self.matrix)
         if mat.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
@@ -395,6 +455,8 @@ class DiscretizedOperator:
 
     @property
     def shape(self) -> tuple[int, int]:
+        if self.mirror is not None:
+            return (self.mirror.order, self.mirror.order)
         return self.matrix.shape
 
 
@@ -414,8 +476,28 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
 
     Entries are gathered by pair code from one kernel value per distinct pair
     difference (:func:`_pair_table`), the diagonal from the coincident code.
+    The kernel values form the folded table T, a bitwise palindrome
+    (:func:`_folded_table`).
 
-    Only the matrix is built here.  Positive-definiteness is judged by
+    **Mirror blocks.**  With m maps, D digits and level L >= 1, the operator
+    carries :class:`MirrorBlocks` (T, the level-(L-1) codes and the block
+    offsets) instead of K when m is even and the level-1 digits satisfy
+    ``digit[m-1-a, m-1-b] == D-1-digit[a, b]``.  That is an O(m^2) exact test
+    on integers.  The index reversal J maps atom i, in base m, to the word
+    with every digit a replaced by ``m-1-a``, so under the test the code of
+    ``(J i, J j)`` is ``sum_k (D-1-digit_k) D^(L-1-k) = D^L - 1 - code(i, j)``,
+    and T, a palindrome, holds bitwise the same value there: K is exactly
+    centrosymmetric, ``K = J K J``.  It is also exactly symmetric, because
+    ``code(j, i) = D^L - 1 - code(i, j)`` for every set (:func:`_pair_table`).
+    Hence A is bitwise symmetric, and so is ``B J``: ``(B J)[j, i] =
+    K[j, N-1-i] = K[N-1-j, i] = K[i, N-1-j] = (B J)[i, j]``, by centrosymmetry
+    and then symmetry.  So is each block ``A +- B J``, since ``x +- y`` rounds
+    the same for the mirrored entry pair.  No tile pass re-checks it.  Any
+    other set (every odd m, and an even-m set whose digits fail the test)
+    gets the dense K through the level-L codes, and its ``symmetric`` flag is
+    checked as for any matrix.
+
+    Only the operator is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
     :class:`PsdViolationWarning` for a ``"kernel-gram"`` assembly from the
     smallest eigenvalue of the solve it runs anyway.
@@ -426,27 +508,34 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     kernel = BesselKernel(order=a, ambient_dim=n)
     w = measure.weight
     conv = (2.0 * math.pi) ** (-n / 2.0)
-    N = measure.n_atoms
-    codes, dist = _pair_table(ifs, measure.level)
+    N, level, m = measure.n_atoms, measure.level, ifs.n_maps
     energy, diag_info = cell_pair_energy(measure, kernel)
-    K = _folded_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)[codes]
+    table = _folded_table(
+        _pair_distances(ifs, level), lambda rho: conv * w * kernel(rho), conv * energy / w
+    )
+    deltas, digit = _pair_digits(ifs)
+    base = deltas.shape[0]
+    matrix = mirror = None
+    if level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
+        q = m // 2
+        lead = digit * base ** (level - 1)
+        offsets = np.stack([lead[:q, :q], lead[:q, ::-1][:, :q]])
+        mirror = MirrorBlocks(table, _pair_codes(ifs, level - 1), offsets)
+    else:
+        matrix = table[_pair_codes(ifs, level)]
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
         "kernel_order": a,
         "ambient_dim": n,
         "set_dimension": d,
-        "level": measure.level,
+        "level": level,
         "n_atoms": N,
         "convention": "(2*pi)**(-n/2) * sqrt(w_j w_k) * kernel(|x_j - x_k|)",
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
-    return DiscretizedOperator(
-        matrix=K,
-        assembly=assembly,
-        symmetric=True,
-    )
+    return DiscretizedOperator(matrix, assembly, symmetric=True, mirror=mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +700,8 @@ class _CutoffProfile:
             hi = min(lo + chunk, _PROFILE_NODES)
             vals[lo:hi] = np.cos(np.outer(nodes[lo:hi], xs)) @ wind_w
         vals *= math.sqrt(2.0 / math.pi)
+        from scipy.interpolate import CubicSpline
+
         self._near = CubicSpline(np.log(nodes), vals)
         self._zero = math.sqrt(2.0 / math.pi) * float(wind_w.sum())
         self.splice_rel = 0.0

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import svdvals
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "SNumberSequence",
@@ -179,6 +178,8 @@ def _extreme_points(cluster: np.ndarray) -> np.ndarray:
     dim = cluster.shape[1]
     if dim < 2 or cluster.shape[0] <= dim + 1:
         return cluster
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(cluster, qhull_options="Qc")
     except QhullError:

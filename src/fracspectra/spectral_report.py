@@ -15,10 +15,13 @@ by the smoothness order and the dimension of the supporting set:
 reduced to tridiagonal form once per block, and that one reduction gives its
 whole spectrum, bit for bit the values-only ``scipy.linalg.eigh``, and
 eigenvectors only for the 50 eigenvalues of largest modulus.  One that is
-mirror-symmetric under the index reversal, as the kernel matrix of every
-bundled symmetric IFS is, is solved exactly as two half-size blocks.  The
-returned top-50 eigenvalues are certified with those eigenvectors by their
-residuals against the full matrix.  Flagged operators include the Galerkin
+mirror-symmetric under the index reversal is solved exactly as two
+half-size blocks: a kernel Gram operator of a digit-mirror-symmetric set,
+as every bundled IFS is, arrives as those blocks and is never a full
+matrix, and a dense matrix is split when its entries pass the mirror check.
+The returned top-50 eigenvalues are certified with those eigenvectors by
+their residuals, per block for the kernel blocks and against the full
+matrix otherwise.  Flagged operators include the Galerkin
 compression of a symbol whose spatial factor is shared and positive, which
 the assembly returns in a diagonally similar symmetric form; unflagged ones
 go to the general ``scipy.linalg.eigvals``, which has no certificate.
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
@@ -186,30 +188,43 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, w[np.r_[0:b, n - m + b : n]], vecs
 
 
-def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of Hermitian ``mat``, plus the up to 50 of largest
-    modulus and their eigenvectors, one tridiagonal reduction per block
-    (:func:`_top_pairs`); a mirror-symmetric ``mat`` of even order
-    is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
+def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_top_pairs` of Hermitian ``block``, with the residual norm
+    ``||block u - lambda u||`` of each returned pair in place of its vector."""
+    w, top, u = _top_pairs(block)
+    return w, top, np.linalg.norm(block @ u - u * top, axis=0)
+
+
+def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending union of the blocks' spectra, and the residuals of the up
+    to 50 pairs of largest modulus among the blocks' certified pairs.  Only a
+    block's own top 50 can reach the overall top 50."""
+    cand = np.concatenate([top for _, top, _ in parts])
+    order = np.argsort(-np.abs(cand), kind="stable")[:50]
+    res = np.concatenate([r for _, _, r in parts])[order]
+    return np.sort(np.concatenate([w for w, _, _ in parts])), res
+
+
+def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of Hermitian ``mat``, and the residuals against
+    ``mat`` of the up to 50 eigenpairs of largest modulus, one tridiagonal
+    reduction per block (:func:`_top_pairs`); a mirror-symmetric ``mat`` of
+    even order is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
     n = mat.shape[0]
     h = n // 2
     dev = scale = 0.0
     if n % 2 == 0:  # for Hermitian K, K J is Hermitian iff K = J K J
         dev, scale = _hermitian_deviation(mat[:, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
-        return _top_pairs(mat)
+        return _merge([_certified_pairs(mat)])
     a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
-    # only a block's own top 50 can reach the overall top 50, and each block
-    # is freed as its call returns, before the other one is formed
-    w_even, top_even, u_even = _top_pairs(a + bj)
-    w_odd, top_odd, u_odd = _top_pairs(a - bj)
-    cand = np.concatenate([top_even, top_odd])
-    top = np.argsort(-np.abs(cand), kind="stable")[: min(50, n)]
-    u = np.hstack([u_even, u_odd])[:, top]
-    # lift u to [u; J u] / sqrt(2) (even block) or [u; -J u] / sqrt(2) (odd block)
-    sign = np.where(top < top_even.size, 1.0, -1.0)
-    vecs = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)
-    return np.sort(np.concatenate([w_even, w_odd])), cand[top], vecs
+    parts = []
+    for sign in (1.0, -1.0):
+        # each block is freed as its call returns, before the other one is formed
+        w, top, u = _top_pairs(a + bj if sign > 0 else a - bj)
+        lifted = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)  # [u; +-J u] / sqrt(2)
+        parts.append((w, top, np.linalg.norm(mat @ lifted - lifted * top, axis=0)))
+    return _merge(parts)
 
 
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
@@ -236,33 +251,42 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
     A Hermitian K of even order N = 2h that is mirror-symmetric
     (centrosymmetric), ``K = J K J`` with J the index reversal, is solved as
-    two Hermitian blocks of order h.  Since ``(K J)^H = J K^H``, the
-    column-reversed view K J is Hermitian exactly when ``K = J K^H J``, so
-    the check is the ``symmetric`` flag's tile check run on K J:
-    ``max|K - J K^H J| <= SYMMETRY_REL * max|K|``.  Every
-    bundled IFS is symmetric under ``x -> 1 - x``, which in lexicographic word
-    order maps atom i to atom N-1-i, so its kernel matrix qualifies; the
-    symmetry is read from the matrix, not from the atoms.  The reduction is
-    exact:
+    two Hermitian blocks of order h.  The reduction is exact:
 
     * write ``K = [[A, B], [., .]]`` and let K_c be the centrosymmetric matrix
       whose top half equals K's, ``K_c = [[A, B], [J B J, J A J]]``;
     * ``Q = [[I, I], [J, -J]] / sqrt(2)`` is orthogonal, and
       ``Q^T K_c Q = diag(A + B J, A - B J)``, so the spectrum of K_c is the
       union of the spectra of the blocks, and an eigenvector u of ``A +- B J``
-      lifts to the eigenvector ``[u; +-J u] / sqrt(2)`` of K_c;
-    * by Weyl's inequality every eigenvalue of K differs from the matching
-      one of K_c by at most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2))
-      max|K - J K J|``, and ``max|K - J K J| <= max|K - J K^H J| +
-      max|K - K^H|``, which this check and the ``symmetric`` flag's bound by
-      ``2 * SYMMETRY_REL * max|K|`` (the second term is 0 for the bitwise
-      symmetric kernel matrices);
-    * the residual certificate is still computed against K itself, with the
-      50 lifted eigenvectors, so it certifies what is returned whichever path
-      ran.
+      lifts to the eigenvector ``[u; +-J u] / sqrt(2)`` of K_c.
 
-    Odd N and matrices that fail the check are solved at full size, and the
-    non-Hermitian path keeps its single full-size ``eigvals``.
+    The split is decided in one of two ways:
+
+    * **Kernel Gram operators: from structure.**  An operator that carries
+      :class:`~fracspectra.fractal_operator.MirrorBlocks` is exactly
+      centrosymmetric by its assembly's digit test (see
+      :func:`~fracspectra.fractal_operator.assemble_dmu_kernel`), so K = K_c
+      and K is never formed: each block is gathered from the table, solved
+      and certified, then freed.  The certificate is computed per block,
+      ``||(A +- B J) u - lambda u||``, and it equals the residual of the lifted
+      vector against K: with ``r = (A +- B J) u - lambda u``, ``K [u; +-J u] =
+      [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +- B J) u]``,
+      so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm ``||r||``.
+    * **Dense matrices (Galerkin operators and any kernel operator of a set
+      that fails the digit test): read from the matrix.**  Since ``(K J)^H =
+      J K^H``, the column-reversed view K J is Hermitian exactly when ``K =
+      J K^H J``, so the check is the ``symmetric`` flag's tile check run on
+      K J: ``max|K - J K^H J| <= SYMMETRY_REL * max|K|``.  By Weyl's
+      inequality every eigenvalue of K then differs from the matching one of
+      K_c by at most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2))
+      max|K - J K J|``, and ``max|K - J K J| <= max|K - J K^H J| + max|K -
+      K^H|``, which this check and the ``symmetric`` flag's bound by ``2 *
+      SYMMETRY_REL * max|K|``.  The residual certificate is computed against
+      K itself, with the 50 lifted eigenvectors, so it certifies what is
+      returned whichever path ran.  Odd N and matrices that fail the check
+      are solved at full size.
+
+    The non-Hermitian path keeps its single full-size ``eigvals``.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the
@@ -275,14 +299,21 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     symmetric form (see
     :func:`~fracspectra.fractal_operator.assemble_tmu_galerkin`).
     """
-    mat, provenance = op.matrix, op.assembly
-    if mat.shape[0] != mat.shape[1]:
+    provenance = op.assembly
+    n_rows, n_cols = op.shape
+    if n_rows != n_cols:
         raise ValueError("eigen_spectrum needs a square matrix")
-    if mat.size == 0:
+    if n_rows == 0:
         return np.zeros(0, dtype=np.complex128)
     try:
         if op.symmetric:
-            w, w_top, v_top = _hermitian_eigh(mat)  # w ascending
+            if op.mirror is not None:
+                # each block is gathered, solved and certified, and freed
+                # before the other one is gathered
+                blocks = [_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)]
+                w, res = _merge(blocks)  # w ascending
+            else:
+                w, res = _hermitian_eigh(op.matrix)
             if provenance.get("kind") == "kernel-gram" and w[0] < -1e-8 * w[-1]:
                 warnings.warn(
                     f"kernel matrix has eigenvalue {w[0]:.3e} below "
@@ -291,18 +322,16 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
                     stacklevel=2,
                 )
             norm = float(np.abs(w).max())
-            if norm > 0.0:
-                res = np.linalg.norm(mat @ v_top - v_top * w_top, axis=0)
-                worst = float(res.max())
-                if worst > RESIDUAL_REL * norm:
-                    raise RuntimeError(
-                        f"eigenpair residual {worst:.3e} exceeds "
-                        f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "
-                        f"assembly record: {provenance}"
-                    )
+            worst = float(res.max())
+            if norm > 0.0 and worst > RESIDUAL_REL * norm:
+                raise RuntimeError(
+                    f"eigenpair residual {worst:.3e} exceeds "
+                    f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "
+                    f"assembly record: {provenance}"
+                )
             vals = w.astype(np.complex128)
         else:
-            vals = scipy.linalg.eigvals(mat)
+            vals = scipy.linalg.eigvals(op.matrix)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"
@@ -441,6 +470,8 @@ def fit_upper_envelope(
     a_eq[:, 2 : 2 + m] = np.eye(m)
     a_eq[:, 2 + m :] = -np.eye(m)
     bounds = [(None, None), (None, None)] + [(0.0, None)] * (2 * m)
+    from scipy.optimize import linprog
+
     result = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
     if not result.success:
         raise RuntimeError(f"quantile-envelope fit did not converge: {result.message}")

@@ -1,7 +1,11 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
+from fracspectra.fractal_measure import _pair_table
+from fracspectra.fractal_operator import BesselKernel, _folded_table, cell_pair_energy
 from fracspectra.psido_engine import SeparableTerm, Symbol, _sum_evaluator
 
 hypothesis.settings.register_profile(
@@ -17,6 +21,31 @@ hypothesis.settings.register_profile(
     deadline=None,
 )
 hypothesis.settings.load_profile("default")
+
+
+def dense_kernel(mu, s: float) -> np.ndarray:
+    """The N x N kernel Gram matrix K of ``assemble_dmu_kernel(mu, s)``,
+    gathered in full: the folded kernel table at every level-L pair code."""
+    n = mu.ifs.ambient_dim
+    kernel = BesselKernel(order=2.0 * s, ambient_dim=n)
+    conv, w = (2.0 * math.pi) ** (-n / 2.0), mu.weight
+    energy, _ = cell_pair_energy(mu, kernel)
+    codes, dist = _pair_table(mu.ifs, mu.level)
+    return _folded_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)[codes]
+
+
+def assert_operator_is(op, K: np.ndarray) -> None:
+    """``op`` holds exactly ``K``: as its dense matrix, or as the two mirror
+    blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry bitwise."""
+    assert op.shape == K.shape
+    if op.mirror is None:
+        assert np.array_equal(op.matrix, K)
+        return
+    assert op.matrix is None and np.array_equal(K, K[::-1, ::-1])
+    h = K.shape[0] // 2
+    a, bj = K[:h, :h], K[:h, h:][:, ::-1]
+    assert np.array_equal(op.mirror.block(1), a + bj)
+    assert np.array_equal(op.mirror.block(-1), a - bj)
 
 
 @pytest.fixture

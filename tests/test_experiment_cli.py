@@ -12,6 +12,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -565,6 +568,22 @@ class TestRunValidateSymbol:
 
 
 class TestCli:
+    def test_cli_import_leaves_out_the_optional_scipy_subpackages(self):
+        # the Galerkin spline, the envelope LP and the entropy hull import
+        # these where they run; a module-level import would tax every command
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import sys, fracspectra.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
+            "'scipy.spatial') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_spectrum_pass_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", base_dict())
         out = tmp_path / "out"

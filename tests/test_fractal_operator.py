@@ -1,6 +1,7 @@
 """Tests for kernel tabulation, diagonal cell averaging, and the three
 operator assemblies (kernel gram, trace factor, compressed symbol)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, j0, kv
 
+from conftest import assert_operator_is, dense_kernel
 from fracspectra.fractal_measure import _pair_table, build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     BesselKernel,
@@ -192,7 +194,8 @@ class TestPairTable:
         off = np.arange(dist.size) != dist.size // 2
         full = np.zeros(dist.size)
         full[off] = (2.0 * math.pi) ** (-n / 2.0) * mu.weights[0] * kernel(dist[off])
-        K = assemble_dmu_kernel(mu, s).matrix
+        K = dense_kernel(mu, s)
+        assert_operator_is(assemble_dmu_kernel(mu, s), K)
         mask = ~np.eye(mu.n_atoms, dtype=bool)
         assert np.array_equal(K[mask], full[codes][mask])
 
@@ -334,9 +337,9 @@ class TestKernelGram:
 
     def test_two_atom_eigenvalues(self, cantor_ifs):
         mu1 = quadrature(cantor_ifs, 1)
-        op = assemble_dmu_kernel(mu1, 0.45)
-        lam = np.linalg.eigvalsh(op.matrix)
-        k = op.matrix
+        k = dense_kernel(mu1, 0.45)
+        assert_operator_is(assemble_dmu_kernel(mu1, 0.45), k)
+        lam = np.linalg.eigvalsh(k)
         expect = sorted([k[0, 0] - k[0, 1], k[0, 0] + k[0, 1]])
         assert lam == pytest.approx(expect, rel=1e-12)
 
@@ -360,7 +363,8 @@ class TestKernelGram:
         # taken directly from the atoms
         mu = quadrature(build_cantor_like(*geometry), level)
         n = mu.ifs.ambient_dim
-        K = assemble_dmu_kernel(mu, s).matrix
+        K = dense_kernel(mu, s)
+        assert_operator_is(assemble_dmu_kernel(mu, s), K)
         conv_w = (2.0 * math.pi) ** (-n / 2.0) * mu.weights[0]
         for i, j in zip(*np.nonzero(~np.eye(mu.n_atoms, dtype=bool))):
             rho = float(np.linalg.norm(mu.atoms[i] - mu.atoms[j]))
@@ -372,7 +376,12 @@ class TestKernelGram:
 
     def test_bitwise_symmetry(self, mu5):
         op = assemble_dmu_kernel(mu5, 0.45)
-        assert np.array_equal(op.matrix, op.matrix.T)
+        K = dense_kernel(mu5, 0.45)
+        assert_operator_is(op, K)
+        assert np.array_equal(K, K.T)
+        for sign in (1, -1):
+            block = op.mirror.block(sign)
+            assert np.array_equal(block, block.T)
         assert op.symmetric
 
     def test_positive_definite_without_warning(self, mu7):
@@ -383,12 +392,8 @@ class TestKernelGram:
         assert lam.real.min() > 0.0
 
     def test_level_convergence_top_eigenvalues(self, cantor_ifs):
-        lam9 = np.linalg.eigvalsh(
-            assemble_dmu_kernel(quadrature(cantor_ifs, 9), 0.45).matrix
-        )[::-1][:20]
-        lam10 = np.linalg.eigvalsh(
-            assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).matrix
-        )[::-1][:20]
+        lam9 = np.linalg.eigvalsh(dense_kernel(quadrature(cantor_ifs, 9), 0.45))[::-1][:20]
+        lam10 = np.linalg.eigvalsh(dense_kernel(quadrature(cantor_ifs, 10), 0.45))[::-1][:20]
         assert np.max(np.abs(lam10 - lam9) / lam10) <= 5e-3
 
     def test_assembly_provenance(self, mu5):
@@ -443,6 +448,19 @@ class TestKernelGram:
                 assembly={},
             )
 
+    def test_mirror_operator_validation(self, cantor_ifs):
+        mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).mirror
+        with pytest.raises(ValueError, match="mirror blocks"):
+            DiscretizedOperator(np.eye(4), {}, symmetric=True, mirror=mirror)
+        with pytest.raises(ValueError, match="mirror blocks"):
+            DiscretizedOperator(None, {}, mirror=mirror)
+        for value in (math.nan, math.inf):
+            table = mirror.table.copy()
+            table[0] = value  # an entry of K off the diagonal
+            bad = dataclasses.replace(mirror, table=table)
+            with pytest.raises(ValueError, match="non-finite"):
+                DiscretizedOperator(None, {}, symmetric=True, mirror=bad)
+
 
 class TestTraceOperator:
     def test_window_violations(self, mu5):
@@ -480,7 +498,7 @@ class TestGalerkinCompression:
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 1.0e6)
         lam_g = np.linalg.eigvalsh(M.matrix)[::-1]
-        lam_n = np.linalg.eigvalsh(assemble_dmu_kernel(mu7, 0.45).matrix)[::-1]
+        lam_n = np.linalg.eigvalsh(dense_kernel(mu7, 0.45))[::-1]
         assert np.max(np.abs(lam_g[:50] - lam_n[:50]) / lam_n[:50]) <= 0.02
 
     def test_cutoff_doubling_stability(self, mu7):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -13,6 +15,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import assert_operator_is, dense_kernel
 from fracspectra.fractal_measure import build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     DiscretizedOperator,
@@ -37,6 +40,11 @@ from fracspectra.spectral_report import (
 )
 
 D_CANTOR = 0.6309297535714574  # log 2 / log 3, dimension of the middle-third set
+
+# (ambient_dim, n_maps, ratio, translations) of sets off the two-map Cantor line
+THREE_MAPS = (1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]])
+SYMMETRIC_DUST = (2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]])
+LOPSIDED_FOUR_MAPS = (1, 4, 0.08, [[0.0], [0.25], [0.5], [0.9]])
 
 
 @pytest.fixture(scope="module")
@@ -190,9 +198,11 @@ class TestEigenSpectrum:
     def test_two_atom_kernel_matrix_closed_form(self, measure_l1):
         # symmetric 2x2 with equal diagonal: eigenvalues are diag +- offdiag
         op = assemble_dmu_kernel(measure_l1, 0.45)
+        k = dense_kernel(measure_l1, 0.45)
+        assert_operator_is(op, k)
         res = eigen_spectrum(op)
-        hi = op.matrix[0, 0] + op.matrix[0, 1]
-        lo = op.matrix[0, 0] - op.matrix[0, 1]
+        hi = k[0, 0] + k[0, 1]
+        lo = k[0, 0] - k[0, 1]
         assert np.all(res.imag == 0.0)
         assert res.real == pytest.approx([hi, lo], rel=1e-12)
         assert res.real[1] > 0.0
@@ -211,7 +221,7 @@ class TestEigenSpectrum:
         op = assemble_dmu_kernel(measure_l5, 0.45)
         res = eigen_spectrum(op)
         assert np.all(res.imag == 0.0)
-        ref = np.sort(np.linalg.eigvalsh(op.matrix))[::-1]
+        ref = np.sort(np.linalg.eigvalsh(dense_kernel(measure_l5, 0.45)))[::-1]
         assert np.allclose(res.real, ref, rtol=1e-10, atol=1e-14 * ref[0])
 
     def test_residual_certificate_failure_carries_provenance(self, measure_l5, monkeypatch):
@@ -306,8 +316,9 @@ class TestEigenSpectrum:
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
     def test_cantor_kernel_split_matches_full_solve(self, cantor_ifs):
-        op = assemble_dmu_kernel(quadrature(cantor_ifs, 9), 0.45)
-        ref = np.sort(scipy.linalg.eigvalsh(op.matrix))[::-1][:200]
+        mu = quadrature(cantor_ifs, 9)
+        op = assemble_dmu_kernel(mu, 0.45)
+        ref = np.sort(scipy.linalg.eigvalsh(dense_kernel(mu, 0.45)))[::-1][:200]
         with eigensolve_calls() as calls:
             res = eigen_spectrum(op)
         assert_block_solves(calls, [256, 256])
@@ -337,12 +348,17 @@ class TestEigenSpectrum:
                 eigen_spectrum(op)
             assert calls and all(kind not in ("all", "eigh") for kind, _ in calls)
 
-    @pytest.mark.parametrize("n", [128, 101])  # split kernel; unsplit random
+    # kernel mirror blocks; dense three-map kernel; unsplit random
+    @pytest.mark.parametrize("n", [128, 81, 101])
     def test_certificate_rejects_vectors_that_do_not_pair_with_the_values(
         self, cantor_ifs, n
     ):
         if n == 128:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
+            assert op.mirror is not None
+        elif n == 81:
+            op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
+            assert op.matrix.shape == (81, 81)
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
             op = operator(a + a.T, True)
@@ -357,9 +373,10 @@ class TestEigenSpectrum:
             return w, v + 1e-6 * rng.standard_normal(v.shape)
 
         eigen_spectrum(op)  # certified as solved
+        record = re.escape(f"assembly record: {op.assembly}")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
-            with pytest.raises(RuntimeError, match="eigenpair residual"):
+            with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -410,6 +427,79 @@ class TestEigenSpectrum:
         mine = eigen_spectrum(operator(mat, False))
         ref = order_by_modulus(np.linalg.eigvals(mat))
         assert np.allclose(mine, ref, atol=1e-9 * max(np.abs(ref[0]), 1.0))
+
+
+class TestKernelMirrorBlocks:
+    """The kernel operator held as its two mirror blocks, against the dense K
+    the test gathers in full (``dense_kernel``)."""
+
+    @pytest.mark.parametrize("level", range(1, 12))
+    def test_cantor_p2_blocks_spectrum_and_residuals_match_the_dense_path(
+        self, cantor_ifs, level
+    ):
+        # the cantor_p2 geometry and smoothness, 2s = 0.9
+        mu = quadrature(cantor_ifs, level)
+        op = assemble_dmu_kernel(mu, 0.45)
+        K = dense_kernel(mu, 0.45)
+        assert_operator_is(op, K)  # every entry of A +- B J, bitwise
+        dense = DiscretizedOperator(K, op.assembly, symmetric=True)
+        values = eigen_spectrum(op)
+        assert np.array_equal(values, eigen_spectrum(dense))
+        # the per-block residual is the residual of the lifted vector
+        # [u; +-J u] / sqrt(2) against K, for the eigenvectors and for
+        # vectors that are not, up to the rounding of a length-N product
+        n = K.shape[0]
+        atol = n * np.finfo(float).eps * float(np.abs(values).max())
+        rng = np.random.default_rng(level)
+        for sign in (1, -1):
+            block = op.mirror.block(sign)
+            _, top, res = spectral_report._certified_pairs(block)
+            _, _, u = spectral_report._top_pairs(block)
+
+            def lift(v):
+                return np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0)
+
+            def residual(mat, v):
+                return np.linalg.norm(mat @ v - v * top, axis=0)
+
+            assert np.allclose(res, residual(K, lift(u)), rtol=0.0, atol=atol)
+            v = u + 1e-6 * rng.standard_normal(u.shape)
+            assert np.allclose(residual(block, v), residual(K, lift(v)), rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize(
+        "geometry, level, s, split",
+        [
+            (THREE_MAPS, 4, 0.45, False),  # odd m, odd N
+            (LOPSIDED_FOUR_MAPS, 3, 0.45, False),  # even m, digits fail the test
+            (SYMMETRIC_DUST, 3, 0.75, True),  # m = 4: (m/2)^2 sub-gathers per block
+        ],
+        ids=["three-maps", "lopsided-four-maps", "symmetric-dust"],
+    )
+    def test_the_digit_test_decides_the_split(self, geometry, level, s, split):
+        mu = quadrature(build_cantor_like(*geometry), level)
+        op = assemble_dmu_kernel(mu, s)
+        K = dense_kernel(mu, s)
+        assert (op.mirror is not None) == split
+        assert_operator_is(op, K)
+        with eigensolve_calls() as calls:
+            values = eigen_spectrum(op)  # certified, or it raises
+        n = mu.n_atoms
+        assert_block_solves(calls, [n // 2, n // 2] if split else [n])
+        dense = DiscretizedOperator(K, op.assembly, symmetric=True)
+        assert np.array_equal(values, eigen_spectrum(dense))
+
+    def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs):
+        # K in float64 is 8 N^2 bytes; the mirror path holds the level-(L-1)
+        # codes (N^2 bytes), one block and the reduction's copy of it
+        mu = quadrature(cantor_ifs, 10)
+        n = mu.n_atoms
+        tracemalloc.start()
+        try:
+            eigen_spectrum(assemble_dmu_kernel(mu, 0.45))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, f"peak {peak} B reaches 8 N^2 = {8 * n * n} B"
 
 
 class TestTheoreticalExponents:
