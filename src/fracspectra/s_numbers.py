@@ -89,11 +89,15 @@ _MAX_BRUTE_K = 7
 
 
 def _vector_norms(arr: np.ndarray, p: float) -> np.ndarray:
-    """l_p norms along the last axis, p in [1, inf]."""
-    a = np.abs(arr)
-    if math.isinf(p):
-        return np.max(a, axis=-1)
-    return np.sum(a**p, axis=-1) ** (1.0 / p)
+    """l_p norms of the rows of a 2-D array, p in [1, inf].
+
+    They are the `_pairwise` distances to the origin, so the module has one
+    norm rule.  Subtracting 0.0 leaves every coordinate as it is (-0.0 stays
+    -0.0, whose absolute value is 0.0), so by `_pairwise`'s argument each
+    norm is bitwise ``np.sum(np.abs(a)**p, axis=-1) ** (1/p)`` over the row
+    (its max of absolute values for p = inf).
+    """
+    return _pairwise(arr, np.zeros((1, arr.shape[1])), p)[:, 0]
 
 
 def _ball_volume(n: int, p: float) -> float:
@@ -123,7 +127,37 @@ def _ball_cloud(dim: int, p: float, resolution: int) -> tuple[np.ndarray, float]
 
 
 def _pairwise(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
-    return _vector_norms(points[:, None, :] - centers[None, :, :], q)
+    """l_q distances from every point to every centre, as (points, centres).
+
+    The n <= 3 coordinates are taken one at a time: each adds
+    ``|points[:, c] - centers[:, c]|**q`` into one (points, centres) array
+    (or takes the maximum, for q = inf), and the root is taken once at the
+    end, so no (points, centres, n) array is ever made.  Every entry goes
+    through the same operations in the same order as
+    ``np.sum(np.abs(d)**q, axis=-1) ** (1/q)`` over the 3-D differences d:
+    the same subtraction, absolute value and power per coordinate, and
+    numpy's sum over a last axis this short adds its terms in index order,
+    as the coordinate loop does.  The in-place ``**=`` takes the same
+    fast paths as ``**`` (a square for q = 2, a square root for the root).
+    So every distance is bitwise what the 3-D formula gives; the reference
+    tests in ``tests/test_snumbers.py`` hold this for q in {1, 1.5, 2, 3, inf}.
+    """
+    dists = None
+    for c in range(points.shape[1]):
+        term = np.subtract.outer(points[:, c], centers[:, c])
+        np.abs(term, out=term)
+        if not math.isinf(q):
+            term **= q
+        if dists is None:
+            dists = term
+        elif math.isinf(q):
+            np.maximum(dists, term, out=dists)
+        else:
+            dists += term
+        del term  # at most two (points, centres) arrays are held at once
+    if not math.isinf(q):
+        dists **= 1.0 / q
+    return dists
 
 
 def _one_center(points: np.ndarray) -> np.ndarray:
@@ -160,12 +194,12 @@ def _farthest_points(
     """
     idx = list(idx)
     if not idx:
-        idx = [int(np.argmax(_vector_norms(points - points.mean(axis=0), q)))]
-        dmin = _vector_norms(points - points[idx[0]], q)
+        idx = [int(np.argmax(_pairwise(points, points.mean(axis=0)[None], q)[:, 0]))]
+        dmin = _pairwise(points, points[idx[0], None], q)[:, 0]
     while len(idx) < count:
         nxt = int(np.argmax(dmin))
         idx.append(nxt)
-        dmin = np.minimum(dmin, _vector_norms(points - points[nxt], q))
+        dmin = np.minimum(dmin, _pairwise(points, points[nxt, None], q)[:, 0])
     return idx, dmin
 
 
@@ -207,6 +241,12 @@ def _cover_radius(points: np.ndarray, seeds: list[int], dmin: np.ndarray, q: flo
     assignment step and the final min-over-centres radius still run on all
     points, so the returned radius is that of an actual cover whichever
     candidate the polish picks.
+
+    Every distance here comes from `_pairwise`, bitwise the value of the
+    (points, centres, n) reduction, so each argmin, max and radius is too.
+    The root stays on every entry: comparing sums of q-th powers instead
+    could flip an argmin where two different sums have roots that round
+    alike.
     """
     m = len(seeds)
     centers = points[seeds]
@@ -230,6 +270,7 @@ def _cover_radius(points: np.ndarray, seeds: list[int], dmin: np.ndarray, q: flo
 
     # polish each cluster against a local candidate lattice
     assign = np.argmin(dists, axis=1)
+    del dists, moved_dists  # free both tables before the polish makes its own
     polished = centers.copy()
     for c in range(m):
         cluster = points[assign == c]
@@ -285,6 +326,8 @@ def entropy_numbers_bruteforce(
     if np.iscomplexobj(m):
         raise ValueError("entropy brute force handles real matrices only")
     m = np.atleast_2d(m.astype(float))
+    if m.size == 0 or not np.all(np.isfinite(m)):
+        raise ValueError("entropy brute force needs a nonempty, finite matrix")
     rows, cols = m.shape
     if max(rows, cols) > _MAX_BRUTE_DIM:
         raise ValueError(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestEntropyBruteForce:
     def test_dimension_guard(self) -> None:
         with pytest.raises(ValueError, match="dimension"):
             entropy_numbers_bruteforce(np.eye(4), k_max=2)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[math.inf, 0.0], [0.0, 1.0]], np.zeros((0, 0)), [[math.nan]]],
+        ids=["inf", "empty", "nan"],
+    )
+    def test_empty_or_nonfinite_guard(self, matrix) -> None:
+        with pytest.raises(ValueError, match="nonempty, finite"):
+            entropy_numbers_bruteforce(np.asarray(matrix), k_max=2)
 
     def test_k_guard(self) -> None:
         with pytest.raises(ValueError, match="k_max"):
@@ -259,6 +269,172 @@ class TestSeeding:
             fresh_idx, fresh_dmin = s_numbers._farthest_points(image, count, q)
             assert idx == fresh_idx
             assert np.array_equal(dmin, fresh_dmin)
+
+
+_Q_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+
+def _reference_norms(a: np.ndarray, q: float) -> np.ndarray:
+    """The l_q rule over the last axis as one numpy reduction."""
+    a = np.abs(a)
+    if math.isinf(q):
+        return np.max(a, axis=-1)
+    return np.sum(a**q, axis=-1) ** (1.0 / q)
+
+
+def _reference_pairwise(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
+    """Distances through the (points, centres, n) array of differences."""
+    return _reference_norms(points[:, None, :] - centers[None], q)
+
+
+@st.composite
+def _clouds(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Points and centres in R^n, n <= 3: random floats, some set to exact
+    zeros or small integers so that distances vanish and tie, points drawn
+    with repeats from a small pool, and some centres sitting on points."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 12)), n))
+    pool[rng.random(pool.shape) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0.0
+    pool[rng.random(pool.shape) < 0.2] = rng.integers(-3, 4)
+    points = pool[rng.integers(0, len(pool), draw(st.integers(1, 60)))]
+    centers = np.vstack(
+        [
+            pool[rng.integers(0, len(pool), draw(st.integers(0, 4)))],
+            rng.uniform(-2.0, 2.0, (draw(st.integers(1, 5)), n)),
+        ]
+    )
+    return points, centers
+
+
+class TestDistanceRule:
+    """The coordinate-wise distance loop is bitwise the 3-D reduction and
+    holds no 3-D array."""
+
+    @given(cloud=_clouds(), q=st.sampled_from(_Q_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_equals_the_3d_formula(self, cloud, q) -> None:
+        points, centers = cloud
+        assert np.array_equal(
+            s_numbers._pairwise(points, centers, q), _reference_pairwise(points, centers, q)
+        )
+
+    @given(cloud=_clouds(), q=st.sampled_from(_Q_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_vector_norms_equal_the_reduction(self, cloud, q) -> None:
+        points = cloud[0]
+        assert np.array_equal(s_numbers._vector_norms(points, q), _reference_norms(points, q))
+
+    @pytest.mark.parametrize("q", _Q_VALUES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_large_cloud_equals_the_3d_formula(self, n, q) -> None:
+        # long enough rows for numpy's vector loops and their tails
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-1.0, 1.0, (2003, n))
+        points[::7] = 0.0
+        points[1::5] = points[::5][: len(points[1::5])]
+        centers = np.vstack([points[:5], rng.uniform(-1.0, 1.0, (12, n))])
+        assert np.array_equal(
+            s_numbers._pairwise(points, centers, q), _reference_pairwise(points, centers, q)
+        )
+        assert np.array_equal(s_numbers._vector_norms(points, q), _reference_norms(points, q))
+
+    def test_search_never_holds_a_points_by_centres_by_n_array(self, monkeypatch) -> None:
+        # the largest distance table the search makes, as a (points, centres,
+        # 3) float64 array, is more than the whole call may hold at its peak;
+        # the hull polish imports scipy.spatial lazily, so load it untraced
+        import scipy.spatial  # noqa: F401
+
+        largest = 0
+        pairwise = s_numbers._pairwise
+
+        def spy(points, centers, q):
+            nonlocal largest
+            largest = max(largest, 8 * points.size * centers.shape[0])
+            return pairwise(points, centers, q)
+
+        monkeypatch.setattr(s_numbers, "_pairwise", spy)
+        matrix = _POLISH_MATRICES["dim3"]
+        tracemalloc.start()
+        try:
+            entropy_numbers_bruteforce(matrix, k_max=5, resolution=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest, f"peak {peak} B reaches one 3-D table, {largest} B"
+
+
+# (trial, norms, lower, upper): float.hex of the entropy bounds (k_max=4,
+# resolution=31) of criterion 4's first twelve matrices under (2, 2), and of
+# its first 3 x 3 matrix (trial 2) under (inf, 2) and (2, 1)
+_PINNED_ENTROPY = [
+    (0, (2.0, 2.0),
+     "0x1.986cf24b0c378p-3 0x1.986cf24b0c378p-4 0x1.986cf24b0c378p-5 0x1.986cf24b0c378p-6",
+     "0x1.a60a2d91d0e40p-3 0x1.b3a768d895908p-4 0x1.1048a1875d7a6p-4 0x1.1048a1875d7a5p-5"),
+    (1, (2.0, 2.0),
+     "0x1.dd5084ab28488p-1 0x1.dd5084ab28488p-2 0x1.dd319309a5934p-3 0x1.dd319309a5934p-4",
+     "0x1.0895aacd3785bp+0 0x1.177a803db25dfp-1 0x1.58e2a2d6f1c81p-2 0x1.8f96b01c35152p-3"),
+    (2, (2.0, 2.0),
+     "0x1.6fa998f04bcc6p+0 0x1.cb8163869f169p-1 0x1.4438ce824026fp-1 0x1.0155c8aea7b4cp-1",
+     "0x1.aee08ee4dc0e8p+0 0x1.6d8a32bfb68dcp+0 0x1.214d6138af18ep+0 0x1.f3e2e639e3cadp-1"),
+    (3, (2.0, 2.0),
+     "0x1.34ca0d1a50788p-1 0x1.34ca0d1a50788p-2 0x1.34ca0d1a50788p-3 0x1.34ca0d1a50788p-4",
+     "0x1.3f150d8a1ff40p-1 0x1.49600df9ef6f7p-2 0x1.9bb811786b4b7p-3 0x1.9bb811786b4b6p-4"),
+    (4, (2.0, 2.0),
+     "0x1.154f21c2a5271p+0 0x1.1b0ac29bf6841p-1 0x1.6571b3232c184p-2 0x1.a7a7b6d8e3fb8p-3",
+     "0x1.3622f65622f1dp+0 0x1.70b337a12a064p-1 0x1.0a21a80b4fc8ap-1 0x1.76eb3703d7336p-2"),
+    (5, (2.0, 2.0),
+     "0x1.63178b16b3298p-1 0x1.bbe592ab7a232p-2 0x1.15fd203100494p-2 0x1.da9bdd3ea54cdp-3",
+     "0x1.9ae650f28a9a5p-1 0x1.522004fb7ff41p-1 0x1.04a38cea9a79cp-1 0x1.93bd4a66aa492p-2"),
+    (6, (2.0, 2.0),
+     "0x1.eb7e51c13d3d4p-1 0x1.eb7e51c13d3d4p-2 0x1.eb7e51c13d3d4p-3 0x1.eb7e51c13d3d4p-4",
+     "0x1.fbe0658bf27b0p-1 0x1.06213cab53dc6p-1 0x1.47a98bd628d39p-2 0x1.47a98bd628d3ap-3"),
+    (7, (2.0, 2.0),
+     "0x1.2591fbd8a1cc7p+0 0x1.2a75d0ba1488fp-1 0x1.40482ee019c40p-2 0x1.7ca0bdfa7b93ep-3",
+     "0x1.42062fb3dae5dp+0 0x1.6b830fd079a6ep-1 0x1.e14909ab2afe4p-2 0x1.7153026e73a16p-2"),
+    (8, (2.0, 2.0),
+     "0x1.d6af7f1b9345dp+0 0x1.da8ecd4c0165cp-1 0x1.fa2fb1122b7d3p-2 0x1.28036bb61b22fp-2",
+     "0x1.138a8f3c661c5p+1 0x1.383f39162b0cap+0 0x1.aa0f42a73781cp-1 0x1.3b60f7e358e0bp-1"),
+    (9, (2.0, 2.0),
+     "0x1.31c7c56d76c34p-2 0x1.31c7c56d76c34p-3 0x1.31c7c56d76c34p-4 0x1.31c7c56d76c34p-5",
+     "0x1.3bf918cefab8bp-2 0x1.462a6c307eae2p-3 0x1.97b5073c9e59bp-4 0x1.97b5073c9e598p-5"),
+    (10, (2.0, 2.0),
+     "0x1.a2f720abefac7p-1 0x1.c3311fc1cd8b8p-2 0x1.1b1bed86f7bffp-2 0x1.906070aa41444p-3",
+     "0x1.d174dd09f4712p-1 0x1.3a947f6bd01e2p-1 0x1.b1809fccfd38dp-2 0x1.4afe27e383282p-2"),
+    (11, (2.0, 2.0),
+     "0x1.60170d0a8868ap+0 0x1.6518a086f96eep-1 0x1.84786c92bb252p-2 0x1.d93b7c817f0f0p-3",
+     "0x1.95cf233b7dcadp+0 0x1.e58347dfa5181p-1 0x1.44b42e445d2d5p-1 0x1.d49c445629487p-2"),
+    (2, (math.inf, 2.0),
+     "0x1.2beeaee7f418dp+1 0x1.7073f1c12da39p+0 0x1.f0933708f500fp-1 0x1.7d514e8f24442p-1",
+     "0x1.389c6ee4d5f64p+1 0x1.ef718203a0082p+0 0x1.6944292b741bcp+0 0x1.28f0d230f9869p+0"),
+    (2, (2.0, 1.0),
+     "0x1.26a9cbb6cf73ep+1 0x1.3ef652d4dd0bcp+0 0x1.efde81db39017p-1 0x1.78e4116166c0ep-1",
+     "0x1.5c4bef2df2c1cp+1 0x1.10d6d91603297p+1 0x1.e22c27b318768p+0 0x1.9077fb330fec6p+0"),
+]
+
+
+def _criterion_4_matrices(count: int) -> list[np.ndarray]:
+    """The first matrices of the acceptance suite's criterion 4 corpus."""
+    rng = np.random.default_rng(20260818)
+    return [rng.uniform(-1.0, 1.0, (1 + t % 3, 1 + t % 3)) for t in range(count)]
+
+
+class TestPinnedEntropySequences:
+    """The bounds stay bitwise what the search gave when they were recorded
+    (with distances through 3-D difference arrays); one changed bit fails."""
+
+    @pytest.mark.parametrize(
+        "trial, norms, lower_hex, upper_hex",
+        _PINNED_ENTROPY,
+        ids=[f"trial{t}-{norms}" for t, norms, _, _ in _PINNED_ENTROPY],
+    )
+    def test_bounds_are_bitwise_pinned(self, trial, norms, lower_hex, upper_hex) -> None:
+        matrix = _criterion_4_matrices(trial + 1)[trial]
+        lower, upper = entropy_numbers_bruteforce(
+            matrix, k_max=4, norms=norms, resolution=31
+        )
+        assert [v.hex() for v in lower.values] == lower_hex.split()
+        assert [v.hex() for v in upper.values] == upper_hex.split()
 
 
 class TestEntropyEstimator:
