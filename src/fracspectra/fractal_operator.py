@@ -24,10 +24,14 @@ spectra approximate the continuum objects:
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
-* ``assemble_tmu_galerkin`` compresses a separable negative-order symbol to
-  atom space through a smoothly truncated frequency integral.  When every
-  term shares one real, positive spatial factor a, it returns the matrix in
-  the exactly similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``.
+* ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
+  whose terms share one real, strictly positive spatial factor a, to atom
+  space through a smoothly truncated frequency integral, in the exactly
+  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``.
+
+Every square operator is real symmetric, the one form
+:func:`~fracspectra.spectral_report.eigen_spectrum` solves; the trace factor
+is the only rectangular one.
 
 All singular diagonals use one shared rule, ``cell_pair_energy``: the exact
 self-similar subdivision of a cell for a few levels plus a closed-form
@@ -65,8 +69,9 @@ __all__ = [
 
 SYMMETRY_REL = 1e-10
 """Relative floor for a structural symmetry of a matrix: a deviation up to
-``SYMMETRY_REL * max|K|`` still counts as Hermitian (the ``symmetric`` flag)
-or as mirror-symmetric (the reflection split of ``eigen_spectrum``)."""
+``SYMMETRY_REL * max|K|`` still counts as symmetric (the check of every
+square :class:`DiscretizedOperator`) or as mirror-symmetric (the reflection
+split of ``eigen_spectrum``)."""
 
 
 class SingularKernelError(ValueError):
@@ -343,23 +348,22 @@ def _jsonable(obj):
 _TILE = 256  # rows (and columns) per block of the tiled whole-matrix reads
 
 
-def _hermitian_deviation(a: np.ndarray) -> tuple[float, float]:
-    """``max|a - a^H|`` and ``max|a|`` of a square ``a``.
+def _symmetry_deviation(a: np.ndarray) -> tuple[float, float]:
+    """``max|a - a^T|`` and ``max|a|`` of a real square ``a``.
 
     Each square tile ``a[i:i+B, j:j+B]`` (``B = _TILE``) with ``j >= i`` is
-    compared with ``conj(a[j:j+B, i:i+B]).T``, so both tiles are read along
-    their own rows (not a whole column of ``a``) and every temporary is one
-    tile.  The two tiles of a pair cover each entry, and
-    ``|x - conj(y)| = |y - conj(x)|`` bitwise, so this equals the
-    whole-matrix comparison.  A NaN entry makes both results NaN and an
-    infinite one makes ``max|a|`` infinite.
+    compared with ``a[j:j+B, i:i+B].T``, so both tiles are read along their
+    own rows (not a whole column of ``a``) and every temporary is one tile.
+    The two tiles of a pair cover each entry, and ``|x - y| = |y - x|``
+    bitwise, so this equals the whole-matrix comparison.  A NaN entry makes
+    both results NaN and an infinite one makes ``max|a|`` infinite.
     """
     dev = scale = 0.0
     n = a.shape[0]
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             x = a[i : i + _TILE, j : j + _TILE]
-            y = np.conj(a[j : j + _TILE, i : i + _TILE].T)
+            y = a[j : j + _TILE, i : i + _TILE].T
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, as it should be
                 diff = np.abs(x - y).max()
             # np.maximum, unlike the builtin max, keeps a NaN once it appears
@@ -413,9 +417,13 @@ class MirrorBlocks:
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """A matrix plus its ``assembly`` record, which says how it was built and
-    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).  The
-    ``symmetric`` flag, checked here, is ``eigen_spectrum``'s one Hermitian
-    decision; a non-finite entry is refused, flagged or not.
+    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).
+
+    A square matrix must be real symmetric: the tile check
+    ``max|K - K^T| <= SYMMETRY_REL * max|K|`` runs here, and it also refuses
+    any non-finite entry.  A complex square matrix is refused outright.  A
+    rectangular matrix (the trace factor, the only one) is only checked to
+    be finite; :func:`~fracspectra.spectral_report.eigen_spectrum` refuses it.
 
     A kernel Gram operator of a digit-mirror-symmetric set holds no matrix
     but its ``mirror`` blocks (see :func:`assemble_dmu_kernel`).  It is
@@ -425,13 +433,12 @@ class DiscretizedOperator:
 
     matrix: np.ndarray | None
     assembly: dict
-    symmetric: bool = False
     mirror: MirrorBlocks | None = None
 
     def __post_init__(self) -> None:
         if self.mirror is not None:
-            if self.matrix is not None or not self.symmetric:
-                raise ValueError("an operator held as mirror blocks is symmetric and has no matrix")
+            if self.matrix is not None:
+                raise ValueError("an operator held as mirror blocks has no matrix")
             if not np.all(np.isfinite(self.mirror.table)):
                 raise ValueError("operator matrix contains non-finite entries")
             return
@@ -439,18 +446,18 @@ class DiscretizedOperator:
         if mat.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
         object.__setattr__(self, "matrix", mat)
-        if not self.symmetric:
+        if mat.shape[0] != mat.shape[1]:
             if not np.all(np.isfinite(mat)):
                 raise ValueError("operator matrix contains non-finite entries")
             return
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("symmetric flag requires a square matrix")
-        dev, top = _hermitian_deviation(mat)
+        if np.iscomplexobj(mat):
+            raise ValueError("a square operator matrix must be real symmetric, not complex")
+        dev, top = _symmetry_deviation(mat)
         # a finite max|a| rules out every non-finite entry
         if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
             raise ValueError(
-                f"symmetric flag violated: max deviation {dev:.3e} exceeds "
-                f"{SYMMETRY_REL:.0e} * {top:.3e}"
+                f"a square operator matrix must be finite and symmetric: max "
+                f"deviation {dev:.3e} exceeds {SYMMETRY_REL:.0e} * {top:.3e}"
             )
 
     @property
@@ -494,8 +501,8 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     and then symmetry.  So is each block ``A +- B J``, since ``x +- y`` rounds
     the same for the mirrored entry pair.  No tile pass re-checks it.  Any
     other set (every odd m, and an even-m set whose digits fail the test)
-    gets the dense K through the level-L codes, and its ``symmetric`` flag is
-    checked as for any matrix.
+    gets the dense K through the level-L codes, and its symmetry is checked
+    as for any square matrix.
 
     Only the operator is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
@@ -535,7 +542,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
-    return DiscretizedOperator(matrix, assembly, symmetric=True, mirror=mirror)
+    return DiscretizedOperator(matrix, assembly, mirror=mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +592,6 @@ def assemble_trace_operator(
             "mode_spacing": float(dxi),
             "convention": "sqrt(w_j) sqrt(dxi/(2*pi)) (1+xi^2)^(-s/2) exp(i x_j xi)",
         },
-        symmetric=False,
     )
 
 
@@ -725,15 +731,23 @@ class _CutoffProfile:
         return out if np.ndim(rho) else out[0]
 
 
-def _shared_positive_factor(spatial: list[np.ndarray], n_atoms: int) -> np.ndarray | None:
-    """The spatial factor ``a`` at the atoms if every term has bitwise the same
-    real, strictly positive one, else None.  No terms share ``a = 1``."""
-    if not spatial:
-        return np.ones(n_atoms)
-    a = spatial[0]
-    if np.iscomplexobj(a) or not np.all(a > 0.0):
-        return None
-    return a if all(np.array_equal(b, a) for b in spatial[1:]) else None
+def _shared_positive_factor(sym, atoms: np.ndarray) -> np.ndarray:
+    """The real, strictly positive spatial factor ``a`` at the atoms that every
+    term of ``sym`` shares (``a = 1`` when none has one); anything else raises
+    ``ValueError`` naming the condition."""
+    n_atoms = atoms.shape[0]
+    shared = None
+    for term in sym.separable_terms:
+        a = np.ones(n_atoms) if term.spatial is None else np.asarray(term.spatial(atoms))
+        if np.iscomplexobj(a):
+            raise ValueError("Galerkin assembly needs real spatial factors; a term's is complex")
+        a = a.astype(float).reshape(n_atoms)
+        if not np.all(a > 0.0):
+            raise ValueError("Galerkin assembly needs strictly positive spatial factors")
+        if shared is not None and not np.array_equal(a, shared):
+            raise ValueError("Galerkin assembly needs terms that share one spatial factor")
+        shared = a
+    return np.ones(n_atoms) if shared is None else shared
 
 
 def assemble_tmu_galerkin(
@@ -751,23 +765,21 @@ def assemble_tmu_galerkin(
     symbol at p = 2 this matrix is similar via diag(sqrt(w)) to the kernel
     matrix of :func:`assemble_dmu_kernel`.  The coincidence diagonal is
     cell-averaged with the same rule as the kernel assembly.  Each term's
-    profile is gathered by pair code as there into a symmetric matrix
-    ``S_t``, so the compression is ``M = c w sum_t D_t S_t`` with
-    ``c = (2 pi)^{-1/2}`` and ``D_t = diag(a_t(x_j))`` the term's spatial
-    factor at the atoms.
+    profile is tabulated on the pair distances as there, and one gather of
+    the summed tables by pair code gives the symmetric ``S``.  With ``c =
+    (2 pi)^{-1/2}`` and ``D = diag(a(x_j))``, the compression is ``M = c w D
+    S``.
 
-    When every term has bitwise the same real, strictly positive factor
-    ``D = D_t`` (one predicate on the values, ``_shared_positive_factor``;
-    x-independent symbols have ``D = I``), the matrix returned is instead
-    the similar symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``
-    with ``S = sum_t S_t``, flagged ``symmetric``.  Similar matrices have the
-    same spectrum, so this is exact, and it lets the eigensolve take the
-    Hermitian path with its residual certificate.  The assembly records
-    ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1`` or when the
-    terms' factors differ, are complex or change sign; those keep ``M``).
-    The :class:`CutoffTailWarning` reads its entry scale from ``M`` either
-    way.  Requires ``s p`` in the compactness window (:func:`_check_rate_window`)
-    and a symbol with separable terms.
+    The terms must share bitwise one real, strictly positive factor a (every
+    catalog symbol does; x-independent ones have ``D = I``).  A complex
+    factor, one that is not strictly positive, or terms whose factors differ
+    raise ``ValueError`` before any N x N array exists.  The matrix returned
+    is the similar real symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S
+    D^{1/2}``: the same spectrum, exactly, and certified by the eigensolve's
+    residuals.  The assembly records ``"similarity": "diag(sqrt(a))"`` (None
+    when ``a == 1``).  The :class:`CutoffTailWarning` reads its entry scale
+    from ``M``.  Requires ``s p`` in the compactness window
+    (:func:`_check_rate_window`) and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -786,20 +798,10 @@ def assemble_tmu_galerkin(
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
     w = measure.weight
-    atoms = measure.atoms
     N = measure.n_atoms
+    shared = _shared_positive_factor(sym, measure.atoms)
     codes, dist = _pair_table(ifs, measure.level)
     diam = float(dist.max()) if N > 1 else 1.0
-
-    spatial = []
-    for term in sym.separable_terms:
-        a = (
-            np.ones(N)
-            if term.spatial is None
-            else np.asarray(term.spatial(atoms), dtype=complex).reshape(N)
-        )
-        spatial.append(a.real if np.abs(a.imag).max() == 0.0 else a)
-    shared = _shared_positive_factor(spatial, N)
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
     # profiles first, so their quadrature chunks never coexist with the N x N sum
@@ -819,13 +821,10 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    base = np.zeros((N, N), dtype=np.result_type(float, *spatial))
-    for table, a in zip(tables, spatial):
-        base += table[codes] if shared is not None else a[:, None] * table[codes]
+    base = sum(tables, np.zeros(dist.size))[codes]
     # tail-insufficiency estimate at the typical working distance: the median
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
-    # is read from the row-scaled c w D S, before any similarity is applied,
-    # so whether the warning fires does not depend on the form returned.
+    # is read from the row-scaled c w D S, before the similarity is applied.
     if N > 1:
         counts = np.bincount(codes.ravel(), minlength=dist.size)
         counts[codes[0, 0]] = 0
@@ -838,9 +837,7 @@ def assemble_tmu_galerkin(
         for lo in range(0, N, _TILE):
             near = band[codes[lo : lo + _TILE]]
             if near.any():
-                rows = base[lo : lo + _TILE]
-                if shared is not None:
-                    rows = shared[lo : lo + _TILE, None] * rows
+                rows = shared[lo : lo + _TILE, None] * base[lo : lo + _TILE]
                 scale_med = max(scale_med, float(np.abs(conv * w * rows[near]).max()))
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
         if tail_est > 1e-6 * scale_med:
@@ -852,7 +849,7 @@ def assemble_tmu_galerkin(
                 stacklevel=2,
             )
     similarity = None
-    if shared is not None and not np.all(shared == 1.0):
+    if not np.all(shared == 1.0):
         r = np.sqrt(shared)
         base *= r[:, None]
         base *= r[None, :]
@@ -873,8 +870,4 @@ def assemble_tmu_galerkin(
         "terms": term_info,
         "similarity": similarity,
     }
-    return DiscretizedOperator(
-        matrix=base,
-        assembly=assembly,
-        symmetric=shared is not None,
-    )
+    return DiscretizedOperator(matrix=base, assembly=assembly)

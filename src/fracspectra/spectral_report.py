@@ -9,22 +9,20 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-``eigen_spectrum`` takes an assembled
-:class:`~fracspectra.fractal_operator.DiscretizedOperator`, and the operator's
-``symmetric`` flag is its one Hermitian decision.  A flagged operator is
-reduced to tridiagonal form once per block, and that one reduction gives its
-whole spectrum, bit for bit the values-only ``scipy.linalg.eigh``, and
-eigenvectors only for the 50 eigenvalues of largest modulus.  One that is
-mirror-symmetric under the index reversal is solved exactly as two
-half-size blocks: a kernel Gram operator of a digit-mirror-symmetric set,
-as every bundled IFS is, arrives as those blocks and is never a full
-matrix, and a dense matrix is split when its entries pass the mirror check.
-The returned top-50 eigenvalues are certified with those eigenvectors by
-their residuals, per block for the kernel blocks and against the full
-matrix otherwise.  Flagged operators include the Galerkin
-compression of a symbol whose spatial factor is shared and positive, which
-the assembly returns in a diagonally similar symmetric form; unflagged ones
-go to the general ``scipy.linalg.eigvals``, which has no certificate.
+``eigen_spectrum`` takes an assembled square
+:class:`~fracspectra.fractal_operator.DiscretizedOperator`, which is real
+symmetric by construction: its constructor checks that, and every
+assembly, the Galerkin compression of a spatially modulated symbol
+included, produces that one form.  Each block is reduced to tridiagonal
+form once, and that one reduction gives its whole spectrum, bit for bit
+the values-only ``scipy.linalg.eigh``, and eigenvectors only for the 50
+eigenvalues of largest modulus.  An operator that is mirror-symmetric under
+the index reversal is solved exactly as two half-size blocks: a kernel Gram
+operator of a digit-mirror-symmetric set, as every bundled IFS is, arrives
+as those blocks and is never a full matrix, and a dense matrix is split
+when its entries pass the mirror check.  The returned top-50 eigenvalues
+are certified with those eigenvectors by their residuals, per block for
+the kernel blocks and against the full matrix otherwise.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -47,8 +45,8 @@ from .fractal_operator import (
     DiscretizedOperator,
     PsdViolationWarning,
     _check_rate_window,
-    _hermitian_deviation,
     _jsonable,
+    _symmetry_deviation,
     assemble_dmu_kernel,
 )
 
@@ -72,7 +70,7 @@ ZERO_REL = 1e-12
 """Relative floor: moduli at or below ``ZERO_REL * |lambda_1|`` count as zero."""
 
 RESIDUAL_REL = 1e-8
-"""Residual certificate of the Hermitian eigensolve: each of the top 50
+"""Residual certificate of the symmetric eigensolve: each of the top 50
 eigenpairs must have ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``."""
 
 
@@ -136,60 +134,55 @@ def _lapack(routine, *args, **kwargs) -> list:
 
 
 def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of Hermitian ``block``, then its up to 50 of
+    """Ascending eigenvalues of real symmetric ``block``, then its up to 50 of
     largest modulus and their eigenvectors, from one tridiagonal reduction.
 
-    ``xSYTRD``/``xHETRD`` (lower triangle) reduces the block once to the real
-    tridiagonal ``T = Q^H block Q``, and the whole spectrum is ``xSTERF`` on
-    T.  That is bit for bit the values-only ``scipy.linalg.eigh``, which is
-    LAPACK ``xSYEVR``/``xHEEVR`` with ``RANGE='A'``, ``JOBZ='N'``: it runs
-    the same two routines on the lower triangle, and it hands the reduction
-    its own workspace less the ``5n`` (real) or ``n`` (complex) entries it
-    keeps for T and the reflector scalars.  The reduction's block size, and
-    with it the rounding, follows from that workspace, so here it is derived
-    from the same ``xSYEVR``/``xHEEVR`` workspace query.  (``xSYEVR`` would
-    also rescale a matrix whose largest entry lies outside about ``[1e-146,
-    1e76]``, which no assembled operator comes near.)
+    ``dsytrd`` (lower triangle) reduces the block once to the tridiagonal
+    ``T = Q^T block Q``, and the whole spectrum is ``dsterf`` on T.  That is
+    bit for bit the values-only ``scipy.linalg.eigh``, which is LAPACK
+    ``dsyevr`` with ``RANGE='A'``, ``JOBZ='N'``: it runs the same two
+    routines on the lower triangle, and it hands the reduction its own
+    workspace less the ``5n`` entries it keeps for T and the reflector
+    scalars.  The reduction's block size, and with it the rounding, follows
+    from that workspace, so here it is derived from the same ``dsyevr``
+    workspace query.  (``dsyevr`` would also rescale a matrix whose largest
+    entry lies outside about ``[1e-146, 1e76]``, which no assembled operator
+    comes near.)
 
     In an ascending spectrum the m values of largest modulus are a bottom run
     ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Each
-    non-empty run's eigenvectors of T come from ``xSTEBZ`` + ``xSTEIN``
-    (``eigh_tridiagonal`` with ``select="i"``), and ``xORMTR`` maps them
+    non-empty run's eigenvectors of T come from ``dstebz`` + ``dstein``
+    (``eigh_tridiagonal`` with ``select="i"``), and ``dormtr`` maps them
     back, here spelled out as what it does for the lower triangle: ``Q =
     diag(1, Q')``, with ``Q'`` the ``n - 1`` Householder reflectors stored
-    below the subdiagonal, applied by ``xORMQR``/``xUNMQR`` to rows ``1:``.
-    The values are not recomputed by the subset solve, so nothing rests on
-    the two agreeing bit for bit; the residual certificate of
-    :func:`eigen_spectrum` checks the pairing that is returned.
+    below the subdiagonal, applied by ``dormqr`` to rows ``1:``.  The values
+    are not recomputed by the subset solve, so nothing rests on the two
+    agreeing bit for bit; the residual certificate of :func:`eigen_spectrum`
+    checks the pairing that is returned.
     """
     n = block.shape[0]
     m = min(50, n)
     lapack = scipy.linalg.lapack
-    if np.iscomplexobj(block):
-        trd, mqr = lapack.zhetrd, lapack.zunmqr
-        lwork = int(_lapack(lapack.zheevr_lwork, n, lower=1)[0].real) - n
-    else:
-        trd, mqr = lapack.dsytrd, lapack.dormqr
-        lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
-    c, d, e, tau = _lapack(trd, block, lower=1, lwork=lwork)
+    lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
+    c, d, e, tau = _lapack(lapack.dsytrd, block, lower=1, lwork=lwork)
     w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
     b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
     runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
     vecs = np.hstack(
         [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=run)[1] for run in runs]
-    ).astype(c.dtype, copy=False)
+    )
     if n > 1:
         # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with
-        # leading dimension n (xORMTR's A(2,1), LDA = n); the view's last row
+        # leading dimension n (dormtr's A(2,1), LDA = n); the view's last row
         # is never read, and no order-n copy is made
         refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
-        query = _lapack(mqr, "L", "N", refl, tau, vecs[1:], -1)[1]
-        vecs[1:] = _lapack(mqr, "L", "N", refl, tau, vecs[1:], int(query[0].real))[0]
+        query = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], -1)[1]
+        vecs[1:] = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], int(query[0]))[0]
     return w, w[np.r_[0:b, n - m + b : n]], vecs
 
 
 def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_top_pairs` of Hermitian ``block``, with the residual norm
+    """:func:`_top_pairs` of symmetric ``block``, with the residual norm
     ``||block u - lambda u||`` of each returned pair in place of its vector."""
     w, top, u = _top_pairs(block)
     return w, top, np.linalg.norm(block @ u - u * top, axis=0)
@@ -205,16 +198,16 @@ def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(np.concatenate([w for w, _, _ in parts])), res
 
 
-def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of Hermitian ``mat``, and the residuals against
+def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of symmetric ``mat``, and the residuals against
     ``mat`` of the up to 50 eigenpairs of largest modulus, one tridiagonal
     reduction per block (:func:`_top_pairs`); a mirror-symmetric ``mat`` of
     even order is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
     n = mat.shape[0]
     h = n // 2
     dev = scale = 0.0
-    if n % 2 == 0:  # for Hermitian K, K J is Hermitian iff K = J K J
-        dev, scale = _hermitian_deviation(mat[:, ::-1])
+    if n % 2 == 0:  # for symmetric K, K J is symmetric iff K = J K J
+        dev, scale = _symmetry_deviation(mat[:, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
         return _merge([_certified_pairs(mat)])
     a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
@@ -228,30 +221,28 @@ def _hermitian_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """Full spectrum of an assembled operator, ordered by decreasing modulus.
+    """Full spectrum of an assembled square operator, ordered by decreasing
+    modulus, as ``complex128`` with zero imaginary parts.
 
-    The operator's ``symmetric`` flag is the one Hermitian decision.  A
-    flagged operator gets real eigenvalues, and its top 50 eigenpairs are
-    certified by the residual bound ``||K v - lambda v|| <= RESIDUAL_REL *
-    ||K||``; an unflagged one goes to the general ``scipy.linalg.eigvals``,
-    which has no certificate.  Non-finite entries never reach the solver:
-    :class:`~fracspectra.fractal_operator.DiscretizedOperator` refuses them.
+    Every square operator is real symmetric (its constructor checks that), so
+    its eigenvalues are real and its top 50 eigenpairs are certified by the
+    residual bound ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``.  Non-finite
+    entries never reach the solver: the constructor refuses them too.
 
-    The Hermitian path reduces each block to tridiagonal form T once
-    (:func:`_top_pairs`).  All eigenvalues come from T with no eigenvectors,
-    bit for bit those of a values-only ``scipy.linalg.eigh``; the
-    eigenvectors of the 50 eigenvalues of largest modulus only come from an
-    index-range solve of T (per run of indices), mapped back through the
-    reduction's reflectors.  Nothing rests on the values and the vectors
-    agreeing bit for bit: the certificate is computed with the returned
-    eigenvalues and the returned vectors, so it checks exactly the pairing
-    that is returned.  Solver failures, a nonzero LAPACK ``info`` among
-    them, are re-raised together with the assembly record so the failing
-    operator can be identified.
+    Each block is reduced to tridiagonal form T once (:func:`_top_pairs`).
+    All eigenvalues come from T with no eigenvectors, bit for bit those of a
+    values-only ``scipy.linalg.eigh``; the eigenvectors of the 50 eigenvalues
+    of largest modulus only come from an index-range solve of T (per run of
+    indices), mapped back through the reduction's reflectors.  Nothing rests
+    on the values and the vectors agreeing bit for bit: the certificate is
+    computed with the returned eigenvalues and the returned vectors, so it
+    checks exactly the pairing that is returned.  Solver failures, a nonzero
+    LAPACK ``info`` among them, are re-raised together with the assembly
+    record so the failing operator can be identified.
 
-    A Hermitian K of even order N = 2h that is mirror-symmetric
+    A symmetric K of even order N = 2h that is mirror-symmetric
     (centrosymmetric), ``K = J K J`` with J the index reversal, is solved as
-    two Hermitian blocks of order h.  The reduction is exact:
+    two symmetric blocks of order h.  The reduction is exact:
 
     * write ``K = [[A, B], [., .]]`` and let K_c be the centrosymmetric matrix
       whose top half equals K's, ``K_c = [[A, B], [J B J, J A J]]``;
@@ -273,31 +264,24 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
       [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +- B J) u]``,
       so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm ``||r||``.
     * **Dense matrices (Galerkin operators and any kernel operator of a set
-      that fails the digit test): read from the matrix.**  Since ``(K J)^H =
-      J K^H``, the column-reversed view K J is Hermitian exactly when ``K =
-      J K^H J``, so the check is the ``symmetric`` flag's tile check run on
-      K J: ``max|K - J K^H J| <= SYMMETRY_REL * max|K|``.  By Weyl's
-      inequality every eigenvalue of K then differs from the matching one of
-      K_c by at most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2))
-      max|K - J K J|``, and ``max|K - J K J| <= max|K - J K^H J| + max|K -
-      K^H|``, which this check and the ``symmetric`` flag's bound by ``2 *
-      SYMMETRY_REL * max|K|``.  The residual certificate is computed against
-      K itself, with the 50 lifted eigenvectors, so it certifies what is
-      returned whichever path ran.  Odd N and matrices that fail the check
-      are solved at full size.
-
-    The non-Hermitian path keeps its single full-size ``eigvals``.
+      that fails the digit test): read from the matrix.**  Since ``(K J)^T =
+      J K^T``, the column-reversed view K J is symmetric exactly when ``K =
+      J K^T J``, so the check is the constructor's tile check run on K J:
+      ``max|K - J K^T J| <= SYMMETRY_REL * max|K|``.  By Weyl's inequality
+      every eigenvalue of K then differs from the matching one of K_c by at
+      most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2)) max|K - J K J|``,
+      and ``max|K - J K J| <= max|K - J K^T J| + max|K - K^T|``, which this
+      check and the constructor's bound by ``2 * SYMMETRY_REL * max|K|``.
+      The residual certificate is computed against K itself, with the 50
+      lifted eigenvectors, so it certifies what is returned whichever path
+      ran.  Odd N and matrices that fail the check are solved at full size.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the
-    Hermitian path raises :class:`~fracspectra.fractal_operator.PsdViolationWarning`
+    solve raises :class:`~fracspectra.fractal_operator.PsdViolationWarning`
     when ``lambda_min < -1e-8 * lambda_max``, read off the eigenvalues it
     already holds.  Other operators are not judged, since an indefinite
-    symmetric matrix is valid input there.  A Galerkin operator is still
-    certified whenever it is flagged ``symmetric``: an x-independent symbol,
-    or a positively modulated one that the assembly returns in its similar
-    symmetric form (see
-    :func:`~fracspectra.fractal_operator.assemble_tmu_galerkin`).
+    symmetric matrix is valid input there.
     """
     provenance = op.assembly
     n_rows, n_cols = op.shape
@@ -306,41 +290,36 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     if n_rows == 0:
         return np.zeros(0, dtype=np.complex128)
     try:
-        if op.symmetric:
-            if op.mirror is not None:
-                # each block is gathered, solved and certified, and freed
-                # before the other one is gathered
-                blocks = [_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)]
-                w, res = _merge(blocks)  # w ascending
-            else:
-                w, res = _hermitian_eigh(op.matrix)
-            if provenance.get("kind") == "kernel-gram" and w[0] < -1e-8 * w[-1]:
-                warnings.warn(
-                    f"kernel matrix has eigenvalue {w[0]:.3e} below "
-                    f"-1e-8 * lambda_max = {-1e-8 * w[-1]:.3e}",
-                    PsdViolationWarning,
-                    stacklevel=2,
-                )
-            norm = float(np.abs(w).max())
-            worst = float(res.max())
-            if norm > 0.0 and worst > RESIDUAL_REL * norm:
-                raise RuntimeError(
-                    f"eigenpair residual {worst:.3e} exceeds "
-                    f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "
-                    f"assembly record: {provenance}"
-                )
-            vals = w.astype(np.complex128)
+        if op.mirror is not None:
+            # each block is gathered, solved and certified, and freed
+            # before the other one is gathered
+            w, res = _merge([_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)])
         else:
-            vals = scipy.linalg.eigvals(op.matrix)
+            w, res = _symmetric_eigh(op.matrix)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"
         ) from exc
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(w)):
         raise RuntimeError(
             f"eigensolver returned non-finite values; assembly record: {provenance}"
         )
-    return order_by_modulus(vals)
+    if provenance.get("kind") == "kernel-gram" and w[0] < -1e-8 * w[-1]:
+        warnings.warn(
+            f"kernel matrix has eigenvalue {w[0]:.3e} below "
+            f"-1e-8 * lambda_max = {-1e-8 * w[-1]:.3e}",
+            PsdViolationWarning,
+            stacklevel=2,
+        )
+    norm = float(np.abs(w).max())
+    worst = float(res.max())
+    if norm > 0.0 and worst > RESIDUAL_REL * norm:
+        raise RuntimeError(
+            f"eigenpair residual {worst:.3e} exceeds "
+            f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "
+            f"assembly record: {provenance}"
+        )
+    return order_by_modulus(w)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ operator assemblies (kernel gram, trace factor, compressed symbol)."""
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from fracspectra.fractal_operator import (
     assemble_trace_operator,
     cell_pair_energy,
 )
-from fracspectra import spectral_report
-from fracspectra.psido_engine import SeparableTerm, Symbol, make_symbol
+from fracspectra import fractal_operator, spectral_report
+from fracspectra.experiment import _build_measure, load_config
+from fracspectra.psido_engine import SeparableTerm, Symbol, available_symbols, make_symbol
 from fracspectra.spectral_report import (
     eigen_spectrum,
     order_by_modulus,
@@ -37,6 +39,8 @@ from fracspectra.spectral_report import (
 )
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 GEOMETRIES = {
     "cantor-1d": (1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]),
@@ -382,7 +386,6 @@ class TestKernelGram:
         for sign in (1, -1):
             block = op.mirror.block(sign)
             assert np.array_equal(block, block.T)
-        assert op.symmetric
 
     def test_positive_definite_without_warning(self, mu7):
         # the PSD verdict is taken from the eigensolve, not at assembly
@@ -407,59 +410,62 @@ class TestKernelGram:
         assert "sqrt(w_j w_k)" in a["convention"]
         assert a["diagonal_rule"]["tail_branch"] == "power"
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_symmetric_flag_catches_one_entry_past_the_first_block(self, dtype):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(300, 300)).astype(dtype)
-        if dtype is complex:
-            a = a + 1j * rng.normal(size=(300, 300))
-        herm = a + a.conj().T
-        DiscretizedOperator(herm, {}, symmetric=True)
-        bad = herm.copy()
-        bad[290, 280] += 1e-6 * np.abs(herm).max()  # both rows past the first block
-        with pytest.raises(ValueError, match="symmetric flag violated"):
-            DiscretizedOperator(bad, {}, symmetric=True)
-        bad = herm.copy()
-        bad[290, 10] += 1e-6 * np.abs(herm).max()  # a lower-triangle tile off the diagonal
-        with pytest.raises(ValueError, match="symmetric flag violated"):
-            DiscretizedOperator(bad, {}, symmetric=True)
-        if dtype is complex:  # complex symmetric is not Hermitian
-            with pytest.raises(ValueError, match="symmetric flag violated"):
-                DiscretizedOperator(a + a.T, {}, symmetric=True)
+    def test_symmetry_check_catches_one_entry_past_the_first_block(self):
+        a = np.random.default_rng(3).normal(size=(300, 300))
+        sym = a + a.T
+        DiscretizedOperator(sym, {})
+        bad = sym.copy()
+        bad[290, 280] += 1e-6 * np.abs(sym).max()  # both rows past the first block
+        with pytest.raises(ValueError, match="finite and symmetric"):
+            DiscretizedOperator(bad, {})
+        bad = sym.copy()
+        bad[290, 10] += 1e-6 * np.abs(sym).max()  # a lower-triangle tile off the diagonal
+        with pytest.raises(ValueError, match="finite and symmetric"):
+            DiscretizedOperator(bad, {})
         # a non-finite entry, one-sided, on the diagonal or mirrored, never passes
         for entries in ([(290, 10)], [(290, 290)], [(10, 290), (290, 10)]):
             for value in (math.nan, math.inf):
-                bad = herm.copy()
+                bad = sym.copy()
                 for idx in entries:
                     bad[idx] = value
-                with pytest.raises(ValueError, match="symmetric flag violated"):
-                    DiscretizedOperator(bad, {}, symmetric=True)
+                with pytest.raises(ValueError, match="finite and symmetric"):
+                    DiscretizedOperator(bad, {})
+
+    @pytest.mark.parametrize("n", [257, 511])  # one row past a tile; one short of two
+    def test_symmetry_check_reads_the_last_partial_tile(self, n):
+        a = np.random.default_rng(5).normal(size=(n, n))
+        sym = a + a.T
+        DiscretizedOperator(sym, {})
+        for idx in [(n - 1, 0), (n - 1, n - 2), (0, n - 1)]:
+            bad = sym.copy()
+            bad[idx] += 1e-6 * np.abs(sym).max()
+            with pytest.raises(ValueError, match="finite and symmetric"):
+                DiscretizedOperator(bad, {})
 
     def test_operator_container_validation(self):
-        with pytest.raises(ValueError):
-            DiscretizedOperator(
-                matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                assembly={},
-                symmetric=True,
-            )
-        with pytest.raises(ValueError):
-            DiscretizedOperator(
-                matrix=np.zeros(3),
-                assembly={},
-            )
+        # a square matrix must be real symmetric; a rectangular one only finite
+        with pytest.raises(ValueError, match="finite and symmetric"):
+            DiscretizedOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), {})
+        hermitian = np.array([[2.0, 1.0j], [-1.0j, 2.0]])  # Hermitian, but complex
+        with pytest.raises(ValueError, match="real symmetric, not complex"):
+            DiscretizedOperator(hermitian, {})
+        with pytest.raises(ValueError, match="real symmetric, not complex"):
+            DiscretizedOperator(np.eye(2, dtype=complex), {})
+        wide = np.exp(1j * np.arange(6.0)).reshape(2, 3)
+        assert DiscretizedOperator(wide, {}).shape == (2, 3)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            DiscretizedOperator(np.zeros(3), {})
 
     def test_mirror_operator_validation(self, cantor_ifs):
         mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).mirror
         with pytest.raises(ValueError, match="mirror blocks"):
-            DiscretizedOperator(np.eye(4), {}, symmetric=True, mirror=mirror)
-        with pytest.raises(ValueError, match="mirror blocks"):
-            DiscretizedOperator(None, {}, mirror=mirror)
+            DiscretizedOperator(np.eye(4), {}, mirror=mirror)
         for value in (math.nan, math.inf):
             table = mirror.table.copy()
             table[0] = value  # an entry of K off the diagonal
             bad = dataclasses.replace(mirror, table=table)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator(None, {}, symmetric=True, mirror=bad)
+                DiscretizedOperator(None, {}, mirror=bad)
 
 
 class TestTraceOperator:
@@ -494,6 +500,29 @@ class TestTraceOperator:
 
 
 class TestGalerkinCompression:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    @pytest.mark.parametrize("name", [n for n in available_symbols() if n != "identity"])
+    def test_every_catalog_symbol_assembles_to_the_one_operator_form(self, path, name):
+        # the premise of the one operator form: every loadable symbol, on
+        # every bundled geometry with its config's s, p and sigma (-(s p)
+        # where the config names none), compresses to a real symmetric matrix
+        config = load_config(path)
+        s, p = config.analysis.s, config.analysis.p
+        sigma = config.analysis.symbol_params.get("sigma", -s * p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            op = assemble_tmu_galerkin(
+                make_symbol(name, sigma=sigma),
+                s,
+                p,
+                _build_measure(config, 6),
+                config.analysis.freq_cutoff,
+            )
+        assert op.matrix.dtype == np.float64
+        assert DiscretizedOperator(op.matrix, op.assembly).shape == (64, 64)
+        expect = {"bessel_power": None, "separable_demo": "diag(sqrt(a))"}[name]
+        assert op.assembly["similarity"] == expect
+
     def test_matches_kernel_gram_at_p_two(self, mu7):
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 1.0e6)
@@ -514,14 +543,13 @@ class TestGalerkinCompression:
     def test_x_independent_symbol_gives_symmetric_operator(self, mu5):
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert M.symmetric
+        assert M.matrix.dtype == np.float64
         assert np.array_equal(M.matrix, M.matrix.T)
 
     def test_spatial_modulation_is_row_scaling(self, mu5):
         # the row-scaled D S comes back in its similar form D^{1/2} S D^{1/2}
         sym = make_symbol("separable_demo", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert M.symmetric
         amp = 1.0 + 0.5 * np.cos(mu5.atoms[:, 0])
         sym_part = M.matrix / np.sqrt(amp[:, None] * amp[None, :])
         assert np.max(np.abs(sym_part - sym_part.T)) <= 1e-13 * np.max(np.abs(sym_part))
@@ -549,7 +577,6 @@ class TestGalerkinCompression:
         op = assemble_tmu_galerkin(
             make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu, 1.0e5
         )
-        assert op.symmetric
         assert op.assembly["similarity"] == "diag(sqrt(a))"
         amp = 1.0 + 0.5 * np.cos(mu.atoms[:, 0])
         row_scaled = amp[:, None] * (op.matrix / np.sqrt(amp[:, None] * amp[None, :]))
@@ -557,16 +584,22 @@ class TestGalerkinCompression:
         got = eigen_spectrum(op)[:200]  # the Hermitian path, certificate included
         assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("case", ["exotic", "sign-changing", "two-factors"])
-    def test_unshared_or_nonpositive_factors_keep_the_row_scaled_form(
-        self, mu5, dyadic_shell_symbol, case
+    @pytest.mark.parametrize(
+        "case, condition",
+        [
+            ("exotic", "real spatial factors"),
+            ("sign-changing", "strictly positive"),
+            ("two-factors", "share one spatial factor"),
+        ],
+        ids=["exotic", "sign-changing", "two-factors"],
+    )
+    def test_complex_nonpositive_or_differing_factors_are_refused(
+        self, mu5, dyadic_shell_symbol, case, condition, monkeypatch
     ):
         base = make_symbol("bessel_power", sigma=-0.9)
         radial = base.separable_terms[0].radial
-        cutoff = 1.0e5
         if case == "exotic":  # complex, distinct factors; declared at the window's order
             sym = dyadic_shell_symbol(order=-0.9)
-            cutoff = 1000.0
         elif case == "sign-changing":  # cos(3x) < 0 on the right half of the set
             terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), radial),)
             sym = Symbol("sign", base.evaluator, -0.9, 0.0, separable_terms=terms)
@@ -576,9 +609,10 @@ class TestGalerkinCompression:
                 SeparableTerm(lambda x: 2.0 + np.sin(x[..., 0]), radial),
             )
             sym = Symbol("two", base.evaluator, -0.9, 0.0, separable_terms=terms)
-        M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, cutoff)
-        assert not M.symmetric
-        assert M.assembly["similarity"] is None
+        # refused before the pair table, so before any N x N array exists
+        monkeypatch.setattr(fractal_operator, "_pair_table", None)
+        with pytest.raises(ValueError, match=condition):
+            assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
 
     def test_similar_form_is_certified(self, mu5, monkeypatch):
         op = assemble_tmu_galerkin(
@@ -598,52 +632,52 @@ class TestGalerkinCompression:
         assert len(tails) == (1 if warns else 0)
 
     def test_tail_warning_reads_the_row_scaled_entry_scale(self, mu5):
-        # a factor with a wide range, once shared (similar form returned) and
-        # once split into two unequal terms (row-scaled form kept): the warning
-        # must quote the same entry scale for both
-        radial = make_symbol("bessel_power", sigma=-0.9).separable_terms[0].radial
-        evaluator = make_symbol("bessel_power", sigma=-0.9).evaluator
+        # two terms sharing a factor with a wide range: the warning quotes
+        # max|c w D S| over the pairs near the median distance, the row-scaled
+        # entries, not those of the similar form D^{1/2} S D^{1/2} returned
+        base = make_symbol("bessel_power", sigma=-0.9)
+        radial = base.separable_terms[0].radial
 
-        def scale_quoted(*factors):
-            terms = tuple(SeparableTerm(f, radial) for f in factors)
-            sym = Symbol("wide", evaluator, -0.9, 0.0, separable_terms=terms)
-            with pytest.warns(CutoffTailWarning) as caught:
-                op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 300.0)
-            return op, float(str(caught[0].message).split("entry scale ")[1].split()[0])
+        def factor(x):
+            return np.exp(-8.0 * x[..., 0])
 
-        shared, quoted = scale_quoted(lambda x: np.exp(-8.0 * x[..., 0]))
-        split, expect = scale_quoted(
-            lambda x: 0.75 * np.exp(-8.0 * x[..., 0]),
-            lambda x: 0.25 * np.exp(-8.0 * x[..., 0]),
-        )
-        assert shared.assembly["similarity"] == "diag(sqrt(a))"
-        assert split.assembly["similarity"] is None
-        assert quoted == expect
+        terms = (SeparableTerm(factor, radial), SeparableTerm(factor, radial))
+        sym = Symbol("wide", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        with pytest.warns(CutoffTailWarning) as caught:
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 300.0)
+        quoted = float(str(caught[0].message).split("entry scale ")[1].split()[0])
+        assert op.assembly["similarity"] == "diag(sqrt(a))"
+        amp = factor(mu5.atoms)
+        root = np.sqrt(amp[:, None] * amp[None, :])
+        row_scaled = amp[:, None] * (op.matrix / root)  # c w D S
+        codes, dist = _pair_table(mu5.ifs, mu5.level)
+        pair_dist = dist[codes]
+        rho_med = np.median(pair_dist[~np.eye(mu5.n_atoms, dtype=bool)])
+        near = np.abs(pair_dist - rho_med) < 0.5 * rho_med
+        expect = np.abs(row_scaled[near]).max()
+        assert quoted == pytest.approx(expect, rel=1e-3)  # quoted to four digits
+        assert quoted != pytest.approx(np.abs(op.matrix[near]).max(), rel=1e-2)
 
     def test_no_terms_give_the_zero_operator(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)
         sym = Symbol("empty", base.evaluator, -0.9, 0.0, separable_terms=())
         op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert op.symmetric
         assert op.assembly["similarity"] is None
         assert not np.any(op.matrix)
 
     def test_term_linearity(self, mu5):
-        base = make_symbol("bessel_power", sigma=-0.9)
+        # two terms sharing the separable_demo factor, with radial parts of
+        # two orders: the compression of their sum is the sum of theirs
+        base = make_symbol("separable_demo", sigma=-0.9)
+        lower = make_symbol("separable_demo", sigma=-1.3).separable_terms[0]
         term = base.separable_terms[0]
-        doubled = SeparableTerm(lambda x: 2.0 * np.ones(x.shape[:-1]), term.radial)
-        sym3 = Symbol(
-            name="tripled",
-            evaluator=base.evaluator,
-            order=-0.9,
-            type_delta=0.0,
-            separable_terms=(term, doubled),
-        )
-        M1 = assemble_tmu_galerkin(base, 0.45, 2.0, mu5, 1.0e5)
-        M3 = assemble_tmu_galerkin(sym3, 0.45, 2.0, mu5, 1.0e5)
-        assert np.max(np.abs(M3.matrix - 3.0 * M1.matrix)) <= 1e-12 * np.max(
-            np.abs(M1.matrix)
-        )
+
+        def compress(*terms):
+            sym = Symbol("sum", base.evaluator, -0.9, 0.0, separable_terms=terms)
+            return assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5).matrix
+
+        M1, M2, M12 = compress(term), compress(lower), compress(term, lower)
+        assert np.max(np.abs(M12 - (M1 + M2))) <= 1e-12 * np.max(np.abs(M12))
 
     def test_generic_radial_gaussian_oracle(self, mu5):
         # a Gaussian radial part has profile exp(-rho^2/2) once the cutoff is

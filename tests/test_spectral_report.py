@@ -75,23 +75,21 @@ def power_law(count: int, exponent: float, scale: float = 1.0) -> np.ndarray:
 def eigensolve_calls():
     """Record the eigensolve calls made inside as ``(kind, arg)``, in order.
 
-    ``kind`` is ``"reduce"`` for a ``dsytrd``/``zhetrd`` tridiagonal
-    reduction (``arg`` the order), ``"values"`` for a values-only
-    ``eigh_tridiagonal`` (the order), ``"vectors"`` for an index-range
-    ``eigh_tridiagonal`` vector solve (the ``(lo, hi)`` range), ``"all"`` for
-    any call that returns every eigenvector (the order) and ``"eigh"`` for
-    any other ``scipy.linalg.eigh`` call (the order).
+    ``kind`` is ``"reduce"`` for a ``dsytrd`` tridiagonal reduction (``arg``
+    the order), ``"values"`` for a values-only ``eigh_tridiagonal`` (the
+    order), ``"vectors"`` for an index-range ``eigh_tridiagonal`` vector
+    solve (the ``(lo, hi)`` range), ``"all"`` for any call that returns every
+    eigenvector (the order) and ``"eigh"`` for any other ``scipy.linalg.eigh``
+    call (the order).
     """
     calls = []
     lapack = scipy.linalg.lapack
     real_eigh, real_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
+    real_reduction = lapack.dsytrd
 
-    def reduction(routine):
-        def spy(a, *args, **kwargs):
-            calls.append(("reduce", np.shape(a)[0]))
-            return routine(a, *args, **kwargs)
-
-        return spy
+    def reduction(a, *args, **kwargs):
+        calls.append(("reduce", np.shape(a)[0]))
+        return real_reduction(a, *args, **kwargs)
 
     def tridiagonal(d, e, *args, **kwargs):
         if kwargs.get("eigvals_only"):
@@ -108,8 +106,7 @@ def eigensolve_calls():
         return real_eigh(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lapack, "dsytrd", reduction(lapack.dsytrd))
-        mp.setattr(lapack, "zhetrd", reduction(lapack.zhetrd))
+        mp.setattr(lapack, "dsytrd", reduction)
         mp.setattr(scipy.linalg, "eigh_tridiagonal", tridiagonal)
         mp.setattr(scipy.linalg, "eigh", eigh)
         yield calls
@@ -136,22 +133,20 @@ def assert_block_solves(calls, orders) -> None:
         assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
 
 
-def random_hermitian(rng, n: int, complex_: bool = False) -> np.ndarray:
-    """A random Hermitian matrix of order n."""
+def random_symmetric(rng, n: int) -> np.ndarray:
+    """A random real symmetric matrix of order n."""
     a = rng.standard_normal((n, n))
-    if complex_:
-        a = a + 1j * rng.standard_normal((n, n))
-    return a + a.conj().T
+    return a + a.T
 
 
-def operator(mat, symmetric: bool) -> DiscretizedOperator:
+def operator(mat) -> DiscretizedOperator:
     """``mat`` as an operator with no assembly record."""
-    return DiscretizedOperator(np.asarray(mat), {}, symmetric=symmetric)
+    return DiscretizedOperator(np.asarray(mat), {})
 
 
-def mirror_symmetric(rng, n: int, complex_: bool = False) -> np.ndarray:
-    """A random Hermitian matrix with ``K == J K J`` (J the index reversal)."""
-    a = random_hermitian(rng, n, complex_)
+def mirror_symmetric(rng, n: int) -> np.ndarray:
+    """A random symmetric matrix with ``K == J K J`` (J the index reversal)."""
+    a = random_symmetric(rng, n)
     return a + a[::-1, ::-1]
 
 
@@ -190,7 +185,7 @@ class TestOrdering:
 
 class TestEigenSpectrum:
     def test_diagonal_two_by_two(self):
-        res = eigen_spectrum(operator(np.diag([1.0, 0.5]), True))
+        res = eigen_spectrum(operator(np.diag([1.0, 0.5])))
         assert np.allclose(res, [1.0, 0.5])
         assert res.dtype == np.complex128
         assert np.all(res.imag == 0.0)
@@ -208,16 +203,12 @@ class TestEigenSpectrum:
         assert res.real[1] > 0.0
 
     def test_zero_matrix_all_zero_empty_nonzero_part(self):
-        res = eigen_spectrum(operator(np.zeros((5, 5)), True))
+        res = eigen_spectrum(operator(np.zeros((5, 5))))
         assert res.size == 5
         assert np.all(res == 0.0)
         assert nonzero_part(res).size == 0
 
-    def test_complex_tiebreak_on_rotation_matrix(self):
-        res = eigen_spectrum(operator([[0.0, 1.0], [-1.0, 0.0]], False))
-        assert np.allclose(res, [1.0j, -1.0j], atol=1e-14)
-
-    def test_flagged_symmetric_operator_is_real(self, measure_l5):
+    def test_kernel_operator_spectrum_is_real(self, measure_l5):
         op = assemble_dmu_kernel(measure_l5, 0.45)
         res = eigen_spectrum(op)
         assert np.all(res.imag == 0.0)
@@ -232,7 +223,7 @@ class TestEigenSpectrum:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            eigen_spectrum(operator(np.ones((2, 3)), False))
+            eigen_spectrum(operator(np.ones((2, 3))))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, value):
@@ -241,42 +232,45 @@ class TestEigenSpectrum:
         mat[0, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and symmetric"):
+                operator(mat)
             with pytest.raises(ValueError, match="non-finite"):
-                operator(mat, False)
-            with pytest.raises(ValueError, match="symmetric flag violated"):
-                operator(mat, True)
+                operator(np.hstack([mat, np.ones((3, 1))]))  # rectangular
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_empty_matrix(self, symmetric):
-        assert eigen_spectrum(operator(np.zeros((0, 0)), symmetric)).size == 0
+    def test_empty_matrix(self):
+        assert eigen_spectrum(operator(np.zeros((0, 0)))).size == 0
+
+    def test_opposite_eigenvalues_put_the_positive_one_first(self):
+        # eigenvalues +1 and -1 tie in modulus; the real tie-break orders them
+        res = eigen_spectrum(operator([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(res, np.array([1.0, -1.0], dtype=complex))
 
     def test_indefinite_kernel_gram_warns_but_other_operators_do_not(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         op = DiscretizedOperator(
             matrix=mat,
             assembly={"kind": "kernel-gram"},
-            symmetric=True,
         )
         with pytest.warns(PsdViolationWarning, match="eigenvalue -1.000e"):
             res = eigen_spectrum(op)
         assert res.real == pytest.approx([3.0, -1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", PsdViolationWarning)
-            assert np.array_equal(eigen_spectrum(operator(mat, True)), res)
+            assert np.array_equal(eigen_spectrum(operator(mat)), res)
 
-    def test_unflagged_path_matches_flagged_path(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        sym = (a + a.T) / 2.0
-        hermitian = eigen_spectrum(operator(sym, True))
-        general = eigen_spectrum(operator(sym, False))
-        assert np.allclose(hermitian, general, atol=1e-12 * np.abs(hermitian[0]))
+    @given(st.integers(0, 10**6), st.integers(2, 6))
+    def test_symmetric_path_matches_reference_eigensolver(self, seed, n):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        mat = a + a.T
+        mine = eigen_spectrum(operator(mat))
+        ref = order_by_modulus(np.linalg.eigvals(mat))
+        assert np.allclose(mine, ref, rtol=0.0, atol=1e-9 * max(np.abs(ref[0]), 1.0))
 
     @given(st.integers(0, 10**6), st.integers(2, 8))
     def test_symmetric_path_spectra_are_real_and_ordered(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
-        res = eigen_spectrum(operator((a + a.T) / 2.0, True))
+        res = eigen_spectrum(operator((a + a.T) / 2.0))
         assert np.all(res.imag == 0.0)
         mods = np.abs(res)
         assert np.all(np.diff(mods) <= 1e-12 * max(mods[0], 1e-300))
@@ -286,17 +280,9 @@ class TestEigenSpectrum:
         mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
         with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat, True))
+            res = eigen_spectrum(operator(mat))
         assert_block_solves(calls, [half, half])
         assert np.all(res.imag == 0.0)
-        assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
-
-    def test_complex_mirror_symmetric_matrix_is_split(self):
-        mat = mirror_symmetric(np.random.default_rng(5), 12, complex_=True)
-        ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat, True))
-        assert_block_solves(calls, [6, 6])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
     @pytest.mark.parametrize("case", ["odd-order", "off-mirror"])
@@ -311,7 +297,7 @@ class TestEigenSpectrum:
             mat = mat + bump  # still symmetric, no longer mirror-symmetric
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
         with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat, True))
+            res = eigen_spectrum(operator(mat))
         assert_block_solves(calls, [mat.shape[0]])
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
@@ -324,17 +310,16 @@ class TestEigenSpectrum:
         assert_block_solves(calls, [256, 256])
         assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [120, 119])  # split into two blocks of 60; unsplit
-    def test_negative_dominated_spectrum_takes_the_bottom_run(self, n, complex_):
+    def test_negative_dominated_spectrum_takes_the_bottom_run(self, n):
         # shifted down by half the spectral radius, the largest moduli are
         # mostly negative, so the top 50 need the bottom eigenvectors too
-        mat = mirror_symmetric(np.random.default_rng(17), n, complex_=complex_)
+        mat = mirror_symmetric(np.random.default_rng(17), n)
         mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
         ref = order_by_modulus(np.linalg.eigvalsh(mat))
         assert ref[0].real < 0.0
         with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat, True))
+            res = eigen_spectrum(operator(mat))
         assert_block_solves(calls, [60, 60] if n == 120 else [119])
         assert any(kind == "vectors" and arg[0] == 0 for kind, arg in calls)
         assert np.all(res.imag == 0.0)
@@ -343,7 +328,7 @@ class TestEigenSpectrum:
     def test_no_call_computes_every_eigenvector(self, cantor_ifs):
         kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)  # blocks of 64
         a = np.random.default_rng(19).standard_normal((101, 101))
-        for op in (kernel, operator(a + a.T, True)):
+        for op in (kernel, operator(a + a.T)):
             with eigensolve_calls() as calls:
                 eigen_spectrum(op)
             assert calls and all(kind not in ("all", "eigh") for kind, _ in calls)
@@ -361,7 +346,7 @@ class TestEigenSpectrum:
             assert op.matrix.shape == (81, 81)
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
-            op = operator(a + a.T, True)
+            op = operator(a + a.T)
         real_tridiagonal = scipy.linalg.eigh_tridiagonal
         rng = np.random.default_rng(29)
 
@@ -379,54 +364,56 @@ class TestEigenSpectrum:
             with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
 
-    @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 700])  # 700 takes the blocked reduction
-    def test_one_reduction_spectrum_is_bitwise_eigh(self, n, complex_):
-        block = random_hermitian(np.random.default_rng(31), n, complex_)
+    def test_one_reduction_spectrum_is_bitwise_eigh(self, n):
+        block = random_symmetric(np.random.default_rng(31), n)
         w, _, _ = spectral_report._top_pairs(block)
         assert np.array_equal(w, scipy.linalg.eigh(block, eigvals_only=True))
 
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_lapack_error_carries_provenance(self, complex_, monkeypatch):
-        mat = random_hermitian(np.random.default_rng(37), 8, complex_)
-        op = DiscretizedOperator(mat, {"kind": "probe"}, symmetric=True)
-        name = "zhetrd" if complex_ else "dsytrd"
-        real_reduction = getattr(scipy.linalg.lapack, name)
+    @pytest.mark.parametrize("scale", [1e-140, 1e-20, 1e20, 1e70])
+    def test_one_reduction_is_bitwise_eigh_across_the_unscaled_range(self, scale):
+        # dsyevr rescales only a block whose largest entry lies outside about
+        # [1e-146, 1e76]; inside that range the bits match at any magnitude
+        block = scale * random_symmetric(np.random.default_rng(41), 60)
+        w, _, _ = spectral_report._top_pairs(block)
+        assert np.array_equal(w, scipy.linalg.eigh(block, eigvals_only=True))
 
-        def failing(a, *args, **kwargs):
-            *out, _ = real_reduction(a, *args, **kwargs)
+    @pytest.mark.parametrize("routine", ["dsytrd", "dormqr"])
+    def test_lapack_error_carries_provenance(self, routine, monkeypatch):
+        # the reduction, and the map of the eigenvectors back through it
+        mat = random_symmetric(np.random.default_rng(37), 8)
+        op = DiscretizedOperator(mat, {"kind": "probe"})
+        real_routine = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real_routine(*args, **kwargs)
             return (*out, 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, failing)
-        with pytest.raises(scipy.linalg.LinAlgError, match="info = 1"):
+        failing.__name__ = routine
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        with pytest.raises(scipy.linalg.LinAlgError, match=f"{routine} returned info = 1"):
             spectral_report._top_pairs(mat)
         with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
             eigen_spectrum(op)
 
-    @pytest.mark.parametrize("rel, hermitian", [(1e-11, True), (1e-9, False)])
-    def test_symmetric_flag_floor_picks_the_solver(self, rel, hermitian):
-        # the flag holds iff max|K - K^H| <= SYMMETRY_REL * max|K|
-        # (SYMMETRY_REL = 1e-10), and the flag alone picks the solver
+    @pytest.mark.parametrize("rel, accepted", [(1e-11, True), (1e-9, False)])
+    def test_symmetry_floor_accepts_1e_11_and_refuses_1e_9(self, rel, accepted):
+        # a square operator is accepted iff max|K - K^T| <= SYMMETRY_REL *
+        # max|K| (SYMMETRY_REL = 1e-10), and an accepted one is solved as
+        # symmetric, to within the floor of the general eigensolver
         rng = np.random.default_rng(13)
         a = rng.standard_normal((9, 9))
         mat = a + a.T
         mat[0, 1] += rel * np.abs(mat).max()
-        if not hermitian:
-            with pytest.raises(ValueError, match="symmetric flag violated"):
-                operator(mat, True)
+        if not accepted:
+            with pytest.raises(ValueError, match="finite and symmetric"):
+                operator(mat)
+            return
         with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat, hermitian))
-        assert_block_solves(calls, [9] if hermitian else [])
+            res = eigen_spectrum(operator(mat))
+        assert_block_solves(calls, [9])
         ref = order_by_modulus(scipy.linalg.eigvals(mat))
         assert np.allclose(res, ref, rtol=0.0, atol=1e-8 * abs(ref[0]))
-
-    @given(st.integers(0, 10**6), st.integers(2, 6))
-    def test_general_path_matches_reference_eigensolver(self, seed, n):
-        rng = np.random.default_rng(seed)
-        mat = rng.standard_normal((n, n))
-        mine = eigen_spectrum(operator(mat, False))
-        ref = order_by_modulus(np.linalg.eigvals(mat))
-        assert np.allclose(mine, ref, atol=1e-9 * max(np.abs(ref[0]), 1.0))
 
 
 class TestKernelMirrorBlocks:
@@ -442,7 +429,7 @@ class TestKernelMirrorBlocks:
         op = assemble_dmu_kernel(mu, 0.45)
         K = dense_kernel(mu, 0.45)
         assert_operator_is(op, K)  # every entry of A +- B J, bitwise
-        dense = DiscretizedOperator(K, op.assembly, symmetric=True)
+        dense = DiscretizedOperator(K, op.assembly)
         values = eigen_spectrum(op)
         assert np.array_equal(values, eigen_spectrum(dense))
         # the per-block residual is the residual of the lifted vector
@@ -485,7 +472,7 @@ class TestKernelMirrorBlocks:
             values = eigen_spectrum(op)  # certified, or it raises
         n = mu.n_atoms
         assert_block_solves(calls, [n // 2, n // 2] if split else [n])
-        dense = DiscretizedOperator(K, op.assembly, symmetric=True)
+        dense = DiscretizedOperator(K, op.assembly)
         assert np.array_equal(values, eigen_spectrum(dense))
 
     def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs):
