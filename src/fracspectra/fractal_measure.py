@@ -224,6 +224,20 @@ def _pair_codes(ifs: SimilitudeIFS, level: int) -> np.ndarray:
     return codes
 
 
+def _pair_counts(ifs: SimilitudeIFS, level: int) -> np.ndarray:
+    """How many atom pairs at ``level`` carry each of the ``D^level`` codes:
+    exactly ``np.bincount(_pair_codes(ifs, level).ravel())``, without the
+    (N, N) codes.  The code of a pair prefixes its first digit to a
+    level-``(level-1)`` code, so the counts are ``kron(c1, counts_{L-1})``
+    with ``c1`` the counts of the level-1 digits."""
+    deltas, digit = _pair_digits(ifs)
+    c1 = np.bincount(digit.ravel(), minlength=deltas.shape[0])
+    counts = np.ones(1, dtype=c1.dtype)
+    for _ in range(level):
+        counts = np.kron(c1, counts)
+    return counts
+
+
 def _pair_distances(ifs: SimilitudeIFS, level: int) -> np.ndarray:
     """The ``D^level`` pair distances indexed by code (see :func:`_pair_table`)."""
     deltas, _ = _pair_digits(ifs)

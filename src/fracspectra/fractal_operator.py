@@ -49,7 +49,14 @@ import numpy as np
 from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
-from .fractal_measure import FractalMeasure, _pair_codes, _pair_digits, _pair_distances, _pair_table
+from .fractal_measure import (
+    FractalMeasure,
+    _pair_codes,
+    _pair_counts,
+    _pair_digits,
+    _pair_distances,
+    _pair_table,
+)
 
 __all__ = [
     "SYMMETRY_REL",
@@ -348,8 +355,10 @@ def _jsonable(obj):
 _TILE = 256  # rows (and columns) per block of the tiled whole-matrix reads
 
 
-def _symmetry_deviation(a: np.ndarray) -> tuple[float, float]:
-    """``max|a - a^T|`` and ``max|a|`` of a real square ``a``.
+def _symmetry_deviation(a: np.ndarray) -> tuple[float, float, bool]:
+    """``max|a - a^T|`` and ``max|a|`` of a real square ``a``, and whether
+    ``a`` equals ``a^T`` bit for bit (which ``max|a - a^T| == 0`` does not
+    say of a signed zero).
 
     Each square tile ``a[i:i+B, j:j+B]`` (``B = _TILE``) with ``j >= i`` is
     compared with ``a[j:j+B, i:i+B].T``, so both tiles are read along their
@@ -359,6 +368,7 @@ def _symmetry_deviation(a: np.ndarray) -> tuple[float, float]:
     both results NaN and an infinite one makes ``max|a|`` infinite.
     """
     dev = scale = 0.0
+    exact = True
     n = a.shape[0]
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
@@ -369,7 +379,22 @@ def _symmetry_deviation(a: np.ndarray) -> tuple[float, float]:
             # np.maximum, unlike the builtin max, keeps a NaN once it appears
             dev = float(np.maximum(dev, diff))
             scale = float(np.maximum(scale, np.maximum(np.abs(x).max(), np.abs(y).max())))
-    return dev, scale
+            exact = exact and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    return dev, scale, exact
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of square ``a`` onto its strict upper
+    one, in place, so that ``a`` equals ``a^T`` bit for bit.  Each tile above
+    the diagonal is written from its mirror below it, and each diagonal tile
+    from its own transpose, so no temporary exceeds one tile."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        tile = a[rows, rows]
+        np.copyto(tile, tile.T.copy(), where=np.triu(np.ones(tile.shape, dtype=bool), 1))
+        for j in range(i + _TILE, n, _TILE):
+            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +450,15 @@ class DiscretizedOperator:
     rectangular matrix (the trace factor, the only one) is only checked to
     be finite; :func:`~fracspectra.spectral_report.eigen_spectrum` refuses it.
 
+    A square matrix is held float64, C-ordered, writeable and equal to its
+    transpose bit for bit, since the eigensolve reduces it in its own storage
+    and restores it from its lower triangle.  One given in that form is held
+    as it is, so a solve writes the given array and restores it (every
+    assembly returns that form); any other, one that passes the check with a
+    nonzero or signed-zero deviation among them, is held as a copy with its
+    lower triangle copied onto the upper one, and the given array is never
+    written.
+
     A kernel Gram operator of a digit-mirror-symmetric set holds no matrix
     but its ``mirror`` blocks (see :func:`assemble_dmu_kernel`).  It is
     symmetric by construction, so no tile pass reads it; it is refused when
@@ -452,13 +486,21 @@ class DiscretizedOperator:
             return
         if np.iscomplexobj(mat):
             raise ValueError("a square operator matrix must be real symmetric, not complex")
-        dev, top = _symmetry_deviation(mat)
+        if mat.dtype != np.float64:
+            mat = mat.astype(np.float64)
+        dev, top, exact = _symmetry_deviation(mat)
         # a finite max|a| rules out every non-finite entry
         if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
             raise ValueError(
                 f"a square operator matrix must be finite and symmetric: max "
                 f"deviation {dev:.3e} exceeds {SYMMETRY_REL:.0e} * {top:.3e}"
             )
+        if not (exact and mat.flags.c_contiguous and mat.flags.writeable):
+            # the eigensolve reduces the matrix in its own storage and restores
+            # it from the lower triangle, so it keeps a bitwise-symmetric copy
+            mat = np.array(mat, order="C")
+            _mirror_lower(mat)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -776,10 +818,13 @@ def assemble_tmu_galerkin(
     raise ``ValueError`` before any N x N array exists.  The matrix returned
     is the similar real symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S
     D^{1/2}``: the same spectrum, exactly, and certified by the eigensolve's
-    residuals.  The assembly records ``"similarity": "diag(sqrt(a))"`` (None
-    when ``a == 1``).  The :class:`CutoffTailWarning` reads its entry scale
-    from ``M``.  Requires ``s p`` in the compactness window
-    (:func:`_check_rate_window`) and a symbol with separable terms.
+    residuals.  The two scalings round ``(S_jk r_j) r_k`` and ``(S_kj r_k)
+    r_j`` apart (``r = sqrt(a)``), so the lower triangle, the one the
+    eigensolve reads, is copied onto the upper one in place, and the matrix
+    is symmetric bit for bit.  The assembly records ``"similarity":
+    "diag(sqrt(a))"`` (None when ``a == 1``).  The :class:`CutoffTailWarning`
+    reads its entry scale from ``M``.  Requires ``s p`` in the compactness
+    window (:func:`_check_rate_window`) and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -826,7 +871,7 @@ def assemble_tmu_galerkin(
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
     # is read from the row-scaled c w D S, before the similarity is applied.
     if N > 1:
-        counts = np.bincount(codes.ravel(), minlength=dist.size)
+        counts = _pair_counts(ifs, measure.level)
         counts[codes[0, 0]] = 0
         order = np.argsort(dist, kind="stable")
         cum = np.cumsum(counts[order])
@@ -853,6 +898,7 @@ def assemble_tmu_galerkin(
         r = np.sqrt(shared)
         base *= r[:, None]
         base *= r[None, :]
+        _mirror_lower(base)
         similarity = "diag(sqrt(a))"
     base *= conv * w
 

@@ -24,6 +24,12 @@ when its entries pass the mirror check.  The returned top-50 eigenvalues
 are certified with those eigenvectors by their residuals, per block for
 the kernel blocks and against the full matrix otherwise.
 
+Each reduction runs in its block's own storage, with no copy of the block:
+the solve writes the operator's matrix while it runs and restores it bit
+for bit before it returns or raises.  So one operator must not be solved
+from two threads at once; the CLI's ``--jobs`` stays safe, since each
+config builds its own operator.
+
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
 envelope through the point cloud by quantile regression, so oscillating
@@ -46,6 +52,7 @@ from .fractal_operator import (
     PsdViolationWarning,
     _check_rate_window,
     _jsonable,
+    _mirror_lower,
     _symmetry_deviation,
     assemble_dmu_kernel,
 )
@@ -135,7 +142,11 @@ def _lapack(routine, *args, **kwargs) -> list:
 
 def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues of real symmetric ``block``, then its up to 50 of
-    largest modulus and their eigenvectors, from one tridiagonal reduction.
+    largest modulus and their eigenvectors, from one tridiagonal reduction
+    done in ``block``'s own storage, which is restored bit for bit.
+
+    ``block`` must be a C-ordered float64 array equal to its transpose bit for
+    bit (every square operator's matrix and every block handed here is).
 
     ``dsytrd`` (lower triangle) reduces the block once to the tridiagonal
     ``T = Q^T block Q``, and the whole spectrum is ``dsterf`` on T.  That is
@@ -148,6 +159,23 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     workspace query.  (``dsyevr`` would also rescale a matrix whose largest
     entry lies outside about ``[1e-146, 1e76]``, which no assembled operator
     comes near.)
+
+    **In place.**  ``block.T`` is a Fortran-ordered view of the same
+    storage, so ``dsytrd`` gets it with ``overwrite_a`` and no copy is made.
+    Its lower triangle is ``block``'s upper one, and for a block equal to its
+    transpose bit for bit that holds the very values ``scipy.linalg.eigh``'s
+    Fortran copy of the block has in its lower triangle; so d, e, the
+    reflectors and their scalars are bit for bit those of that copy.
+    ``xSYTRD`` with ``UPLO='L'`` reads and writes only the diagonal and the
+    lower triangle of its argument (Anderson et al., *LAPACK Users' Guide*,
+    SIAM 1999), which is ``block``'s diagonal and upper triangle, and the
+    back-transform below only reads the reflectors.  So ``block``'s strict
+    lower triangle survives untouched, and copying it onto the strict upper
+    one and putting back the diagonal, saved before the reduction, restores
+    ``block`` bit for bit.  The restore runs in a ``finally``, so a LAPACK
+    error leaves the block intact too.  While the solve runs, the block's
+    storage holds the reduction: one block must not be solved, or read, from
+    two threads at once.
 
     In an ascending spectrum the m values of largest modulus are a bottom run
     ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Each
@@ -164,26 +192,33 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = min(50, n)
     lapack = scipy.linalg.lapack
     lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
-    c, d, e, tau = _lapack(lapack.dsytrd, block, lower=1, lwork=lwork)
-    w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
-    b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
-    runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
-    vecs = np.hstack(
-        [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=run)[1] for run in runs]
-    )
-    if n > 1:
-        # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with
-        # leading dimension n (dormtr's A(2,1), LDA = n); the view's last row
-        # is never read, and no order-n copy is made
-        refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
-        query = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], -1)[1]
-        vecs[1:] = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], int(query[0]))[0]
+    diag = block.diagonal().copy()
+    try:
+        c, d, e, tau = _lapack(lapack.dsytrd, block.T, lower=1, overwrite_a=1, lwork=lwork)
+        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+        b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
+        runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
+        vecs = np.hstack(
+            [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=run)[1] for run in runs]
+        )
+        if n > 1:
+            # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with
+            # leading dimension n (dormtr's A(2,1), LDA = n); the view's last
+            # row is never read, and no order-n copy is made
+            refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+            query = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], -1)[1]
+            vecs[1:] = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], int(query[0]))[0]
+    finally:
+        _mirror_lower(block)
+        np.fill_diagonal(block, diag)
     return w, w[np.r_[0:b, n - m + b : n]], vecs
 
 
 def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_top_pairs` of symmetric ``block``, with the residual norm
-    ``||block u - lambda u||`` of each returned pair in place of its vector."""
+    ``||block u - lambda u||`` of each returned pair in place of its vector.
+    The reduction runs in ``block`` and restores it bit for bit, so the
+    residuals are taken against the block as it was given."""
     w, top, u = _top_pairs(block)
     return w, top, np.linalg.norm(block @ u - u * top, axis=0)
 
@@ -207,14 +242,19 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = n // 2
     dev = scale = 0.0
     if n % 2 == 0:  # for symmetric K, K J is symmetric iff K = J K J
-        dev, scale = _symmetry_deviation(mat[:, ::-1])
+        dev, scale, _ = _symmetry_deviation(mat[:, ::-1])
     if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
         return _merge([_certified_pairs(mat)])
     a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
     parts = []
     for sign in (1.0, -1.0):
-        # each block is freed as its call returns, before the other one is formed
-        w, top, u = _top_pairs(a + bj if sign > 0 else a - bj)
+        # each block is freed as its call returns, before the other one is
+        # formed; its lower triangle, the one a reduction reads, is mirrored
+        # onto the upper one, since a +- b j need not be symmetric bit for bit
+        block = a + bj if sign > 0 else a - bj
+        _mirror_lower(block)
+        w, top, u = _top_pairs(block)
+        del block
         lifted = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)  # [u; +-J u] / sqrt(2)
         parts.append((w, top, np.linalg.norm(mat @ lifted - lifted * top, axis=0)))
     return _merge(parts)
@@ -229,16 +269,20 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     residual bound ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``.  Non-finite
     entries never reach the solver: the constructor refuses them too.
 
-    Each block is reduced to tridiagonal form T once (:func:`_top_pairs`).
-    All eigenvalues come from T with no eigenvectors, bit for bit those of a
-    values-only ``scipy.linalg.eigh``; the eigenvectors of the 50 eigenvalues
-    of largest modulus only come from an index-range solve of T (per run of
-    indices), mapped back through the reduction's reflectors.  Nothing rests
-    on the values and the vectors agreeing bit for bit: the certificate is
-    computed with the returned eigenvalues and the returned vectors, so it
-    checks exactly the pairing that is returned.  Solver failures, a nonzero
-    LAPACK ``info`` among them, are re-raised together with the assembly
-    record so the failing operator can be identified.
+    Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
+    in its own storage: the operator's matrix, or the half-size block
+    gathered or formed for the solve.  ``op.matrix`` is written while the
+    solve runs and restored bit for bit before it returns or raises, so one
+    operator must not be solved, or its matrix read, from two threads at
+    once.  All eigenvalues come from T with no eigenvectors, bit for bit
+    those of a values-only ``scipy.linalg.eigh``; the eigenvectors of the 50
+    eigenvalues of largest modulus only come from an index-range solve of T
+    (per run of indices), mapped back through the reduction's reflectors.
+    Nothing rests on the values and the vectors agreeing bit for bit: the
+    certificate is computed with the returned eigenvalues and the returned
+    vectors, so it checks exactly the pairing that is returned.  Solver
+    failures, a nonzero LAPACK ``info`` among them, are re-raised together
+    with the assembly record so the failing operator can be identified.
 
     A symmetric K of even order N = 2h that is mirror-symmetric
     (centrosymmetric), ``K = J K J`` with J the index reversal, is solved as
@@ -270,11 +314,14 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
       ``max|K - J K^T J| <= SYMMETRY_REL * max|K|``.  By Weyl's inequality
       every eigenvalue of K then differs from the matching one of K_c by at
       most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2)) max|K - J K J|``,
-      and ``max|K - J K J| <= max|K - J K^T J| + max|K - K^T|``, which this
-      check and the constructor's bound by ``2 * SYMMETRY_REL * max|K|``.
-      The residual certificate is computed against K itself, with the 50
-      lifted eigenvectors, so it certifies what is returned whichever path
-      ran.  Odd N and matrices that fail the check are solved at full size.
+      and ``max|K - J K J| = max|K - J K^T J|``, since the operator holds K
+      equal to ``K^T`` bit for bit, so this check bounds it by
+      ``SYMMETRY_REL * max|K|``.  Each block ``A +- B J`` is formed from K
+      and its lower triangle, the one the reduction reads, copied onto its
+      upper one.  The residual certificate is computed against K itself,
+      with the 50 lifted eigenvectors, so it certifies what is returned
+      whichever path ran.  Odd N and matrices that fail the check are solved
+      at full size.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the

@@ -384,6 +384,26 @@ class TestRunSpectrum:
         assembly = payload["spectrum_report"]["provenance"]["assembly"]
         assert assembly["kind"] == "separable-symbol-compression"
 
+    def test_separable_symbol_spectrum_bits_are_pinned(self, tmp_path):
+        # cantor_p15 at level 8: the top ten eigenvalues and the fitted slope,
+        # bit for bit as the reduction of the matrix's lower triangle gives them
+        raw = json.loads((CONFIG_DIR / "cantor_p15.json").read_text(encoding="utf-8"))
+        raw["fractal"]["level"] = 8
+        report, _ = run_spectrum(config_from_dict(raw), tmp_path / "out")
+        assert [float(v.real).hex() for v in report.eigenvalues[:10]] == [
+            "0x1.f37cf1deb04c6p-1",
+            "0x1.54b7e20094766p-1",
+            "0x1.d42e2eb8f0252p-2",
+            "0x1.a18337e4f5a12p-2",
+            "0x1.2b8eab7b5837dp-2",
+            "0x1.1d7818bb75953p-2",
+            "0x1.0f705ed3cf690p-2",
+            "0x1.f857e3a260ee5p-3",
+            "0x1.771abad960d79p-3",
+            "0x1.71edc2511d877p-3",
+        ]
+        assert float(report.fit.slope).hex() == "-0x1.67a29404dd66fp-1"
+
 
 # ---------------------------------------------------------------------------
 # Convergence runner

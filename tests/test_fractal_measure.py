@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from fracspectra.fractal_measure import (
     OverlapError,
     ResolutionError,
     SimilitudeIFS,
+    _pair_codes,
+    _pair_counts,
     ball_measure_ratio,
     build_cantor_like,
     quadrature,
@@ -166,6 +169,21 @@ class TestQuadrature:
             box = cantor.bounding_box()
             assert np.all(mu.atoms >= box[0] - 1e-12)
             assert np.all(mu.atoms <= box[1] + 1e-12)
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize("level", range(8))
+    @pytest.mark.parametrize(
+        "maps",
+        [(2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]), (3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]])],
+        ids=["bundled-cantor", "three-maps"],
+    )
+    def test_counts_equal_the_bincount_of_the_codes(self, maps, level):
+        ifs = build_cantor_like(1, *maps)
+        counts = _pair_counts(ifs, level)
+        expect = np.bincount(_pair_codes(ifs, level).ravel(), minlength=counts.size)
+        assert counts.dtype == expect.dtype and np.array_equal(counts, expect)
+        assert counts.sum() == ifs.n_maps ** (2 * level)
 
 
 class TestBallMeasureRatio:

@@ -456,6 +456,28 @@ class TestKernelGram:
         with pytest.raises(ValueError, match="two-dimensional"):
             DiscretizedOperator(np.zeros(3), {})
 
+    def test_square_matrix_is_held_bitwise_symmetric_c_ordered_and_writeable(self):
+        # the eigensolve reduces the matrix in its own storage and restores it
+        # from the lower triangle, so that is the form every square one is held in
+        sym = np.random.default_rng(7).normal(size=(300, 300))
+        sym = sym + sym.T
+        assert DiscretizedOperator(sym, {}).matrix is sym  # already in that form
+        signed_zero = sym.copy()
+        signed_zero[290, 10] = 0.0
+        signed_zero[10, 290] = -0.0  # max|K - K^T| is 0, the bits differ
+        readonly = sym.copy()
+        readonly.flags.writeable = False
+        for given in (signed_zero, sym + 1e-12 * np.triu(sym, 1), np.asfortranarray(sym),
+                      readonly, np.eye(3, dtype=int)):
+            before = given.copy()
+            held = DiscretizedOperator(given, {}).matrix
+            assert not np.shares_memory(held, given)
+            assert held.dtype == np.float64 and held.flags.c_contiguous and held.flags.writeable
+            lower = np.tril(given).astype(float)
+            mirrored = np.where(np.tri(len(given), dtype=bool), lower, lower.T)
+            assert np.array_equal(held.view(np.uint64), mirrored.view(np.uint64))
+            assert given.tobytes() == before.tobytes()
+
     def test_mirror_operator_validation(self, cantor_ifs):
         mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).mirror
         with pytest.raises(ValueError, match="mirror blocks"):
@@ -519,7 +541,9 @@ class TestGalerkinCompression:
                 config.analysis.freq_cutoff,
             )
         assert op.matrix.dtype == np.float64
-        assert DiscretizedOperator(op.matrix, op.assembly).shape == (64, 64)
+        # symmetric bit for bit, so a second operator holds this very array
+        assert np.array_equal(op.matrix.view(np.uint64), op.matrix.T.view(np.uint64))
+        assert DiscretizedOperator(op.matrix, op.assembly).matrix is op.matrix
         expect = {"bessel_power": None, "separable_demo": "diag(sqrt(a))"}[name]
         assert op.assembly["similarity"] == expect
 

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_operator_is, dense_kernel
+from fracspectra.experiment import _assemble, _build_measure, load_config
 from fracspectra.fractal_measure import build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
+    CutoffTailWarning,
     DiscretizedOperator,
     PsdViolationWarning,
     WindowViolationError,
     assemble_dmu_kernel,
+    assemble_tmu_galerkin,
 )
+from fracspectra.psido_engine import make_symbol
 from fracspectra import spectral_report
 from fracspectra.spectral_report import (
     DecayFit,
@@ -39,6 +44,7 @@ from fracspectra.spectral_report import (
     theoretical_snumber_exponent,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 D_CANTOR = 0.6309297535714574  # log 2 / log 3, dimension of the middle-third set
 
 # (ambient_dim, n_maps, ratio, translations) of sets off the two-map Cantor line
@@ -131,6 +137,11 @@ def assert_block_solves(calls, orders) -> None:
         assert 1 <= len(runs) <= 2
         assert sum(hi - lo + 1 for lo, hi in runs) == min(50, n)
         assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
+
+
+def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
+    """``a`` and ``b`` hold the same float64 bits (a signed zero included)."""
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def random_symmetric(rng, n: int) -> np.ndarray:
@@ -391,10 +402,107 @@ class TestEigenSpectrum:
 
         failing.__name__ = routine
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        keep = mat.copy()
         with pytest.raises(scipy.linalg.LinAlgError, match=f"{routine} returned info = 1"):
             spectral_report._top_pairs(mat)
+        assert_bitwise_equal(mat, keep)  # the reduction ran in mat, and was undone
         with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
             eigen_spectrum(op)
+        assert_bitwise_equal(op.matrix, keep)
+
+    @pytest.mark.parametrize(
+        "case", ["modulated-galerkin", "three-map-kernel", "split-mirror", "asymmetric-1e-11"]
+    )
+    def test_solve_leaves_the_matrix_intact(self, cantor_ifs, case):
+        # the reduction runs in the matrix's own storage and restores it
+        caller = None
+        if case == "modulated-galerkin":
+            sym = make_symbol("separable_demo", sigma=-0.9)
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
+            assert op.assembly["similarity"] == "diag(sqrt(a))"
+        elif case == "three-map-kernel":  # fails the digit test: a dense K
+            op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
+            assert op.mirror is None
+        elif case == "split-mirror":
+            op = operator(mirror_symmetric(np.random.default_rng(43), 80))
+        else:
+            caller = random_symmetric(np.random.default_rng(47), 80)
+            caller[0, 1] += 1e-11 * np.abs(caller).max()
+            before = caller.copy()
+            op = operator(caller)
+            # held as the copy with the lower triangle on both sides
+            assert not np.shares_memory(op.matrix, caller)
+            assert_bitwise_equal(op.matrix, np.tril(caller) + np.tril(caller, -1).T)
+        keep = op.matrix.copy()
+        with eigensolve_calls() as calls:
+            eigen_spectrum(op)
+        n = op.shape[0]
+        assert_block_solves(calls, [n // 2, n // 2] if case == "split-mirror" else [n])
+        assert_bitwise_equal(op.matrix, keep)
+        if caller is not None:
+            assert_bitwise_equal(caller, before)
+
+    @pytest.mark.parametrize("case", ["dense", "split-mirror", "kernel-mirror-blocks"])
+    def test_reduction_overwrites_the_block_it_is_given(self, cantor_ifs, case):
+        # dsytrd gets overwrite_a on the block's own storage, and makes no copy
+        if case == "dense":
+            op = operator(random_symmetric(np.random.default_rng(53), 90))
+        elif case == "split-mirror":
+            op = operator(mirror_symmetric(np.random.default_rng(59), 90))
+        else:
+            op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
+        blocks, reductions = [], []
+        real_top_pairs, real_reduction = spectral_report._top_pairs, scipy.linalg.lapack.dsytrd
+
+        def top_pairs(block):
+            blocks.append(block)
+            return real_top_pairs(block)
+
+        def reduction(a, *args, **kwargs):
+            out = real_reduction(a, *args, **kwargs)
+            shared = np.shares_memory(a, blocks[-1]) and np.shares_memory(out[0], a)
+            reductions.append((kwargs.get("overwrite_a"), shared))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_report, "_top_pairs", top_pairs)
+            mp.setattr(scipy.linalg.lapack, "dsytrd", reduction)
+            eigen_spectrum(op)
+        assert reductions == [(1, True)] * (1 if case == "dense" else 2)
+        if case == "dense":
+            assert blocks[0] is op.matrix
+
+    @pytest.mark.parametrize("config", ["cantor_p2", "cantor_p15"])
+    def test_solve_grows_less_than_one_block_over_what_it_holds(self, config):
+        # at level 10: the kernel Gram operator's two mirror blocks of order
+        # 512, and the modulated Galerkin matrix of order 1024, solved at full
+        # size; a copy of the block for the reduction alone would be 8 n^2 B
+        cfg = load_config(CONFIG_DIR / f"{config}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            op = _assemble(cfg, _build_measure(cfg, 10))
+        assert (op.mirror is not None) == (config == "cantor_p2")
+        growth, orders = [], []
+        real_certified = spectral_report._certified_pairs
+
+        def certified(block):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real_certified(block)
+            growth.append(tracemalloc.get_traced_memory()[1] - held)
+            orders.append(block.shape[0])
+            return out
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral_report, "_certified_pairs", certified)
+                eigen_spectrum(op)
+        finally:
+            tracemalloc.stop()
+        assert orders == ([512, 512] if config == "cantor_p2" else [1024])
+        for g, n in zip(growth, orders):
+            assert g < 8 * n * n, f"solve grew {g} B, a block of order {n} is {8 * n * n} B"
 
     @pytest.mark.parametrize("rel, accepted", [(1e-11, True), (1e-9, False)])
     def test_symmetry_floor_accepts_1e_11_and_refuses_1e_9(self, rel, accepted):
@@ -477,7 +585,7 @@ class TestKernelMirrorBlocks:
 
     def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs):
         # K in float64 is 8 N^2 bytes; the mirror path holds the level-(L-1)
-        # codes (N^2 bytes), one block and the reduction's copy of it
+        # codes (N^2 bytes) and one block, which is reduced in place
         mu = quadrature(cantor_ifs, 10)
         n = mu.n_atoms
         tracemalloc.start()
