@@ -15,19 +15,23 @@ spectra approximate the continuum objects:
 * ``assemble_dmu_kernel`` assembles the symmetric positive kernel operator K
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
-  approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.  For a set
-  that is mirror-symmetric in its digits K is exactly centrosymmetric, and
-  the operator carries its folded table and the level-(L-1) pair codes
-  (:class:`MirrorBlocks`), from which the solver gathers the two half-size
-  blocks ``A +- B J`` one at a time; the N x N matrix K is never formed.
-  Any other set gets the dense matrix K.
+  approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
+* Every operator that is one gather from a folded table (the kernel K, and
+  the Galerkin compression of an x-independent symbol) is held by
+  :func:`_gather_pairs`, which alone decides the reflection split: for a
+  set that is mirror-symmetric in its digits the matrix is exactly
+  centrosymmetric, and the operator carries its table and the level-(L-1)
+  pair codes (:class:`MirrorBlocks`), from which the solver gathers the two
+  half-size blocks ``A +- B J`` one at a time; the N x N matrix is never
+  formed.  Any other set gets the dense matrix.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
   whose terms share one real, strictly positive spatial factor a, to atom
   space through a smoothly truncated frequency integral, in the exactly
-  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``.
+  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``; with ``a == 1``
+  that is the gather S itself, held as above.
 
 Every square operator is real symmetric, the one form
 :func:`~fracspectra.spectral_report.eigen_spectrum` solves; the trace factor
@@ -75,10 +79,9 @@ __all__ = [
 
 
 SYMMETRY_REL = 1e-10
-"""Relative floor for a structural symmetry of a matrix: a deviation up to
-``SYMMETRY_REL * max|K|`` still counts as symmetric (the check of every
-square :class:`DiscretizedOperator`) or as mirror-symmetric (the reflection
-split of ``eigen_spectrum``)."""
+"""Relative floor of the symmetry check of every square dense
+:class:`DiscretizedOperator`: a deviation ``max|K - K^T|`` up to
+``SYMMETRY_REL * max|K|`` still counts as symmetric."""
 
 
 class SingularKernelError(ValueError):
@@ -400,9 +403,10 @@ def _mirror_lower(a: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class MirrorBlocks:
     """The blocks ``A + B J`` and ``A - B J`` of an exactly centrosymmetric
-    kernel matrix ``K = [[A, B], [J B J, J A J]]`` of order ``N = 2h`` (J the
-    index reversal), each gathered on request from the folded ``table``;
-    K itself is never formed.
+    matrix ``K = [[A, B], [J B J, J A J]]`` of order ``N = 2h`` (J the index
+    reversal) gathered by pair code, each gathered on request from the
+    folded ``table``; K itself is never formed.  :func:`_gather_pairs`
+    builds it, and only for a table and set under which K is exactly that.
 
     With m maps, D digits and ``M = N / m`` atoms per level-1 cell, the pair
     ``(a M + i', b M + j')`` has the code ``digit[a, b] D^(L-1) + C[i', j']``
@@ -439,6 +443,41 @@ class MirrorBlocks:
         return out.reshape(q * size, q * size)
 
 
+def _gather_pairs(
+    ifs, level: int, table: np.ndarray
+) -> tuple[np.ndarray | None, MirrorBlocks | None]:
+    """The operator ``K = table[_pair_codes(ifs, level)]`` of a folded
+    ``table`` (a bitwise palindrome, :func:`_folded_table`), as the
+    ``(matrix, mirror)`` pair of a :class:`DiscretizedOperator`: its
+    :class:`MirrorBlocks` when K is exactly centrosymmetric, else the dense K.
+
+    With m maps, D digits and level L >= 1, K is held as blocks when m is
+    even and the level-1 digits satisfy ``digit[m-1-a, m-1-b] ==
+    D-1-digit[a, b]``.  That is an O(m^2) exact test on integers, and the one
+    place the reflection split is decided.  The index reversal J maps atom i,
+    in base m, to the word with every digit a replaced by ``m-1-a``, so under
+    the test the code of ``(J i, J j)`` is ``sum_k (D-1-digit_k) D^(L-1-k) =
+    D^L - 1 - code(i, j)``, and the palindromic table holds bitwise the same
+    value there: K is exactly centrosymmetric, ``K = J K J``.  It is also
+    exactly symmetric, because ``code(j, i) = D^L - 1 - code(i, j)`` for every
+    set (:func:`_pair_table`).  Hence A is bitwise symmetric, and so is ``B
+    J``: ``(B J)[j, i] = K[j, N-1-i] = K[N-1-j, i] = K[i, N-1-j] = (B J)[i,
+    j]``, by centrosymmetry and then symmetry.  So is each block ``A +- B J``,
+    since ``x +- y`` rounds the same for the mirrored entry pair.  No tile
+    pass re-checks it.  Any other set (every odd m, and an even-m set whose
+    digits fail the test) gets the dense K through the level-L codes, and its
+    symmetry is checked as for any square matrix.
+    """
+    deltas, digit = _pair_digits(ifs)
+    base, m = deltas.shape[0], ifs.n_maps
+    if level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
+        q = m // 2
+        lead = digit * base ** (level - 1)
+        offsets = np.stack([lead[:q, :q], lead[:q, ::-1][:, :q]])
+        return None, MirrorBlocks(table, _pair_codes(ifs, level - 1), offsets)
+    return table[_pair_codes(ifs, level)], None
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """A matrix plus its ``assembly`` record, which says how it was built and
@@ -459,11 +498,13 @@ class DiscretizedOperator:
     lower triangle copied onto the upper one, and the given array is never
     written.
 
-    A kernel Gram operator of a digit-mirror-symmetric set holds no matrix
-    but its ``mirror`` blocks (see :func:`assemble_dmu_kernel`).  It is
-    symmetric by construction, so no tile pass reads it; it is refused when
-    its table has a non-finite entry, since every table entry is an entry of
-    K and every entry of K is one of the table."""
+    An operator gathered from a folded table on a digit-mirror-symmetric
+    set (the kernel Gram operator, and the Galerkin compression of an
+    x-independent symbol) holds no matrix but its ``mirror`` blocks (see
+    :func:`_gather_pairs`).  It is symmetric by construction, so no tile
+    pass reads it; it is refused when its table has a non-finite entry,
+    since every table entry is an entry of K and every entry of K is one of
+    the table."""
 
     matrix: np.ndarray | None
     assembly: dict
@@ -528,23 +569,10 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     The kernel values form the folded table T, a bitwise palindrome
     (:func:`_folded_table`).
 
-    **Mirror blocks.**  With m maps, D digits and level L >= 1, the operator
-    carries :class:`MirrorBlocks` (T, the level-(L-1) codes and the block
-    offsets) instead of K when m is even and the level-1 digits satisfy
-    ``digit[m-1-a, m-1-b] == D-1-digit[a, b]``.  That is an O(m^2) exact test
-    on integers.  The index reversal J maps atom i, in base m, to the word
-    with every digit a replaced by ``m-1-a``, so under the test the code of
-    ``(J i, J j)`` is ``sum_k (D-1-digit_k) D^(L-1-k) = D^L - 1 - code(i, j)``,
-    and T, a palindrome, holds bitwise the same value there: K is exactly
-    centrosymmetric, ``K = J K J``.  It is also exactly symmetric, because
-    ``code(j, i) = D^L - 1 - code(i, j)`` for every set (:func:`_pair_table`).
-    Hence A is bitwise symmetric, and so is ``B J``: ``(B J)[j, i] =
-    K[j, N-1-i] = K[N-1-j, i] = K[i, N-1-j] = (B J)[i, j]``, by centrosymmetry
-    and then symmetry.  So is each block ``A +- B J``, since ``x +- y`` rounds
-    the same for the mirrored entry pair.  No tile pass re-checks it.  Any
-    other set (every odd m, and an even-m set whose digits fail the test)
-    gets the dense K through the level-L codes, and its symmetry is checked
-    as for any square matrix.
+    **Mirror blocks.**  K is held by :func:`_gather_pairs`: as its
+    :class:`MirrorBlocks` (T, the level-(L-1) codes and the block offsets)
+    when the set passes the digit test there, which makes K exactly
+    centrosymmetric, and as the dense K otherwise.
 
     Only the operator is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
@@ -557,21 +585,11 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     kernel = BesselKernel(order=a, ambient_dim=n)
     w = measure.weight
     conv = (2.0 * math.pi) ** (-n / 2.0)
-    N, level, m = measure.n_atoms, measure.level, ifs.n_maps
+    N, level = measure.n_atoms, measure.level
     energy, diag_info = cell_pair_energy(measure, kernel)
     table = _folded_table(
         _pair_distances(ifs, level), lambda rho: conv * w * kernel(rho), conv * energy / w
     )
-    deltas, digit = _pair_digits(ifs)
-    base = deltas.shape[0]
-    matrix = mirror = None
-    if level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
-        q = m // 2
-        lead = digit * base ** (level - 1)
-        offsets = np.stack([lead[:q, :q], lead[:q, ::-1][:, :q]])
-        mirror = MirrorBlocks(table, _pair_codes(ifs, level - 1), offsets)
-    else:
-        matrix = table[_pair_codes(ifs, level)]
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -584,6 +602,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
+    matrix, mirror = _gather_pairs(ifs, level, table)
     return DiscretizedOperator(matrix, assembly, mirror=mirror)
 
 
@@ -815,16 +834,21 @@ def assemble_tmu_galerkin(
     The terms must share bitwise one real, strictly positive factor a (every
     catalog symbol does; x-independent ones have ``D = I``).  A complex
     factor, one that is not strictly positive, or terms whose factors differ
-    raise ``ValueError`` before any N x N array exists.  The matrix returned
-    is the similar real symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S
-    D^{1/2}``: the same spectrum, exactly, and certified by the eigensolve's
-    residuals.  The two scalings round ``(S_jk r_j) r_k`` and ``(S_kj r_k)
-    r_j`` apart (``r = sqrt(a)``), so the lower triangle, the one the
-    eigensolve reads, is copied onto the upper one in place, and the matrix
-    is symmetric bit for bit.  The assembly records ``"similarity":
-    "diag(sqrt(a))"`` (None when ``a == 1``).  The :class:`CutoffTailWarning`
-    reads its entry scale from ``M``.  Requires ``s p`` in the compactness
-    window (:func:`_check_rate_window`) and a symbol with separable terms.
+    raise ``ValueError`` before any N x N array exists.  With ``a == 1``,
+    ``M = c w S`` is held by :func:`_gather_pairs` from the table ``c w sum_t
+    T_t`` (scaling before the gather rounds each entry alike), so on a
+    digit-mirror-symmetric set as :class:`MirrorBlocks`, with no level-L
+    codes.  Otherwise the matrix returned is the similar real symmetric
+    ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``: the same spectrum,
+    exactly, and certified by the eigensolve's residuals.  The two scalings
+    round ``(S_jk r_j) r_k`` and ``(S_kj r_k) r_j`` apart (``r = sqrt(a)``),
+    so the lower triangle, the one the eigensolve reads, is copied onto the
+    upper one in place, and the matrix is symmetric bit for bit.  The
+    assembly records ``"similarity": "diag(sqrt(a))"`` (None when ``a ==
+    1``).  The :class:`CutoffTailWarning` reads its entry scale from ``M``,
+    and with ``a == 1`` off the table at the codes that occur.  Requires ``s
+    p`` in the compactness window (:func:`_check_rate_window`) and a symbol
+    with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -843,9 +867,13 @@ def assemble_tmu_galerkin(
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
     w = measure.weight
-    N = measure.n_atoms
+    N, level = measure.n_atoms, measure.level
     shared = _shared_positive_factor(sym, measure.atoms)
-    codes, dist = _pair_table(ifs, measure.level)
+    similarity = None if np.all(shared == 1.0) else "diag(sqrt(a))"
+    if similarity is None:
+        dist = _pair_distances(ifs, level)
+    else:
+        codes, dist = _pair_table(ifs, level)
     diam = float(dist.max()) if N > 1 else 1.0
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
@@ -866,24 +894,31 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    base = sum(tables, np.zeros(dist.size))[codes]
+    if similarity is None:
+        table = sum(tables, np.zeros(dist.size))
+    else:
+        base = sum(tables, np.zeros(dist.size))[codes]
     # tail-insufficiency estimate at the typical working distance: the median
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
     # is read from the row-scaled c w D S, before the similarity is applied.
     if N > 1:
-        counts = _pair_counts(ifs, measure.level)
-        counts[codes[0, 0]] = 0
+        counts = _pair_counts(ifs, level)
+        counts[dist.size // 2] = 0  # the coincident code
         order = np.argsort(dist, kind="stable")
         cum = np.cumsum(counts[order])
         mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
         rho_med = float(dist[order[mid]].mean())
         band = np.abs(dist - rho_med) < 0.5 * rho_med
-        scale_med = 1e-300
-        for lo in range(0, N, _TILE):
-            near = band[codes[lo : lo + _TILE]]
-            if near.any():
-                rows = shared[lo : lo + _TILE, None] * base[lo : lo + _TILE]
-                scale_med = max(scale_med, float(np.abs(conv * w * rows[near]).max()))
+        if similarity is None:
+            near = table[band & (counts > 0)]
+            scale_med = float(np.abs(conv * w * near).max(initial=1e-300))
+        else:
+            scale_med = 1e-300
+            for lo in range(0, N, _TILE):
+                near = band[codes[lo : lo + _TILE]]
+                if near.any():
+                    rows = shared[lo : lo + _TILE, None] * base[lo : lo + _TILE]
+                    scale_med = max(scale_med, float(np.abs(conv * w * rows[near]).max()))
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
         if tail_est > 1e-6 * scale_med:
             warnings.warn(
@@ -893,14 +928,16 @@ def assemble_tmu_galerkin(
                 CutoffTailWarning,
                 stacklevel=2,
             )
-    similarity = None
-    if not np.all(shared == 1.0):
+    if similarity is None:
+        table *= conv * w
+        matrix, mirror = _gather_pairs(ifs, level, table)
+    else:
         r = np.sqrt(shared)
         base *= r[:, None]
         base *= r[None, :]
         _mirror_lower(base)
-        similarity = "diag(sqrt(a))"
-    base *= conv * w
+        base *= conv * w
+        matrix, mirror = base, None
 
     assembly = {
         "kind": "separable-symbol-compression",
@@ -909,11 +946,11 @@ def assemble_tmu_galerkin(
         "integrability_p": p,
         "symbol_order": sym.order,
         "freq_cutoff": freq_cutoff,
-        "level": measure.level,
+        "level": level,
         "n_atoms": N,
         "convention": "(2*pi)**(-n) * w_k * integral phi0 tau(x_j, xi) "
         "exp(i (x_k - x_j) xi) dxi",
         "terms": term_info,
         "similarity": similarity,
     }
-    return DiscretizedOperator(matrix=base, assembly=assembly)
+    return DiscretizedOperator(matrix, assembly, mirror=mirror)

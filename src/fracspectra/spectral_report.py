@@ -16,13 +16,14 @@ assembly, the Galerkin compression of a spatially modulated symbol
 included, produces that one form.  Each block is reduced to tridiagonal
 form once, and that one reduction gives its whole spectrum, bit for bit
 the values-only ``scipy.linalg.eigh``, and eigenvectors only for the 50
-eigenvalues of largest modulus.  An operator that is mirror-symmetric under
-the index reversal is solved exactly as two half-size blocks: a kernel Gram
-operator of a digit-mirror-symmetric set, as every bundled IFS is, arrives
-as those blocks and is never a full matrix, and a dense matrix is split
-when its entries pass the mirror check.  The returned top-50 eigenvalues
-are certified with those eigenvectors by their residuals, per block for
-the kernel blocks and against the full matrix otherwise.
+eigenvalues of largest modulus.  An operator whose assembly found it
+exactly mirror-symmetric under the index reversal (a kernel Gram operator,
+or the Galerkin compression of an x-independent symbol, on a
+digit-mirror-symmetric set, as every bundled IFS is) arrives as its two
+half-size blocks and is never a full matrix; each block is solved in turn.
+Every other operator is solved at full size.  The returned top-50
+eigenvalues are certified with those eigenvectors by their residuals, per
+block for the mirror blocks and against the full matrix otherwise.
 
 Each reduction runs in its block's own storage, with no copy of the block:
 the solve writes the operator's matrix while it runs and restores it bit
@@ -38,7 +39,6 @@ spectra below the envelope never produce spurious failures.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,13 +47,11 @@ import scipy.linalg
 
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
-    SYMMETRY_REL,
     DiscretizedOperator,
     PsdViolationWarning,
     _check_rate_window,
     _jsonable,
     _mirror_lower,
-    _symmetry_deviation,
     assemble_dmu_kernel,
 )
 
@@ -233,33 +231,6 @@ def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(np.concatenate([w for w, _, _ in parts])), res
 
 
-def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of symmetric ``mat``, and the residuals against
-    ``mat`` of the up to 50 eigenpairs of largest modulus, one tridiagonal
-    reduction per block (:func:`_top_pairs`); a mirror-symmetric ``mat`` of
-    even order is solved as its two half-size blocks (see :func:`eigen_spectrum`)."""
-    n = mat.shape[0]
-    h = n // 2
-    dev = scale = 0.0
-    if n % 2 == 0:  # for symmetric K, K J is symmetric iff K = J K J
-        dev, scale, _ = _symmetry_deviation(mat[:, ::-1])
-    if n % 2 or dev > SYMMETRY_REL * max(scale, 1e-300):
-        return _merge([_certified_pairs(mat)])
-    a, bj = mat[:h, :h], mat[:h, h:][:, ::-1]
-    parts = []
-    for sign in (1.0, -1.0):
-        # each block is freed as its call returns, before the other one is
-        # formed; its lower triangle, the one a reduction reads, is mirrored
-        # onto the upper one, since a +- b j need not be symmetric bit for bit
-        block = a + bj if sign > 0 else a - bj
-        _mirror_lower(block)
-        w, top, u = _top_pairs(block)
-        del block
-        lifted = np.vstack([u, sign * u[::-1]]) / math.sqrt(2.0)  # [u; +-J u] / sqrt(2)
-        parts.append((w, top, np.linalg.norm(mat @ lifted - lifted * top, axis=0)))
-    return _merge(parts)
-
-
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     """Full spectrum of an assembled square operator, ordered by decreasing
     modulus, as ``complex128`` with zero imaginary parts.
@@ -271,7 +242,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
     in its own storage: the operator's matrix, or the half-size block
-    gathered or formed for the solve.  ``op.matrix`` is written while the
+    gathered for the solve.  ``op.matrix`` is written while the
     solve runs and restored bit for bit before it returns or raises, so one
     operator must not be solved, or its matrix read, from two threads at
     once.  All eigenvalues come from T with no eigenvectors, bit for bit
@@ -284,44 +255,23 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     failures, a nonzero LAPACK ``info`` among them, are re-raised together
     with the assembly record so the failing operator can be identified.
 
-    A symmetric K of even order N = 2h that is mirror-symmetric
-    (centrosymmetric), ``K = J K J`` with J the index reversal, is solved as
-    two symmetric blocks of order h.  The reduction is exact:
-
-    * write ``K = [[A, B], [., .]]`` and let K_c be the centrosymmetric matrix
-      whose top half equals K's, ``K_c = [[A, B], [J B J, J A J]]``;
-    * ``Q = [[I, I], [J, -J]] / sqrt(2)`` is orthogonal, and
-      ``Q^T K_c Q = diag(A + B J, A - B J)``, so the spectrum of K_c is the
-      union of the spectra of the blocks, and an eigenvector u of ``A +- B J``
-      lifts to the eigenvector ``[u; +-J u] / sqrt(2)`` of K_c.
-
-    The split is decided in one of two ways:
-
-    * **Kernel Gram operators: from structure.**  An operator that carries
-      :class:`~fracspectra.fractal_operator.MirrorBlocks` is exactly
-      centrosymmetric by its assembly's digit test (see
-      :func:`~fracspectra.fractal_operator.assemble_dmu_kernel`), so K = K_c
-      and K is never formed: each block is gathered from the table, solved
-      and certified, then freed.  The certificate is computed per block,
-      ``||(A +- B J) u - lambda u||``, and it equals the residual of the lifted
-      vector against K: with ``r = (A +- B J) u - lambda u``, ``K [u; +-J u] =
-      [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +- B J) u]``,
-      so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm ``||r||``.
-    * **Dense matrices (Galerkin operators and any kernel operator of a set
-      that fails the digit test): read from the matrix.**  Since ``(K J)^T =
-      J K^T``, the column-reversed view K J is symmetric exactly when ``K =
-      J K^T J``, so the check is the constructor's tile check run on K J:
-      ``max|K - J K^T J| <= SYMMETRY_REL * max|K|``.  By Weyl's inequality
-      every eigenvalue of K then differs from the matching one of K_c by at
-      most ``||K - K_c||_2 <= ||K - K_c||_F <= (N/sqrt(2)) max|K - J K J|``,
-      and ``max|K - J K J| = max|K - J K^T J|``, since the operator holds K
-      equal to ``K^T`` bit for bit, so this check bounds it by
-      ``SYMMETRY_REL * max|K|``.  Each block ``A +- B J`` is formed from K
-      and its lower triangle, the one the reduction reads, copied onto its
-      upper one.  The residual certificate is computed against K itself,
-      with the 50 lifted eigenvectors, so it certifies what is returned
-      whichever path ran.  Odd N and matrices that fail the check are solved
-      at full size.
+    **Mirror blocks.**  An operator that carries
+    :class:`~fracspectra.fractal_operator.MirrorBlocks` is exactly
+    centrosymmetric, ``K = J K J`` with J the index reversal, by the digit
+    test of its assembly (:func:`~fracspectra.fractal_operator._gather_pairs`),
+    and is solved as two symmetric blocks of order h = N/2.  The reduction
+    is exact: write ``K = [[A, B], [J B J, J A J]]``; ``Q = [[I, I], [J,
+    -J]] / sqrt(2)`` is orthogonal, and ``Q^T K Q = diag(A + B J, A - B J)``,
+    so the spectrum of K is the union of the spectra of the blocks, and an
+    eigenvector u of ``A +- B J`` lifts to the eigenvector ``[u; +-J u] /
+    sqrt(2)`` of K.  K is never formed: each block is gathered from the
+    table, solved and certified, then freed.  The certificate is computed
+    per block, ``||(A +- B J) u - lambda u||``, and it equals the residual of
+    the lifted vector against K: with ``r = (A +- B J) u - lambda u``, ``K
+    [u; +-J u] = [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +-
+    B J) u]``, so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm
+    ``||r||``.  Every dense matrix is solved at full size, whatever its
+    entries, and certified against itself.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the
@@ -342,7 +292,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
             # before the other one is gathered
             w, res = _merge([_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)])
         else:
-            w, res = _symmetric_eigh(op.matrix)
+            w, res = _merge([_certified_pairs(op.matrix)])
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"

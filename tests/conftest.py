@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from fracspectra.fractal_measure import _pair_table
+from fracspectra.fractal_measure import _pair_codes, _pair_table
 from fracspectra.fractal_operator import BesselKernel, _folded_table, cell_pair_energy
 from fracspectra.psido_engine import SeparableTerm, Symbol, _sum_evaluator
 
@@ -32,6 +32,15 @@ def dense_kernel(mu, s: float) -> np.ndarray:
     energy, _ = cell_pair_energy(mu, kernel)
     codes, dist = _pair_table(mu.ifs, mu.level)
     return _folded_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)[codes]
+
+
+def held_matrix(op, mu) -> np.ndarray:
+    """The N x N matrix K that ``op``, assembled on ``mu``, holds, bit for
+    bit: its dense matrix, or its mirror table gathered at every level-L
+    pair code."""
+    if op.mirror is None:
+        return op.matrix
+    return op.mirror.table[_pair_codes(mu.ifs, mu.level)]
 
 
 def assert_operator_is(op, K: np.ndarray) -> None:

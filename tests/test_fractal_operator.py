@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, j0, kv
 
-from conftest import assert_operator_is, dense_kernel
+from conftest import assert_operator_is, dense_kernel, held_matrix
 from fracspectra.fractal_measure import _pair_table, build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     BesselKernel,
@@ -531,44 +531,48 @@ class TestGalerkinCompression:
         config = load_config(path)
         s, p = config.analysis.s, config.analysis.p
         sigma = config.analysis.symbol_params.get("sigma", -s * p)
+        mu = _build_measure(config, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             op = assemble_tmu_galerkin(
-                make_symbol(name, sigma=sigma),
-                s,
-                p,
-                _build_measure(config, 6),
-                config.analysis.freq_cutoff,
+                make_symbol(name, sigma=sigma), s, p, mu, config.analysis.freq_cutoff
             )
-        assert op.matrix.dtype == np.float64
-        # symmetric bit for bit, so a second operator holds this very array
-        assert np.array_equal(op.matrix.view(np.uint64), op.matrix.T.view(np.uint64))
-        assert DiscretizedOperator(op.matrix, op.assembly).matrix is op.matrix
+        K = held_matrix(op, mu)
+        assert K.dtype == np.float64
+        assert np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
         expect = {"bessel_power": None, "separable_demo": "diag(sqrt(a))"}[name]
         assert op.assembly["similarity"] == expect
+        # an x-independent symbol on these mirror-symmetric sets is held as
+        # its mirror blocks; a modulated one is held dense, and since it is
+        # symmetric bit for bit, a second operator holds this very array
+        assert (op.mirror is not None) == (expect is None)
+        if op.mirror is None:
+            assert DiscretizedOperator(op.matrix, op.assembly).matrix is op.matrix
+        assert_operator_is(op, K)
 
     def test_matches_kernel_gram_at_p_two(self, mu7):
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 1.0e6)
-        lam_g = np.linalg.eigvalsh(M.matrix)[::-1]
+        lam_g = np.linalg.eigvalsh(held_matrix(M, mu7))[::-1]
         lam_n = np.linalg.eigvalsh(dense_kernel(mu7, 0.45))[::-1]
         assert np.max(np.abs(lam_g[:50] - lam_n[:50]) / lam_n[:50]) <= 0.02
 
     def test_cutoff_doubling_stability(self, mu7):
         sym = make_symbol("bessel_power", sigma=-0.9)
         lam1 = np.linalg.eigvalsh(
-            assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 1.0e6).matrix
+            held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 1.0e6), mu7)
         )[::-1][:20]
         lam2 = np.linalg.eigvalsh(
-            assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 2.0e6).matrix
+            held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu7, 2.0e6), mu7)
         )[::-1][:20]
         assert np.max(np.abs(lam2 - lam1) / lam2) <= 0.02
 
     def test_x_independent_symbol_gives_symmetric_operator(self, mu5):
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert M.matrix.dtype == np.float64
-        assert np.array_equal(M.matrix, M.matrix.T)
+        K = held_matrix(M, mu5)
+        assert M.mirror is not None and K.dtype == np.float64
+        assert np.array_equal(K, K.T)
 
     def test_spatial_modulation_is_row_scaling(self, mu5):
         # the row-scaled D S comes back in its similar form D^{1/2} S D^{1/2}
@@ -634,7 +638,8 @@ class TestGalerkinCompression:
             )
             sym = Symbol("two", base.evaluator, -0.9, 0.0, separable_terms=terms)
         # refused before the pair table, so before any N x N array exists
-        monkeypatch.setattr(fractal_operator, "_pair_table", None)
+        for name in ("_pair_table", "_pair_codes", "_pair_distances"):
+            monkeypatch.setattr(fractal_operator, name, None)
         with pytest.raises(ValueError, match=condition):
             assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
 
@@ -687,7 +692,8 @@ class TestGalerkinCompression:
         sym = Symbol("empty", base.evaluator, -0.9, 0.0, separable_terms=())
         op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
         assert op.assembly["similarity"] is None
-        assert not np.any(op.matrix)
+        K = held_matrix(op, mu5)
+        assert K.shape == (32, 32) and not np.any(K)
 
     def test_term_linearity(self, mu5):
         # two terms sharing the separable_demo factor, with radial parts of
@@ -721,7 +727,7 @@ class TestGalerkinCompression:
         atoms = mu5.atoms[:, 0]
         j, k = 0, mu5.n_atoms - 1
         expect = INV_SQRT_2PI * w * math.exp(-0.5 * (atoms[j] - atoms[k]) ** 2)
-        assert M.matrix[j, k] == pytest.approx(expect, rel=1e-6)
+        assert held_matrix(M, mu5)[j, k] == pytest.approx(expect, rel=1e-6)
 
     def test_generic_radial_needs_moderate_cutoff(self, mu5):
         term = SeparableTerm(None, lambda r: np.exp(-0.5 * np.asarray(r) ** 2))
@@ -781,6 +787,35 @@ class TestGalerkinCompression:
         )
         with pytest.raises(NotImplementedError):
             assemble_tmu_galerkin(sym2, 0.45, 2.0, mu5, 1e4)
+
+    def test_x_independent_spectrum_bits_are_pinned(self):
+        # the cantor_p2 geometry at L = 8, s = 0.45, p = 2, held as mirror
+        # blocks: the float.hex of the top 10 eigenvalues of its solve
+        mu = quadrature(build_cantor_like(*GEOMETRIES["cantor-1d"]), 8)
+        sym = make_symbol("bessel_power", sigma=-0.9)
+        op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e6)
+        assert op.mirror is not None
+        assert [float(v).hex() for v in eigen_spectrum(op).real[:10]] == [
+            "0x1.392c54bc733a4p-1",
+            "0x1.904eb17c11ea8p-2",
+            "0x1.df756d3643822p-3",
+            "0x1.c447d5800155ap-3",
+            "0x1.0ea8e59ba2a93p-3",
+            "0x1.0c790aa419c90p-3",
+            "0x1.fbf12dc45ebd1p-4",
+            "0x1.f973b02de2bdap-4",
+            "0x1.2e34c22a60b4bp-4",
+            "0x1.2dc56f658313fp-4",
+        ]
+
+    def test_x_independent_tail_warning_text_is_pinned(self, mu5):
+        # the entry scale is read off the table at the codes that occur
+        with pytest.warns(CutoffTailWarning) as caught:
+            assemble_tmu_galerkin(make_symbol("bessel_power", sigma=-0.9), 0.45, 2.0, mu5, 300.0)
+        assert [str(w.message) for w in caught] == [
+            "frequency cutoff 300 leaves an estimated tail 9.375e-06 vs entry "
+            "scale 1.825e-02 at typical distances; increase the cutoff"
+        ]
 
     def test_tiny_cutoff_warns(self, mu5):
         with pytest.warns(CutoffTailWarning):

@@ -16,19 +16,20 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_operator_is, dense_kernel
+from conftest import assert_operator_is, dense_kernel, held_matrix
 from fracspectra.experiment import _assemble, _build_measure, load_config
 from fracspectra.fractal_measure import build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     CutoffTailWarning,
     DiscretizedOperator,
+    MirrorBlocks,
     PsdViolationWarning,
     WindowViolationError,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
 )
 from fracspectra.psido_engine import make_symbol
-from fracspectra import spectral_report
+from fracspectra import fractal_operator, spectral_report
 from fracspectra.spectral_report import (
     DecayFit,
     InsufficientSpectrumError,
@@ -51,6 +52,8 @@ D_CANTOR = 0.6309297535714574  # log 2 / log 3, dimension of the middle-third se
 THREE_MAPS = (1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]])
 SYMMETRIC_DUST = (2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]])
 LOPSIDED_FOUR_MAPS = (1, 4, 0.08, [[0.0], [0.25], [0.5], [0.9]])
+# the one-dimensional counterpart of SYMMETRIC_DUST, for the Galerkin path
+SYMMETRIC_FOUR_MAPS = (1, 4, 0.2, [[0.0], [0.25], [0.5], [0.75]])
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,29 @@ def mirror_symmetric(rng, n: int) -> np.ndarray:
     """A random symmetric matrix with ``K == J K J`` (J the index reversal)."""
     a = random_symmetric(rng, n)
     return a + a[::-1, ::-1]
+
+
+def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]:
+    """Hand-built mirror blocks of the symmetric Toeplitz ``K[a, b] = table[a
+    - b + n - 1]`` of even order n, from its palindromic ``table`` of 2n - 1
+    entries, and K: the level-1 gather over n evenly spaced maps (pair
+    digit ``a - b + n - 1``), whose level-0 codes are the one code 0."""
+    n = (table.size + 1) // 2
+    digit = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    h = n // 2
+    offsets = np.stack([digit[:h, :h], digit[:h, ::-1][:, :h]])
+    return MirrorBlocks(table, np.zeros((1, 1), dtype=np.int64), offsets), table[digit]
+
+
+def split_eigvalsh(K: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the blocks ``A +- B J`` formed from K, each from a
+    values-only ``scipy.linalg.eigh``, ordered by modulus."""
+    h = K.shape[0] // 2
+    a, bj = K[:h, :h], K[:h, h:][:, ::-1]
+    blocks = (a + bj, a - bj)
+    return order_by_modulus(
+        np.concatenate([scipy.linalg.eigh(b, eigvals_only=True) for b in blocks])
+    )
 
 
 class TestOrdering:
@@ -286,23 +312,16 @@ class TestEigenSpectrum:
         mods = np.abs(res)
         assert np.all(np.diff(mods) <= 1e-12 * max(mods[0], 1e-300))
 
-    @given(st.integers(0, 10**6), st.integers(1, 8))
-    def test_mirror_symmetric_matrix_is_solved_as_two_half_blocks(self, seed, half):
-        mat = mirror_symmetric(np.random.default_rng(seed), 2 * half)
-        ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat))
-        assert_block_solves(calls, [half, half])
-        assert np.all(res.imag == 0.0)
-        assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
-
-    @pytest.mark.parametrize("case", ["odd-order", "off-mirror"])
+    @pytest.mark.parametrize("case", ["odd-order", "off-mirror", "dense-mirror"])
     def test_unsplittable_matrix_gets_one_full_solve(self, case):
+        # a dense matrix is solved at full size, a mirror-symmetric one too:
+        # only an assembly decides the split, never the matrix entries
         rng = np.random.default_rng(11)
         if case == "odd-order":
             mat = mirror_symmetric(rng, 9)
         else:
             mat = mirror_symmetric(rng, 10)
+        if case == "off-mirror":
             bump = np.zeros_like(mat)
             bump[0, 1] = bump[1, 0] = 1e-6 * np.abs(mat).max()
             mat = mat + bump  # still symmetric, no longer mirror-symmetric
@@ -310,7 +329,9 @@ class TestEigenSpectrum:
         with eigensolve_calls() as calls:
             res = eigen_spectrum(operator(mat))
         assert_block_solves(calls, [mat.shape[0]])
+        assert np.all(res.imag == 0.0)
         assert np.allclose(np.sort(res.real)[::-1], ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
+        assert np.array_equal(np.sort(res.real), scipy.linalg.eigh(mat, eigvals_only=True))
 
     def test_cantor_kernel_split_matches_full_solve(self, cantor_ifs):
         mu = quadrature(cantor_ifs, 9)
@@ -321,16 +342,28 @@ class TestEigenSpectrum:
         assert_block_solves(calls, [256, 256])
         assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", [120, 119])  # split into two blocks of 60; unsplit
+    # mirror blocks, split into two blocks of 60; a dense matrix, unsplit
+    @pytest.mark.parametrize("n", [120, 119])
     def test_negative_dominated_spectrum_takes_the_bottom_run(self, n):
         # shifted down by half the spectral radius, the largest moduli are
         # mostly negative, so the top 50 need the bottom eigenvectors too
-        mat = mirror_symmetric(np.random.default_rng(17), n)
-        mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
+        rng = np.random.default_rng(17)
+        if n == 120:
+            half = rng.standard_normal(n)  # the last entry is the centre
+            table = np.concatenate([half, half[-2::-1]])
+            _, mat = toeplitz_mirror_blocks(table)
+            # the centre code is the coincident one: lowering it shifts the diagonal
+            table[n - 1] -= 0.5 * np.abs(np.linalg.eigvalsh(mat)).max()
+            blocks, mat = toeplitz_mirror_blocks(table)
+            op = DiscretizedOperator(None, {}, mirror=blocks)
+        else:
+            mat = mirror_symmetric(rng, n)
+            mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
+            op = operator(mat)
         ref = order_by_modulus(np.linalg.eigvalsh(mat))
         assert ref[0].real < 0.0
         with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat))
+            res = eigen_spectrum(op)
         assert_block_solves(calls, [60, 60] if n == 120 else [119])
         assert any(kind == "vectors" and arg[0] == 0 for kind, arg in calls)
         assert np.all(res.imag == 0.0)
@@ -411,10 +444,12 @@ class TestEigenSpectrum:
         assert_bitwise_equal(op.matrix, keep)
 
     @pytest.mark.parametrize(
-        "case", ["modulated-galerkin", "three-map-kernel", "split-mirror", "asymmetric-1e-11"]
+        "case",
+        ["modulated-galerkin", "three-map-kernel", "galerkin-mirror-blocks", "asymmetric-1e-11"],
     )
     def test_solve_leaves_the_matrix_intact(self, cantor_ifs, case):
-        # the reduction runs in the matrix's own storage and restores it
+        # the reduction runs in the matrix's own storage and restores it; the
+        # mirror blocks are gathered afresh, and their table is only read
         caller = None
         if case == "modulated-galerkin":
             sym = make_symbol("separable_demo", sigma=-0.9)
@@ -423,8 +458,10 @@ class TestEigenSpectrum:
         elif case == "three-map-kernel":  # fails the digit test: a dense K
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
             assert op.mirror is None
-        elif case == "split-mirror":
-            op = operator(mirror_symmetric(np.random.default_rng(43), 80))
+        elif case == "galerkin-mirror-blocks":  # an x-independent symbol
+            sym = make_symbol("bessel_power", sigma=-0.9)
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
+            assert op.mirror is not None
         else:
             caller = random_symmetric(np.random.default_rng(47), 80)
             caller[0, 1] += 1e-11 * np.abs(caller).max()
@@ -433,22 +470,26 @@ class TestEigenSpectrum:
             # held as the copy with the lower triangle on both sides
             assert not np.shares_memory(op.matrix, caller)
             assert_bitwise_equal(op.matrix, np.tril(caller) + np.tril(caller, -1).T)
-        keep = op.matrix.copy()
+        held = op.matrix if op.mirror is None else op.mirror.table
+        keep, codes = held.copy(), None if op.mirror is None else op.mirror.codes.copy()
         with eigensolve_calls() as calls:
             eigen_spectrum(op)
         n = op.shape[0]
-        assert_block_solves(calls, [n // 2, n // 2] if case == "split-mirror" else [n])
-        assert_bitwise_equal(op.matrix, keep)
+        assert_block_solves(calls, [n] if op.mirror is None else [n // 2, n // 2])
+        assert_bitwise_equal(held, keep)
+        if codes is not None:
+            assert np.array_equal(op.mirror.codes, codes)
         if caller is not None:
             assert_bitwise_equal(caller, before)
 
-    @pytest.mark.parametrize("case", ["dense", "split-mirror", "kernel-mirror-blocks"])
+    @pytest.mark.parametrize("case", ["dense", "galerkin-mirror-blocks", "kernel-mirror-blocks"])
     def test_reduction_overwrites_the_block_it_is_given(self, cantor_ifs, case):
         # dsytrd gets overwrite_a on the block's own storage, and makes no copy
         if case == "dense":
             op = operator(random_symmetric(np.random.default_rng(53), 90))
-        elif case == "split-mirror":
-            op = operator(mirror_symmetric(np.random.default_rng(59), 90))
+        elif case == "galerkin-mirror-blocks":  # an x-independent symbol
+            sym = make_symbol("bessel_power", sigma=-0.9)
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
         else:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
         blocks, reductions = [], []
@@ -504,6 +545,26 @@ class TestEigenSpectrum:
         for g, n in zip(growth, orders):
             assert g < 8 * n * n, f"solve grew {g} B, a block of order {n} is {8 * n * n} B"
 
+    def test_dense_solve_runs_no_tile_pass(self, monkeypatch):
+        # the modulated cantor_p15 operator is held dense: its one tile pass
+        # is its constructor's, and the solve reads no mirror check
+        cfg = load_config(CONFIG_DIR / "cantor_p15.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            op = _assemble(cfg, _build_measure(cfg, 8))
+        assert op.mirror is None and op.shape == (256, 256)
+        calls = []
+        real = fractal_operator._symmetry_deviation
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(fractal_operator, "_symmetry_deviation", spy)
+        monkeypatch.setattr(spectral_report, "_symmetry_deviation", spy, raising=False)
+        eigen_spectrum(op)
+        assert calls == []
+
     @pytest.mark.parametrize("rel, accepted", [(1e-11, True), (1e-9, False)])
     def test_symmetry_floor_accepts_1e_11_and_refuses_1e_9(self, rel, accepted):
         # a square operator is accepted iff max|K - K^T| <= SYMMETRY_REL *
@@ -537,9 +598,8 @@ class TestKernelMirrorBlocks:
         op = assemble_dmu_kernel(mu, 0.45)
         K = dense_kernel(mu, 0.45)
         assert_operator_is(op, K)  # every entry of A +- B J, bitwise
-        dense = DiscretizedOperator(K, op.assembly)
         values = eigen_spectrum(op)
-        assert np.array_equal(values, eigen_spectrum(dense))
+        assert np.array_equal(values, split_eigvalsh(K))
         # the per-block residual is the residual of the lifted vector
         # [u; +-J u] / sqrt(2) against K, for the eigenvectors and for
         # vectors that are not, up to the rounding of a length-N product
@@ -562,39 +622,75 @@ class TestKernelMirrorBlocks:
             assert np.allclose(residual(block, v), residual(K, lift(v)), rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize(
-        "geometry, level, s, split",
+        "geometry, level, s, assembly, split",
         [
-            (THREE_MAPS, 4, 0.45, False),  # odd m, odd N
-            (LOPSIDED_FOUR_MAPS, 3, 0.45, False),  # even m, digits fail the test
-            (SYMMETRIC_DUST, 3, 0.75, True),  # m = 4: (m/2)^2 sub-gathers per block
+            (THREE_MAPS, 4, 0.45, "kernel", False),  # odd m, odd N
+            (LOPSIDED_FOUR_MAPS, 3, 0.45, "kernel", False),  # even m, digits fail the test
+            (SYMMETRIC_DUST, 3, 0.75, "kernel", True),  # m = 4: (m/2)^2 sub-gathers per block
+            (LOPSIDED_FOUR_MAPS, 3, 0.45, "bessel_power", False),
+            (SYMMETRIC_FOUR_MAPS, 3, 0.45, "bessel_power", True),  # Galerkin is 1-D only
         ],
-        ids=["three-maps", "lopsided-four-maps", "symmetric-dust"],
+        ids=[
+            "three-maps",
+            "lopsided-four-maps",
+            "symmetric-dust",
+            "bessel_power-lopsided-four-maps",
+            "bessel_power-symmetric-four-maps",
+        ],
     )
-    def test_the_digit_test_decides_the_split(self, geometry, level, s, split):
+    def test_the_digit_test_decides_the_split(self, geometry, level, s, assembly, split):
         mu = quadrature(build_cantor_like(*geometry), level)
-        op = assemble_dmu_kernel(mu, s)
-        K = dense_kernel(mu, s)
+        if assembly == "kernel":
+            op = assemble_dmu_kernel(mu, s)
+            K = dense_kernel(mu, s)
+        else:  # the Galerkin compression of an x-independent symbol
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffTailWarning)
+                op = assemble_tmu_galerkin(make_symbol(assembly, sigma=-2.0 * s), s, 2.0, mu, 1.0e5)
+            K = held_matrix(op, mu)
         assert (op.mirror is not None) == split
         assert_operator_is(op, K)
         with eigensolve_calls() as calls:
             values = eigen_spectrum(op)  # certified, or it raises
         n = mu.n_atoms
         assert_block_solves(calls, [n // 2, n // 2] if split else [n])
-        dense = DiscretizedOperator(K, op.assembly)
-        assert np.array_equal(values, eigen_spectrum(dense))
+        if split:
+            assert np.array_equal(values, split_eigvalsh(K))
+        else:
+            assert np.array_equal(values, order_by_modulus(scipy.linalg.eigh(K, eigvals_only=True)))
 
-    def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs):
+    @pytest.mark.parametrize("assembly", ["kernel", "x-independent-galerkin"])
+    def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs, assembly):
         # K in float64 is 8 N^2 bytes; the mirror path holds the level-(L-1)
         # codes (N^2 bytes) and one block, which is reduced in place
         mu = quadrature(cantor_ifs, 10)
         n = mu.n_atoms
+        if assembly == "kernel":
+            tracemalloc.start()
+            try:
+                eigen_spectrum(assemble_dmu_kernel(mu, 0.45))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n, f"peak {peak} B reaches 8 N^2 = {8 * n * n} B"
+            return
+        # the Galerkin assembly peaks in its profile quadrature, whose chunk
+        # is set by the cutoff, not by N; so what the operator holds once
+        # assembled is measured, then the peak of its solve
+        sym = make_symbol("bessel_power", sigma=-0.9)
+        assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 3), 1.0e5)  # warm-up
         tracemalloc.start()
         try:
-            eigen_spectrum(assemble_dmu_kernel(mu, 0.45))
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            eigen_spectrum(op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n, f"peak {peak} B reaches 8 N^2 = {8 * n * n} B"
+        assert op.matrix is None
+        assert held < 8 * n * n, f"the operator holds {held} B, 8 N^2 = {8 * n * n} B"
+        assert peak < 8 * n * n, f"solve peak {peak} B reaches 8 N^2 = {8 * n * n} B"
 
 
 class TestTheoreticalExponents:
