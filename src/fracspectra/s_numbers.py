@@ -8,6 +8,14 @@ refinement), and a lower bound from volume comparison and packing
 certificates.  Audit routines then check the
 eigenvalue/entropy and composition inequalities that any correct spectral
 pipeline must satisfy.
+
+The refinement scores candidate centres against each cluster's
+lattice-boundary points only, and rules most candidates out exactly on a
+small sample of those points first.  A cloud point whose 2n axis lattice
+neighbours all lie in its own cluster maps to the midpoint of each
+neighbour pair's images, so by convexity its l_q distance to any candidate
+is at most the larger of theirs, and no cluster's largest distance changes
+when such points are dropped (`_cover_radius` gives the argument).
 """
 
 from __future__ import annotations
@@ -107,23 +115,27 @@ def _ball_volume(n: int, p: float) -> float:
     return 2.0**n * math.gamma(1.0 + 1.0 / p) ** n / math.gamma(1.0 + n / p)
 
 
-def _ball_cloud(dim: int, p: float, resolution: int) -> tuple[np.ndarray, float]:
-    """Lattice points filling the unit l_p ball, with the mesh slack.
+def _ball_cloud(dim: int, p: float, resolution: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Lattice points filling the unit l_p ball, the mesh slack, and the steps.
 
     Every point of the ball rounds to a retained lattice point at l_p
     distance at most the returned mesh, so covering the cloud covers the
-    ball up to that slack.
+    ball up to that slack.  Each point is ``h * steps`` for its row of
+    integer lattice coordinates, which `_lattice_boundary` reads.
     """
     h = 2.0 / (resolution - 1)
     mesh = (h / 2.0) * (1.0 if math.isinf(p) else dim ** (1.0 / p))
     half_steps = int(math.ceil((1.0 + h) / h))
-    axis = h * np.arange(-half_steps, half_steps + 1)
+    # the steps are held in the smallest signed type that fits +-half_steps
+    axis = np.arange(-half_steps, half_steps + 1, dtype=np.min_scalar_type(-half_steps - 1))
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    pts = pts[_vector_norms(pts, p) <= 1.0 + mesh + 1e-12]
+    steps = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = h * steps
+    inside = _vector_norms(pts, p) <= 1.0 + mesh + 1e-12
+    pts, steps = pts[inside], steps[inside]
     # lexicographic order makes every argmax/argmin tie-break deterministic
     order = np.lexsort(tuple(pts[:, c] for c in range(dim - 1, -1, -1)))
-    return pts[order], mesh
+    return pts[order], mesh, steps[order]
 
 
 def _pairwise(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
@@ -160,13 +172,8 @@ def _pairwise(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
     return dists
 
 
-def _one_center(points: np.ndarray) -> np.ndarray:
-    """A good single cover center for the cluster (exact for l_inf)."""
-    return 0.5 * (points.min(axis=0) + points.max(axis=0))
-
-
 def _refine_candidates(points: np.ndarray, radius: float) -> np.ndarray:
-    """Candidate centers on a lattice of pitch ~radius/4 over the hull box."""
+    """Candidate centers on a lattice of pitch ~radius/4 over the points' box."""
     lo, hi = points.min(axis=0), points.max(axis=0)
     spans = hi - lo
     pitch = max(radius / 4.0, float(spans.max()) / 8.0, 1e-9)
@@ -203,84 +210,178 @@ def _farthest_points(
     return idx, dmin
 
 
-def _extreme_points(cluster: np.ndarray) -> np.ndarray:
-    """The cluster's hull vertices and Qhull-coplanar points.
+def _nearest(points: np.ndarray, centers: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """Each point's nearest centre, and the radius of the cover by the centres.
 
-    A cluster that is 1-D, flat (Qhull refuses it) or has at most n + 1
-    points in R^n is returned whole.
+    The (points, centres) distance table lives only inside this call.  It is
+    scanned one centre at a time, since numpy's row-wise argmin and min are
+    slow over so few columns; a minimum is exact and the strict comparison
+    keeps argmin's first-index tie-break, so both results are bitwise
+    ``argmin(dists, axis=1)`` and ``dists.min(axis=1).max()``.
     """
-    dim = cluster.shape[1]
-    if dim < 2 or cluster.shape[0] <= dim + 1:
-        return cluster
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(cluster, qhull_options="Qc")
-    except QhullError:
-        return cluster
-    return cluster[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+    dists = _pairwise(points, centers, q)
+    nearest = dists[:, 0].copy()
+    assign = np.zeros(points.shape[0], dtype=np.intp)
+    for c in range(1, dists.shape[1]):
+        column = dists[:, c]
+        assign[column < nearest] = c
+        np.minimum(nearest, column, out=nearest)
+    return assign, float(nearest.max())
 
 
-def _cover_radius(points: np.ndarray, seeds: list[int], dmin: np.ndarray, q: float) -> float:
+_POLISH_BLOCK = 256  # points per distance block of the polish
+
+
+def _max_distances(points: np.ndarray, centers: np.ndarray, q: float) -> np.ndarray:
+    """Each centre's largest l_q distance to the points.
+
+    The maximum runs over blocks of `_POLISH_BLOCK` points, so at most one
+    block's (points, centres) table is held.  Every distance is the one the
+    whole table holds (`_pairwise` works entry by entry), and a maximum is
+    exact, so the result is bitwise the whole table's column maximum.
+    """
+    far = _pairwise(points[:_POLISH_BLOCK], centers, q).max(axis=0)
+    for start in range(_POLISH_BLOCK, points.shape[0], _POLISH_BLOCK):
+        block = _pairwise(points[start : start + _POLISH_BLOCK], centers, q)
+        np.maximum(far, block.max(axis=0), out=far)
+    return far
+
+
+_POLISH_PROBES = 16  # about how many points give the polish's lower bounds
+
+
+def _best_candidate(points: np.ndarray, centers: np.ndarray, q: float) -> int:
+    """The centre whose largest l_q distance to the points is least, first on
+    ties: bitwise ``argmin(_max_distances(points, centers, q))``.
+
+    Every centre's largest distance to an evenly strided sample of about
+    `_POLISH_PROBES` points bounds its score from below.  The centre with
+    the least such bound is scored in full, and only the centres whose bound
+    does not exceed that score can still score least, so only they are
+    scored in full.  Each distance is the one the whole table holds
+    (`_pairwise` works entry by entry) and every step is a maximum or a
+    comparison, so the pick is exact: a dropped centre scores strictly more
+    than some kept one, and every centre tied for least is kept, in order.
+    """
+    probe = points[:: max(1, points.shape[0] // _POLISH_PROBES)]
+    lower = _pairwise(probe, centers, q).max(axis=0)
+    bound = _max_distances(points, centers[int(np.argmin(lower)), None], q)[0]
+    live = np.flatnonzero(lower <= bound)
+    return int(live[np.argmin(_max_distances(points, centers[live], q))])
+
+
+def _clusters(assign: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices grouped by cluster (a stable sort): cluster ``c`` is
+    ``order[bounds[c]:bounds[c + 1]]``, in ascending index order."""
+    order = np.argsort(assign, kind="stable")
+    bounds = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(assign, minlength=m), out=bounds[1:])
+    return order, bounds
+
+
+def _recentred(points: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Every nonempty cluster's box midpoint, a good single cover centre (exact
+    for l_inf); an empty cluster keeps its centre.
+
+    One sort groups the clusters, and one `minimum.reduceat` and one
+    `maximum.reduceat` take every cluster's box.  Minimum and maximum are
+    exact, so each midpoint is bitwise that of the cluster taken alone.
+    """
+    order, bounds = _clusters(assign, centers.shape[0])
+    starts = bounds[:-1]
+    full = starts < bounds[1:]
+    grouped = points[order]
+    lo = np.minimum.reduceat(grouped, starts[full], axis=0)
+    hi = np.maximum.reduceat(grouped, starts[full], axis=0)
+    moved = centers.copy()
+    moved[full] = 0.5 * (lo + hi)
+    return moved
+
+
+def _lattice_boundary(steps: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Which cloud points have an axis lattice neighbour outside their cluster.
+
+    A point is dropped only when all 2n of its axis neighbours are cloud
+    points of its own cluster.  The test reads a label grid over the
+    lattice box, padded by one step on every side, that holds each cloud
+    point's cluster and -1 elsewhere, as int8: a search has at most
+    ``2**(_MAX_BRUTE_K - 1) = 64`` clusters.  The steps are widened to
+    `np.intp` before any arithmetic, since the grid's indices run past the
+    range of the steps' own small type.
+    """
+    lo = steps.min(axis=0).astype(np.intp) - 1
+    coords = [col.astype(np.intp) - shift for col, shift in zip(steps.T, lo)]
+    labels = np.full(steps.max(axis=0) - lo + 2, -1, dtype=np.int8)
+    labels[tuple(coords)] = assign
+    inner = np.ones(assign.shape, dtype=bool)
+    for axis in range(steps.shape[1]):
+        for shift in (-1, 1):
+            moved = list(coords)
+            moved[axis] = coords[axis] + shift
+            inner &= labels[tuple(moved)] == assign
+    return ~inner
+
+
+def _cover_radius(
+    points: np.ndarray, steps: np.ndarray, seeds: list[int], dmin: np.ndarray, q: float
+) -> float:
     """Radius of an explicit cover of `points` by m balls in the l_q norm.
 
-    Starts from the m greedy farthest-point `seeds` and every point's
-    distance `dmin` to the nearest of them, then alternating reassignment with
-    box-midpoint recentering, then one candidate-lattice polish per cluster.
-    Any returned configuration is an actual cover, so the radius is a true
-    upper bound regardless of how close the search got to optimal.
+    `points` are the images of the lattice points ``h * steps`` under one
+    linear map.  Starts from the m greedy farthest-point `seeds` and every
+    point's distance `dmin` to the nearest of them, then alternating
+    reassignment with box-midpoint recentering, then one candidate-lattice
+    polish per cluster.  Any returned configuration is an actual cover, so
+    the radius is a true upper bound regardless of how close the search got
+    to optimal.
 
     The polish scores each candidate centre by its largest distance to the
-    cluster's extreme points only (`_extreme_points`), which gives the same
-    score as all of the cluster's points.  For a fixed candidate the l_q
-    distance is convex in the point, so its maximum over the cluster is
-    reached at a vertex of the cluster's convex hull.  A non-extreme point
-    can tie that maximum only where the norm is not strictly convex (l_1,
-    l_inf); then the tie lies on a supporting hyperplane of the hull, so the
-    point is on the hull boundary, and Qhull's "Qc" keeps such points.  The
-    assignment step and the final min-over-centres radius still run on all
-    points, so the returned radius is that of an actual cover whichever
-    candidate the polish picks.
+    cluster's lattice-boundary points only (`_lattice_boundary`), which
+    gives the same score as all of the cluster's points.  Take a point x of
+    the cluster and an axis e, and walk from x along e both ways while the
+    lattice points stay in the cluster.  The run ends at two points that
+    each have a neighbour outside the cluster, so both are kept.  The map is
+    linear, so the run's images lie on one line at equal steps, along which
+    the l_q distance to a fixed candidate is convex; so its value at x is at
+    most its value at one of the two ends.  That is exact arithmetic; that
+    the rounded images keep it bitwise is what ``tests/test_snumbers.py``
+    checks.  The assignment step and the final min-over-centres radius
+    still run on all points, so the returned radius is that of an actual
+    cover whichever candidate the polish picks.  Of the candidates, only
+    those that a small sample of the kept points cannot rule out are scored
+    on all kept points (`_best_candidate`).
 
     Every distance here comes from `_pairwise`, bitwise the value of the
     (points, centres, n) reduction, so each argmin, max and radius is too.
     The root stays on every entry: comparing sums of q-th powers instead
     could flip an argmin where two different sums have roots that round
-    alike.
+    alike.  Each round carries the accepted assignment rather than its
+    distance table, so at most one (points, centres) table is held.
     """
     m = len(seeds)
     centers = points[seeds]
     best_r = float(dmin.max())
 
-    # the distances to the accepted centres carry into the next round
-    dists = _pairwise(points, centers, q)
+    assign = _nearest(points, centers, q)[0]
     for _ in range(40):
-        assign = np.argmin(dists, axis=1)
-        moved = centers.copy()
-        for c in range(m):
-            cluster = points[assign == c]
-            if cluster.shape[0]:
-                moved[c] = _one_center(cluster)
-        moved_dists = _pairwise(points, moved, q)
-        r = float(moved_dists.min(axis=1).max())
-        if r < best_r - 1e-15:
-            best_r, centers, dists = r, moved, moved_dists
-        else:
+        moved = _recentred(points, assign, centers)
+        moved_assign, r = _nearest(points, moved, q)
+        if not r < best_r - 1e-15:
             break
+        best_r, centers, assign = r, moved, moved_assign
 
     # polish each cluster against a local candidate lattice
-    assign = np.argmin(dists, axis=1)
-    del dists, moved_dists  # free both tables before the polish makes its own
+    kept = _lattice_boundary(steps, assign)
+    order, bounds = _clusters(assign, m)
     polished = centers.copy()
     for c in range(m):
-        cluster = points[assign == c]
-        if not cluster.shape[0]:
+        members = order[bounds[c] : bounds[c + 1]]
+        if not members.size:
             continue
+        cluster = points[members]
         cand = _refine_candidates(cluster, best_r)
-        radii = _pairwise(_extreme_points(cluster), cand, q).max(axis=0)
-        polished[c] = cand[int(np.argmin(radii))]
-    r = float(_pairwise(points, polished, q).min(axis=1).max())
-    return min(best_r, r)
+        polished[c] = cand[_best_candidate(cluster[kept[members]], cand, q)]
+    return min(best_r, _nearest(points, polished, q)[1])
 
 
 def _packing_separation(chosen: np.ndarray, q: float) -> float:
@@ -345,7 +446,7 @@ def entropy_numbers_bruteforce(
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError("norm indices must lie in [1, inf]")
 
-    ball, mesh = _ball_cloud(cols, p, resolution)
+    ball, mesh, steps = _ball_cloud(cols, p, resolution)
     image = ball @ m.T
     # packing certificates need genuine image points, so they use only the
     # lattice points inside the closed unit ball (up to float rounding);
@@ -361,6 +462,7 @@ def entropy_numbers_bruteforce(
     # than balls), and the covers extend theirs as k grows
     most = 2 ** (k_max - 1) + 1
     packed = interior[_farthest_points(interior, min(most, interior.shape[0]), q)[0]]
+    del ball, interior  # the covers need only the image and the lattice steps
     seeds, dmin = [], None
     uppers, lowers = [], []
     for k in range(1, k_max + 1):
@@ -368,7 +470,7 @@ def entropy_numbers_bruteforce(
         cover = 0.0
         if balls < image.shape[0]:
             seeds, dmin = _farthest_points(image, balls, q, seeds, dmin)
-            cover = _cover_radius(image, seeds, dmin, q)
+            cover = _cover_radius(image, steps, seeds, dmin, q)
         uppers.append(cover + slack if cover > 0.0 or norm_bound > 0.0 else 0.0)
         packing = _packing_separation(packed[: balls + 1], q) if balls < len(packed) else 0.0
         lowers.append(max(0.5 * packing, entropy_volume_lower(m, k, norms)))

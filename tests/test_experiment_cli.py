@@ -50,6 +50,7 @@ from fracspectra.spectral_report import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 BASE = {
     "schema_version": 1,
@@ -386,23 +387,44 @@ class TestRunSpectrum:
 
     def test_separable_symbol_spectrum_bits_are_pinned(self, tmp_path):
         # cantor_p15 at level 8: the top ten eigenvalues and the fitted slope,
-        # bit for bit as the reduction of the matrix's lower triangle gives them
+        # bit for bit as the reduction of the matrix's lower triangle gives
+        # them with one BLAS thread.  OpenBLAS's one-thread and threaded
+        # kernels round differently, so the run is a fresh process with the
+        # thread count pinned, and the pins hold whatever the runner's default
         raw = json.loads((CONFIG_DIR / "cantor_p15.json").read_text(encoding="utf-8"))
         raw["fractal"]["level"] = 8
-        report, _ = run_spectrum(config_from_dict(raw), tmp_path / "out")
-        assert [float(v.real).hex() for v in report.eigenvalues[:10]] == [
-            "0x1.f37cf1deb04c6p-1",
-            "0x1.54b7e20094766p-1",
-            "0x1.d42e2eb8f0252p-2",
-            "0x1.a18337e4f5a12p-2",
-            "0x1.2b8eab7b5837dp-2",
-            "0x1.1d7818bb75953p-2",
-            "0x1.0f705ed3cf690p-2",
-            "0x1.f857e3a260ee5p-3",
-            "0x1.771abad960d79p-3",
-            "0x1.71edc2511d877p-3",
+        probe = (
+            "import json, sys; "
+            "from fracspectra.experiment import config_from_dict, run_spectrum; "
+            "report, _ = run_spectrum(config_from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
+            "print(*[float(v.real).hex() for v in report.eigenvalues[:10]]); "
+            "print(float(report.fit.slope).hex())"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(raw), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        values, slope = done.stdout.splitlines()
+        assert values.split() == [
+            "0x1.f37cf1deb04c8p-1",
+            "0x1.54b7e20094764p-1",
+            "0x1.d42e2eb8f0250p-2",
+            "0x1.a18337e4f5a1bp-2",
+            "0x1.2b8eab7b5837bp-2",
+            "0x1.1d7818bb7594fp-2",
+            "0x1.0f705ed3cf692p-2",
+            "0x1.f857e3a260ee8p-3",
+            "0x1.771abad960d7ap-3",
+            "0x1.71edc2511d876p-3",
         ]
-        assert float(report.fit.slope).hex() == "-0x1.67a29404dd66fp-1"
+        assert slope == "-0x1.67a29404dd658p-1"
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +611,13 @@ class TestRunValidateSymbol:
 
 class TestCli:
     def test_cli_import_leaves_out_the_optional_scipy_subpackages(self):
-        # the Galerkin spline, the envelope LP and the entropy hull import
-        # these where they run; a module-level import would tax every command
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # the Galerkin spline and the envelope LP import the first two where
+        # they run, so a module-level import would tax every command; nothing
+        # in the package uses scipy.spatial
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
+        )
         probe = (
             "import sys, fracspectra.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
@@ -603,6 +628,27 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_entropy_runs_never_load_scipy_spatial(self, tmp_path):
+        # the cover polish reads its boundary points off the lattice, so a
+        # whole entropy-lab and audits run needs no convex hull
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
+        )
+        config = str(CONFIG_DIR / "cantor_small.json")
+        probe = (
+            "import sys; from fracspectra.cli import main; "
+            "codes = [main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + cmd]) "
+            "for cmd in ('entropy-lab', 'audits')]; "
+            "print(codes, 'scipy.spatial' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, config, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_spectrum_pass_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", base_dict())
@@ -864,7 +910,8 @@ class TestCli:
                 assert parallel_bytes == (serial / stem / name).read_bytes()
 
     def test_entropy_lab_parallel_matches_serial_bytes(self, tmp_path, capsys):
-        # two configs polish their covers on Qhull hulls in two threads at once
+        # two configs certify their corpora in two threads at once; the
+        # search keeps no module state, so each gives its serial bytes
         path_a = write_config(tmp_path / "alpha.json", base_dict())
         path_b = write_config(tmp_path / "beta.json", base_dict(seed=4321))
         args = ["entropy-lab", "--config", str(path_a), "--config", str(path_b)]

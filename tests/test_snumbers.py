@@ -173,8 +173,8 @@ class TestEntropyBruteForce:
             assert lower.value(k) <= 2.0 ** (1 - k) <= upper.value(k)
 
 
-def _all_points(cluster: np.ndarray) -> np.ndarray:
-    return cluster
+def _all_points(steps: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    return np.ones(assign.shape, dtype=bool)
 
 
 _POLISH_MATRICES = {
@@ -192,68 +192,122 @@ _POLISH_NORMS = pytest.mark.parametrize(
 )
 
 
-class TestHullPolish:
-    """The hull-point polish returns what polishing on every point returns."""
+def _candidates(points: np.ndarray) -> np.ndarray:
+    """Lattice candidates over the points' box plus seeded random ones."""
+    rng = np.random.default_rng(0)
+    return np.vstack(
+        [
+            s_numbers._refine_candidates(points, 0.3),
+            rng.uniform(-1.5, 1.5, (200, points.shape[1])),
+        ]
+    )
+
+
+class TestBoundaryPolish:
+    """The lattice-boundary polish returns what polishing on every point returns."""
 
     @_POLISH_NORMS
-    @pytest.mark.parametrize("name", sorted(_POLISH_MATRICES))
-    def test_bitwise_equal_to_all_points_polish(self, monkeypatch, name, norms) -> None:
-        # the rank-deficient images are flat, so Qhull refuses their clusters
-        # and the polish falls back to all points without raising
+    @pytest.mark.parametrize(
+        "name, resolution",
+        [(name, 17) for name in sorted(_POLISH_MATRICES)] + [("dim1", 129), ("dim2", 129)],
+        ids=sorted(_POLISH_MATRICES) + ["dim1-res129", "dim2-res129"],
+    )
+    def test_bitwise_equal_to_all_points_polish(
+        self, monkeypatch, name, resolution, norms
+    ) -> None:
+        # the rank-deficient images are flat, and the rule needs no special
+        # case for them; at resolution 129 the steps are int8 while the
+        # label grid's indices run past int8's range
         matrix = _POLISH_MATRICES[name]
-        hull = entropy_numbers_bruteforce(matrix, k_max=4, norms=norms, resolution=17)
-        monkeypatch.setattr(s_numbers, "_extreme_points", _all_points)
-        reference = entropy_numbers_bruteforce(
-            matrix, k_max=4, norms=norms, resolution=17
+        boundary = entropy_numbers_bruteforce(
+            matrix, k_max=4, norms=norms, resolution=resolution
         )
-        assert hull == reference
+        monkeypatch.setattr(s_numbers, "_lattice_boundary", _all_points)
+        reference = entropy_numbers_bruteforce(
+            matrix, k_max=4, norms=norms, resolution=resolution
+        )
+        assert boundary == reference
 
     def test_one_ball_bitwise_equal_to_all_points_polish(self, monkeypatch) -> None:
         matrix = _POLISH_MATRICES["dim3"]
-        hull = entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
-        monkeypatch.setattr(s_numbers, "_extreme_points", _all_points)
-        assert hull == entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
+        boundary = entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
+        monkeypatch.setattr(s_numbers, "_lattice_boundary", _all_points)
+        assert boundary == entropy_numbers_bruteforce(matrix, k_max=1, resolution=21)
 
     @_POLISH_NORMS
+    @pytest.mark.parametrize("balls", [1, 4])
     @pytest.mark.parametrize("name", ["dim2", "dim3"])
-    def test_every_candidate_scores_the_same(self, name, norms) -> None:
-        # the exactness claim itself: the farthest extreme point is as far
-        # as the farthest point, bitwise, for lattice and random candidates
+    def test_every_candidate_scores_the_same(self, name, balls, norms) -> None:
+        # the exactness claim itself: in every cluster, the farthest kept
+        # point is as far as the farthest point, bitwise, for lattice and
+        # random candidates
         p, q = norms
         matrix = _POLISH_MATRICES[name]
-        image = s_numbers._ball_cloud(matrix.shape[1], p, 17)[0] @ matrix.T
-        rng = np.random.default_rng(0)
-        cand = np.vstack(
-            [
-                s_numbers._refine_candidates(image, 0.3),
-                rng.uniform(-1.5, 1.5, (200, matrix.shape[0])),
-            ]
-        )
-        kept = s_numbers._extreme_points(image)
-        assert kept.shape[0] < image.shape[0]
-        hull_radii = s_numbers._pairwise(kept, cand, q).max(axis=0)
-        all_radii = s_numbers._pairwise(image, cand, q).max(axis=0)
-        assert np.array_equal(hull_radii, all_radii)
+        cloud, _, steps = s_numbers._ball_cloud(matrix.shape[1], p, 17)
+        image = cloud @ matrix.T
+        seeds, _ = s_numbers._farthest_points(image, balls, q)
+        assign, _ = s_numbers._nearest(image, image[seeds], q)
+        kept = s_numbers._lattice_boundary(steps, assign)
+        assert kept.sum() < image.shape[0]
+        for c in range(balls):
+            cluster = image[assign == c]
+            cand = _candidates(cluster)
+            kept_radii = s_numbers._pairwise(cluster[kept[assign == c]], cand, q).max(axis=0)
+            all_radii = s_numbers._pairwise(cluster, cand, q).max(axis=0)
+            assert np.array_equal(kept_radii, all_radii)
 
     def test_full_cluster_keeps_its_boundary_only(self) -> None:
-        cloud, _ = s_numbers._ball_cloud(2, math.inf, 9)
-        kept = s_numbers._extreme_points(cloud)
+        cloud, _, steps = s_numbers._ball_cloud(2, math.inf, 9)
+        kept = s_numbers._lattice_boundary(steps, np.zeros(cloud.shape[0], dtype=np.intp))
         # the lattice square keeps its 32 boundary points, not its 49 inner ones
-        assert kept.shape == (32, 2)
-        assert np.all(np.isclose(np.abs(kept).max(axis=1), np.abs(cloud).max()))
+        assert cloud.shape == (81, 2)
+        assert kept.sum() == 32
+        assert np.all(np.abs(cloud[kept]).max(axis=1) == np.abs(cloud).max())
+
+    def test_cluster_edges_are_kept_on_both_sides(self) -> None:
+        # two clusters splitting a lattice segment each keep the points next
+        # to the cut, and the cloud's two ends
+        steps = np.arange(-4, 5)[:, None]
+        assign = (steps[:, 0] > 0).astype(np.intp)
+        kept = s_numbers._lattice_boundary(steps, assign)
+        assert steps[kept, 0].tolist() == [-4, 0, 1, 4]
 
     @pytest.mark.parametrize(
-        "cluster",
+        "steps, matrix",
         [
-            np.linspace(-1.0, 1.0, 7)[:, None],
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            np.array([[t, 2.0 * t] for t in np.linspace(-1.0, 1.0, 9)]),
-            np.array([[x, y, x + y] for x in range(4) for y in range(4)], dtype=float),
+            (np.arange(-3, 4)[:, None], _POLISH_MATRICES["dim1"]),
+            (np.array([[0, 0], [1, 0], [0, 1]]), _POLISH_MATRICES["dim2"]),
+            (np.array([[x, y] for x in range(-4, 5) for y in range(-4, 5)]),
+             _POLISH_MATRICES["rank1-dim2"]),
+            (np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(4)]),
+             _POLISH_MATRICES["rank2-dim3"]),
         ],
         ids=["1-D", "n+1 points", "flat 2-D", "flat 3-D"],
     )
-    def test_degenerate_cluster_is_kept_whole(self, cluster) -> None:
-        assert s_numbers._extreme_points(cluster) is cluster
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_degenerate_cluster_scores_as_all_its_points(self, steps, matrix, q) -> None:
+        # segments, n + 1 points and flat images: the kept points give every
+        # candidate the all-points score, bitwise
+        cluster = (0.25 * steps) @ matrix.T
+        kept = s_numbers._lattice_boundary(steps, np.zeros(len(steps), dtype=np.intp))
+        cand = _candidates(cluster)
+        assert np.array_equal(
+            s_numbers._pairwise(cluster[kept], cand, q).max(axis=0),
+            s_numbers._pairwise(cluster, cand, q).max(axis=0),
+        )
+
+    def test_int8_steps_index_past_int8_range(self) -> None:
+        # the cloud at resolution 129 holds int8 steps -64..64; as one
+        # cluster only its two ends are kept, though the padded grid's
+        # indices run to 130
+        steps = s_numbers._ball_cloud(1, 2.0, 129)[2]
+        assert steps.dtype == np.int8
+        kept = s_numbers._lattice_boundary(steps, np.zeros(len(steps), dtype=np.intp))
+        assert steps[kept, 0].tolist() == [-64, 64]
+
+    def test_n_plus_one_points_are_all_kept(self) -> None:
+        steps = np.array([[0, 0], [1, 0], [0, 1]])
+        assert s_numbers._lattice_boundary(steps, np.zeros(3, dtype=np.intp)).all()
 
 
 class TestSeeding:
@@ -341,10 +395,7 @@ class TestDistanceRule:
 
     def test_search_never_holds_a_points_by_centres_by_n_array(self, monkeypatch) -> None:
         # the largest distance table the search makes, as a (points, centres,
-        # 3) float64 array, is more than the whole call may hold at its peak;
-        # the hull polish imports scipy.spatial lazily, so load it untraced
-        import scipy.spatial  # noqa: F401
-
+        # 3) float64 array, is more than the whole call may hold at its peak
         largest = 0
         pairwise = s_numbers._pairwise
 
@@ -362,6 +413,70 @@ class TestDistanceRule:
         finally:
             tracemalloc.stop()
         assert peak < largest, f"peak {peak} B reaches one 3-D table, {largest} B"
+
+
+class TestClusterPasses:
+    """The column-wise nearest-centre scan, the one-pass recentring, the
+    blocked polish maximum and the pruned candidate pick are bitwise the
+    row-wise, per-cluster and whole-table computations they replace."""
+
+    @given(cloud=_clouds(), q=st.sampled_from(_Q_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_equals_row_argmin_and_min(self, cloud, q) -> None:
+        # repeated points and centres on points make exact ties, where the
+        # first nearest centre must win as in argmin
+        points, centers = cloud
+        dists = s_numbers._pairwise(points, centers, q)
+        assign, radius = s_numbers._nearest(points, centers, q)
+        assert np.array_equal(assign, np.argmin(dists, axis=1))
+        assert radius == float(dists.min(axis=1).max())
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_recentred_equals_each_cluster_box_midpoint(self, m) -> None:
+        rng = np.random.default_rng(m)
+        points = rng.uniform(-1.0, 1.0, (500, 3))
+        points[::9] = 0.0
+        assign = rng.integers(0, m, 500)
+        assign[assign == m - 1] = 0  # leave the last cluster empty when m > 1
+        centers = rng.uniform(-1.0, 1.0, (m, 3))
+        moved = s_numbers._recentred(points, assign, centers)
+        for c in range(m):
+            cluster = points[assign == c]
+            expected = (
+                0.5 * (cluster.min(axis=0) + cluster.max(axis=0)) if cluster.size else centers[c]
+            )
+            assert np.array_equal(moved[c], expected)
+
+    @pytest.mark.parametrize("q", _Q_VALUES)
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
+    def test_farthest_equals_the_whole_table_maximum(self, count, q) -> None:
+        rng = np.random.default_rng(count)
+        points = rng.uniform(-1.0, 1.0, (count, 2))
+        centers = rng.uniform(-1.0, 1.0, (37, 2))
+        assert np.array_equal(
+            s_numbers._max_distances(points, centers, q),
+            s_numbers._pairwise(points, centers, q).max(axis=0),
+        )
+
+    @given(cloud=_clouds(), q=st.sampled_from(_Q_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_best_candidate_equals_the_whole_table_argmin(self, cloud, q) -> None:
+        # repeated centres tie exactly, and the first must win as in argmin
+        points, centers = cloud
+        expected = np.argmin(s_numbers._pairwise(points, centers, q).max(axis=0))
+        assert s_numbers._best_candidate(points, centers, q) == expected
+
+    @_POLISH_NORMS
+    @pytest.mark.parametrize("name", sorted(_POLISH_MATRICES))
+    def test_best_candidate_on_lattice_images(self, name, norms) -> None:
+        # thousands of points against hundreds of candidates, each listed
+        # twice so that the least score is always tied
+        p, q = norms
+        matrix = _POLISH_MATRICES[name]
+        image = s_numbers._ball_cloud(matrix.shape[1], p, 17)[0] @ matrix.T
+        centers = np.vstack([_candidates(image)] * 2)
+        expected = np.argmin(s_numbers._pairwise(image, centers, q).max(axis=0))
+        assert s_numbers._best_candidate(image, centers, q) == expected
 
 
 # (trial, norms, lower, upper): float.hex of the entropy bounds (k_max=4,
