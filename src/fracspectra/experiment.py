@@ -29,6 +29,7 @@ from .fractal_measure import (
     quadrature,
 )
 from .fractal_operator import (
+    _CHAIN_STEP_LIMIT,
     DiscretizedOperator,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
@@ -325,6 +326,15 @@ def _validate_semantics(config: ExperimentConfig) -> None:
                 raise ConfigError(
                     "the identity symbol runs the kernel study, which needs p = 2; "
                     f"got p = {config.analysis.p!r}"
+                )
+            # the kernel diagonal's coincidence chain steps by r**(2s - (n - d))
+            margin = 2.0 * config.analysis.s - (config.fractal.ambient_dim - dimension)
+            floor = math.log(_CHAIN_STEP_LIMIT) / math.log(config.fractal.ratio)
+            if margin <= floor:
+                raise ConfigError(
+                    f"the kernel diagonal's coincidence chain does not converge: 2s - "
+                    f"(n - d) = {margin:.6f} is not above log({_CHAIN_STEP_LIMIT}) / "
+                    f"log(r) = {floor:.6f}"
                 )
         else:
             sp = config.analysis.s * config.analysis.p

@@ -254,8 +254,7 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
     atom (word) order; the assemblies of :mod:`fracspectra.fractal_operator`
     and its diagonal rule gather their kernel values through it.  The two
     halves are also built apart, by :func:`_pair_codes` and
-    :func:`_pair_distances`: an operator held as mirror blocks needs the
-    distances at ``level`` but the codes only at ``level - 1``.
+    :func:`_pair_distances`, as no assembly needs the codes at ``level``.
 
     With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
     ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -
@@ -267,9 +266,11 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
     code.  Since ``t_b - t_a = -(t_a - t_b)`` exactly, a gather from the table
     is bitwise symmetric; it is also centrosymmetric when the digits pass the
     mirror test of :func:`~fracspectra.fractal_operator._gather_pairs`.
-    The first digit splits off the level-1 cells: with ``M = N / m`` atoms
-    per cell, the pair ``(a M + i', b M + j')`` has the code ``digit[a, b]
-    D^(L-1) + C[i', j']``, with C the codes at level ``L - 1``.
+    For any ``0 <= l <= L`` the code of the pair ``(ih m^l + il, jh m^l +
+    jl)`` is ``hi[ih, jh] D^l + lo[il, jl]`` exactly, with ``hi`` and ``lo``
+    the codes at levels ``L - l`` and l: the pair's digits are those of (ih,
+    jh) followed by those of (il, jl)
+    (:func:`~fracspectra.fractal_operator._code_factors`).
 
     The distances are a bitwise palindrome with the coincident code
     ``(D^L - 1) / 2`` at the centre, so a radial function need only be

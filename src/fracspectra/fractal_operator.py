@@ -11,19 +11,20 @@ spectra approximate the continuum objects:
   This is exact, not an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} -
   t_{j_k})`` depends only on the digit-by-digit translation differences of
   the two atom words, and the codes of (i, j) and (j, i) mirror each other
-  about the table's centre.
+  about the table's centre.  The N x N codes are never held: every matrix
+  is gathered tile by tile from two small code factors whose Kronecker sum
+  they are (:func:`_code_factors`).
 * ``assemble_dmu_kernel`` assembles the symmetric positive kernel operator K
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
   approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
 * Every operator that is one gather from a folded table (the kernel K, and
   the Galerkin compression of an x-independent symbol) is held by
-  :func:`_gather_pairs`, which alone decides the reflection split: for a
-  set that is mirror-symmetric in its digits the matrix is exactly
-  centrosymmetric, and the operator carries its table and the level-(L-1)
-  pair codes (:class:`MirrorBlocks`), from which the solver gathers the two
-  half-size blocks ``A +- B J`` one at a time; the N x N matrix is never
-  formed.  Any other set gets the dense matrix.
+  :func:`_gather_pairs`, which alone decides the reflection split: on a set
+  that is mirror-symmetric in its digits the operator carries its table and
+  the code factors (:class:`MirrorBlocks`), from which the solver gathers
+  the two half-size blocks ``A +- B J`` one at a time; any other set gets
+  the dense matrix.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
@@ -226,6 +227,8 @@ def _folded_table(
 _TAIL_ANCHOR_FLOOR = 1e-11
 """Smallest pair distance at which the coincidence chain is still summed exactly."""
 
+_CHAIN_STEP_LIMIT = 0.995  # largest step ratio of a singular chain that is summed
+
 
 def cell_pair_energy(
     measure: FractalMeasure,
@@ -300,14 +303,14 @@ def cell_pair_energy(
     if delta > 0.0 and q_hat >= 1.02:
         # growing pair sums: the singular-power regime
         step = f_next / (m * f_anchor)
-        if step >= 0.995:
+        if step >= _CHAIN_STEP_LIMIT:
             # a kernel ~ rho**(s*p - n) steps by r**(d - n + s*p), since m = r**-d
             raise WindowViolationError(
                 f"coincidence chain does not converge: measured step ratio "
-                f"{step:.6f} reaches the limit 0.995, i.e. s*p - (n - d) = "
-                f"{math.log(step) / math.log(r):.6f} is not above "
-                f"{math.log(0.995) / math.log(r):.6f}; the kernel singularity is "
-                f"too strong for the measure dimension"
+                f"{step:.6f} reaches the limit {_CHAIN_STEP_LIMIT}, i.e. s*p - "
+                f"(n - d) = {math.log(step) / math.log(r):.6f} is not above "
+                f"{math.log(_CHAIN_STEP_LIMIT) / math.log(r):.6f}; the kernel "
+                f"singularity is too strong for the measure dimension"
             )
         branch = "power"
         tail = f_anchor / (1.0 - step)
@@ -355,7 +358,7 @@ def _jsonable(obj):
     return str(obj)
 
 
-_TILE = 256  # rows (and columns) per block of the tiled whole-matrix reads
+_TILE = 256  # rows (and columns) per tile of the whole-matrix reads and code gathers
 
 
 def _symmetry_deviation(a: np.ndarray) -> tuple[float, float, bool]:
@@ -400,47 +403,73 @@ def _mirror_lower(a: np.ndarray) -> None:
             a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
 
 
+def _code_factors(ifs, level: int, mirror: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The factors ``(hi, lo, D^l)`` of the level-L pair codes: ``lo`` holds
+    the codes at level l, ``hi`` those at level ``L - l``, widened to
+    ``np.intp`` so that no tile offset wraps in int32, and l is the largest
+    level count with ``m^l <= _TILE``, capped at L, and at ``L - 1`` when
+    ``mirror`` (so that ``hi`` keeps the first digit).  The word of atom ``ih
+    m^l + il`` is that of ih followed by that of il, and a code is the
+    base-D number of the pair's digits, first most significant, so ``C[ih
+    m^l + il, jh m^l + jl] = hi[ih, jh] D^l + lo[il, jl]`` exactly: C is the
+    Kronecker sum ``hi (x) D^l + lo``, and tile (ih, jh) of ``table[C]`` is
+    ``table[hi[ih, jh] D^l:][lo]``."""
+    m, l = ifs.n_maps, 0
+    while l < level - mirror and m ** (l + 1) <= _TILE:
+        l += 1
+    base = _pair_digits(ifs)[0].shape[0]
+    return _pair_codes(ifs, level - l).astype(np.intp), _pair_codes(ifs, l), base**l
+
+
+def _gather(table, hi, lo, step: int, out=None, combine=None) -> np.ndarray:
+    """``table[hi (x) step + lo]`` (:func:`_code_factors`) gathered tile by
+    tile into ``out``, or combined into it by the ufunc ``combine``; no
+    temporary is larger than one tile."""
+    nh, size = hi.shape[0], lo.shape[0]
+    out = np.empty((nh * size, nh * size)) if out is None else out
+    tiles = out.reshape(nh, size, nh, size)
+    for (a, b), code in np.ndenumerate(hi):
+        tile = tiles[a, :, b]
+        if combine is None:
+            tile[...] = table[code * step :][lo]
+        else:
+            combine(tile, table[code * step :][lo], out=tile)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MirrorBlocks:
-    """The blocks ``A + B J`` and ``A - B J`` of an exactly centrosymmetric
-    matrix ``K = [[A, B], [J B J, J A J]]`` of order ``N = 2h`` (J the index
-    reversal) gathered by pair code, each gathered on request from the
-    folded ``table``; K itself is never formed.  :func:`_gather_pairs`
-    builds it, and only for a table and set under which K is exactly that.
+    """The blocks ``A +- B J`` of an exactly centrosymmetric ``K = [[A, B],
+    [J B J, J A J]]`` of order ``N = 2h`` (J the index reversal), each
+    gathered on request from the folded ``table``; K is never formed.
+    :func:`_gather_pairs` builds it, only where K is exactly that.
 
-    With m maps, D digits and ``M = N / m`` atoms per level-1 cell, the pair
-    ``(a M + i', b M + j')`` has the code ``digit[a, b] D^(L-1) + C[i', j']``
-    (:func:`~fracspectra.fractal_measure._pair_table`), where ``codes`` is C,
-    the level-(L-1) pair codes.  Column ``b M + j'`` of ``B J`` is column
-    ``(m-1-b) M + (M-1-j')`` of K.  So with ``q = m / 2``, sub-block (a, b)
-    of A, for ``a, b < q``, is ``table[o:][C]`` with ``o = offsets[0][a, b] =
-    digit[a, b] D^(L-1)``, and that of ``B J`` is ``table[o:][C[:, ::-1]]``
-    with ``o = offsets[1][a, b] = digit[a, m-1-b] D^(L-1)``.
-    """
+    K is ``table[hi (x) step + lo]`` exactly (:func:`_code_factors`: a code
+    is the base-D number of its first ``L - l`` digits, in ``hi``, times
+    ``step = D^l`` plus that of its last l, in ``lo``).  ``hi`` keeps the
+    first digit, so the rows of A, whose first digit is below ``m / 2``, are
+    the tile rows ``ih < nh / 2``.  Reversing an atom index reverses its
+    tile index and its index in the tile, so tile (ih, jh) of ``B J`` is
+    ``table[hi[ih, nh - 1 - jh] step:][lo[:, ::-1]]``."""
 
     table: np.ndarray
-    codes: np.ndarray
-    offsets: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    step: int
 
     @property
     def order(self) -> int:
         """The order N of K."""
-        return 2 * self.offsets.shape[1] * self.codes.shape[0]
+        return self.hi.shape[0] * self.lo.shape[0]
 
     def block(self, sign: int) -> np.ndarray:
         """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
-        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``, with no temporary larger
-        than ``_TILE`` rows of a sub-block."""
-        q, size = self.offsets.shape[1], self.codes.shape[0]
+        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``."""
+        q = self.hi.shape[0] // 2
+        out = _gather(self.table, self.hi[:q, :q], self.lo, self.step)
+        flipped = np.ascontiguousarray(self.lo[:, ::-1])
         combine = np.add if sign > 0 else np.subtract
-        flipped = self.codes[:, ::-1]
-        out = np.empty((q, size, q, size))
-        for (a, b), off in np.ndenumerate(self.offsets[0]):
-            a_table, bj_table = self.table[off:], self.table[self.offsets[1][a, b] :]
-            for lo in range(0, size, _TILE):
-                rows = slice(lo, lo + _TILE)
-                combine(a_table[self.codes[rows]], bj_table[flipped[rows]], out=out[a, rows, b])
-        return out.reshape(q * size, q * size)
+        return _gather(self.table, self.hi[:q, ::-1][:, :q], flipped, self.step, out, combine)
 
 
 def _gather_pairs(
@@ -449,7 +478,9 @@ def _gather_pairs(
     """The operator ``K = table[_pair_codes(ifs, level)]`` of a folded
     ``table`` (a bitwise palindrome, :func:`_folded_table`), as the
     ``(matrix, mirror)`` pair of a :class:`DiscretizedOperator`: its
-    :class:`MirrorBlocks` when K is exactly centrosymmetric, else the dense K.
+    :class:`MirrorBlocks` when K is exactly centrosymmetric, else the dense K,
+    either way gathered from the code factors ``hi``, ``lo``, since the
+    level-L codes are exactly ``hi (x) D^l + lo`` (:func:`_code_factors`).
 
     With m maps, D digits and level L >= 1, K is held as blocks when m is
     even and the level-1 digits satisfy ``digit[m-1-a, m-1-b] ==
@@ -465,17 +496,16 @@ def _gather_pairs(
     j]``, by centrosymmetry and then symmetry.  So is each block ``A +- B J``,
     since ``x +- y`` rounds the same for the mirrored entry pair.  No tile
     pass re-checks it.  Any other set (every odd m, and an even-m set whose
-    digits fail the test) gets the dense K through the level-L codes, and its
-    symmetry is checked as for any square matrix.
+    digits fail the test) gets the dense K, and its symmetry is checked as
+    for any square matrix.
     """
     deltas, digit = _pair_digits(ifs)
     base, m = deltas.shape[0], ifs.n_maps
-    if level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
-        q = m // 2
-        lead = digit * base ** (level - 1)
-        offsets = np.stack([lead[:q, :q], lead[:q, ::-1][:, :q]])
-        return None, MirrorBlocks(table, _pair_codes(ifs, level - 1), offsets)
-    return table[_pair_codes(ifs, level)], None
+    mirror = level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit)
+    hi, lo, step = _code_factors(ifs, level, mirror)
+    if mirror:
+        return None, MirrorBlocks(table, hi, lo, step)
+    return _gather(table, hi, lo, step), None
 
 
 @dataclass(frozen=True)
@@ -498,13 +528,10 @@ class DiscretizedOperator:
     lower triangle copied onto the upper one, and the given array is never
     written.
 
-    An operator gathered from a folded table on a digit-mirror-symmetric
-    set (the kernel Gram operator, and the Galerkin compression of an
-    x-independent symbol) holds no matrix but its ``mirror`` blocks (see
-    :func:`_gather_pairs`).  It is symmetric by construction, so no tile
-    pass reads it; it is refused when its table has a non-finite entry,
-    since every table entry is an entry of K and every entry of K is one of
-    the table."""
+    An operator held as ``mirror`` blocks (:func:`_gather_pairs`) has no
+    matrix.  It is symmetric by construction, so no tile pass reads it; it
+    is refused when its table has a non-finite entry, since every table
+    entry is an entry of K and every entry of K is one of the table."""
 
     matrix: np.ndarray | None
     assembly: dict
@@ -570,9 +597,9 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     (:func:`_folded_table`).
 
     **Mirror blocks.**  K is held by :func:`_gather_pairs`: as its
-    :class:`MirrorBlocks` (T, the level-(L-1) codes and the block offsets)
-    when the set passes the digit test there, which makes K exactly
-    centrosymmetric, and as the dense K otherwise.
+    :class:`MirrorBlocks` (T and the code factors) when the set passes the
+    digit test there, which makes K exactly centrosymmetric, and as the
+    dense K otherwise.
 
     Only the operator is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
@@ -811,6 +838,20 @@ def _shared_positive_factor(sym, atoms: np.ndarray) -> np.ndarray:
     return np.ones(n_atoms) if shared is None else shared
 
 
+def _band_row_max(base, rows, band, hi, lo, step: int) -> float:
+    """``max |rows_j base_jk|`` (0.0 if none) over the pairs whose code c has
+    ``band[c]``, for ``base`` gathered from the factors ``hi``, ``lo``: the
+    mask of tile (a, b) is ``band[hi[a, b] step:][lo]`` (:func:`_gather`)."""
+    size, top = lo.shape[0], 0.0
+    for (a, b), code in np.ndenumerate(hi):
+        near = band[code * step :][lo]
+        if near.any():
+            rs = slice(a * size, (a + 1) * size)
+            tile = rows[rs, None] * base[rs, b * size : (b + 1) * size]
+            top = max(top, float(np.abs(tile[near]).max()))
+    return top
+
+
 def assemble_tmu_galerkin(
     sym,
     s: float,
@@ -837,18 +878,19 @@ def assemble_tmu_galerkin(
     raise ``ValueError`` before any N x N array exists.  With ``a == 1``,
     ``M = c w S`` is held by :func:`_gather_pairs` from the table ``c w sum_t
     T_t`` (scaling before the gather rounds each entry alike), so on a
-    digit-mirror-symmetric set as :class:`MirrorBlocks`, with no level-L
-    codes.  Otherwise the matrix returned is the similar real symmetric
-    ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``: the same spectrum,
-    exactly, and certified by the eigensolve's residuals.  The two scalings
+    digit-mirror-symmetric set as :class:`MirrorBlocks`.  Otherwise S is
+    gathered from the code factors, as the level-L codes are exactly ``hi
+    (x) D^l + lo`` (:func:`_code_factors`), and the matrix returned is the
+    similar real symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``:
+    the same spectrum, exactly, and certified by the eigensolve's residuals.  The two scalings
     round ``(S_jk r_j) r_k`` and ``(S_kj r_k) r_j`` apart (``r = sqrt(a)``),
     so the lower triangle, the one the eigensolve reads, is copied onto the
     upper one in place, and the matrix is symmetric bit for bit.  The
     assembly records ``"similarity": "diag(sqrt(a))"`` (None when ``a ==
     1``).  The :class:`CutoffTailWarning` reads its entry scale from ``M``,
-    and with ``a == 1`` off the table at the codes that occur.  Requires ``s
-    p`` in the compactness window (:func:`_check_rate_window`) and a symbol
-    with separable terms.
+    tile by tile (:func:`_band_row_max`), and with ``a == 1`` off the table
+    at the codes that occur.  Requires ``s p`` in the compactness window
+    (:func:`_check_rate_window`) and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -870,10 +912,7 @@ def assemble_tmu_galerkin(
     N, level = measure.n_atoms, measure.level
     shared = _shared_positive_factor(sym, measure.atoms)
     similarity = None if np.all(shared == 1.0) else "diag(sqrt(a))"
-    if similarity is None:
-        dist = _pair_distances(ifs, level)
-    else:
-        codes, dist = _pair_table(ifs, level)
+    dist = _pair_distances(ifs, level)
     diam = float(dist.max()) if N > 1 else 1.0
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
@@ -894,10 +933,10 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    if similarity is None:
-        table = sum(tables, np.zeros(dist.size))
-    else:
-        base = sum(tables, np.zeros(dist.size))[codes]
+    table = sum(tables, np.zeros(dist.size))
+    if similarity is not None:
+        factors = _code_factors(ifs, level, False)
+        base = _gather(table, *factors)
     # tail-insufficiency estimate at the typical working distance: the median
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
     # is read from the row-scaled c w D S, before the similarity is applied.
@@ -910,15 +949,11 @@ def assemble_tmu_galerkin(
         rho_med = float(dist[order[mid]].mean())
         band = np.abs(dist - rho_med) < 0.5 * rho_med
         if similarity is None:
-            near = table[band & (counts > 0)]
-            scale_med = float(np.abs(conv * w * near).max(initial=1e-300))
+            top = float(np.abs(table[band & (counts > 0)]).max(initial=0.0))
         else:
-            scale_med = 1e-300
-            for lo in range(0, N, _TILE):
-                near = band[codes[lo : lo + _TILE]]
-                if near.any():
-                    rows = shared[lo : lo + _TILE, None] * base[lo : lo + _TILE]
-                    scale_med = max(scale_med, float(np.abs(conv * w * rows[near]).max()))
+            top = _band_row_max(base, shared, band, *factors)
+        # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
+        scale_med = max(1e-300, conv * w * top)
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
         if tail_est > 1e-6 * scale_med:
             warnings.warn(

@@ -768,10 +768,11 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("margin, code", [(0.004, 3), (0.006, 0)])
+    @pytest.mark.parametrize("margin, code", [(0.004, 2), (0.006, 0)])
     def test_coincidence_chain_edge_of_the_window(self, tmp_path, capsys, margin, code):
-        # 2s just above n - d loads, but the diagonal's coincidence chain stops
-        # converging once its step ratio r**(2s - (n - d)) reaches 0.995
+        # 2s just above n - d is inside the window, but the diagonal's
+        # coincidence chain stops converging once its step ratio r**(2s - (n -
+        # d)) reaches 0.995; the load refuses that before anything is computed
         raw = json.loads((CONFIG_DIR / "cantor_small.json").read_text(encoding="utf-8"))
         raw["analysis"]["s"] = (1.0 - math.log(2.0) / math.log(3.0) + margin) / 2.0
         path = write_config(tmp_path / "cfg.json", raw)
@@ -781,9 +782,8 @@ class TestCli:
         if code == 0:
             assert "spectrum PASS" in captured.out
             return
-        assert "numerical error" in captured.err and "'operator_assembly'" in captured.err
-        assert "step ratio 0.995615 reaches the limit 0.995" in captured.err
-        assert "s*p - (n - d) = 0.004000 is not above 0.004563" in captured.err
+        assert "config error" in captured.err and "coincidence chain does not converge" in captured.err
+        assert "2s - (n - d) = 0.004000 is not above log(0.995) / log(r) = 0.004563" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -14,7 +14,13 @@ from scipy.integrate import quad
 from scipy.special import gammaln, j0, kv
 
 from conftest import assert_operator_is, dense_kernel, held_matrix
-from fracspectra.fractal_measure import _pair_table, build_cantor_like, quadrature
+from fracspectra.fractal_measure import (
+    _pair_codes,
+    _pair_digits,
+    _pair_table,
+    build_cantor_like,
+    quadrature,
+)
 from fracspectra.fractal_operator import (
     BesselKernel,
     CutoffTailWarning,
@@ -46,6 +52,7 @@ GEOMETRIES = {
     "cantor-1d": (1, 2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]),
     "dust-2d": (2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]),
     "non-lattice-1d": (1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]]),
+    "symmetric-four-maps": (1, 4, 0.2, [[0.0], [0.25], [0.5], [0.75]]),
 }
 
 
@@ -204,6 +211,136 @@ class TestPairTable:
         assert np.array_equal(K[mask], full[codes][mask])
 
 
+def assert_bitwise(x: np.ndarray, y: np.ndarray) -> None:
+    assert x.shape == y.shape and x.dtype == y.dtype
+    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def integer_arrays(obj, seen=None):
+    """Every integer array reachable from ``obj`` through dataclass fields,
+    dict values, list and tuple items and array bases."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        if np.issubdtype(obj.dtype, np.integer):
+            yield obj
+        children = [] if obj.base is None else [obj.base]
+    elif dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = []
+    for child in children:
+        yield from integer_arrays(child, seen)
+
+
+class TestCodeFactors:
+    """Every operator is gathered tile by tile from the two code factors
+    ``hi (x) D^l + lo``, and equals the gather at the level-L codes bitwise."""
+
+    # cantor_p2 at L <= 11 is checked against the dense K, with its spectrum,
+    # in test_spectral_report.py::TestKernelMirrorBlocks
+    @pytest.mark.parametrize(
+        "geometry, level",
+        [("cantor-1d", 12)] + [("symmetric-four-maps", level) for level in range(1, 7)],
+    )
+    def test_kernel_blocks_are_those_of_the_level_codes(self, geometry, level):
+        mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
+        op = assemble_dmu_kernel(mu, 0.45)
+        codes = _pair_codes(mu.ifs, level)
+        h = codes.shape[0] // 2
+        a, bj = op.mirror.table[codes[:h, :h]], op.mirror.table[codes[:h, h:][:, ::-1]]
+        del codes
+        assert_bitwise(op.mirror.block(1), a + bj)
+        assert_bitwise(op.mirror.block(-1), a - bj)
+
+    @pytest.mark.parametrize("level", [6, 7])  # 3 x 3 and 9 x 9 tiles
+    def test_dense_odd_non_lattice_kernel(self, level):
+        mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), level)
+        op = assemble_dmu_kernel(mu, 0.45)
+        assert op.mirror is None
+        assert_bitwise(op.matrix, dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
+
+    @pytest.mark.parametrize("level", [5, 10])  # one tile; 4 x 4 tiles
+    def test_modulated_galerkin_matrix_and_tail_scale(self, cantor_ifs, monkeypatch, level):
+        mu = quadrature(cantor_ifs, level)
+        codes = _pair_codes(mu.ifs, level)
+        gather, scan, calls = fractal_operator._gather, fractal_operator._band_row_max, []
+
+        def checked_gather(table, *factors):
+            out = gather(table, *factors)
+            assert_bitwise(out, table[codes])
+            calls.append("gather")
+            return out
+
+        def checked_scan(base, rows, band, *factors):
+            top = scan(base, rows, band, *factors)
+            expect = np.abs(rows[:, None] * base)[band[codes]].max(initial=0.0)
+            assert np.float64(top).view(np.uint64) == expect.view(np.uint64)
+            calls.append("scan")
+            return top
+
+        monkeypatch.setattr(fractal_operator, "_gather", checked_gather)
+        monkeypatch.setattr(fractal_operator, "_band_row_max", checked_scan)
+        with pytest.warns(CutoffTailWarning):
+            op = assemble_tmu_galerkin(
+                make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu, 300.0
+            )
+        assert calls == ["gather", "scan"]
+        assert op.assembly["similarity"] == "diag(sqrt(a))"
+
+    @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
+    def test_no_operator_holds_a_quarter_square_integer_array(self, cantor_ifs, case):
+        if case == "kernel":
+            op = assemble_dmu_kernel(quadrature(cantor_ifs, 12), 0.45)
+        elif case == "x-independent-galerkin":
+            sym = make_symbol("bessel_power", sigma=-0.9)
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 11), 1.0e5)
+        else:
+            mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), 7)
+            op = assemble_dmu_kernel(mu, 0.45)
+        assert (op.mirror is None) == (case == "dense")
+        quarter = (op.shape[0] // 2) ** 2
+        held = list(integer_arrays(op))
+        assert held or case == "dense"
+        assert all(a.size < quarter for a in held), [a.shape for a in held]
+
+    def test_tile_offsets_do_not_wrap_past_int32(self):
+        # sixteen maps on a Sidon set of translations: all 241 differences
+        # are distinct, so the level-4 codes reach 241**4 - 1 > 2**31; only
+        # the two level-2 factors are built, never a table or the codes
+        r = 1e-5
+        t = [[(2.0**a - 1.0) * (1.0 - r) / (2.0**15 - 1.0)] for a in range(16)]
+        ifs = build_cantor_like(1, 16, r, t)
+        deltas, digit = _pair_digits(ifs)
+        assert deltas.shape[0] == 241
+        hi, lo, step = fractal_operator._code_factors(ifs, 4, False)
+        assert hi.dtype == np.intp and hi.shape == lo.shape == (256, 256)
+        assert step == 241**2
+        offsets = [(a, b, hi[a, b] * step) for a, b in [(0, 255), (255, 0), (17, 200)]]
+        assert max(off for _, _, off in offsets) > 2**31
+        for a, b, off in offsets:
+            # tile (a, b) starts at the code of its two leading digit pairs,
+            # with a = (a0, a1) and b = (b0, b1) in base 16:
+            # digit[a0, b0] D^3 + digit[a1, b1] D^2
+            word = [(a // 16, b // 16), (a % 16, b % 16)]
+            code = sum(int(digit[x, y]) * 241 ** (3 - k) for k, (x, y) in enumerate(word))
+            assert int(off) == code
+
+    def test_factor_level_split(self, cantor_ifs):
+        # l is the largest level count with m^l <= _TILE, capped at L (at
+        # L - 1 on the mirror path, so that hi keeps the first digit)
+        for level, mirror, split in [(3, False, 3), (3, True, 2), (12, True, 8), (0, False, 0)]:
+            hi, lo, step = fractal_operator._code_factors(cantor_ifs, level, mirror)
+            assert lo.shape == (2**split, 2**split) and hi.shape == (2 ** (level - split),) * 2
+            assert step == 3**split
+
+
 class TestCellPairEnergy:
     def test_constant_kernel_exact(self, mu7):
         w = mu7.weights[0]
@@ -259,6 +396,13 @@ class TestCellPairEnergy:
     def test_too_strong_singularity_raises(self, mu7):
         with pytest.raises(WindowViolationError):
             cell_pair_energy(mu7, lambda rho: np.asarray(rho) ** (-0.7))
+
+    def test_kernel_assembly_keeps_the_threshold_the_load_checks(self, mu7):
+        # a config this close to n - d is refused at load; the assembly
+        # still refuses it on its own, quoting the same threshold
+        s = (1.0 - mu7.dimension + 0.004) / 2.0
+        with pytest.raises(WindowViolationError, match=r"is not above 0\.004563"):
+            assemble_dmu_kernel(mu7, s)
 
     def test_depth_validation(self, mu7):
         with pytest.raises(ValueError):

@@ -168,12 +168,11 @@ def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]
     """Hand-built mirror blocks of the symmetric Toeplitz ``K[a, b] = table[a
     - b + n - 1]`` of even order n, from its palindromic ``table`` of 2n - 1
     entries, and K: the level-1 gather over n evenly spaced maps (pair
-    digit ``a - b + n - 1``), whose level-0 codes are the one code 0."""
+    digit ``a - b + n - 1``), held as the code factors ``hi = digit`` and
+    the level-0 codes ``lo``, the one code 0, with ``D^0 = 1``."""
     n = (table.size + 1) // 2
     digit = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
-    h = n // 2
-    offsets = np.stack([digit[:h, :h], digit[:h, ::-1][:, :h]])
-    return MirrorBlocks(table, np.zeros((1, 1), dtype=np.int64), offsets), table[digit]
+    return MirrorBlocks(table, digit, np.zeros((1, 1), dtype=np.intp), 1), table[digit]
 
 
 def split_eigvalsh(K: np.ndarray) -> np.ndarray:
@@ -471,14 +470,16 @@ class TestEigenSpectrum:
             assert not np.shares_memory(op.matrix, caller)
             assert_bitwise_equal(op.matrix, np.tril(caller) + np.tril(caller, -1).T)
         held = op.matrix if op.mirror is None else op.mirror.table
-        keep, codes = held.copy(), None if op.mirror is None else op.mirror.codes.copy()
+        keep = held.copy()
+        factors = None if op.mirror is None else (op.mirror.hi.copy(), op.mirror.lo.copy())
         with eigensolve_calls() as calls:
             eigen_spectrum(op)
         n = op.shape[0]
         assert_block_solves(calls, [n] if op.mirror is None else [n // 2, n // 2])
         assert_bitwise_equal(held, keep)
-        if codes is not None:
-            assert np.array_equal(op.mirror.codes, codes)
+        if factors is not None:
+            assert np.array_equal(op.mirror.hi, factors[0])
+            assert np.array_equal(op.mirror.lo, factors[1])
         if caller is not None:
             assert_bitwise_equal(caller, before)
 
@@ -661,8 +662,8 @@ class TestKernelMirrorBlocks:
 
     @pytest.mark.parametrize("assembly", ["kernel", "x-independent-galerkin"])
     def test_kernel_solve_never_holds_an_n_by_n_array(self, cantor_ifs, assembly):
-        # K in float64 is 8 N^2 bytes; the mirror path holds the level-(L-1)
-        # codes (N^2 bytes) and one block, which is reduced in place
+        # K in float64 is 8 N^2 bytes; the mirror path holds two small code
+        # factors and one block, which is reduced in place
         mu = quadrature(cantor_ifs, 10)
         n = mu.n_atoms
         if assembly == "kernel":
