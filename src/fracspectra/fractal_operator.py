@@ -259,7 +259,13 @@ def cell_pair_energy(
     The branch is chosen by the measured increment ratio
     ``q = (F(K+2) - F(K+1)) / (F(K+1) - F(K))``.
 
-    Returns the energy and a provenance dict.
+    The chain's probes reach at least three levels below the deepest
+    subcells.  A cell too small for that at ``explicit_depth`` is subdivided
+    only as deep as keeps them at or above ``_TAIL_ANCHOR_FLOOR``; where not
+    even depth 1 does, a ``ValueError`` names the level, the ratio and the
+    radius before any pair table is built.
+
+    Returns the energy and a provenance dict, which records the depth used.
     """
     if explicit_depth < 1:
         raise ValueError("explicit_depth must be at least one")
@@ -267,16 +273,27 @@ def cell_pair_energy(
     m, r, w = ifs.n_maps, ifs.ratio, measure.weight
     scale = r**measure.level
 
-    codes, dist = _pair_table(ifs, explicit_depth)
-    iu = np.triu_indices(codes.shape[0], 1)
-    mass_d = w / m**explicit_depth
-    explicit = 2.0 * mass_d**2 * float(np.sum(kernel_fn(scale * dist[codes[iu]])))
-
     codes, dist = _pair_table(ifs, 1)
     d0 = dist[codes[np.triu_indices(m, 1)]]  # each unordered pair once
     d0_min = float(d0.min())
     if d0_min <= 0.0:
         raise ValueError("first-level cells share a barycenter; measure is degenerate")
+
+    # the chain's first probe, F(3), must lie at or above the anchor floor
+    while scale * r ** (explicit_depth + 3) * d0_min < _TAIL_ANCHOR_FLOOR:
+        if explicit_depth == 1:
+            raise ValueError(
+                f"cells of level {measure.level} at ratio {r!r} are too small for "
+                f"the coincidence chain: its first probe radius "
+                f"{scale * r**4 * d0_min:.3e} lies below {_TAIL_ANCHOR_FLOOR:.0e} "
+                f"even at explicit depth 1"
+            )
+        explicit_depth -= 1
+
+    codes, dist = _pair_table(ifs, explicit_depth)
+    iu = np.triu_indices(codes.shape[0], 1)
+    mass_d = w / m**explicit_depth
+    explicit = 2.0 * mass_d**2 * float(np.sum(kernel_fn(scale * dist[codes[iu]])))
 
     # exact chain levels: k = 0 .. K-1 plus the two anchor sums F(K), F(K+1)
     K = 1
@@ -693,13 +710,63 @@ _PROFILE_TARGET_REL = 3e-5  # taper-correction bound, relative, beyond the split
 _PROFILE_NODES = 700  # log-spaced table nodes of the spline below the split
 
 
+class _NotAKnotSpline:
+    """The not-a-knot cubic spline through ``(x, y)``, for strictly increasing
+    ``x`` with at least four nodes (de Boor, *A Practical Guide to Splines*).
+
+    The node slopes solve one (1, 1)-banded system; row i of ``c`` holds the
+    coefficient of ``(t - x_k)^(3-i)`` on interval k.  Every step is
+    ``scipy.interpolate.CubicSpline``'s, in its order, so the coefficients
+    and the values are bitwise its own: the interval is the last node at or
+    below t, clipped to the first and last (which extrapolates), and the
+    value is the power sum ``sum_i c[3-i] z_i`` with ``z = 1, s, s^2, s^3``
+    built by repeated multiplication.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        n, dx = x.size, np.diff(x)
+        slope = np.diff(y) / dx
+        ab, b = np.zeros((3, n)), np.empty(n)
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        ab[1, 0] = dx[1]
+        ab[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        ab[1, -1] = dx[-2]
+        ab[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        # imported here, not with the module: loading scipy.linalg before
+        # the rest of the package raised the import's ru_maxrss by 0.8 MB
+        from scipy.linalg import solve_banded
+
+        s = solve_banded(
+            (1, 1), ab, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
+        ).reshape(n)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        s = t - self.x[k]
+        out, z = np.zeros(s.shape), np.ones(s.shape)
+        for row in self.c[::-1]:
+            out += row[k] * z
+            z *= s
+        return out
+
+
 class _CutoffProfile:
     """Radial position-space profile of one separable term under a smooth cutoff.
 
     Represents ``P(rho) = (2 pi)^{-1/2} integral phi0(|xi|/cutoff) b(|xi|)
     e^{i rho xi} dxi`` in ambient dimension one.  Radii below an adaptive
-    split are tabulated by a vectorized quadrature whose step resolves every
-    oscillation; beyond the split the smooth-taper correction is provably
+    split are tabulated at ``_PROFILE_NODES`` log-spaced nodes by a
+    vectorized quadrature whose step resolves every oscillation, and read
+    off a not-a-knot cubic spline in ``log rho`` (:class:`_NotAKnotSpline`,
+    one banded solve); beyond the split the smooth-taper correction is provably
     below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
     (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
     """
@@ -794,9 +861,7 @@ class _CutoffProfile:
             hi = min(lo + chunk, _PROFILE_NODES)
             vals[lo:hi] = np.cos(np.outer(nodes[lo:hi], xs)) @ wind_w
         vals *= math.sqrt(2.0 / math.pi)
-        from scipy.interpolate import CubicSpline
-
-        self._near = CubicSpline(np.log(nodes), vals)
+        self._near = _NotAKnotSpline(np.log(nodes), vals)
         self._zero = math.sqrt(2.0 / math.pi) * float(wind_w.sum())
         self.splice_rel = 0.0
         if self._far is not None:

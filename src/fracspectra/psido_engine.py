@@ -48,10 +48,13 @@ class Symbol:
     """A declared-regularity phase-space multiplier.
 
     evaluator maps point arrays x, xi of shape (..., ambient_dim) to complex
-    values of shape (...).  order is the declared growth exponent in the
-    frequency bracket; type_delta in [0, 1] (default 0) is the declared loss
-    per spatial derivative.  separable_terms, when present, expresses the evaluator as
-    sum of a_t(x) * b_t(|xi|); the Galerkin assembly requires it.
+    values of shape (...), and must accept x and xi of broadcast-compatible
+    shapes: the derivative probes pass each frequency once, as a row of shape
+    (1, n_xi, 1), against x of shape (n_x, n_xi, 1) or (n_x, 1, 1).  order
+    is the declared growth exponent in the frequency bracket; type_delta in
+    [0, 1] (default 0) is the declared loss per spatial derivative.
+    separable_terms, when present, expresses the evaluator as sum of a_t(x)
+    * b_t(|xi|); the Galerkin assembly requires it.
     """
 
     name: str
@@ -164,8 +167,9 @@ def _stencil_eval(
     """Estimate D_x^alpha D_xi^gamma tau on the tensor probe grid (1-D axes)."""
     r = np.abs(xi_pts)
     # spatial oscillation of rough-type symbols lives at scale 1/|xi|, so the
-    # x step shrinks with frequency while the xi step grows with it
-    h_x = scale * _BASE_STEP_X[alpha] / (1.0 + r) if alpha else np.zeros_like(r)
+    # x step shrinks with frequency while the xi step grows with it; with no
+    # x step the x probes are one column, shape (n_x, 1, 1), for every xi
+    h_x = scale * _BASE_STEP_X[alpha] / (1.0 + r) if alpha else np.zeros(1)
     h_xi = scale * _BASE_STEP_XI[gamma] * (1.0 + r) if gamma else np.zeros_like(r)
     off_x, c_x = _STENCILS[alpha]
     off_xi, c_xi = _STENCILS[gamma]
@@ -175,11 +179,13 @@ def _stencil_eval(
     # non-finite evaluator output is diagnosed by the caller, not warned about
     with np.errstate(invalid="ignore", over="ignore"):
         for j, cxi in zip(off_xi, c_xi):
-            xi_eval = np.broadcast_to(xi_pts + j * h_xi, (x_pts.size, xi_pts.size))
+            # one row of frequencies, shape (1, n_xi, 1): the evaluator
+            # broadcasts it against the x probes, so each is evaluated once
+            xi_eval = (xi_pts + j * h_xi)[None, :, None]
             inner = np.zeros((x_pts.size, xi_pts.size), dtype=complex)
             for i, cx in zip(off_x, c_x):
                 x_eval = x_pts[:, None] + i * h_x[None, :]
-                inner = inner + cx * sym(x_eval[..., None], xi_eval[..., None])
+                inner = inner + cx * sym(x_eval[..., None], xi_eval)
             acc = acc + cxi * inner
     denom = np.ones_like(r)
     if alpha:
@@ -376,14 +382,13 @@ def _sum_evaluator(terms: tuple[SeparableTerm, ...]) -> Evaluator:
     def evaluator(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        shape = np.broadcast_shapes(x.shape, xi.shape)
-        xb = np.broadcast_to(x, shape)
-        r = np.sqrt(np.sum(np.broadcast_to(xi, shape) ** 2, axis=-1))
-        acc = np.zeros(shape[:-1], dtype=complex)
+        # each factor on its own argument's shape; only the sum broadcasts
+        r = np.sqrt(np.sum(xi**2, axis=-1))
+        acc = np.zeros(np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex)
         for term in terms:
             piece = np.asarray(term.radial(r), dtype=complex)
             if term.spatial is not None:
-                piece = term.spatial(xb) * piece
+                piece = term.spatial(x) * piece
             acc = acc + piece
         return acc
 

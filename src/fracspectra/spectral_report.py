@@ -428,36 +428,56 @@ def fit_upper_envelope(
 ) -> DecayFit:
     """Upper-envelope decay line by quantile regression on the log-log cloud.
 
-    Minimizes the pinball loss at the given quantile with a linear program,
-    so for ``quantile=0.95`` roughly 95 percent of the window points lie on
-    or below the fitted line.  This is the right fit when the decay law is
-    an upper bound only: points may drop far below the envelope without
-    moving it.  The recorded residual is the mean pinball loss.
+    Minimizes the pinball loss ``G(a, b) = sum_i rho(y_i - a - b x_i)``,
+    ``rho(u) = tau u`` for ``u >= 0`` and ``(tau - 1) u`` below (``tau =
+    quantile``), so for ``quantile=0.95`` roughly 95 percent of the window
+    points lie on or below the fitted line.  This is the right fit when the
+    decay law is an upper bound only: points may drop far below the envelope
+    without moving it.  The recorded residual is the mean pinball loss.
+
+    The minimum is found exactly, not iteratively.  G is convex and linear
+    between the lines ``a + b x_i = y_i``, so it has a minimum at one of
+    their crossings, a line through two window points (Koenker & Bassett,
+    Econometrica 1978): its slope is one of the pairwise slopes.  For a
+    fixed slope b the best intercept is a tau-quantile of the residuals
+    ``y - b x``, which gives the profile ``F(b) = min_a G(a, b)``, convex
+    and piecewise linear in b.  So F restricted to the sorted distinct
+    pairwise slopes decreases, then increases, and a bisection on the sign
+    of ``F(b_{k+1}) - F(b_k)`` finds its minimum in ``log2`` of their
+    number steps.  Ties are broken deterministically: of two candidate
+    slopes whose losses compare equal the smaller is kept, and the
+    intercept is the smallest tau-quantile, the ``ceil(tau m)``-th smallest
+    residual of the m window points (``tau m`` taken exactly).
     """
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie strictly between 0 and 1")
     k_lo, k_hi, x, y = _window_logs(values, k_lo, k_hi)
     m = x.size
-    # variables: intercept, slope, above-line excess u >= 0, below-line slack v >= 0
-    cost = np.concatenate([[0.0, 0.0], np.full(m, quantile), np.full(m, 1.0 - quantile)])
-    a_eq = np.zeros((m, 2 + 2 * m))
-    a_eq[:, 0] = 1.0
-    a_eq[:, 1] = x
-    a_eq[:, 2 : 2 + m] = np.eye(m)
-    a_eq[:, 2 + m :] = -np.eye(m)
-    bounds = [(None, None), (None, None)] + [(0.0, None)] * (2 * m)
-    from scipy.optimize import linprog
+    num, den = float(quantile).as_integer_ratio()
+    rank = -(-num * m // den) - 1  # ceil(tau m) - 1, exactly
+    i, j = np.triu_indices(m, 1)
+    slopes = np.unique((y[j] - y[i]) / (x[j] - x[i]))
 
-    result = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
-    if not result.success:
-        raise RuntimeError(f"quantile-envelope fit did not converge: {result.message}")
-    intercept, slope = float(result.x[0]), float(result.x[1])
+    def profile(b: float) -> tuple[float, float]:
+        resid = y - b * x
+        a = np.partition(resid, rank)[rank]
+        u = resid - a
+        return float(np.sum(np.where(u > 0.0, quantile * u, (quantile - 1.0) * u))), float(a)
+
+    lo, hi = 0, slopes.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if profile(slopes[mid])[0] <= profile(slopes[mid + 1])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    loss, intercept = profile(slopes[lo])
     return DecayFit(
         k_lo,
         k_hi,
-        slope,
+        float(slopes[lo]),
         intercept,
-        residual=float(result.fun) / m,
+        residual=loss / m,
         kind="quantile-envelope",
         quantile=float(quantile),
     )

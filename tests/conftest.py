@@ -91,3 +91,16 @@ def dyadic_shell_symbol():
         )
 
     return build
+
+
+def coupled_phase_symbol() -> Symbol:
+    """A symbol with no separable terms whose x and xi dependence is coupled:
+    ``exp(i x xi / <xi>) <xi>^(-0.8)``, ``<xi> = (1 + xi^2)^(1/2)``.  Its
+    evaluator multiplies x by xi, so it only works on broadcast arguments."""
+
+    def evaluator(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        bracket = np.sqrt(1.0 + np.sum(xi**2, axis=-1))
+        phase = np.sum(x * xi, axis=-1) / bracket
+        return np.exp(1j * phase) * bracket**-0.8
+
+    return Symbol(name="coupled_phase", evaluator=evaluator, order=-0.8)

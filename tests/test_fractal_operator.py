@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, j0, kv
 
 from conftest import assert_operator_is, dense_kernel, held_matrix
@@ -53,6 +54,7 @@ GEOMETRIES = {
     "dust-2d": (2, 4, 0.25, [[0.0, 0.0], [0.0, 0.75], [0.75, 0.0], [0.75, 0.75]]),
     "non-lattice-1d": (1, 3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]]),
     "symmetric-four-maps": (1, 4, 0.2, [[0.0], [0.25], [0.5], [0.75]]),
+    "lopsided-four-maps": (1, 4, 0.08, [[0.0], [0.25], [0.5], [0.9]]),
 }
 
 
@@ -423,6 +425,46 @@ class TestCellPairEnergy:
         assert info["exact_chain_levels"] >= 3
 
 
+    def test_small_cells_lower_the_explicit_depth_only_as_far_as_needed(self):
+        # at ratio 0.08 and level 4 the chain's probes three levels below
+        # depth 4 (or 3) would fall under the anchor floor; depth 2 keeps them
+        # above it, and the diagonal is then the one asked for at depth 2
+        mu = quadrature(build_cantor_like(*GEOMETRIES["lopsided-four-maps"]), 4)
+        kernel = BesselKernel(order=0.9, ambient_dim=1)
+        op = assemble_dmu_kernel(mu, 0.45)
+        energy, info = cell_pair_energy(mu, kernel)
+        assert info["explicit_depth"] == 2 and op.assembly["diagonal_rule"] == info
+        lowered, _ = cell_pair_energy(mu, kernel, explicit_depth=2)
+        assert energy.hex() == lowered.hex() and energy > 0.0
+
+    def test_cells_too_small_at_depth_one_fail_before_the_pair_table(self, monkeypatch):
+        built = []
+
+        def recording_table(ifs, level):
+            built.append(level)
+            return _pair_table(ifs, level)
+
+        monkeypatch.setattr(fractal_operator, "_pair_table", recording_table)
+        mu = quadrature(build_cantor_like(*GEOMETRIES["lopsided-four-maps"]), 6)
+        with pytest.raises(ValueError, match=r"level 6 at ratio 0\.08 .* radius 2\.68\de-12"):
+            cell_pair_energy(mu, BesselKernel(order=0.9, ambient_dim=1))
+        assert built == [1]  # the level-1 distances only
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_bundled_configs_keep_their_diagonal(self, path):
+        # the depth rule reads only the geometry, so every bundled config,
+        # whatever its kernel, sums its diagonal at the full depth 4; the
+        # kernel configs' diagonal entries are pinned bit for bit
+        config = load_config(path)
+        mu = _build_measure(config)
+        _, info = cell_pair_energy(mu, BesselKernel(order=0.9, ambient_dim=1))
+        assert info["explicit_depth"] == 4
+        pins = {"cantor_p2": "0x1.1c197382d5929p-8", "cantor_small": "0x1.2ad95ce397faap-5"}
+        if path.stem in pins:
+            table = assemble_dmu_kernel(mu, config.analysis.s).mirror.table
+            assert table[table.size // 2].hex() == pins[path.stem]
+
+
 class TestCompactnessWindow:
     """Every caller of the window gives one verdict at its edges (n = 1, p = 2)."""
 
@@ -663,6 +705,54 @@ class TestTraceOperator:
         mu2 = quadrature(ifs2, 2)
         with pytest.raises(NotImplementedError):
             assemble_trace_operator(mu2, 0.75)
+
+
+class TestNotAKnotSpline:
+    """The profile spline against ``scipy.interpolate.CubicSpline``, bit for
+    bit (checked with scipy 1.17.1): its coefficients, and its values at the
+    nodes, one ulp to either side of them, at both ends, between nodes and
+    beyond both ends."""
+
+    @staticmethod
+    def assert_is_cubic_spline(x, y):
+        ours, oracle = fractal_operator._NotAKnotSpline(x, y), CubicSpline(x, y)
+        assert_bitwise(ours.c, oracle.c)
+        span = x[-1] - x[0]
+        t = np.concatenate(
+            [
+                x,
+                np.nextafter(x, -np.inf),
+                np.nextafter(x, np.inf),
+                (x[:-1] + x[1:]) / 2.0,
+                x[0] + span * np.random.default_rng(5).uniform(0.0, 1.0, 2000),
+                x[0] - span * np.array([1e-9, 0.1, 3.0]),
+                x[-1] + span * np.array([1e-9, 0.1, 3.0]),
+            ]
+        )
+        assert_bitwise(ours(t), oracle(t))
+
+    def test_bundled_profile_nodes(self, monkeypatch):
+        tabulated = []
+
+        class Recording(fractal_operator._NotAKnotSpline):
+            def __init__(self, x, y):
+                tabulated.append((x, y))
+                super().__init__(x, y)
+
+        monkeypatch.setattr(fractal_operator, "_NotAKnotSpline", Recording)
+        config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
+        sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
+        _CutoffProfile(sym.separable_terms[0].radial, config.analysis.freq_cutoff, rho_maxdist=1.01)
+        ((x, y),) = tabulated
+        assert x.size == fractal_operator._PROFILE_NODES
+        self.assert_is_cubic_spline(x, y)
+
+    @given(st.integers(4, 1000), st.integers(0, 2**32 - 1))
+    def test_random_strictly_increasing_data(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal() + np.cumsum(rng.uniform(1e-3, 1.0, n))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        self.assert_is_cubic_spline(x, y)
 
 
 class TestGalerkinCompression:

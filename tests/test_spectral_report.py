@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import assert_operator_is, dense_kernel, held_matrix
 from fracspectra.experiment import _assemble, _build_measure, load_config
@@ -808,7 +809,56 @@ class TestFitDecayExponent:
         )
 
 
+def pinball_loss(x, y, quantile, intercept, slope) -> float:
+    u = y - (intercept + slope * x)
+    return float(np.sum(np.where(u > 0.0, quantile * u, (quantile - 1.0) * u)))
+
+
+def highs_envelope(x, y, quantile) -> tuple[float, float]:
+    """The intercept and slope that ``linprog(method="highs")`` gives for the
+    pinball-loss linear program: variables intercept, slope, the above-line
+    excess u >= 0 and the below-line slack v >= 0, with ``a + b x + u - v =
+    y``."""
+    m = x.size
+    cost = np.concatenate([[0.0, 0.0], np.full(m, quantile), np.full(m, 1.0 - quantile)])
+    a_eq = np.hstack([np.ones((m, 1)), x[:, None], np.eye(m), -np.eye(m)])
+    bounds = [(None, None)] * 2 + [(0.0, None)] * (2 * m)
+    result = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    assert result.success, result.message
+    return float(result.x[0]), float(result.x[1])
+
+
+def assert_envelope_is_the_lp_optimum(values, k_lo: int, k_hi: int) -> None:
+    """The envelope's pinball loss is HiGHS's or lower, up to 1e-12
+    relative, and its slope is HiGHS's to 1e-12 relative."""
+    fit = fit_upper_envelope(values, k_lo=k_lo, k_hi=k_hi)
+    _, _, x, y = spectral_report._window_logs(values, k_lo, k_hi)
+    intercept, slope = highs_envelope(x, y, 0.95)
+    ours = pinball_loss(x, y, 0.95, fit.intercept, fit.slope)
+    assert ours <= pinball_loss(x, y, 0.95, intercept, slope) * (1.0 + 1e-12)
+    assert fit.residual == pytest.approx(ours / x.size, rel=1e-12)
+    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+
+
 class TestUpperEnvelope:
+    @given(
+        st.integers(5, 391),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.3, 1.5),
+        st.floats(0.05, 1.0),
+    )
+    def test_envelope_is_the_lp_optimum_on_power_law_clouds(self, m, seed, exponent, noise):
+        # m window points [10, m + 9] of a noisy power law, sorted as the fit sorts them
+        k = np.arange(1, max(m + 9, 30) + 1, dtype=float)
+        jitter = np.random.default_rng(seed).uniform(0.0, 1.0, k.size)
+        assert_envelope_is_the_lp_optimum(k**-exponent * np.exp(-noise * jitter), 10, m + 9)
+
+    @pytest.mark.parametrize("level", [8, 11])
+    def test_envelope_is_the_lp_optimum_on_the_general_exponent_spectrum(self, level):
+        config = load_config(CONFIG_DIR / "cantor_p15.json")
+        values = eigen_spectrum(_assemble(config, _build_measure(config, level)))
+        assert_envelope_is_the_lp_optimum(values, config.fit.k_lo, config.fit.k_hi)
+
     def test_exact_power_law_envelope_equals_line(self):
         fit = fit_upper_envelope(power_law(500, 0.9))
         assert fit.kind == "quantile-envelope" and fit.quantile == 0.95

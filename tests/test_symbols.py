@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import coupled_phase_symbol
 from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
     Symbol,
@@ -245,3 +248,54 @@ class TestValidateSymbol:
         report = validate_symbol(make_symbol("identity"))
         assert report.max_order == 3
         assert "PASS" in report.summary()
+
+
+def report_bits(report) -> tuple:
+    """Every field of a ValidationReport, each float as its hex string."""
+
+    def bits(table):
+        return {key: float(value).hex() for key, value in table.items()}
+
+    return (
+        report.symbol_name,
+        report.declared_order,
+        report.declared_delta,
+        bits(report.constants),
+        bits(report.density_growth),
+        bits(report.range_growth),
+        [(a, g, kind, float(f).hex()) for a, g, kind, f in report.violations],
+    )
+
+
+class TestProbeBroadcastContract:
+    @pytest.mark.parametrize(
+        "name", [*CATALOG, "dyadic_shells", "sin_freq_square", "coupled_phase"]
+    )
+    def test_report_is_bitwise_that_of_broadcast_arguments(self, name, dyadic_shell_symbol) -> None:
+        # the probes pass each frequency once, as one row against the x
+        # probes; an evaluator fed both arguments broadcast to one shape, as
+        # the probes once passed them, gives the same report bit for bit
+        builders = {
+            "dyadic_shells": dyadic_shell_symbol,
+            "sin_freq_square": sin_square_symbol,
+            "coupled_phase": coupled_phase_symbol,
+        }
+        sym = make_symbol(name, **CATALOG[name]) if name in CATALOG else builders[name]()
+        broadcast = dataclasses.replace(
+            sym, evaluator=lambda x, xi: sym.evaluator(*np.broadcast_arrays(x, xi))
+        )
+        assert report_bits(validate_symbol(sym)) == report_bits(validate_symbol(broadcast))
+
+    def test_probes_pass_each_frequency_once(self) -> None:
+        shapes = []
+
+        def evaluator(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+            shapes.append((x.shape, xi.shape))
+            return np.ones(np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex)
+
+        validate_symbol(Symbol(name="recording", evaluator=evaluator, order=0.0))
+        # one row of frequencies against the x probes, which are one column
+        # wherever the stencil takes no x step
+        for x, xi in shapes:
+            assert xi[0] == 1 and x[1] in (1, xi[1]) and x[0] > 1
+        assert {x[1] == 1 for x, _ in shapes} == {True, False}
