@@ -350,11 +350,11 @@ def _validate_semantics(config: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
-    text = Path(path).read_text()
+    """Read and validate a JSON config file, which must be UTF-8 (RFC 8259)."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # a ValueError: bad JSON, bad UTF-8, or an integer over Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

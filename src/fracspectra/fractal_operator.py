@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, kv
 
 from .besov_analysis import build_resolution
 from .fractal_measure import (
@@ -143,6 +142,9 @@ SINGULAR_RADIUS = 1e-12
 
 def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Closed-form kernel ``2**(1-a/2)/Gamma(a/2) rho**((a-n)/2) K_((n-a)/2)(rho)``."""
+    # imported here, not with the module: runs that evaluate no kernel skip it
+    from scipy.special import gammaln, kv
+
     rho = np.asarray(rho, dtype=float)
     log_c = (1.0 - a / 2.0) * math.log(2.0) - gammaln(a / 2.0)
     return np.exp(log_c + ((a - n) / 2.0) * np.log(rho)) * kv((n - a) / 2.0, rho)
@@ -178,6 +180,8 @@ class BesselKernel:
             raise SingularKernelError(
                 f"kernel of order {a} in dimension {n} diverges at zero radius"
             )
+        from scipy.special import gammaln  # deferred, as in _closed_form_values
+
         return float(
             2.0 ** (-n / 2.0) * math.exp(gammaln((a - n) / 2.0) - gammaln(a / 2.0))
         )

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import svdvals
 
 __all__ = [
     "SNumberSequence",
@@ -82,6 +81,9 @@ def approximation_numbers_hilbert(matrix: np.ndarray) -> SNumberSequence:
     These coincide with the singular values in descending order; the adjoint
     has the same sequence.
     """
+    # imported here, not with the module: runs that take no singular values skip it
+    from scipy.linalg import svdvals
+
     m = np.atleast_2d(np.asarray(matrix))
     if m.size == 0:
         return SNumberSequence("approximation", ())
@@ -213,17 +215,18 @@ def _farthest_points(
 def _nearest(points: np.ndarray, centers: np.ndarray, q: float) -> tuple[np.ndarray, float]:
     """Each point's nearest centre, and the radius of the cover by the centres.
 
-    The (points, centres) distance table lives only inside this call.  It is
-    scanned one centre at a time, since numpy's row-wise argmin and min are
-    slow over so few columns; a minimum is exact and the strict comparison
-    keeps argmin's first-index tie-break, so both results are bitwise
-    ``argmin(dists, axis=1)`` and ``dists.min(axis=1).max()``.
+    The distances are taken one centre at a time, so no (points, centres)
+    table is held, and numpy's row-wise argmin and min, slow over so few
+    columns, are not needed.  Each
+    column is the whole table's (`_pairwise` works entry by entry), a
+    minimum is exact and the strict comparison keeps argmin's first-index
+    tie-break, so both results are bitwise ``argmin(dists, axis=1)`` and
+    ``dists.min(axis=1).max()`` of the table ``_pairwise(points, centers)``.
     """
-    dists = _pairwise(points, centers, q)
-    nearest = dists[:, 0].copy()
+    nearest = _pairwise(points, centers[:1], q)[:, 0]
     assign = np.zeros(points.shape[0], dtype=np.intp)
-    for c in range(1, dists.shape[1]):
-        column = dists[:, c]
+    for c in range(1, centers.shape[0]):
+        column = _pairwise(points, centers[c : c + 1], q)[:, 0]
         assign[column < nearest] = c
         np.minimum(nearest, column, out=nearest)
     return assign, float(nearest.max())
@@ -356,7 +359,7 @@ def _cover_radius(
     The root stays on every entry: comparing sums of q-th powers instead
     could flip an argmin where two different sums have roots that round
     alike.  Each round carries the accepted assignment rather than its
-    distance table, so at most one (points, centres) table is held.
+    distances, and `_nearest` holds one centre's distances at a time.
     """
     m = len(seeds)
     centers = points[seeds]

@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
@@ -131,10 +130,11 @@ def _nonzero_moduli(values) -> np.ndarray:
 
 def _lapack(routine, *args, **kwargs) -> list:
     """Outputs of a raw LAPACK wrapper, less its ``info``; a nonzero ``info``
-    raises :class:`scipy.linalg.LinAlgError`."""
+    raises :class:`numpy.linalg.LinAlgError`, the class
+    ``scipy.linalg.LinAlgError`` names too."""
     *out, info = routine(*args, **kwargs)
     if info != 0:
-        raise scipy.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info = {info}")
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info = {info}")
     return out
 
 
@@ -186,6 +186,9 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     agreeing bit for bit; the residual certificate of :func:`eigen_spectrum`
     checks the pairing that is returned.
     """
+    # imported here, not with the module: runs that solve nothing skip it
+    import scipy.linalg
+
     n = block.shape[0]
     m = min(50, n)
     lapack = scipy.linalg.lapack
@@ -293,7 +296,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
             w, res = _merge([_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)])
         else:
             w, res = _merge([_certified_pairs(op.matrix)])
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"
         ) from exc

@@ -611,10 +611,12 @@ class TestRunValidateSymbol:
 
 class TestCli:
     def test_cli_import_leaves_out_the_optional_scipy_subpackages(self, tmp_path):
-        # neither the import nor a whole Galerkin run loads them: the cutoff
-        # profile's spline is one scipy.linalg banded solve and the upper
-        # envelope is found without a linear-program solver, so
-        # validate-symbol and spectrum with an upper fit need neither
+        # importing the CLI and loading a config load no scipy module at all,
+        # and neither does validate-symbol: kernels and eigensolves import
+        # scipy.special and scipy.linalg where they run, so spectrum loads
+        # both.  No run loads the rest: the cutoff profile's spline is one
+        # scipy.linalg banded solve and the upper envelope is found without a
+        # linear-program solver, so spectrum with an upper fit needs neither
         # scipy.interpolate nor scipy.optimize; nothing uses scipy.spatial
         env = dict(
             os.environ,
@@ -627,23 +629,31 @@ class TestCli:
         config.write_text(json.dumps(raw), encoding="utf-8")
         probe = (
             "import sys, fracspectra.cli; "
-            "optional = ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial'); "
-            "loaded = lambda: sorted(m for m in optional if m in sys.modules); "
-            "at_import = loaded(); "
-            "codes = [fracspectra.cli.main([cmd, '--config', sys.argv[1], '--out', "
-            "sys.argv[2] + '/' + cmd]) for cmd in ('validate-symbol', 'spectrum')]; "
-            "print(at_import, codes, loaded())"
+            "from fracspectra.experiment import load_config; "
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "named = ('scipy.interpolate', 'scipy.linalg', 'scipy.optimize', "
+            "'scipy.spatial', 'scipy.special'); "
+            "load_config(sys.argv[1]); at_load = scipy(); "
+            "run = lambda cmd: fracspectra.cli.main([cmd, '--config', sys.argv[1], '--out', "
+            "sys.argv[2] + '/' + cmd]); "
+            "codes = [run('validate-symbol')]; after_symbol = scipy(); "
+            "codes.append(run('spectrum')); "
+            "print(at_load, after_symbol, codes, [m for m in named if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe, str(config), str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[] [0, 0] []"
+        assert done.stdout.splitlines()[-1] == (
+            "[] [] [0, 0] ['scipy.linalg', 'scipy.special']"
+        )
 
     def test_entropy_runs_never_load_scipy_spatial(self, tmp_path):
         # the cover polish reads its boundary points off the lattice, so a
-        # whole entropy-lab and audits run needs no convex hull
+        # whole entropy-lab and audits run needs no convex hull; entropy-lab
+        # loads no scipy module at all, and audits, which assembles a kernel
+        # and solves it, loads scipy.special and scipy.linalg
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
@@ -651,16 +661,50 @@ class TestCli:
         config = str(CONFIG_DIR / "cantor_small.json")
         probe = (
             "import sys; from fracspectra.cli import main; "
-            "codes = [main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + cmd]) "
-            "for cmd in ('entropy-lab', 'audits')]; "
-            "print(codes, 'scipy.spatial' in sys.modules)"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "run = lambda cmd: main([cmd, '--config', sys.argv[1], '--out', "
+            "sys.argv[2] + '/' + cmd]); "
+            "codes = [run('entropy-lab')]; after_entropy = scipy(); "
+            "codes.append(run('audits')); "
+            "print(codes, after_entropy, "
+            "[m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.special') if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe, config, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0] False"
+        assert done.stdout.splitlines()[-1] == "[0, 0] [] ['scipy.linalg', 'scipy.special']"
+
+    def test_parallel_first_imports_match_serial_bytes(self, tmp_path, capsys):
+        # in a fresh interpreter the pool's two workers would reach the
+        # package's first scipy imports together; each config still writes
+        # its serial bytes
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
+        )
+        args = ["spectrum"]
+        for stem in ("cantor_p2", "cantor_p15"):
+            raw = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+            raw["fractal"]["level"] = 6
+            args += ["--config", str(write_config(tmp_path / f"{stem}.json", raw))]
+        parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+        probe = "import sys; from fracspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *args, "--jobs", "2", "--out", str(parallel)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(args + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert files == sorted(
+            p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file()
+        )
+        assert {p.parts[0] for p in files} == {"cantor_p2", "cantor_p15"}
+        for rel in files:
+            assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
 
     def test_spectrum_pass_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", base_dict())
@@ -721,6 +765,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "config error" in captured.err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xff\xfe{"a":1}', b"[" * 100000, b'{"seed": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf-8", "nested-too-deep", "integer-over-digit-limit"],
+    )
+    def test_malformed_config_file_exits_two_without_outputs(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["spectrum", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "not valid JSON" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_invalid_window_exits_two_without_outputs(self, tmp_path, capsys):
         raw = base_dict()

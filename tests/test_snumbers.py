@@ -393,18 +393,13 @@ class TestDistanceRule:
         )
         assert np.array_equal(s_numbers._vector_norms(points, q), _reference_norms(points, q))
 
-    def test_search_never_holds_a_points_by_centres_by_n_array(self, monkeypatch) -> None:
-        # the largest distance table the search makes, as a (points, centres,
-        # 3) float64 array, is more than the whole call may hold at its peak
-        largest = 0
-        pairwise = s_numbers._pairwise
-
-        def spy(points, centers, q):
-            nonlocal largest
-            largest = max(largest, 8 * points.size * centers.shape[0])
-            return pairwise(points, centers, q)
-
-        monkeypatch.setattr(s_numbers, "_pairwise", spy)
+    def test_search_never_holds_a_points_by_centres_by_n_array(self) -> None:
+        # one (points, centres) float64 table of the largest cover, 16 balls
+        # over the cloud's images, is more than the whole call may hold at
+        # its peak, so it holds no such table, let alone a (points, centres,
+        # 3) array
+        cloud = s_numbers._ball_cloud(3, 2.0, 31)[0]
+        largest = 8 * cloud.shape[0] * 2 ** (5 - 1)
         matrix = _POLISH_MATRICES["dim3"]
         tracemalloc.start()
         try:
@@ -412,7 +407,7 @@ class TestDistanceRule:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < largest, f"peak {peak} B reaches one 3-D table, {largest} B"
+        assert peak < largest, f"peak {peak} B reaches one distance table, {largest} B"
 
 
 class TestClusterPasses:
