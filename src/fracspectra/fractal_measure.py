@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -238,13 +239,44 @@ def _pair_counts(ifs: SimilitudeIFS, level: int) -> np.ndarray:
     return counts
 
 
+_CHUNK = 4096  # most distances per chunk: a chunk's temporaries stay a few tens of KiB
+
+
+def _folded_table(
+    ifs: SimilitudeIFS, level: int, radial: Callable[[np.ndarray], np.ndarray], centre: float
+) -> np.ndarray:
+    """``radial`` of the ``D^level`` pair distances indexed by code, with
+    ``centre`` at the coincident code ``mid``: evaluated on the codes ``[0,
+    mid)`` and mirrored, as the distances are a bitwise palindrome
+    (:func:`_pair_table`).  The codes come in chunks of ``D^t <= _CHUNK``,
+    one per prefix of leading digits, so no other array is longer than a
+    chunk: the differences of the last t digits are built once, and each
+    chunk adds its leading digits by Horner's rule, last first, with the
+    very roundings of a whole-array recursion."""
+    deltas, _ = _pair_digits(ifs)
+    base, r, n = deltas.shape[0], ifs.ratio, ifs.ambient_dim
+    t = 0
+    while t < level and base ** (t + 1) <= _CHUNK:
+        t += 1
+    tail = np.zeros((1, n))
+    for _ in range(t):
+        tail = (deltas[:, None, :] + r * tail[None, :, :]).reshape(-1, n)
+    mid, size = base**level // 2, tail.shape[0]
+    table = np.empty(2 * mid + 1)
+    for start in range(0, mid, size):
+        diff, lead = tail[: mid - start], start // size
+        for _ in range(level - t):
+            lead, digit = divmod(lead, base)
+            diff = deltas[digit] + r * diff
+        table[start : start + diff.shape[0]] = radial(np.linalg.norm(diff, axis=1))
+    table[mid] = centre
+    table[mid + 1 :] = table[:mid][::-1]
+    return table
+
+
 def _pair_distances(ifs: SimilitudeIFS, level: int) -> np.ndarray:
     """The ``D^level`` pair distances indexed by code (see :func:`_pair_table`)."""
-    deltas, _ = _pair_digits(ifs)
-    diff = np.zeros((1, ifs.ambient_dim))
-    for _ in range(level):
-        diff = (deltas[:, None, :] + ifs.ratio * diff[None, :, :]).reshape(-1, ifs.ambient_dim)
-    return np.linalg.norm(diff, axis=1)
+    return _folded_table(ifs, level, lambda dist: dist, 0.0)
 
 
 def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +286,9 @@ def _pair_table(ifs: SimilitudeIFS, level: int) -> tuple[np.ndarray, np.ndarray]
     atom (word) order; the assemblies of :mod:`fracspectra.fractal_operator`
     and its diagonal rule gather their kernel values through it.  The two
     halves are also built apart, by :func:`_pair_codes` and
-    :func:`_pair_distances`, as no assembly needs the codes at ``level``.
+    :func:`_pair_distances`, as no assembly needs the codes at ``level``;
+    :func:`_folded_table` builds a radial function of the distances without
+    the whole distance array.
 
     With maps ``x -> r x + t``, the atom of word ``(i_0, ..., i_{L-1})`` is
     ``sum_k r^k t_{i_k} + r^L b``, so ``x_i - x_j = sum_k r^k (t_{i_k} -

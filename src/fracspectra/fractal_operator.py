@@ -11,9 +11,10 @@ spectra approximate the continuum objects:
   This is exact, not an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} -
   t_{j_k})`` depends only on the digit-by-digit translation differences of
   the two atom words, and the codes of (i, j) and (j, i) mirror each other
-  about the table's centre.  The N x N codes are never held: every matrix
-  is gathered tile by tile from two small code factors whose Kronecker sum
-  they are (:func:`_code_factors`).
+  about the table's centre.  The table is filled chunk by chunk from the
+  distances, never held whole, and the N x N codes are never held: every
+  matrix is gathered tile by tile from two small code factors whose
+  Kronecker sum they are (:func:`_code_factors`).
 * ``assemble_dmu_kernel`` assembles the symmetric positive kernel operator K
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
@@ -23,8 +24,8 @@ spectra approximate the continuum objects:
   :func:`_gather_pairs`, which alone decides the reflection split: on a set
   that is mirror-symmetric in its digits the operator carries its table and
   the code factors (:class:`MirrorBlocks`), from which the solver gathers
-  the two half-size blocks ``A +- B J`` one at a time; any other set gets
-  the dense matrix.
+  the two half-size blocks ``A +- B J`` one after the other into one
+  buffer; any other set gets the dense matrix.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
@@ -55,6 +56,7 @@ import numpy as np
 from .besov_analysis import build_resolution
 from .fractal_measure import (
     FractalMeasure,
+    _folded_table,
     _pair_codes,
     _pair_counts,
     _pair_digits,
@@ -203,24 +205,6 @@ class BesselKernel:
             out[tiny] = self.value_at_zero
         out[~tiny] = _closed_form_values(self.order, self.ambient_dim, r[~tiny])
         return out[0] if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Folded tables: a radial function on the distances of the pair codes
-# ---------------------------------------------------------------------------
-
-
-def _folded_table(
-    dist: np.ndarray, radial: Callable[[np.ndarray], np.ndarray], centre: float
-) -> np.ndarray:
-    """``radial`` on the palindromic ``dist`` of :func:`_pair_table`, evaluated
-    on the first half and mirrored, with ``centre`` at the coincident code."""
-    mid = dist.size // 2
-    table = np.empty(dist.size)
-    table[:mid] = radial(dist[:mid])
-    table[mid] = centre
-    table[mid + 1 :] = table[:mid][::-1]
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +467,12 @@ class MirrorBlocks:
         """The order N of K."""
         return self.hi.shape[0] * self.lo.shape[0]
 
-    def block(self, sign: int) -> np.ndarray:
+    def block(self, sign: int, out: np.ndarray | None = None) -> np.ndarray:
         """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
-        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``."""
+        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``, gathered into ``out``
+        (C-ordered float64 of order h, overwritten) or a new array."""
         q = self.hi.shape[0] // 2
-        out = _gather(self.table, self.hi[:q, :q], self.lo, self.step)
+        out = _gather(self.table, self.hi[:q, :q], self.lo, self.step, out)
         flipped = np.ascontiguousarray(self.lo[:, ::-1])
         combine = np.add if sign > 0 else np.subtract
         return _gather(self.table, self.hi[:q, ::-1][:, :q], flipped, self.step, out, combine)
@@ -614,8 +599,9 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
 
     Entries are gathered by pair code from one kernel value per distinct pair
     difference (:func:`_pair_table`), the diagonal from the coincident code.
-    The kernel values form the folded table T, a bitwise palindrome
-    (:func:`_folded_table`).
+    The kernel values form the folded table T, a bitwise palindrome,
+    evaluated chunk by chunk (:func:`_folded_table`), so beside T and the
+    code factors no array is longer than a chunk or a tile.
 
     **Mirror blocks.**  K is held by :func:`_gather_pairs`: as its
     :class:`MirrorBlocks` (T and the code factors) when the set passes the
@@ -635,9 +621,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     conv = (2.0 * math.pi) ** (-n / 2.0)
     N, level = measure.n_atoms, measure.level
     energy, diag_info = cell_pair_energy(measure, kernel)
-    table = _folded_table(
-        _pair_distances(ifs, level), lambda rho: conv * w * kernel(rho), conv * energy / w
-    )
+    table = _folded_table(ifs, level, lambda rho: conv * w * kernel(rho), conv * energy / w)
     assembly = {
         "kind": "kernel-gram",
         "smoothness_s": s,
@@ -773,6 +757,8 @@ class _CutoffProfile:
     one banded solve); beyond the split the smooth-taper correction is provably
     below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
     (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
+    The quadrature takes ``(1 << 22) // n_xi`` nodes at a time into one
+    buffer, which holds their phases and then, in place, their cosines.
     """
 
     def __init__(
@@ -860,10 +846,14 @@ class _CutoffProfile:
 
         nodes = np.geomspace(_PROFILE_RHO_MIN, self.rho_split, _PROFILE_NODES)
         vals = np.empty(_PROFILE_NODES)
+        # the rows per chunk fix how BLAS sums each node's row: another chunk
+        # moves the values' last bits
         chunk = max(1, (1 << 22) // n_xi)
+        buf = np.empty((min(chunk, _PROFILE_NODES), n_xi))
         for lo in range(0, _PROFILE_NODES, chunk):
-            hi = min(lo + chunk, _PROFILE_NODES)
-            vals[lo:hi] = np.cos(np.outer(nodes[lo:hi], xs)) @ wind_w
+            rows = nodes[lo : lo + chunk]
+            phase = np.multiply.outer(rows, xs, out=buf[: rows.size])
+            vals[lo : lo + rows.size] = np.cos(phase, out=phase) @ wind_w
         vals *= math.sqrt(2.0 / math.pi)
         self._near = _NotAKnotSpline(np.log(nodes), vals)
         self._zero = math.sqrt(2.0 / math.pi) * float(wind_w.sum())
@@ -992,7 +982,7 @@ def assemble_tmu_galerkin(
             term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
         )
         energy, diag_info = cell_pair_energy(measure, profile)
-        tables.append(_folded_table(dist, profile, energy / w**2))
+        tables.append(_folded_table(ifs, level, profile, energy / w**2))
         term_info.append(
             {
                 "bracket_order": profile.bracket_order,

@@ -20,8 +20,8 @@ eigenvalues of largest modulus.  An operator whose assembly found it
 exactly mirror-symmetric under the index reversal (a kernel Gram operator,
 or the Galerkin compression of an x-independent symbol, on a
 digit-mirror-symmetric set, as every bundled IFS is) arrives as its two
-half-size blocks and is never a full matrix; each block is solved in turn.
-Every other operator is solved at full size.  The returned top-50
+half-size blocks and is never a full matrix; both are solved in turn in
+one buffer.  Every other operator is solved at full size.  The returned top-50
 eigenvalues are certified with those eigenvectors by their residuals, per
 block for the mirror blocks and against the full matrix otherwise.
 
@@ -267,10 +267,11 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     -J]] / sqrt(2)`` is orthogonal, and ``Q^T K Q = diag(A + B J, A - B J)``,
     so the spectrum of K is the union of the spectra of the blocks, and an
     eigenvector u of ``A +- B J`` lifts to the eigenvector ``[u; +-J u] /
-    sqrt(2)`` of K.  K is never formed: each block is gathered from the
-    table, solved and certified, then freed.  The certificate is computed
-    per block, ``||(A +- B J) u - lambda u||``, and it equals the residual of
-    the lifted vector against K: with ``r = (A +- B J) u - lambda u``, ``K
+    sqrt(2)`` of K.  K is never formed: ``A + B J`` is gathered, solved and
+    certified, then ``A - B J`` is gathered into its storage, so the solve
+    holds one block of order h.  The certificate is computed per block,
+    ``||(A +- B J) u - lambda u||``, and it equals the residual of the
+    lifted vector against K: with ``r = (A +- B J) u - lambda u``, ``K
     [u; +-J u] = [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +-
     B J) u]``, so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm
     ``||r||``.  Every dense matrix is solved at full size, whatever its
@@ -291,9 +292,9 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
         return np.zeros(0, dtype=np.complex128)
     try:
         if op.mirror is not None:
-            # each block is gathered, solved and certified, and freed
-            # before the other one is gathered
-            w, res = _merge([_certified_pairs(op.mirror.block(sign)) for sign in (1, -1)])
+            block = op.mirror.block(1)  # then A - B J, in the same storage
+            first = _certified_pairs(block)
+            w, res = _merge([first, _certified_pairs(op.mirror.block(-1, out=block))])
         else:
             w, res = _merge([_certified_pairs(op.matrix)])
     except np.linalg.LinAlgError as exc:

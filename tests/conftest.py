@@ -4,8 +4,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from fracspectra.fractal_measure import _pair_codes, _pair_table
-from fracspectra.fractal_operator import BesselKernel, _folded_table, cell_pair_energy
+from fracspectra.fractal_measure import _pair_codes, _pair_digits
+from fracspectra.fractal_operator import BesselKernel, cell_pair_energy
 from fracspectra.psido_engine import SeparableTerm, Symbol, _sum_evaluator
 
 hypothesis.settings.register_profile(
@@ -23,6 +23,29 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 
+def one_shot_distances(ifs, level: int) -> np.ndarray:
+    """The ``D^level`` pair distances indexed by code, from the whole
+    difference array built one digit at a time: the recursion the chunked
+    ``fractal_measure._distance_chunks`` must reproduce bit for bit."""
+    deltas, _ = _pair_digits(ifs)
+    diff = np.zeros((1, ifs.ambient_dim))
+    for _ in range(level):
+        diff = (deltas[:, None, :] + ifs.ratio * diff[None, :, :]).reshape(-1, ifs.ambient_dim)
+    return np.linalg.norm(diff, axis=1)
+
+
+def one_shot_table(dist: np.ndarray, radial, centre: float) -> np.ndarray:
+    """``radial`` on the first half of the palindromic ``dist`` in one call,
+    mirrored, with ``centre`` at the coincident code: the oracle of
+    ``fractal_measure._folded_table``."""
+    mid = dist.size // 2
+    table = np.empty(dist.size)
+    table[:mid] = radial(dist[:mid])
+    table[mid] = centre
+    table[mid + 1 :] = table[:mid][::-1]
+    return table
+
+
 def dense_kernel(mu, s: float) -> np.ndarray:
     """The N x N kernel Gram matrix K of ``assemble_dmu_kernel(mu, s)``,
     gathered in full: the folded kernel table at every level-L pair code."""
@@ -30,8 +53,9 @@ def dense_kernel(mu, s: float) -> np.ndarray:
     kernel = BesselKernel(order=2.0 * s, ambient_dim=n)
     conv, w = (2.0 * math.pi) ** (-n / 2.0), mu.weight
     energy, _ = cell_pair_energy(mu, kernel)
-    codes, dist = _pair_table(mu.ifs, mu.level)
-    return _folded_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)[codes]
+    dist = one_shot_distances(mu.ifs, mu.level)
+    table = one_shot_table(dist, lambda rho: conv * w * kernel(rho), conv * energy / w)
+    return table[_pair_codes(mu.ifs, mu.level)]
 
 
 def held_matrix(op, mu) -> np.ndarray:

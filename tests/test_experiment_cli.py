@@ -10,6 +10,7 @@ injection, and the CLI exit-code contract (0 pass / 1 verdict fail /
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
 import os
@@ -705,6 +706,44 @@ class TestCli:
         assert {p.parts[0] for p in files} == {"cantor_p2", "cantor_p15"}
         for rel in files:
             assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
+
+    def test_thread_modes_keep_their_bytes_and_agree_to_rounding(self, tmp_path):
+        # README's contract: a rerun in one BLAS thread mode writes the same
+        # bytes; OpenBLAS's one-thread and threaded kernels round apart, so
+        # across modes only the verdict line and the eigenvalues to a few ulps
+        # of lambda_1 must agree.  Each run is a fresh process.
+        raw = json.loads((CONFIG_DIR / "cantor_p2.json").read_text(encoding="utf-8"))
+        raw["fractal"]["level"] = 8
+        config = write_config(tmp_path / "cantor_p2.json", raw)
+        probe = "import sys; from fracspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+        runs = []
+        for threads in ("1", "1", "2", "2"):
+            out = tmp_path / f"run{len(runs)}"
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "spectrum", "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((done.stdout.splitlines()[0], files))
+        assert runs[0] == runs[1] and runs[2] == runs[3]
+        (verdict, one), (threaded_verdict, threaded) = runs[0], runs[2]
+        assert verdict == threaded_verdict and "spectrum PASS" in verdict
+        assert one.keys() == threaded.keys()
+        csv = Path("spectrum.csv")
+        lam, lam_threaded = (
+            np.loadtxt(io.StringIO(files[csv].decode()), delimiter=",", skiprows=2, usecols=1)
+            for files in (one, threaded)
+        )
+        assert lam.size == 256
+        gap = np.abs(lam - lam_threaded).max()
+        assert gap <= 4.0 * np.finfo(float).eps * lam[0], gap
 
     def test_spectrum_pass_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", base_dict())

@@ -3,6 +3,8 @@ operator assemblies (kernel gram, trace factor, compressed symbol)."""
 
 import dataclasses
 import math
+import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -14,10 +16,17 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, j0, kv
 
-from conftest import assert_operator_is, dense_kernel, held_matrix
+from conftest import (
+    assert_operator_is,
+    dense_kernel,
+    held_matrix,
+    one_shot_distances,
+    one_shot_table,
+)
 from fracspectra.fractal_measure import (
     _pair_codes,
     _pair_digits,
+    _pair_distances,
     _pair_table,
     build_cantor_like,
     quadrature,
@@ -35,7 +44,7 @@ from fracspectra.fractal_operator import (
     assemble_trace_operator,
     cell_pair_energy,
 )
-from fracspectra import fractal_operator, spectral_report
+from fracspectra import fractal_measure, fractal_operator, spectral_report
 from fracspectra.experiment import _build_measure, load_config
 from fracspectra.psido_engine import SeparableTerm, Symbol, available_symbols, make_symbol
 from fracspectra.spectral_report import (
@@ -211,6 +220,58 @@ class TestPairTable:
         assert_operator_is(assemble_dmu_kernel(mu, s), K)
         mask = ~np.eye(mu.n_atoms, dtype=bool)
         assert np.array_equal(K[mask], full[codes][mask])
+
+
+class TestChunkedTables:
+    """Distances and folded tables are built from at most
+    ``fractal_measure._CHUNK`` codes at a time; every entry must be bitwise
+    that of the one-shot recursion over the whole difference array."""
+
+    # cantor_p2 takes 3^7 = 2187 codes per chunk: one short chunk up to L = 7
+    # (mid = 1093), a chunk boundary below mid < 4096 at L = 8 (mid = 3280),
+    # and 121 whole chunks plus a short one at L = 12
+    @pytest.mark.parametrize("level", range(13))
+    def test_cantor_distances_match_the_one_shot_recursion(self, cantor_ifs, level):
+        assert_bitwise(_pair_distances(cantor_ifs, level), one_shot_distances(cantor_ifs, level))
+
+    # one code per chunk, the codes of one digit per chunk, and the default
+    @pytest.mark.parametrize("cap", [1, 10, 4096])
+    @pytest.mark.parametrize(
+        "geometry, levels", [("symmetric-four-maps", range(7)), ("dust-2d", range(5))]
+    )
+    def test_four_map_distances_match_the_one_shot_recursion(
+        self, monkeypatch, geometry, levels, cap
+    ):
+        ifs = build_cantor_like(*GEOMETRIES[geometry])
+        monkeypatch.setattr(fractal_measure, "_CHUNK", cap)
+        for level in levels:
+            assert_bitwise(_pair_distances(ifs, level), one_shot_distances(ifs, level))
+
+    @pytest.mark.parametrize("level", [7, 12])
+    def test_kernel_table_matches_the_one_shot_table(self, cantor_ifs, level):
+        mu = quadrature(cantor_ifs, level)
+        kernel, w, conv = BesselKernel(order=0.9, ambient_dim=1), mu.weight, INV_SQRT_2PI
+        energy, _ = cell_pair_energy(mu, kernel)
+        expect = one_shot_table(
+            one_shot_distances(cantor_ifs, level),
+            lambda rho: conv * w * kernel(rho),
+            conv * energy / w,
+        )
+        assert_bitwise(assemble_dmu_kernel(mu, 0.45).mirror.table, expect)
+
+    def test_kernel_assembly_holds_the_table_and_no_more_than_a_mebibyte(self, cantor_ifs):
+        # at L = 11 the table has 3^11 entries; the old one-shot path held a
+        # distance array of the same length and kernel temporaries of half
+        mu = quadrature(cantor_ifs, 11)
+        assemble_dmu_kernel(mu, 0.45)  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            op = assemble_dmu_kernel(mu, 0.45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.mirror.table.size == 3**11
+        assert peak < op.mirror.table.nbytes + 2**20, f"assembly peaked at {peak} B"
 
 
 def assert_bitwise(x: np.ndarray, y: np.ndarray) -> None:
@@ -755,6 +816,71 @@ class TestNotAKnotSpline:
         self.assert_is_cubic_spline(x, y)
 
 
+class TestCutoffProfileQuadrature:
+    """The profile's quadrature reuses one buffer for every chunk of nodes."""
+
+    @staticmethod
+    def bundled_radial():
+        config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
+        sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
+        return sym.separable_terms[0].radial, config.analysis.freq_cutoff
+
+    def test_node_values_are_the_one_shot_sums_at_the_same_chunk(self, monkeypatch):
+        # each chunk's operands are recorded on their way through the profile;
+        # the oracle sums the same rows from fresh arrays, cos(outer) @ wind_w
+        chunks, tabulated = [], []
+
+        class Summed(np.ndarray):
+            def __matmul__(self, other):
+                chunks[-1].append(other)
+                return np.asarray(self) @ other
+
+        def outer(nodes, xs, out):
+            chunks.append([nodes.copy(), xs])
+            return np.multiply.outer(nodes, xs, out=out)
+
+        class SpyNumpy:
+            multiply = types.SimpleNamespace(outer=outer)
+
+            @staticmethod
+            def cos(x, out=None):
+                return np.cos(x, out=out).view(Summed)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        class Recording(fractal_operator._NotAKnotSpline):
+            def __init__(self, x, y):
+                tabulated.append(y)
+                super().__init__(x, y)
+
+        monkeypatch.setattr(fractal_operator, "np", SpyNumpy())
+        monkeypatch.setattr(fractal_operator, "_NotAKnotSpline", Recording)
+        _CutoffProfile(*self.bundled_radial(), rho_maxdist=1.01)
+        monkeypatch.undo()
+        (vals,) = tabulated
+        n_xi = chunks[0][1].size
+        rows = [nodes.size for nodes, _, _ in chunks]
+        chunk = (1 << 22) // n_xi
+        assert len(rows) > 1 and rows[:-1] == [chunk] * (len(rows) - 1)
+        assert sum(rows) == fractal_operator._PROFILE_NODES
+        sums = [np.cos(np.outer(nodes, xs)) @ wind_w for nodes, xs, wind_w in chunks]
+        assert_bitwise(vals, np.concatenate(sums) * math.sqrt(2.0 / math.pi))
+
+    def test_quadrature_peaks_below_one_chunk_buffer_and_a_mebibyte(self):
+        # a chunk holds at most 1 << 22 phases; the one-shot form held the
+        # outer product and its cosine at once, two such arrays
+        radial, cutoff = self.bundled_radial()
+        _CutoffProfile(radial, cutoff, rho_maxdist=1.01)  # warm-up: imports
+        tracemalloc.start()
+        try:
+            _CutoffProfile(radial, cutoff, rho_maxdist=1.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << 22) + 2**20, f"profile peaked at {peak} B"
+
+
 class TestGalerkinCompression:
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
     @pytest.mark.parametrize("name", [n for n in available_symbols() if n != "identity"])
@@ -872,7 +998,7 @@ class TestGalerkinCompression:
             )
             sym = Symbol("two", base.evaluator, -0.9, 0.0, separable_terms=terms)
         # refused before the pair table, so before any N x N array exists
-        for name in ("_pair_table", "_pair_codes", "_pair_distances"):
+        for name in ("_pair_table", "_pair_codes", "_pair_distances", "_folded_table"):
             monkeypatch.setattr(fractal_operator, name, None)
         with pytest.raises(ValueError, match=condition):
             assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)

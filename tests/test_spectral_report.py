@@ -547,6 +547,31 @@ class TestEigenSpectrum:
         for g, n in zip(growth, orders):
             assert g < 8 * n * n, f"solve grew {g} B, a block of order {n} is {8 * n * n} B"
 
+    def test_mirror_solve_holds_one_block_for_both(self, cantor_ifs):
+        # at level 10 each mirror block has order 512; A - B J is gathered
+        # into the storage of A + B J, so the spy, which keeps every block it
+        # is handed, keeps one, and the whole solve grows by one block
+        op = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45)
+        eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
+        blocks, real_certified = [], spectral_report._certified_pairs
+
+        def certified(block):
+            blocks.append(block)
+            return real_certified(block)
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral_report, "_certified_pairs", certified)
+                eigen_spectrum(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) == 2 and blocks[1] is blocks[0]
+        size = blocks[0].nbytes
+        assert size == 8 * 512 * 512
+        assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
+
     def test_dense_solve_runs_no_tile_pass(self, monkeypatch):
         # the modulated cantor_p15 operator is held dense: its one tile pass
         # is its constructor's, and the solve reads no mirror check
