@@ -11,10 +11,10 @@ spectra approximate the continuum objects:
   This is exact, not an interpolation: ``x_i - x_j = sum_k r^k (t_{i_k} -
   t_{j_k})`` depends only on the digit-by-digit translation differences of
   the two atom words, and the codes of (i, j) and (j, i) mirror each other
-  about the table's centre.  The table is filled chunk by chunk from the
-  distances, never held whole, and the N x N codes are never held: every
-  matrix is gathered tile by tile from two small code factors whose
-  Kronecker sum they are (:func:`_code_factors`).
+  about the table's centre.  The kernel table is filled chunk by chunk
+  from the distances (only the Galerkin assembly holds them all), and the
+  N x N codes are never held: every matrix is gathered tile by tile from
+  two code factors whose Kronecker sum they are (:func:`_code_factors`).
 * ``assemble_dmu_kernel`` assembles the symmetric positive kernel operator K
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the

@@ -25,8 +25,9 @@ hypothesis.settings.load_profile("default")
 
 def one_shot_distances(ifs, level: int) -> np.ndarray:
     """The ``D^level`` pair distances indexed by code, from the whole
-    difference array built one digit at a time: the recursion the chunked
-    ``fractal_measure._distance_chunks`` must reproduce bit for bit."""
+    difference array built one digit at a time: the recursion that the
+    chunked ``fractal_measure._folded_table``, and so ``_pair_distances``,
+    must reproduce bit for bit."""
     deltas, _ = _pair_digits(ifs)
     diff = np.zeros((1, ifs.ambient_dim))
     for _ in range(level):

@@ -196,8 +196,10 @@ class TestPairTable:
         "geometry, level", [("cantor-1d", 12), ("dust-2d", 4), ("non-lattice-1d", 5)]
     )
     def test_distances_are_a_palindrome_around_the_coincident_code(self, geometry, level):
-        # the sign fold of the assemblies relies on both facts
-        codes, dist = _pair_table(build_cantor_like(*GEOMETRIES[geometry]), level)
+        # the sign fold of the assemblies relies on both facts; the distances
+        # are the unfolded recursion's, as _pair_distances mirrors its half
+        ifs = build_cantor_like(*GEOMETRIES[geometry])
+        codes, dist = _pair_codes(ifs, level), one_shot_distances(ifs, level)
         mid = dist.size // 2
         assert dist.size % 2 == 1 and dist[mid] == 0.0
         assert np.array_equal(dist, dist[::-1])
@@ -211,7 +213,7 @@ class TestPairTable:
     def test_folded_kernel_table_equals_full_evaluation(self, geometry, level, s):
         mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
         n = mu.ifs.ambient_dim
-        codes, dist = _pair_table(mu.ifs, level)
+        codes, dist = _pair_codes(mu.ifs, level), one_shot_distances(mu.ifs, level)
         kernel = BesselKernel(order=2.0 * s, ambient_dim=n)
         off = np.arange(dist.size) != dist.size // 2
         full = np.zeros(dist.size)
@@ -237,9 +239,10 @@ class TestChunkedTables:
     # one code per chunk, the codes of one digit per chunk, and the default
     @pytest.mark.parametrize("cap", [1, 10, 4096])
     @pytest.mark.parametrize(
-        "geometry, levels", [("symmetric-four-maps", range(7)), ("dust-2d", range(5))]
+        "geometry, levels",
+        [("symmetric-four-maps", range(7)), ("dust-2d", range(5)), ("non-lattice-1d", range(6))],
     )
-    def test_four_map_distances_match_the_one_shot_recursion(
+    def test_other_set_distances_match_the_one_shot_recursion(
         self, monkeypatch, geometry, levels, cap
     ):
         ifs = build_cantor_like(*GEOMETRIES[geometry])

@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -549,14 +550,16 @@ class TestEigenSpectrum:
 
     def test_mirror_solve_holds_one_block_for_both(self, cantor_ifs):
         # at level 10 each mirror block has order 512; A - B J is gathered
-        # into the storage of A + B J, so the spy, which keeps every block it
-        # is handed, keeps one, and the whole solve grows by one block
+        # into the storage of A + B J, which is still alive when it is
+        # certified, and the whole solve grows by one block.  The spy keeps
+        # weak references only, so it holds no block alive itself
         op = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45)
         eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
-        blocks, real_certified = [], spectral_report._certified_pairs
+        refs, same, real_certified = [], [], spectral_report._certified_pairs
 
         def certified(block):
-            blocks.append(block)
+            same.append(bool(refs) and refs[0]() is block)
+            refs.append(weakref.ref(block))
             return real_certified(block)
 
         tracemalloc.start()
@@ -567,8 +570,8 @@ class TestEigenSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(blocks) == 2 and blocks[1] is blocks[0]
-        size = blocks[0].nbytes
+        assert same == [False, True]
+        size = 8 * (op.mirror.order // 2) ** 2
         assert size == 8 * 512 * 512
         assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
 
