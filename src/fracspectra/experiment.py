@@ -44,7 +44,9 @@ from .s_numbers import (
     entropy_numbers_bruteforce,
 )
 from .spectral_report import (
+    InsufficientSpectrumError,
     SpectrumReport,
+    _fit_window,
     assess_decay,
     eigen_spectrum,
     fit_decay_exponent,
@@ -593,8 +595,10 @@ def run_convergence(
 
     Writes ``convergence.csv`` with the per-level fitted slope, the change
     against the previous level, and the twenty largest eigenvalue moduli.
-    Levels must be nonnegative and strictly ascending; an atom budget
-    overflow names the offending level.
+    Levels must be nonnegative, strictly ascending, and each able to fill
+    the fit window with its ``m^L`` atoms, or :class:`ConfigError` names the
+    first that is not before anything is solved; an atom budget overflow
+    names the offending level.
     """
     levels = [int(lv) for lv in levels]
     if not levels:
@@ -603,6 +607,11 @@ def run_convergence(
         raise ConfigError(f"levels must be strictly ascending, got {levels}")
     if levels[0] < 0:
         raise ConfigError(f"levels must be nonnegative, got {levels}")
+    for level in levels:  # N = m^L atoms bound the nonzero count
+        try:
+            _fit_window(config.fractal.n_maps**level, config.fit.k_lo, config.fit.k_hi)
+        except InsufficientSpectrumError as exc:
+            raise ConfigError(f"level {level}: {exc}") from exc
     out = _resolve_out(config, out_dir)
 
     rows: list[dict] = []
@@ -801,12 +810,11 @@ def run_trace_snumbers(
             k_hi=config.fit.k_hi,
         )
     with _stage("persist"):
-        values = report.eigenvalues.real
         with _ArtifactWriter(out, config) as writer:
             csv_path = writer.csv(
                 "snumbers.csv",
                 "k,value",
-                (f"{k},{float(v)!r}" for k, v in enumerate(values, start=1)),
+                (f"{k},{float(v)!r}" for k, v in enumerate(report.eigenvalues, start=1)),
             )
             json_path = writer.json(
                 "snumber_report.json",

@@ -32,8 +32,9 @@ spectra approximate the continuum objects:
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
   whose terms share one real, strictly positive spatial factor a, to atom
   space through a smoothly truncated frequency integral, in the exactly
-  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``; with ``a == 1``
-  that is the gather S itself, held as above.
+  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``, gathered in one
+  pass and symmetric bit for bit by construction; with ``a == 1`` that is
+  the gather S itself, held as above.
 
 Every square operator is real symmetric, the one form
 :func:`~fracspectra.spectral_report.eigen_spectrum` solves; the trace factor
@@ -532,7 +533,9 @@ class DiscretizedOperator:
     assembly returns that form); any other, one that passes the check with a
     nonzero or signed-zero deviation among them, is held as a copy with its
     lower triangle copied onto the upper one, and the given array is never
-    written.
+    written.  The assemblies' dense matrices are symmetric by construction
+    and still get the tile pass: it is the one check on a bare matrix, and
+    sparing them would need a flag, for about 0.053 s at N = 2048.
 
     An operator held as ``mirror`` blocks (:func:`_gather_pairs`) has no
     matrix.  It is symmetric by construction, so no tile pass reads it; it
@@ -758,7 +761,8 @@ class _CutoffProfile:
     below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
     (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
     The quadrature takes ``(1 << 22) // n_xi`` nodes at a time into one
-    buffer, which holds their phases and then, in place, their cosines.
+    buffer, which holds their phases, then their weighted cosines, each row
+    summed pairwise by numpy: no BLAS thread count or chunk moves a bit.
     """
 
     def __init__(
@@ -846,14 +850,13 @@ class _CutoffProfile:
 
         nodes = np.geomspace(_PROFILE_RHO_MIN, self.rho_split, _PROFILE_NODES)
         vals = np.empty(_PROFILE_NODES)
-        # the rows per chunk fix how BLAS sums each node's row: another chunk
-        # moves the values' last bits
         chunk = max(1, (1 << 22) // n_xi)
         buf = np.empty((min(chunk, _PROFILE_NODES), n_xi))
         for lo in range(0, _PROFILE_NODES, chunk):
             rows = nodes[lo : lo + chunk]
             phase = np.multiply.outer(rows, xs, out=buf[: rows.size])
-            vals[lo : lo + rows.size] = np.cos(phase, out=phase) @ wind_w
+            np.multiply(np.cos(phase, out=phase), wind_w, out=phase)
+            vals[lo : lo + rows.size] = np.add.reduce(phase, axis=1)
         vals *= math.sqrt(2.0 / math.pi)
         self._near = _NotAKnotSpline(np.log(nodes), vals)
         self._zero = math.sqrt(2.0 / math.pi) * float(wind_w.sum())
@@ -897,16 +900,16 @@ def _shared_positive_factor(sym, atoms: np.ndarray) -> np.ndarray:
     return np.ones(n_atoms) if shared is None else shared
 
 
-def _band_row_max(base, rows, band, hi, lo, step: int) -> float:
-    """``max |rows_j base_jk|`` (0.0 if none) over the pairs whose code c has
-    ``band[c]``, for ``base`` gathered from the factors ``hi``, ``lo``: the
-    mask of tile (a, b) is ``band[hi[a, b] step:][lo]`` (:func:`_gather`)."""
+def _band_row_max(table, rows, band, hi, lo, step: int) -> float:
+    """``max |rows_j S_jk|`` (0.0 if none) over the pairs whose code c has
+    ``band[c]``, for ``S = table[hi (x) step + lo]``, never held: tile (a, b)
+    of S and of its mask is ``table`` and ``band`` at ``[hi[a, b] step:][lo]``."""
     size, top = lo.shape[0], 0.0
     for (a, b), code in np.ndenumerate(hi):
         near = band[code * step :][lo]
         if near.any():
             rs = slice(a * size, (a + 1) * size)
-            tile = rows[rs, None] * base[rs, b * size : (b + 1) * size]
+            tile = rows[rs, None] * table[code * step :][lo]
             top = max(top, float(np.abs(tile[near]).max()))
     return top
 
@@ -934,22 +937,23 @@ def assemble_tmu_galerkin(
     The terms must share bitwise one real, strictly positive factor a (every
     catalog symbol does; x-independent ones have ``D = I``).  A complex
     factor, one that is not strictly positive, or terms whose factors differ
-    raise ``ValueError`` before any N x N array exists.  With ``a == 1``,
-    ``M = c w S`` is held by :func:`_gather_pairs` from the table ``c w sum_t
-    T_t`` (scaling before the gather rounds each entry alike), so on a
-    digit-mirror-symmetric set as :class:`MirrorBlocks`.  Otherwise S is
-    gathered from the code factors, as the level-L codes are exactly ``hi
-    (x) D^l + lo`` (:func:`_code_factors`), and the matrix returned is the
-    similar real symmetric ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}``:
-    the same spectrum, exactly, and certified by the eigensolve's residuals.  The two scalings
-    round ``(S_jk r_j) r_k`` and ``(S_kj r_k) r_j`` apart (``r = sqrt(a)``),
-    so the lower triangle, the one the eigensolve reads, is copied onto the
-    upper one in place, and the matrix is symmetric bit for bit.  The
-    assembly records ``"similarity": "diag(sqrt(a))"`` (None when ``a ==
-    1``).  The :class:`CutoffTailWarning` reads its entry scale from ``M``,
-    tile by tile (:func:`_band_row_max`), and with ``a == 1`` off the table
-    at the codes that occur.  Requires ``s p`` in the compactness window
-    (:func:`_check_rate_window`) and a symbol with separable terms.
+    raise ``ValueError`` before any N x N array exists.  The summed table is
+    scaled by ``c w`` once, before any gather.  With ``a == 1``, ``M = c w
+    S`` is held by :func:`_gather_pairs` from it, so on a
+    digit-mirror-symmetric set as :class:`MirrorBlocks`.  Otherwise the
+    matrix returned is the similar ``D^{-1/2} M D^{1/2} = c w D^{1/2} S
+    D^{1/2}`` (the same spectrum, exactly, certified by the eigensolve's
+    residuals), gathered once from the code factors (:func:`_code_factors`)
+    into the products ``r_j r_k``, ``r = sqrt(a)``: entry (j, k) is ``(c w
+    T)[c] (r_j r_k)``.  Entry (k, j) reads the code ``D^L - 1 - c``, where
+    the palindromic table holds the same value, times the same product, so
+    the matrix is symmetric bit for bit by construction.  The assembly
+    records ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1``).  The
+    :class:`CutoffTailWarning` reads its entry scale off the unscaled table
+    at the codes that occur, row-scaled by ``D`` tile by tile
+    (:func:`_band_row_max`) when ``a != 1``.  Requires ``s p`` in the
+    compactness window (:func:`_check_rate_window`) and a symbol with
+    separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -993,12 +997,10 @@ def assemble_tmu_galerkin(
             }
         )
     table = sum(tables, np.zeros(dist.size))
-    if similarity is not None:
-        factors = _code_factors(ifs, level, False)
-        base = _gather(table, *factors)
+    factors = _code_factors(ifs, level, False)
     # tail-insufficiency estimate at the typical working distance: the median
     # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
-    # is read from the row-scaled c w D S, before the similarity is applied.
+    # is that of the row-scaled c w D S, read off the unscaled table.
     if N > 1:
         counts = _pair_counts(ifs, level)
         counts[dist.size // 2] = 0  # the coincident code
@@ -1010,7 +1012,7 @@ def assemble_tmu_galerkin(
         if similarity is None:
             top = float(np.abs(table[band & (counts > 0)]).max(initial=0.0))
         else:
-            top = _band_row_max(base, shared, band, *factors)
+            top = _band_row_max(table, shared, band, *factors)
         # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
         scale_med = max(1e-300, conv * w * top)
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
@@ -1022,16 +1024,12 @@ def assemble_tmu_galerkin(
                 CutoffTailWarning,
                 stacklevel=2,
             )
+    table *= conv * w
     if similarity is None:
-        table *= conv * w
         matrix, mirror = _gather_pairs(ifs, level, table)
     else:
         r = np.sqrt(shared)
-        base *= r[:, None]
-        base *= r[None, :]
-        _mirror_lower(base)
-        base *= conv * w
-        matrix, mirror = base, None
+        matrix, mirror = _gather(table, *factors, np.multiply.outer(r, r), np.multiply), None
 
     assembly = {
         "kind": "separable-symbol-compression",

@@ -9,27 +9,18 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-``eigen_spectrum`` takes an assembled square
-:class:`~fracspectra.fractal_operator.DiscretizedOperator`, which is real
-symmetric by construction: its constructor checks that, and every
-assembly, the Galerkin compression of a spatially modulated symbol
-included, produces that one form.  Each block is reduced to tridiagonal
-form once, and that one reduction gives its whole spectrum, bit for bit
-the values-only ``scipy.linalg.eigh``, and eigenvectors only for the 50
-eigenvalues of largest modulus.  An operator whose assembly found it
-exactly mirror-symmetric under the index reversal (a kernel Gram operator,
-or the Galerkin compression of an x-independent symbol, on a
-digit-mirror-symmetric set, as every bundled IFS is) arrives as its two
-half-size blocks and is never a full matrix; both are solved in turn in
-one buffer.  Every other operator is solved at full size.  The returned top-50
-eigenvalues are certified with those eigenvectors by their residuals, per
-block for the mirror blocks and against the full matrix otherwise.
-
-Each reduction runs in its block's own storage, with no copy of the block:
-the solve writes the operator's matrix while it runs and restores it bit
-for bit before it returns or raises.  So one operator must not be solved
-from two threads at once; the CLI's ``--jobs`` stays safe, since each
-config builds its own operator.
+``eigen_spectrum`` solves an assembled square
+:class:`~fracspectra.fractal_operator.DiscretizedOperator`, which every
+assembly builds real symmetric, and returns its real spectrum as float64.
+One tridiagonal reduction per block, in the block's own storage, gives the
+whole spectrum and the 50 eigenpairs of largest modulus, which are
+certified by their residuals.  An operator held as mirror blocks (a kernel
+Gram operator, or the Galerkin compression of an x-independent symbol, on
+a digit-mirror-symmetric set, as every bundled IFS is) is solved as its two
+half-size blocks in turn, in one buffer; every other at full size.  A
+solve writes the operator's matrix and restores it bit for bit, so one
+operator must not be solved from two threads at once; the CLI's ``--jobs``
+stays safe, since each config builds its own operator.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -88,13 +79,14 @@ class InsufficientSpectrumError(ValueError):
 
 
 def order_by_modulus(values) -> np.ndarray:
-    """Sort complex values by decreasing modulus with a deterministic tie-break.
+    """Sort values by decreasing modulus with a deterministic tie-break.
 
-    Ties in modulus are broken by decreasing real part, then by decreasing
+    Real input is returned as float64 and complex input as complex128.  Ties
+    in modulus are broken by decreasing real part, then by decreasing
     imaginary part, so conjugate pairs always appear with the positive
     imaginary part first and reruns produce identical orderings.
     """
-    vals = np.asarray(values, dtype=np.complex128).ravel()
+    vals = np.asarray(values, complex if np.iscomplexobj(values) else float).ravel()
     if vals.size == 0:
         return vals
     if not np.all(np.isfinite(vals)):
@@ -117,10 +109,6 @@ def nonzero_part(values) -> np.ndarray:
     if mods[0] == 0.0:
         return ordered[:0]
     return ordered[mods > ZERO_REL * mods[0]]
-
-
-def _nonzero_moduli(values) -> np.ndarray:
-    return np.abs(nonzero_part(values))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +223,8 @@ def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """Full spectrum of an assembled square operator, ordered by decreasing
-    modulus, as ``complex128`` with zero imaginary parts.
+    """Full spectrum of an assembled square operator, as float64 ordered by
+    decreasing modulus (:func:`order_by_modulus`).
 
     Every square operator is real symmetric (its constructor checks that), so
     its eigenvalues are real and its top 50 eigenpairs are certified by the
@@ -289,7 +277,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     if n_rows != n_cols:
         raise ValueError("eigen_spectrum needs a square matrix")
     if n_rows == 0:
-        return np.zeros(0, dtype=np.complex128)
+        return np.zeros(0)
     try:
         if op.mirror is not None:
             block = op.mirror.block(1)  # then A - B J, in the same storage
@@ -401,7 +389,7 @@ def _fit_window(count: int, k_lo: int, k_hi: int | None) -> tuple[int, int]:
 
 
 def _window_logs(values, k_lo: int, k_hi: int | None) -> tuple[int, int, np.ndarray, np.ndarray]:
-    mods = _nonzero_moduli(values)
+    mods = np.abs(nonzero_part(values))
     k_lo, k_hi = _fit_window(mods.size, k_lo, k_hi)
     x = np.log(np.arange(k_lo, k_hi + 1, dtype=float))
     y = np.log(mods[k_lo - 1 : k_hi])
@@ -510,7 +498,8 @@ class SpectrumReport:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.complex128).ravel()
+        vals = self.eigenvalues
+        vals = np.asarray(vals, complex if np.iscomplexobj(vals) else float).ravel()
         object.__setattr__(self, "eigenvalues", vals)
         mods = np.abs(vals)
         if vals.size == 0:
@@ -629,7 +618,7 @@ def snumber_exponent_check(
         measure.ifs.ambient_dim, measure.dimension, s, 2.0
     )
     op = assemble_dmu_kernel(measure, s)
-    lam = eigen_spectrum(op).real
+    lam = eigen_spectrum(op)
     return assess_decay(
         np.sqrt(np.maximum(lam, 0.0)),
         theoretical=expected,

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracspectra import experiment
 from fracspectra.cli import main
 from fracspectra.experiment import (
     ARTIFACT_VERSION,
@@ -398,7 +399,7 @@ class TestRunSpectrum:
             "import json, sys; "
             "from fracspectra.experiment import config_from_dict, run_spectrum; "
             "report, _ = run_spectrum(config_from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
-            "print(*[float(v.real).hex() for v in report.eigenvalues[:10]]); "
+            "print(*[float(v).hex() for v in report.eigenvalues[:10]]); "
             "print(float(report.fit.slope).hex())"
         )
         env = dict(
@@ -414,18 +415,18 @@ class TestRunSpectrum:
         assert done.returncode == 0, done.stderr
         values, slope = done.stdout.splitlines()
         assert values.split() == [
-            "0x1.f37cf1deb04c8p-1",
-            "0x1.54b7e20094764p-1",
-            "0x1.d42e2eb8f0250p-2",
-            "0x1.a18337e4f5a1bp-2",
-            "0x1.2b8eab7b5837bp-2",
-            "0x1.1d7818bb7594fp-2",
+            "0x1.f37cf1deb04c9p-1",
+            "0x1.54b7e20094766p-1",
+            "0x1.d42e2eb8f0253p-2",
+            "0x1.a18337e4f5a17p-2",
+            "0x1.2b8eab7b5837dp-2",
+            "0x1.1d7818bb75951p-2",
             "0x1.0f705ed3cf692p-2",
-            "0x1.f857e3a260ee8p-3",
-            "0x1.771abad960d7ap-3",
-            "0x1.71edc2511d876p-3",
+            "0x1.f857e3a260ee7p-3",
+            "0x1.771abad960d76p-3",
+            "0x1.71edc2511d86fp-3",
         ]
-        assert slope == "-0x1.67a29404dd656p-1"
+        assert slope == "-0x1.67a29404dd667p-1"
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +708,27 @@ class TestCli:
         for rel in files:
             assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
 
-    def test_thread_modes_keep_their_bytes_and_agree_to_rounding(self, tmp_path):
+    @pytest.mark.parametrize("stem, level", [("cantor_p2", 8), ("cantor_p15", 9)])
+    def test_thread_modes_keep_their_bytes_and_agree_to_rounding(self, tmp_path, stem, level):
         # README's contract: a rerun in one BLAS thread mode writes the same
         # bytes; OpenBLAS's one-thread and threaded kernels round apart, so
         # across modes only the verdict line and the eigenvalues to a few ulps
-        # of lambda_1 must agree.  Each run is a fresh process.
-        raw = json.loads((CONFIG_DIR / "cantor_p2.json").read_text(encoding="utf-8"))
-        raw["fractal"]["level"] = 8
-        config = write_config(tmp_path / "cantor_p2.json", raw)
-        probe = "import sys; from fracspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+        # of lambda_1 must agree.  No BLAS call reaches the assembly, so the
+        # operator it holds (hashed) and its record, the diagonal rule
+        # included, agree bit for bit.  L = 9 is the smallest level of
+        # cantor_p15 whose diagonal rule a cutoff profile summed by a BLAS
+        # product rounded apart between the modes.  Each run is a fresh process.
+        raw = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        raw["fractal"]["level"] = level
+        config = write_config(tmp_path / f"{stem}.json", raw)
+        probe = (
+            "import hashlib, sys; from fracspectra import experiment; "
+            "from fracspectra.cli import main; ops, assemble = [], experiment._assemble; "
+            "experiment._assemble = lambda *args: ops.append(assemble(*args)) or ops[-1]; "
+            "code = main(sys.argv[1:]); (op,) = ops; "
+            "held = op.matrix if op.mirror is None else op.mirror.table; "
+            "print(hashlib.sha256(held.tobytes()).hexdigest()); sys.exit(code)"
+        )
         runs = []
         for threads in ("1", "1", "2", "2"):
             out = tmp_path / f"run{len(runs)}"
@@ -731,17 +744,25 @@ class TestCli:
             )
             assert done.returncode == 0, done.stderr
             files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-            runs.append((done.stdout.splitlines()[0], files))
+            lines = done.stdout.splitlines()
+            runs.append((lines[0], lines[-1], files))
         assert runs[0] == runs[1] and runs[2] == runs[3]
-        (verdict, one), (threaded_verdict, threaded) = runs[0], runs[2]
+        (verdict, digest, one), (threaded_verdict, threaded_digest, threaded) = runs[0], runs[2]
         assert verdict == threaded_verdict and "spectrum PASS" in verdict
+        assert digest == threaded_digest
         assert one.keys() == threaded.keys()
+        report = Path("report.json")
+        assembly, threaded_assembly = (
+            json.loads(files[report])["spectrum_report"]["provenance"]["assembly"]
+            for files in (one, threaded)
+        )
+        assert assembly == threaded_assembly
         csv = Path("spectrum.csv")
         lam, lam_threaded = (
             np.loadtxt(io.StringIO(files[csv].decode()), delimiter=",", skiprows=2, usecols=1)
             for files in (one, threaded)
         )
-        assert lam.size == 256
+        assert lam.size == 2**level
         gap = np.abs(lam - lam_threaded).max()
         assert gap <= 4.0 * np.finfo(float).eps * lam[0], gap
 
@@ -928,6 +949,24 @@ class TestCli:
         assert code == 0
         assert "convergence PASS" in captured.out
         assert (out / "convergence.csv").exists()
+
+    def test_convergence_level_below_the_fit_window_exits_two_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # cantor_small fits k from 10 to min(0.2 N, 400): level 6 (N = 64)
+        # leaves [10, 12], fewer than 5 ranks, so the run stops at load
+        # instead of solving level 6 and failing its fit
+        solves = []
+        monkeypatch.setattr(experiment, "eigen_spectrum", solves.append)
+        out = tmp_path / "out"
+        config = str(CONFIG_DIR / "cantor_small.json")
+        code = main(["convergence", "--config", config, "--out", str(out), "--levels", "6,7,8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "level 6:" in captured.err
+        assert "fit window [10, 12] holds fewer than 5 points" in captured.err
+        assert captured.out == ""
+        assert solves == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "levels", ["5,4", "4,x", "-1,5"], ids=["descending", "non-int", "negative"]

@@ -4,7 +4,6 @@ operator assemblies (kernel gram, trace factor, compressed symbol)."""
 import dataclasses
 import math
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -334,31 +333,31 @@ class TestCodeFactors:
 
     @pytest.mark.parametrize("level", [5, 10])  # one tile; 4 x 4 tiles
     def test_modulated_galerkin_matrix_and_tail_scale(self, cantor_ifs, monkeypatch, level):
+        # the summed table is scaled by c w once and gathered once into the
+        # products r_j r_k: symmetric bit for bit, with no triangle copied
         mu = quadrature(cantor_ifs, level)
+        sym = make_symbol("separable_demo", sigma=-0.9)
         codes = _pair_codes(mu.ifs, level)
-        gather, scan, calls = fractal_operator._gather, fractal_operator._band_row_max, []
+        scan, tables, mirrored = fractal_operator._band_row_max, [], []
 
-        def checked_gather(table, *factors):
-            out = gather(table, *factors)
-            assert_bitwise(out, table[codes])
-            calls.append("gather")
-            return out
-
-        def checked_scan(base, rows, band, *factors):
-            top = scan(base, rows, band, *factors)
-            expect = np.abs(rows[:, None] * base)[band[codes]].max(initial=0.0)
+        def checked_scan(table, rows, band, *factors):
+            top = scan(table, rows, band, *factors)
+            expect = np.abs(rows[:, None] * table[codes])[band[codes]].max(initial=0.0)
             assert np.float64(top).view(np.uint64) == expect.view(np.uint64)
-            calls.append("scan")
+            tables.append(table.copy())  # unscaled: the assembly scales it next
             return top
 
-        monkeypatch.setattr(fractal_operator, "_gather", checked_gather)
         monkeypatch.setattr(fractal_operator, "_band_row_max", checked_scan)
+        monkeypatch.setattr(fractal_operator, "_mirror_lower", mirrored.append)
         with pytest.warns(CutoffTailWarning):
-            op = assemble_tmu_galerkin(
-                make_symbol("separable_demo", sigma=-0.9), 0.45, 2.0, mu, 300.0
-            )
-        assert calls == ["gather", "scan"]
+            op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 300.0)
+        assert mirrored == []
         assert op.assembly["similarity"] == "diag(sqrt(a))"
+        (table,) = tables
+        r = np.sqrt(fractal_operator._shared_positive_factor(sym, mu.atoms))
+        cw = (2.0 * math.pi) ** (-0.5) * mu.weight
+        assert_bitwise(op.matrix, (table * cw)[codes] * np.multiply.outer(r, r))
+        assert_bitwise(op.matrix, op.matrix.T)
 
     @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
     def test_no_operator_holds_a_quarter_square_integer_array(self, cantor_ifs, case):
@@ -830,24 +829,22 @@ class TestCutoffProfileQuadrature:
 
     def test_node_values_are_the_one_shot_sums_at_the_same_chunk(self, monkeypatch):
         # each chunk's operands are recorded on their way through the profile;
-        # the oracle sums the same rows from fresh arrays, cos(outer) @ wind_w
+        # the oracle sums each node's weighted cosines along a fresh row of
+        # its own, so no value depends on the chunk it was computed in
         chunks, tabulated = [], []
 
-        class Summed(np.ndarray):
-            def __matmul__(self, other):
-                chunks[-1].append(other)
-                return np.asarray(self) @ other
+        class Multiply:
+            @staticmethod
+            def outer(nodes, xs, out):
+                chunks.append([nodes.copy(), xs])
+                return np.multiply.outer(nodes, xs, out=out)
 
-        def outer(nodes, xs, out):
-            chunks.append([nodes.copy(), xs])
-            return np.multiply.outer(nodes, xs, out=out)
+            def __call__(self, x, weights, out):
+                chunks[-1].append(weights)
+                return np.multiply(x, weights, out=out)
 
         class SpyNumpy:
-            multiply = types.SimpleNamespace(outer=outer)
-
-            @staticmethod
-            def cos(x, out=None):
-                return np.cos(x, out=out).view(Summed)
+            multiply = Multiply()
 
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -867,8 +864,12 @@ class TestCutoffProfileQuadrature:
         chunk = (1 << 22) // n_xi
         assert len(rows) > 1 and rows[:-1] == [chunk] * (len(rows) - 1)
         assert sum(rows) == fractal_operator._PROFILE_NODES
-        sums = [np.cos(np.outer(nodes, xs)) @ wind_w for nodes, xs, wind_w in chunks]
-        assert_bitwise(vals, np.concatenate(sums) * math.sqrt(2.0 / math.pi))
+        sums = [
+            np.add.reduce(np.cos(node * xs) * wind_w)
+            for nodes, xs, wind_w in chunks
+            for node in nodes
+        ]
+        assert_bitwise(vals, np.array(sums) * math.sqrt(2.0 / math.pi))
 
     def test_quadrature_peaks_below_one_chunk_buffer_and_a_mebibyte(self):
         # a chunk holds at most 1 << 22 phases; the one-shot form held the
@@ -1158,17 +1159,17 @@ class TestGalerkinCompression:
         sym = make_symbol("bessel_power", sigma=-0.9)
         op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e6)
         assert op.mirror is not None
-        assert [float(v).hex() for v in eigen_spectrum(op).real[:10]] == [
-            "0x1.392c54bc733a4p-1",
-            "0x1.904eb17c11ea8p-2",
+        assert [float(v).hex() for v in eigen_spectrum(op)[:10]] == [
+            "0x1.392c54bc733a8p-1",
+            "0x1.904eb17c11ea6p-2",
             "0x1.df756d3643822p-3",
-            "0x1.c447d5800155ap-3",
-            "0x1.0ea8e59ba2a93p-3",
-            "0x1.0c790aa419c90p-3",
-            "0x1.fbf12dc45ebd1p-4",
-            "0x1.f973b02de2bdap-4",
-            "0x1.2e34c22a60b4bp-4",
-            "0x1.2dc56f658313fp-4",
+            "0x1.c447d58001558p-3",
+            "0x1.0ea8e59ba2a96p-3",
+            "0x1.0c790aa419c95p-3",
+            "0x1.fbf12dc45ebcfp-4",
+            "0x1.f973b02de2bd9p-4",
+            "0x1.2e34c22a60b4dp-4",
+            "0x1.2dc56f658313cp-4",
         ]
 
     def test_x_independent_tail_warning_text_is_pinned(self, mu5):
