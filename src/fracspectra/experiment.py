@@ -412,6 +412,23 @@ def _solve(
     return measure, op, values
 
 
+def _check_fit_window(config: ExperimentConfig, levels) -> None:
+    """Raise :class:`ConfigError` naming the first of ``levels`` whose ``m^L``
+    atoms, which bound the nonzero count, cannot fill the fit window, so a
+    run refuses it before anything is solved; the fit's own check stays as
+    the backstop for a spectrum with fewer nonzero values than atoms."""
+    k_lo, k_hi = config.fit.k_lo, config.fit.k_hi
+    for level in levels:
+        atoms = config.fractal.n_maps**level
+        try:
+            _fit_window(atoms, k_lo, k_hi)
+        except InsufficientSpectrumError as exc:
+            raise ConfigError(
+                f"level {level}: {exc} ({atoms} atoms bound the nonzero count; fit "
+                f"window k_lo = {k_lo}, k_hi = {'min(0.2 N, 400)' if k_hi is None else k_hi})"
+            ) from exc
+
+
 def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
     if out_dir is not None:
         return Path(out_dir)
@@ -542,8 +559,10 @@ def run_spectrum(
     the output directory; every file is stamped with the artifact version,
     the config hash, and the seed.  A failure in any stage is re-raised as
     :class:`StageFailure` naming the stage, and removes any files already
-    written by this run.
+    written by this run.  A level whose atoms cannot fill the fit window is
+    refused with :class:`ConfigError` before anything is solved.
     """
+    _check_fit_window(config, [config.fractal.level])
     out = _resolve_out(config, out_dir)
     measure, op, values = _solve(config)
     with _stage("decay_fit"):
@@ -607,11 +626,7 @@ def run_convergence(
         raise ConfigError(f"levels must be strictly ascending, got {levels}")
     if levels[0] < 0:
         raise ConfigError(f"levels must be nonnegative, got {levels}")
-    for level in levels:  # N = m^L atoms bound the nonzero count
-        try:
-            _fit_window(config.fractal.n_maps**level, config.fit.k_lo, config.fit.k_hi)
-        except InsufficientSpectrumError as exc:
-            raise ConfigError(f"level {level}: {exc}") from exc
+    _check_fit_window(config, levels)
     out = _resolve_out(config, out_dir)
 
     rows: list[dict] = []
@@ -792,12 +807,16 @@ def run_audits(
 def run_trace_snumbers(
     config: ExperimentConfig, out_dir=None
 ) -> tuple[SpectrumReport, dict[str, Path]]:
-    """Approximation numbers of the restriction operator, fitted and judged."""
+    """Approximation numbers of the restriction operator, fitted and judged.
+
+    A level whose atoms cannot fill the fit window is refused with
+    :class:`ConfigError` before anything is computed."""
     if not math.isclose(config.analysis.p, 2.0, rel_tol=0.0, abs_tol=1e-12):
         raise ConfigError(
             "trace-snumbers computes exact approximation numbers, which needs "
             f"p = 2; got p = {config.analysis.p!r}"
         )
+    _check_fit_window(config, [config.fractal.level])
     out = _resolve_out(config, out_dir)
     with _stage("fractal_measure"):
         measure = _build_measure(config)

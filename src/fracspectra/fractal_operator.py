@@ -699,6 +699,7 @@ def assemble_trace_operator(
 _PROFILE_RHO_MIN = 1e-12  # radius below which a profile returns its value at zero
 _PROFILE_TARGET_REL = 3e-5  # taper-correction bound, relative, beyond the split
 _PROFILE_NODES = 700  # log-spaced table nodes of the spline below the split
+_PROFILE_BUFFER = 1 << 17  # entries of the quadrature buffer (1 MiB): rows per chunk times n_xi
 
 
 class _NotAKnotSpline:
@@ -760,9 +761,10 @@ class _CutoffProfile:
     one banded solve); beyond the split the smooth-taper correction is provably
     below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
     (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
-    The quadrature takes ``(1 << 22) // n_xi`` nodes at a time into one
-    buffer, which holds their phases, then their weighted cosines, each row
-    summed pairwise by numpy: no BLAS thread count or chunk moves a bit.
+    The quadrature takes ``_PROFILE_BUFFER // n_xi`` nodes (at least one) at
+    a time into one buffer of about 1 MiB, which holds their phases, then
+    their weighted cosines, each row summed pairwise by numpy: no BLAS
+    thread count or chunk moves a bit.
     """
 
     def __init__(
@@ -850,7 +852,7 @@ class _CutoffProfile:
 
         nodes = np.geomspace(_PROFILE_RHO_MIN, self.rho_split, _PROFILE_NODES)
         vals = np.empty(_PROFILE_NODES)
-        chunk = max(1, (1 << 22) // n_xi)
+        chunk = max(1, _PROFILE_BUFFER // n_xi)
         buf = np.empty((min(chunk, _PROFILE_NODES), n_xi))
         for lo in range(0, _PROFILE_NODES, chunk):
             rows = nodes[lo : lo + chunk]

@@ -17,10 +17,13 @@ whole spectrum and the 50 eigenpairs of largest modulus, which are
 certified by their residuals.  An operator held as mirror blocks (a kernel
 Gram operator, or the Galerkin compression of an x-independent symbol, on
 a digit-mirror-symmetric set, as every bundled IFS is) is solved as its two
-half-size blocks in turn, in one buffer; every other at full size.  A
-solve writes the operator's matrix and restores it bit for bit, so one
-operator must not be solved from two threads at once; the CLI's ``--jobs``
-stays safe, since each config builds its own operator.
+half-size blocks in turn, in one buffer; every other at full size.  The
+whole solve, the certificate's product included, runs on scipy's OpenBLAS:
+numpy loads a second one, whose idle worker threads would compete for the
+cores with the next reduction (:func:`_certified_pairs`).  A solve writes
+the operator's matrix and restores it bit for bit, so one operator must
+not be solved from two threads at once; the CLI's ``--jobs`` stays safe,
+since each config builds its own operator.
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -207,9 +210,20 @@ def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """:func:`_top_pairs` of symmetric ``block``, with the residual norm
     ``||block u - lambda u||`` of each returned pair in place of its vector.
     The reduction runs in ``block`` and restores it bit for bit, so the
-    residuals are taken against the block as it was given."""
+    residuals are taken against the block as it was given.
+
+    The product ``block u`` is scipy's ``dgemm`` on the Fortran-ordered view
+    ``block.T`` with ``trans_a``, so the block is not copied, and it runs on
+    the same OpenBLAS library as the reduction.  numpy and scipy each load
+    their own OpenBLAS, each with its own pool of worker threads that
+    busy-wait for a while after a call; a product on numpy's library would
+    leave its workers spinning against the next block's threaded
+    ``dsytrd``."""
+    # imported here, not with the module: runs that solve nothing skip it
+    from scipy.linalg.blas import dgemm
+
     w, top, u = _top_pairs(block)
-    return w, top, np.linalg.norm(block @ u - u * top, axis=0)
+    return w, top, np.linalg.norm(dgemm(1.0, block.T, u, trans_a=1) - u * top, axis=0)
 
 
 def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:

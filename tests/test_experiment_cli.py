@@ -366,10 +366,13 @@ class TestRunSpectrum:
         with pytest.raises(ConfigError, match="out"):
             run_spectrum(base_config)
 
-    def test_too_coarse_level_names_failing_stage(self, tmp_path):
-        raw = base_dict()
-        raw["fractal"]["level"] = 2  # 4 eigenvalues: far below the fit minimum
-        config = config_from_dict(raw)
+    def test_too_few_nonzero_values_name_the_fit_stage(self, tmp_path, monkeypatch):
+        # 32 atoms fill the window, but a spectrum of 4 nonzero values and
+        # 28 zeros does not: the fit's own check is the backstop
+        monkeypatch.setattr(
+            experiment, "eigen_spectrum", lambda op: np.r_[4.0:0.0:-1.0, np.zeros(28)]
+        )
+        config = config_from_dict(base_dict())
         out = tmp_path / "out"
         with pytest.raises(StageFailure) as excinfo:
             run_spectrum(config, out)
@@ -920,16 +923,47 @@ class TestCli:
         assert not out.exists()
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
-        raw = base_dict()
-        raw["fractal"]["level"] = 2
+        # the cell-size edge: level-8 cells at ratio 0.01 send the coincidence
+        # chain's first probe below its floor, found only while assembling
+        raw = json.loads((CONFIG_DIR / "cantor_small.json").read_text())
+        raw["fractal"].update(ratio=0.01, translations=[[0.0], [0.99]], level=8)
         path = write_config(tmp_path / "cfg.json", raw)
-        code = main(
-            ["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]
-        )
+        out = tmp_path / "out"
+        code = main(["spectrum", "--config", str(path), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
         assert "numerical error" in captured.err
-        assert "decay_fit" in captured.err
+        assert "operator_assembly" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, spied",
+        [
+            (["convergence", "--levels", "6,7,8"], "eigen_spectrum"),
+            (["spectrum"], "eigen_spectrum"),
+            (["trace-snumbers"], "snumber_exponent_check"),
+        ],
+        ids=["convergence", "spectrum", "trace-snumbers"],
+    )
+    def test_level_below_the_fit_window_exits_two_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, spied
+    ):
+        # cantor_small fits k from 10 to min(0.2 N, 400): level 6 (N = 64)
+        # leaves [10, 12], fewer than 5 ranks, so the run stops at load
+        # instead of solving level 6 and failing its fit
+        solves = []
+        monkeypatch.setattr(experiment, spied, lambda *args, **kwargs: solves.append(args))
+        raw = json.loads((CONFIG_DIR / "cantor_small.json").read_text())
+        raw["fractal"]["level"] = 6
+        path = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "level 6:" in captured.err
+        assert "fit window [10, 12] holds fewer than 5 points" in captured.err
+        assert captured.out == ""
+        assert solves == [] and not out.exists()
 
     def test_convergence_levels(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", base_dict())
@@ -949,24 +983,6 @@ class TestCli:
         assert code == 0
         assert "convergence PASS" in captured.out
         assert (out / "convergence.csv").exists()
-
-    def test_convergence_level_below_the_fit_window_exits_two_before_solving(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # cantor_small fits k from 10 to min(0.2 N, 400): level 6 (N = 64)
-        # leaves [10, 12], fewer than 5 ranks, so the run stops at load
-        # instead of solving level 6 and failing its fit
-        solves = []
-        monkeypatch.setattr(experiment, "eigen_spectrum", solves.append)
-        out = tmp_path / "out"
-        config = str(CONFIG_DIR / "cantor_small.json")
-        code = main(["convergence", "--config", config, "--out", str(out), "--levels", "6,7,8"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "config error" in captured.err and "level 6:" in captured.err
-        assert "fit window [10, 12] holds fewer than 5 points" in captured.err
-        assert captured.out == ""
-        assert solves == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "levels", ["5,4", "4,x", "-1,5"], ids=["descending", "non-int", "negative"]

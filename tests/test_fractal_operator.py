@@ -861,7 +861,7 @@ class TestCutoffProfileQuadrature:
         (vals,) = tabulated
         n_xi = chunks[0][1].size
         rows = [nodes.size for nodes, _, _ in chunks]
-        chunk = (1 << 22) // n_xi
+        chunk = fractal_operator._PROFILE_BUFFER // n_xi
         assert len(rows) > 1 and rows[:-1] == [chunk] * (len(rows) - 1)
         assert sum(rows) == fractal_operator._PROFILE_NODES
         sums = [
@@ -872,8 +872,8 @@ class TestCutoffProfileQuadrature:
         assert_bitwise(vals, np.array(sums) * math.sqrt(2.0 / math.pi))
 
     def test_quadrature_peaks_below_one_chunk_buffer_and_a_mebibyte(self):
-        # a chunk holds at most 1 << 22 phases; the one-shot form held the
-        # outer product and its cosine at once, two such arrays
+        # a chunk holds at most _PROFILE_BUFFER phases; the one-shot form held
+        # the outer product and its cosine at once, two arrays of 700 n_xi
         radial, cutoff = self.bundled_radial()
         _CutoffProfile(radial, cutoff, rho_maxdist=1.01)  # warm-up: imports
         tracemalloc.start()
@@ -882,7 +882,7 @@ class TestCutoffProfileQuadrature:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (1 << 22) + 2**20, f"profile peaked at {peak} B"
+        assert peak < 8 * fractal_operator._PROFILE_BUFFER + 2**20, f"profile peaked at {peak} B"
 
 
 class TestGalerkinCompression:

@@ -518,6 +518,46 @@ class TestEigenSpectrum:
         if case == "dense":
             assert blocks[0] is op.matrix
 
+    @pytest.mark.parametrize("case", ["dense", "kernel-mirror-blocks"])
+    def test_certificate_product_is_scipy_dgemm_on_the_block_itself(self, cantor_ifs, case):
+        # the residual product runs on the OpenBLAS that reduced the block,
+        # through the Fortran-ordered view the reduction got, with no copy
+        if case == "dense":
+            op = operator(random_symmetric(np.random.default_rng(59), 90))
+        else:
+            op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
+        blocks, products = [], []
+        real_top_pairs, real_product = spectral_report._top_pairs, scipy.linalg.blas.dgemm
+
+        def top_pairs(block):
+            blocks.append(block)
+            return real_top_pairs(block)
+
+        def product(alpha, a, b, **kwargs):
+            shared = np.shares_memory(a, blocks[-1])
+            products.append((alpha, shared, a.flags.f_contiguous, kwargs))
+            return real_product(alpha, a, b, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_report, "_top_pairs", top_pairs)
+            mp.setattr(scipy.linalg.blas, "dgemm", product)
+            eigen_spectrum(op)
+        calls = 1 if case == "dense" else 2
+        assert products == [(1.0, True, True, {"trans_a": 1})] * calls
+
+    @pytest.mark.parametrize("case", ["dense", "kernel-mirror-block"])
+    def test_residuals_match_the_numpy_product_to_rounding(self, cantor_ifs, case):
+        if case == "dense":
+            block = random_symmetric(np.random.default_rng(61), 300)
+        else:
+            block = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).mirror.block(-1)
+        _, top, res = spectral_report._certified_pairs(block)
+        _, _, u = spectral_report._top_pairs(block)
+        oracle = np.linalg.norm(block @ u - u * top, axis=0)
+        scale = np.finfo(float).eps * float(np.abs(top).max())
+        assert res.shape == (50,) and np.all(res <= 100 * scale)
+        assert np.allclose(res, oracle, rtol=0.0, atol=4 * scale)
+
     @pytest.mark.parametrize("config", ["cantor_p2", "cantor_p15"])
     def test_solve_grows_less_than_one_block_over_what_it_holds(self, config):
         # at level 10: the kernel Gram operator's two mirror blocks of order
