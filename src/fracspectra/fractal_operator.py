@@ -19,22 +19,23 @@ spectra approximate the continuum objects:
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
   approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
-* Every operator that is one gather from a folded table (the kernel K, and
-  the Galerkin compression of an x-independent symbol) is held by
-  :func:`_gather_pairs`, which alone decides the reflection split: on a set
-  that is mirror-symmetric in its digits the operator carries its table and
-  the code factors (:class:`MirrorBlocks`), from which the solver gathers
-  the two half-size blocks ``A +- B J`` one after the other into one
-  buffer; any other set gets the dense matrix.
+* Every assembled square operator holds no matrix, only its folded table,
+  its code factors and, for a modulated symbol, ``r = sqrt(a)``
+  (:class:`PairGather`); the eigensolve gathers it into the one N x N
+  buffer of a run.  :func:`_gather_pairs` alone decides the reflection
+  split: on a set that is mirror-symmetric in its digits, the kernel K or
+  the Galerkin compression of an x-independent symbol is a
+  :class:`MirrorBlocks`, whose half-size blocks ``A +- B J`` the solver
+  gathers one after the other into one buffer of order N/2.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
   restriction matrix from smoothness-weighted plane-wave coefficients to
   weighted atom samples.
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
   whose terms share one real, strictly positive spatial factor a, to atom
   space through a smoothly truncated frequency integral, in the exactly
-  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``, gathered in one
-  pass and symmetric bit for bit by construction; with ``a == 1`` that is
-  the gather S itself, held as above.
+  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``, held as the
+  table of S and ``sqrt(a)`` and symmetric bit for bit by construction;
+  with ``a == 1`` that is the gather S itself, held as above.
 
 Every square operator is real symmetric, the one form
 :func:`~fracspectra.spectral_report.eigen_spectrum` solves; the trace factor
@@ -74,6 +75,7 @@ __all__ = [
     "BesselKernel",
     "cell_pair_energy",
     "DiscretizedOperator",
+    "PairGather",
     "MirrorBlocks",
     "assemble_dmu_kernel",
     "assemble_trace_operator",
@@ -82,7 +84,7 @@ __all__ = [
 
 
 SYMMETRY_REL = 1e-10
-"""Relative floor of the symmetry check of every square dense
+"""Relative floor of the symmetry check of a bare square matrix given to
 :class:`DiscretizedOperator`: a deviation ``max|K - K^T|`` up to
 ``SYMMETRY_REL * max|K|`` still counts as symmetric."""
 
@@ -444,29 +446,45 @@ def _gather(table, hi, lo, step: int, out=None, combine=None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MirrorBlocks:
-    """The blocks ``A +- B J`` of an exactly centrosymmetric ``K = [[A, B],
-    [J B J, J A J]]`` of order ``N = 2h`` (J the index reversal), each
-    gathered on request from the folded ``table``; K is never formed.
-    :func:`_gather_pairs` builds it, only where K is exactly that.
-
-    K is ``table[hi (x) step + lo]`` exactly (:func:`_code_factors`: a code
-    is the base-D number of its first ``L - l`` digits, in ``hi``, times
-    ``step = D^l`` plus that of its last l, in ``lo``).  ``hi`` keeps the
-    first digit, so the rows of A, whose first digit is below ``m / 2``, are
-    the tile rows ``ih < nh / 2``.  Reversing an atom index reverses its
-    tile index and its index in the tile, so tile (ih, jh) of ``B J`` is
-    ``table[hi[ih, nh - 1 - jh] step:][lo[:, ::-1]]``."""
+class PairGather:
+    """``K = table[hi (x) step + lo]`` (:func:`_code_factors`), times ``r_j
+    r_k`` where ``r`` is given, held as those arrays and gathered only on
+    request.  K is bitwise symmetric by construction: ``code(j, i) = D^L - 1
+    - code(i, j)`` reads the same value of the palindromic ``table``, and
+    ``r_j r_k`` is one product for both entries."""
 
     table: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
     step: int
+    r: np.ndarray | None = None
 
     @property
     def order(self) -> int:
         """The order N of K."""
         return self.hi.shape[0] * self.lo.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """K gathered into a new C-ordered array; with ``r``, entry (j, k) is
+        ``(r_j r_k) table[code]``, the products written first and multiplied
+        tile by tile."""
+        factors = (self.table, self.hi, self.lo, self.step)
+        if self.r is None:
+            return _gather(*factors)
+        return _gather(*factors, np.multiply.outer(self.r, self.r), np.multiply)
+
+
+@dataclass(frozen=True, eq=False)
+class MirrorBlocks(PairGather):
+    """A :class:`PairGather` (with no ``r``) that is exactly centrosymmetric,
+    ``K = [[A, B], [J B J, J A J]]`` of order ``N = 2h`` (J the index
+    reversal), so it is solved as its blocks ``A +- B J``, each gathered on
+    request.  :func:`_gather_pairs` builds it, only where K is exactly that.
+
+    ``hi`` keeps the first digit, so the rows of A, whose first digit is
+    below ``m / 2``, are the tile rows ``ih < nh / 2``.  Reversing an atom
+    index reverses its tile index and its index in the tile, so tile (ih,
+    jh) of ``B J`` is ``table[hi[ih, nh - 1 - jh] step:][lo[:, ::-1]]``."""
 
     def block(self, sign: int, out: np.ndarray | None = None) -> np.ndarray:
         """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
@@ -479,15 +497,13 @@ class MirrorBlocks:
         return _gather(self.table, self.hi[:q, ::-1][:, :q], flipped, self.step, out, combine)
 
 
-def _gather_pairs(
-    ifs, level: int, table: np.ndarray
-) -> tuple[np.ndarray | None, MirrorBlocks | None]:
+def _gather_pairs(ifs, level: int, table: np.ndarray) -> PairGather:
     """The operator ``K = table[_pair_codes(ifs, level)]`` of a folded
-    ``table`` (a bitwise palindrome, :func:`_folded_table`), as the
-    ``(matrix, mirror)`` pair of a :class:`DiscretizedOperator`: its
-    :class:`MirrorBlocks` when K is exactly centrosymmetric, else the dense K,
-    either way gathered from the code factors ``hi``, ``lo``, since the
-    level-L codes are exactly ``hi (x) D^l + lo`` (:func:`_code_factors`).
+    ``table`` (a bitwise palindrome, :func:`_folded_table`): its
+    :class:`MirrorBlocks` when K is exactly centrosymmetric, else its
+    :class:`PairGather`, either way held as the code factors ``hi``, ``lo``,
+    since the level-L codes are exactly ``hi (x) D^l + lo``
+    (:func:`_code_factors`).
 
     With m maps, D digits and level L >= 1, K is held as blocks when m is
     even and the level-1 digits satisfy ``digit[m-1-a, m-1-b] ==
@@ -497,60 +513,51 @@ def _gather_pairs(
     the test the code of ``(J i, J j)`` is ``sum_k (D-1-digit_k) D^(L-1-k) =
     D^L - 1 - code(i, j)``, and the palindromic table holds bitwise the same
     value there: K is exactly centrosymmetric, ``K = J K J``.  It is also
-    exactly symmetric, because ``code(j, i) = D^L - 1 - code(i, j)`` for every
-    set (:func:`_pair_table`).  Hence A is bitwise symmetric, and so is ``B
-    J``: ``(B J)[j, i] = K[j, N-1-i] = K[N-1-j, i] = K[i, N-1-j] = (B J)[i,
-    j]``, by centrosymmetry and then symmetry.  So is each block ``A +- B J``,
-    since ``x +- y`` rounds the same for the mirrored entry pair.  No tile
-    pass re-checks it.  Any other set (every odd m, and an even-m set whose
-    digits fail the test) gets the dense K, and its symmetry is checked as
-    for any square matrix.
+    exactly symmetric (:class:`PairGather`).  Hence A is bitwise symmetric,
+    and so is ``B J``: ``(B J)[j, i] = K[j, N-1-i] = K[N-1-j, i] = K[i,
+    N-1-j] = (B J)[i, j]``, by centrosymmetry and then symmetry.  So is each
+    block ``A +- B J``, since ``x +- y`` rounds the same for the mirrored
+    entry pair.  Any other set (every odd m, and an even-m set whose digits
+    fail the test) is solved at full size.
     """
     deltas, digit = _pair_digits(ifs)
     base, m = deltas.shape[0], ifs.n_maps
     mirror = level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit)
-    hi, lo, step = _code_factors(ifs, level, mirror)
-    if mirror:
-        return None, MirrorBlocks(table, hi, lo, step)
-    return _gather(table, hi, lo, step), None
+    return (MirrorBlocks if mirror else PairGather)(table, *_code_factors(ifs, level, mirror))
 
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """A matrix plus its ``assembly`` record, which says how it was built and
-    what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).
+    """An operator plus its ``assembly`` record, which says how it was built
+    and what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).
 
-    A square matrix must be real symmetric: the tile check
-    ``max|K - K^T| <= SYMMETRY_REL * max|K|`` runs here, and it also refuses
-    any non-finite entry.  A complex square matrix is refused outright.  A
-    rectangular matrix (the trace factor, the only one) is only checked to
-    be finite; :func:`~fracspectra.spectral_report.eigen_spectrum` refuses it.
+    An assembled square operator is held as its :class:`PairGather` in
+    ``pairs``, with no matrix.  It is symmetric by construction, so no tile
+    pass reads it; it is refused when its table or ``r`` has a non-finite
+    entry.  Only :func:`~fracspectra.spectral_report.eigen_spectrum` gathers
+    it, into a buffer of its own, so nothing writes an operator.
 
-    A square matrix is held float64, C-ordered, writeable and equal to its
-    transpose bit for bit, since the eigensolve reduces it in its own storage
-    and restores it from its lower triangle.  One given in that form is held
-    as it is, so a solve writes the given array and restores it (every
-    assembly returns that form); any other, one that passes the check with a
-    nonzero or signed-zero deviation among them, is held as a copy with its
-    lower triangle copied onto the upper one, and the given array is never
-    written.  The assemblies' dense matrices are symmetric by construction
-    and still get the tile pass: it is the one check on a bare matrix, and
-    sparing them would need a flag, for about 0.053 s at N = 2048.
-
-    An operator held as ``mirror`` blocks (:func:`_gather_pairs`) has no
-    matrix.  It is symmetric by construction, so no tile pass reads it; it
-    is refused when its table has a non-finite entry, since every table
-    entry is an entry of K and every entry of K is one of the table."""
+    A bare ``matrix`` is checked.  A square one must be real symmetric: the
+    tile check ``max|K - K^T| <= SYMMETRY_REL * max|K|`` runs here, and it
+    also refuses any non-finite entry.  A complex square matrix is refused
+    outright.  A square matrix is held float64, C-ordered and equal to its
+    transpose bit for bit, the form the solve copies and reduces: one given
+    in that form is held as it is, and any other, one that passes the check
+    with a nonzero or signed-zero deviation among them, as a copy with its
+    lower triangle copied onto the upper one.  A rectangular matrix (the
+    trace factor, the only one) is only checked to be finite;
+    :func:`~fracspectra.spectral_report.eigen_spectrum` refuses it."""
 
     matrix: np.ndarray | None
     assembly: dict
-    mirror: MirrorBlocks | None = None
+    pairs: PairGather | None = None
 
     def __post_init__(self) -> None:
-        if self.mirror is not None:
+        if self.pairs is not None:
             if self.matrix is not None:
-                raise ValueError("an operator held as mirror blocks has no matrix")
-            if not np.all(np.isfinite(self.mirror.table)):
+                raise ValueError("an operator held as a pair gather has no matrix")
+            r = 1.0 if self.pairs.r is None else self.pairs.r
+            if not (np.all(np.isfinite(self.pairs.table)) and np.all(np.isfinite(r))):
                 raise ValueError("operator matrix contains non-finite entries")
             return
         mat = np.asarray(self.matrix)
@@ -572,17 +579,15 @@ class DiscretizedOperator:
                 f"a square operator matrix must be finite and symmetric: max "
                 f"deviation {dev:.3e} exceeds {SYMMETRY_REL:.0e} * {top:.3e}"
             )
-        if not (exact and mat.flags.c_contiguous and mat.flags.writeable):
-            # the eigensolve reduces the matrix in its own storage and restores
-            # it from the lower triangle, so it keeps a bitwise-symmetric copy
+        if not (exact and mat.flags.c_contiguous):
             mat = np.array(mat, order="C")
             _mirror_lower(mat)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.mirror is not None:
-            return (self.mirror.order, self.mirror.order)
+        if self.pairs is not None:
+            return (self.pairs.order, self.pairs.order)
         return self.matrix.shape
 
 
@@ -604,12 +609,12 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
     difference (:func:`_pair_table`), the diagonal from the coincident code.
     The kernel values form the folded table T, a bitwise palindrome,
     evaluated chunk by chunk (:func:`_folded_table`), so beside T and the
-    code factors no array is longer than a chunk or a tile.
+    code factors no array is longer than a chunk.
 
-    **Mirror blocks.**  K is held by :func:`_gather_pairs`: as its
-    :class:`MirrorBlocks` (T and the code factors) when the set passes the
-    digit test there, which makes K exactly centrosymmetric, and as the
-    dense K otherwise.
+    **Mirror blocks.**  K is held by :func:`_gather_pairs` as T and the code
+    factors: a :class:`MirrorBlocks` when the set passes the digit test
+    there, which makes K exactly centrosymmetric, else a :class:`PairGather`
+    that the solve gathers whole.
 
     Only the operator is built here.  Positive-definiteness is judged by
     :func:`~fracspectra.spectral_report.eigen_spectrum`, which raises
@@ -637,8 +642,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
-    matrix, mirror = _gather_pairs(ifs, level, table)
-    return DiscretizedOperator(matrix, assembly, mirror=mirror)
+    return DiscretizedOperator(None, assembly, pairs=_gather_pairs(ifs, level, table))
 
 
 # ---------------------------------------------------------------------------
@@ -931,31 +935,31 @@ def assemble_tmu_galerkin(
     symbol at p = 2 this matrix is similar via diag(sqrt(w)) to the kernel
     matrix of :func:`assemble_dmu_kernel`.  The coincidence diagonal is
     cell-averaged with the same rule as the kernel assembly.  Each term's
-    profile is tabulated on the pair distances as there, and one gather of
-    the summed tables by pair code gives the symmetric ``S``.  With ``c =
+    profile is tabulated on the pair distances as there and added into one
+    table, and its gather by pair code is the symmetric ``S``.  With ``c =
     (2 pi)^{-1/2}`` and ``D = diag(a(x_j))``, the compression is ``M = c w D
     S``.
 
     The terms must share bitwise one real, strictly positive factor a (every
     catalog symbol does; x-independent ones have ``D = I``).  A complex
     factor, one that is not strictly positive, or terms whose factors differ
-    raise ``ValueError`` before any N x N array exists.  The summed table is
-    scaled by ``c w`` once, before any gather.  With ``a == 1``, ``M = c w
-    S`` is held by :func:`_gather_pairs` from it, so on a
-    digit-mirror-symmetric set as :class:`MirrorBlocks`.  Otherwise the
-    matrix returned is the similar ``D^{-1/2} M D^{1/2} = c w D^{1/2} S
-    D^{1/2}`` (the same spectrum, exactly, certified by the eigensolve's
-    residuals), gathered once from the code factors (:func:`_code_factors`)
-    into the products ``r_j r_k``, ``r = sqrt(a)``: entry (j, k) is ``(c w
-    T)[c] (r_j r_k)``.  Entry (k, j) reads the code ``D^L - 1 - c``, where
-    the palindromic table holds the same value, times the same product, so
-    the matrix is symmetric bit for bit by construction.  The assembly
+    raise ``ValueError`` before any pair table exists.  The summed table is
+    scaled by ``c w`` once.  With ``a == 1``, ``M = c w S`` is held by
+    :func:`_gather_pairs` from it, so on a digit-mirror-symmetric set as
+    :class:`MirrorBlocks`.  Otherwise the operator is the similar ``D^{-1/2}
+    M D^{1/2} = c w D^{1/2} S D^{1/2}`` (the same spectrum, exactly,
+    certified by the eigensolve's residuals), held as the
+    :class:`PairGather` of that table with ``r = sqrt(a)``: entry (j, k) is
+    ``(c w T)[c] (r_j r_k)``, and entry (k, j) reads the code ``D^L - 1 -
+    c``, where the palindromic table holds the same value, times the same
+    product, so it is symmetric bit for bit by construction.  The assembly
     records ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1``).  The
     :class:`CutoffTailWarning` reads its entry scale off the unscaled table
-    at the codes that occur, row-scaled by ``D`` tile by tile
-    (:func:`_band_row_max`) when ``a != 1``.  Requires ``s p`` in the
-    compactness window (:func:`_check_rate_window`) and a symbol with
-    separable terms.
+    at the codes that occur within half the median distance of it (found
+    before any table, so its counts and sort order are gone by then),
+    row-scaled by ``D`` tile by tile (:func:`_band_row_max`) when ``a !=
+    1``.  Requires ``s p`` in the compactness window
+    (:func:`_check_rate_window`) and a symbol with separable terms.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
@@ -979,16 +983,28 @@ def assemble_tmu_galerkin(
     similarity = None if np.all(shared == 1.0) else "diag(sqrt(a))"
     dist = _pair_distances(ifs, level)
     diam = float(dist.max()) if N > 1 else 1.0
+    if N > 1:
+        # the typical working distance of the tail estimate: the median over
+        # the N (N - 1) off-diagonal pairs, counted per code; only the codes
+        # that occur near it are kept
+        counts = _pair_counts(ifs, level)
+        counts[dist.size // 2] = 0  # the coincident code
+        order = np.argsort(dist, kind="stable")
+        cum = np.cumsum(counts[order])
+        mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
+        rho_med = float(dist[order[mid]].mean())
+        near = (np.abs(dist - rho_med) < 0.5 * rho_med) & (counts > 0)
+        del counts, order, cum
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
-    # profiles first, so their quadrature chunks never coexist with the N x N sum
-    tables, term_info = [], []
+    table, term_info = np.zeros(dist.size), []
+    del dist
     for term in sym.separable_terms:
         profile = _CutoffProfile(
             term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
         )
         energy, diag_info = cell_pair_energy(measure, profile)
-        tables.append(_folded_table(ifs, level, profile, energy / w**2))
+        table += _folded_table(ifs, level, profile, energy / w**2)
         term_info.append(
             {
                 "bracket_order": profile.bracket_order,
@@ -998,23 +1014,14 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    table = sum(tables, np.zeros(dist.size))
     factors = _code_factors(ifs, level, False)
-    # tail-insufficiency estimate at the typical working distance: the median
-    # over the N (N - 1) off-diagonal pairs, counted per code.  The entry scale
-    # is that of the row-scaled c w D S, read off the unscaled table.
     if N > 1:
-        counts = _pair_counts(ifs, level)
-        counts[dist.size // 2] = 0  # the coincident code
-        order = np.argsort(dist, kind="stable")
-        cum = np.cumsum(counts[order])
-        mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
-        rho_med = float(dist[order[mid]].mean())
-        band = np.abs(dist - rho_med) < 0.5 * rho_med
+        # the entry scale is that of the row-scaled c w D S, read off the
+        # unscaled table
         if similarity is None:
-            top = float(np.abs(table[band & (counts > 0)]).max(initial=0.0))
+            top = float(np.abs(table[near]).max(initial=0.0))
         else:
-            top = _band_row_max(table, shared, band, *factors)
+            top = _band_row_max(table, shared, near, *factors)
         # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
         scale_med = max(1e-300, conv * w * top)
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
@@ -1028,10 +1035,9 @@ def assemble_tmu_galerkin(
             )
     table *= conv * w
     if similarity is None:
-        matrix, mirror = _gather_pairs(ifs, level, table)
+        pairs = _gather_pairs(ifs, level, table)
     else:
-        r = np.sqrt(shared)
-        matrix, mirror = _gather(table, *factors, np.multiply.outer(r, r), np.multiply), None
+        pairs = PairGather(table, *factors, r=np.sqrt(shared))
 
     assembly = {
         "kind": "separable-symbol-compression",
@@ -1047,4 +1053,4 @@ def assemble_tmu_galerkin(
         "terms": term_info,
         "similarity": similarity,
     }
-    return DiscretizedOperator(matrix, assembly, mirror=mirror)
+    return DiscretizedOperator(None, assembly, pairs=pairs)

@@ -12,18 +12,18 @@ by the smoothness order and the dimension of the supporting set:
 ``eigen_spectrum`` solves an assembled square
 :class:`~fracspectra.fractal_operator.DiscretizedOperator`, which every
 assembly builds real symmetric, and returns its real spectrum as float64.
-One tridiagonal reduction per block, in the block's own storage, gives the
-whole spectrum and the 50 eigenpairs of largest modulus, which are
-certified by their residuals.  An operator held as mirror blocks (a kernel
-Gram operator, or the Galerkin compression of an x-independent symbol, on
-a digit-mirror-symmetric set, as every bundled IFS is) is solved as its two
-half-size blocks in turn, in one buffer; every other at full size.  The
-whole solve, the certificate's product included, runs on scipy's OpenBLAS:
-numpy loads a second one, whose idle worker threads would compete for the
-cores with the next reduction (:func:`_certified_pairs`).  A solve writes
-the operator's matrix and restores it bit for bit, so one operator must
-not be solved from two threads at once; the CLI's ``--jobs`` stays safe,
-since each config builds its own operator.
+It owns the only N x N buffer of a run: it gathers the operator, or copies
+a bare matrix, into it, and one tridiagonal reduction per block, in that
+buffer, gives the whole spectrum and the 50 eigenpairs of largest modulus,
+which are certified by their residuals.  An operator held as mirror blocks
+(a kernel Gram operator, or the Galerkin compression of an x-independent
+symbol, on a digit-mirror-symmetric set, as every bundled IFS is) is
+solved as its two half-size blocks in turn, in one buffer; every other at
+full size.  No solve writes an operator, so one may be solved from several
+threads at once.  The whole solve, the certificate's product included,
+runs on scipy's OpenBLAS: numpy loads a second one, whose idle worker
+threads would compete for the cores with the next reduction
+(:func:`_certified_pairs`).
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -41,10 +41,10 @@ import numpy as np
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
     DiscretizedOperator,
+    MirrorBlocks,
     PsdViolationWarning,
     _check_rate_window,
     _jsonable,
-    _mirror_lower,
     assemble_dmu_kernel,
 )
 
@@ -132,10 +132,10 @@ def _lapack(routine, *args, **kwargs) -> list:
 def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues of real symmetric ``block``, then its up to 50 of
     largest modulus and their eigenvectors, from one tridiagonal reduction
-    done in ``block``'s own storage, which is restored bit for bit.
+    done in ``block``'s own storage, which it overwrites.
 
     ``block`` must be a C-ordered float64 array equal to its transpose bit for
-    bit (every square operator's matrix and every block handed here is).
+    bit (every buffer the solve gathers or copies is).
 
     ``dsytrd`` (lower triangle) reduces the block once to the tridiagonal
     ``T = Q^T block Q``, and the whole spectrum is ``dsterf`` on T.  That is
@@ -149,81 +149,74 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entry lies outside about ``[1e-146, 1e76]``, which no assembled operator
     comes near.)
 
-    **In place.**  ``block.T`` is a Fortran-ordered view of the same
-    storage, so ``dsytrd`` gets it with ``overwrite_a`` and no copy is made.
-    Its lower triangle is ``block``'s upper one, and for a block equal to its
-    transpose bit for bit that holds the very values ``scipy.linalg.eigh``'s
-    Fortran copy of the block has in its lower triangle; so d, e, the
-    reflectors and their scalars are bit for bit those of that copy.
-    ``xSYTRD`` with ``UPLO='L'`` reads and writes only the diagonal and the
-    lower triangle of its argument (Anderson et al., *LAPACK Users' Guide*,
-    SIAM 1999), which is ``block``'s diagonal and upper triangle, and the
-    back-transform below only reads the reflectors.  So ``block``'s strict
-    lower triangle survives untouched, and copying it onto the strict upper
-    one and putting back the diagonal, saved before the reduction, restores
-    ``block`` bit for bit.  The restore runs in a ``finally``, so a LAPACK
-    error leaves the block intact too.  While the solve runs, the block's
-    storage holds the reduction: one block must not be solved, or read, from
-    two threads at once.
+    **In place.**  ``dsytrd`` gets ``block.T``, a Fortran-ordered view of
+    the same storage, with ``overwrite_a``, so no copy is made.  Its lower
+    triangle is ``block``'s upper one, which for a block equal to its
+    transpose bit for bit holds the values ``scipy.linalg.eigh``'s Fortran
+    copy has in its lower triangle; so d, e and the reflectors are bit for
+    bit those of that copy.  ``xSYTRD`` with ``UPLO='L'`` reads and writes
+    only the diagonal and the lower triangle of its argument (Anderson et
+    al., *LAPACK Users' Guide*, SIAM 1999), so ``block``'s strict lower
+    triangle survives untouched (:func:`_certified_pairs` reads it).
 
     In an ascending spectrum the m values of largest modulus are a bottom run
-    ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Each
-    non-empty run's eigenvectors of T come from ``dstebz`` + ``dstein``
-    (``eigh_tridiagonal`` with ``select="i"``), and ``dormtr`` maps them
+    ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Their
+    eigenvectors of T come from ``dstein``, inverse iteration at those very
+    ``dsterf`` values with T taken as one block, and ``dormtr`` maps them
     back, here spelled out as what it does for the lower triangle: ``Q =
     diag(1, Q')``, with ``Q'`` the ``n - 1`` Householder reflectors stored
-    below the subdiagonal, applied by ``dormqr`` to rows ``1:``.  The values
-    are not recomputed by the subset solve, so nothing rests on the two
-    agreeing bit for bit; the residual certificate of :func:`eigen_spectrum`
-    checks the pairing that is returned.
+    below the subdiagonal, applied by ``dormqr`` to rows ``1:``.  The
+    residual certificate of :func:`eigen_spectrum` checks the pairing that
+    is returned.
     """
     # imported here, not with the module: runs that solve nothing skip it
-    import scipy.linalg
+    from scipy.linalg import lapack
 
     n = block.shape[0]
     m = min(50, n)
-    lapack = scipy.linalg.lapack
     lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
-    diag = block.diagonal().copy()
-    try:
-        c, d, e, tau = _lapack(lapack.dsytrd, block.T, lower=1, overwrite_a=1, lwork=lwork)
-        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
-        b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
-        runs = [(lo, hi) for lo, hi in ((0, b - 1), (n - m + b, n - 1)) if lo <= hi]
-        vecs = np.hstack(
-            [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=run)[1] for run in runs]
-        )
-        if n > 1:
-            # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with
-            # leading dimension n (dormtr's A(2,1), LDA = n); the view's last
-            # row is never read, and no order-n copy is made
-            refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
-            query = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], -1)[1]
-            vecs[1:] = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], int(query[0]))[0]
-    finally:
-        _mirror_lower(block)
-        np.fill_diagonal(block, diag)
-    return w, w[np.r_[0:b, n - m + b : n]], vecs
+    c, d, e, tau = _lapack(lapack.dsytrd, block.T, lower=1, overwrite_a=1, lwork=lwork)
+    if n == 1:  # the wrappers of dsterf and dstein refuse an empty e
+        return d, d, np.ones((1, 1))
+    (w,) = _lapack(lapack.dsterf, d, e)
+    b = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:m]] < 0))
+    picked = np.r_[0:b, n - m + b : n]
+    top = w[picked]
+    if d.any() or e.any():
+        (vecs,) = _lapack(lapack.dstein, d, e, top, np.ones(n, np.int32), np.full(n, n, np.int32))
+    else:  # T = 0 gives inverse iteration no scale, and every unit vector pairs
+        vecs = np.zeros((n, m), order="F")
+        vecs[picked, np.arange(m)] = 1.0
+    # c[1:, :n-1] as a view: its Fortran buffer from entry 1 on, with leading
+    # dimension n (dormtr's A(2,1), LDA = n); the view's last row is never
+    # read, and no order-n copy is made
+    refl = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    query = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], -1)[1]
+    vecs[1:] = _lapack(lapack.dormqr, "L", "N", refl, tau, vecs[1:], int(query[0]))[0]
+    return w, top, vecs
 
 
 def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_top_pairs` of symmetric ``block``, with the residual norm
-    ``||block u - lambda u||`` of each returned pair in place of its vector.
-    The reduction runs in ``block`` and restores it bit for bit, so the
-    residuals are taken against the block as it was given.
+    """:func:`_top_pairs` of symmetric ``block``, which it overwrites, with
+    the residual norm ``||block u - lambda u||`` of each returned pair, taken
+    against the block as given, in place of its vector.
 
-    The product ``block u`` is scipy's ``dgemm`` on the Fortran-ordered view
-    ``block.T`` with ``trans_a``, so the block is not copied, and it runs on
-    the same OpenBLAS library as the reduction.  numpy and scipy each load
-    their own OpenBLAS, each with its own pool of worker threads that
-    busy-wait for a while after a call; a product on numpy's library would
-    leave its workers spinning against the next block's threaded
-    ``dsytrd``."""
+    The reduction leaves ``block``'s strict lower triangle untouched, and
+    the diagonal saved before it is written back.  ``dsymm`` reads that
+    triangle as the upper one of the Fortran-ordered view ``block.T``, so no
+    copy is made, and forms ``block u - u lambda`` in place (``beta = -1``)
+    on the OpenBLAS library of the reduction.  numpy and scipy each load
+    their own OpenBLAS, each with worker threads that busy-wait for a while
+    after a call; a product on numpy's would leave its workers spinning
+    against the next block's threaded ``dsytrd``."""
     # imported here, not with the module: runs that solve nothing skip it
-    from scipy.linalg.blas import dgemm
+    from scipy.linalg.blas import dsymm
 
+    diag = block.diagonal().copy()
     w, top, u = _top_pairs(block)
-    return w, top, np.linalg.norm(dgemm(1.0, block.T, u, trans_a=1) - u * top, axis=0)
+    np.fill_diagonal(block, diag)
+    res = dsymm(1.0, block.T, u, beta=-1.0, c=u * top, overwrite_c=1)
+    return w, top, np.linalg.norm(res, axis=0)
 
 
 def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -240,21 +233,20 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     """Full spectrum of an assembled square operator, as float64 ordered by
     decreasing modulus (:func:`order_by_modulus`).
 
-    Every square operator is real symmetric (its constructor checks that), so
-    its eigenvalues are real and its top 50 eigenpairs are certified by the
-    residual bound ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``.  Non-finite
-    entries never reach the solver: the constructor refuses them too.
+    Every square operator is real symmetric (by construction, or by its
+    constructor's check of a bare matrix), so its eigenvalues are real and
+    its top 50 eigenpairs are certified by the residual bound ``||K v -
+    lambda v|| <= RESIDUAL_REL * ||K||``.  The constructor refuses a
+    non-finite table, ``r`` or bare matrix.
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
-    in its own storage: the operator's matrix, or the half-size block
-    gathered for the solve.  ``op.matrix`` is written while the
-    solve runs and restored bit for bit before it returns or raises, so one
-    operator must not be solved, or its matrix read, from two threads at
-    once.  All eigenvalues come from T with no eigenvectors, bit for bit
-    those of a values-only ``scipy.linalg.eigh``; the eigenvectors of the 50
-    eigenvalues of largest modulus only come from an index-range solve of T
-    (per run of indices), mapped back through the reduction's reflectors.
-    Nothing rests on the values and the vectors agreeing bit for bit: the
+    in a buffer the solve owns: the operator gathered whole, its half-size
+    block, or a copy of its bare matrix.  Nothing the operator holds is
+    written, so one operator may be solved from several threads at once.
+    All eigenvalues come from T with no eigenvectors, bit for bit those of
+    a values-only ``scipy.linalg.eigh``; the eigenvectors of the 50
+    eigenvalues of largest modulus only come from inverse iteration on T at
+    those values, mapped back through the reduction's reflectors.  The
     certificate is computed with the returned eigenvalues and the returned
     vectors, so it checks exactly the pairing that is returned.  Solver
     failures, a nonzero LAPACK ``info`` among them, are re-raised together
@@ -276,7 +268,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     lifted vector against K: with ``r = (A +- B J) u - lambda u``, ``K
     [u; +-J u] = [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +-
     B J) u]``, so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm
-    ``||r||``.  Every dense matrix is solved at full size, whatever its
+    ``||r||``.  Every other operator is solved at full size, whatever its
     entries, and certified against itself.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
@@ -292,13 +284,15 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
         raise ValueError("eigen_spectrum needs a square matrix")
     if n_rows == 0:
         return np.zeros(0)
+    pairs = op.pairs
     try:
-        if op.mirror is not None:
-            block = op.mirror.block(1)  # then A - B J, in the same storage
+        if isinstance(pairs, MirrorBlocks):
+            block = pairs.block(1)  # then A - B J, in the same storage
             first = _certified_pairs(block)
-            w, res = _merge([first, _certified_pairs(op.mirror.block(-1, out=block))])
+            w, res = _merge([first, _certified_pairs(pairs.block(-1, out=block))])
         else:
-            w, res = _merge([_certified_pairs(op.matrix)])
+            block = np.array(op.matrix) if pairs is None else pairs.dense()
+            w, res = _merge([_certified_pairs(block)])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"
@@ -316,7 +310,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
         )
     norm = float(np.abs(w).max())
     worst = float(res.max())
-    if norm > 0.0 and worst > RESIDUAL_REL * norm:
+    if norm > 0.0 and not worst <= RESIDUAL_REL * norm:  # a NaN residual fails too
         raise RuntimeError(
             f"eigenpair residual {worst:.3e} exceeds "
             f"{RESIDUAL_REL:.1e} * ||K|| = {RESIDUAL_REL * norm:.3e}; "

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracspectra.fractal_measure import _pair_codes, _pair_digits
-from fracspectra.fractal_operator import BesselKernel, cell_pair_energy
+from fracspectra.fractal_operator import BesselKernel, MirrorBlocks, cell_pair_energy
 from fracspectra.psido_engine import SeparableTerm, Symbol, _sum_evaluator
 
 hypothesis.settings.register_profile(
@@ -60,26 +60,29 @@ def dense_kernel(mu, s: float) -> np.ndarray:
 
 
 def held_matrix(op, mu) -> np.ndarray:
-    """The N x N matrix K that ``op``, assembled on ``mu``, holds, bit for
-    bit: its dense matrix, or its mirror table gathered at every level-L
-    pair code."""
-    if op.mirror is None:
+    """The N x N matrix K that ``op``, assembled on ``mu``, stands for, bit
+    for bit: its bare matrix, or its table gathered at every level-L pair
+    code, times ``r_j r_k`` where it has ``r``.  The one place a test
+    materialises an assembled operator."""
+    if op.pairs is None:
         return op.matrix
-    return op.mirror.table[_pair_codes(mu.ifs, mu.level)]
+    K = op.pairs.table[_pair_codes(mu.ifs, mu.level)]
+    return K if op.pairs.r is None else K * np.multiply.outer(op.pairs.r, op.pairs.r)
 
 
 def assert_operator_is(op, K: np.ndarray) -> None:
-    """``op`` holds exactly ``K``: as its dense matrix, or as the two mirror
-    blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry bitwise."""
-    assert op.shape == K.shape
-    if op.mirror is None:
-        assert np.array_equal(op.matrix, K)
+    """``op`` holds exactly ``K``: as the gather of its code factors, or as
+    the two mirror blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry
+    bitwise, and no matrix."""
+    assert op.shape == K.shape and op.matrix is None
+    if not isinstance(op.pairs, MirrorBlocks):
+        assert np.array_equal(op.pairs.dense(), K)
         return
-    assert op.matrix is None and np.array_equal(K, K[::-1, ::-1])
+    assert np.array_equal(K, K[::-1, ::-1])
     h = K.shape[0] // 2
     a, bj = K[:h, :h], K[:h, h:][:, ::-1]
-    assert np.array_equal(op.mirror.block(1), a + bj)
-    assert np.array_equal(op.mirror.block(-1), a - bj)
+    assert np.array_equal(op.pairs.block(1), a + bj)
+    assert np.array_equal(op.pairs.block(-1), a - bj)
 
 
 @pytest.fixture

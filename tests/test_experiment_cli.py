@@ -717,7 +717,7 @@ class TestCli:
         # bytes; OpenBLAS's one-thread and threaded kernels round apart, so
         # across modes only the verdict line and the eigenvalues to a few ulps
         # of lambda_1 must agree.  No BLAS call reaches the assembly, so the
-        # operator it holds (hashed) and its record, the diagonal rule
+        # operator it holds (gathered in full and hashed) and its record, the diagonal rule
         # included, agree bit for bit.  L = 9 is the smallest level of
         # cantor_p15 whose diagonal rule a cutoff profile summed by a BLAS
         # product rounded apart between the modes.  Each run is a fresh process.
@@ -729,8 +729,7 @@ class TestCli:
             "from fracspectra.cli import main; ops, assemble = [], experiment._assemble; "
             "experiment._assemble = lambda *args: ops.append(assemble(*args)) or ops[-1]; "
             "code = main(sys.argv[1:]); (op,) = ops; "
-            "held = op.matrix if op.mirror is None else op.mirror.table; "
-            "print(hashlib.sha256(held.tobytes()).hexdigest()); sys.exit(code)"
+            "print(hashlib.sha256(op.pairs.dense().tobytes()).hexdigest()); sys.exit(code)"
         )
         runs = []
         for threads in ("1", "1", "2", "2"):

@@ -34,6 +34,8 @@ from fracspectra.fractal_operator import (
     BesselKernel,
     CutoffTailWarning,
     DiscretizedOperator,
+    MirrorBlocks,
+    PairGather,
     PsdViolationWarning,
     SingularKernelError,
     WindowViolationError,
@@ -259,7 +261,7 @@ class TestChunkedTables:
             lambda rho: conv * w * kernel(rho),
             conv * energy / w,
         )
-        assert_bitwise(assemble_dmu_kernel(mu, 0.45).mirror.table, expect)
+        assert_bitwise(assemble_dmu_kernel(mu, 0.45).pairs.table, expect)
 
     def test_kernel_assembly_holds_the_table_and_no_more_than_a_mebibyte(self, cantor_ifs):
         # at L = 11 the table has 3^11 entries; the old one-shot path held a
@@ -272,8 +274,8 @@ class TestChunkedTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.mirror.table.size == 3**11
-        assert peak < op.mirror.table.nbytes + 2**20, f"assembly peaked at {peak} B"
+        assert op.pairs.table.size == 3**11
+        assert peak < op.pairs.table.nbytes + 2**20, f"assembly peaked at {peak} B"
 
 
 def assert_bitwise(x: np.ndarray, y: np.ndarray) -> None:
@@ -319,17 +321,17 @@ class TestCodeFactors:
         op = assemble_dmu_kernel(mu, 0.45)
         codes = _pair_codes(mu.ifs, level)
         h = codes.shape[0] // 2
-        a, bj = op.mirror.table[codes[:h, :h]], op.mirror.table[codes[:h, h:][:, ::-1]]
+        a, bj = op.pairs.table[codes[:h, :h]], op.pairs.table[codes[:h, h:][:, ::-1]]
         del codes
-        assert_bitwise(op.mirror.block(1), a + bj)
-        assert_bitwise(op.mirror.block(-1), a - bj)
+        assert_bitwise(op.pairs.block(1), a + bj)
+        assert_bitwise(op.pairs.block(-1), a - bj)
 
     @pytest.mark.parametrize("level", [6, 7])  # 3 x 3 and 9 x 9 tiles
     def test_dense_odd_non_lattice_kernel(self, level):
         mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), level)
         op = assemble_dmu_kernel(mu, 0.45)
-        assert op.mirror is None
-        assert_bitwise(op.matrix, dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
+        assert type(op.pairs) is PairGather and op.pairs.r is None
+        assert_bitwise(op.pairs.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
 
     @pytest.mark.parametrize("level", [5, 10])  # one tile; 4 x 4 tiles
     def test_modulated_galerkin_matrix_and_tail_scale(self, cantor_ifs, monkeypatch, level):
@@ -356,8 +358,10 @@ class TestCodeFactors:
         (table,) = tables
         r = np.sqrt(fractal_operator._shared_positive_factor(sym, mu.atoms))
         cw = (2.0 * math.pi) ** (-0.5) * mu.weight
-        assert_bitwise(op.matrix, (table * cw)[codes] * np.multiply.outer(r, r))
-        assert_bitwise(op.matrix, op.matrix.T)
+        assert op.matrix is None and type(op.pairs) is PairGather
+        K = op.pairs.dense()
+        assert_bitwise(K, (table * cw)[codes] * np.multiply.outer(r, r))
+        assert_bitwise(K, K.T)
 
     @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
     def test_no_operator_holds_a_quarter_square_integer_array(self, cantor_ifs, case):
@@ -369,7 +373,7 @@ class TestCodeFactors:
         else:
             mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), 7)
             op = assemble_dmu_kernel(mu, 0.45)
-        assert (op.mirror is None) == (case == "dense")
+        assert isinstance(op.pairs, MirrorBlocks) == (case != "dense")
         quarter = (op.shape[0] // 2) ** 2
         held = list(integer_arrays(op))
         assert held or case == "dense"
@@ -524,7 +528,7 @@ class TestCellPairEnergy:
         assert info["explicit_depth"] == 4
         pins = {"cantor_p2": "0x1.1c197382d5929p-8", "cantor_small": "0x1.2ad95ce397faap-5"}
         if path.stem in pins:
-            table = assemble_dmu_kernel(mu, config.analysis.s).mirror.table
+            table = assemble_dmu_kernel(mu, config.analysis.s).pairs.table
             assert table[table.size // 2].hex() == pins[path.stem]
 
 
@@ -600,7 +604,7 @@ class TestKernelGram:
         mu0 = quadrature(cantor_ifs, 0)
         op = assemble_dmu_kernel(mu0, 0.45)
         energy, _ = cell_pair_energy(mu0, BesselKernel(order=0.9, ambient_dim=1))
-        assert op.matrix[0, 0] == pytest.approx(INV_SQRT_2PI * energy, rel=1e-12)
+        assert held_matrix(op, mu0)[0, 0] == pytest.approx(INV_SQRT_2PI * energy, rel=1e-12)
 
     @pytest.mark.parametrize(
         "geometry, level, s",
@@ -633,7 +637,7 @@ class TestKernelGram:
         assert_operator_is(op, K)
         assert np.array_equal(K, K.T)
         for sign in (1, -1):
-            block = op.mirror.block(sign)
+            block = op.pairs.block(sign)
             assert np.array_equal(block, block.T)
 
     def test_positive_definite_without_warning(self, mu7):
@@ -705,38 +709,45 @@ class TestKernelGram:
         with pytest.raises(ValueError, match="two-dimensional"):
             DiscretizedOperator(np.zeros(3), {})
 
-    def test_square_matrix_is_held_bitwise_symmetric_c_ordered_and_writeable(self):
-        # the eigensolve reduces the matrix in its own storage and restores it
-        # from the lower triangle, so that is the form every square one is held in
+    def test_square_matrix_is_held_bitwise_symmetric_and_c_ordered(self):
+        # the eigensolve copies the matrix and reduces the copy, whose lower
+        # triangle it reads back, so that is the form every square one is
+        # held in; nothing writes it, so a read-only one is held as it is
         sym = np.random.default_rng(7).normal(size=(300, 300))
         sym = sym + sym.T
         assert DiscretizedOperator(sym, {}).matrix is sym  # already in that form
+        readonly = sym.copy()
+        readonly.flags.writeable = False
+        assert DiscretizedOperator(readonly, {}).matrix is readonly
         signed_zero = sym.copy()
         signed_zero[290, 10] = 0.0
         signed_zero[10, 290] = -0.0  # max|K - K^T| is 0, the bits differ
-        readonly = sym.copy()
-        readonly.flags.writeable = False
         for given in (signed_zero, sym + 1e-12 * np.triu(sym, 1), np.asfortranarray(sym),
-                      readonly, np.eye(3, dtype=int)):
+                      np.eye(3, dtype=int)):
             before = given.copy()
             held = DiscretizedOperator(given, {}).matrix
             assert not np.shares_memory(held, given)
-            assert held.dtype == np.float64 and held.flags.c_contiguous and held.flags.writeable
+            assert held.dtype == np.float64 and held.flags.c_contiguous
             lower = np.tril(given).astype(float)
             mirrored = np.where(np.tri(len(given), dtype=bool), lower, lower.T)
             assert np.array_equal(held.view(np.uint64), mirrored.view(np.uint64))
             assert given.tobytes() == before.tobytes()
 
     def test_mirror_operator_validation(self, cantor_ifs):
-        mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).mirror
-        with pytest.raises(ValueError, match="mirror blocks"):
-            DiscretizedOperator(np.eye(4), {}, mirror=mirror)
+        mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).pairs
+        with pytest.raises(ValueError, match="pair gather has no matrix"):
+            DiscretizedOperator(np.eye(4), {}, pairs=mirror)
         for value in (math.nan, math.inf):
             table = mirror.table.copy()
             table[0] = value  # an entry of K off the diagonal
             bad = dataclasses.replace(mirror, table=table)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator(None, {}, mirror=bad)
+                DiscretizedOperator(None, {}, pairs=bad)
+            r = np.ones(4)
+            r[3] = value  # a factor of every entry in the last row and column
+            dense = PairGather(mirror.table, mirror.hi, mirror.lo, mirror.step, r)
+            with pytest.raises(ValueError, match="non-finite"):
+                DiscretizedOperator(None, {}, pairs=dense)
 
 
 class TestTraceOperator:
@@ -909,9 +920,8 @@ class TestGalerkinCompression:
         # an x-independent symbol on these mirror-symmetric sets is held as
         # its mirror blocks; a modulated one is held dense, and since it is
         # symmetric bit for bit, a second operator holds this very array
-        assert (op.mirror is not None) == (expect is None)
-        if op.mirror is None:
-            assert DiscretizedOperator(op.matrix, op.assembly).matrix is op.matrix
+        assert isinstance(op.pairs, MirrorBlocks) == (expect is None)
+        assert op.matrix is None and (op.pairs.r is None) == (expect is None)
         assert_operator_is(op, K)
 
     def test_matches_kernel_gram_at_p_two(self, mu7):
@@ -935,7 +945,7 @@ class TestGalerkinCompression:
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
         K = held_matrix(M, mu5)
-        assert M.mirror is not None and K.dtype == np.float64
+        assert isinstance(M.pairs, MirrorBlocks) and K.dtype == np.float64
         assert np.array_equal(K, K.T)
 
     def test_spatial_modulation_is_row_scaling(self, mu5):
@@ -943,17 +953,18 @@ class TestGalerkinCompression:
         sym = make_symbol("separable_demo", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
         amp = 1.0 + 0.5 * np.cos(mu5.atoms[:, 0])
-        sym_part = M.matrix / np.sqrt(amp[:, None] * amp[None, :])
+        K = held_matrix(M, mu5)
+        sym_part = K / np.sqrt(amp[:, None] * amp[None, :])
         assert np.max(np.abs(sym_part - sym_part.T)) <= 1e-13 * np.max(np.abs(sym_part))
         # similar to a symmetric positive matrix, so the spectrum stays real
-        ev = np.linalg.eigvals(M.matrix)
+        ev = np.linalg.eigvals(K)
         assert np.max(np.abs(ev.imag)) <= 1e-10 * np.max(np.abs(ev))
         assert np.min(ev.real) > 0.0
 
     def test_entries_match_profile_on_direct_distances(self, cantor_ifs):
         mu = quadrature(cantor_ifs, 4)
         sym = make_symbol("separable_demo", sigma=-0.9)
-        M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5).matrix
+        M = held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5), mu)
         dist = np.abs(mu.atoms[:, 0, None] - mu.atoms[None, :, 0])
         term = sym.separable_terms[0]
         profile = _CutoffProfile(term.radial, 1.0e5, rho_maxdist=dist.max() * 1.01)
@@ -971,7 +982,8 @@ class TestGalerkinCompression:
         )
         assert op.assembly["similarity"] == "diag(sqrt(a))"
         amp = 1.0 + 0.5 * np.cos(mu.atoms[:, 0])
-        row_scaled = amp[:, None] * (op.matrix / np.sqrt(amp[:, None] * amp[None, :]))
+        K = held_matrix(op, mu)
+        row_scaled = amp[:, None] * (K / np.sqrt(amp[:, None] * amp[None, :]))
         expect = order_by_modulus(scipy.linalg.eigvals(row_scaled))[:200]
         got = eigen_spectrum(op)[:200]  # the Hermitian path, certificate included
         assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
@@ -1042,14 +1054,15 @@ class TestGalerkinCompression:
         assert op.assembly["similarity"] == "diag(sqrt(a))"
         amp = factor(mu5.atoms)
         root = np.sqrt(amp[:, None] * amp[None, :])
-        row_scaled = amp[:, None] * (op.matrix / root)  # c w D S
+        K = held_matrix(op, mu5)
+        row_scaled = amp[:, None] * (K / root)  # c w D S
         codes, dist = _pair_table(mu5.ifs, mu5.level)
         pair_dist = dist[codes]
         rho_med = np.median(pair_dist[~np.eye(mu5.n_atoms, dtype=bool)])
         near = np.abs(pair_dist - rho_med) < 0.5 * rho_med
         expect = np.abs(row_scaled[near]).max()
         assert quoted == pytest.approx(expect, rel=1e-3)  # quoted to four digits
-        assert quoted != pytest.approx(np.abs(op.matrix[near]).max(), rel=1e-2)
+        assert quoted != pytest.approx(np.abs(K[near]).max(), rel=1e-2)
 
     def test_no_terms_give_the_zero_operator(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)
@@ -1068,7 +1081,7 @@ class TestGalerkinCompression:
 
         def compress(*terms):
             sym = Symbol("sum", base.evaluator, -0.9, 0.0, separable_terms=terms)
-            return assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5).matrix
+            return held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5), mu5)
 
         M1, M2, M12 = compress(term), compress(lower), compress(term, lower)
         assert np.max(np.abs(M12 - (M1 + M2))) <= 1e-12 * np.max(np.abs(M12))
@@ -1158,7 +1171,7 @@ class TestGalerkinCompression:
         mu = quadrature(build_cantor_like(*GEOMETRIES["cantor-1d"]), 8)
         sym = make_symbol("bessel_power", sigma=-0.9)
         op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e6)
-        assert op.mirror is not None
+        assert isinstance(op.pairs, MirrorBlocks)
         assert [float(v).hex() for v in eigen_spectrum(op)[:10]] == [
             "0x1.392c54bc733a8p-1",
             "0x1.904eb17c11ea6p-2",
@@ -1190,7 +1203,7 @@ class TestGalerkinCompression:
     def test_fractional_p_assembly(self, mu7):
         sym = make_symbol("separable_demo", sigma=-0.675)
         M = assemble_tmu_galerkin(sym, 0.45, 1.5, mu7, 1.0e6)
-        ev = np.linalg.eigvals(M.matrix)
+        ev = np.linalg.eigvals(held_matrix(M, mu7))
         assert np.max(np.abs(ev.imag)) <= 1e-10 * np.max(np.abs(ev))
         assert np.min(ev.real) > 0.0
         term = M.assembly["terms"][0]

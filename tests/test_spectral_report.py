@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from fracspectra.fractal_operator import (
     CutoffTailWarning,
     DiscretizedOperator,
     MirrorBlocks,
+    PairGather,
     PsdViolationWarning,
     WindowViolationError,
     assemble_dmu_kernel,
@@ -84,64 +86,93 @@ def power_law(count: int, exponent: float, scale: float = 1.0) -> np.ndarray:
 
 @contextmanager
 def eigensolve_calls():
-    """Record the eigensolve calls made inside as ``(kind, arg)``, in order.
-
-    ``kind`` is ``"reduce"`` for a ``dsytrd`` tridiagonal reduction (``arg``
-    the order), ``"values"`` for a values-only ``eigh_tridiagonal`` (the
-    order), ``"vectors"`` for an index-range ``eigh_tridiagonal`` vector
-    solve (the ``(lo, hi)`` range), ``"all"`` for any call that returns every
-    eigenvector (the order) and ``"eigh"`` for any other ``scipy.linalg.eigh``
-    call (the order).
-    """
+    """Record the routines the eigensolve calls inside as ``(kind, arg)``, in
+    order: ``"reduce"`` for a ``dsytrd`` tridiagonal reduction (``arg`` the
+    order), ``"values"`` for ``dsterf`` (the values it returns), ``"vectors"``
+    for ``dstein`` (the values it is given, its ``iblock`` and its
+    ``isplit``), ``"map"`` for ``dormqr`` (its ``lwork``), ``"product"`` for
+    the ``dsymm`` residual product (the order), and ``"all"`` or ``"eigh"``
+    for a ``scipy.linalg.eigh`` call that returns every eigenvector or not
+    (the order).  A ``dstebz`` or ``eigh_tridiagonal`` call fails the test
+    at once."""
     calls = []
-    lapack = scipy.linalg.lapack
-    real_eigh, real_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
-    real_reduction = lapack.dsytrd
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    real_eigh = scipy.linalg.eigh
+    real = {name: getattr(lapack, name) for name in ("dsytrd", "dsterf", "dstein", "dormqr")}
+    real_product = blas.dsymm
 
     def reduction(a, *args, **kwargs):
         calls.append(("reduce", np.shape(a)[0]))
-        return real_reduction(a, *args, **kwargs)
+        return real["dsytrd"](a, *args, **kwargs)
 
-    def tridiagonal(d, e, *args, **kwargs):
-        if kwargs.get("eigvals_only"):
-            calls.append(("values", len(d)))
-        elif kwargs.get("select") == "i":
-            calls.append(("vectors", tuple(kwargs["select_range"])))
-        else:
-            calls.append(("all", len(d)))
-        return real_tridiagonal(d, e, *args, **kwargs)
+    def values(d, e, *args, **kwargs):
+        out = real["dsterf"](d, e, *args, **kwargs)
+        calls.append(("values", out[0].copy()))
+        return out
+
+    def vectors(d, e, w, iblock, isplit):
+        calls.append(("vectors", (np.array(w), np.array(iblock), np.array(isplit))))
+        return real["dstein"](d, e, w, iblock, isplit)
+
+    def back_map(side, trans, a, tau, c, lwork, *args, **kwargs):
+        calls.append(("map", lwork))
+        return real["dormqr"](side, trans, a, tau, c, lwork, *args, **kwargs)
+
+    def product(alpha, a, b, *args, **kwargs):
+        calls.append(("product", np.shape(a)[0]))
+        return real_product(alpha, a, b, *args, **kwargs)
 
     def eigh(a, *args, **kwargs):
         every = not kwargs.get("eigvals_only") and kwargs.get("subset_by_index") is None
         calls.append(("all" if every else "eigh", np.shape(a)[0]))
         return real_eigh(a, *args, **kwargs)
 
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the eigensolve called {name}")
+
+        return call
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lapack, "dsytrd", reduction)
-        mp.setattr(scipy.linalg, "eigh_tridiagonal", tridiagonal)
+        mp.setattr(lapack, "dsterf", values)
+        mp.setattr(lapack, "dstein", vectors)
+        mp.setattr(lapack, "dormqr", back_map)
+        mp.setattr(blas, "dsymm", product)
         mp.setattr(scipy.linalg, "eigh", eigh)
+        mp.setattr(lapack, "dstebz", forbidden("dstebz"))
+        mp.setattr(scipy.linalg, "eigh_tridiagonal", forbidden("eigh_tridiagonal"))
         yield calls
 
 
 def assert_block_solves(calls, orders) -> None:
-    """One tridiagonal reduction per block, of the given orders in turn, then
-    that block's one values-only solve and one vector solve per non-empty
-    run: a bottom run, a top run or both, ``min(50, order)`` vectors in all.
-    No ``scipy.linalg.eigh`` call and none for every eigenvector."""
-    assert all(kind in ("reduce", "values", "vectors") for kind, _ in calls), calls
+    """Per block, of the given orders in turn: one tridiagonal reduction, one
+    ``dsterf`` of all its values, one ``dstein`` at ``min(50, order)`` of
+    those very values (a bottom run and a top run of them, T taken as one
+    block), the ``dormqr`` workspace query and map, and one ``dsymm``
+    residual product.  A block of order 1 needs neither ``dsterf``,
+    ``dstein`` nor ``dormqr``.  No ``scipy.linalg.eigh`` call."""
+    kinds = ("values", "vectors", "map", "product")
+    assert calls and calls[0][0] == "reduce", calls
     blocks = []
     for kind, arg in calls:
         if kind == "reduce":
-            blocks.append((arg, [], []))
+            blocks.append((arg, {k: [] for k in kinds}))
         else:
-            assert blocks
-            blocks[-1][1 if kind == "values" else 2].append(arg)
-    assert [n for n, _, _ in blocks] == orders
-    for n, values, runs in blocks:
-        assert values == [n]
-        assert 1 <= len(runs) <= 2
-        assert sum(hi - lo + 1 for lo, hi in runs) == min(50, n)
-        assert all(lo == 0 or hi == n - 1 for lo, hi in runs)
+            assert kind in kinds, calls
+            blocks[-1][1][kind].append(arg)
+    assert [n for n, _ in blocks] == orders
+    for n, got in blocks:
+        assert got["product"] == [n]
+        if n == 1:
+            assert got["values"] == got["vectors"] == got["map"] == []
+            continue
+        ((w,), ((top, iblock, isplit),), (query, lwork)) = (got[k] for k in kinds[:3])
+        m = min(50, n)
+        assert w.size == n and top.size == m and query == -1 and lwork > 0
+        runs = [np.r_[w[:b], w[n - m + b :]] for b in range(m + 1)]
+        assert any(np.array_equal(top.view(np.uint64), run.view(np.uint64)) for run in runs)
+        assert np.all(iblock == 1) and isplit[0] == n
 
 
 def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
@@ -175,6 +206,17 @@ def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]
     n = (table.size + 1) // 2
     digit = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
     return MirrorBlocks(table, digit, np.zeros((1, 1), dtype=np.intp), 1), table[digit]
+
+
+def held_arrays(op) -> list:
+    """Every array ``op`` holds: its bare matrix, or its table, code factors
+    and any ``r``."""
+    if op.pairs is None:
+        return [op.matrix]
+    pairs = op.pairs
+    return [pairs.table, pairs.hi, pairs.lo, np.array(pairs.step)] + (
+        [] if pairs.r is None else [pairs.r]
+    )
 
 
 def split_eigvalsh(K: np.ndarray) -> np.ndarray:
@@ -358,7 +400,7 @@ class TestEigenSpectrum:
             # the centre code is the coincident one: lowering it shifts the diagonal
             table[n - 1] -= 0.5 * np.abs(np.linalg.eigvalsh(mat)).max()
             blocks, mat = toeplitz_mirror_blocks(table)
-            op = DiscretizedOperator(None, {}, mirror=blocks)
+            op = DiscretizedOperator(None, {}, pairs=blocks)
         else:
             mat = mirror_symmetric(rng, n)
             mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
@@ -368,7 +410,11 @@ class TestEigenSpectrum:
         with eigensolve_calls() as calls:
             res = eigen_spectrum(op)
         assert_block_solves(calls, [60, 60] if n == 120 else [119])
-        assert any(kind == "vectors" and arg[0] == 0 for kind, arg in calls)
+        # the values dstein gets start at the block's bottom eigenvalue
+        values = [arg for kind, arg in calls if kind == "values"]
+        vectors = [arg[0] for kind, arg in calls if kind == "vectors"]
+        assert len(values) == len(vectors) == (2 if n == 120 else 1)
+        assert all(top[0] == w[0] < 0.0 for w, top in zip(values, vectors))
         assert np.all(res.imag == 0.0)
         assert np.allclose(res, ref, rtol=0.0, atol=1e-12 * abs(ref[0]))
 
@@ -387,34 +433,31 @@ class TestEigenSpectrum:
     ):
         if n == 128:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
-            assert op.mirror is not None
+            assert isinstance(op.pairs, MirrorBlocks)
         elif n == 81:
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
-            assert op.matrix.shape == (81, 81)
+            assert type(op.pairs) is PairGather and op.shape == (81, 81)
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
             op = operator(a + a.T)
-        real_tridiagonal = scipy.linalg.eigh_tridiagonal
+        real_vectors = scipy.linalg.lapack.dstein
         rng = np.random.default_rng(29)
 
-        def perturbed(d, e, *args, **kwargs):
-            out = real_tridiagonal(d, e, *args, **kwargs)
-            if kwargs.get("select") != "i":
-                return out
-            w, v = out
-            return w, v + 1e-6 * rng.standard_normal(v.shape)
+        def perturbed(*args):
+            z, info = real_vectors(*args)
+            return z + 1e-6 * rng.standard_normal(z.shape), info
 
         eigen_spectrum(op)  # certified as solved
         record = re.escape(f"assembly record: {op.assembly}")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+            mp.setattr(scipy.linalg.lapack, "dstein", perturbed)
             with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 700])  # 700 takes the blocked reduction
     def test_one_reduction_spectrum_is_bitwise_eigh(self, n):
         block = random_symmetric(np.random.default_rng(31), n)
-        w, _, _ = spectral_report._top_pairs(block)
+        w, _, _ = spectral_report._top_pairs(block.copy())
         assert np.array_equal(w, scipy.linalg.eigh(block, eigvals_only=True))
 
     @pytest.mark.parametrize("scale", [1e-140, 1e-20, 1e20, 1e70])
@@ -422,12 +465,12 @@ class TestEigenSpectrum:
         # dsyevr rescales only a block whose largest entry lies outside about
         # [1e-146, 1e76]; inside that range the bits match at any magnitude
         block = scale * random_symmetric(np.random.default_rng(41), 60)
-        w, _, _ = spectral_report._top_pairs(block)
+        w, _, _ = spectral_report._top_pairs(block.copy())
         assert np.array_equal(w, scipy.linalg.eigh(block, eigvals_only=True))
 
-    @pytest.mark.parametrize("routine", ["dsytrd", "dormqr"])
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
     def test_lapack_error_carries_provenance(self, routine, monkeypatch):
-        # the reduction, and the map of the eigenvectors back through it
+        # the reduction, the values, the vectors, and their map back
         mat = random_symmetric(np.random.default_rng(37), 8)
         op = DiscretizedOperator(mat, {"kind": "probe"})
         real_routine = getattr(scipy.linalg.lapack, routine)
@@ -440,19 +483,19 @@ class TestEigenSpectrum:
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         keep = mat.copy()
         with pytest.raises(scipy.linalg.LinAlgError, match=f"{routine} returned info = 1"):
-            spectral_report._top_pairs(mat)
-        assert_bitwise_equal(mat, keep)  # the reduction ran in mat, and was undone
+            spectral_report._top_pairs(mat.copy())
         with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
             eigen_spectrum(op)
-        assert_bitwise_equal(op.matrix, keep)
+        assert op.matrix is mat
+        assert_bitwise_equal(mat, keep)  # the solve reduced a copy
 
     @pytest.mark.parametrize(
         "case",
         ["modulated-galerkin", "three-map-kernel", "galerkin-mirror-blocks", "asymmetric-1e-11"],
     )
     def test_solve_leaves_the_matrix_intact(self, cantor_ifs, case):
-        # the reduction runs in the matrix's own storage and restores it; the
-        # mirror blocks are gathered afresh, and their table is only read
+        # the solve gathers, or copies, what it reduces into a buffer of its
+        # own: a bare matrix, and an assembled operator's arrays, are only read
         caller = None
         if case == "modulated-galerkin":
             sym = make_symbol("separable_demo", sigma=-0.9)
@@ -460,11 +503,11 @@ class TestEigenSpectrum:
             assert op.assembly["similarity"] == "diag(sqrt(a))"
         elif case == "three-map-kernel":  # fails the digit test: a dense K
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
-            assert op.mirror is None
+            assert type(op.pairs) is PairGather
         elif case == "galerkin-mirror-blocks":  # an x-independent symbol
             sym = make_symbol("bessel_power", sigma=-0.9)
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
-            assert op.mirror is not None
+            assert isinstance(op.pairs, MirrorBlocks)
         else:
             caller = random_symmetric(np.random.default_rng(47), 80)
             caller[0, 1] += 1e-11 * np.abs(caller).max()
@@ -473,23 +516,23 @@ class TestEigenSpectrum:
             # held as the copy with the lower triangle on both sides
             assert not np.shares_memory(op.matrix, caller)
             assert_bitwise_equal(op.matrix, np.tril(caller) + np.tril(caller, -1).T)
-        held = op.matrix if op.mirror is None else op.mirror.table
-        keep = held.copy()
-        factors = None if op.mirror is None else (op.mirror.hi.copy(), op.mirror.lo.copy())
+        held = held_arrays(op)
+        keep = [a.copy() for a in held]
         with eigensolve_calls() as calls:
             eigen_spectrum(op)
         n = op.shape[0]
-        assert_block_solves(calls, [n] if op.mirror is None else [n // 2, n // 2])
-        assert_bitwise_equal(held, keep)
-        if factors is not None:
-            assert np.array_equal(op.mirror.hi, factors[0])
-            assert np.array_equal(op.mirror.lo, factors[1])
+        split = isinstance(op.pairs, MirrorBlocks)
+        assert_block_solves(calls, [n // 2, n // 2] if split else [n])
+        assert len(held) == (1 if op.pairs is None else 4 if op.pairs.r is None else 5)
+        for a, b in zip(held, keep):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if caller is not None:
             assert_bitwise_equal(caller, before)
 
     @pytest.mark.parametrize("case", ["dense", "galerkin-mirror-blocks", "kernel-mirror-blocks"])
     def test_reduction_overwrites_the_block_it_is_given(self, cantor_ifs, case):
-        # dsytrd gets overwrite_a on the block's own storage, and makes no copy
+        # dsytrd gets overwrite_a on the block's own storage, and makes no
+        # copy of it
         if case == "dense":
             op = operator(random_symmetric(np.random.default_rng(53), 90))
         elif case == "galerkin-mirror-blocks":  # an x-independent symbol
@@ -515,44 +558,48 @@ class TestEigenSpectrum:
             mp.setattr(scipy.linalg.lapack, "dsytrd", reduction)
             eigen_spectrum(op)
         assert reductions == [(1, True)] * (1 if case == "dense" else 2)
-        if case == "dense":
-            assert blocks[0] is op.matrix
+        if case == "dense":  # a copy of the bare matrix, made by the solve
+            assert not np.shares_memory(blocks[0], op.matrix)
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-blocks"])
-    def test_certificate_product_is_scipy_dgemm_on_the_block_itself(self, cantor_ifs, case):
+    def test_certificate_product_is_scipy_dsymm_on_the_block_itself(self, cantor_ifs, case):
         # the residual product runs on the OpenBLAS that reduced the block,
-        # through the Fortran-ordered view the reduction got, with no copy
+        # through the Fortran-ordered view the reduction got, with no copy,
+        # reading the triangle the reduction left alone (its upper one is the
+        # block's lower one) with the diagonal written back
         if case == "dense":
             op = operator(random_symmetric(np.random.default_rng(59), 90))
         else:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
         blocks, products = [], []
-        real_top_pairs, real_product = spectral_report._top_pairs, scipy.linalg.blas.dgemm
+        real_top_pairs, real_product = spectral_report._top_pairs, scipy.linalg.blas.dsymm
 
         def top_pairs(block):
-            blocks.append(block)
+            blocks.append((block, block.copy()))
             return real_top_pairs(block)
 
         def product(alpha, a, b, **kwargs):
-            shared = np.shares_memory(a, blocks[-1])
-            products.append((alpha, shared, a.flags.f_contiguous, kwargs))
+            block, given = blocks[-1]
+            intact = np.array_equal(np.tril(block), np.tril(given))
+            products.append((alpha, np.shares_memory(a, block), a.flags.f_contiguous, intact))
+            products.append((kwargs["beta"], kwargs.get("lower", 0), kwargs["overwrite_c"]))
             return real_product(alpha, a, b, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_report, "_top_pairs", top_pairs)
-            mp.setattr(scipy.linalg.blas, "dgemm", product)
+            mp.setattr(scipy.linalg.blas, "dsymm", product)
             eigen_spectrum(op)
         calls = 1 if case == "dense" else 2
-        assert products == [(1.0, True, True, {"trans_a": 1})] * calls
+        assert products == [(1.0, True, True, True), (-1.0, 0, 1)] * calls
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-block"])
     def test_residuals_match_the_numpy_product_to_rounding(self, cantor_ifs, case):
         if case == "dense":
             block = random_symmetric(np.random.default_rng(61), 300)
         else:
-            block = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).mirror.block(-1)
-        _, top, res = spectral_report._certified_pairs(block)
-        _, _, u = spectral_report._top_pairs(block)
+            block = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).pairs.block(-1)
+        _, top, res = spectral_report._certified_pairs(block.copy())
+        _, _, u = spectral_report._top_pairs(block.copy())
         oracle = np.linalg.norm(block @ u - u * top, axis=0)
         scale = np.finfo(float).eps * float(np.abs(top).max())
         assert res.shape == (50,) and np.all(res <= 100 * scale)
@@ -567,7 +614,7 @@ class TestEigenSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             op = _assemble(cfg, _build_measure(cfg, 10))
-        assert (op.mirror is not None) == (config == "cantor_p2")
+        assert isinstance(op.pairs, MirrorBlocks) == (config == "cantor_p2")
         growth, orders = [], []
         real_certified = spectral_report._certified_pairs
 
@@ -613,29 +660,33 @@ class TestEigenSpectrum:
         finally:
             tracemalloc.stop()
         assert same == [False, True]
-        size = 8 * (op.mirror.order // 2) ** 2
+        size = 8 * (op.pairs.order // 2) ** 2
         assert size == 8 * 512 * 512
         assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
 
     def test_dense_solve_runs_no_tile_pass(self, monkeypatch):
-        # the modulated cantor_p15 operator is held dense: its one tile pass
-        # is its constructor's, and the solve reads no mirror check
+        # the modulated cantor_p15 operator is symmetric by construction: no
+        # tile pass or triangle copy reads it, at assembly or in the solve,
+        # which gathers it dense; a bare matrix's constructor is their one caller
+        calls = []
+        for name in ("_symmetry_deviation", "_mirror_lower"):
+            real = getattr(fractal_operator, name)
+
+            def spy(a, real=real):
+                calls.append(a.shape)
+                return real(a)
+
+            monkeypatch.setattr(fractal_operator, name, spy)
+            monkeypatch.setattr(spectral_report, name, spy, raising=False)
         cfg = load_config(CONFIG_DIR / "cantor_p15.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             op = _assemble(cfg, _build_measure(cfg, 8))
-        assert op.mirror is None and op.shape == (256, 256)
-        calls = []
-        real = fractal_operator._symmetry_deviation
-
-        def spy(a):
-            calls.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(fractal_operator, "_symmetry_deviation", spy)
-        monkeypatch.setattr(spectral_report, "_symmetry_deviation", spy, raising=False)
+        assert type(op.pairs) is PairGather and op.shape == (256, 256)
         eigen_spectrum(op)
         assert calls == []
+        operator(np.eye(3))
+        assert calls == [(3, 3)]
 
     @pytest.mark.parametrize("rel, accepted", [(1e-11, True), (1e-9, False)])
     def test_symmetry_floor_accepts_1e_11_and_refuses_1e_9(self, rel, accepted):
@@ -656,6 +707,124 @@ class TestEigenSpectrum:
         ref = order_by_modulus(scipy.linalg.eigvals(mat))
         assert np.allclose(res, ref, rtol=0.0, atol=1e-8 * abs(ref[0]))
 
+
+    @pytest.mark.parametrize(
+        "case",
+        ["identity", "split", "multiplicity-50", "rank-one", "negative", "n1", "n2", "zero"],
+    )
+    def test_dstein_path_certifies_hard_spectra(self, case):
+        # dstein takes T as one block, with no split found by a bisection,
+        # so it meets the exact zeros of e, clusters and repeated values
+        rng = np.random.default_rng(67)
+        if case == "identity":
+            mat = np.eye(100)
+        elif case == "split":  # its reduction has an exact zero in e
+            mat = scipy.linalg.block_diag(*(random_symmetric(rng, k) for k in (30, 40, 30)))
+        elif case == "multiplicity-50":  # 8 values, each 50 times, at n = 400
+            q, _ = np.linalg.qr(rng.standard_normal((400, 400)))
+            mat = (q * np.repeat(np.arange(1.0, 9.0), 50)) @ q.T
+        elif case == "rank-one":
+            v = rng.standard_normal(200)
+            mat = np.multiply.outer(v, v)
+        elif case == "negative":
+            mat = random_symmetric(rng, 120) - 30.0 * np.eye(120)
+        elif case == "n1":
+            mat = np.array([[-3.0]])
+        elif case == "n2":
+            mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+        else:
+            mat = np.zeros((50, 50))
+        mat = np.tril(mat) + np.tril(mat, -1).T  # bitwise symmetric
+        if case == "split":
+            e = scipy.linalg.lapack.dsytrd(mat.copy())[2]
+            assert np.count_nonzero(e == 0.0) >= 2
+        w, top, res = spectral_report._certified_pairs(mat.copy())
+        ref = np.linalg.eigvalsh(mat)
+        norm = float(np.abs(ref).max())
+        assert top.size == min(50, len(mat))
+        assert np.all(res <= 1e-13 * norm)
+        assert np.allclose(w, ref, rtol=0.0, atol=1e-13 * norm)
+        values = eigen_spectrum(operator(mat))
+        assert np.allclose(values, order_by_modulus(ref), rtol=0.0, atol=1e-13 * norm)
+
+    def test_one_operator_solved_from_two_threads_at_once(self, cantor_ifs):
+        # nothing is written into an operator: each solve gathers, or
+        # copies, into a buffer of its own, so concurrent solves of one
+        # operator agree with a serial one bit for bit and leave it as it was
+        cfg = load_config(CONFIG_DIR / "cantor_p15.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            modulated = _assemble(cfg, _build_measure(cfg, 8))
+        kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 8), 0.45)
+        bare = operator(random_symmetric(np.random.default_rng(71), 256))
+        assert isinstance(kernel.pairs, MirrorBlocks)
+        assert type(modulated.pairs) is PairGather and modulated.pairs.r is not None
+        for op in (kernel, modulated, bare):
+            keep = [a.copy() for a in held_arrays(op)]
+            serial = eigen_spectrum(op)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(eigen_spectrum, [op] * 4))
+            for res in results:
+                assert_bitwise_equal(res, serial)
+            for a, b in zip(held_arrays(op), keep):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["separable_demo-cantor_p15", "odd-m-kernel"])
+    def test_assembly_allocates_no_n_squared_array(self, case):
+        # an assembled operator holds its table, code factors and r only;
+        # the smallest N x N array an assembly ever built, the int32 pair
+        # codes, is 4 N^2 B, and the float64 matrix 8 N^2 B
+        if case == "odd-m-kernel":
+            mu = quadrature(build_cantor_like(*THREE_MAPS), 7)
+
+            def build():
+                return assemble_dmu_kernel(mu, 0.45)
+
+        else:
+            cfg = load_config(CONFIG_DIR / "cantor_p15.json")
+            mu = _build_measure(cfg, 11)
+
+            def build():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CutoffTailWarning)
+                    return _assemble(cfg, mu)
+
+        build()  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            op = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = mu.n_atoms
+        assert op.matrix is None and type(op.pairs) is PairGather
+        assert peak < 4 * n * n, f"assembly peaked at {peak} B, 4 N^2 = {4 * n * n} B"
+
+    @pytest.mark.parametrize("case", ["cantor_p2", "cantor_p15", "odd-m-kernel", "bare"])
+    def test_solve_grows_by_one_buffer_and_a_few_n_by_50_arrays(self, case):
+        # the solve's one buffer of order h (N/2 for mirror blocks, else N),
+        # four arrays of h x 50 (the vectors, dormqr's copy, the residual)
+        # and the gather's tile temporaries, under 1 MiB
+        if case == "odd-m-kernel":
+            op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 6), 0.45)
+        elif case == "bare":
+            op = operator(random_symmetric(np.random.default_rng(73), 700))
+        else:
+            cfg = load_config(CONFIG_DIR / f"{case}.json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffTailWarning)
+                op = _assemble(cfg, _build_measure(cfg, 10))
+        h = op.shape[0] // (2 if isinstance(op.pairs, MirrorBlocks) else 1)
+        eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            eigen_spectrum(op)
+            growth = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        bound = 8 * h * h + 4 * 8 * h * 50 + 2**20
+        assert growth < bound, f"solve grew {growth} B over a bound of {bound} B"
 
 class TestKernelMirrorBlocks:
     """The kernel operator held as its two mirror blocks, against the dense K
@@ -679,9 +848,9 @@ class TestKernelMirrorBlocks:
         atol = n * np.finfo(float).eps * float(np.abs(values).max())
         rng = np.random.default_rng(level)
         for sign in (1, -1):
-            block = op.mirror.block(sign)
-            _, top, res = spectral_report._certified_pairs(block)
-            _, _, u = spectral_report._top_pairs(block)
+            block = op.pairs.block(sign)
+            _, top, res = spectral_report._certified_pairs(block.copy())
+            _, _, u = spectral_report._top_pairs(block.copy())
 
             def lift(v):
                 return np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0)
@@ -720,7 +889,7 @@ class TestKernelMirrorBlocks:
                 warnings.simplefilter("ignore", CutoffTailWarning)
                 op = assemble_tmu_galerkin(make_symbol(assembly, sigma=-2.0 * s), s, 2.0, mu, 1.0e5)
             K = held_matrix(op, mu)
-        assert (op.mirror is not None) == split
+        assert isinstance(op.pairs, MirrorBlocks) == split
         assert_operator_is(op, K)
         with eigensolve_calls() as calls:
             values = eigen_spectrum(op)  # certified, or it raises
