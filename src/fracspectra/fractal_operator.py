@@ -22,9 +22,9 @@ spectra approximate the continuum objects:
 * Every assembled square operator holds no matrix, only its folded table,
   its code factors and, for a modulated symbol, ``r = sqrt(a)``
   (:class:`PairGather`); the eigensolve gathers it into the one N x N
-  buffer of a run.  :func:`_gather_pairs` alone decides the reflection
-  split: on a set that is mirror-symmetric in its digits, the kernel K or
-  the Galerkin compression of an x-independent symbol is a
+  buffer of a run.  :func:`_gather_pairs` builds each one, and so alone
+  decides the reflection split: on a digit-mirror-symmetric set, the
+  kernel K or the Galerkin compression of an x-independent symbol is a
   :class:`MirrorBlocks`, whose half-size blocks ``A +- B J`` the solver
   gathers one after the other into one buffer of order N/2.
 * ``assemble_trace_operator`` builds the frequency-truncated rectangular
@@ -352,20 +352,6 @@ def cell_pair_energy(
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
-
-
 _TILE = 256  # rows (and columns) per tile of the whole-matrix reads and code gathers
 
 
@@ -411,19 +397,19 @@ def _mirror_lower(a: np.ndarray) -> None:
             a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
 
 
-def _code_factors(ifs, level: int, mirror: bool) -> tuple[np.ndarray, np.ndarray, int]:
+def _code_factors(ifs, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The factors ``(hi, lo, D^l)`` of the level-L pair codes: ``lo`` holds
     the codes at level l, ``hi`` those at level ``L - l``, widened to
     ``np.intp`` so that no tile offset wraps in int32, and l is the largest
-    level count with ``m^l <= _TILE``, capped at L, and at ``L - 1`` when
-    ``mirror`` (so that ``hi`` keeps the first digit).  The word of atom ``ih
-    m^l + il`` is that of ih followed by that of il, and a code is the
-    base-D number of the pair's digits, first most significant, so ``C[ih
-    m^l + il, jh m^l + jl] = hi[ih, jh] D^l + lo[il, jl]`` exactly: C is the
-    Kronecker sum ``hi (x) D^l + lo``, and tile (ih, jh) of ``table[C]`` is
-    ``table[hi[ih, jh] D^l:][lo]``."""
+    level count with ``m^l <= _TILE``, capped at ``L - 1`` (0 at L = 0), so
+    that ``hi`` keeps the first digit (:class:`MirrorBlocks`).  The word of
+    atom ``ih m^l + il`` is that of ih followed by that of il, and a code is
+    the base-D number of the pair's digits, first most significant, so
+    ``C[ih m^l + il, jh m^l + jl] = hi[ih, jh] D^l + lo[il, jl]`` exactly: C
+    is the Kronecker sum ``hi (x) D^l + lo``, and tile (ih, jh) of
+    ``table[C]`` is ``table[hi[ih, jh] D^l:][lo]``."""
     m, l = ifs.n_maps, 0
-    while l < level - mirror and m ** (l + 1) <= _TILE:
+    while l < level - 1 and m ** (l + 1) <= _TILE:
         l += 1
     base = _pair_digits(ifs)[0].shape[0]
     return _pair_codes(ifs, level - l).astype(np.intp), _pair_codes(ifs, l), base**l
@@ -497,13 +483,14 @@ class MirrorBlocks(PairGather):
         return _gather(self.table, self.hi[:q, ::-1][:, :q], flipped, self.step, out, combine)
 
 
-def _gather_pairs(ifs, level: int, table: np.ndarray) -> PairGather:
+def _gather_pairs(ifs, level: int, table: np.ndarray, r=None) -> PairGather:
     """The operator ``K = table[_pair_codes(ifs, level)]`` of a folded
-    ``table`` (a bitwise palindrome, :func:`_folded_table`): its
-    :class:`MirrorBlocks` when K is exactly centrosymmetric, else its
-    :class:`PairGather`, either way held as the code factors ``hi``, ``lo``,
-    since the level-L codes are exactly ``hi (x) D^l + lo``
-    (:func:`_code_factors`).
+    ``table`` (a bitwise palindrome, :func:`_folded_table`), times ``r_j
+    r_k`` where ``r`` is given: its :class:`MirrorBlocks` when there is no
+    ``r`` and K is exactly centrosymmetric, else its :class:`PairGather`,
+    either way held as the code factors ``hi``, ``lo``, since the level-L
+    codes are exactly ``hi (x) D^l + lo`` (:func:`_code_factors`).  Every
+    assembled square operator is built here.
 
     With m maps, D digits and level L >= 1, K is held as blocks when m is
     even and the level-1 digits satisfy ``digit[m-1-a, m-1-b] ==
@@ -518,12 +505,14 @@ def _gather_pairs(ifs, level: int, table: np.ndarray) -> PairGather:
     N-1-j] = (B J)[i, j]``, by centrosymmetry and then symmetry.  So is each
     block ``A +- B J``, since ``x +- y`` rounds the same for the mirrored
     entry pair.  Any other set (every odd m, and an even-m set whose digits
-    fail the test) is solved at full size.
+    fail the test), and every operator with an ``r``, is solved at full size.
     """
     deltas, digit = _pair_digits(ifs)
     base, m = deltas.shape[0], ifs.n_maps
-    mirror = level >= 1 and m % 2 == 0 and np.array_equal(digit[::-1, ::-1], base - 1 - digit)
-    return (MirrorBlocks if mirror else PairGather)(table, *_code_factors(ifs, level, mirror))
+    split = r is None and level >= 1 and m % 2 == 0
+    if split and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
+        return MirrorBlocks(table, *_code_factors(ifs, level))
+    return PairGather(table, *_code_factors(ifs, level), r=r)
 
 
 @dataclass(frozen=True)
@@ -906,12 +895,14 @@ def _shared_positive_factor(sym, atoms: np.ndarray) -> np.ndarray:
     return np.ones(n_atoms) if shared is None else shared
 
 
-def _band_row_max(table, rows, band, hi, lo, step: int) -> float:
+def _band_row_max(pairs: PairGather, rows, band) -> float:
     """``max |rows_j S_jk|`` (0.0 if none) over the pairs whose code c has
-    ``band[c]``, for ``S = table[hi (x) step + lo]``, never held: tile (a, b)
-    of S and of its mask is ``table`` and ``band`` at ``[hi[a, b] step:][lo]``."""
+    ``band[c]``, for ``S = table[hi (x) step + lo]`` of ``pairs`` (without its
+    ``r``), never held: tile (a, b) of S and of its mask is ``table`` and
+    ``band`` at ``[hi[a, b] step:][lo]``."""
+    table, lo, step = pairs.table, pairs.lo, pairs.step
     size, top = lo.shape[0], 0.0
-    for (a, b), code in np.ndenumerate(hi):
+    for (a, b), code in np.ndenumerate(pairs.hi):
         near = band[code * step :][lo]
         if near.any():
             rs = slice(a * size, (a + 1) * size)
@@ -944,21 +935,22 @@ def assemble_tmu_galerkin(
     catalog symbol does; x-independent ones have ``D = I``).  A complex
     factor, one that is not strictly positive, or terms whose factors differ
     raise ``ValueError`` before any pair table exists.  The summed table is
-    scaled by ``c w`` once.  With ``a == 1``, ``M = c w S`` is held by
-    :func:`_gather_pairs` from it, so on a digit-mirror-symmetric set as
-    :class:`MirrorBlocks`.  Otherwise the operator is the similar ``D^{-1/2}
-    M D^{1/2} = c w D^{1/2} S D^{1/2}`` (the same spectrum, exactly,
-    certified by the eigensolve's residuals), held as the
-    :class:`PairGather` of that table with ``r = sqrt(a)``: entry (j, k) is
-    ``(c w T)[c] (r_j r_k)``, and entry (k, j) reads the code ``D^L - 1 -
-    c``, where the palindromic table holds the same value, times the same
-    product, so it is symmetric bit for bit by construction.  The assembly
-    records ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1``).  The
-    :class:`CutoffTailWarning` reads its entry scale off the unscaled table
-    at the codes that occur within half the median distance of it (found
-    before any table, so its counts and sort order are gone by then),
-    row-scaled by ``D`` tile by tile (:func:`_band_row_max`) when ``a !=
-    1``.  Requires ``s p`` in the compactness window
+    scaled by ``c w`` once, in place, after :func:`_gather_pairs` has built
+    the operator from it.  With ``a == 1``, ``M = c w S`` is held as that
+    gather, so on a digit-mirror-symmetric set as :class:`MirrorBlocks`.
+    Otherwise the operator is the similar ``D^{-1/2} M D^{1/2} = c w D^{1/2}
+    S D^{1/2}`` (the same spectrum, exactly, certified by the eigensolve's
+    residuals), held as the :class:`PairGather` of that table with ``r =
+    sqrt(a)``: entry (j, k) is ``(c w T)[c] (r_j r_k)``, and entry (k, j)
+    reads the code ``D^L - 1 - c``, where the palindromic table holds the
+    same value, times the same product, so it is symmetric bit for bit by
+    construction.  The assembly records ``"similarity": "diag(sqrt(a))"``
+    (None when ``a == 1``).  The :class:`CutoffTailWarning` reads its entry
+    scale, in either form, off the unscaled table row-scaled by ``D``, tile
+    by tile (:func:`_band_row_max`), at the pairs within half the median
+    pair distance of it.  The median is found before any table, from the
+    codes below the coincident one, which carry each off-diagonal pair once
+    up to its mirror.  Requires ``s p`` in the compactness window
     (:func:`_check_rate_window`) and a symbol with separable terms.
     """
     ifs = measure.ifs
@@ -984,17 +976,18 @@ def assemble_tmu_galerkin(
     dist = _pair_distances(ifs, level)
     diam = float(dist.max()) if N > 1 else 1.0
     if N > 1:
-        # the typical working distance of the tail estimate: the median over
-        # the N (N - 1) off-diagonal pairs, counted per code; only the codes
-        # that occur near it are kept
-        counts = _pair_counts(ifs, level)
-        counts[dist.size // 2] = 0  # the coincident code
-        order = np.argsort(dist, kind="stable")
-        cum = np.cumsum(counts[order])
-        mid = np.searchsorted(cum, [cum[-1] // 2 - 1, cum[-1] // 2], side="right")
-        rho_med = float(dist[order[mid]].mean())
-        near = (np.abs(dist - rho_med) < 0.5 * rho_med) & (counts > 0)
-        del counts, order, cum
+        # the typical working distance of the tail estimate: the median of
+        # the N (N - 1) off-diagonal pairs.  Pair (k, j) mirrors (j, k) about
+        # the coincident code mid, so the H pairs coded below mid have as
+        # order statistics (H - 1) // 2 and H // 2 the middle two of all 2H
+        mid = dist.size // 2
+        order = np.argsort(dist[:mid], kind="stable")
+        cum = np.cumsum(_pair_counts(ifs, level)[:mid][order])
+        half = int(cum[-1])
+        pick = np.searchsorted(cum, [(half - 1) // 2, half // 2], side="right")
+        rho_med = float(dist[order[pick]].mean())
+        del order, cum
+        near = np.abs(dist - rho_med) < 0.5 * rho_med
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
     table, term_info = np.zeros(dist.size), []
@@ -1014,14 +1007,11 @@ def assemble_tmu_galerkin(
                 "diagonal_rule": diag_info,
             }
         )
-    factors = _code_factors(ifs, level, False)
+    pairs = _gather_pairs(ifs, level, table, None if similarity is None else np.sqrt(shared))
     if N > 1:
         # the entry scale is that of the row-scaled c w D S, read off the
         # unscaled table
-        if similarity is None:
-            top = float(np.abs(table[near]).max(initial=0.0))
-        else:
-            top = _band_row_max(table, shared, near, *factors)
+        top = _band_row_max(pairs, shared, near)
         # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
         scale_med = max(1e-300, conv * w * top)
         tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
@@ -1033,11 +1023,7 @@ def assemble_tmu_galerkin(
                 CutoffTailWarning,
                 stacklevel=2,
             )
-    table *= conv * w
-    if similarity is None:
-        pairs = _gather_pairs(ifs, level, table)
-    else:
-        pairs = PairGather(table, *factors, r=np.sqrt(shared))
+    table *= conv * w  # in place: pairs holds this very table
 
     assembly = {
         "kind": "separable-symbol-compression",

@@ -14,8 +14,8 @@ by the smoothness order and the dimension of the supporting set:
 assembly builds real symmetric, and returns its real spectrum as float64.
 It owns the only N x N buffer of a run: it gathers the operator, or copies
 a bare matrix, into it, and one tridiagonal reduction per block, in that
-buffer, gives the whole spectrum and the 50 eigenpairs of largest modulus,
-which are certified by their residuals.  An operator held as mirror blocks
+buffer, gives the whole spectrum and the block's 50 eigenpairs of largest
+modulus, each certified by its residual.  An operator held as mirror blocks
 (a kernel Gram operator, or the Galerkin compression of an x-independent
 symbol, on a digit-mirror-symmetric set, as every bundled IFS is) is
 solved as its two half-size blocks in turn, in one buffer; every other at
@@ -44,7 +44,6 @@ from .fractal_operator import (
     MirrorBlocks,
     PsdViolationWarning,
     _check_rate_window,
-    _jsonable,
     assemble_dmu_kernel,
 )
 
@@ -68,8 +67,9 @@ ZERO_REL = 1e-12
 """Relative floor: moduli at or below ``ZERO_REL * |lambda_1|`` count as zero."""
 
 RESIDUAL_REL = 1e-8
-"""Residual certificate of the symmetric eigensolve: each of the top 50
-eigenpairs must have ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``."""
+"""Residual certificate of the symmetric eigensolve: every eigenpair it
+computes, each block's up to 50 of largest modulus (which contain the
+operator's top 50), must have ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``."""
 
 
 class InsufficientSpectrumError(ValueError):
@@ -196,10 +196,10 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, top, vecs
 
 
-def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_top_pairs` of symmetric ``block``, which it overwrites, with
-    the residual norm ``||block u - lambda u||`` of each returned pair, taken
-    against the block as given, in place of its vector.
+def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectrum of symmetric ``block``, which it overwrites,
+    and the residual norm ``||block u - lambda u||`` of each pair that
+    :func:`_top_pairs` computes, taken against the block as given.
 
     The reduction leaves ``block``'s strict lower triangle untouched, and
     the diagonal saved before it is written back.  ``dsymm`` reads that
@@ -216,17 +216,7 @@ def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     w, top, u = _top_pairs(block)
     np.fill_diagonal(block, diag)
     res = dsymm(1.0, block.T, u, beta=-1.0, c=u * top, overwrite_c=1)
-    return w, top, np.linalg.norm(res, axis=0)
-
-
-def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending union of the blocks' spectra, and the residuals of the up
-    to 50 pairs of largest modulus among the blocks' certified pairs.  Only a
-    block's own top 50 can reach the overall top 50."""
-    cand = np.concatenate([top for _, top, _ in parts])
-    order = np.argsort(-np.abs(cand), kind="stable")[:50]
-    res = np.concatenate([r for _, _, r in parts])[order]
-    return np.sort(np.concatenate([w for w, _, _ in parts])), res
+    return w, np.linalg.norm(res, axis=0)
 
 
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
@@ -234,10 +224,12 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     decreasing modulus (:func:`order_by_modulus`).
 
     Every square operator is real symmetric (by construction, or by its
-    constructor's check of a bare matrix), so its eigenvalues are real and
-    its top 50 eigenpairs are certified by the residual bound ``||K v -
-    lambda v|| <= RESIDUAL_REL * ||K||``.  The constructor refuses a
-    non-finite table, ``r`` or bare matrix.
+    constructor's check of a bare matrix), so its eigenvalues are real, and
+    each block's up to 50 eigenpairs of largest modulus, every pair the
+    solve computes, are certified by the residual bound ``||K v - lambda v||
+    <= RESIDUAL_REL * ||K||`` (Parlett, *The Symmetric Eigenvalue Problem*,
+    SIAM 1998, ch. 4).  The constructor refuses a non-finite table, ``r`` or
+    bare matrix.
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
     in a buffer the solve owns: the operator gathered whole, its half-size
@@ -256,20 +248,21 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     :class:`~fracspectra.fractal_operator.MirrorBlocks` is exactly
     centrosymmetric, ``K = J K J`` with J the index reversal, by the digit
     test of its assembly (:func:`~fracspectra.fractal_operator._gather_pairs`),
-    and is solved as two symmetric blocks of order h = N/2.  The reduction
-    is exact: write ``K = [[A, B], [J B J, J A J]]``; ``Q = [[I, I], [J,
-    -J]] / sqrt(2)`` is orthogonal, and ``Q^T K Q = diag(A + B J, A - B J)``,
-    so the spectrum of K is the union of the spectra of the blocks, and an
+    and is solved as two symmetric blocks of order h = N/2 (Cantoni &
+    Butler, *Linear Algebra Appl.* 13, 1976).  The reduction is exact:
+    write ``K = [[A, B], [J B J, J A J]]``; ``Q = [[I, I], [J, -J]] /
+    sqrt(2)`` is orthogonal, and ``Q^T K Q = diag(A + B J, A - B J)``, so
+    the spectrum of K is the union of the spectra of the blocks, and an
     eigenvector u of ``A +- B J`` lifts to the eigenvector ``[u; +-J u] /
     sqrt(2)`` of K.  K is never formed: ``A + B J`` is gathered, solved and
     certified, then ``A - B J`` is gathered into its storage, so the solve
-    holds one block of order h.  The certificate is computed per block,
-    ``||(A +- B J) u - lambda u||``, and it equals the residual of the
-    lifted vector against K: with ``r = (A +- B J) u - lambda u``, ``K
-    [u; +-J u] = [A u +- B J u; J B J u +- J A u] = [(A +- B J) u; +-J (A +-
-    B J) u]``, so the lifted residual is ``[r; +-J r] / sqrt(2)``, of norm
-    ``||r||``.  Every other operator is solved at full size, whatever its
-    entries, and certified against itself.
+    holds one block of order h.  The certificate is taken per block, ``||(A
+    +- B J) u - lambda u||``, over both blocks' top 50, which contain the top
+    50 of K, and it equals the residual of the lifted vector against K: with
+    ``r = (A +- B J) u - lambda u``, ``K [u; +-J u] = [A u +- B J u; J B J u
+    +- J A u] = [(A +- B J) u; +-J (A +- B J) u]``, so the lifted residual
+    is ``[r; +-J r] / sqrt(2)``, of norm ``||r||``.  Every other operator is
+    solved at full size, whatever its entries, and certified against itself.
 
     This is also where a kernel Gram matrix is judged positive-definite: for
     an operator whose assembly record has ``kind == "kernel-gram"``, the
@@ -288,11 +281,12 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     try:
         if isinstance(pairs, MirrorBlocks):
             block = pairs.block(1)  # then A - B J, in the same storage
-            first = _certified_pairs(block)
-            w, res = _merge([first, _certified_pairs(pairs.block(-1, out=block))])
+            parts = [_certified_pairs(block)]
+            parts.append(_certified_pairs(pairs.block(-1, out=block)))
         else:
-            block = np.array(op.matrix) if pairs is None else pairs.dense()
-            w, res = _merge([_certified_pairs(block)])
+            parts = [_certified_pairs(np.array(op.matrix) if pairs is None else pairs.dense())]
+        w = np.sort(np.concatenate([values for values, _ in parts]))
+        res = np.concatenate([r for _, r in parts])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver did not converge ({exc}); assembly record: {provenance}"
@@ -486,6 +480,20 @@ def fit_upper_envelope(
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return str(obj)
 
 
 @dataclass(frozen=True)

@@ -333,19 +333,34 @@ class TestCodeFactors:
         assert type(op.pairs) is PairGather and op.pairs.r is None
         assert_bitwise(op.pairs.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
 
-    @pytest.mark.parametrize("level", [5, 10])  # one tile; 4 x 4 tiles
-    def test_modulated_galerkin_matrix_and_tail_scale(self, cantor_ifs, monkeypatch, level):
-        # the summed table is scaled by c w once and gathered once into the
-        # products r_j r_k: symmetric bit for bit, with no triangle copied
+    # 2 x 2 tiles of 16 at L = 5, 4 x 4 of 256 at L = 10
+    @pytest.mark.parametrize(
+        "name, level",
+        [("separable_demo", 5), ("separable_demo", 10), ("bessel_power", 5), ("bessel_power", 10)],
+        ids=["5", "10", "bessel_power-5", "bessel_power-10"],
+    )
+    def test_modulated_galerkin_matrix_and_tail_scale(
+        self, cantor_ifs, monkeypatch, name, level
+    ):
+        # the summed table is gathered once, into the products r_j r_k for a
+        # modulated symbol, then scaled by c w: symmetric bit for bit, with no
+        # triangle copied.  The one tail-scale scan reads either form, and
+        # with rows of ones (an x-independent symbol, held as mirror blocks)
+        # it is max|table| over the band, as every code occurs in some tile
         mu = quadrature(cantor_ifs, level)
-        sym = make_symbol("separable_demo", sigma=-0.9)
+        sym = make_symbol(name, sigma=-0.9)
         codes = _pair_codes(mu.ifs, level)
         scan, tables, mirrored = fractal_operator._band_row_max, [], []
 
-        def checked_scan(table, rows, band, *factors):
-            top = scan(table, rows, band, *factors)
+        def checked_scan(pairs, rows, band):
+            top = scan(pairs, rows, band)
+            table = pairs.table
             expect = np.abs(rows[:, None] * table[codes])[band[codes]].max(initial=0.0)
             assert np.float64(top).view(np.uint64) == expect.view(np.uint64)
+            if name == "bessel_power":
+                assert np.all(rows == 1.0)
+                band_max = np.abs(table[band]).max()
+                assert np.float64(top).view(np.uint64) == band_max.view(np.uint64)
             tables.append(table.copy())  # unscaled: the assembly scales it next
             return top
 
@@ -354,13 +369,20 @@ class TestCodeFactors:
         with pytest.warns(CutoffTailWarning):
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 300.0)
         assert mirrored == []
-        assert op.assembly["similarity"] == "diag(sqrt(a))"
         (table,) = tables
-        r = np.sqrt(fractal_operator._shared_positive_factor(sym, mu.atoms))
         cw = (2.0 * math.pi) ** (-0.5) * mu.weight
-        assert op.matrix is None and type(op.pairs) is PairGather
+        assert op.matrix is None
+        if name == "separable_demo":
+            assert op.assembly["similarity"] == "diag(sqrt(a))"
+            assert type(op.pairs) is PairGather
+            r = np.sqrt(fractal_operator._shared_positive_factor(sym, mu.atoms))
+            expect = (table * cw)[codes] * np.multiply.outer(r, r)
+        else:
+            assert op.assembly["similarity"] is None
+            assert isinstance(op.pairs, MirrorBlocks) and op.pairs.r is None
+            expect = (table * cw)[codes]
         K = op.pairs.dense()
-        assert_bitwise(K, (table * cw)[codes] * np.multiply.outer(r, r))
+        assert_bitwise(K, expect)
         assert_bitwise(K, K.T)
 
     @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
@@ -388,7 +410,7 @@ class TestCodeFactors:
         ifs = build_cantor_like(1, 16, r, t)
         deltas, digit = _pair_digits(ifs)
         assert deltas.shape[0] == 241
-        hi, lo, step = fractal_operator._code_factors(ifs, 4, False)
+        hi, lo, step = fractal_operator._code_factors(ifs, 4)
         assert hi.dtype == np.intp and hi.shape == lo.shape == (256, 256)
         assert step == 241**2
         offsets = [(a, b, hi[a, b] * step) for a, b in [(0, 255), (255, 0), (17, 200)]]
@@ -402,10 +424,10 @@ class TestCodeFactors:
             assert int(off) == code
 
     def test_factor_level_split(self, cantor_ifs):
-        # l is the largest level count with m^l <= _TILE, capped at L (at
-        # L - 1 on the mirror path, so that hi keeps the first digit)
-        for level, mirror, split in [(3, False, 3), (3, True, 2), (12, True, 8), (0, False, 0)]:
-            hi, lo, step = fractal_operator._code_factors(cantor_ifs, level, mirror)
+        # l is the largest level count with m^l <= _TILE, capped at L - 1 (0
+        # at L = 0), so that hi keeps the first digit
+        for level, split in [(3, 2), (8, 7), (9, 8), (12, 8), (1, 0), (0, 0)]:
+            hi, lo, step = fractal_operator._code_factors(cantor_ifs, level)
             assert lo.shape == (2**split, 2**split) and hi.shape == (2 ** (level - split),) * 2
             assert step == 3**split
 
@@ -1063,6 +1085,30 @@ class TestGalerkinCompression:
         expect = np.abs(row_scaled[near]).max()
         assert quoted == pytest.approx(expect, rel=1e-3)  # quoted to four digits
         assert quoted != pytest.approx(np.abs(K[near]).max(), rel=1e-2)
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    @pytest.mark.parametrize("geometry", ["cantor-1d", "non-lattice-1d"])
+    def test_tail_band_is_that_of_the_off_diagonal_median(self, monkeypatch, geometry, level):
+        # the median is read off the codes below the coincident one, each
+        # pair without its mirror; the band it gives is bitwise that of
+        # np.median over all N (N - 1) off-diagonal pair distances
+        mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
+        codes, dist = _pair_table(mu.ifs, level)
+        rho_med = np.median(dist[codes][~np.eye(mu.n_atoms, dtype=bool)])
+        scan, bands = fractal_operator._band_row_max, []
+
+        def spy(pairs, rows, band):
+            bands.append(band)
+            return scan(pairs, rows, band)
+
+        monkeypatch.setattr(fractal_operator, "_band_row_max", spy)
+        sym = make_symbol("separable_demo", sigma=-0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 300.0)
+        (band,) = bands
+        assert band.dtype == bool and band.any()
+        assert np.array_equal(band, np.abs(dist - rho_med) < 0.5 * rho_med)
 
     def test_no_terms_give_the_zero_operator(self, mu5):
         base = make_symbol("bessel_power", sigma=-0.9)

@@ -454,6 +454,34 @@ class TestEigenSpectrum:
             with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
 
+    def test_certificate_covers_every_pair_the_solve_computes(self, cantor_ifs):
+        # the cantor_p2 kernel at L = 8 is solved as two blocks of order 128,
+        # each for its 50 pairs of largest modulus; the second block's
+        # smallest of them lies outside the operator's top 50, and a vector
+        # that does not pair with it is refused all the same
+        op = assemble_dmu_kernel(quadrature(cantor_ifs, 8), 0.45)
+        assert isinstance(op.pairs, MirrorBlocks)
+        values = eigen_spectrum(op)
+        _, top, _ = spectral_report._top_pairs(op.pairs.block(-1))
+        smallest = int(np.argmin(np.abs(top)))
+        assert top.size == 50 and abs(top[smallest]) < abs(values[49])
+        real_vectors, shapes = scipy.linalg.lapack.dstein, []
+        rng = np.random.default_rng(83)
+
+        def perturbed(*args):
+            z, info = real_vectors(*args)
+            shapes.append(z.shape)
+            if len(shapes) == 2:  # A - B J
+                z[:, smallest] += 1e-6 * rng.standard_normal(z.shape[0])
+            return z, info
+
+        record = re.escape(f"assembly record: {op.assembly}")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg.lapack, "dstein", perturbed)
+            with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
+                eigen_spectrum(op)
+        assert shapes == [(128, 50), (128, 50)]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 700])  # 700 takes the blocked reduction
     def test_one_reduction_spectrum_is_bitwise_eigh(self, n):
         block = random_symmetric(np.random.default_rng(31), n)
@@ -598,8 +626,8 @@ class TestEigenSpectrum:
             block = random_symmetric(np.random.default_rng(61), 300)
         else:
             block = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).pairs.block(-1)
-        _, top, res = spectral_report._certified_pairs(block.copy())
-        _, _, u = spectral_report._top_pairs(block.copy())
+        _, res = spectral_report._certified_pairs(block.copy())
+        _, top, u = spectral_report._top_pairs(block.copy())
         oracle = np.linalg.norm(block @ u - u * top, axis=0)
         scale = np.finfo(float).eps * float(np.abs(top).max())
         assert res.shape == (50,) and np.all(res <= 100 * scale)
@@ -738,10 +766,11 @@ class TestEigenSpectrum:
         if case == "split":
             e = scipy.linalg.lapack.dsytrd(mat.copy())[2]
             assert np.count_nonzero(e == 0.0) >= 2
-        w, top, res = spectral_report._certified_pairs(mat.copy())
+        w, res = spectral_report._certified_pairs(mat.copy())
+        _, top, _ = spectral_report._top_pairs(mat.copy())
         ref = np.linalg.eigvalsh(mat)
         norm = float(np.abs(ref).max())
-        assert top.size == min(50, len(mat))
+        assert top.size == res.size == min(50, len(mat))
         assert np.all(res <= 1e-13 * norm)
         assert np.allclose(w, ref, rtol=0.0, atol=1e-13 * norm)
         values = eigen_spectrum(operator(mat))
@@ -849,8 +878,8 @@ class TestKernelMirrorBlocks:
         rng = np.random.default_rng(level)
         for sign in (1, -1):
             block = op.pairs.block(sign)
-            _, top, res = spectral_report._certified_pairs(block.copy())
-            _, _, u = spectral_report._top_pairs(block.copy())
+            _, res = spectral_report._certified_pairs(block.copy())
+            _, top, u = spectral_report._top_pairs(block.copy())
 
             def lift(v):
                 return np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0)
