@@ -188,12 +188,6 @@ def main(argv=None) -> int:
     if args.jobs == 1 or not multi:
         codes = [_run_one(args, path, multi) for path in configs]
     else:
-        # the package defers these imports to its first kernel evaluation and
-        # eigensolve; two workers reaching a first import at once could get a
-        # partly initialised module, so the pool takes them on this thread
-        import scipy.linalg  # noqa: F401
-        import scipy.special  # noqa: F401
-
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(lambda p: _run_one(args, p, multi), configs))
     return max(codes)

@@ -225,18 +225,33 @@ def _pair_codes(ifs: SimilitudeIFS, level: int) -> np.ndarray:
     return codes
 
 
-def _pair_counts(ifs: SimilitudeIFS, level: int) -> np.ndarray:
-    """How many atom pairs at ``level`` carry each of the ``D^level`` codes:
-    exactly ``np.bincount(_pair_codes(ifs, level).ravel())``, without the
-    (N, N) codes.  The code of a pair prefixes its first digit to a
-    level-``(level-1)`` code, so the counts are ``kron(c1, counts_{L-1})``
-    with ``c1`` the counts of the level-1 digits."""
+def _lower_pair_counts(ifs: SimilitudeIFS, level: int) -> np.ndarray:
+    """How many atom pairs at ``level`` carry each code below the coincident
+    one, ``mid = D^level // 2``: exactly ``np.bincount(_pair_codes(ifs,
+    level).ravel())[:mid]``, without the (N, N) codes or the upper half.
+
+    The code of a pair prefixes its first digit to a level-``(level-1)``
+    code, so all ``D^level`` counts are ``kron(c1, counts_{L-1})``, with
+    ``c1`` the counts of the level-1 digits.  The zero difference is the
+    middle digit ``h = D // 2`` (the differences are sorted and symmetric
+    about it), so the codes below ``mid`` are those that lead with a digit
+    below h, followed by those that lead with h and go on below the
+    level-``(level-1)`` middle: ``concat(kron(c1[:h], counts_{L-1}), c1[h]
+    lower_{L-1})``, built into the one array returned.
+    """
     deltas, digit = _pair_digits(ifs)
     c1 = np.bincount(digit.ravel(), minlength=deltas.shape[0])
-    counts = np.ones(1, dtype=c1.dtype)
-    for _ in range(level):
-        counts = np.kron(c1, counts)
-    return counts
+    h = c1.size // 2
+    counts, lower = np.ones(1, dtype=c1.dtype), np.zeros(0, dtype=c1.dtype)
+    for depth in range(level):
+        size = counts.size
+        out = np.empty(h * size + lower.size, dtype=c1.dtype)
+        np.multiply.outer(c1[:h], counts, out=out[: h * size].reshape(h, size))
+        np.multiply(c1[h], lower, out=out[h * size :])
+        lower = out
+        if depth < level - 1:
+            counts = np.kron(c1, counts)
+    return lower
 
 
 _CHUNK = 4096  # most distances per chunk: a chunk's temporaries stay a few tens of KiB

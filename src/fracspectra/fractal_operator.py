@@ -55,12 +55,13 @@ from typing import Callable
 
 import numpy as np
 
+from ._native import native
 from .besov_analysis import build_resolution
 from .fractal_measure import (
     FractalMeasure,
     _folded_table,
+    _lower_pair_counts,
     _pair_codes,
-    _pair_counts,
     _pair_digits,
     _pair_distances,
     _pair_table,
@@ -147,12 +148,10 @@ SINGULAR_RADIUS = 1e-12
 
 def _closed_form_values(a: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Closed-form kernel ``2**(1-a/2)/Gamma(a/2) rho**((a-n)/2) K_((n-a)/2)(rho)``."""
-    # imported here, not with the module: runs that evaluate no kernel skip it
-    from scipy.special import gammaln, kv
-
+    special = native("special", "_special_ufuncs")
     rho = np.asarray(rho, dtype=float)
-    log_c = (1.0 - a / 2.0) * math.log(2.0) - gammaln(a / 2.0)
-    return np.exp(log_c + ((a - n) / 2.0) * np.log(rho)) * kv((n - a) / 2.0, rho)
+    log_c = (1.0 - a / 2.0) * math.log(2.0) - special.gammaln(a / 2.0)
+    return np.exp(log_c + ((a - n) / 2.0) * np.log(rho)) * special.kv((n - a) / 2.0, rho)
 
 
 @dataclass(eq=False)
@@ -185,8 +184,7 @@ class BesselKernel:
             raise SingularKernelError(
                 f"kernel of order {a} in dimension {n} diverges at zero radius"
             )
-        from scipy.special import gammaln  # deferred, as in _closed_form_values
-
+        gammaln = native("special", "_special_ufuncs").gammaln
         return float(
             2.0 ** (-n / 2.0) * math.exp(gammaln((a - n) / 2.0) - gammaln(a / 2.0))
         )
@@ -722,13 +720,17 @@ class _NotAKnotSpline:
         ab[1, -1] = dx[-2]
         ab[-1, -2] = d = x[-1] - x[-3]
         b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        # imported here, not with the module: loading scipy.linalg before
-        # the rest of the package raised the import's ru_maxrss by 0.8 MB
-        from scipy.linalg import solve_banded
-
-        s = solve_banded(
-            (1, 1), ab, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
-        ).reshape(n)
+        # the very dgtsv call of scipy.linalg.solve_banded((1, 1), ab, b,
+        # overwrite_ab=True, overwrite_b=True, check_finite=False)
+        *_, s, info = native("linalg", "_flapack").dgtsv(
+            ab[2, :-1], ab[1], ab[0, 1:], b.reshape(n, 1),
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        s = s.reshape(n)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -982,12 +984,14 @@ def assemble_tmu_galerkin(
         # order statistics (H - 1) // 2 and H // 2 the middle two of all 2H
         mid = dist.size // 2
         order = np.argsort(dist[:mid], kind="stable")
-        cum = np.cumsum(_pair_counts(ifs, level)[:mid][order])
+        cum = _lower_pair_counts(ifs, level)[order]
+        np.cumsum(cum, out=cum)
         half = int(cum[-1])
         pick = np.searchsorted(cum, [(half - 1) // 2, half // 2], side="right")
         rho_med = float(dist[order[pick]].mean())
         del order, cum
-        near = np.abs(dist - rho_med) < 0.5 * rho_med
+        near = np.subtract(dist, rho_med)
+        near = np.abs(near, out=near) < 0.5 * rho_med  # one temporary, not two
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
     table, term_info = np.zeros(dist.size), []

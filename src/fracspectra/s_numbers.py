@@ -26,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._native import native
+
 __all__ = [
     "SNumberSequence",
     "AuditCheck",
@@ -79,15 +81,25 @@ def approximation_numbers_hilbert(matrix: np.ndarray) -> SNumberSequence:
     """Approximation numbers of a matrix between Euclidean spaces.
 
     These coincide with the singular values in descending order; the adjoint
-    has the same sequence.
+    has the same sequence.  They are bitwise ``scipy.linalg.svdvals``: the
+    same LAPACK call from scipy's compiled ``_flapack`` module (``dgesdd``
+    for real input, ``zgesdd`` for complex, without vectors, after its
+    workspace query), and, as there, a non-finite entry raises ``ValueError``.
     """
-    # imported here, not with the module: runs that take no singular values skip it
-    from scipy.linalg import svdvals
-
-    m = np.atleast_2d(np.asarray(matrix))
+    m = np.atleast_2d(np.asarray_chkfinite(matrix))
     if m.size == 0:
         return SNumberSequence("approximation", ())
-    return SNumberSequence("approximation", tuple(float(s) for s in svdvals(m)))
+    flapack = native("linalg", "_flapack")
+    prefix = "z" if np.iscomplexobj(m) else "d"
+    work, info = getattr(flapack, f"{prefix}gesdd_lwork")(*m.shape, compute_uv=0)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    _, s, _, info = getattr(flapack, f"{prefix}gesdd")(m, compute_uv=0, lwork=int(work.real))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    return SNumberSequence("approximation", tuple(float(v) for v in s))
 
 
 # ---------------------------------------------------------------------------

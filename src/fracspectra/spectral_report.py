@@ -21,9 +21,11 @@ symbol, on a digit-mirror-symmetric set, as every bundled IFS is) is
 solved as its two half-size blocks in turn, in one buffer; every other at
 full size.  No solve writes an operator, so one may be solved from several
 threads at once.  The whole solve, the certificate's product included,
-runs on scipy's OpenBLAS: numpy loads a second one, whose idle worker
-threads would compete for the cores with the next reduction
-(:func:`_certified_pairs`).
+runs on scipy's OpenBLAS, through the LAPACK and BLAS wrappers of its
+compiled ``_flapack`` and ``_fblas`` modules, loaded without the
+``scipy.linalg`` package (:mod:`fracspectra._native`): numpy loads a second
+OpenBLAS, whose idle worker threads would compete for the cores with the
+next reduction (:func:`_certified_pairs`).
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._native import native
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
     DiscretizedOperator,
@@ -167,11 +170,10 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     diag(1, Q')``, with ``Q'`` the ``n - 1`` Householder reflectors stored
     below the subdiagonal, applied by ``dormqr`` to rows ``1:``.  The
     residual certificate of :func:`eigen_spectrum` checks the pairing that
-    is returned.
+    is returned.  Every routine is scipy's wrapper from its compiled
+    ``_flapack`` module, the very object ``scipy.linalg.lapack`` exports.
     """
-    # imported here, not with the module: runs that solve nothing skip it
-    from scipy.linalg import lapack
-
+    lapack = native("linalg", "_flapack")
     n = block.shape[0]
     m = min(50, n)
     lwork = int(_lapack(lapack.dsyevr_lwork, n, lower=1)[0]) - 5 * n
@@ -205,16 +207,16 @@ def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the diagonal saved before it is written back.  ``dsymm`` reads that
     triangle as the upper one of the Fortran-ordered view ``block.T``, so no
     copy is made, and forms ``block u - u lambda`` in place (``beta = -1``)
-    on the OpenBLAS library of the reduction.  numpy and scipy each load
-    their own OpenBLAS, each with worker threads that busy-wait for a while
-    after a call; a product on numpy's would leave its workers spinning
-    against the next block's threaded ``dsytrd``."""
-    # imported here, not with the module: runs that solve nothing skip it
-    from scipy.linalg.blas import dsymm
-
+    on the OpenBLAS library of the reduction, through scipy's wrapper from
+    its compiled ``_fblas`` module, which ``scipy.linalg.blas`` exports.
+    numpy and scipy each load their own OpenBLAS, each with worker threads
+    that busy-wait for a while after a call; a product on numpy's would
+    leave its workers spinning against the next block's threaded
+    ``dsytrd``."""
     diag = block.diagonal().copy()
     w, top, u = _top_pairs(block)
     np.fill_diagonal(block, diag)
+    dsymm = native("linalg", "_fblas").dsymm
     res = dsymm(1.0, block.T, u, beta=-1.0, c=u * top, overwrite_c=1)
     return w, np.linalg.norm(res, axis=0)
 

@@ -53,6 +53,8 @@ from fracspectra.spectral_report import (
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+# the only scipy modules a run loads: the compiled ones it calls
+NATIVE_MODULES = ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.special._special_ufuncs"]
 
 BASE = {
     "schema_version": 1,
@@ -617,12 +619,13 @@ class TestRunValidateSymbol:
 class TestCli:
     def test_cli_import_leaves_out_the_optional_scipy_subpackages(self, tmp_path):
         # importing the CLI and loading a config load no scipy module at all,
-        # and neither does validate-symbol: kernels and eigensolves import
-        # scipy.special and scipy.linalg where they run, so spectrum loads
-        # both.  No run loads the rest: the cutoff profile's spline is one
-        # scipy.linalg banded solve and the upper envelope is found without a
-        # linear-program solver, so spectrum with an upper fit needs neither
-        # scipy.interpolate nor scipy.optimize; nothing uses scipy.spatial
+        # and neither does validate-symbol.  Kernels, the profile spline and
+        # eigensolves load the three compiled modules they call on first use,
+        # so spectrum loads those three and no scipy package: not
+        # scipy.special or scipy.linalg, whose modules they are, nor
+        # scipy.interpolate or scipy.optimize (the spline is one dgtsv solve
+        # and the upper envelope is found without a linear-program solver),
+        # nor scipy.spatial
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
@@ -643,22 +646,20 @@ class TestCli:
             "sys.argv[2] + '/' + cmd]); "
             "codes = [run('validate-symbol')]; after_symbol = scipy(); "
             "codes.append(run('spectrum')); "
-            "print(at_load, after_symbol, codes, [m for m in named if m in sys.modules])"
+            "print(at_load, after_symbol, codes, scipy(), [m for m in named if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe, str(config), str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == (
-            "[] [] [0, 0] ['scipy.linalg', 'scipy.special']"
-        )
+        assert done.stdout.splitlines()[-1] == f"[] [] [0, 0] {NATIVE_MODULES} []"
 
     def test_entropy_runs_never_load_scipy_spatial(self, tmp_path):
         # the cover polish reads its boundary points off the lattice, so a
         # whole entropy-lab and audits run needs no convex hull; entropy-lab
         # loads no scipy module at all, and audits, which assembles a kernel
-        # and solves it, loads scipy.special and scipy.linalg
+        # and solves it, loads the three compiled modules and no scipy package
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
@@ -671,20 +672,21 @@ class TestCli:
             "sys.argv[2] + '/' + cmd]); "
             "codes = [run('entropy-lab')]; after_entropy = scipy(); "
             "codes.append(run('audits')); "
-            "print(codes, after_entropy, "
-            "[m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.special') if m in sys.modules])"
+            "named = ('scipy.interpolate', 'scipy.linalg', 'scipy.optimize', "
+            "'scipy.spatial', 'scipy.special'); "
+            "print(codes, after_entropy, scipy(), [m for m in named if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe, config, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0] [] ['scipy.linalg', 'scipy.special']"
+        assert done.stdout.splitlines()[-1] == f"[0, 0] [] {NATIVE_MODULES} []"
 
     def test_parallel_first_imports_match_serial_bytes(self, tmp_path, capsys):
-        # in a fresh interpreter the pool's two workers would reach the
-        # package's first scipy imports together; each config still writes
-        # its serial bytes
+        # in a fresh interpreter the pool's two workers reach the package's
+        # first loads of the compiled scipy modules together; each config
+        # still writes its serial bytes, and no scipy package is imported
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]),
@@ -695,12 +697,17 @@ class TestCli:
             raw["fractal"]["level"] = 6
             args += ["--config", str(write_config(tmp_path / f"{stem}.json", raw))]
         parallel, serial = tmp_path / "parallel", tmp_path / "serial"
-        probe = "import sys; from fracspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+        probe = (
+            "import sys; from fracspectra.cli import main; code = main(sys.argv[1:]); "
+            "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]); "
+            "sys.exit(code)"
+        )
         done = subprocess.run(
             [sys.executable, "-c", probe, *args, "--jobs", "2", "--out", str(parallel)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
         assert main(args + ["--out", str(serial)]) == 0
         capsys.readouterr()
         files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())

@@ -11,8 +11,9 @@ from fracspectra.fractal_measure import (
     OverlapError,
     ResolutionError,
     SimilitudeIFS,
+    _lower_pair_counts,
     _pair_codes,
-    _pair_counts,
+    _pair_digits,
     ball_measure_ratio,
     build_cantor_like,
     quadrature,
@@ -174,16 +175,24 @@ class TestQuadrature:
 class TestPairCounts:
     @pytest.mark.parametrize("level", range(8))
     @pytest.mark.parametrize(
-        "maps",
-        [(2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]]), (3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]])],
-        ids=["bundled-cantor", "three-maps"],
+        "dim, maps",
+        [
+            (1, (2, 1.0 / 3.0, [[0.0], [2.0 / 3.0]])),
+            (1, (3, 0.2, [[0.0], [math.sqrt(2.0) - 1.0], [0.8]])),
+            (2, (3, 0.3, [[0.0, 0.0], [0.7, 0.1], [0.2, 0.7]])),
+        ],
+        ids=["bundled-cantor", "three-maps", "2d-dust"],
     )
-    def test_counts_equal_the_bincount_of_the_codes(self, maps, level):
-        ifs = build_cantor_like(1, *maps)
-        counts = _pair_counts(ifs, level)
-        expect = np.bincount(_pair_codes(ifs, level).ravel(), minlength=counts.size)
+    def test_counts_equal_the_bincount_of_the_codes(self, dim, maps, level):
+        # the counts of the codes below the coincident one, mid: the N (N -
+        # 1) / 2 off-diagonal pairs, one of each mirrored pair
+        ifs = build_cantor_like(dim, *maps)
+        counts = _lower_pair_counts(ifs, level)
+        mid = _pair_digits(ifs)[0].shape[0] ** level // 2
+        expect = np.bincount(_pair_codes(ifs, level).ravel())[:mid]
         assert counts.dtype == expect.dtype and np.array_equal(counts, expect)
-        assert counts.sum() == ifs.n_maps ** (2 * level)
+        n = ifs.n_maps**level
+        assert counts.sum() == (n * n - n) // 2
 
 
 class TestBallMeasureRatio:

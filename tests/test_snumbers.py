@@ -89,6 +89,34 @@ class TestApproximationNumbers:
         assert seq.values == ()
         assert seq.value(1) == 0.0
 
+    @pytest.mark.parametrize("case", ["real-6x6", "complex-4x3", "row-1x5", "empty"])
+    def test_values_are_bitwise_scipy_svdvals(self, case) -> None:
+        # the same LAPACK gesdd call as scipy.linalg.svdvals: d for real
+        # input, z for complex input, with its workspace query
+        from scipy.linalg import svdvals
+
+        rng = np.random.default_rng(71)
+        m = {
+            "real-6x6": lambda: rng.standard_normal((6, 6)),
+            "complex-4x3": lambda: rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
+            "row-1x5": lambda: rng.standard_normal((1, 5)),
+            "empty": lambda: np.zeros((0, 0)),
+        }[case]()
+        got = approximation_numbers_hilbert(m).values
+        assert [v.hex() for v in got] == [float(v).hex() for v in svdvals(m)]
+        assert len(got) == min(m.shape)
+
+    def test_nan_is_refused_as_svdvals_refuses_it(self) -> None:
+        from scipy.linalg import svdvals
+
+        m = np.eye(3)
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError) as theirs:
+            svdvals(m)
+        with pytest.raises(ValueError) as ours:
+            approximation_numbers_hilbert(m)
+        assert type(ours.value) is type(theirs.value)
+
 
 class TestEntropyBruteForce:
     def test_half_diagonal_sup_norm(self) -> None:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import assert_operator_is, dense_kernel, held_matrix
+from fracspectra._native import native
 from fracspectra.experiment import _assemble, _build_measure, load_config
 from fracspectra.fractal_measure import build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
@@ -50,6 +51,8 @@ from fracspectra.spectral_report import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# the compiled LAPACK and BLAS modules the eigensolve calls, which its spies patch
+FLAPACK, FBLAS = native("linalg", "_flapack"), native("linalg", "_fblas")
 D_CANTOR = 0.6309297535714574  # log 2 / log 3, dimension of the middle-third set
 
 # (ambient_dim, n_maps, ratio, translations) of sets off the two-map Cantor line
@@ -96,7 +99,7 @@ def eigensolve_calls():
     (the order).  A ``dstebz`` or ``eigh_tridiagonal`` call fails the test
     at once."""
     calls = []
-    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    lapack, blas = FLAPACK, FBLAS
     real_eigh = scipy.linalg.eigh
     real = {name: getattr(lapack, name) for name in ("dsytrd", "dsterf", "dstein", "dormqr")}
     real_product = blas.dsymm
@@ -440,7 +443,7 @@ class TestEigenSpectrum:
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
             op = operator(a + a.T)
-        real_vectors = scipy.linalg.lapack.dstein
+        real_vectors = FLAPACK.dstein
         rng = np.random.default_rng(29)
 
         def perturbed(*args):
@@ -450,7 +453,7 @@ class TestEigenSpectrum:
         eigen_spectrum(op)  # certified as solved
         record = re.escape(f"assembly record: {op.assembly}")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg.lapack, "dstein", perturbed)
+            mp.setattr(FLAPACK, "dstein", perturbed)
             with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
 
@@ -465,7 +468,7 @@ class TestEigenSpectrum:
         _, top, _ = spectral_report._top_pairs(op.pairs.block(-1))
         smallest = int(np.argmin(np.abs(top)))
         assert top.size == 50 and abs(top[smallest]) < abs(values[49])
-        real_vectors, shapes = scipy.linalg.lapack.dstein, []
+        real_vectors, shapes = FLAPACK.dstein, []
         rng = np.random.default_rng(83)
 
         def perturbed(*args):
@@ -477,7 +480,7 @@ class TestEigenSpectrum:
 
         record = re.escape(f"assembly record: {op.assembly}")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg.lapack, "dstein", perturbed)
+            mp.setattr(FLAPACK, "dstein", perturbed)
             with pytest.raises(RuntimeError, match=f"eigenpair residual .*{record}"):
                 eigen_spectrum(op)
         assert shapes == [(128, 50), (128, 50)]
@@ -501,14 +504,14 @@ class TestEigenSpectrum:
         # the reduction, the values, the vectors, and their map back
         mat = random_symmetric(np.random.default_rng(37), 8)
         op = DiscretizedOperator(mat, {"kind": "probe"})
-        real_routine = getattr(scipy.linalg.lapack, routine)
+        real_routine = getattr(FLAPACK, routine)
 
         def failing(*args, **kwargs):
             *out, _ = real_routine(*args, **kwargs)
             return (*out, 1)
 
         failing.__name__ = routine
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        monkeypatch.setattr(FLAPACK, routine, failing)
         keep = mat.copy()
         with pytest.raises(scipy.linalg.LinAlgError, match=f"{routine} returned info = 1"):
             spectral_report._top_pairs(mat.copy())
@@ -569,7 +572,7 @@ class TestEigenSpectrum:
         else:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
         blocks, reductions = [], []
-        real_top_pairs, real_reduction = spectral_report._top_pairs, scipy.linalg.lapack.dsytrd
+        real_top_pairs, real_reduction = spectral_report._top_pairs, FLAPACK.dsytrd
 
         def top_pairs(block):
             blocks.append(block)
@@ -583,7 +586,7 @@ class TestEigenSpectrum:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_report, "_top_pairs", top_pairs)
-            mp.setattr(scipy.linalg.lapack, "dsytrd", reduction)
+            mp.setattr(FLAPACK, "dsytrd", reduction)
             eigen_spectrum(op)
         assert reductions == [(1, True)] * (1 if case == "dense" else 2)
         if case == "dense":  # a copy of the bare matrix, made by the solve
@@ -600,7 +603,7 @@ class TestEigenSpectrum:
         else:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
         blocks, products = [], []
-        real_top_pairs, real_product = spectral_report._top_pairs, scipy.linalg.blas.dsymm
+        real_top_pairs, real_product = spectral_report._top_pairs, FBLAS.dsymm
 
         def top_pairs(block):
             blocks.append((block, block.copy()))
@@ -615,7 +618,7 @@ class TestEigenSpectrum:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_report, "_top_pairs", top_pairs)
-            mp.setattr(scipy.linalg.blas, "dsymm", product)
+            mp.setattr(FBLAS, "dsymm", product)
             eigen_spectrum(op)
         calls = 1 if case == "dense" else 2
         assert products == [(1.0, True, True, True), (-1.0, 0, 1)] * calls
