@@ -27,9 +27,9 @@ spectra approximate the continuum objects:
   kernel K or the Galerkin compression of an x-independent symbol is a
   :class:`MirrorBlocks`, whose half-size blocks ``A +- B J`` the solver
   gathers one after the other into one buffer of order N/2.
-* ``assemble_trace_operator`` builds the frequency-truncated rectangular
-  restriction matrix from smoothness-weighted plane-wave coefficients to
-  weighted atom samples.
+* ``assemble_trace_operator`` returns the frequency-truncated plane-wave
+  trace factor, the complex N x n_modes array of smoothness-weighted
+  plane-wave coefficients at the weighted atoms; no eigensolve reads it.
 * ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
   whose terms share one real, strictly positive spatial factor a, to atom
   space through a smoothly truncated frequency integral, in the exactly
@@ -37,9 +37,8 @@ spectra approximate the continuum objects:
   table of S and ``sqrt(a)`` and symmetric bit for bit by construction;
   with ``a == 1`` that is the gather S itself, held as above.
 
-Every square operator is real symmetric, the one form
-:func:`~fracspectra.spectral_report.eigen_spectrum` solves; the trace factor
-is the only rectangular one.
+Every operator is a real symmetric pair gather, the one form
+:func:`~fracspectra.spectral_report.eigen_spectrum` solves.
 
 All singular diagonals use one shared rule, ``cell_pair_energy``: the exact
 self-similar subdivision of a cell for a few levels plus a closed-form
@@ -68,7 +67,6 @@ from .fractal_measure import (
 )
 
 __all__ = [
-    "SYMMETRY_REL",
     "SingularKernelError",
     "WindowViolationError",
     "PsdViolationWarning",
@@ -82,12 +80,6 @@ __all__ = [
     "assemble_trace_operator",
     "assemble_tmu_galerkin",
 ]
-
-
-SYMMETRY_REL = 1e-10
-"""Relative floor of the symmetry check of a bare square matrix given to
-:class:`DiscretizedOperator`: a deviation ``max|K - K^T|`` up to
-``SYMMETRY_REL * max|K|`` still counts as symmetric."""
 
 
 class SingularKernelError(ValueError):
@@ -350,49 +342,7 @@ def cell_pair_energy(
 # ---------------------------------------------------------------------------
 
 
-_TILE = 256  # rows (and columns) per tile of the whole-matrix reads and code gathers
-
-
-def _symmetry_deviation(a: np.ndarray) -> tuple[float, float, bool]:
-    """``max|a - a^T|`` and ``max|a|`` of a real square ``a``, and whether
-    ``a`` equals ``a^T`` bit for bit (which ``max|a - a^T| == 0`` does not
-    say of a signed zero).
-
-    Each square tile ``a[i:i+B, j:j+B]`` (``B = _TILE``) with ``j >= i`` is
-    compared with ``a[j:j+B, i:i+B].T``, so both tiles are read along their
-    own rows (not a whole column of ``a``) and every temporary is one tile.
-    The two tiles of a pair cover each entry, and ``|x - y| = |y - x|``
-    bitwise, so this equals the whole-matrix comparison.  A NaN entry makes
-    both results NaN and an infinite one makes ``max|a|`` infinite.
-    """
-    dev = scale = 0.0
-    exact = True
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            x = a[i : i + _TILE, j : j + _TILE]
-            y = a[j : j + _TILE, i : i + _TILE].T
-            with np.errstate(invalid="ignore"):  # inf - inf is NaN, as it should be
-                diff = np.abs(x - y).max()
-            # np.maximum, unlike the builtin max, keeps a NaN once it appears
-            dev = float(np.maximum(dev, diff))
-            scale = float(np.maximum(scale, np.maximum(np.abs(x).max(), np.abs(y).max())))
-            exact = exact and np.array_equal(x.view(np.uint64), y.view(np.uint64))
-    return dev, scale, exact
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strict lower triangle of square ``a`` onto its strict upper
-    one, in place, so that ``a`` equals ``a^T`` bit for bit.  Each tile above
-    the diagonal is written from its mirror below it, and each diagonal tile
-    from its own transpose, so no temporary exceeds one tile."""
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        tile = a[rows, rows]
-        np.copyto(tile, tile.T.copy(), where=np.triu(np.ones(tile.shape, dtype=bool), 1))
-        for j in range(i + _TILE, n, _TILE):
-            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
+_TILE = 256  # rows (and columns) per tile of the code gathers
 
 
 def _code_factors(ifs, level: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -515,67 +465,27 @@ def _gather_pairs(ifs, level: int, table: np.ndarray, r=None) -> PairGather:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """An operator plus its ``assembly`` record, which says how it was built
-    and what its axes mean (``kind``, ``n_atoms`` and any ``similarity``).
+    """An assembled operator: its ``assembly`` record, which says how it was
+    built and what its axes mean (``kind``, ``n_atoms`` and any
+    ``similarity``), and its :class:`PairGather` in ``pairs``.
 
-    An assembled square operator is held as its :class:`PairGather` in
-    ``pairs``, with no matrix.  It is symmetric by construction, so no tile
-    pass reads it; it is refused when its table or ``r`` has a non-finite
-    entry.  Only :func:`~fracspectra.spectral_report.eigen_spectrum` gathers
-    it, into a buffer of its own, so nothing writes an operator.
+    The operator holds no matrix, only the gather's table, code factors and
+    any ``r``.  It is symmetric by construction, so no tile pass reads it;
+    it is refused when its table or ``r`` has a non-finite entry.  Only
+    :func:`~fracspectra.spectral_report.eigen_spectrum` gathers it, into a
+    buffer of its own, so nothing writes an operator."""
 
-    A bare ``matrix`` is checked.  A square one must be real symmetric: the
-    tile check ``max|K - K^T| <= SYMMETRY_REL * max|K|`` runs here, and it
-    also refuses any non-finite entry.  A complex square matrix is refused
-    outright.  A square matrix is held float64, C-ordered and equal to its
-    transpose bit for bit, the form the solve copies and reduces: one given
-    in that form is held as it is, and any other, one that passes the check
-    with a nonzero or signed-zero deviation among them, as a copy with its
-    lower triangle copied onto the upper one.  A rectangular matrix (the
-    trace factor, the only one) is only checked to be finite;
-    :func:`~fracspectra.spectral_report.eigen_spectrum` refuses it."""
-
-    matrix: np.ndarray | None
     assembly: dict
-    pairs: PairGather | None = None
+    pairs: PairGather
 
     def __post_init__(self) -> None:
-        if self.pairs is not None:
-            if self.matrix is not None:
-                raise ValueError("an operator held as a pair gather has no matrix")
-            r = 1.0 if self.pairs.r is None else self.pairs.r
-            if not (np.all(np.isfinite(self.pairs.table)) and np.all(np.isfinite(r))):
-                raise ValueError("operator matrix contains non-finite entries")
-            return
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2:
-            raise ValueError("operator matrix must be two-dimensional")
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape[0] != mat.shape[1]:
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("operator matrix contains non-finite entries")
-            return
-        if np.iscomplexobj(mat):
-            raise ValueError("a square operator matrix must be real symmetric, not complex")
-        if mat.dtype != np.float64:
-            mat = mat.astype(np.float64)
-        dev, top, exact = _symmetry_deviation(mat)
-        # a finite max|a| rules out every non-finite entry
-        if not (np.isfinite(top) and dev <= SYMMETRY_REL * max(top, 1e-300)):
-            raise ValueError(
-                f"a square operator matrix must be finite and symmetric: max "
-                f"deviation {dev:.3e} exceeds {SYMMETRY_REL:.0e} * {top:.3e}"
-            )
-        if not (exact and mat.flags.c_contiguous):
-            mat = np.array(mat, order="C")
-            _mirror_lower(mat)
-        object.__setattr__(self, "matrix", mat)
+        r = 1.0 if self.pairs.r is None else self.pairs.r
+        if not (np.all(np.isfinite(self.pairs.table)) and np.all(np.isfinite(r))):
+            raise ValueError("operator table or r contains non-finite entries")
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.pairs is not None:
-            return (self.pairs.order, self.pairs.order)
-        return self.matrix.shape
+        return (self.pairs.order, self.pairs.order)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +539,11 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
-    return DiscretizedOperator(None, assembly, pairs=_gather_pairs(ifs, level, table))
+    return DiscretizedOperator(assembly, _gather_pairs(ifs, level, table))
 
 
 # ---------------------------------------------------------------------------
-# Assembly: rectangular trace operator from plane-wave coefficients
+# Assembly: plane-wave trace factor
 # ---------------------------------------------------------------------------
 
 
@@ -643,13 +553,16 @@ def assemble_trace_operator(
     *,
     freq_cutoff: float = 256.0,
     n_modes: int = 513,
-) -> DiscretizedOperator:
-    """Frequency-truncated restriction matrix from plane waves to atom samples.
+) -> np.ndarray:
+    """Frequency-truncated trace factor A from plane waves to atom samples,
+    a complex N x n_modes array.
 
     Column m holds ``sqrt(w_j) sqrt(dxi/(2 pi)) (1+xi_m^2)^{-s/2} e^{i x_j xi_m}``,
-    so the Gram ``A A*`` is the kernel matrix of :func:`assemble_dmu_kernel`
-    with the frequency integral truncated to ``|xi| <= freq_cutoff``.  The
-    exact approximation numbers come from that kernel matrix instead (see
+    on ``n_modes`` equispaced frequencies ``xi_m`` spanning ``[-freq_cutoff,
+    freq_cutoff]`` with spacing ``dxi``, so the Gram ``A A*`` is the kernel
+    matrix of :func:`assemble_dmu_kernel` with the frequency integral
+    truncated to ``|xi| <= freq_cutoff``.  The exact approximation numbers
+    come from that kernel matrix instead (see
     :func:`~fracspectra.spectral_report.snumber_exponent_check`).  Requires
     ``2s`` in the compactness window (:func:`_check_rate_window` at ``p = 2``).
     """
@@ -660,26 +573,12 @@ def assemble_trace_operator(
     _check_rate_window(n, d, s, 2.0)
     if n_modes < 3:
         raise ValueError("need at least three frequency modes")
-    if freq_cutoff <= 0.0:
-        raise ValueError("frequency cutoff must be positive")
-    w = measure.weight
+    if not 0.0 < freq_cutoff < math.inf:
+        raise ValueError("frequency cutoff must be positive and finite")
     xi = np.linspace(-freq_cutoff, freq_cutoff, n_modes)
-    dxi = xi[1] - xi[0]
-    amp = np.sqrt(dxi / (2.0 * math.pi)) * (1.0 + xi**2) ** (-s / 2.0)
+    amp = np.sqrt((xi[1] - xi[0]) / (2.0 * math.pi)) * (1.0 + xi**2) ** (-s / 2.0)
     phase = np.exp(1j * measure.atoms[:, 0, None] * xi[None, :])
-    return DiscretizedOperator(
-        matrix=math.sqrt(w) * amp[None, :] * phase,
-        assembly={
-            "kind": "trace-restriction",
-            "smoothness_s": s,
-            "level": measure.level,
-            "n_atoms": measure.n_atoms,
-            "freq_cutoff": freq_cutoff,
-            "n_modes": n_modes,
-            "mode_spacing": float(dxi),
-            "convention": "sqrt(w_j) sqrt(dxi/(2*pi)) (1+xi^2)^(-s/2) exp(i x_j xi)",
-        },
-    )
+    return math.sqrt(measure.weight) * amp[None, :] * phase
 
 
 # ---------------------------------------------------------------------------
@@ -1043,4 +942,4 @@ def assemble_tmu_galerkin(
         "terms": term_info,
         "similarity": similarity,
     }
-    return DiscretizedOperator(None, assembly, pairs=pairs)
+    return DiscretizedOperator(assembly, pairs)

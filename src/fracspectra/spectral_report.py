@@ -1,6 +1,6 @@
 """Spectra of discretized operators and their decay-rate verdicts.
 
-This module turns an assembled operator matrix into an eigenvalue sequence
+This module turns an assembled operator into an eigenvalue sequence
 ordered by decreasing modulus, fits the power-law decay of that sequence on
 a rank window, and compares the fitted exponent against the rate predicted
 by the smoothness order and the dimension of the supporting set:
@@ -9,23 +9,23 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-``eigen_spectrum`` solves an assembled square
+``eigen_spectrum`` solves an assembled
 :class:`~fracspectra.fractal_operator.DiscretizedOperator`, which every
 assembly builds real symmetric, and returns its real spectrum as float64.
-It owns the only N x N buffer of a run: it gathers the operator, or copies
-a bare matrix, into it, and one tridiagonal reduction per block, in that
-buffer, gives the whole spectrum and the block's 50 eigenpairs of largest
-modulus, each certified by its residual.  An operator held as mirror blocks
-(a kernel Gram operator, or the Galerkin compression of an x-independent
-symbol, on a digit-mirror-symmetric set, as every bundled IFS is) is
-solved as its two half-size blocks in turn, in one buffer; every other at
-full size.  No solve writes an operator, so one may be solved from several
-threads at once.  The whole solve, the certificate's product included,
-runs on scipy's OpenBLAS, through the LAPACK and BLAS wrappers of its
-compiled ``_flapack`` and ``_fblas`` modules, loaded without the
-``scipy.linalg`` package (:mod:`fracspectra._native`): numpy loads a second
-OpenBLAS, whose idle worker threads would compete for the cores with the
-next reduction (:func:`_certified_pairs`).
+It owns the only N x N buffer of a run: it gathers the operator into it,
+and one tridiagonal reduction per block, in that buffer, gives the whole
+spectrum and the block's 50 eigenpairs of largest modulus, each certified
+by its residual.  An operator held as mirror blocks (a kernel Gram
+operator, or the Galerkin compression of an x-independent symbol, on a
+digit-mirror-symmetric set, as every bundled IFS is) is solved as its two
+half-size blocks in turn, in one buffer; every other at full size.  No
+solve writes an operator, so one may be solved from several threads at
+once.  The whole solve, the certificate's product included, runs on
+scipy's OpenBLAS, through the LAPACK and BLAS wrappers of its compiled
+``_flapack`` and ``_fblas`` modules, loaded without the ``scipy.linalg``
+package (:mod:`fracspectra._native`): numpy loads a second OpenBLAS, whose
+idle worker threads would compete for the cores with the next reduction
+(:func:`_certified_pairs`).
 
 Two-sided checks use ordinary least squares on ``log |lambda_k|`` versus
 ``log k``.  Checks of genuinely one-sided bounds instead fit an upper
@@ -138,7 +138,7 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     done in ``block``'s own storage, which it overwrites.
 
     ``block`` must be a C-ordered float64 array equal to its transpose bit for
-    bit (every buffer the solve gathers or copies is).
+    bit (every buffer the solve gathers is).
 
     ``dsytrd`` (lower triangle) reduces the block once to the tridiagonal
     ``T = Q^T block Q``, and the whole spectrum is ``dsterf`` on T.  That is
@@ -222,20 +222,19 @@ def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """Full spectrum of an assembled square operator, as float64 ordered by
+    """Full spectrum of an assembled operator, as float64 ordered by
     decreasing modulus (:func:`order_by_modulus`).
 
-    Every square operator is real symmetric (by construction, or by its
-    constructor's check of a bare matrix), so its eigenvalues are real, and
-    each block's up to 50 eigenpairs of largest modulus, every pair the
-    solve computes, are certified by the residual bound ``||K v - lambda v||
-    <= RESIDUAL_REL * ||K||`` (Parlett, *The Symmetric Eigenvalue Problem*,
-    SIAM 1998, ch. 4).  The constructor refuses a non-finite table, ``r`` or
-    bare matrix.
+    Every operator is real symmetric by construction, so its eigenvalues are
+    real, and each block's up to 50 eigenpairs of largest modulus, every
+    pair the solve computes, are certified by the residual bound ``||K v -
+    lambda v|| <= RESIDUAL_REL * ||K||`` (Parlett, *The Symmetric Eigenvalue
+    Problem*, SIAM 1998, ch. 4).  The constructor refuses a non-finite table
+    or ``r``.
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
-    in a buffer the solve owns: the operator gathered whole, its half-size
-    block, or a copy of its bare matrix.  Nothing the operator holds is
+    in a buffer the solve owns: the operator gathered whole, or its
+    half-size block.  Nothing the operator holds is
     written, so one operator may be solved from several threads at once.
     All eigenvalues come from T with no eigenvectors, bit for bit those of
     a values-only ``scipy.linalg.eigh``; the eigenvectors of the 50
@@ -273,20 +272,16 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     already holds.  Other operators are not judged, since an indefinite
     symmetric matrix is valid input there.
     """
-    provenance = op.assembly
-    n_rows, n_cols = op.shape
-    if n_rows != n_cols:
-        raise ValueError("eigen_spectrum needs a square matrix")
-    if n_rows == 0:
+    provenance, pairs = op.assembly, op.pairs
+    if pairs.order == 0:
         return np.zeros(0)
-    pairs = op.pairs
     try:
         if isinstance(pairs, MirrorBlocks):
             block = pairs.block(1)  # then A - B J, in the same storage
             parts = [_certified_pairs(block)]
             parts.append(_certified_pairs(pairs.block(-1, out=block)))
         else:
-            parts = [_certified_pairs(np.array(op.matrix) if pairs is None else pairs.dense())]
+            parts = [_certified_pairs(pairs.dense())]
         w = np.sort(np.concatenate([values for values, _ in parts]))
         res = np.concatenate([r for _, r in parts])
     except np.linalg.LinAlgError as exc:

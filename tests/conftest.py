@@ -61,11 +61,9 @@ def dense_kernel(mu, s: float) -> np.ndarray:
 
 def held_matrix(op, mu) -> np.ndarray:
     """The N x N matrix K that ``op``, assembled on ``mu``, stands for, bit
-    for bit: its bare matrix, or its table gathered at every level-L pair
-    code, times ``r_j r_k`` where it has ``r``.  The one place a test
-    materialises an assembled operator."""
-    if op.pairs is None:
-        return op.matrix
+    for bit: its table gathered at every level-L pair code, times ``r_j
+    r_k`` where it has ``r``.  The one place a test materialises an
+    assembled operator."""
     K = op.pairs.table[_pair_codes(mu.ifs, mu.level)]
     return K if op.pairs.r is None else K * np.multiply.outer(op.pairs.r, op.pairs.r)
 
@@ -73,8 +71,8 @@ def held_matrix(op, mu) -> np.ndarray:
 def assert_operator_is(op, K: np.ndarray) -> None:
     """``op`` holds exactly ``K``: as the gather of its code factors, or as
     the two mirror blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry
-    bitwise, and no matrix."""
-    assert op.shape == K.shape and op.matrix is None
+    bitwise."""
+    assert op.shape == K.shape
     if not isinstance(op.pairs, MirrorBlocks):
         assert np.array_equal(op.pairs.dense(), K)
         return

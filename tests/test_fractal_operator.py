@@ -343,14 +343,14 @@ class TestCodeFactors:
         self, cantor_ifs, monkeypatch, name, level
     ):
         # the summed table is gathered once, into the products r_j r_k for a
-        # modulated symbol, then scaled by c w: symmetric bit for bit, with no
-        # triangle copied.  The one tail-scale scan reads either form, and
+        # modulated symbol, then scaled by c w: symmetric bit for bit by
+        # construction.  The one tail-scale scan reads either form, and
         # with rows of ones (an x-independent symbol, held as mirror blocks)
         # it is max|table| over the band, as every code occurs in some tile
         mu = quadrature(cantor_ifs, level)
         sym = make_symbol(name, sigma=-0.9)
         codes = _pair_codes(mu.ifs, level)
-        scan, tables, mirrored = fractal_operator._band_row_max, [], []
+        scan, tables = fractal_operator._band_row_max, []
 
         def checked_scan(pairs, rows, band):
             top = scan(pairs, rows, band)
@@ -365,13 +365,10 @@ class TestCodeFactors:
             return top
 
         monkeypatch.setattr(fractal_operator, "_band_row_max", checked_scan)
-        monkeypatch.setattr(fractal_operator, "_mirror_lower", mirrored.append)
         with pytest.warns(CutoffTailWarning):
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 300.0)
-        assert mirrored == []
         (table,) = tables
         cw = (2.0 * math.pi) ** (-0.5) * mu.weight
-        assert op.matrix is None
         if name == "separable_demo":
             assert op.assembly["similarity"] == "diag(sqrt(a))"
             assert type(op.pairs) is PairGather
@@ -685,91 +682,69 @@ class TestKernelGram:
         assert "sqrt(w_j w_k)" in a["convention"]
         assert a["diagonal_rule"]["tail_branch"] == "power"
 
-    def test_symmetry_check_catches_one_entry_past_the_first_block(self):
-        a = np.random.default_rng(3).normal(size=(300, 300))
-        sym = a + a.T
-        DiscretizedOperator(sym, {})
-        bad = sym.copy()
-        bad[290, 280] += 1e-6 * np.abs(sym).max()  # both rows past the first block
-        with pytest.raises(ValueError, match="finite and symmetric"):
-            DiscretizedOperator(bad, {})
-        bad = sym.copy()
-        bad[290, 10] += 1e-6 * np.abs(sym).max()  # a lower-triangle tile off the diagonal
-        with pytest.raises(ValueError, match="finite and symmetric"):
-            DiscretizedOperator(bad, {})
-        # a non-finite entry, one-sided, on the diagonal or mirrored, never passes
-        for entries in ([(290, 10)], [(290, 290)], [(10, 290), (290, 10)]):
-            for value in (math.nan, math.inf):
-                bad = sym.copy()
-                for idx in entries:
-                    bad[idx] = value
-                with pytest.raises(ValueError, match="finite and symmetric"):
-                    DiscretizedOperator(bad, {})
-
-    @pytest.mark.parametrize("n", [257, 511])  # one row past a tile; one short of two
-    def test_symmetry_check_reads_the_last_partial_tile(self, n):
-        a = np.random.default_rng(5).normal(size=(n, n))
-        sym = a + a.T
-        DiscretizedOperator(sym, {})
-        for idx in [(n - 1, 0), (n - 1, n - 2), (0, n - 1)]:
-            bad = sym.copy()
-            bad[idx] += 1e-6 * np.abs(sym).max()
-            with pytest.raises(ValueError, match="finite and symmetric"):
-                DiscretizedOperator(bad, {})
-
-    def test_operator_container_validation(self):
-        # a square matrix must be real symmetric; a rectangular one only finite
-        with pytest.raises(ValueError, match="finite and symmetric"):
-            DiscretizedOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), {})
-        hermitian = np.array([[2.0, 1.0j], [-1.0j, 2.0]])  # Hermitian, but complex
-        with pytest.raises(ValueError, match="real symmetric, not complex"):
-            DiscretizedOperator(hermitian, {})
-        with pytest.raises(ValueError, match="real symmetric, not complex"):
-            DiscretizedOperator(np.eye(2, dtype=complex), {})
-        wide = np.exp(1j * np.arange(6.0)).reshape(2, 3)
-        assert DiscretizedOperator(wide, {}).shape == (2, 3)
-        with pytest.raises(ValueError, match="two-dimensional"):
-            DiscretizedOperator(np.zeros(3), {})
-
-    def test_square_matrix_is_held_bitwise_symmetric_and_c_ordered(self):
-        # the eigensolve copies the matrix and reduces the copy, whose lower
-        # triangle it reads back, so that is the form every square one is
-        # held in; nothing writes it, so a read-only one is held as it is
-        sym = np.random.default_rng(7).normal(size=(300, 300))
-        sym = sym + sym.T
-        assert DiscretizedOperator(sym, {}).matrix is sym  # already in that form
-        readonly = sym.copy()
-        readonly.flags.writeable = False
-        assert DiscretizedOperator(readonly, {}).matrix is readonly
-        signed_zero = sym.copy()
-        signed_zero[290, 10] = 0.0
-        signed_zero[10, 290] = -0.0  # max|K - K^T| is 0, the bits differ
-        for given in (signed_zero, sym + 1e-12 * np.triu(sym, 1), np.asfortranarray(sym),
-                      np.eye(3, dtype=int)):
-            before = given.copy()
-            held = DiscretizedOperator(given, {}).matrix
-            assert not np.shares_memory(held, given)
-            assert held.dtype == np.float64 and held.flags.c_contiguous
-            lower = np.tril(given).astype(float)
-            mirrored = np.where(np.tri(len(given), dtype=bool), lower, lower.T)
-            assert np.array_equal(held.view(np.uint64), mirrored.view(np.uint64))
-            assert given.tobytes() == before.tobytes()
-
     def test_mirror_operator_validation(self, cantor_ifs):
         mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).pairs
-        with pytest.raises(ValueError, match="pair gather has no matrix"):
-            DiscretizedOperator(np.eye(4), {}, pairs=mirror)
         for value in (math.nan, math.inf):
             table = mirror.table.copy()
             table[0] = value  # an entry of K off the diagonal
             bad = dataclasses.replace(mirror, table=table)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator(None, {}, pairs=bad)
+                DiscretizedOperator({}, bad)
             r = np.ones(4)
             r[3] = value  # a factor of every entry in the last row and column
             dense = PairGather(mirror.table, mirror.hi, mirror.lo, mirror.step, r)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator(None, {}, pairs=dense)
+                DiscretizedOperator({}, dense)
+
+    def test_operator_container_validation(self, cantor_ifs):
+        # an operator is exactly its record and its gather, both required,
+        # square of the gather's order, and frozen
+        pairs = assemble_dmu_kernel(quadrature(cantor_ifs, 3), 0.45).pairs
+        with pytest.raises(TypeError):
+            DiscretizedOperator({})
+        op = DiscretizedOperator({"kind": "probe"}, pairs)
+        assert op.shape == (8, 8) and op.pairs is pairs
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.pairs = pairs
+        # three by three tiles of order two: the order is the product
+        tiled = PairGather(np.zeros(36), np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2), 4)
+        assert DiscretizedOperator({}, tiled).shape == (6, 6)
+        empty = PairGather(np.zeros(0), np.zeros((0, 0), np.intp), np.zeros((1, 1), np.intp), 1)
+        assert DiscretizedOperator({}, empty).shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "geometry, level, symbol",
+        [
+            ("dust-2d", 3, None),
+            ("non-lattice-1d", 5, None),
+            ("lopsided-four-maps", 4, None),
+            ("non-lattice-1d", 5, "separable_demo"),
+            ("lopsided-four-maps", 4, "bessel_power"),
+        ],
+        ids=["kernel-dust-2d", "kernel-non-lattice", "kernel-lopsided",
+             "galerkin-non-lattice-modulated", "galerkin-lopsided"],
+    )
+    def test_assembly_is_symmetric_bit_for_bit_with_no_check(self, geometry, level, symbol):
+        # no tile pass reads an operator and the solve reduces one triangle,
+        # so symmetry rests on the pair codes alone: off the Cantor line, the
+        # gather (and any mirror block) is its own transpose bit for bit, and
+        # the spectrum is that of the triangle the solve never reads
+        mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
+        if symbol is None:
+            op = assemble_dmu_kernel(mu, 0.75 if mu.ifs.ambient_dim == 2 else 0.45)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffTailWarning)
+                op = assemble_tmu_galerkin(make_symbol(symbol, sigma=-0.9), 0.45, 2.0, mu, 300.0)
+        K = op.pairs.dense()
+        assert np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
+        if isinstance(op.pairs, MirrorBlocks):
+            for sign in (1, -1):
+                block = op.pairs.block(sign)
+                assert np.array_equal(block.view(np.uint64), block.T.view(np.uint64))
+        ref = order_by_modulus(scipy.linalg.eigvalsh(K, lower=False))
+        norm = abs(ref[0])
+        assert np.allclose(eigen_spectrum(op), ref, rtol=0.0, atol=1e-13 * norm)
 
 
 class TestTraceOperator:
@@ -783,7 +758,7 @@ class TestTraceOperator:
         A = assemble_trace_operator(mu5, 0.45, freq_cutoff=256.0, n_modes=513)
         w = mu5.weights[0]
         expect = math.sqrt(w * 1.0 / (2.0 * math.pi))  # dxi = 1 at this grid
-        col = A.matrix[:, 256]
+        col = A[:, 256]
         assert col == pytest.approx(np.full(32, expect), abs=1e-14)
 
     def test_shape_and_growth(self, mu5):
@@ -792,7 +767,14 @@ class TestTraceOperator:
         assert A1.shape == (32, 257)
         assert A2.shape == (32, 513)
         # spectral mass grows monotonically with the retained frequency band
-        assert np.linalg.norm(A2.matrix) > np.linalg.norm(A1.matrix)
+        assert np.linalg.norm(A2) > np.linalg.norm(A1)
+
+    def test_non_positive_or_non_finite_cutoff_refused(self, mu5):
+        # the factor holds no record and no check of its entries, so a
+        # cutoff that would fill it with NaN is refused up front
+        for cutoff in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                assemble_trace_operator(mu5, 0.45, freq_cutoff=cutoff)
 
     def test_higher_dimension_not_implemented(self):
         ifs2 = build_cantor_like(
@@ -943,7 +925,7 @@ class TestGalerkinCompression:
         # its mirror blocks; a modulated one is held dense, and since it is
         # symmetric bit for bit, a second operator holds this very array
         assert isinstance(op.pairs, MirrorBlocks) == (expect is None)
-        assert op.matrix is None and (op.pairs.r is None) == (expect is None)
+        assert (op.pairs.r is None) == (expect is None)
         assert_operator_is(op, K)
 
     def test_matches_kernel_gram_at_p_two(self, mu7):

@@ -34,7 +34,7 @@ from fracspectra.fractal_operator import (
     assemble_tmu_galerkin,
 )
 from fracspectra.psido_engine import make_symbol
-from fracspectra import fractal_operator, spectral_report
+from fracspectra import spectral_report
 from fracspectra.spectral_report import (
     DecayFit,
     InsufficientSpectrumError,
@@ -189,9 +189,20 @@ def random_symmetric(rng, n: int) -> np.ndarray:
     return a + a.T
 
 
-def operator(mat) -> DiscretizedOperator:
-    """``mat`` as an operator with no assembly record."""
-    return DiscretizedOperator(np.asarray(mat), {})
+def operator(mat, assembly=None, tiles: int = 1) -> DiscretizedOperator:
+    """Bitwise symmetric ``mat`` of order n as an operator with the given
+    ``assembly`` record (none by default), held as a pair gather with no
+    ``r`` whose table is the entries of ``mat``: ``tiles`` x ``tiles`` tiles
+    of order ``size = n // tiles``, tile (a, b) read at the codes ``(a tiles
+    + b) size^2 + arange(size^2)``, so its gather is ``mat`` bit for bit.
+    One tile by default: the table is ``mat.ravel()`` at the codes
+    ``arange(n * n)``."""
+    mat = np.asarray(mat, dtype=float)
+    size = mat.shape[0] // tiles
+    table = mat.reshape(tiles, size, tiles, size).swapaxes(1, 2).ravel()
+    hi = np.arange(tiles * tiles).reshape(tiles, tiles)
+    lo = np.arange(size * size).reshape(size, size)
+    return DiscretizedOperator(assembly or {}, PairGather(table, hi, lo, size * size))
 
 
 def mirror_symmetric(rng, n: int) -> np.ndarray:
@@ -212,10 +223,7 @@ def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]
 
 
 def held_arrays(op) -> list:
-    """Every array ``op`` holds: its bare matrix, or its table, code factors
-    and any ``r``."""
-    if op.pairs is None:
-        return [op.matrix]
+    """Every array ``op`` holds: its table, code factors and any ``r``."""
     pairs = op.pairs
     return [pairs.table, pairs.hi, pairs.lo, np.array(pairs.step)] + (
         [] if pairs.r is None else [pairs.r]
@@ -306,10 +314,6 @@ class TestEigenSpectrum:
         with pytest.raises(RuntimeError, match="kernel-gram"):
             eigen_spectrum(op)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            eigen_spectrum(operator(np.ones((2, 3))))
-
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, value):
         # refused by the operator itself, so no solver ever sees the entry
@@ -317,10 +321,8 @@ class TestEigenSpectrum:
         mat[0, 1] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite and symmetric"):
-                operator(mat)
             with pytest.raises(ValueError, match="non-finite"):
-                operator(np.hstack([mat, np.ones((3, 1))]))  # rectangular
+                operator(mat)
 
     def test_empty_matrix(self):
         assert eigen_spectrum(operator(np.zeros((0, 0)))).size == 0
@@ -332,10 +334,7 @@ class TestEigenSpectrum:
 
     def test_indefinite_kernel_gram_warns_but_other_operators_do_not(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        op = DiscretizedOperator(
-            matrix=mat,
-            assembly={"kind": "kernel-gram"},
-        )
+        op = operator(mat, {"kind": "kernel-gram"})
         with pytest.warns(PsdViolationWarning, match="eigenvalue -1.000e"):
             res = eigen_spectrum(op)
         assert res.real == pytest.approx([3.0, -1.0])
@@ -362,8 +361,8 @@ class TestEigenSpectrum:
 
     @pytest.mark.parametrize("case", ["odd-order", "off-mirror", "dense-mirror"])
     def test_unsplittable_matrix_gets_one_full_solve(self, case):
-        # a dense matrix is solved at full size, a mirror-symmetric one too:
-        # only an assembly decides the split, never the matrix entries
+        # a pair gather is solved at full size, a mirror-symmetric one too:
+        # only an assembly decides the split, never the entries
         rng = np.random.default_rng(11)
         if case == "odd-order":
             mat = mirror_symmetric(rng, 9)
@@ -390,7 +389,7 @@ class TestEigenSpectrum:
         assert_block_solves(calls, [256, 256])
         assert res.real[:200] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    # mirror blocks, split into two blocks of 60; a dense matrix, unsplit
+    # mirror blocks, split into two blocks of 60; a pair gather, unsplit
     @pytest.mark.parametrize("n", [120, 119])
     def test_negative_dominated_spectrum_takes_the_bottom_run(self, n):
         # shifted down by half the spectral radius, the largest moduli are
@@ -403,7 +402,7 @@ class TestEigenSpectrum:
             # the centre code is the coincident one: lowering it shifts the diagonal
             table[n - 1] -= 0.5 * np.abs(np.linalg.eigvalsh(mat)).max()
             blocks, mat = toeplitz_mirror_blocks(table)
-            op = DiscretizedOperator(None, {}, pairs=blocks)
+            op = DiscretizedOperator({}, blocks)
         else:
             mat = mirror_symmetric(rng, n)
             mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
@@ -503,7 +502,7 @@ class TestEigenSpectrum:
     def test_lapack_error_carries_provenance(self, routine, monkeypatch):
         # the reduction, the values, the vectors, and their map back
         mat = random_symmetric(np.random.default_rng(37), 8)
-        op = DiscretizedOperator(mat, {"kind": "probe"})
+        op = operator(mat, {"kind": "probe"})
         real_routine = getattr(FLAPACK, routine)
 
         def failing(*args, **kwargs):
@@ -517,17 +516,15 @@ class TestEigenSpectrum:
             spectral_report._top_pairs(mat.copy())
         with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
             eigen_spectrum(op)
-        assert op.matrix is mat
-        assert_bitwise_equal(mat, keep)  # the solve reduced a copy
+        assert np.shares_memory(op.pairs.table, mat)
+        assert_bitwise_equal(mat, keep)  # the solve reduced a gathered copy
 
     @pytest.mark.parametrize(
-        "case",
-        ["modulated-galerkin", "three-map-kernel", "galerkin-mirror-blocks", "asymmetric-1e-11"],
+        "case", ["modulated-galerkin", "three-map-kernel", "galerkin-mirror-blocks"]
     )
     def test_solve_leaves_the_matrix_intact(self, cantor_ifs, case):
-        # the solve gathers, or copies, what it reduces into a buffer of its
-        # own: a bare matrix, and an assembled operator's arrays, are only read
-        caller = None
+        # the solve gathers what it reduces into a buffer of its own: an
+        # assembled operator's arrays are only read
         if case == "modulated-galerkin":
             sym = make_symbol("separable_demo", sigma=-0.9)
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
@@ -535,18 +532,10 @@ class TestEigenSpectrum:
         elif case == "three-map-kernel":  # fails the digit test: a dense K
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
             assert type(op.pairs) is PairGather
-        elif case == "galerkin-mirror-blocks":  # an x-independent symbol
+        else:  # an x-independent symbol
             sym = make_symbol("bessel_power", sigma=-0.9)
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
             assert isinstance(op.pairs, MirrorBlocks)
-        else:
-            caller = random_symmetric(np.random.default_rng(47), 80)
-            caller[0, 1] += 1e-11 * np.abs(caller).max()
-            before = caller.copy()
-            op = operator(caller)
-            # held as the copy with the lower triangle on both sides
-            assert not np.shares_memory(op.matrix, caller)
-            assert_bitwise_equal(op.matrix, np.tril(caller) + np.tril(caller, -1).T)
         held = held_arrays(op)
         keep = [a.copy() for a in held]
         with eigensolve_calls() as calls:
@@ -554,11 +543,9 @@ class TestEigenSpectrum:
         n = op.shape[0]
         split = isinstance(op.pairs, MirrorBlocks)
         assert_block_solves(calls, [n // 2, n // 2] if split else [n])
-        assert len(held) == (1 if op.pairs is None else 4 if op.pairs.r is None else 5)
+        assert len(held) == (4 if op.pairs.r is None else 5)
         for a, b in zip(held, keep):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        if caller is not None:
-            assert_bitwise_equal(caller, before)
 
     @pytest.mark.parametrize("case", ["dense", "galerkin-mirror-blocks", "kernel-mirror-blocks"])
     def test_reduction_overwrites_the_block_it_is_given(self, cantor_ifs, case):
@@ -589,8 +576,8 @@ class TestEigenSpectrum:
             mp.setattr(FLAPACK, "dsytrd", reduction)
             eigen_spectrum(op)
         assert reductions == [(1, True)] * (1 if case == "dense" else 2)
-        if case == "dense":  # a copy of the bare matrix, made by the solve
-            assert not np.shares_memory(blocks[0], op.matrix)
+        if case == "dense":  # the gather into the solve's own buffer
+            assert not np.shares_memory(blocks[0], op.pairs.table)
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-blocks"])
     def test_certificate_product_is_scipy_dsymm_on_the_block_itself(self, cantor_ifs, case):
@@ -695,50 +682,6 @@ class TestEigenSpectrum:
         assert size == 8 * 512 * 512
         assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
 
-    def test_dense_solve_runs_no_tile_pass(self, monkeypatch):
-        # the modulated cantor_p15 operator is symmetric by construction: no
-        # tile pass or triangle copy reads it, at assembly or in the solve,
-        # which gathers it dense; a bare matrix's constructor is their one caller
-        calls = []
-        for name in ("_symmetry_deviation", "_mirror_lower"):
-            real = getattr(fractal_operator, name)
-
-            def spy(a, real=real):
-                calls.append(a.shape)
-                return real(a)
-
-            monkeypatch.setattr(fractal_operator, name, spy)
-            monkeypatch.setattr(spectral_report, name, spy, raising=False)
-        cfg = load_config(CONFIG_DIR / "cantor_p15.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffTailWarning)
-            op = _assemble(cfg, _build_measure(cfg, 8))
-        assert type(op.pairs) is PairGather and op.shape == (256, 256)
-        eigen_spectrum(op)
-        assert calls == []
-        operator(np.eye(3))
-        assert calls == [(3, 3)]
-
-    @pytest.mark.parametrize("rel, accepted", [(1e-11, True), (1e-9, False)])
-    def test_symmetry_floor_accepts_1e_11_and_refuses_1e_9(self, rel, accepted):
-        # a square operator is accepted iff max|K - K^T| <= SYMMETRY_REL *
-        # max|K| (SYMMETRY_REL = 1e-10), and an accepted one is solved as
-        # symmetric, to within the floor of the general eigensolver
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((9, 9))
-        mat = a + a.T
-        mat[0, 1] += rel * np.abs(mat).max()
-        if not accepted:
-            with pytest.raises(ValueError, match="finite and symmetric"):
-                operator(mat)
-            return
-        with eigensolve_calls() as calls:
-            res = eigen_spectrum(operator(mat))
-        assert_block_solves(calls, [9])
-        ref = order_by_modulus(scipy.linalg.eigvals(mat))
-        assert np.allclose(res, ref, rtol=0.0, atol=1e-8 * abs(ref[0]))
-
-
     @pytest.mark.parametrize(
         "case",
         ["identity", "split", "multiplicity-50", "rank-one", "negative", "n1", "n2", "zero"],
@@ -779,19 +722,40 @@ class TestEigenSpectrum:
         values = eigen_spectrum(operator(mat))
         assert np.allclose(values, order_by_modulus(ref), rtol=0.0, atol=1e-13 * norm)
 
+    @pytest.mark.parametrize("n, tiles", [(1, 1), (5, 5), (300, 3), (777, 7)])
+    def test_hand_built_gather_is_its_matrix_at_any_tiling(self, n, tiles):
+        # every hand-built case here goes through operator(): one tile holds
+        # the matrix itself as its table, more tiles a reordered copy, and
+        # either way the gather is the matrix bit for bit, in a new buffer,
+        # solved at full size to the same eigenvalue bits
+        mat = random_symmetric(np.random.default_rng(79), n)
+        whole, tiled = operator(mat), operator(mat, tiles=tiles)
+        assert np.shares_memory(whole.pairs.table, mat)
+        assert tiled.shape == (n, n) and tiled.pairs.hi.shape == (tiles, tiles)
+        for op in (whole, tiled):
+            K = op.pairs.dense()
+            assert not np.shares_memory(K, mat) and K.flags.c_contiguous
+            assert_bitwise_equal(K, mat)
+        with eigensolve_calls() as calls:
+            values = eigen_spectrum(tiled)
+        assert_block_solves(calls, [n])
+        assert_bitwise_equal(values, eigen_spectrum(whole))
+        ref = order_by_modulus(np.linalg.eigvalsh(mat))
+        assert np.allclose(values, ref, rtol=0.0, atol=1e-13 * abs(ref[0]))
+
     def test_one_operator_solved_from_two_threads_at_once(self, cantor_ifs):
-        # nothing is written into an operator: each solve gathers, or
-        # copies, into a buffer of its own, so concurrent solves of one
+        # nothing is written into an operator: each solve gathers into a
+        # buffer of its own, so concurrent solves of one
         # operator agree with a serial one bit for bit and leave it as it was
         cfg = load_config(CONFIG_DIR / "cantor_p15.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             modulated = _assemble(cfg, _build_measure(cfg, 8))
         kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 8), 0.45)
-        bare = operator(random_symmetric(np.random.default_rng(71), 256))
+        hand_built = operator(random_symmetric(np.random.default_rng(71), 256))
         assert isinstance(kernel.pairs, MirrorBlocks)
         assert type(modulated.pairs) is PairGather and modulated.pairs.r is not None
-        for op in (kernel, modulated, bare):
+        for op in (kernel, modulated, hand_built):
             keep = [a.copy() for a in held_arrays(op)]
             serial = eigen_spectrum(op)
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -829,18 +793,18 @@ class TestEigenSpectrum:
         finally:
             tracemalloc.stop()
         n = mu.n_atoms
-        assert op.matrix is None and type(op.pairs) is PairGather
+        assert type(op.pairs) is PairGather
         assert peak < 4 * n * n, f"assembly peaked at {peak} B, 4 N^2 = {4 * n * n} B"
 
-    @pytest.mark.parametrize("case", ["cantor_p2", "cantor_p15", "odd-m-kernel", "bare"])
+    @pytest.mark.parametrize("case", ["cantor_p2", "cantor_p15", "odd-m-kernel", "hand-built"])
     def test_solve_grows_by_one_buffer_and_a_few_n_by_50_arrays(self, case):
         # the solve's one buffer of order h (N/2 for mirror blocks, else N),
         # four arrays of h x 50 (the vectors, dormqr's copy, the residual)
         # and the gather's tile temporaries, under 1 MiB
         if case == "odd-m-kernel":
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 6), 0.45)
-        elif case == "bare":
-            op = operator(random_symmetric(np.random.default_rng(73), 700))
+        elif case == "hand-built":  # seven by seven tiles of order 100
+            op = operator(random_symmetric(np.random.default_rng(73), 700), tiles=7)
         else:
             cfg = load_config(CONFIG_DIR / f"{case}.json")
             with warnings.catch_warnings():
@@ -961,7 +925,6 @@ class TestKernelMirrorBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.matrix is None
         assert held < 8 * n * n, f"the operator holds {held} B, 8 N^2 = {8 * n * n} B"
         assert peak < 8 * n * n, f"solve peak {peak} B reaches 8 N^2 = {8 * n * n} B"
 
