@@ -3,7 +3,7 @@
 Every scipy routine a run needs lives in one of three extension modules:
 ``scipy.special._special_ufuncs`` (``kv``, ``gammaln``),
 ``scipy.linalg._flapack`` (``dgtsv``, the eigensolve's LAPACK routines,
-``?gesdd``) and ``scipy.linalg._fblas`` (``dsymm``).  Importing the
+``?gesdd``) and ``scipy.linalg._fblas`` (``dgemm``).  Importing the
 ``scipy.linalg`` or ``scipy.special`` package to reach them runs both
 ``__init__`` files, which pull in ``numpy.testing``, ``numpy.ma`` and
 ``unittest``: about 0.25 s and 27 MiB per process that no number uses.

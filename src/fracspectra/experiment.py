@@ -631,7 +631,9 @@ def run_convergence(
 
     rows: list[dict] = []
     for level in levels:
-        measure, _, values = _solve(config, level, stage=f"level_{level}")
+        # the operator is not kept: level L - 1's table and code factors are
+        # freed before level L is assembled and solved
+        measure, values = _solve(config, level, stage=f"level_{level}")[::2]
         with _stage(f"level_{level}"):
             fit = fit_decay_exponent(
                 values, k_lo=config.fit.k_lo, k_hi=config.fit.k_hi
@@ -768,7 +770,7 @@ def run_audits(
     bundle: dict = {**_stamp(config), "audits": {}}
     # an empty injected spectrum is vacuous without building the operator
     if ordered is None or ordered.size > 0:
-        _, _, values = _solve(config)
+        values = _solve(config)[2]
         reference = nonzero_part(values)
         if ordered is None:
             ordered = reference

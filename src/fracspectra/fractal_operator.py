@@ -21,9 +21,10 @@ spectra approximate the continuum objects:
   approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
 * Every assembled square operator holds no matrix, only its folded table,
   its code factors and, for a modulated symbol, ``r = sqrt(a)``
-  (:class:`PairGather`); the eigensolve gathers it into the one N x N
-  buffer of a run.  :func:`_gather_pairs` builds each one, and so alone
-  decides the reflection split: on a digit-mirror-symmetric set, the
+  (:class:`PairGather`); the eigensolve gathers its upper triangle into
+  the one N x N buffer of a run, and rows of it again for the residuals.
+  :func:`_gather_pairs` builds each one, and so alone decides the
+  reflection split: on a digit-mirror-symmetric set, the
   kernel K or the Galerkin compression of an x-independent symbol is a
   :class:`MirrorBlocks`, whose half-size blocks ``A +- B J`` the solver
   gathers one after the other into one buffer of order N/2.
@@ -48,8 +49,9 @@ geometric continuation of the coincidence chain.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -363,19 +365,51 @@ def _code_factors(ifs, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     return _pair_codes(ifs, level - l).astype(np.intp), _pair_codes(ifs, l), base**l
 
 
-def _gather(table, hi, lo, step: int, out=None, combine=None) -> np.ndarray:
-    """``table[hi (x) step + lo]`` (:func:`_code_factors`) gathered tile by
-    tile into ``out``, or combined into it by the ufunc ``combine``; no
-    temporary is larger than one tile."""
+def _solve_buffer(n: int) -> np.ndarray:
+    """A zeroed C-ordered float64 array of order n on a private anonymous
+    ``mmap`` of its own, advised ``MADV_NOHUGEPAGE``: a page is made
+    resident only when it is first written, 4 KiB at a time, so a buffer
+    whose triangle alone is written (:func:`_gather`) is about half
+    resident.  numpy's own large arrays are advised ``MADV_HUGEPAGE``, and
+    one write per 2 MiB would fault in every page.  The memory is unmapped
+    when the last view of it goes."""
+    if n == 0:
+        return np.zeros((0, 0))
+    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+
+
+def _gather(table, hi, lo, step: int, out=None, combine=None, rows=None, r=None) -> np.ndarray:
+    """``K = table[hi (x) step + lo]`` (:func:`_code_factors`), times ``r_j
+    r_k`` where ``r`` is given, gathered tile by tile into ``out``, or
+    combined into it by the ufunc ``combine``; no temporary is larger than
+    one tile.
+
+    With no ``rows``, only the tiles (a, b) with ``b >= a`` are written, into
+    ``out`` or a new :func:`_solve_buffer` of order N: they hold K's upper
+    triangle (the diagonal tiles whole), the lower triangle of the
+    Fortran-ordered view that the reduction reads, and nothing else of the
+    buffer is touched.  With ``rows = (start, stop)``, rows ``start:stop``
+    of K, every column, are written into ``out`` of shape ``(stop - start,
+    N)``.  Either way, entry (j, k) is ``table[code] (r_j r_k)``: the same
+    bits wherever it is gathered."""
     nh, size = hi.shape[0], lo.shape[0]
-    out = np.empty((nh * size, nh * size)) if out is None else out
-    tiles = out.reshape(nh, size, nh, size)
-    for (a, b), code in np.ndenumerate(hi):
-        tile = tiles[a, :, b]
-        if combine is None:
-            tile[...] = table[code * step :][lo]
-        else:
-            combine(tile, table[code * step :][lo], out=tile)
+    first, stop = (0, nh * size) if rows is None else rows
+    if rows is None and out is None:
+        out = _solve_buffer(nh * size)
+    for a in range(first // size, -(-stop // size)):
+        part = slice(max(first - a * size, 0), min(stop - a * size, size))
+        dest = slice(a * size + part.start - first, a * size + part.stop - first)
+        for b in range(a if rows is None else 0, nh):
+            cols = slice(b * size, (b + 1) * size)
+            tile, values = out[dest, cols], table[hi[a, b] * step :][lo[part]]
+            if r is not None:
+                values *= np.multiply.outer(r[a * size :][part], r[cols])
+            if combine is None:
+                tile[...] = values
+            else:
+                combine(tile, values, out=tile)
     return out
 
 
@@ -398,14 +432,12 @@ class PairGather:
         """The order N of K."""
         return self.hi.shape[0] * self.lo.shape[0]
 
-    def dense(self) -> np.ndarray:
-        """K gathered into a new C-ordered array; with ``r``, entry (j, k) is
-        ``(r_j r_k) table[code]``, the products written first and multiplied
-        tile by tile."""
-        factors = (self.table, self.hi, self.lo, self.step)
-        if self.r is None:
-            return _gather(*factors)
-        return _gather(*factors, np.multiply.outer(self.r, self.r), np.multiply)
+    def dense(self, out: np.ndarray | None = None, rows=None) -> np.ndarray:
+        """K's upper triangle gathered into a new C-ordered buffer whose lower
+        one is never written, or rows ``start:stop`` of K whole into ``out``
+        (:func:`_gather`); with ``r``, entry (j, k) is ``table[code] (r_j
+        r_k)``."""
+        return _gather(self.table, self.hi, self.lo, self.step, out, rows=rows, r=self.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,17 +450,25 @@ class MirrorBlocks(PairGather):
     ``hi`` keeps the first digit, so the rows of A, whose first digit is
     below ``m / 2``, are the tile rows ``ih < nh / 2``.  Reversing an atom
     index reverses its tile index and its index in the tile, so tile (ih,
-    jh) of ``B J`` is ``table[hi[ih, nh - 1 - jh] step:][lo[:, ::-1]]``."""
+    jh) of ``B J`` is ``table[hi[ih, nh - 1 - jh] step:][flipped]``, with
+    ``flipped = lo[:, ::-1]`` made once per operator."""
 
-    def block(self, sign: int, out: np.ndarray | None = None) -> np.ndarray:
+    flipped: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flipped", np.ascontiguousarray(self.lo[:, ::-1]))
+
+    def block(self, sign: int, out: np.ndarray | None = None, rows=None) -> np.ndarray:
         """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
-        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``, gathered into ``out``
-        (C-ordered float64 of order h, overwritten) or a new array."""
+        bitwise ``K[:h, :h] +- K[:h, h:][:, ::-1]``, its upper triangle
+        gathered into ``out`` (C-ordered float64 of order h, overwritten) or
+        a new buffer, or its rows ``start:stop`` whole into ``out``
+        (:func:`_gather`)."""
         q = self.hi.shape[0] // 2
-        out = _gather(self.table, self.hi[:q, :q], self.lo, self.step, out)
-        flipped = np.ascontiguousarray(self.lo[:, ::-1])
+        out = _gather(self.table, self.hi[:q, :q], self.lo, self.step, out, rows=rows)
         combine = np.add if sign > 0 else np.subtract
-        return _gather(self.table, self.hi[:q, ::-1][:, :q], flipped, self.step, out, combine)
+        hi = self.hi[:q, ::-1][:, :q]
+        return _gather(self.table, hi, self.flipped, self.step, out, combine, rows)
 
 
 def _gather_pairs(ifs, level: int, table: np.ndarray, r=None) -> PairGather:

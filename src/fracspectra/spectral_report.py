@@ -12,13 +12,17 @@ by the smoothness order and the dimension of the supporting set:
 ``eigen_spectrum`` solves an assembled
 :class:`~fracspectra.fractal_operator.DiscretizedOperator`, which every
 assembly builds real symmetric, and returns its real spectrum as float64.
-It owns the only N x N buffer of a run: it gathers the operator into it,
-and one tridiagonal reduction per block, in that buffer, gives the whole
-spectrum and the block's 50 eigenpairs of largest modulus, each certified
-by its residual.  An operator held as mirror blocks (a kernel Gram
-operator, or the Galerkin compression of an x-independent symbol, on a
-digit-mirror-symmetric set, as every bundled IFS is) is solved as its two
-half-size blocks in turn, in one buffer; every other at full size.  No
+It owns the only N x N buffer of a run and writes one triangle of it: it
+gathers the operator's upper triangle into it, the one triangle that the
+tridiagonal reduction reads, and one reduction per block, in that buffer,
+gives the whole spectrum and the block's 50 eigenpairs of largest modulus,
+each certified by its residual against the operator gathered again, a
+strip of rows at a time.  Only the buffer's written pages are resident,
+about ``4 N^2 + 4096 N`` bytes of its ``8 N^2``.  An operator held as
+mirror blocks (a kernel Gram operator, or the Galerkin compression of an
+x-independent symbol, on a digit-mirror-symmetric set, as every bundled
+IFS is) is solved as its two half-size blocks in turn, in one buffer;
+every other at full size.  No
 solve writes an operator, so one may be solved from several threads at
 once.  The whole solve, the certificate's product included, runs on
 scipy's OpenBLAS, through the LAPACK and BLAS wrappers of its compiled
@@ -73,6 +77,9 @@ RESIDUAL_REL = 1e-8
 """Residual certificate of the symmetric eigensolve: every eigenpair it
 computes, each block's up to 50 of largest modulus (which contain the
 operator's top 50), must have ``||K v - lambda v|| <= RESIDUAL_REL * ||K||``."""
+
+_STRIP_BYTES = 2**18  # the residual's strip of rows of K, at most, unless
+_STRIPS = 32  # that would take more strips per block than this
 
 
 class InsufficientSpectrumError(ValueError):
@@ -137,8 +144,9 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     largest modulus and their eigenvectors, from one tridiagonal reduction
     done in ``block``'s own storage, which it overwrites.
 
-    ``block`` must be a C-ordered float64 array equal to its transpose bit for
-    bit (every buffer the solve gathers is).
+    ``block`` must be a C-ordered float64 array whose upper triangle is that
+    of a real symmetric matrix; its strict lower triangle is never read (the
+    solve's gather never writes it).
 
     ``dsytrd`` (lower triangle) reduces the block once to the tridiagonal
     ``T = Q^T block Q``, and the whole spectrum is ``dsterf`` on T.  That is
@@ -154,13 +162,13 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     **In place.**  ``dsytrd`` gets ``block.T``, a Fortran-ordered view of
     the same storage, with ``overwrite_a``, so no copy is made.  Its lower
-    triangle is ``block``'s upper one, which for a block equal to its
-    transpose bit for bit holds the values ``scipy.linalg.eigh``'s Fortran
-    copy has in its lower triangle; so d, e and the reflectors are bit for
-    bit those of that copy.  ``xSYTRD`` with ``UPLO='L'`` reads and writes
-    only the diagonal and the lower triangle of its argument (Anderson et
-    al., *LAPACK Users' Guide*, SIAM 1999), so ``block``'s strict lower
-    triangle survives untouched (:func:`_certified_pairs` reads it).
+    triangle is ``block``'s upper one, which holds the values that
+    ``scipy.linalg.eigh``'s Fortran copy of the symmetric matrix has in its
+    lower triangle; so d, e and the reflectors are bit for bit those of that
+    copy.  ``xSYTRD`` with ``UPLO='L'`` reads and writes only the diagonal
+    and the lower triangle of its argument (Anderson et al., *LAPACK Users'
+    Guide*, SIAM 1999), so no page of ``block``'s strict lower triangle
+    that the gather left unwritten is ever touched.
 
     In an ascending spectrum the m values of largest modulus are a bottom run
     ``[0, b)`` (the negative ones) and a top run ``[n - m + b, n)``.  Their
@@ -198,26 +206,35 @@ def _top_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, top, vecs
 
 
-def _certified_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certified_pairs(block: np.ndarray, gather) -> tuple[np.ndarray, np.ndarray]:
     """The ascending spectrum of symmetric ``block``, which it overwrites,
-    and the residual norm ``||block u - lambda u||`` of each pair that
-    :func:`_top_pairs` computes, taken against the block as given.
+    and the residual norm ``||K u - lambda u||`` of each pair that
+    :func:`_top_pairs` computes, taken against the K that ``gather`` gathers
+    into ``block``: ``gather(out=strip, rows=(start, stop))`` writes rows
+    ``start:stop`` of K whole (as ``PairGather.dense`` and
+    ``MirrorBlocks.block`` do).
 
-    The reduction leaves ``block``'s strict lower triangle untouched, and
-    the diagonal saved before it is written back.  ``dsymm`` reads that
-    triangle as the upper one of the Fortran-ordered view ``block.T``, so no
-    copy is made, and forms ``block u - u lambda`` in place (``beta = -1``)
-    on the OpenBLAS library of the reduction, through scipy's wrapper from
-    its compiled ``_fblas`` module, which ``scipy.linalg.blas`` exports.
-    numpy and scipy each load their own OpenBLAS, each with worker threads
-    that busy-wait for a while after a call; a product on numpy's would
-    leave its workers spinning against the next block's threaded
-    ``dsytrd``."""
-    diag = block.diagonal().copy()
+    The reduction overwrites the one triangle of ``block`` that was
+    gathered, so K is gathered again, a strip of rows at a time, into one
+    small buffer: at most 256 KiB of rows, or more where that would take
+    over 32 strips.  Each strip ``S`` adds ``K[S] u - u[S] lambda`` to the
+    residual (``beta = -1``) with ``dgemm``, on the OpenBLAS library of the
+    reduction, through scipy's wrapper from its compiled ``_fblas`` module,
+    which ``scipy.linalg.blas`` exports; the C-ordered strip is read as its
+    Fortran-ordered transpose (``trans_a``), so no copy is made.  numpy and
+    scipy each load their own OpenBLAS, each with worker threads that
+    busy-wait for a while after a call; a product on numpy's would leave its
+    workers spinning against the next block's threaded ``dsytrd``."""
     w, top, u = _top_pairs(block)
-    np.fill_diagonal(block, diag)
-    dsymm = native("linalg", "_fblas").dsymm
-    res = dsymm(1.0, block.T, u, beta=-1.0, c=u * top, overwrite_c=1)
+    n = block.shape[0]
+    count = max(_STRIP_BYTES // (8 * n), -(-n // _STRIPS))
+    strip = np.empty((min(count, n), n))
+    dgemm = native("linalg", "_fblas").dgemm
+    res = u * top
+    for start in range(0, n, count):
+        stop = min(start + count, n)
+        rows = gather(out=strip[: stop - start], rows=(start, stop))
+        res[start:stop] = dgemm(1.0, rows.T, u, beta=-1.0, c=res[start:stop], trans_a=1)
     return w, np.linalg.norm(res, axis=0)
 
 
@@ -233,8 +250,8 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     or ``r``.
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
-    in a buffer the solve owns: the operator gathered whole, or its
-    half-size block.  Nothing the operator holds is
+    in a buffer the solve owns, which holds the upper triangle of the
+    operator or of its half-size block.  Nothing the operator holds is
     written, so one operator may be solved from several threads at once.
     All eigenvalues come from T with no eigenvectors, bit for bit those of
     a values-only ``scipy.linalg.eigh``; the eigenvectors of the 50
@@ -277,11 +294,13 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
         return np.zeros(0)
     try:
         if isinstance(pairs, MirrorBlocks):
-            block = pairs.block(1)  # then A - B J, in the same storage
-            parts = [_certified_pairs(block)]
-            parts.append(_certified_pairs(pairs.block(-1, out=block)))
+            gathers = [lambda out, rows=None, s=s: pairs.block(s, out, rows) for s in (1, -1)]
         else:
-            parts = [_certified_pairs(pairs.dense())]
+            gathers = [pairs.dense]
+        block, parts = None, []
+        for gather in gathers:  # A - B J goes into the storage of A + B J
+            block = gather(out=block)
+            parts.append(_certified_pairs(block, gather))
         w = np.sort(np.concatenate([values for values, _ in parts]))
         res = np.concatenate([r for _, r in parts])
     except np.linalg.LinAlgError as exc:

@@ -68,19 +68,29 @@ def held_matrix(op, mu) -> np.ndarray:
     return K if op.pairs.r is None else K * np.multiply.outer(op.pairs.r, op.pairs.r)
 
 
+def assert_gathers(got: np.ndarray, K: np.ndarray) -> None:
+    """``got``, gathered into a solve buffer, holds the upper triangle of K
+    bit for bit, the triangle the reduction reads, and K is bitwise its own
+    transpose, so that triangle is all of it."""
+    assert got.shape == K.shape and got.dtype == K.dtype and got.flags.c_contiguous
+    assert np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
+    upper = np.triu_indices(K.shape[0])
+    assert np.array_equal(got[upper].view(np.uint64), K[upper].view(np.uint64))
+
+
 def assert_operator_is(op, K: np.ndarray) -> None:
     """``op`` holds exactly ``K``: as the gather of its code factors, or as
     the two mirror blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry
-    bitwise."""
+    of the gathered upper triangle bitwise (:func:`assert_gathers`)."""
     assert op.shape == K.shape
     if not isinstance(op.pairs, MirrorBlocks):
-        assert np.array_equal(op.pairs.dense(), K)
+        assert_gathers(op.pairs.dense(), K)
         return
     assert np.array_equal(K, K[::-1, ::-1])
     h = K.shape[0] // 2
     a, bj = K[:h, :h], K[:h, h:][:, ::-1]
-    assert np.array_equal(op.pairs.block(1), a + bj)
-    assert np.array_equal(op.pairs.block(-1), a - bj)
+    assert_gathers(op.pairs.block(1), a + bj)
+    assert_gathers(op.pairs.block(-1), a - bj)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,23 @@ class TestRunConvergence:
         with pytest.raises(ConfigError):
             run_convergence(base_config, levels, tmp_path / "out")
 
+    def test_each_level_is_assembled_after_the_last_is_released(
+        self, base_config, tmp_path, monkeypatch
+    ):
+        # no level's operator outlives its own solve and fit, so the run
+        # never holds two levels' tables and code factors at once
+        refs, alive, assemble = [], [], experiment._assemble
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in refs])
+            op = assemble(*args)
+            refs.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(experiment, "_assemble", spy)
+        run_convergence(base_config, [5, 6, 7], tmp_path / "out")
+        assert alive == [[], [False], [False, False]]
+
     def test_budget_overflow_names_level(self, base_config, tmp_path):
         with pytest.raises(StageFailure, match="level_25") as excinfo:
             run_convergence(base_config, [5, 25], tmp_path / "out")
@@ -724,7 +742,8 @@ class TestCli:
         # bytes; OpenBLAS's one-thread and threaded kernels round apart, so
         # across modes only the verdict line and the eigenvalues to a few ulps
         # of lambda_1 must agree.  No BLAS call reaches the assembly, so the
-        # operator it holds (gathered in full and hashed) and its record, the diagonal rule
+        # operator it holds (its upper triangle gathered and hashed, all of K
+        # since K is bitwise symmetric) and its record, the diagonal rule
         # included, agree bit for bit.  L = 9 is the smallest level of
         # cantor_p15 whose diagonal rule a cutoff profile summed by a BLAS
         # product rounded apart between the modes.  Each run is a fresh process.

@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, j0, kv
 
 from conftest import (
+    assert_gathers,
     assert_operator_is,
     dense_kernel,
     held_matrix,
@@ -323,15 +324,20 @@ class TestCodeFactors:
         h = codes.shape[0] // 2
         a, bj = op.pairs.table[codes[:h, :h]], op.pairs.table[codes[:h, h:][:, ::-1]]
         del codes
-        assert_bitwise(op.pairs.block(1), a + bj)
-        assert_bitwise(op.pairs.block(-1), a - bj)
+        assert_gathers(op.pairs.block(1), a + bj)
+        assert_gathers(op.pairs.block(-1), a - bj)
+        # the reversed code factor B J reads is made once, with the operator
+        flipped = op.pairs.flipped
+        assert flipped.flags.c_contiguous and np.array_equal(flipped, op.pairs.lo[:, ::-1])
+        op.pairs.block(1)
+        assert op.pairs.flipped is flipped
 
     @pytest.mark.parametrize("level", [6, 7])  # 3 x 3 and 9 x 9 tiles
     def test_dense_odd_non_lattice_kernel(self, level):
         mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), level)
         op = assemble_dmu_kernel(mu, 0.45)
         assert type(op.pairs) is PairGather and op.pairs.r is None
-        assert_bitwise(op.pairs.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
+        assert_gathers(op.pairs.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
 
     # 2 x 2 tiles of 16 at L = 5, 4 x 4 of 256 at L = 10
     @pytest.mark.parametrize(
@@ -378,9 +384,7 @@ class TestCodeFactors:
             assert op.assembly["similarity"] is None
             assert isinstance(op.pairs, MirrorBlocks) and op.pairs.r is None
             expect = (table * cw)[codes]
-        K = op.pairs.dense()
-        assert_bitwise(K, expect)
-        assert_bitwise(K, K.T)
+        assert_gathers(op.pairs.dense(), expect)  # expect is its own transpose
 
     @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
     def test_no_operator_holds_a_quarter_square_integer_array(self, cantor_ifs, case):
@@ -651,12 +655,15 @@ class TestKernelGram:
             assert np.array_equal(K, K[::-1, ::-1])
 
     def test_bitwise_symmetry(self, mu5):
+        # K and both of its mirror blocks are their own transposes, and the
+        # gathered upper triangles are theirs (assert_gathers)
         op = assemble_dmu_kernel(mu5, 0.45)
         K = dense_kernel(mu5, 0.45)
         assert_operator_is(op, K)
         assert np.array_equal(K, K.T)
+        h = K.shape[0] // 2
         for sign in (1, -1):
-            block = op.pairs.block(sign)
+            block = K[:h, :h] + sign * K[:h, h:][:, ::-1]
             assert np.array_equal(block, block.T)
 
     def test_positive_definite_without_warning(self, mu7):
@@ -725,10 +732,12 @@ class TestKernelGram:
              "galerkin-non-lattice-modulated", "galerkin-lopsided"],
     )
     def test_assembly_is_symmetric_bit_for_bit_with_no_check(self, geometry, level, symbol):
-        # no tile pass reads an operator and the solve reduces one triangle,
-        # so symmetry rests on the pair codes alone: off the Cantor line, the
-        # gather (and any mirror block) is its own transpose bit for bit, and
-        # the spectrum is that of the triangle the solve never reads
+        # no tile pass reads an operator and the solve gathers and reduces
+        # one triangle, so symmetry rests on the pair codes alone: off the
+        # Cantor line, the operator at every level-L pair code (and any
+        # mirror block of it) is its own transpose bit for bit, the gather
+        # holds its upper triangle, and the spectrum is that of the lower
+        # triangle, which the gather never writes
         mu = quadrature(build_cantor_like(*GEOMETRIES[geometry]), level)
         if symbol is None:
             op = assemble_dmu_kernel(mu, 0.75 if mu.ifs.ambient_dim == 2 else 0.45)
@@ -736,13 +745,9 @@ class TestKernelGram:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CutoffTailWarning)
                 op = assemble_tmu_galerkin(make_symbol(symbol, sigma=-0.9), 0.45, 2.0, mu, 300.0)
-        K = op.pairs.dense()
-        assert np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
-        if isinstance(op.pairs, MirrorBlocks):
-            for sign in (1, -1):
-                block = op.pairs.block(sign)
-                assert np.array_equal(block.view(np.uint64), block.T.view(np.uint64))
-        ref = order_by_modulus(scipy.linalg.eigvalsh(K, lower=False))
+        K = held_matrix(op, mu)
+        assert_operator_is(op, K)  # K, and A +- B J, are their own transposes
+        ref = order_by_modulus(scipy.linalg.eigvalsh(K, lower=True))
         norm = abs(ref[0])
         assert np.allclose(eigen_spectrum(op), ref, rtol=0.0, atol=1e-13 * norm)
 

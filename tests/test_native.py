@@ -35,7 +35,7 @@ def test_one_module_object_serves_the_package_and_the_loader():
     assert special is sys.modules["scipy.special._special_ufuncs"]
     assert scipy.linalg.lapack.dsytrd is flapack.dsytrd
     assert scipy.linalg.lapack.zgesdd is flapack.zgesdd
-    assert scipy.linalg.blas.dsymm is fblas.dsymm
+    assert scipy.linalg.blas.dgemm is fblas.dgemm
     assert scipy.special.kv is special.kv and scipy.special.gammaln is special.gammaln
     assert native("linalg", "_flapack") is flapack
 
@@ -68,7 +68,7 @@ assert not any(t.is_alive() for t in threads)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import scipy.linalg, scipy.special
 print([len(slot) for slot in got], [len({id(m) for m in slot}) for slot in got], loaded,
-      scipy.linalg.lapack.dsytrd is got[0][0].dsytrd, scipy.linalg.blas.dsymm is got[1][0].dsymm,
+      scipy.linalg.lapack.dsytrd is got[0][0].dsytrd, scipy.linalg.blas.dgemm is got[1][0].dgemm,
       scipy.special.kv is got[2][0].kv)
 """
     env = dict(

@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import assert_operator_is, dense_kernel, held_matrix
+from conftest import assert_gathers, assert_operator_is, dense_kernel, held_matrix
 from fracspectra._native import native
 from fracspectra.experiment import _assemble, _build_measure, load_config
 from fracspectra.fractal_measure import build_cantor_like, quadrature
@@ -34,7 +34,7 @@ from fracspectra.fractal_operator import (
     assemble_tmu_galerkin,
 )
 from fracspectra.psido_engine import make_symbol
-from fracspectra import spectral_report
+from fracspectra import fractal_operator, spectral_report
 from fracspectra.spectral_report import (
     DecayFit,
     InsufficientSpectrumError,
@@ -94,15 +94,16 @@ def eigensolve_calls():
     order), ``"values"`` for ``dsterf`` (the values it returns), ``"vectors"``
     for ``dstein`` (the values it is given, its ``iblock`` and its
     ``isplit``), ``"map"`` for ``dormqr`` (its ``lwork``), ``"product"`` for
-    the ``dsymm`` residual product (the order), and ``"all"`` or ``"eigh"``
-    for a ``scipy.linalg.eigh`` call that returns every eigenvector or not
-    (the order).  A ``dstebz`` or ``eigh_tridiagonal`` call fails the test
-    at once."""
+    a ``dgemm`` residual product on one strip of rows (the shape of the
+    strip's transpose it is given: the order, then the strip's rows), and
+    ``"all"`` or ``"eigh"`` for a ``scipy.linalg.eigh`` call that returns
+    every eigenvector or not (the order).  A ``dstebz``,
+    ``eigh_tridiagonal`` or ``dsymm`` call fails the test at once."""
     calls = []
     lapack, blas = FLAPACK, FBLAS
     real_eigh = scipy.linalg.eigh
     real = {name: getattr(lapack, name) for name in ("dsytrd", "dsterf", "dstein", "dormqr")}
-    real_product = blas.dsymm
+    real_product = blas.dgemm
 
     def reduction(a, *args, **kwargs):
         calls.append(("reduce", np.shape(a)[0]))
@@ -122,7 +123,7 @@ def eigensolve_calls():
         return real["dormqr"](side, trans, a, tau, c, lwork, *args, **kwargs)
 
     def product(alpha, a, b, *args, **kwargs):
-        calls.append(("product", np.shape(a)[0]))
+        calls.append(("product", np.shape(a)))
         return real_product(alpha, a, b, *args, **kwargs)
 
     def eigh(a, *args, **kwargs):
@@ -141,7 +142,8 @@ def eigensolve_calls():
         mp.setattr(lapack, "dsterf", values)
         mp.setattr(lapack, "dstein", vectors)
         mp.setattr(lapack, "dormqr", back_map)
-        mp.setattr(blas, "dsymm", product)
+        mp.setattr(blas, "dgemm", product)
+        mp.setattr(blas, "dsymm", forbidden("dsymm"))
         mp.setattr(scipy.linalg, "eigh", eigh)
         mp.setattr(lapack, "dstebz", forbidden("dstebz"))
         mp.setattr(scipy.linalg, "eigh_tridiagonal", forbidden("eigh_tridiagonal"))
@@ -152,9 +154,11 @@ def assert_block_solves(calls, orders) -> None:
     """Per block, of the given orders in turn: one tridiagonal reduction, one
     ``dsterf`` of all its values, one ``dstein`` at ``min(50, order)`` of
     those very values (a bottom run and a top run of them, T taken as one
-    block), the ``dormqr`` workspace query and map, and one ``dsymm``
-    residual product.  A block of order 1 needs neither ``dsterf``,
-    ``dstein`` nor ``dormqr``.  No ``scipy.linalg.eigh`` call."""
+    block), the ``dormqr`` workspace query and map, and the ``dgemm``
+    residual products of strips of rows that cover the block in order, all
+    but the last of one height, at most 32 of them.  A block of order 1
+    needs neither ``dsterf``, ``dstein`` nor ``dormqr``.  No
+    ``scipy.linalg.eigh`` call."""
     kinds = ("values", "vectors", "map", "product")
     assert calls and calls[0][0] == "reduce", calls
     blocks = []
@@ -166,7 +170,9 @@ def assert_block_solves(calls, orders) -> None:
             blocks[-1][1][kind].append(arg)
     assert [n for n, _ in blocks] == orders
     for n, got in blocks:
-        assert got["product"] == [n]
+        orders, heights = zip(*got["product"])
+        assert set(orders) == {n} and sum(heights) == n and len(heights) <= 32
+        assert len(set(heights[:-1])) <= 1 and heights[-1] <= heights[0]
         if n == 1:
             assert got["values"] == got["vectors"] == got["map"] == []
             continue
@@ -223,11 +229,71 @@ def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]
 
 
 def held_arrays(op) -> list:
-    """Every array ``op`` holds: its table, code factors and any ``r``."""
+    """Every array ``op`` holds: its table, code factors, any ``r``, and the
+    reversed code factor of mirror blocks."""
     pairs = op.pairs
-    return [pairs.table, pairs.hi, pairs.lo, np.array(pairs.step)] + (
-        [] if pairs.r is None else [pairs.r]
+    return (
+        [pairs.table, pairs.hi, pairs.lo, np.array(pairs.step)]
+        + ([] if pairs.r is None else [pairs.r])
+        + ([pairs.flipped] if isinstance(pairs, MirrorBlocks) else [])
     )
+
+
+def certify(pairs, sign=None) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_report._certified_pairs`` on ``pairs`` gathered as the solve
+    gathers it: whole (no ``sign``), or as its mirror block of that sign."""
+    if sign is None:
+        gather = pairs.dense
+    else:
+
+        def gather(out=None, rows=None):
+            return pairs.block(sign, out, rows)
+
+    return spectral_report._certified_pairs(gather(), gather)
+
+
+def mirror_block(K: np.ndarray, sign: int) -> np.ndarray:
+    """``A + B J`` (positive ``sign``) or ``A - B J`` formed from K in full,
+    bitwise the block a :class:`MirrorBlocks` of K gathers."""
+    h = K.shape[0] // 2
+    return K[:h, :h] + sign * K[:h, h:][:, ::-1]
+
+
+def rss_anon() -> int:
+    """This process's resident anonymous memory in bytes (``RssAnon`` in
+    ``/proc/self/status``): it counts the pages of an anonymous ``mmap``,
+    which ``tracemalloc`` does not see."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no RssAnon line in /proc/self/status")
+
+
+def mapping_rss(array: np.ndarray) -> int:
+    """Resident bytes of the one memory mapping that holds ``array``'s data
+    (its ``Rss`` in ``/proc/self/smaps``)."""
+    address, inside = array.ctypes.data, False
+    with open("/proc/self/smaps", encoding="ascii") as smaps:
+        for line in smaps:
+            head = line.split(None, 1)[0]
+            if not head.endswith(":"):  # a mapping's first line: start-end perms ...
+                start, stop = (int(x, 16) for x in head.split("-"))
+                inside = start <= address < stop
+            elif inside and head == "Rss:":
+                return int(line.split()[1]) * 1024
+    raise AssertionError(f"no mapping holds address {address:#x}")
+
+
+def triangle_pages(n: int, size: int) -> int:
+    """Bytes in the 4 KiB pages of a page-aligned C-ordered float64 buffer
+    of order n that its tiles (a, b) of order ``size`` with ``b >= a`` cover:
+    row i from column ``(i // size) size`` to its end."""
+    pages = set()
+    for i in range(n):
+        start, stop = 8 * (i * n + (i // size) * size), 8 * (i + 1) * n
+        pages.update(range(start // 4096, (stop - 1) // 4096 + 1))
+    return 4096 * len(pages)
 
 
 def split_eigvalsh(K: np.ndarray) -> np.ndarray:
@@ -543,7 +609,7 @@ class TestEigenSpectrum:
         n = op.shape[0]
         split = isinstance(op.pairs, MirrorBlocks)
         assert_block_solves(calls, [n // 2, n // 2] if split else [n])
-        assert len(held) == (4 if op.pairs.r is None else 5)
+        assert len(held) == 4 + (op.pairs.r is not None) + split
         for a, b in zip(held, keep):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -580,43 +646,59 @@ class TestEigenSpectrum:
             assert not np.shares_memory(blocks[0], op.pairs.table)
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-blocks"])
-    def test_certificate_product_is_scipy_dsymm_on_the_block_itself(self, cantor_ifs, case):
+    def test_certificate_product_is_scipy_dgemm_on_strips_of_k(self, cantor_ifs, case):
         # the residual product runs on the OpenBLAS that reduced the block,
-        # through the Fortran-ordered view the reduction got, with no copy,
-        # reading the triangle the reduction left alone (its upper one is the
-        # block's lower one) with the diagonal written back
+        # one dgemm per strip of rows of K, gathered again in order into one
+        # small buffer that is not the reduced block, and read through its
+        # Fortran-ordered transpose with no copy.  Order 700 in tiles of 100
+        # takes 16 strips of 46 rows, most across a tile edge; the blocks of
+        # order 512 take 8 strips of 64
         if case == "dense":
-            op = operator(random_symmetric(np.random.default_rng(59), 90))
+            K = random_symmetric(np.random.default_rng(59), 700)
+            op, refs = operator(K, tiles=7), [K]
         else:
-            op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
+            mu = quadrature(cantor_ifs, 10)
+            op, K = assemble_dmu_kernel(mu, 0.45), dense_kernel(mu, 0.45)
+            refs = [mirror_block(K, 1), mirror_block(K, -1)]
         blocks, products = [], []
-        real_top_pairs, real_product = spectral_report._top_pairs, FBLAS.dsymm
+        real_top_pairs, real_product = spectral_report._top_pairs, FBLAS.dgemm
 
         def top_pairs(block):
-            blocks.append((block, block.copy()))
+            blocks.append((block, []))
             return real_top_pairs(block)
 
         def product(alpha, a, b, **kwargs):
-            block, given = blocks[-1]
-            intact = np.array_equal(np.tril(block), np.tril(given))
-            products.append((alpha, np.shares_memory(a, block), a.flags.f_contiguous, intact))
-            products.append((kwargs["beta"], kwargs.get("lower", 0), kwargs["overwrite_c"]))
+            block, strips = blocks[-1]
+            start = sum(strip.shape[1] for strip in strips)
+            ref = refs[len(blocks) - 1][start : start + a.shape[1]]
+            assert_bitwise_equal(a.T, ref)  # rows start:stop of K, every entry
+            assert a.flags.f_contiguous and not np.shares_memory(a, block)
+            assert not strips or a.ctypes.data == strips[0].ctypes.data  # one buffer
+            assert (alpha, kwargs["beta"], kwargs["trans_a"]) == (1.0, -1.0, 1)
+            strips.append(a)
             return real_product(alpha, a, b, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_report, "_top_pairs", top_pairs)
-            mp.setattr(FBLAS, "dsymm", product)
+            mp.setattr(FBLAS, "dgemm", product)
             eigen_spectrum(op)
-        calls = 1 if case == "dense" else 2
-        assert products == [(1.0, True, True, True), (-1.0, 0, 1)] * calls
+        heights = [[strip.shape[1] for strip in strips] for _, strips in blocks]
+        if case == "dense":
+            assert heights == [[46] * 15 + [10]]
+        else:
+            assert heights == [[64] * 8] * 2
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-block"])
     def test_residuals_match_the_numpy_product_to_rounding(self, cantor_ifs, case):
+        # the residual against the block re-gathered strip by strip, against
+        # the block formed in full (mirror_block)
         if case == "dense":
             block = random_symmetric(np.random.default_rng(61), 300)
+            _, res = certify(operator(block).pairs)
         else:
-            block = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45).pairs.block(-1)
-        _, res = spectral_report._certified_pairs(block.copy())
+            mu = quadrature(cantor_ifs, 10)
+            block = mirror_block(dense_kernel(mu, 0.45), -1)
+            _, res = certify(assemble_dmu_kernel(mu, 0.45).pairs, -1)
         _, top, u = spectral_report._top_pairs(block.copy())
         oracle = np.linalg.norm(block @ u - u * top, axis=0)
         scale = np.finfo(float).eps * float(np.abs(top).max())
@@ -627,20 +709,22 @@ class TestEigenSpectrum:
     def test_solve_grows_less_than_one_block_over_what_it_holds(self, config):
         # at level 10: the kernel Gram operator's two mirror blocks of order
         # 512, and the modulated Galerkin matrix of order 1024, solved at full
-        # size; a copy of the block for the reduction alone would be 8 n^2 B
+        # size; a copy of the block for the reduction alone would be 8 n^2 B,
+        # on the traced heap or, made resident, in RssAnon
         cfg = load_config(CONFIG_DIR / f"{config}.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             op = _assemble(cfg, _build_measure(cfg, 10))
         assert isinstance(op.pairs, MirrorBlocks) == (config == "cantor_p2")
-        growth, orders = [], []
+        traced, resident, orders = [], [], []
         real_certified = spectral_report._certified_pairs
 
-        def certified(block):
-            held = tracemalloc.get_traced_memory()[0]
+        def certified(block, gather):
+            held, rss = tracemalloc.get_traced_memory()[0], rss_anon()
             tracemalloc.reset_peak()
-            out = real_certified(block)
-            growth.append(tracemalloc.get_traced_memory()[1] - held)
+            out = real_certified(block, gather)
+            traced.append(tracemalloc.get_traced_memory()[1] - held)
+            resident.append(rss_anon() - rss)
             orders.append(block.shape[0])
             return out
 
@@ -652,35 +736,83 @@ class TestEigenSpectrum:
         finally:
             tracemalloc.stop()
         assert orders == ([512, 512] if config == "cantor_p2" else [1024])
-        for g, n in zip(growth, orders):
+        for g, r, n in zip(traced, resident, orders):
             assert g < 8 * n * n, f"solve grew {g} B, a block of order {n} is {8 * n * n} B"
+            assert r < 8 * n * n, f"RssAnon grew {r} B, a block of order {n} is {8 * n * n} B"
 
     def test_mirror_solve_holds_one_block_for_both(self, cantor_ifs):
         # at level 10 each mirror block has order 512; A - B J is gathered
         # into the storage of A + B J, which is still alive when it is
-        # certified, and the whole solve grows by one block.  The spy keeps
-        # weak references only, so it holds no block alive itself
+        # certified: the solve makes one buffer, and its resident memory
+        # grows by one block.  The spy keeps weak references only, so it
+        # holds no block alive itself
         op = assemble_dmu_kernel(quadrature(cantor_ifs, 10), 0.45)
         eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
-        refs, same, real_certified = [], [], spectral_report._certified_pairs
+        refs, same, grown, made = [], [], [], []
+        real_certified = spectral_report._certified_pairs
+        real_buffer = fractal_operator._solve_buffer
 
-        def certified(block):
+        def certified(block, gather):
             same.append(bool(refs) and refs[0]() is block)
             refs.append(weakref.ref(block))
-            return real_certified(block)
+            out = real_certified(block, gather)
+            grown.append(rss_anon() - rss)
+            return out
+
+        def buffer(n):
+            made.append(n)
+            return real_buffer(n)
 
         tracemalloc.start()
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral_report, "_certified_pairs", certified)
+                mp.setattr(fractal_operator, "_solve_buffer", buffer)
+                rss = rss_anon()
                 eigen_spectrum(op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert same == [False, True]
+        assert same == [False, True] and made == [512]
         size = 8 * (op.pairs.order // 2) ** 2
         assert size == 8 * 512 * 512
         assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
+        assert max(grown) < 1.5 * size, f"RssAnon grew {max(grown)} B, a block is {size} B"
+
+    @pytest.mark.parametrize(
+        "config, level", [("cantor_p15", 10), ("cantor_p15", 11), ("cantor_p2", 11)]
+    )
+    def test_solve_buffer_is_resident_for_its_gathered_triangle_only(self, config, level):
+        # the gather writes the tiles (a, b) with b >= a, the reduction reads
+        # and writes only them, and the certificate re-gathers K elsewhere:
+        # no other page of the buffer is ever faulted in, so of its 8 n^2 B
+        # at most 4 n^2 + 4 KiB per row are resident (the diagonal tiles
+        # whole, and each row's first page in part), with 64 KiB of slack.
+        # cantor_p15 is solved at orders 1024 and 2048, cantor_p2 at
+        # level 11 as two mirror blocks of 1024 in one buffer
+        cfg = load_config(CONFIG_DIR / f"{config}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffTailWarning)
+            op = _assemble(cfg, _build_measure(cfg, level))
+        resident, real_certified = [], spectral_report._certified_pairs
+
+        def certified(block, gather):
+            out = real_certified(block, gather)
+            resident.append((block.shape[0], mapping_rss(block)))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_report, "_certified_pairs", certified)
+            eigen_spectrum(op)
+        split = isinstance(op.pairs, MirrorBlocks)
+        assert [n for n, _ in resident] == ([1024, 1024] if split else [2**level])
+        size, slack = op.pairs.lo.shape[0], 2**16
+        assert size == 256
+        for n, got in resident:
+            assert got <= triangle_pages(n, size) + slack <= 4 * n * n + 4096 * n + slack
+            assert got < 8 * n * n
+        if split:
+            assert resident[0] == resident[1]
 
     @pytest.mark.parametrize(
         "case",
@@ -712,7 +844,7 @@ class TestEigenSpectrum:
         if case == "split":
             e = scipy.linalg.lapack.dsytrd(mat.copy())[2]
             assert np.count_nonzero(e == 0.0) >= 2
-        w, res = spectral_report._certified_pairs(mat.copy())
+        w, res = certify(operator(mat).pairs)
         _, top, _ = spectral_report._top_pairs(mat.copy())
         ref = np.linalg.eigvalsh(mat)
         norm = float(np.abs(ref).max())
@@ -734,8 +866,8 @@ class TestEigenSpectrum:
         assert tiled.shape == (n, n) and tiled.pairs.hi.shape == (tiles, tiles)
         for op in (whole, tiled):
             K = op.pairs.dense()
-            assert not np.shares_memory(K, mat) and K.flags.c_contiguous
-            assert_bitwise_equal(K, mat)
+            assert not np.shares_memory(K, mat)
+            assert_gathers(K, mat)
         with eigensolve_calls() as calls:
             values = eigen_spectrum(tiled)
         assert_block_solves(calls, [n])
@@ -799,8 +931,9 @@ class TestEigenSpectrum:
     @pytest.mark.parametrize("case", ["cantor_p2", "cantor_p15", "odd-m-kernel", "hand-built"])
     def test_solve_grows_by_one_buffer_and_a_few_n_by_50_arrays(self, case):
         # the solve's one buffer of order h (N/2 for mirror blocks, else N),
-        # four arrays of h x 50 (the vectors, dormqr's copy, the residual)
-        # and the gather's tile temporaries, under 1 MiB
+        # off the traced heap, four arrays of h x 50 (the vectors, dormqr's
+        # copy, the residual), and the gather's tile and strip temporaries,
+        # under 1 MiB; resident, the buffer and the same arrays
         if case == "odd-m-kernel":
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 6), 0.45)
         elif case == "hand-built":  # seven by seven tiles of order 100
@@ -812,15 +945,34 @@ class TestEigenSpectrum:
                 op = _assemble(cfg, _build_measure(cfg, 10))
         h = op.shape[0] // (2 if isinstance(op.pairs, MirrorBlocks) else 1)
         eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
+        made, grown = [], []
+        real_certified = spectral_report._certified_pairs
+        real_buffer = fractal_operator._solve_buffer
+
+        def certified(block, gather):
+            out = real_certified(block, gather)
+            grown.append(rss_anon() - rss)
+            return out
+
+        def buffer(n):
+            made.append(n)
+            return real_buffer(n)
+
         tracemalloc.start()
         try:
-            held = tracemalloc.get_traced_memory()[0]
-            eigen_spectrum(op)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral_report, "_certified_pairs", certified)
+                mp.setattr(fractal_operator, "_solve_buffer", buffer)
+                held, rss = tracemalloc.get_traced_memory()[0], rss_anon()
+                eigen_spectrum(op)
             growth = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        bound = 8 * h * h + 4 * 8 * h * 50 + 2**20
+        assert made == [h]
+        bound = 4 * 8 * h * 50 + 2**20
         assert growth < bound, f"solve grew {growth} B over a bound of {bound} B"
+        bound += 8 * h * h
+        assert max(grown) < bound, f"RssAnon grew {max(grown)} B over a bound of {bound} B"
 
 class TestKernelMirrorBlocks:
     """The kernel operator held as its two mirror blocks, against the dense K
@@ -844,9 +996,9 @@ class TestKernelMirrorBlocks:
         atol = n * np.finfo(float).eps * float(np.abs(values).max())
         rng = np.random.default_rng(level)
         for sign in (1, -1):
-            block = op.pairs.block(sign)
-            _, res = spectral_report._certified_pairs(block.copy())
-            _, top, u = spectral_report._top_pairs(block.copy())
+            block = mirror_block(K, sign)
+            _, res = certify(op.pairs, sign)
+            _, top, u = spectral_report._top_pairs(op.pairs.block(sign))
 
             def lift(v):
                 return np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0)
