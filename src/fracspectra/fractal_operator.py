@@ -401,9 +401,10 @@ def _gather(table, hi, lo, step: int, out=None, combine=None, rows=None, r=None)
     for a in range(first // size, -(-stop // size)):
         part = slice(max(first - a * size, 0), min(stop - a * size, size))
         dest = slice(a * size + part.start - first, a * size + part.stop - first)
+        index = lo[part].astype(np.intp)  # cast once per tile row, not per tile
         for b in range(a if rows is None else 0, nh):
             cols = slice(b * size, (b + 1) * size)
-            tile, values = out[dest, cols], table[hi[a, b] * step :][lo[part]]
+            tile, values = out[dest, cols], table[hi[a, b] * step :][index]
             if r is not None:
                 values *= np.multiply.outer(r[a * size :][part], r[cols])
             if combine is None:
