@@ -31,12 +31,12 @@ spectra approximate the continuum objects:
 * ``assemble_trace_operator`` returns the frequency-truncated plane-wave
   trace factor, the complex N x n_modes array of smoothness-weighted
   plane-wave coefficients at the weighted atoms; no eigensolve reads it.
-* ``assemble_tmu_galerkin`` compresses a separable negative-order symbol,
-  whose terms share one real, strictly positive spatial factor a, to atom
-  space through a smoothly truncated frequency integral, in the exactly
-  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``, held as the
-  table of S and ``sqrt(a)`` and symmetric bit for bit by construction;
-  with ``a == 1`` that is the gather S itself, held as above.
+* ``assemble_tmu_galerkin`` compresses a separable symbol, whose terms are
+  negative bracket powers sharing one real, strictly positive spatial
+  factor a, to atom space through a smoothly truncated frequency integral,
+  in the exactly similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``,
+  held as the table of S and ``sqrt(a)`` and symmetric bit for bit by
+  construction; with ``a == 1`` that is the gather S itself, held as above.
 
 Every operator is a real symmetric pair gather, the one form
 :func:`~fracspectra.spectral_report.eigen_spectrum` solves.
@@ -67,6 +67,7 @@ from .fractal_measure import (
     _pair_distances,
     _pair_table,
 )
+from .psido_engine import SeparableTerm
 
 __all__ = [
     "SingularKernelError",
@@ -689,60 +690,40 @@ class _CutoffProfile:
     """Radial position-space profile of one separable term under a smooth cutoff.
 
     Represents ``P(rho) = (2 pi)^{-1/2} integral phi0(|xi|/cutoff) b(|xi|)
-    e^{i rho xi} dxi`` in ambient dimension one.  Radii below an adaptive
-    split are tabulated at ``_PROFILE_NODES`` log-spaced nodes by a
-    vectorized quadrature whose step resolves every oscillation, and read
-    off a not-a-knot cubic spline in ``log rho`` (:class:`_NotAKnotSpline`,
-    one banded solve); beyond the split the smooth-taper correction is provably
-    below ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel is used
-    (bracket-power terms) or a dense table (generic terms, moderate cutoffs).
-    The quadrature takes ``_PROFILE_BUFFER // n_xi`` nodes (at least one) at
-    a time into one buffer of about 1 MiB, which holds their phases, then
-    their weighted cosines, each row summed pairwise by numpy: no BLAS
-    thread count or chunk moves a bit.
+    e^{i rho xi} dxi`` in ambient dimension one, for the bracket power ``b =
+    bracket^sigma`` (:meth:`~fracspectra.psido_engine.SeparableTerm.radial`)
+    of a negative ``sigma``.  Radii below an adaptive split are tabulated at
+    ``_PROFILE_NODES`` log-spaced nodes by a vectorized quadrature whose
+    step resolves every oscillation, and read off a not-a-knot cubic spline
+    in ``log rho`` (:class:`_NotAKnotSpline`, one banded solve); beyond the
+    split the smooth-taper correction is provably below
+    ``_PROFILE_TARGET_REL`` and the untruncated closed-form kernel
+    ``BesselKernel(order=-sigma)`` is used.  The quadrature takes
+    ``_PROFILE_BUFFER // n_xi`` nodes (at least one) at a time into one
+    buffer of about 1 MiB, which holds their phases, then their weighted
+    cosines, each row summed pairwise by numpy: no BLAS thread count or
+    chunk moves a bit.
     """
 
-    def __init__(
-        self,
-        radial: Callable[[np.ndarray], np.ndarray],
-        freq_cutoff: float,
-        *,
-        rho_maxdist: float,
-    ) -> None:
+    def __init__(self, sigma: float, freq_cutoff: float, *, rho_maxdist: float) -> None:
         xi_max = 1.5 * freq_cutoff
-        self.cutoff = freq_cutoff
-        bracket = getattr(radial, "bracket_exponent", None)
-        self.bracket_order = None if bracket is None else float(bracket)
+        self.bracket_order = float(sigma)
+        radial = SeparableTerm(None, sigma).radial
 
         # numeric second-derivative mass of the chopped taper band, for the
         # double integration-by-parts bound |correction| <= B / rho^2
         ts = np.linspace(freq_cutoff, xi_max, 8193)
-        with np.errstate(all="ignore"):
-            g = (1.0 - _PHI0(ts / freq_cutoff)) * np.asarray(radial(ts), dtype=float)
+        g = (1.0 - _PHI0(ts / freq_cutoff)) * radial(ts)
         h = ts[1] - ts[0]
         g2 = np.abs(np.diff(g, 2)) / h**2
         self.taper_bound = math.sqrt(2.0 / math.pi) * float(np.sum(g2) * h)
 
-        far_kernel = None
-        if self.bracket_order is not None and self.bracket_order < 0.0:
-            far_kernel = BesselKernel(order=-self.bracket_order, ambient_dim=1)
-            probe = np.geomspace(max(_PROFILE_RHO_MIN * 10.0, 1e-9), rho_maxdist, 400)
-            far_vals = far_kernel(probe)
-            ok = self.taper_bound / probe**2 <= _PROFILE_TARGET_REL * np.abs(far_vals)
-            base_split = 20.0 / freq_cutoff
-            if np.any(ok):
-                rho_split = max(float(probe[np.argmax(ok)]), base_split)
-            else:
-                rho_split = rho_maxdist
-            self._far = far_kernel
-        else:
-            if freq_cutoff > 4000.0:
-                raise ValueError(
-                    "generic radial parts are tabulated densely and need a "
-                    "moderate cutoff (<= 4000); bracket-power parts scale further"
-                )
-            rho_split = rho_maxdist  # single dense table covers everything
-            self._far = None
+        self._far = BesselKernel(order=-self.bracket_order, ambient_dim=1)
+        probe = np.geomspace(max(_PROFILE_RHO_MIN * 10.0, 1e-9), rho_maxdist, 400)
+        ok = self.taper_bound / probe**2 <= _PROFILE_TARGET_REL * np.abs(self._far(probe))
+        rho_split = rho_maxdist
+        if np.any(ok):
+            rho_split = max(float(probe[np.argmax(ok)]), 20.0 / freq_cutoff)
         self.rho_split = min(rho_split, rho_maxdist)
 
         # vectorized Simpson panels: a fine origin panel resolves the
@@ -773,8 +754,7 @@ class _CutoffProfile:
                 seg_lo = seg_hi
         pieces = []
         for pts, wts in panels:
-            with np.errstate(all="ignore"):
-                w_seg = _PHI0(pts / freq_cutoff) * np.asarray(radial(pts), dtype=float)
+            w_seg = _PHI0(pts / freq_cutoff) * radial(pts)
             if not np.all(np.isfinite(w_seg)):
                 raise ValueError("radial part produced non-finite values on the panel")
             if np.any(w_seg != 0.0):
@@ -797,10 +777,8 @@ class _CutoffProfile:
         vals *= math.sqrt(2.0 / math.pi)
         self._near = _NotAKnotSpline(np.log(nodes), vals)
         self._zero = math.sqrt(2.0 / math.pi) * float(wind_w.sum())
-        self.splice_rel = 0.0
-        if self._far is not None:
-            a, b = float(vals[-1]), float(self._far(self.rho_split))
-            self.splice_rel = abs(a - b) / max(abs(b), 1e-300)
+        a, b = float(vals[-1]), float(self._far(self.rho_split))
+        self.splice_rel = abs(a - b) / max(abs(b), 1e-300)
 
     def __call__(self, rho) -> np.ndarray:
         r = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -812,8 +790,6 @@ class _CutoffProfile:
             out[near] = self._near(np.log(r[near]))
         beyond = r > self.rho_split
         if np.any(beyond):
-            if self._far is None:
-                raise ValueError("distance beyond the tabulated profile range")
             out[beyond] = self._far(r[beyond])
         return out if np.ndim(rho) else out[0]
 
@@ -841,15 +817,19 @@ def _band_row_max(pairs: PairGather, rows, band) -> float:
     """``max |rows_j S_jk|`` (0.0 if none) over the pairs whose code c has
     ``band[c]``, for ``S = table[hi (x) step + lo]`` of ``pairs`` (without its
     ``r``), never held: tile (a, b) of S and of its mask is ``table`` and
-    ``band`` at ``[hi[a, b] step:][lo]``."""
+    ``band`` at ``[hi[a, b] step:][lo]``, taken into two buffers that every
+    tile reuses (codes are in range, so the takes clip: a raising take
+    buffers its ``out``).  The tile is row-scaled and made absolute in
+    place; products commute and ``abs`` and ``max`` are exact."""
     table, lo, step = pairs.table, pairs.lo, pairs.step
     size, top = lo.shape[0], 0.0
+    tile, near = np.empty(lo.shape), np.empty(lo.shape, dtype=bool)
     for (a, b), code in np.ndenumerate(pairs.hi):
-        near = band[code * step :][lo]
+        np.take(band[code * step :], lo, out=near, mode="clip")
         if near.any():
-            rs = slice(a * size, (a + 1) * size)
-            tile = rows[rs, None] * table[code * step :][lo]
-            top = max(top, float(np.abs(tile[near]).max()))
+            np.take(table[code * step :], lo, out=tile, mode="clip")
+            np.multiply(rows[a * size : (a + 1) * size, None], tile, out=tile)
+            top = float(np.max(np.abs(tile, out=tile), where=near, initial=top))
     return top
 
 
@@ -873,10 +853,13 @@ def assemble_tmu_galerkin(
     (2 pi)^{-1/2}`` and ``D = diag(a(x_j))``, the compression is ``M = c w D
     S``.
 
-    The terms must share bitwise one real, strictly positive factor a (every
-    catalog symbol does; x-independent ones have ``D = I``).  A complex
-    factor, one that is not strictly positive, or terms whose factors differ
-    raise ``ValueError`` before any pair table exists.  The summed table is
+    Each term is ``a(x) bracket(xi)^sigma`` with ``sigma < 0``, whose
+    profile splices to the closed-form kernel (:class:`_CutoffProfile`), and
+    the terms must share bitwise one real, strictly positive factor a (every
+    catalog symbol does; x-independent ones have ``D = I``).  A term with
+    ``sigma >= 0``, a complex factor, one that is not strictly positive, or
+    terms whose factors differ raise ``ValueError`` before any pair table
+    exists.  The summed table is
     scaled by ``c w`` once, in place, after :func:`_gather_pairs` has built
     the operator from it.  With ``a == 1``, ``M = c w S`` is held as that
     gather, so on a digit-mirror-symmetric set as :class:`MirrorBlocks`.
@@ -897,7 +880,7 @@ def assemble_tmu_galerkin(
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
-    if n != 1 or getattr(sym, "ambient_dim", 1) != 1:
+    if n != 1:
         raise NotImplementedError("Galerkin assembly is implemented for ambient dimension one")
     sp = _check_rate_window(n, d, s, p)
     if sym.separable_terms is None:
@@ -909,6 +892,12 @@ def assemble_tmu_galerkin(
         raise ValueError(
             f"symbol order {sym.order} must equal -(s*p) = {-sp} for this compression"
         )
+    for i, term in enumerate(sym.separable_terms):
+        if not term.sigma < 0.0:
+            raise ValueError(
+                "Galerkin assembly needs terms of negative bracket order; "
+                f"term {i} has sigma = {term.sigma}"
+            )
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
     w = measure.weight
@@ -937,9 +926,7 @@ def assemble_tmu_galerkin(
     table, term_info = np.zeros(dist.size), []
     del dist
     for term in sym.separable_terms:
-        profile = _CutoffProfile(
-            term.radial, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6)
-        )
+        profile = _CutoffProfile(term.sigma, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6))
         energy, diag_info = cell_pair_energy(measure, profile)
         table += _folded_table(ifs, level, profile, energy / w**2)
         term_info.append(

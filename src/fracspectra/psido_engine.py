@@ -1,12 +1,14 @@
 """Phase-space multipliers and their derivative bounds.
 
-A symbol is a smooth function tau(x, xi) whose size and derivatives are
-controlled by powers of the frequency bracket (1 + |xi|^2)^{1/2}.  This
-module estimates those control constants numerically on one fixed probe
-grid and ships the named catalog a config can select (``identity``,
-``bessel_power``, ``separable_demo``), so that configuration files never
-execute user code; ``fractal_operator.assemble_tmu_galerkin`` compresses a
-catalog symbol to the fractal.
+A symbol is a smooth function tau(x, xi) on the line whose size and
+derivatives are controlled by powers of the frequency bracket (1 +
+|xi|^2)^{1/2}.  This module estimates those control constants numerically
+on one fixed probe grid and ships the named catalog a config can select
+(``identity``, ``bessel_power``, ``separable_demo``), so that configuration
+files never execute user code.  Every catalog symbol is one separable term,
+a spatial factor times a power of the bracket (:class:`SeparableTerm`);
+``fractal_operator.assemble_tmu_galerkin`` compresses a symbol made of such
+terms to the fractal.
 """
 
 from __future__ import annotations
@@ -37,38 +39,43 @@ Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class SeparableTerm:
-    """One product term a(x) * b(|xi|); spatial=None means a == 1."""
+    """One product term ``a(x) bracket(xi)^sigma``, with ``bracket(xi) = (1 +
+    |xi|^2)^{1/2}``; spatial=None means a == 1.  For ``sigma < 0`` the
+    inverse Fourier transform of its radial part is the closed-form
+    ``fractal_operator.BesselKernel`` of order ``-sigma``."""
 
     spatial: Callable[[np.ndarray], np.ndarray] | None
-    radial: Callable[[np.ndarray], np.ndarray]
+    sigma: float
+
+    def radial(self, r: np.ndarray) -> np.ndarray:
+        """``bracket(r)^sigma`` at the frequency moduli ``r``."""
+        return (1.0 + np.asarray(r, dtype=float) ** 2) ** (self.sigma / 2.0)
 
 
 @dataclass(frozen=True)
 class Symbol:
-    """A declared-regularity phase-space multiplier.
+    """A declared-regularity phase-space multiplier on the line.
 
-    evaluator maps point arrays x, xi of shape (..., ambient_dim) to complex
-    values of shape (...), and must accept x and xi of broadcast-compatible
-    shapes: the derivative probes pass each frequency once, as a row of shape
-    (1, n_xi, 1), against x of shape (n_x, n_xi, 1) or (n_x, 1, 1).  order
-    is the declared growth exponent in the frequency bracket; type_delta in
-    [0, 1] (default 0) is the declared loss per spatial derivative.
-    separable_terms, when present, expresses the evaluator as sum of a_t(x)
-    * b_t(|xi|); the Galerkin assembly requires it.
+    evaluator maps point arrays x, xi of shape (..., 1) to complex values of
+    shape (...), and must accept x and xi of broadcast-compatible shapes:
+    the derivative probes pass each frequency once, as a row of shape (1,
+    n_xi, 1), against x of shape (n_x, n_xi, 1) or (n_x, 1, 1).  order is
+    the declared growth exponent in the frequency bracket; type_delta in [0,
+    1] (default 0) is the declared loss per spatial derivative.
+    separable_terms, when present, expresses the evaluator as the sum of its
+    terms ``a_t(x) bracket(xi)^sigma_t`` (:class:`SeparableTerm`); the
+    Galerkin assembly requires it.
     """
 
     name: str
     evaluator: Evaluator
     order: float
     type_delta: float = 0.0
-    ambient_dim: int = 1
     separable_terms: tuple[SeparableTerm, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.type_delta <= 1.0:
             raise ValueError("type_delta must lie in [0, 1]")
-        if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
@@ -320,8 +327,6 @@ def validate_symbol(sym: Symbol) -> ValidationReport:
     constants of a true member plateau while a violator scales with the
     cutoff.
     """
-    if sym.ambient_dim != 1:
-        raise NotImplementedError("derivative probes are implemented for ambient_dim == 1")
     table, xi_pts, unsettled = _derivative_table(sym, 1)
     base = _normalized_max(table, xi_pts, sym.order, sym.type_delta)
     half_mask = np.abs(xi_pts) <= _FREQ_CUTOFF / 2.0 + 1e-12
@@ -362,16 +367,6 @@ def validate_symbol(sym: Symbol) -> ValidationReport:
 
 def available_symbols() -> tuple[str, ...]:
     return ("identity", "bessel_power", "separable_demo")
-
-
-def _bracket_power(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    def radial(r: np.ndarray) -> np.ndarray:
-        return (1.0 + np.asarray(r, dtype=float) ** 2) ** (sigma / 2.0)
-
-    # marker consumed by kernel assembly: this radial part is exactly
-    # bracket(|xi|)**sigma, so its Fourier profile has a closed form
-    radial.bracket_exponent = sigma
-    return radial
 
 
 def _modulation(x: np.ndarray) -> np.ndarray:
@@ -417,7 +412,7 @@ def make_symbol(name: str, sigma: float | None = _NO_SIGMA) -> Symbol:
     elif sigma is _NO_SIGMA or sigma is None:
         raise ValueError(f"{name} requires sigma")
     spatial = _modulation if name == "separable_demo" else None
-    terms = (SeparableTerm(spatial, _bracket_power(sigma)),)
+    terms = (SeparableTerm(spatial, sigma),)
     return Symbol(
         name=name if name == "identity" else f"{name}({sigma})",
         evaluator=_sum_evaluator(terms),

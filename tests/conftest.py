@@ -6,7 +6,7 @@ import pytest
 
 from fracspectra.fractal_measure import _pair_codes, _pair_digits
 from fracspectra.fractal_operator import BesselKernel, MirrorBlocks, cell_pair_energy
-from fracspectra.psido_engine import SeparableTerm, Symbol, _sum_evaluator
+from fracspectra.psido_engine import Symbol
 
 hypothesis.settings.register_profile(
     "default",
@@ -101,29 +101,24 @@ def dyadic_shell_symbol():
     oscillations at dyadic frequencies, each under a log-scale Gaussian
     window on its own octave.  Its derivative bounds hold only with a full
     unit loss per spatial derivative, and its seven spatial factors are
-    distinct and complex, so no catalog symbol can stand in for it.
+    distinct and complex, so no catalog symbol can stand in for it.  Its
+    windows are not bracket powers, so it is an evaluator alone, which is
+    all the derivative probes read.
     """
 
-    def radial(j: int):
-        def bump(r):
-            r = np.asarray(r, dtype=float)
-            lr = np.full(r.shape, -100.0)
-            np.log2(r, out=lr, where=r > 0)
-            return np.exp(-((lr - j) ** 2))
-
-        return bump
-
-    def spatial(j: int):
-        return lambda x: np.exp(1j * 2.0**j * np.asarray(x, dtype=float)[..., 0])
+    def evaluator(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        r = np.sqrt(np.sum(xi**2, axis=-1))
+        lr = np.full(r.shape, -100.0)
+        np.log2(r, out=lr, where=r > 0)
+        acc = np.zeros(np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex)
+        for j in range(7):
+            acc = acc + np.exp(1j * 2.0**j * x[..., 0]) * np.exp(-((lr - j) ** 2))
+        return acc
 
     def build(order: float = 0.0, type_delta: float = 1.0) -> Symbol:
-        terms = tuple(SeparableTerm(spatial(j), radial(j)) for j in range(7))
         return Symbol(
-            name="dyadic_shells",
-            evaluator=_sum_evaluator(terms),
-            order=order,
-            type_delta=type_delta,
-            separable_terms=terms,
+            name="dyadic_shells", evaluator=evaluator, order=order, type_delta=type_delta
         )
 
     return build

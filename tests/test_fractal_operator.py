@@ -825,7 +825,7 @@ class TestNotAKnotSpline:
         monkeypatch.setattr(fractal_operator, "_NotAKnotSpline", Recording)
         config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
         sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
-        _CutoffProfile(sym.separable_terms[0].radial, config.analysis.freq_cutoff, rho_maxdist=1.01)
+        _CutoffProfile(sym.separable_terms[0].sigma, config.analysis.freq_cutoff, rho_maxdist=1.01)
         ((x, y),) = tabulated
         assert x.size == fractal_operator._PROFILE_NODES
         self.assert_is_cubic_spline(x, y)
@@ -842,10 +842,10 @@ class TestCutoffProfileQuadrature:
     """The profile's quadrature reuses one buffer for every chunk of nodes."""
 
     @staticmethod
-    def bundled_radial():
+    def bundled_term():
         config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
         sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
-        return sym.separable_terms[0].radial, config.analysis.freq_cutoff
+        return sym.separable_terms[0].sigma, config.analysis.freq_cutoff
 
     def test_node_values_are_the_one_shot_sums_at_the_same_chunk(self, monkeypatch):
         # each chunk's operands are recorded on their way through the profile;
@@ -876,7 +876,7 @@ class TestCutoffProfileQuadrature:
 
         monkeypatch.setattr(fractal_operator, "np", SpyNumpy())
         monkeypatch.setattr(fractal_operator, "_NotAKnotSpline", Recording)
-        _CutoffProfile(*self.bundled_radial(), rho_maxdist=1.01)
+        _CutoffProfile(*self.bundled_term(), rho_maxdist=1.01)
         monkeypatch.undo()
         (vals,) = tabulated
         n_xi = chunks[0][1].size
@@ -894,11 +894,11 @@ class TestCutoffProfileQuadrature:
     def test_quadrature_peaks_below_one_chunk_buffer_and_a_mebibyte(self):
         # a chunk holds at most _PROFILE_BUFFER phases; the one-shot form held
         # the outer product and its cosine at once, two arrays of 700 n_xi
-        radial, cutoff = self.bundled_radial()
-        _CutoffProfile(radial, cutoff, rho_maxdist=1.01)  # warm-up: imports
+        sigma, cutoff = self.bundled_term()
+        _CutoffProfile(sigma, cutoff, rho_maxdist=1.01)  # warm-up: imports
         tracemalloc.start()
         try:
-            _CutoffProfile(radial, cutoff, rho_maxdist=1.01)
+            _CutoffProfile(sigma, cutoff, rho_maxdist=1.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -976,7 +976,7 @@ class TestGalerkinCompression:
         M = held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5), mu)
         dist = np.abs(mu.atoms[:, 0, None] - mu.atoms[None, :, 0])
         term = sym.separable_terms[0]
-        profile = _CutoffProfile(term.radial, 1.0e5, rho_maxdist=dist.max() * 1.01)
+        profile = _CutoffProfile(term.sigma, 1.0e5, rho_maxdist=dist.max() * 1.01)
         spatial = np.asarray(term.spatial(mu.atoms)).reshape(-1)
         off = ~np.eye(mu.n_atoms, dtype=bool)
         root = np.sqrt(spatial[:, None] * spatial[None, :])
@@ -1007,21 +1007,22 @@ class TestGalerkinCompression:
         ids=["exotic", "sign-changing", "two-factors"],
     )
     def test_complex_nonpositive_or_differing_factors_are_refused(
-        self, mu5, dyadic_shell_symbol, case, condition, monkeypatch
+        self, mu5, case, condition, monkeypatch
     ):
         base = make_symbol("bessel_power", sigma=-0.9)
-        radial = base.separable_terms[0].radial
         if case == "exotic":  # complex, distinct factors; declared at the window's order
-            sym = dyadic_shell_symbol(order=-0.9)
+            terms = tuple(
+                SeparableTerm(lambda x, j=j: np.exp(1j * 2.0**j * x[..., 0]), -0.9)
+                for j in range(7)
+            )
         elif case == "sign-changing":  # cos(3x) < 0 on the right half of the set
-            terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), radial),)
-            sym = Symbol("sign", base.evaluator, -0.9, 0.0, separable_terms=terms)
+            terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), -0.9),)
         else:
             terms = (
-                SeparableTerm(lambda x: 1.0 + 0.5 * np.cos(x[..., 0]), radial),
-                SeparableTerm(lambda x: 2.0 + np.sin(x[..., 0]), radial),
+                SeparableTerm(lambda x: 1.0 + 0.5 * np.cos(x[..., 0]), -0.9),
+                SeparableTerm(lambda x: 2.0 + np.sin(x[..., 0]), -0.9),
             )
-            sym = Symbol("two", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        sym = Symbol(case, base.evaluator, -0.9, 0.0, separable_terms=terms)
         # refused before the pair table, so before any N x N array exists
         for name in ("_pair_table", "_pair_codes", "_pair_distances", "_folded_table"):
             monkeypatch.setattr(fractal_operator, name, None)
@@ -1050,12 +1051,11 @@ class TestGalerkinCompression:
         # max|c w D S| over the pairs near the median distance, the row-scaled
         # entries, not those of the similar form D^{1/2} S D^{1/2} returned
         base = make_symbol("bessel_power", sigma=-0.9)
-        radial = base.separable_terms[0].radial
 
         def factor(x):
             return np.exp(-8.0 * x[..., 0])
 
-        terms = (SeparableTerm(factor, radial), SeparableTerm(factor, radial))
+        terms = (SeparableTerm(factor, -0.9), SeparableTerm(factor, -0.9))
         sym = Symbol("wide", base.evaluator, -0.9, 0.0, separable_terms=terms)
         with pytest.warns(CutoffTailWarning) as caught:
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 300.0)
@@ -1119,40 +1119,6 @@ class TestGalerkinCompression:
         M1, M2, M12 = compress(term), compress(lower), compress(term, lower)
         assert np.max(np.abs(M12 - (M1 + M2))) <= 1e-12 * np.max(np.abs(M12))
 
-    def test_generic_radial_gaussian_oracle(self, mu5):
-        # a Gaussian radial part has profile exp(-rho^2/2) once the cutoff is
-        # far past its support; exercises the dense-table generic path
-        term = SeparableTerm(None, lambda r: np.exp(-0.5 * np.asarray(r) ** 2))
-        sym = Symbol(
-            name="gaussian",
-            evaluator=lambda x, xi: np.ones(
-                np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex
-            ),
-            order=-0.9,
-            type_delta=0.0,
-            separable_terms=(term,),
-        )
-        M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 100.0)
-        w = mu5.weights[0]
-        atoms = mu5.atoms[:, 0]
-        j, k = 0, mu5.n_atoms - 1
-        expect = INV_SQRT_2PI * w * math.exp(-0.5 * (atoms[j] - atoms[k]) ** 2)
-        assert held_matrix(M, mu5)[j, k] == pytest.approx(expect, rel=1e-6)
-
-    def test_generic_radial_needs_moderate_cutoff(self, mu5):
-        term = SeparableTerm(None, lambda r: np.exp(-0.5 * np.asarray(r) ** 2))
-        sym = Symbol(
-            name="gaussian",
-            evaluator=lambda x, xi: np.ones(
-                np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex
-            ),
-            order=-0.9,
-            type_delta=0.0,
-            separable_terms=(term,),
-        )
-        with pytest.raises(ValueError):
-            assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-
     def test_window_and_order_validation(self, mu5):
         with pytest.raises(WindowViolationError):
             assemble_tmu_galerkin(
@@ -1185,18 +1151,30 @@ class TestGalerkinCompression:
         with pytest.raises(ValueError):
             assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1e4)
 
-    def test_higher_dimension_not_implemented(self, mu5):
-        term = SeparableTerm(None, lambda r: (1.0 + np.asarray(r) ** 2) ** (-0.45))
-        sym2 = Symbol(
-            name="flat2d",
-            evaluator=lambda x, xi: np.ones(1, dtype=complex),
-            order=-0.9,
-            type_delta=0.0,
-            ambient_dim=2,
-            separable_terms=(term,),
-        )
-        with pytest.raises(NotImplementedError):
-            assemble_tmu_galerkin(sym2, 0.45, 2.0, mu5, 1e4)
+    def test_higher_dimension_not_implemented(self, monkeypatch):
+        # a bracket power of the window's order on the planar dust: refused
+        # before any pair distance exists
+        mu = quadrature(build_cantor_like(*GEOMETRIES["dust-2d"]), 2)
+        monkeypatch.setattr(fractal_operator, "_pair_distances", None)
+        with pytest.raises(NotImplementedError, match="ambient dimension one"):
+            assemble_tmu_galerkin(make_symbol("bessel_power", sigma=-1.5), 0.75, 2.0, mu, 1e4)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_non_negative_bracket_order_is_refused_before_any_pair_table(
+        self, mu5, monkeypatch, sigma
+    ):
+        # the profile's far field is the kernel of order -sigma, which
+        # exists only for sigma < 0; the second term is named
+        base = make_symbol("bessel_power", sigma=-0.9)
+        terms = (base.separable_terms[0], SeparableTerm(None, sigma))
+        sym = Symbol("mixed", base.evaluator, -0.9, 0.0, separable_terms=terms)
+
+        def spy(*args):
+            raise AssertionError("the pair distances were computed")
+
+        monkeypatch.setattr(fractal_operator, "_pair_distances", spy)
+        with pytest.raises(ValueError, match=f"term 1 has sigma = {sigma}"):
+            assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
 
     def test_x_independent_spectrum_bits_are_pinned(self):
         # the cantor_p2 geometry at L = 8, s = 0.45, p = 2, held as mirror

@@ -408,6 +408,16 @@ class TestEigenSpectrum:
             warnings.simplefilter("error", PsdViolationWarning)
             assert np.array_equal(eigen_spectrum(operator(mat)), res)
 
+    @pytest.mark.parametrize("ratio, warns", [(-0.5e-8, False), (-2e-8, True)])
+    def test_kernel_gram_psd_threshold_is_one_part_in_a_hundred_million(self, ratio, warns):
+        # lambda_min = ratio * lambda_max on either side of the -1e-8 edge
+        op = operator(np.diag([1.0, ratio]), {"kind": "kernel-gram"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eigen_spectrum(op)
+        psd = [w for w in caught if issubclass(w.category, PsdViolationWarning)]
+        assert len(psd) == (1 if warns else 0)
+
     @given(st.integers(0, 10**6), st.integers(2, 6))
     def test_symmetric_path_matches_reference_eigensolver(self, seed, n):
         a = np.random.default_rng(seed).standard_normal((n, n))

@@ -6,9 +6,11 @@ import pytest
 from conftest import coupled_phase_symbol
 from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
+    SeparableTerm,
     Symbol,
     SymbolInstabilityError,
     _probe_points,
+    _sum_evaluator,
     available_symbols,
     make_symbol,
     validate_symbol,
@@ -136,13 +138,13 @@ class TestCatalogValues:
         assert np.array_equal(sym(x, xi), sym(np.zeros_like(x), xi))
         assert all(term.spatial is None for term in sym.separable_terms)
 
-    def test_bracket_exponent_marks_closed_form_radials(self) -> None:
-        # kernel assembly reads this marker to pick the closed-form profile
+    def test_terms_carry_their_bracket_exponent(self) -> None:
+        # the Galerkin profile is the closed form of order -sigma
         for name in ("bessel_power", "separable_demo"):
             (term,) = make_symbol(name, sigma=-0.7).separable_terms
-            assert term.radial.bracket_exponent == -0.7
+            assert term.sigma == -0.7
         (term,) = make_symbol("identity").separable_terms
-        assert term.radial.bracket_exponent == 0.0
+        assert term.sigma == 0.0
 
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_values_broadcast_over_leading_axes(self, name) -> None:
@@ -156,12 +158,18 @@ class TestCatalogValues:
                 assert vals[i, k] == sym(x[i, 0][None, :], xi[0, k][None, :])
 
 
-    def test_complex_distinct_factors_sum_to_the_closed_form(self, dyadic_shell_symbol) -> None:
+    def test_complex_distinct_factors_sum_to_the_closed_form(self) -> None:
         # catalog spatial factors are real or absent; this sum is complex
         x, xi = sample_points()
-        vals = dyadic_shell_symbol()(x, xi)
-        lr = np.log2(np.abs(xi[:, 0]))
-        ref = sum(np.exp(1j * 2.0**j * x[:, 0]) * np.exp(-((lr - j) ** 2)) for j in range(7))
+        sigmas = (-0.5, -0.9, -1.3)
+        terms = tuple(
+            SeparableTerm(lambda x, j=j: np.exp(1j * 2.0**j * x[..., 0]), sigma)
+            for j, sigma in enumerate(sigmas)
+        )
+        vals = _sum_evaluator(terms)(x, xi)
+        ref = sum(
+            np.exp(1j * 2.0**j * x[:, 0]) * bracket(xi, sigma) for j, sigma in enumerate(sigmas)
+        )
         assert vals.dtype == complex
         assert np.max(np.abs(vals - ref)) < 1e-13
 
@@ -232,17 +240,6 @@ class TestValidateSymbol:
         bad = Symbol(name="blows_up", evaluator=evaluator, order=0.0, type_delta=0.0)
         with pytest.raises(SymbolInstabilityError):
             validate_symbol(bad)
-
-    def test_planar_symbols_not_probed(self) -> None:
-        sym = Symbol(
-            name="planar",
-            evaluator=lambda x, xi: np.sum(np.asarray(xi), axis=-1) * 0.0 + 1.0,
-            order=0.0,
-            type_delta=0.0,
-            ambient_dim=2,
-        )
-        with pytest.raises(NotImplementedError):
-            validate_symbol(sym)
 
     def test_summary_mentions_verdict(self) -> None:
         report = validate_symbol(make_symbol("identity"))
