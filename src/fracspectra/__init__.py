@@ -43,7 +43,6 @@ from fracspectra.fractal_measure import (
 )
 from fracspectra.fractal_operator import (
     BesselKernel,
-    DiscretizedOperator,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
     assemble_trace_operator,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BesselKernel",
-    "DiscretizedOperator",
     "ExperimentConfig",
     "FractalMeasure",
     "GridFunction",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from .fractal_measure import (
 )
 from .fractal_operator import (
     _CHAIN_STEP_LIMIT,
-    DiscretizedOperator,
+    PairGather,
     assemble_dmu_kernel,
     assemble_tmu_galerkin,
 )
@@ -382,7 +381,7 @@ def _build_measure(config: ExperimentConfig, level: int | None = None) -> Fracta
         raise AtomBudgetError(f"level {level}: {exc}") from exc
 
 
-def _assemble(config: ExperimentConfig, measure: FractalMeasure) -> DiscretizedOperator:
+def _assemble(config: ExperimentConfig, measure: FractalMeasure) -> PairGather:
     if config.analysis.symbol == "identity":
         return assemble_dmu_kernel(measure, config.analysis.s)
     sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
@@ -397,7 +396,7 @@ def _assemble(config: ExperimentConfig, measure: FractalMeasure) -> DiscretizedO
 
 def _solve(
     config: ExperimentConfig, level: int | None = None, stage: str | None = None
-) -> tuple[FractalMeasure, DiscretizedOperator, np.ndarray]:
+) -> tuple[FractalMeasure, PairGather, np.ndarray]:
     """Measure -> operator -> eigensolve, the steps every spectral runner shares.
 
     Each step runs in its own stage (``fractal_measure``,
@@ -754,51 +753,31 @@ def _entropy_quasinorm_bundle(ordered: np.ndarray) -> dict:
 
 
 def run_audits(
-    config: ExperimentConfig, out_dir=None, spectrum=None
+    config: ExperimentConfig, out_dir=None
 ) -> tuple[dict, dict[str, Path]]:
     """Run the configured audit bundle against the experiment's spectrum.
 
-    ``spectrum`` overrides the eigenvalue sequence under test (the
-    fault-injection hook) while the consistency bounds are still derived
-    from the config's own operator, so an injected value that disagrees
-    with the operator is flagged.  An empty spectrum passes vacuously with
-    a warning.  The bundle verdict fails if any check inside any requested
-    audit fails.
+    The bundle verdict fails if any check inside any requested audit fails.
     """
     out = _resolve_out(config, out_dir)
-    ordered = None if spectrum is None else nonzero_part(spectrum)
+    ordered = nonzero_part(_solve(config)[2])
     bundle: dict = {**_stamp(config), "audits": {}}
-    # an empty injected spectrum is vacuous without building the operator
-    if ordered is None or ordered.size > 0:
-        values = _solve(config)[2]
-        reference = nonzero_part(values)
-        if ordered is None:
-            ordered = reference
-
-    if ordered.size == 0:
-        warnings.warn(
-            "empty spectrum: audits pass vacuously", UserWarning, stacklevel=2
-        )
+    with _stage("audits"):
         for name in config.audits:
-            bundle["audits"][name] = {"verdict": "PASS", "vacuous": True}
-        bundle["verdict"] = "PASS"
-    else:
-        with _stage("audits"):
-            for name in config.audits:
-                if name == "carl":
-                    bundle["audits"][name] = _carl_bundle(config, ordered, reference)
-                elif name == "composition":
-                    report = composition_law_audit(
-                        svd_trials=50, entropy_trials=3, dim=6, seed=config.seed
-                    )
-                    bundle["audits"][name] = report.as_dict()
-                elif name == "entropy-quasinorm":
-                    bundle["audits"][name] = _entropy_quasinorm_bundle(ordered)
-        bundle["verdict"] = (
-            "PASS"
-            if all(v["verdict"] == "PASS" for v in bundle["audits"].values())
-            else "FAIL"
-        )
+            if name == "carl":
+                bundle["audits"][name] = _carl_bundle(config, ordered, ordered)
+            elif name == "composition":
+                report = composition_law_audit(
+                    svd_trials=50, entropy_trials=3, dim=6, seed=config.seed
+                )
+                bundle["audits"][name] = report.as_dict()
+            elif name == "entropy-quasinorm":
+                bundle["audits"][name] = _entropy_quasinorm_bundle(ordered)
+    bundle["verdict"] = (
+        "PASS"
+        if all(v["verdict"] == "PASS" for v in bundle["audits"].values())
+        else "FAIL"
+    )
 
     with _stage("persist"):
         with _ArtifactWriter(out, config) as writer:

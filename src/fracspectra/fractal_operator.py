@@ -19,24 +19,24 @@ spectra approximate the continuum objects:
   whose eigenvalues are the squared singular values of the restriction
   (trace) operator: at p = 2, ``tr tr* = (id - Delta)^{-s} mu`` is K, so the
   approximation numbers are exactly ``a_k = sqrt(lambda_k(K))``.
-* Every assembled square operator holds no matrix, only its folded table,
-  its code factors and, for a modulated symbol, ``r = sqrt(a)``
-  (:class:`PairGather`); the eigensolve gathers its upper triangle into
-  the one N x N buffer of a run, and rows of it again for the residuals.
-  :func:`_gather_pairs` builds each one, and so alone decides the
-  reflection split: on a digit-mirror-symmetric set, the
+* Every assembled square operator is a :class:`PairGather`: its assembly
+  record and no matrix, only its folded table, its code factors and, for a
+  modulated symbol, ``r = sqrt(a)``; the eigensolve gathers its upper
+  triangle into the one N x N buffer of a run, and rows of it again for
+  the residuals.  :func:`_gather_pairs` builds each one, and so alone
+  decides the reflection split: on a digit-mirror-symmetric set, the
   kernel K or the Galerkin compression of an x-independent symbol is a
   :class:`MirrorBlocks`, whose half-size blocks ``A +- B J`` the solver
   gathers one after the other into one buffer of order N/2.
 * ``assemble_trace_operator`` returns the frequency-truncated plane-wave
   trace factor, the complex N x n_modes array of smoothness-weighted
   plane-wave coefficients at the weighted atoms; no eigensolve reads it.
-* ``assemble_tmu_galerkin`` compresses a separable symbol, whose terms are
-  negative bracket powers sharing one real, strictly positive spatial
-  factor a, to atom space through a smoothly truncated frequency integral,
-  in the exactly similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``,
-  held as the table of S and ``sqrt(a)`` and symmetric bit for bit by
-  construction; with ``a == 1`` that is the gather S itself, held as above.
+* ``assemble_tmu_galerkin`` compresses a separable symbol, one negative
+  bracket power times a real, strictly positive spatial factor a, to atom
+  space through a smoothly truncated frequency integral, in the exactly
+  similar symmetric form ``diag(sqrt(a)) S diag(sqrt(a))``, held as the
+  table of S and ``sqrt(a)`` and symmetric bit for bit by construction;
+  with ``a == 1`` that is the gather S itself, held as above.
 
 Every operator is a real symmetric pair gather, the one form
 :func:`~fracspectra.spectral_report.eigen_spectrum` solves.
@@ -76,7 +76,6 @@ __all__ = [
     "CutoffTailWarning",
     "BesselKernel",
     "cell_pair_energy",
-    "DiscretizedOperator",
     "PairGather",
     "MirrorBlocks",
     "assemble_dmu_kernel",
@@ -341,7 +340,7 @@ def cell_pair_energy(
 
 
 # ---------------------------------------------------------------------------
-# Discretized operator container
+# Assembled operators: pair gathers
 # ---------------------------------------------------------------------------
 
 
@@ -417,17 +416,29 @@ def _gather(table, hi, lo, step: int, out=None, combine=None, rows=None, r=None)
 
 @dataclass(frozen=True, eq=False)
 class PairGather:
-    """``K = table[hi (x) step + lo]`` (:func:`_code_factors`), times ``r_j
-    r_k`` where ``r`` is given, held as those arrays and gathered only on
-    request.  K is bitwise symmetric by construction: ``code(j, i) = D^L - 1
-    - code(i, j)`` reads the same value of the palindromic ``table``, and
-    ``r_j r_k`` is one product for both entries."""
+    """An assembled operator: its ``assembly`` record, which says how it was
+    built and what its axes mean (``kind``, ``n_atoms`` and any
+    ``similarity``), and ``K = table[hi (x) step + lo]``
+    (:func:`_code_factors`), times ``r_j r_k`` where ``r`` is given, held as
+    those arrays and gathered only on request.  K is bitwise symmetric by
+    construction: ``code(j, i) = D^L - 1 - code(i, j)`` reads the same value
+    of the palindromic ``table``, and ``r_j r_k`` is one product for both
+    entries, so no tile pass reads it.  A non-finite ``table`` or ``r``
+    entry is refused.  Only
+    :func:`~fracspectra.spectral_report.eigen_spectrum` gathers it, into a
+    buffer of its own, so nothing writes an operator."""
 
+    assembly: dict
     table: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
     step: int
     r: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        r = 1.0 if self.r is None else self.r
+        if not (np.all(np.isfinite(self.table)) and np.all(np.isfinite(r))):
+            raise ValueError("operator table or r contains non-finite entries")
 
     @property
     def order(self) -> int:
@@ -459,6 +470,7 @@ class MirrorBlocks(PairGather):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flipped", np.ascontiguousarray(self.lo[:, ::-1]))
+        super().__post_init__()
 
     def block(self, sign: int, out: np.ndarray | None = None, rows=None) -> np.ndarray:
         """``A + B J`` for positive ``sign``, else ``A - B J``: entry by entry
@@ -473,11 +485,12 @@ class MirrorBlocks(PairGather):
         return _gather(self.table, hi, self.flipped, self.step, out, combine, rows)
 
 
-def _gather_pairs(ifs, level: int, table: np.ndarray, r=None) -> PairGather:
+def _gather_pairs(ifs, level: int, table: np.ndarray, assembly: dict, r=None) -> PairGather:
     """The operator ``K = table[_pair_codes(ifs, level)]`` of a folded
     ``table`` (a bitwise palindrome, :func:`_folded_table`), times ``r_j
-    r_k`` where ``r`` is given: its :class:`MirrorBlocks` when there is no
-    ``r`` and K is exactly centrosymmetric, else its :class:`PairGather`,
+    r_k`` where ``r`` is given, carrying its ``assembly`` record: its
+    :class:`MirrorBlocks` when there is no ``r`` and K is exactly
+    centrosymmetric, else its :class:`PairGather`,
     either way held as the code factors ``hi``, ``lo``, since the level-L
     codes are exactly ``hi (x) D^l + lo`` (:func:`_code_factors`).  Every
     assembled square operator is built here.
@@ -501,33 +514,8 @@ def _gather_pairs(ifs, level: int, table: np.ndarray, r=None) -> PairGather:
     base, m = deltas.shape[0], ifs.n_maps
     split = r is None and level >= 1 and m % 2 == 0
     if split and np.array_equal(digit[::-1, ::-1], base - 1 - digit):
-        return MirrorBlocks(table, *_code_factors(ifs, level))
-    return PairGather(table, *_code_factors(ifs, level), r=r)
-
-
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """An assembled operator: its ``assembly`` record, which says how it was
-    built and what its axes mean (``kind``, ``n_atoms`` and any
-    ``similarity``), and its :class:`PairGather` in ``pairs``.
-
-    The operator holds no matrix, only the gather's table, code factors and
-    any ``r``.  It is symmetric by construction, so no tile pass reads it;
-    it is refused when its table or ``r`` has a non-finite entry.  Only
-    :func:`~fracspectra.spectral_report.eigen_spectrum` gathers it, into a
-    buffer of its own, so nothing writes an operator."""
-
-    assembly: dict
-    pairs: PairGather
-
-    def __post_init__(self) -> None:
-        r = 1.0 if self.pairs.r is None else self.pairs.r
-        if not (np.all(np.isfinite(self.pairs.table)) and np.all(np.isfinite(r))):
-            raise ValueError("operator table or r contains non-finite entries")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.pairs.order, self.pairs.order)
+        return MirrorBlocks(assembly, table, *_code_factors(ifs, level))
+    return PairGather(assembly, table, *_code_factors(ifs, level), r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +523,7 @@ class DiscretizedOperator:
 # ---------------------------------------------------------------------------
 
 
-def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperator:
+def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> PairGather:
     """Symmetric kernel matrix ``(2 pi)^{-n/2} sqrt(w_j) G_{2s}(|x_j - x_k|) sqrt(w_k)``.
 
     Its eigenvalues are the squared approximation numbers of the restriction
@@ -581,7 +569,7 @@ def assemble_dmu_kernel(measure: FractalMeasure, s: float) -> DiscretizedOperato
         "kernel_method": kernel.method,
         "diagonal_rule": diag_info,
     }
-    return DiscretizedOperator(assembly, _gather_pairs(ifs, level, table))
+    return _gather_pairs(ifs, level, table, assembly)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +691,15 @@ class _CutoffProfile:
     buffer of about 1 MiB, which holds their phases, then their weighted
     cosines, each row summed pairwise by numpy: no BLAS thread count or
     chunk moves a bit.
+
+    Every panel's nodes are counted before any panel is built, and more than
+    ``1 << 21`` in all raise ``ValueError``: the split radius never falls
+    below the probe floor 1e-9, so the count grows linearly with the cutoff
+    (about 15 M at 1e15).  That refuses all that counting only the kept
+    nodes did.  A built panel whose weights all vanish is dropped, and with
+    ``|sigma| <= 1`` that needs ``|xi|^2`` to overflow (a cutoff near 1e154)
+    or a last panel inside ``phi0``'s underflow band ``[1.4993, 1.5)``
+    times the cutoff; only there can the two counts differ.
     """
 
     def __init__(self, sigma: float, freq_cutoff: float, *, rho_maxdist: float) -> None:
@@ -742,18 +739,20 @@ class _CutoffProfile:
             by_phase = int(math.ceil(self.rho_split * (hi - lo) * 32.0 / math.pi)) | 1
             return max(floor, by_phase)
 
-        panels = []
         if xi_max <= 256.0:
-            panels.append(_simpson_nodes(0.0, xi_max, _phase_count(0.0, xi_max, 4097)))
+            panels = [(0.0, xi_max, _phase_count(0.0, xi_max, 4097))]
         else:
-            panels.append(_simpson_nodes(0.0, 64.0, _phase_count(0.0, 64.0, 4097)))
+            panels = [(0.0, 64.0, _phase_count(0.0, 64.0, 4097))]
             seg_lo = 64.0
             while seg_lo < xi_max:
                 seg_hi = min(seg_lo * 4.0, xi_max)
-                panels.append(_simpson_nodes(seg_lo, seg_hi, _phase_count(seg_lo, seg_hi, 257)))
+                panels.append((seg_lo, seg_hi, _phase_count(seg_lo, seg_hi, 257)))
                 seg_lo = seg_hi
+        if sum(n for *_, n in panels) > (1 << 21):
+            raise ValueError("cutoff profile would need too fine a quadrature panel")
         pieces = []
-        for pts, wts in panels:
+        for seg_lo, seg_hi, n in panels:
+            pts, wts = _simpson_nodes(seg_lo, seg_hi, n)
             w_seg = _PHI0(pts / freq_cutoff) * radial(pts)
             if not np.all(np.isfinite(w_seg)):
                 raise ValueError("radial part produced non-finite values on the panel")
@@ -762,8 +761,6 @@ class _CutoffProfile:
         xs = np.concatenate([pts for pts, _ in pieces])
         wind_w = np.concatenate([ww for _, ww in pieces])
         n_xi = xs.size
-        if n_xi > (1 << 21):
-            raise ValueError("cutoff profile would need too fine a quadrature panel")
 
         nodes = np.geomspace(_PROFILE_RHO_MIN, self.rho_split, _PROFILE_NODES)
         vals = np.empty(_PROFILE_NODES)
@@ -794,25 +791,6 @@ class _CutoffProfile:
         return out if np.ndim(rho) else out[0]
 
 
-def _shared_positive_factor(sym, atoms: np.ndarray) -> np.ndarray:
-    """The real, strictly positive spatial factor ``a`` at the atoms that every
-    term of ``sym`` shares (``a = 1`` when none has one); anything else raises
-    ``ValueError`` naming the condition."""
-    n_atoms = atoms.shape[0]
-    shared = None
-    for term in sym.separable_terms:
-        a = np.ones(n_atoms) if term.spatial is None else np.asarray(term.spatial(atoms))
-        if np.iscomplexobj(a):
-            raise ValueError("Galerkin assembly needs real spatial factors; a term's is complex")
-        a = a.astype(float).reshape(n_atoms)
-        if not np.all(a > 0.0):
-            raise ValueError("Galerkin assembly needs strictly positive spatial factors")
-        if shared is not None and not np.array_equal(a, shared):
-            raise ValueError("Galerkin assembly needs terms that share one spatial factor")
-        shared = a
-    return np.ones(n_atoms) if shared is None else shared
-
-
 def _band_row_max(pairs: PairGather, rows, band) -> float:
     """``max |rows_j S_jk|`` (0.0 if none) over the pairs whose code c has
     ``band[c]``, for ``S = table[hi (x) step + lo]`` of ``pairs`` (without its
@@ -839,7 +817,7 @@ def assemble_tmu_galerkin(
     p: float,
     measure: FractalMeasure,
     freq_cutoff: float,
-) -> DiscretizedOperator:
+) -> PairGather:
     """Compress a validated separable symbol of order ``-s p`` to atom space.
 
     Entry (j, k) is ``(2 pi)^{-1} w_k integral phi0(|xi|/cutoff)
@@ -847,63 +825,66 @@ def assemble_tmu_galerkin(
     measure-smeared atom k, sampled at atom j.  For an x-independent bracket
     symbol at p = 2 this matrix is similar via diag(sqrt(w)) to the kernel
     matrix of :func:`assemble_dmu_kernel`.  The coincidence diagonal is
-    cell-averaged with the same rule as the kernel assembly.  Each term's
-    profile is tabulated on the pair distances as there and added into one
-    table, and its gather by pair code is the symmetric ``S``.  With ``c =
+    cell-averaged with the same rule as the kernel assembly.  The term's
+    profile is tabulated on the pair distances as there into one folded
+    table T, and its gather by pair code is the symmetric ``S``.  With ``c =
     (2 pi)^{-1/2}`` and ``D = diag(a(x_j))``, the compression is ``M = c w D
     S``.
 
-    Each term is ``a(x) bracket(xi)^sigma`` with ``sigma < 0``, whose
-    profile splices to the closed-form kernel (:class:`_CutoffProfile`), and
-    the terms must share bitwise one real, strictly positive factor a (every
-    catalog symbol does; x-independent ones have ``D = I``).  A term with
-    ``sigma >= 0``, a complex factor, one that is not strictly positive, or
-    terms whose factors differ raise ``ValueError`` before any pair table
-    exists.  The summed table is
-    scaled by ``c w`` once, in place, after :func:`_gather_pairs` has built
-    the operator from it.  With ``a == 1``, ``M = c w S`` is held as that
-    gather, so on a digit-mirror-symmetric set as :class:`MirrorBlocks`.
-    Otherwise the operator is the similar ``D^{-1/2} M D^{1/2} = c w D^{1/2}
-    S D^{1/2}`` (the same spectrum, exactly, certified by the eigensolve's
-    residuals), held as the :class:`PairGather` of that table with ``r =
-    sqrt(a)``: entry (j, k) is ``(c w T)[c] (r_j r_k)``, and entry (k, j)
-    reads the code ``D^L - 1 - c``, where the palindromic table holds the
-    same value, times the same product, so it is symmetric bit for bit by
-    construction.  The assembly records ``"similarity": "diag(sqrt(a))"``
-    (None when ``a == 1``).  The :class:`CutoffTailWarning` reads its entry
-    scale, in either form, off the unscaled table row-scaled by ``D``, tile
-    by tile (:func:`_band_row_max`), at the pairs within half the median
-    pair distance of it.  The median is found before any table, from the
-    codes below the coincident one, which carry each off-diagonal pair once
-    up to its mirror.  Requires ``s p`` in the compactness window
-    (:func:`_check_rate_window`) and a symbol with separable terms.
+    The symbol's term is ``a(x) bracket(xi)^sigma`` with ``sigma`` its
+    order ``-s p``, hence negative, whose profile splices to the closed-form
+    kernel (:class:`_CutoffProfile`), and a real, strictly positive factor a
+    (every catalog symbol's is; x-independent ones have ``D = I``).  An order
+    that is not negative or not ``-s p``, a complex factor, or one that is
+    not strictly positive raise ``ValueError`` before any pair table exists.
+    The table is scaled by ``c w`` once, in place, after
+    :func:`_gather_pairs` has built the operator from it.  With ``a == 1``,
+    ``M = c w S`` is held as that gather, so on a digit-mirror-symmetric set
+    as :class:`MirrorBlocks`.  Otherwise the operator is the similar
+    ``D^{-1/2} M D^{1/2} = c w D^{1/2} S D^{1/2}`` (the same spectrum,
+    exactly, certified by the eigensolve's residuals), held as the
+    :class:`PairGather` of that table with ``r = sqrt(a)``: entry (j, k) is
+    ``(c w T)[c] (r_j r_k)``, and entry (k, j) reads the code ``D^L - 1 -
+    c``, where the palindromic table holds the same value, times the same
+    product, so it is symmetric bit for bit by construction.  The assembly
+    records ``"similarity": "diag(sqrt(a))"`` (None when ``a == 1``).  The
+    :class:`CutoffTailWarning` compares the profile's ``taper_bound`` tail
+    with the entry scale, which it reads, in either form, off the unscaled
+    table row-scaled by ``D``, tile by tile (:func:`_band_row_max`), at the
+    pairs within half the median pair distance of it.  The median is found
+    before any table, from the codes below the coincident one, which carry
+    each off-diagonal pair once up to its mirror.  Requires ``s p`` in the
+    compactness window (:func:`_check_rate_window`) and a symbol with a
+    separable term.
     """
     ifs = measure.ifs
     n, d = ifs.ambient_dim, measure.dimension
     if n != 1:
         raise NotImplementedError("Galerkin assembly is implemented for ambient dimension one")
     sp = _check_rate_window(n, d, s, p)
-    if sym.separable_terms is None:
+    term = sym.term
+    if term is None:
         raise ValueError(
-            "Galerkin assembly needs a symbol with separable terms; general "
+            "Galerkin assembly needs a symbol with a separable term; general "
             "evaluators cannot resolve the coincidence diagonal"
         )
-    if abs(sym.order + sp) > 1e-8:
+    # the term's sigma is the order (Symbol), so this also refuses sigma >= 0
+    if not (sym.order < 0.0 and abs(sym.order + sp) <= 1e-8):
         raise ValueError(
-            f"symbol order {sym.order} must equal -(s*p) = {-sp} for this compression"
+            f"symbol order {sym.order} must be negative and equal -(s*p) = {-sp} "
+            f"for this compression"
         )
-    for i, term in enumerate(sym.separable_terms):
-        if not term.sigma < 0.0:
-            raise ValueError(
-                "Galerkin assembly needs terms of negative bracket order; "
-                f"term {i} has sigma = {term.sigma}"
-            )
     if freq_cutoff <= 0.0:
         raise ValueError("frequency cutoff must be positive")
     w = measure.weight
     N, level = measure.n_atoms, measure.level
-    shared = _shared_positive_factor(sym, measure.atoms)
-    similarity = None if np.all(shared == 1.0) else "diag(sqrt(a))"
+    a = np.ones(N) if term.spatial is None else np.asarray(term.spatial(measure.atoms))
+    if np.iscomplexobj(a):
+        raise ValueError("Galerkin assembly needs a real spatial factor; the term's is complex")
+    a = a.astype(float).reshape(N)
+    if not np.all(a > 0.0):
+        raise ValueError("Galerkin assembly needs a strictly positive spatial factor")
+    similarity = None if np.all(a == 1.0) else "diag(sqrt(a))"
     dist = _pair_distances(ifs, level)
     diam = float(dist.max()) if N > 1 else 1.0
     if N > 1:
@@ -921,41 +902,12 @@ def assemble_tmu_galerkin(
         del order, cum
         near = np.subtract(dist, rho_med)
         near = np.abs(near, out=near) < 0.5 * rho_med  # one temporary, not two
+    del dist
 
     conv = (2.0 * math.pi) ** (-0.5)  # the profile carries the other (2 pi)^{-1/2}
-    table, term_info = np.zeros(dist.size), []
-    del dist
-    for term in sym.separable_terms:
-        profile = _CutoffProfile(term.sigma, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6))
-        energy, diag_info = cell_pair_energy(measure, profile)
-        table += _folded_table(ifs, level, profile, energy / w**2)
-        term_info.append(
-            {
-                "bracket_order": profile.bracket_order,
-                "rho_split": profile.rho_split,
-                "taper_bound": profile.taper_bound,
-                "splice_rel": profile.splice_rel,
-                "diagonal_rule": diag_info,
-            }
-        )
-    pairs = _gather_pairs(ifs, level, table, None if similarity is None else np.sqrt(shared))
-    if N > 1:
-        # the entry scale is that of the row-scaled c w D S, read off the
-        # unscaled table
-        top = _band_row_max(pairs, shared, near)
-        # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
-        scale_med = max(1e-300, conv * w * top)
-        tail_est = conv * w * sum(t["taper_bound"] for t in term_info) / rho_med**2
-        if tail_est > 1e-6 * scale_med:
-            warnings.warn(
-                f"frequency cutoff {freq_cutoff:.3g} leaves an estimated tail "
-                f"{tail_est:.3e} vs entry scale {scale_med:.3e} at typical "
-                f"distances; increase the cutoff",
-                CutoffTailWarning,
-                stacklevel=2,
-            )
-    table *= conv * w  # in place: pairs holds this very table
-
+    profile = _CutoffProfile(term.sigma, freq_cutoff, rho_maxdist=max(diam * 1.01, 1e-6))
+    energy, diag_info = cell_pair_energy(measure, profile)
+    table = _folded_table(ifs, level, profile, energy / w**2)
     assembly = {
         "kind": "separable-symbol-compression",
         "symbol": getattr(sym, "name", "?"),
@@ -967,7 +919,32 @@ def assemble_tmu_galerkin(
         "n_atoms": N,
         "convention": "(2*pi)**(-n) * w_k * integral phi0 tau(x_j, xi) "
         "exp(i (x_k - x_j) xi) dxi",
-        "terms": term_info,
+        "terms": [
+            {
+                "bracket_order": profile.bracket_order,
+                "rho_split": profile.rho_split,
+                "taper_bound": profile.taper_bound,
+                "splice_rel": profile.splice_rel,
+                "diagonal_rule": diag_info,
+            }
+        ],
         "similarity": similarity,
     }
-    return DiscretizedOperator(assembly, pairs)
+    op = _gather_pairs(ifs, level, table, assembly, None if similarity is None else np.sqrt(a))
+    if N > 1:
+        # the entry scale is that of the row-scaled c w D S, read off the
+        # unscaled table
+        top = _band_row_max(op, a, near)
+        # c w > 0 and rounding is monotone: c w max|x| rounds to max|c w x|
+        scale_med = max(1e-300, conv * w * top)
+        tail_est = conv * w * profile.taper_bound / rho_med**2
+        if tail_est > 1e-6 * scale_med:
+            warnings.warn(
+                f"frequency cutoff {freq_cutoff:.3g} leaves an estimated tail "
+                f"{tail_est:.3e} vs entry scale {scale_med:.3e} at typical "
+                f"distances; increase the cutoff",
+                CutoffTailWarning,
+                stacklevel=2,
+            )
+    table *= conv * w  # in place: op holds this very table
+    return op

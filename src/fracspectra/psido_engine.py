@@ -8,7 +8,7 @@ on one fixed probe grid and ships the named catalog a config can select
 files never execute user code.  Every catalog symbol is one separable term,
 a spatial factor times a power of the bracket (:class:`SeparableTerm`);
 ``fractal_operator.assemble_tmu_galerkin`` compresses a symbol made of such
-terms to the fractal.
+a term to the fractal.
 """
 
 from __future__ import annotations
@@ -61,21 +61,26 @@ class Symbol:
     the derivative probes pass each frequency once, as a row of shape (1,
     n_xi, 1), against x of shape (n_x, n_xi, 1) or (n_x, 1, 1).  order is
     the declared growth exponent in the frequency bracket; type_delta in [0,
-    1] (default 0) is the declared loss per spatial derivative.
-    separable_terms, when present, expresses the evaluator as the sum of its
-    terms ``a_t(x) bracket(xi)^sigma_t`` (:class:`SeparableTerm`); the
-    Galerkin assembly requires it.
+    1] (default 0) is the declared loss per spatial derivative.  term,
+    when present, expresses the evaluator as one separable term ``a(x)
+    bracket(xi)^sigma`` (:class:`SeparableTerm`), whose sigma must be the
+    declared order; the Galerkin assembly requires it.
     """
 
     name: str
     evaluator: Evaluator
     order: float
     type_delta: float = 0.0
-    separable_terms: tuple[SeparableTerm, ...] | None = None
+    term: SeparableTerm | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.type_delta <= 1.0:
             raise ValueError("type_delta must lie in [0, 1]")
+        if self.term is not None and self.term.sigma != self.order:
+            raise ValueError(
+                f"separable term sigma = {self.term.sigma} is not the declared "
+                f"order {self.order}"
+            )
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
@@ -373,19 +378,16 @@ def _modulation(x: np.ndarray) -> np.ndarray:
     return 1.0 + 0.5 * np.cos(np.asarray(x, dtype=float)[..., 0])
 
 
-def _sum_evaluator(terms: tuple[SeparableTerm, ...]) -> Evaluator:
+def _term_evaluator(term: SeparableTerm) -> Evaluator:
     def evaluator(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        # each factor on its own argument's shape; only the sum broadcasts
+        # each factor on its own argument's shape; only the product broadcasts
         r = np.sqrt(np.sum(xi**2, axis=-1))
-        acc = np.zeros(np.broadcast_shapes(x.shape, xi.shape)[:-1], dtype=complex)
-        for term in terms:
-            piece = np.asarray(term.radial(r), dtype=complex)
-            if term.spatial is not None:
-                piece = term.spatial(x) * piece
-            acc = acc + piece
-        return acc
+        value = np.asarray(term.radial(r), dtype=complex)
+        if term.spatial is not None:
+            value = term.spatial(x) * value
+        return np.broadcast_to(value, np.broadcast_shapes(x.shape, xi.shape)[:-1])
 
     return evaluator
 
@@ -411,11 +413,10 @@ def make_symbol(name: str, sigma: float | None = _NO_SIGMA) -> Symbol:
         sigma = 0.0
     elif sigma is _NO_SIGMA or sigma is None:
         raise ValueError(f"{name} requires sigma")
-    spatial = _modulation if name == "separable_demo" else None
-    terms = (SeparableTerm(spatial, sigma),)
+    term = SeparableTerm(_modulation if name == "separable_demo" else None, sigma)
     return Symbol(
         name=name if name == "identity" else f"{name}({sigma})",
-        evaluator=_sum_evaluator(terms),
+        evaluator=_term_evaluator(term),
         order=sigma,
-        separable_terms=terms,
+        term=term,
     )

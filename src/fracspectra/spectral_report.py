@@ -9,9 +9,9 @@ by the smoothness order and the dimension of the supporting set:
 * approximation numbers of the restriction map decay like
   ``k ** (-1/p + (n/p - s)/d)``.
 
-``eigen_spectrum`` solves an assembled
-:class:`~fracspectra.fractal_operator.DiscretizedOperator`, which every
-assembly builds real symmetric, and returns its real spectrum as float64.
+``eigen_spectrum`` solves an assembled operator, the
+:class:`~fracspectra.fractal_operator.PairGather` that every assembly
+builds real symmetric, and returns its real spectrum as float64.
 It owns the only N x N buffer of a run and writes one triangle of it: it
 gathers the operator's upper triangle into it, the one triangle that the
 tridiagonal reduction reads, and one reduction per block, in that buffer,
@@ -47,8 +47,8 @@ import numpy as np
 from ._native import native
 from .fractal_measure import FractalMeasure
 from .fractal_operator import (
-    DiscretizedOperator,
     MirrorBlocks,
+    PairGather,
     PsdViolationWarning,
     _check_rate_window,
     assemble_dmu_kernel,
@@ -235,10 +235,11 @@ def _certified_pairs(block: np.ndarray, gather) -> tuple[np.ndarray, np.ndarray]
         stop = min(start + count, n)
         rows = gather(out=strip[: stop - start], rows=(start, stop))
         res[start:stop] = dgemm(1.0, rows.T, u, beta=-1.0, c=res[start:stop], trans_a=1)
+    del strip, rows  # freed before the norm's temporary the size of res is made
     return w, np.linalg.norm(res, axis=0)
 
 
-def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
+def eigen_spectrum(op: PairGather) -> np.ndarray:
     """Full spectrum of an assembled operator, as float64 ordered by
     decreasing modulus (:func:`order_by_modulus`).
 
@@ -246,8 +247,8 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     real, and each block's up to 50 eigenpairs of largest modulus, every
     pair the solve computes, are certified by the residual bound ``||K v -
     lambda v|| <= RESIDUAL_REL * ||K||`` (Parlett, *The Symmetric Eigenvalue
-    Problem*, SIAM 1998, ch. 4).  The constructor refuses a non-finite table
-    or ``r``.
+    Problem*, SIAM 1998, ch. 4).  The gather refuses a non-finite table or
+    ``r`` when it is built.
 
     Each block is reduced to tridiagonal form T once (:func:`_top_pairs`),
     in a buffer the solve owns, which holds the upper triangle of the
@@ -262,7 +263,7 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     failures, a nonzero LAPACK ``info`` among them, are re-raised together
     with the assembly record so the failing operator can be identified.
 
-    **Mirror blocks.**  An operator that carries
+    **Mirror blocks.**  An operator that is a
     :class:`~fracspectra.fractal_operator.MirrorBlocks` is exactly
     centrosymmetric, ``K = J K J`` with J the index reversal, by the digit
     test of its assembly (:func:`~fracspectra.fractal_operator._gather_pairs`),
@@ -289,14 +290,14 @@ def eigen_spectrum(op: DiscretizedOperator) -> np.ndarray:
     already holds.  Other operators are not judged, since an indefinite
     symmetric matrix is valid input there.
     """
-    provenance, pairs = op.assembly, op.pairs
-    if pairs.order == 0:
+    provenance = op.assembly
+    if op.order == 0:
         return np.zeros(0)
     try:
-        if isinstance(pairs, MirrorBlocks):
-            gathers = [lambda out, rows=None, s=s: pairs.block(s, out, rows) for s in (1, -1)]
+        if isinstance(op, MirrorBlocks):
+            gathers = [lambda out, rows=None, s=s: op.block(s, out, rows) for s in (1, -1)]
         else:
-            gathers = [pairs.dense]
+            gathers = [op.dense]
         block, parts = None, []
         for gather in gathers:  # A - B J goes into the storage of A + B J
             block = gather(out=block)
@@ -384,10 +385,11 @@ class DecayFit:
 def _fit_window(count: int, k_lo: int, k_hi: int | None) -> tuple[int, int]:
     """Resolve the rank window against the nonzero count.
 
-    The default upper edge is ``min(0.2 * count, 400)``: the head of the
+    The default upper edge is ``min(count // 5, 400)``: the head of the
     spectrum is excluded because the first few eigenvalues carry lattice
     artifacts, and the deep tail is excluded because discretization corrupts
-    it.  At least five points must remain.
+    it.  It is integer arithmetic, so any count, even one too large for a
+    float, resolves.  At least five points must remain.
     """
     if count < 30:
         raise InsufficientSpectrumError(
@@ -397,7 +399,7 @@ def _fit_window(count: int, k_lo: int, k_hi: int | None) -> tuple[int, int]:
     if k_lo < 1:
         raise ValueError("fit window must start at rank 1 or later")
     if k_hi is None:
-        k_hi = int(min(0.2 * count, 400.0))
+        k_hi = min(count // 5, 400)
     k_hi = min(int(k_hi), count)
     if k_hi - k_lo + 1 < 5:
         raise InsufficientSpectrumError(
@@ -421,7 +423,7 @@ def fit_decay_exponent(values, *, k_lo: int = 10, k_hi: int | None = None) -> De
     phase patterns in the input cannot change the slope.  Entries below the
     ``ZERO_REL`` floor are dropped first; at least 30 nonzero values are
     required.  ``k_hi=None`` selects the default window policy of
-    ``[k_lo, min(0.2 * count, 400)]``.
+    ``[k_lo, min(count // 5, 400)]``.
     """
     k_lo, k_hi, x, y = _window_logs(values, k_lo, k_hi)
     slope, intercept = np.polyfit(x, y, 1)

@@ -64,8 +64,8 @@ def held_matrix(op, mu) -> np.ndarray:
     for bit: its table gathered at every level-L pair code, times ``r_j
     r_k`` where it has ``r``.  The one place a test materialises an
     assembled operator."""
-    K = op.pairs.table[_pair_codes(mu.ifs, mu.level)]
-    return K if op.pairs.r is None else K * np.multiply.outer(op.pairs.r, op.pairs.r)
+    K = op.table[_pair_codes(mu.ifs, mu.level)]
+    return K if op.r is None else K * np.multiply.outer(op.r, op.r)
 
 
 def assert_gathers(got: np.ndarray, K: np.ndarray) -> None:
@@ -82,15 +82,15 @@ def assert_operator_is(op, K: np.ndarray) -> None:
     """``op`` holds exactly ``K``: as the gather of its code factors, or as
     the two mirror blocks ``K[:h, :h] +- K[:h, h:][:, ::-1]``, every entry
     of the gathered upper triangle bitwise (:func:`assert_gathers`)."""
-    assert op.shape == K.shape
-    if not isinstance(op.pairs, MirrorBlocks):
-        assert_gathers(op.pairs.dense(), K)
+    assert (op.order, op.order) == K.shape
+    if not isinstance(op, MirrorBlocks):
+        assert_gathers(op.dense(), K)
         return
     assert np.array_equal(K, K[::-1, ::-1])
     h = K.shape[0] // 2
     a, bj = K[:h, :h], K[:h, h:][:, ::-1]
-    assert_gathers(op.pairs.block(1), a + bj)
-    assert_gathers(op.pairs.block(-1), a - bj)
+    assert_gathers(op.block(1), a + bj)
+    assert_gathers(op.block(-1), a - bj)
 
 
 @pytest.fixture

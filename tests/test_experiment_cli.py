@@ -49,6 +49,7 @@ from fracspectra.psido_engine import available_symbols
 from fracspectra.spectral_report import (
     InsufficientSpectrumError,
     eigen_spectrum,
+    nonzero_part,
     order_by_modulus,
 )
 
@@ -504,6 +505,18 @@ class TestRunConvergence:
         assert "level 25" in str(excinfo.value.original)
         assert not (tmp_path / "out").exists()
 
+    def test_default_window_of_a_huge_level_reaches_the_budget_refusal(self, tmp_path):
+        # with k_hi null the fit edge of 2**2000 atoms is integer arithmetic,
+        # so the run gets to the atom budget, which names the level
+        raw = base_dict()
+        raw["fit"]["k_hi"] = None
+        config = config_from_dict(raw)
+        with pytest.raises(StageFailure, match="level_2000") as excinfo:
+            run_convergence(config, [7, 2000], tmp_path / "out")
+        assert isinstance(excinfo.value.original, AtomBudgetError)
+        assert "level 2000" in str(excinfo.value.original)
+        assert not (tmp_path / "out").exists()
+
 
 # ---------------------------------------------------------------------------
 # Audit runner
@@ -530,7 +543,9 @@ class TestRunAudits:
         assert by_name["carl_pointwise"]["worst_slack"] <= 1.0 + 1e-9
         assert by_name["carl_geometric_mean"]["worst_slack"] <= 1.0 + 1e-9
 
-    def test_fault_injection_is_flagged(self, level7_spectrum, tmp_path):
+    def test_fault_injection_is_flagged(self, level7_spectrum):
+        # the spectrum under test disagrees with the reference, the
+        # operator's own eigenvalues, from which the bounds are derived
         raw = base_dict(audits=["carl"])
         raw["fractal"]["level"] = 7
         config = config_from_dict(raw)
@@ -538,33 +553,22 @@ class TestRunAudits:
         corrupt[4] *= 2.0  # double the fifth-largest eigenvalue
         corrupt = order_by_modulus(corrupt)
 
-        bundle, _ = run_audits(config, tmp_path / "out", spectrum=corrupt)
-        carl = bundle["audits"]["carl"]
-        assert bundle["verdict"] == "FAIL"
-        assert carl["verdict"] == "FAIL"
+        carl = experiment._carl_bundle(
+            config, nonzero_part(corrupt), nonzero_part(level7_spectrum)
+        )
+        assert carl["verdict"] == "FAIL"  # and with it the bundle's
         assert carl["corpus"]["verdict"] == "PASS"  # theorem corpus is untouched
         checks = {c["check"]: c for c in carl["spectrum_consistency"]["checks"]}
         assert checks["carl_geometric_mean"]["verdict"] == "FAIL"
         assert checks["carl_geometric_mean"]["worst_slack"] > 1.0
 
-    def test_clean_injection_passes(self, level7_spectrum, tmp_path):
+    def test_clean_injection_passes(self, level7_spectrum):
         raw = base_dict(audits=["carl"])
         raw["fractal"]["level"] = 7
         config = config_from_dict(raw)
-        bundle, _ = run_audits(
-            config, tmp_path / "out", spectrum=level7_spectrum.copy()
-        )
-        assert bundle["verdict"] == "PASS"
-
-    def test_empty_spectrum_is_vacuous_with_warning(self, base_config, tmp_path):
-        with pytest.warns(UserWarning, match="vacuously"):
-            bundle, paths = run_audits(
-                base_config, tmp_path / "out", spectrum=np.array([])
-            )
-        assert bundle["verdict"] == "PASS"
-        for entry in bundle["audits"].values():
-            assert entry == {"verdict": "PASS", "vacuous": True}
-        assert paths["audits_json"].exists()
+        ordered = nonzero_part(level7_spectrum)
+        carl = experiment._carl_bundle(config, ordered, ordered)
+        assert carl["verdict"] == "PASS"  # and with it the bundle's
 
     def test_byte_identical(self, tmp_path):
         config = config_from_dict(base_dict(audits=["entropy-quasinorm"]))
@@ -755,7 +759,7 @@ class TestCli:
             "from fracspectra.cli import main; ops, assemble = [], experiment._assemble; "
             "experiment._assemble = lambda *args: ops.append(assemble(*args)) or ops[-1]; "
             "code = main(sys.argv[1:]); (op,) = ops; "
-            "print(hashlib.sha256(op.pairs.dense().tobytes()).hexdigest()); sys.exit(code)"
+            "print(hashlib.sha256(op.dense().tobytes()).hexdigest()); sys.exit(code)"
         )
         runs = []
         for threads in ("1", "1", "2", "2"):

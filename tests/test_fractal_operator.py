@@ -34,7 +34,6 @@ from fracspectra.fractal_measure import (
 from fracspectra.fractal_operator import (
     BesselKernel,
     CutoffTailWarning,
-    DiscretizedOperator,
     MirrorBlocks,
     PairGather,
     PsdViolationWarning,
@@ -262,7 +261,7 @@ class TestChunkedTables:
             lambda rho: conv * w * kernel(rho),
             conv * energy / w,
         )
-        assert_bitwise(assemble_dmu_kernel(mu, 0.45).pairs.table, expect)
+        assert_bitwise(assemble_dmu_kernel(mu, 0.45).table, expect)
 
     def test_kernel_assembly_holds_the_table_and_no_more_than_a_mebibyte(self, cantor_ifs):
         # at L = 11 the table has 3^11 entries; the old one-shot path held a
@@ -275,8 +274,8 @@ class TestChunkedTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.pairs.table.size == 3**11
-        assert peak < op.pairs.table.nbytes + 2**20, f"assembly peaked at {peak} B"
+        assert op.table.size == 3**11
+        assert peak < op.table.nbytes + 2**20, f"assembly peaked at {peak} B"
 
 
 def assert_bitwise(x: np.ndarray, y: np.ndarray) -> None:
@@ -322,22 +321,22 @@ class TestCodeFactors:
         op = assemble_dmu_kernel(mu, 0.45)
         codes = _pair_codes(mu.ifs, level)
         h = codes.shape[0] // 2
-        a, bj = op.pairs.table[codes[:h, :h]], op.pairs.table[codes[:h, h:][:, ::-1]]
+        a, bj = op.table[codes[:h, :h]], op.table[codes[:h, h:][:, ::-1]]
         del codes
-        assert_gathers(op.pairs.block(1), a + bj)
-        assert_gathers(op.pairs.block(-1), a - bj)
+        assert_gathers(op.block(1), a + bj)
+        assert_gathers(op.block(-1), a - bj)
         # the reversed code factor B J reads is made once, with the operator
-        flipped = op.pairs.flipped
-        assert flipped.flags.c_contiguous and np.array_equal(flipped, op.pairs.lo[:, ::-1])
-        op.pairs.block(1)
-        assert op.pairs.flipped is flipped
+        flipped = op.flipped
+        assert flipped.flags.c_contiguous and np.array_equal(flipped, op.lo[:, ::-1])
+        op.block(1)
+        assert op.flipped is flipped
 
     @pytest.mark.parametrize("level", [6, 7])  # 3 x 3 and 9 x 9 tiles
     def test_dense_odd_non_lattice_kernel(self, level):
         mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), level)
         op = assemble_dmu_kernel(mu, 0.45)
-        assert type(op.pairs) is PairGather and op.pairs.r is None
-        assert_gathers(op.pairs.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
+        assert type(op) is PairGather and op.r is None
+        assert_gathers(op.dense(), dense_kernel(mu, 0.45))  # table[_pair_codes(ifs, L)]
 
     # 2 x 2 tiles of 16 at L = 5, 4 x 4 of 256 at L = 10
     @pytest.mark.parametrize(
@@ -377,14 +376,14 @@ class TestCodeFactors:
         cw = (2.0 * math.pi) ** (-0.5) * mu.weight
         if name == "separable_demo":
             assert op.assembly["similarity"] == "diag(sqrt(a))"
-            assert type(op.pairs) is PairGather
-            r = np.sqrt(fractal_operator._shared_positive_factor(sym, mu.atoms))
+            assert type(op) is PairGather
+            r = np.sqrt(sym.term.spatial(mu.atoms))
             expect = (table * cw)[codes] * np.multiply.outer(r, r)
         else:
             assert op.assembly["similarity"] is None
-            assert isinstance(op.pairs, MirrorBlocks) and op.pairs.r is None
+            assert isinstance(op, MirrorBlocks) and op.r is None
             expect = (table * cw)[codes]
-        assert_gathers(op.pairs.dense(), expect)  # expect is its own transpose
+        assert_gathers(op.dense(), expect)  # expect is its own transpose
 
     @pytest.mark.parametrize("case", ["kernel", "x-independent-galerkin", "dense"])
     def test_no_operator_holds_a_quarter_square_integer_array(self, cantor_ifs, case):
@@ -396,8 +395,8 @@ class TestCodeFactors:
         else:
             mu = quadrature(build_cantor_like(*GEOMETRIES["non-lattice-1d"]), 7)
             op = assemble_dmu_kernel(mu, 0.45)
-        assert isinstance(op.pairs, MirrorBlocks) == (case != "dense")
-        quarter = (op.shape[0] // 2) ** 2
+        assert isinstance(op, MirrorBlocks) == (case != "dense")
+        quarter = (op.order // 2) ** 2
         held = list(integer_arrays(op))
         assert held or case == "dense"
         assert all(a.size < quarter for a in held), [a.shape for a in held]
@@ -551,7 +550,7 @@ class TestCellPairEnergy:
         assert info["explicit_depth"] == 4
         pins = {"cantor_p2": "0x1.1c197382d5929p-8", "cantor_small": "0x1.2ad95ce397faap-5"}
         if path.stem in pins:
-            table = assemble_dmu_kernel(mu, config.analysis.s).pairs.table
+            table = assemble_dmu_kernel(mu, config.analysis.s).table
             assert table[table.size // 2].hex() == pins[path.stem]
 
 
@@ -613,7 +612,7 @@ class TestKernelGram:
 
     def test_boundary_smoothness_allowed(self, mu5):
         op = assemble_dmu_kernel(mu5, 0.5)
-        assert op.shape == (32, 32)
+        assert op.order == 32
 
     def test_two_atom_eigenvalues(self, cantor_ifs):
         mu1 = quadrature(cantor_ifs, 1)
@@ -690,34 +689,33 @@ class TestKernelGram:
         assert a["diagonal_rule"]["tail_branch"] == "power"
 
     def test_mirror_operator_validation(self, cantor_ifs):
-        mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45).pairs
+        mirror = assemble_dmu_kernel(quadrature(cantor_ifs, 2), 0.45)
         for value in (math.nan, math.inf):
             table = mirror.table.copy()
             table[0] = value  # an entry of K off the diagonal
-            bad = dataclasses.replace(mirror, table=table)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator({}, bad)
+                dataclasses.replace(mirror, table=table)  # MirrorBlocks checks too
             r = np.ones(4)
             r[3] = value  # a factor of every entry in the last row and column
-            dense = PairGather(mirror.table, mirror.hi, mirror.lo, mirror.step, r)
             with pytest.raises(ValueError, match="non-finite"):
-                DiscretizedOperator({}, dense)
+                PairGather({}, mirror.table, mirror.hi, mirror.lo, mirror.step, r)
 
     def test_operator_container_validation(self, cantor_ifs):
-        # an operator is exactly its record and its gather, both required,
-        # square of the gather's order, and frozen
-        pairs = assemble_dmu_kernel(quadrature(cantor_ifs, 3), 0.45).pairs
+        # an operator is exactly its record and its gather's arrays, the
+        # record required, square of the gather's order, and frozen
+        op = assemble_dmu_kernel(quadrature(cantor_ifs, 3), 0.45)
         with pytest.raises(TypeError):
-            DiscretizedOperator({})
-        op = DiscretizedOperator({"kind": "probe"}, pairs)
-        assert op.shape == (8, 8) and op.pairs is pairs
+            PairGather(op.table, op.hi, op.lo, op.step)  # no record
+        assert op.order == 8 and op.assembly["kind"] == "kernel-gram"
         with pytest.raises(dataclasses.FrozenInstanceError):
-            op.pairs = pairs
+            op.assembly = {"kind": "probe"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.table = op.table
         # three by three tiles of order two: the order is the product
-        tiled = PairGather(np.zeros(36), np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2), 4)
-        assert DiscretizedOperator({}, tiled).shape == (6, 6)
-        empty = PairGather(np.zeros(0), np.zeros((0, 0), np.intp), np.zeros((1, 1), np.intp), 1)
-        assert DiscretizedOperator({}, empty).shape == (0, 0)
+        tiled = PairGather({}, np.zeros(36), np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2), 4)
+        assert tiled.order == 6
+        empty = PairGather({}, np.zeros(0), np.zeros((0, 0), np.intp), np.zeros((1, 1), np.intp), 1)
+        assert empty.order == 0
 
     @pytest.mark.parametrize(
         "geometry, level, symbol",
@@ -825,7 +823,7 @@ class TestNotAKnotSpline:
         monkeypatch.setattr(fractal_operator, "_NotAKnotSpline", Recording)
         config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
         sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
-        _CutoffProfile(sym.separable_terms[0].sigma, config.analysis.freq_cutoff, rho_maxdist=1.01)
+        _CutoffProfile(sym.term.sigma, config.analysis.freq_cutoff, rho_maxdist=1.01)
         ((x, y),) = tabulated
         assert x.size == fractal_operator._PROFILE_NODES
         self.assert_is_cubic_spline(x, y)
@@ -845,7 +843,7 @@ class TestCutoffProfileQuadrature:
     def bundled_term():
         config = load_config(next(path for path in CONFIGS if path.stem == "cantor_p15"))
         sym = make_symbol(config.analysis.symbol, **config.analysis.symbol_params)
-        return sym.separable_terms[0].sigma, config.analysis.freq_cutoff
+        return sym.term.sigma, config.analysis.freq_cutoff
 
     def test_node_values_are_the_one_shot_sums_at_the_same_chunk(self, monkeypatch):
         # each chunk's operands are recorded on their way through the profile;
@@ -904,6 +902,25 @@ class TestCutoffProfileQuadrature:
             tracemalloc.stop()
         assert peak < 8 * fractal_operator._PROFILE_BUFFER + 2**20, f"profile peaked at {peak} B"
 
+    def test_an_over_fine_quadrature_is_refused_before_any_panel_exists(
+        self, mu5, monkeypatch
+    ):
+        # at a cutoff of 1e16 the split radius sits at the probe floor 1e-9,
+        # and the panels would hold about 153 M nodes, 816 MiB per array for
+        # the largest; the guard fails any linspace of more than 1 << 21
+        # points before it allocates
+        linspace = np.linspace
+
+        def guard(start, stop, num=50, *args, **kwargs):
+            if num > 1 << 21:
+                raise AssertionError(f"a linspace of {num} points was asked for")
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", guard)
+        sym = make_symbol("bessel_power", sigma=-0.9)
+        with pytest.raises(ValueError, match="too fine a quadrature panel"):
+            assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e16)
+
 
 class TestGalerkinCompression:
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
@@ -929,8 +946,8 @@ class TestGalerkinCompression:
         # an x-independent symbol on these mirror-symmetric sets is held as
         # its mirror blocks; a modulated one is held dense, and since it is
         # symmetric bit for bit, a second operator holds this very array
-        assert isinstance(op.pairs, MirrorBlocks) == (expect is None)
-        assert (op.pairs.r is None) == (expect is None)
+        assert isinstance(op, MirrorBlocks) == (expect is None)
+        assert (op.r is None) == (expect is None)
         assert_operator_is(op, K)
 
     def test_matches_kernel_gram_at_p_two(self, mu7):
@@ -954,7 +971,7 @@ class TestGalerkinCompression:
         sym = make_symbol("bessel_power", sigma=-0.9)
         M = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
         K = held_matrix(M, mu5)
-        assert isinstance(M.pairs, MirrorBlocks) and K.dtype == np.float64
+        assert isinstance(M, MirrorBlocks) and K.dtype == np.float64
         assert np.array_equal(K, K.T)
 
     def test_spatial_modulation_is_row_scaling(self, mu5):
@@ -975,7 +992,7 @@ class TestGalerkinCompression:
         sym = make_symbol("separable_demo", sigma=-0.9)
         M = held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e5), mu)
         dist = np.abs(mu.atoms[:, 0, None] - mu.atoms[None, :, 0])
-        term = sym.separable_terms[0]
+        term = sym.term
         profile = _CutoffProfile(term.sigma, 1.0e5, rho_maxdist=dist.max() * 1.01)
         spatial = np.asarray(term.spatial(mu.atoms)).reshape(-1)
         off = ~np.eye(mu.n_atoms, dtype=bool)
@@ -999,30 +1016,18 @@ class TestGalerkinCompression:
 
     @pytest.mark.parametrize(
         "case, condition",
-        [
-            ("exotic", "real spatial factors"),
-            ("sign-changing", "strictly positive"),
-            ("two-factors", "share one spatial factor"),
-        ],
-        ids=["exotic", "sign-changing", "two-factors"],
+        [("exotic", "real spatial factor"), ("sign-changing", "strictly positive")],
+        ids=["exotic", "sign-changing"],
     )
     def test_complex_nonpositive_or_differing_factors_are_refused(
         self, mu5, case, condition, monkeypatch
     ):
         base = make_symbol("bessel_power", sigma=-0.9)
-        if case == "exotic":  # complex, distinct factors; declared at the window's order
-            terms = tuple(
-                SeparableTerm(lambda x, j=j: np.exp(1j * 2.0**j * x[..., 0]), -0.9)
-                for j in range(7)
-            )
-        elif case == "sign-changing":  # cos(3x) < 0 on the right half of the set
-            terms = (SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), -0.9),)
-        else:
-            terms = (
-                SeparableTerm(lambda x: 1.0 + 0.5 * np.cos(x[..., 0]), -0.9),
-                SeparableTerm(lambda x: 2.0 + np.sin(x[..., 0]), -0.9),
-            )
-        sym = Symbol(case, base.evaluator, -0.9, 0.0, separable_terms=terms)
+        if case == "exotic":  # a complex factor; declared at the window's order
+            term = SeparableTerm(lambda x: np.exp(1j * 2.0 * x[..., 0]), -0.9)
+        else:  # cos(3x) < 0 on the right half of the set
+            term = SeparableTerm(lambda x: np.cos(3.0 * x[..., 0]), -0.9)
+        sym = Symbol(case, base.evaluator, -0.9, 0.0, term=term)
         # refused before the pair table, so before any N x N array exists
         for name in ("_pair_table", "_pair_codes", "_pair_distances", "_folded_table"):
             monkeypatch.setattr(fractal_operator, name, None)
@@ -1047,16 +1052,15 @@ class TestGalerkinCompression:
         assert len(tails) == (1 if warns else 0)
 
     def test_tail_warning_reads_the_row_scaled_entry_scale(self, mu5):
-        # two terms sharing a factor with a wide range: the warning quotes
-        # max|c w D S| over the pairs near the median distance, the row-scaled
-        # entries, not those of the similar form D^{1/2} S D^{1/2} returned
+        # a term whose factor has a wide range: the warning quotes max|c w D
+        # S| over the pairs near the median distance, the row-scaled entries,
+        # not those of the similar form D^{1/2} S D^{1/2} returned
         base = make_symbol("bessel_power", sigma=-0.9)
 
         def factor(x):
             return np.exp(-8.0 * x[..., 0])
 
-        terms = (SeparableTerm(factor, -0.9), SeparableTerm(factor, -0.9))
-        sym = Symbol("wide", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        sym = Symbol("wide", base.evaluator, -0.9, 0.0, term=SeparableTerm(factor, -0.9))
         with pytest.warns(CutoffTailWarning) as caught:
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 300.0)
         quoted = float(str(caught[0].message).split("entry scale ")[1].split()[0])
@@ -1097,28 +1101,6 @@ class TestGalerkinCompression:
         assert band.dtype == bool and band.any()
         assert np.array_equal(band, np.abs(dist - rho_med) < 0.5 * rho_med)
 
-    def test_no_terms_give_the_zero_operator(self, mu5):
-        base = make_symbol("bessel_power", sigma=-0.9)
-        sym = Symbol("empty", base.evaluator, -0.9, 0.0, separable_terms=())
-        op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
-        assert op.assembly["similarity"] is None
-        K = held_matrix(op, mu5)
-        assert K.shape == (32, 32) and not np.any(K)
-
-    def test_term_linearity(self, mu5):
-        # two terms sharing the separable_demo factor, with radial parts of
-        # two orders: the compression of their sum is the sum of theirs
-        base = make_symbol("separable_demo", sigma=-0.9)
-        lower = make_symbol("separable_demo", sigma=-1.3).separable_terms[0]
-        term = base.separable_terms[0]
-
-        def compress(*terms):
-            sym = Symbol("sum", base.evaluator, -0.9, 0.0, separable_terms=terms)
-            return held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5), mu5)
-
-        M1, M2, M12 = compress(term), compress(lower), compress(term, lower)
-        assert np.max(np.abs(M12 - (M1 + M2))) <= 1e-12 * np.max(np.abs(M12))
-
     def test_window_and_order_validation(self, mu5):
         with pytest.raises(WindowViolationError):
             assemble_tmu_galerkin(
@@ -1137,7 +1119,7 @@ class TestGalerkinCompression:
         M = assemble_tmu_galerkin(
             make_symbol("bessel_power", sigma=-1.0), 0.5, 2.0, mu5, 1e4
         )
-        assert M.shape == (32, 32)
+        assert M.order == 32
 
     def test_non_separable_rejected(self, mu5):
         sym = Symbol(
@@ -1164,16 +1146,19 @@ class TestGalerkinCompression:
         self, mu5, monkeypatch, sigma
     ):
         # the profile's far field is the kernel of order -sigma, which
-        # exists only for sigma < 0; the second term is named
+        # exists only for sigma < 0.  A symbol's term is at its declared
+        # order, so a term with sigma >= 0 under the window's order is no
+        # symbol, and one declared at sigma >= 0 fails the order check
         base = make_symbol("bessel_power", sigma=-0.9)
-        terms = (base.separable_terms[0], SeparableTerm(None, sigma))
-        sym = Symbol("mixed", base.evaluator, -0.9, 0.0, separable_terms=terms)
+        with pytest.raises(ValueError, match=f"sigma = {sigma} is not the declared order -0.9"):
+            Symbol("mixed", base.evaluator, -0.9, 0.0, term=SeparableTerm(None, sigma))
+        sym = Symbol("non-negative", base.evaluator, sigma, 0.0, term=SeparableTerm(None, sigma))
 
         def spy(*args):
             raise AssertionError("the pair distances were computed")
 
         monkeypatch.setattr(fractal_operator, "_pair_distances", spy)
-        with pytest.raises(ValueError, match=f"term 1 has sigma = {sigma}"):
+        with pytest.raises(ValueError, match=f"symbol order {sigma} must be negative"):
             assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5)
 
     def test_x_independent_spectrum_bits_are_pinned(self):
@@ -1182,7 +1167,7 @@ class TestGalerkinCompression:
         mu = quadrature(build_cantor_like(*GEOMETRIES["cantor-1d"]), 8)
         sym = make_symbol("bessel_power", sigma=-0.9)
         op = assemble_tmu_galerkin(sym, 0.45, 2.0, mu, 1.0e6)
-        assert isinstance(op.pairs, MirrorBlocks)
+        assert isinstance(op, MirrorBlocks)
         assert [float(v).hex() for v in eigen_spectrum(op)[:10]] == [
             "0x1.392c54bc733a8p-1",
             "0x1.904eb17c11ea6p-2",

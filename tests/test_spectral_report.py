@@ -25,7 +25,6 @@ from fracspectra.experiment import _assemble, _build_measure, load_config
 from fracspectra.fractal_measure import build_cantor_like, quadrature
 from fracspectra.fractal_operator import (
     CutoffTailWarning,
-    DiscretizedOperator,
     MirrorBlocks,
     PairGather,
     PsdViolationWarning,
@@ -195,7 +194,7 @@ def random_symmetric(rng, n: int) -> np.ndarray:
     return a + a.T
 
 
-def operator(mat, assembly=None, tiles: int = 1) -> DiscretizedOperator:
+def operator(mat, assembly=None, tiles: int = 1) -> PairGather:
     """Bitwise symmetric ``mat`` of order n as an operator with the given
     ``assembly`` record (none by default), held as a pair gather with no
     ``r`` whose table is the entries of ``mat``: ``tiles`` x ``tiles`` tiles
@@ -208,7 +207,7 @@ def operator(mat, assembly=None, tiles: int = 1) -> DiscretizedOperator:
     table = mat.reshape(tiles, size, tiles, size).swapaxes(1, 2).ravel()
     hi = np.arange(tiles * tiles).reshape(tiles, tiles)
     lo = np.arange(size * size).reshape(size, size)
-    return DiscretizedOperator(assembly or {}, PairGather(table, hi, lo, size * size))
+    return PairGather(assembly or {}, table, hi, lo, size * size)
 
 
 def mirror_symmetric(rng, n: int) -> np.ndarray:
@@ -225,29 +224,28 @@ def toeplitz_mirror_blocks(table: np.ndarray) -> tuple[MirrorBlocks, np.ndarray]
     the level-0 codes ``lo``, the one code 0, with ``D^0 = 1``."""
     n = (table.size + 1) // 2
     digit = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
-    return MirrorBlocks(table, digit, np.zeros((1, 1), dtype=np.intp), 1), table[digit]
+    return MirrorBlocks({}, table, digit, np.zeros((1, 1), dtype=np.intp), 1), table[digit]
 
 
 def held_arrays(op) -> list:
     """Every array ``op`` holds: its table, code factors, any ``r``, and the
     reversed code factor of mirror blocks."""
-    pairs = op.pairs
     return (
-        [pairs.table, pairs.hi, pairs.lo, np.array(pairs.step)]
-        + ([] if pairs.r is None else [pairs.r])
-        + ([pairs.flipped] if isinstance(pairs, MirrorBlocks) else [])
+        [op.table, op.hi, op.lo, np.array(op.step)]
+        + ([] if op.r is None else [op.r])
+        + ([op.flipped] if isinstance(op, MirrorBlocks) else [])
     )
 
 
-def certify(pairs, sign=None) -> tuple[np.ndarray, np.ndarray]:
-    """``spectral_report._certified_pairs`` on ``pairs`` gathered as the solve
+def certify(op, sign=None) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_report._certified_pairs`` on ``op`` gathered as the solve
     gathers it: whole (no ``sign``), or as its mirror block of that sign."""
     if sign is None:
-        gather = pairs.dense
+        gather = op.dense
     else:
 
         def gather(out=None, rows=None):
-            return pairs.block(sign, out, rows)
+            return op.block(sign, out, rows)
 
     return spectral_report._certified_pairs(gather(), gather)
 
@@ -477,8 +475,7 @@ class TestEigenSpectrum:
             _, mat = toeplitz_mirror_blocks(table)
             # the centre code is the coincident one: lowering it shifts the diagonal
             table[n - 1] -= 0.5 * np.abs(np.linalg.eigvalsh(mat)).max()
-            blocks, mat = toeplitz_mirror_blocks(table)
-            op = DiscretizedOperator({}, blocks)
+            op, mat = toeplitz_mirror_blocks(table)
         else:
             mat = mirror_symmetric(rng, n)
             mat = mat - 0.5 * np.abs(np.linalg.eigvalsh(mat)).max() * np.eye(n)
@@ -511,10 +508,10 @@ class TestEigenSpectrum:
     ):
         if n == 128:
             op = assemble_dmu_kernel(quadrature(cantor_ifs, 7), 0.45)
-            assert isinstance(op.pairs, MirrorBlocks)
+            assert isinstance(op, MirrorBlocks)
         elif n == 81:
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
-            assert type(op.pairs) is PairGather and op.shape == (81, 81)
+            assert type(op) is PairGather and op.order == 81
         else:
             a = np.random.default_rng(23).standard_normal((n, n))
             op = operator(a + a.T)
@@ -538,9 +535,9 @@ class TestEigenSpectrum:
         # smallest of them lies outside the operator's top 50, and a vector
         # that does not pair with it is refused all the same
         op = assemble_dmu_kernel(quadrature(cantor_ifs, 8), 0.45)
-        assert isinstance(op.pairs, MirrorBlocks)
+        assert isinstance(op, MirrorBlocks)
         values = eigen_spectrum(op)
-        _, top, _ = spectral_report._top_pairs(op.pairs.block(-1))
+        _, top, _ = spectral_report._top_pairs(op.block(-1))
         smallest = int(np.argmin(np.abs(top)))
         assert top.size == 50 and abs(top[smallest]) < abs(values[49])
         real_vectors, shapes = FLAPACK.dstein, []
@@ -592,7 +589,7 @@ class TestEigenSpectrum:
             spectral_report._top_pairs(mat.copy())
         with pytest.raises(RuntimeError, match="did not converge.*'kind': 'probe'"):
             eigen_spectrum(op)
-        assert np.shares_memory(op.pairs.table, mat)
+        assert np.shares_memory(op.table, mat)
         assert_bitwise_equal(mat, keep)  # the solve reduced a gathered copy
 
     @pytest.mark.parametrize(
@@ -607,19 +604,19 @@ class TestEigenSpectrum:
             assert op.assembly["similarity"] == "diag(sqrt(a))"
         elif case == "three-map-kernel":  # fails the digit test: a dense K
             op = assemble_dmu_kernel(quadrature(build_cantor_like(*THREE_MAPS), 4), 0.45)
-            assert type(op.pairs) is PairGather
+            assert type(op) is PairGather
         else:  # an x-independent symbol
             sym = make_symbol("bessel_power", sigma=-0.9)
             op = assemble_tmu_galerkin(sym, 0.45, 2.0, quadrature(cantor_ifs, 7), 1.0e5)
-            assert isinstance(op.pairs, MirrorBlocks)
+            assert isinstance(op, MirrorBlocks)
         held = held_arrays(op)
         keep = [a.copy() for a in held]
         with eigensolve_calls() as calls:
             eigen_spectrum(op)
-        n = op.shape[0]
-        split = isinstance(op.pairs, MirrorBlocks)
+        n = op.order
+        split = isinstance(op, MirrorBlocks)
         assert_block_solves(calls, [n // 2, n // 2] if split else [n])
-        assert len(held) == 4 + (op.pairs.r is not None) + split
+        assert len(held) == 4 + (op.r is not None) + split
         for a, b in zip(held, keep):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -653,7 +650,7 @@ class TestEigenSpectrum:
             eigen_spectrum(op)
         assert reductions == [(1, True)] * (1 if case == "dense" else 2)
         if case == "dense":  # the gather into the solve's own buffer
-            assert not np.shares_memory(blocks[0], op.pairs.table)
+            assert not np.shares_memory(blocks[0], op.table)
 
     @pytest.mark.parametrize("case", ["dense", "kernel-mirror-blocks"])
     def test_certificate_product_is_scipy_dgemm_on_strips_of_k(self, cantor_ifs, case):
@@ -704,11 +701,11 @@ class TestEigenSpectrum:
         # the block formed in full (mirror_block)
         if case == "dense":
             block = random_symmetric(np.random.default_rng(61), 300)
-            _, res = certify(operator(block).pairs)
+            _, res = certify(operator(block))
         else:
             mu = quadrature(cantor_ifs, 10)
             block = mirror_block(dense_kernel(mu, 0.45), -1)
-            _, res = certify(assemble_dmu_kernel(mu, 0.45).pairs, -1)
+            _, res = certify(assemble_dmu_kernel(mu, 0.45), -1)
         _, top, u = spectral_report._top_pairs(block.copy())
         oracle = np.linalg.norm(block @ u - u * top, axis=0)
         scale = np.finfo(float).eps * float(np.abs(top).max())
@@ -725,7 +722,7 @@ class TestEigenSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffTailWarning)
             op = _assemble(cfg, _build_measure(cfg, 10))
-        assert isinstance(op.pairs, MirrorBlocks) == (config == "cantor_p2")
+        assert isinstance(op, MirrorBlocks) == (config == "cantor_p2")
         traced, resident, orders = [], [], []
         real_certified = spectral_report._certified_pairs
 
@@ -784,7 +781,7 @@ class TestEigenSpectrum:
         finally:
             tracemalloc.stop()
         assert same == [False, True] and made == [512]
-        size = 8 * (op.pairs.order // 2) ** 2
+        size = 8 * (op.order // 2) ** 2
         assert size == 8 * 512 * 512
         assert peak < 1.5 * size, f"solve peaked at {peak} B, a block is {size} B"
         assert max(grown) < 1.5 * size, f"RssAnon grew {max(grown)} B, a block is {size} B"
@@ -814,9 +811,9 @@ class TestEigenSpectrum:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_report, "_certified_pairs", certified)
             eigen_spectrum(op)
-        split = isinstance(op.pairs, MirrorBlocks)
+        split = isinstance(op, MirrorBlocks)
         assert [n for n, _ in resident] == ([1024, 1024] if split else [2**level])
-        size, slack = op.pairs.lo.shape[0], 2**16
+        size, slack = op.lo.shape[0], 2**16
         assert size == 256
         for n, got in resident:
             assert got <= triangle_pages(n, size) + slack <= 4 * n * n + 4096 * n + slack
@@ -854,7 +851,7 @@ class TestEigenSpectrum:
         if case == "split":
             e = scipy.linalg.lapack.dsytrd(mat.copy())[2]
             assert np.count_nonzero(e == 0.0) >= 2
-        w, res = certify(operator(mat).pairs)
+        w, res = certify(operator(mat))
         _, top, _ = spectral_report._top_pairs(mat.copy())
         ref = np.linalg.eigvalsh(mat)
         norm = float(np.abs(ref).max())
@@ -872,10 +869,10 @@ class TestEigenSpectrum:
         # solved at full size to the same eigenvalue bits
         mat = random_symmetric(np.random.default_rng(79), n)
         whole, tiled = operator(mat), operator(mat, tiles=tiles)
-        assert np.shares_memory(whole.pairs.table, mat)
-        assert tiled.shape == (n, n) and tiled.pairs.hi.shape == (tiles, tiles)
+        assert np.shares_memory(whole.table, mat)
+        assert tiled.order == n and tiled.hi.shape == (tiles, tiles)
         for op in (whole, tiled):
-            K = op.pairs.dense()
+            K = op.dense()
             assert not np.shares_memory(K, mat)
             assert_gathers(K, mat)
         with eigensolve_calls() as calls:
@@ -895,8 +892,8 @@ class TestEigenSpectrum:
             modulated = _assemble(cfg, _build_measure(cfg, 8))
         kernel = assemble_dmu_kernel(quadrature(cantor_ifs, 8), 0.45)
         hand_built = operator(random_symmetric(np.random.default_rng(71), 256))
-        assert isinstance(kernel.pairs, MirrorBlocks)
-        assert type(modulated.pairs) is PairGather and modulated.pairs.r is not None
+        assert isinstance(kernel, MirrorBlocks)
+        assert type(modulated) is PairGather and modulated.r is not None
         for op in (kernel, modulated, hand_built):
             keep = [a.copy() for a in held_arrays(op)]
             serial = eigen_spectrum(op)
@@ -935,7 +932,7 @@ class TestEigenSpectrum:
         finally:
             tracemalloc.stop()
         n = mu.n_atoms
-        assert type(op.pairs) is PairGather
+        assert type(op) is PairGather
         assert peak < 4 * n * n, f"assembly peaked at {peak} B, 4 N^2 = {4 * n * n} B"
 
     @pytest.mark.parametrize("case", ["cantor_p2", "cantor_p15", "odd-m-kernel", "hand-built"])
@@ -953,7 +950,7 @@ class TestEigenSpectrum:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CutoffTailWarning)
                 op = _assemble(cfg, _build_measure(cfg, 10))
-        h = op.shape[0] // (2 if isinstance(op.pairs, MirrorBlocks) else 1)
+        h = op.order // (2 if isinstance(op, MirrorBlocks) else 1)
         eigen_spectrum(op)  # warm-up: imports and LAPACK wrappers
         made, grown = [], []
         real_certified = spectral_report._certified_pairs
@@ -1007,8 +1004,8 @@ class TestKernelMirrorBlocks:
         rng = np.random.default_rng(level)
         for sign in (1, -1):
             block = mirror_block(K, sign)
-            _, res = certify(op.pairs, sign)
-            _, top, u = spectral_report._top_pairs(op.pairs.block(sign))
+            _, res = certify(op, sign)
+            _, top, u = spectral_report._top_pairs(op.block(sign))
 
             def lift(v):
                 return np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0)
@@ -1047,7 +1044,7 @@ class TestKernelMirrorBlocks:
                 warnings.simplefilter("ignore", CutoffTailWarning)
                 op = assemble_tmu_galerkin(make_symbol(assembly, sigma=-2.0 * s), s, 2.0, mu, 1.0e5)
             K = held_matrix(op, mu)
-        assert isinstance(op.pairs, MirrorBlocks) == split
+        assert isinstance(op, MirrorBlocks) == split
         assert_operator_is(op, K)
         with eigensolve_calls() as calls:
             values = eigen_spectrum(op)  # certified, or it raises
@@ -1404,6 +1401,15 @@ class TestSpectrumReportInvariants:
     def test_decay_fit_window_must_increase(self):
         with pytest.raises(ValueError, match="not increasing"):
             DecayFit(5, 5, -1.0, 0.0, 0.0)
+
+    def test_default_upper_edge_is_the_float_one_in_integers(self):
+        # min(count // 5, 400) is int(min(0.2 count, 400.0)) at every count
+        # a float holds, and resolves a count too large for one
+        for count in [*range(30, 5000), 10**6, 2**53]:
+            assert spectral_report._fit_window(count, 1, None) == (
+                1, int(min(0.2 * count, 400.0))
+            )
+        assert spectral_report._fit_window(2**2000, 10, None) == (10, 400)
 
     def test_n_zero_counts_the_dropped_tail(self):
         vals = np.concatenate([power_law(40, 0.5), np.full(3, 1e-20)])

@@ -6,11 +6,9 @@ import pytest
 from conftest import coupled_phase_symbol
 from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
-    SeparableTerm,
     Symbol,
     SymbolInstabilityError,
     _probe_points,
-    _sum_evaluator,
     available_symbols,
     make_symbol,
     validate_symbol,
@@ -125,26 +123,22 @@ class TestCatalogValues:
         x, xi = sample_points()
         sym = make_symbol(name, **CATALOG[name])
         r = np.abs(xi[:, 0])
-        total = np.zeros(len(r), dtype=complex)
-        for term in sym.separable_terms:
-            a = np.ones(len(r)) if term.spatial is None else term.spatial(x)
-            total = total + a * term.radial(r)
-        assert np.max(np.abs(sym(x, xi) - total)) < 1e-14
+        term = sym.term
+        a = np.ones(len(r)) if term.spatial is None else term.spatial(x)
+        assert np.max(np.abs(sym(x, xi) - a * term.radial(r))) < 1e-14
 
     @pytest.mark.parametrize("name", ["identity", "bessel_power"])
     def test_x_independent_symbols_ignore_x(self, name) -> None:
         x, xi = sample_points()
         sym = make_symbol(name, **CATALOG[name])
         assert np.array_equal(sym(x, xi), sym(np.zeros_like(x), xi))
-        assert all(term.spatial is None for term in sym.separable_terms)
+        assert sym.term.spatial is None
 
     def test_terms_carry_their_bracket_exponent(self) -> None:
         # the Galerkin profile is the closed form of order -sigma
         for name in ("bessel_power", "separable_demo"):
-            (term,) = make_symbol(name, sigma=-0.7).separable_terms
-            assert term.sigma == -0.7
-        (term,) = make_symbol("identity").separable_terms
-        assert term.sigma == 0.0
+            assert make_symbol(name, sigma=-0.7).term.sigma == -0.7
+        assert make_symbol("identity").term.sigma == 0.0
 
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_values_broadcast_over_leading_axes(self, name) -> None:
@@ -156,22 +150,6 @@ class TestCatalogValues:
         for i in range(5):
             for k in range(7):
                 assert vals[i, k] == sym(x[i, 0][None, :], xi[0, k][None, :])
-
-
-    def test_complex_distinct_factors_sum_to_the_closed_form(self) -> None:
-        # catalog spatial factors are real or absent; this sum is complex
-        x, xi = sample_points()
-        sigmas = (-0.5, -0.9, -1.3)
-        terms = tuple(
-            SeparableTerm(lambda x, j=j: np.exp(1j * 2.0**j * x[..., 0]), sigma)
-            for j, sigma in enumerate(sigmas)
-        )
-        vals = _sum_evaluator(terms)(x, xi)
-        ref = sum(
-            np.exp(1j * 2.0**j * x[:, 0]) * bracket(xi, sigma) for j, sigma in enumerate(sigmas)
-        )
-        assert vals.dtype == complex
-        assert np.max(np.abs(vals - ref)) < 1e-13
 
 
 class TestProbeGrid:
