@@ -1101,6 +1101,23 @@ class TestGalerkinCompression:
         assert band.dtype == bool and band.any()
         assert np.array_equal(band, np.abs(dist - rho_med) < 0.5 * rho_med)
 
+    def test_term_linearity(self, mu5):
+        # the compression is linear in the term's spatial factor: the
+        # separable_demo term's is the x-independent one's times sqrt(a_j)
+        # sqrt(a_k), and tripling a triples it
+        base = make_symbol("bessel_power", sigma=-0.9)
+        demo = make_symbol("separable_demo", sigma=-0.9).term
+        tripled = SeparableTerm(lambda x: 3.0 * demo.spatial(x), -0.9)
+
+        def compress(term):
+            sym = Symbol("linear", base.evaluator, -0.9, 0.0, term=term)
+            return held_matrix(assemble_tmu_galerkin(sym, 0.45, 2.0, mu5, 1.0e5), mu5)
+
+        M0, M1, M3 = compress(base.term), compress(demo), compress(tripled)
+        r = np.sqrt(demo.spatial(mu5.atoms))
+        assert np.max(np.abs(M1 - M0 * np.multiply.outer(r, r))) <= 1e-12 * np.max(np.abs(M1))
+        assert np.max(np.abs(M3 - 3.0 * M1)) <= 1e-12 * np.max(np.abs(M3))
+
     def test_window_and_order_validation(self, mu5):
         with pytest.raises(WindowViolationError):
             assemble_tmu_galerkin(

@@ -6,9 +6,11 @@ import pytest
 from conftest import coupled_phase_symbol
 from fracspectra.besov_analysis import GridFunction, lift
 from fracspectra.psido_engine import (
+    SeparableTerm,
     Symbol,
     SymbolInstabilityError,
     _probe_points,
+    _term_evaluator,
     available_symbols,
     make_symbol,
     validate_symbol,
@@ -53,6 +55,14 @@ class TestSymbolType:
     def test_delta_range_enforced(self) -> None:
         with pytest.raises(ValueError):
             Symbol(name="bad", evaluator=lambda x, xi: xi, order=0.0, type_delta=1.5)
+
+    @pytest.mark.parametrize(
+        "order, sigma", [(-0.9, -0.5), (float("nan"), float("nan"))], ids=["off", "nan"]
+    )
+    def test_a_term_off_the_declared_order_is_refused(self, order, sigma) -> None:
+        # compared by !=, so a NaN sigma is not its own order either
+        with pytest.raises(ValueError, match="is not the declared order"):
+            Symbol("off", lambda x, xi: xi, order, term=SeparableTerm(None, sigma))
 
     def test_catalog_names(self) -> None:
         assert available_symbols() == ("identity", "bessel_power", "separable_demo")
@@ -150,6 +160,22 @@ class TestCatalogValues:
         for i in range(5):
             for k in range(7):
                 assert vals[i, k] == sym(x[i, 0][None, :], xi[0, k][None, :])
+
+
+    def test_complex_distinct_factors_sum_to_the_closed_form(self) -> None:
+        # catalog spatial factors are real or absent; these terms are complex
+        x, xi = sample_points()
+        sigmas = (-0.5, -0.9, -1.3)
+        terms = [
+            SeparableTerm(lambda x, j=j: np.exp(1j * 2.0**j * x[..., 0]), sigma)
+            for j, sigma in enumerate(sigmas)
+        ]
+        parts = [_term_evaluator(t)(x, xi) for t in terms]
+        ref = [np.exp(1j * 2.0**j * x[:, 0]) * bracket(xi, sigma) for j, sigma in enumerate(sigmas)]
+        assert all(v.dtype == complex for v in parts)
+        assert np.max(np.abs(sum(parts) - sum(ref))) < 1e-13
+        for v, r in zip(parts, ref):
+            assert np.max(np.abs(v - r)) < 1e-13
 
 
 class TestProbeGrid:
